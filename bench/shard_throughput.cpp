@@ -1,6 +1,6 @@
 // Sharded-engine throughput: city-grid deployments (isolated collision
 // domains under the audibility floor) run at shard counts 1/2/4/8, with the
-// serial engine as the shards=1 baseline. Emits BENCH_shard.json plus a
+// one-slice run as the shards=1 baseline. Emits BENCH_shard.json plus a
 // Fig-10-style city map (fig10_city_map.csv) colored by domain and shard.
 //
 // Host-core note: on a core-starved container, worker threads time-slice
@@ -13,13 +13,12 @@
 // Bit-identity is not just asserted in tests: every run fingerprints the
 // full per-node metric set (plus the compensated gateway counters and the
 // disseminated w_u values) and the process exits nonzero if any shard
-// count diverges from the serial engine.
+// count diverges from the shards=1 run.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -47,12 +46,6 @@ ScenarioConfig city_scenario(int nodes, int gateways, std::uint64_t seed) {
   c.interference_floor_dbm = -143.0;
   c.sf_assignment = SfAssignment::kDistanceBased;
   return c;
-}
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
@@ -111,14 +104,11 @@ RunStats run_once(const ScenarioConfig& base, int shards, double days) {
   ScenarioConfig config = base;
   config.shards = shards;
   ShardedNetwork net{config};
-  const double cpu0 = thread_cpu_seconds();
   const auto wall0 = std::chrono::steady_clock::now();
   net.run_until(Time::from_days(days));
   RunStats out;
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  // Serial delegate runs on this thread; sharded runs on worker threads.
-  out.critical_s =
-      net.serial() ? thread_cpu_seconds() - cpu0 : net.max_shard_busy_seconds();
+  out.critical_s = net.max_shard_busy_seconds();
   net.finalize_metrics();
   out.shards = shards;
   out.effective = net.plan().effective;

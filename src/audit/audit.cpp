@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
+
+#include "common/env_number.hpp"
 
 namespace blam {
 
@@ -42,12 +45,8 @@ std::string AuditViolation::to_string() const {
 }
 
 AuditConfig audit_config_from_env(AuditConfig base) {
-  if (const char* env = std::getenv("BLAM_AUDIT")) {
-    char* end = nullptr;
-    const long level = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && level >= 0 && level <= 2) {
-      base.level = static_cast<int>(level);
-    }
+  if (const auto level = env_number<std::int64_t>("BLAM_AUDIT", 0, 2)) {
+    base.level = static_cast<int>(*level);
   }
   if (const char* env = std::getenv("BLAM_AUDIT_THROW")) {
     if (env[0] == '1' || env[0] == 't' || env[0] == 'T' || env[0] == 'y' || env[0] == 'Y') {

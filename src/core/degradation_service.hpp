@@ -105,7 +105,7 @@ struct LedgerCounters {
 /// DegradationService instances (sim/shard_engine.hpp), every shard's w_u
 /// must be normalized by the FLEET-wide maximum, not the local one. The
 /// combiner is called once per recompute between the local-max pass and the
-/// normalization pass; the serial engine leaves it unset.
+/// normalization pass; a standalone whole-fleet Network leaves it unset.
 class FleetMaxCombiner {
  public:
   virtual ~FleetMaxCombiner() = default;
@@ -159,7 +159,7 @@ class DegradationService {
   std::size_t drain_queue();
 
   /// Attaches the fleet-wide D_max all-reduce (nullptr = local max only,
-  /// the serial engine's behavior).
+  /// a standalone whole-fleet Network's behavior).
   void set_fleet_combiner(FleetMaxCombiner* combiner) { combiner_ = combiner; }
 
   /// Queue watermark for enqueue_report() (must be >= 1).

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
+#include "common/env_number.hpp"
 #include "lora/airtime.hpp"
 #include "net/topology.hpp"
 
@@ -121,15 +123,9 @@ std::shared_ptr<const SolarTrace> build_deployment_trace(const ScenarioConfig& c
 }
 
 std::size_t resolve_ingest_batch(const ScenarioConfig& config) {
-  std::size_t ingest_batch = config.ingest_batch;
-  if (const char* env = std::getenv("BLAM_INGEST_BATCH")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      ingest_batch = static_cast<std::size_t>(parsed);
-    }
-  }
-  return ingest_batch;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto env = env_number<std::int64_t>("BLAM_INGEST_BATCH", 1, kMax);
+  return env.has_value() ? static_cast<std::size_t>(*env) : config.ingest_batch;
 }
 
 }  // namespace blam

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "net/network.hpp"
+#include "net/deployment_plan.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/shard_engine.hpp"
 
@@ -32,9 +32,9 @@ void report_audit(const Auditor* audit) {
 ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
                               std::shared_ptr<const SolarTrace> shared_trace,
                               const CellToken* token) {
-  // ShardedNetwork delegates to the serial Network unless the scenario both
-  // asks for shards (config.shards / BLAM_SHARDS) and decomposes into more
-  // than one collision domain; either way the results are bit-identical.
+  // One slice unless the scenario both asks for shards (config.shards /
+  // BLAM_SHARDS) and decomposes into more than one collision domain; the
+  // results are bit-identical either way.
   ShardedNetwork network{config, std::move(shared_trace)};
   if (token != nullptr) {
     // Cancellation points: advance in slices and poll between them. Setting
@@ -97,8 +97,11 @@ LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration, Ti
 }
 
 std::shared_ptr<const SolarTrace> build_shared_trace(const ScenarioConfig& config) {
-  Network probe{config};  // builds the sized trace without running
-  return probe.share_trace();
+  // The trace's peak is sized from the deployment's worst attempt energy:
+  // the same calls a Network makes, without building the fleet.
+  config.validate();
+  const DeploymentPlan deployment = plan_deployment(config, Rng{config.seed, salt::kRootStream});
+  return build_deployment_trace(config, deployment.worst_attempt_energy);
 }
 
 std::string serialize_lifespan_result(const LifespanResult& r) {

@@ -147,7 +147,7 @@ struct NetworkSummary {
   /// Gateway feedback-ledger ingest decisions (all zero on a clean run).
   LedgerCounters feedback{};
 
-  /// Why a run requesting shards > 1 fell back to the serial engine
+  /// Why a run requesting shards > 1 ran as one whole-fleet slice
   /// (empty when it actually sharded or never asked to).
   std::string serial_reason;
 };
@@ -172,7 +172,7 @@ class Metrics {
   /// summary); set by Network::finalize_metrics.
   void set_feedback(const LedgerCounters& counters) { feedback_ = counters; }
 
-  /// Records why a shards > 1 request degraded to the serial engine; copied
+  /// Records why a shards > 1 request degraded to one slice; copied
   /// into the summary so callers see the fallback without consulting the
   /// ShardPlan. Set by ShardedNetwork at construction.
   void set_serial_reason(std::string reason) { serial_reason_ = std::move(reason); }

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -9,27 +10,124 @@
 
 namespace blam {
 
+namespace {
+
+DeploymentPlan plan_validated(const ScenarioConfig& config) {
+  config.validate();
+  return plan_deployment(config, Rng{config.seed, salt::kRootStream});
+}
+
+void write_gateway_metrics(StateWriter& w, const GatewayMetrics& m) {
+  w.begin_section("gateway-metrics");
+  w.put_u64(m.arrivals);
+  w.put_u64(m.received);
+  w.put_u64(m.lost_interference);
+  w.put_u64(m.lost_half_duplex);
+  w.put_u64(m.lost_no_demod_path);
+  w.put_u64(m.lost_under_sensitivity);
+  w.put_u64(m.acks_sent);
+  w.put_u64(m.acks_rx2);
+  w.put_u64(m.acks_unschedulable);
+  w.put_u64(m.acks_undecodable);
+  w.put_u64(m.duplicates);
+  w.put_u64(m.lost_outage);
+  w.put_u64(m.acks_lost_outage);
+  w.put_u64(m.acks_lost_channel);
+  w.put_u64(m.recomputes_skipped);
+  w.put_u64(m.reports_dropped_fault);
+  w.put_u64(m.reports_duplicated_fault);
+  w.put_u64(m.reports_reordered_fault);
+  w.put_u64(m.reports_corrupted_fault);
+  w.put_u64(m.reports_truncated_fault);
+  w.end_section();
+}
+
+void read_gateway_metrics(StateReader& r, GatewayMetrics& m) {
+  r.begin_section("gateway-metrics");
+  m.arrivals = r.get_u64();
+  m.received = r.get_u64();
+  m.lost_interference = r.get_u64();
+  m.lost_half_duplex = r.get_u64();
+  m.lost_no_demod_path = r.get_u64();
+  m.lost_under_sensitivity = r.get_u64();
+  m.acks_sent = r.get_u64();
+  m.acks_rx2 = r.get_u64();
+  m.acks_unschedulable = r.get_u64();
+  m.acks_undecodable = r.get_u64();
+  m.duplicates = r.get_u64();
+  m.lost_outage = r.get_u64();
+  m.acks_lost_outage = r.get_u64();
+  m.acks_lost_channel = r.get_u64();
+  m.recomputes_skipped = r.get_u64();
+  m.reports_dropped_fault = r.get_u64();
+  m.reports_duplicated_fault = r.get_u64();
+  m.reports_reordered_fault = r.get_u64();
+  m.reports_corrupted_fault = r.get_u64();
+  m.reports_truncated_fault = r.get_u64();
+  r.end_section();
+}
+
+void write_faults(StateWriter& w, const FaultPlan& faults) {
+  // Only the downlink Gilbert-Elliott chains carry draw-consuming state;
+  // the outage/drought schedules regenerate deterministically from
+  // (config, seed) and are deliberately NOT captured.
+  const auto states = faults.channel_states();
+  w.begin_section("faults");
+  w.put_u64(states.size());
+  for (const auto& [gateway_id, state] : states) {
+    w.put_i64(gateway_id);
+    write_rng(w, state.rng);
+    w.put_u64(state.bad ? 1 : 0);
+    write_time(w, state.state_until);
+  }
+  w.end_section();
+}
+
+void read_faults(StateReader& r, FaultPlan& faults) {
+  r.begin_section("faults");
+  std::vector<std::pair<int, GilbertElliott::State>> states(r.get_u64());
+  for (auto& [gateway_id, state] : states) {
+    gateway_id = static_cast<int>(r.get_i64());
+    state.rng = read_rng(r);
+    state.bad = r.get_u64() != 0;
+    state.state_until = read_time(r);
+  }
+  r.end_section();
+  faults.restore_channel_states(states);
+}
+
+}  // namespace
+
+NetworkSlice NetworkSlice::whole(const DeploymentPlan& deployment) {
+  NetworkSlice slice;
+  slice.gateways.resize(deployment.gateway_positions.size());
+  std::iota(slice.gateways.begin(), slice.gateways.end(), 0);
+  slice.nodes.resize(deployment.nodes.size());
+  std::iota(slice.nodes.begin(), slice.nodes.end(), 0U);
+  return slice;
+}
+
 Network::Network(const ScenarioConfig& config) : Network{config, nullptr} {}
 
 Network::Network(const ScenarioConfig& config, std::shared_ptr<const SolarTrace> trace)
+    : Network{config, plan_validated(config), std::move(trace)} {}
+
+Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
+                 std::shared_ptr<const SolarTrace> trace)
+    : Network{config, deployment, std::move(trace), nullptr, NetworkSlice::whole(deployment)} {}
+
+Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
+                 std::shared_ptr<const SolarTrace> trace, FleetMaxCombiner* combiner,
+                 const NetworkSlice& slice)
     : config_{config},
       plan_{config.uplink_channels, config.downlink_channels},
       model_{config.degradation},
-      metrics_{static_cast<std::size_t>(config.n_nodes)} {
+      metrics_{slice.nodes.size()},
+      worst_attempt_energy_{deployment.worst_attempt_energy} {
   config_.validate();
-  build(std::move(trace));
-}
-
-void Network::build(std::shared_ptr<const SolarTrace> trace) {
   const Rng root{config_.seed, salt::kRootStream};
-  DeploymentPlan deployment = plan_deployment(config_, root);
-  worst_attempt_energy_ = deployment.worst_attempt_energy;
-
-  if (trace != nullptr) {
-    trace_ = std::move(trace);
-  } else {
-    trace_ = build_deployment_trace(config_, worst_attempt_energy_);
-  }
+  trace_ = trace != nullptr ? std::move(trace)
+                            : build_deployment_trace(config_, worst_attempt_energy_);
 
   ThermalConfig thermal = config_.thermal;
   if (thermal.insulated) thermal.fixed_c = config_.temperature_c;
@@ -44,6 +142,7 @@ void Network::build(std::shared_ptr<const SolarTrace> trace) {
   // environment (the determinism CI leg regenerates figures at batch 1 and
   // 4096 and diffs the outputs — any batch size is bit-identical).
   server_->service().set_ingest_batch(resolve_ingest_batch(config_));
+  server_->service().set_fleet_combiner(combiner);
 
   // The auditor is observe-only (no RNG, no state mutation), so any level
   // yields bit-identical simulation results; it attaches before anything
@@ -65,7 +164,10 @@ void Network::build(std::shared_ptr<const SolarTrace> trace) {
   // The FaultPlan and all its child streams come from a dedicated fork of
   // the scenario root, so configuring faults never perturbs the topology /
   // shadowing / traffic draws above — and a fault-free scenario builds no
-  // plan at all, keeping it bit-identical to pre-fault builds.
+  // plan at all, keeping it bit-identical to pre-fault builds. Every slice
+  // builds the full plan: outage/drought schedules are global, and the
+  // Gilbert-Elliott / crash / report streams are keyed by global gateway
+  // and node ids, so a slice regenerates exactly its entities' draws.
   if (config_.faults.any()) {
     faults_ = std::make_unique<FaultPlan>(config_.faults, root.fork(salt::kFaultPlan));
     server_->attach_fault_plan(faults_.get());
@@ -77,11 +179,17 @@ void Network::build(std::shared_ptr<const SolarTrace> trace) {
   gw.downlink_tx_dbm = config_.downlink_tx_dbm;
   gw.rx1_bandwidth_hz = config_.rx1_bandwidth_hz;
   gw.interference_floor_dbm = config_.interference_floor_dbm;
-  for (std::size_t g = 0; g < deployment.gateway_positions.size(); ++g) {
-    gateways_.push_back(std::make_unique<Gateway>(static_cast<int>(g),
-                                                  deployment.gateway_positions[g], sim_, *server_,
-                                                  metrics_, plan_, gw));
-    if (faults_ != nullptr) gateways_.back()->attach_fault_plan(faults_.get());
+  for (const int g : slice.gateways) {
+    const auto global = static_cast<std::size_t>(g);
+    gateways_.push_back(std::make_unique<Gateway>(static_cast<int>(gateways_.size()),
+                                                  deployment.gateway_positions[global], sim_,
+                                                  *server_, metrics_, plan_, gw));
+    if (faults_ != nullptr) {
+      // The Gilbert-Elliott downlink chain is keyed by the GLOBAL id. A
+      // fault-free gateway keeps its local id, which its checkpoint records.
+      gateways_.back()->set_fault_gateway_id(g);
+      gateways_.back()->attach_fault_plan(faults_.get());
+    }
   }
 
   if (config_.packet_log) packet_log_ = std::make_unique<PacketLog>();
@@ -91,31 +199,41 @@ void Network::build(std::shared_ptr<const SolarTrace> trace) {
                                                        root.fork(salt::kInterferer));
   }
 
-  nodes_.reserve(deployment.nodes.size());
-  for (std::size_t i = 0; i < deployment.nodes.size(); ++i) {
-    NodePlan& p = deployment.nodes[i];
+  // Construction order — server first (its dissemination tick is the
+  // earliest scheduled event), then gateways, then nodes in ascending global
+  // id — makes a slice's event order the whole-fleet order's projection onto
+  // its collision domains, which is what keeps shard counts bit-identical.
+  nodes_.reserve(slice.nodes.size());
+  for (const std::uint32_t id : slice.nodes) {
+    const NodePlan& p = deployment.nodes[id];
 
     Node::Init init;
-    init.id = static_cast<std::uint32_t>(i);
+    init.id = id;
     init.position = p.position;
     init.period = p.period;
     init.sf = p.sf;
-    init.link_losses_db = std::move(p.losses_db);
+    // Link budget to this slice's gateways, indexed by local gateway id.
+    init.link_losses_db.reserve(slice.gateways.size());
+    for (const int g : slice.gateways) {
+      init.link_losses_db.push_back(p.losses_db[static_cast<std::size_t>(g)]);
+    }
     init.battery_capacity = p.battery_capacity;
     init.panel_scale = p.panel_scale;
 
     server_->register_node(init.id);
     nodes_.push_back(std::make_unique<Node>(init, config_, sim_, gateways_, plan_, *trace_,
-                                            model_, *thermal_, *utility_, metrics_.node(i),
-                                            root.fork(salt::kNodeStreamBase + i)));
+                                            model_, *thermal_, *utility_,
+                                            metrics_.node(nodes_.size()),
+                                            root.fork(salt::kNodeStreamBase + id)));
     nodes_.back()->attach_packet_log(packet_log_.get());
     nodes_.back()->attach_auditor(audit_.get());
     if (faults_ != nullptr) nodes_.back()->attach_fault_plan(faults_.get());
     nodes_.back()->start();
   }
 
-  // Feedback-consistency audit needs the nodes' ground-truth trackers;
-  // node ids are the dense vector indices, so the probe is a direct lookup.
+  // Feedback-consistency audit needs the nodes' ground-truth trackers. The
+  // planner gives audited runs a whole-fleet slice, where node ids are the
+  // dense vector indices, so the probe is a direct lookup.
   if (audit_ != nullptr) {
     server_->set_truth_probe(
         [this](std::uint32_t id, Time at) { return nodes_[id]->degradation_now(at); });
@@ -170,26 +288,60 @@ void Network::assert_checkpointable() const {
 
 void Network::checkpoint_state(StateWriter& w) {
   assert_checkpointable();
-  EngineSlice slice;
-  slice.sim = &sim_;
-  slice.server = server_.get();
-  slice.gateways = &gateways_;
-  slice.nodes = &nodes_;
-  slice.gateway_metrics = &metrics_.gateway();
-  slice.faults = faults_.get();
-  checkpoint_slice(w, slice);
+  w.begin_section("clock");
+  write_time(w, sim_.now());
+  w.put_u64(sim_.events_executed());
+  w.put_u64(sim_.next_event_seq());
+  w.end_section();
+
+  w.begin_section("topology");
+  w.put_u64(gateways_.size());
+  w.put_u64(nodes_.size());
+  w.put_u64(faults_ != nullptr ? 1 : 0);
+  w.end_section();
+
+  server_->checkpoint_state(w);
+  for (const auto& gateway : gateways_) gateway->checkpoint_state(w);
+  write_gateway_metrics(w, metrics_.gateway());
+  for (const auto& node : nodes_) node->checkpoint_state(w);
+  if (faults_ != nullptr) write_faults(w, *faults_);
 }
 
 void Network::restore_state(StateReader& r) {
   assert_checkpointable();
-  EngineSlice slice;
-  slice.sim = &sim_;
-  slice.server = server_.get();
-  slice.gateways = &gateways_;
-  slice.nodes = &nodes_;
-  slice.gateway_metrics = &metrics_.gateway();
-  slice.faults = faults_.get();
-  restore_slice(r, slice);
+  // Wipe the construction-time schedule first: every component then replays
+  // its own pending events under their original seqs.
+  sim_.clear_events();
+
+  r.begin_section("clock");
+  const Time now = read_time(r);
+  const std::uint64_t executed = r.get_u64();
+  const std::uint64_t next_seq = r.get_u64();
+  r.end_section();
+
+  r.begin_section("topology");
+  if (r.get_u64() != gateways_.size() || r.get_u64() != nodes_.size() ||
+      (r.get_u64() != 0) != (faults_ != nullptr)) {
+    throw std::runtime_error{"restore: checkpoint topology does not match this slice"};
+  }
+  r.end_section();
+
+  const auto node_by_id = [this](std::uint32_t id) -> Node* {
+    for (const auto& node : nodes_) {
+      if (node->id() == id) return node.get();
+    }
+    throw std::runtime_error{"restore: checkpoint references a node outside this slice"};
+  };
+
+  server_->restore_state(r, gateways_, node_by_id);
+  for (const auto& gateway : gateways_) gateway->restore_state(r, node_by_id);
+  read_gateway_metrics(r, metrics_.gateway());
+  for (const auto& node : nodes_) node->restore_state(r);
+  if (faults_ != nullptr) read_faults(r, *faults_);
+
+  // Last: the clock. Every schedule_at_seq above validated against now()==0;
+  // from here the engine is positioned exactly at the checkpoint instant.
+  sim_.restore_clock(now, executed, next_seq);
 }
 
 int Network::max_windows() const {

@@ -1,8 +1,11 @@
-// Network: composes the simulator, solar trace, gateway, network server and
-// all nodes from a ScenarioConfig, runs the simulation, and exposes the
-// metrics the figures need.
+// Network: composes the simulator, solar trace, gateways, network server
+// and nodes of one engine slice, runs the simulation, and exposes the
+// metrics the figures need. A slice is either the whole fleet (the public
+// Network(config) constructor) or one shard of a ShardedNetwork run (see
+// sim/shard_engine.hpp); both are built by the same constructor.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "energy/thermal.hpp"
 #include "fault/fault_plan.hpp"
 #include "lora/channel_plan.hpp"
+#include "net/deployment_plan.hpp"
 #include "net/gateway.hpp"
 #include "net/metrics.hpp"
 #include "net/interferer.hpp"
@@ -23,13 +27,35 @@
 
 namespace blam {
 
+/// The part of a deployment one Network builds: ascending global ids of
+/// its gateways and nodes.
+struct NetworkSlice {
+  std::vector<int> gateways;
+  std::vector<std::uint32_t> nodes;
+
+  /// Every gateway and node of `deployment`.
+  [[nodiscard]] static NetworkSlice whole(const DeploymentPlan& deployment);
+};
+
 class Network {
  public:
   explicit Network(const ScenarioConfig& config);
 
   /// Optionally reuse a pre-built trace (several scenarios share the same
-  /// year of weather, e.g. the LoRaWAN/H-50 comparisons).
+  /// year of weather, e.g. the LoRaWAN/H-50 comparisons). Plans the
+  /// deployment and builds the whole fleet as one slice.
   Network(const ScenarioConfig& config, std::shared_ptr<const SolarTrace> trace);
+
+  /// The one build path: the `slice` share of an already planned
+  /// `deployment`. A null `trace` is built from the deployment. Node and
+  /// gateway ids stay global (metrics rows, RNG forks and fault streams are
+  /// keyed by them); local indices follow the slice's ascending order.
+  /// `combiner` (may be null) folds the local D_max into the fleet max at
+  /// each w_u recompute. Audit, the external interferer and the packet log
+  /// assume a whole-fleet slice.
+  Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
+          std::shared_ptr<const SolarTrace> trace, FleetMaxCombiner* combiner,
+          const NetworkSlice& slice);
 
   /// Advances the simulation to `until` (absolute simulation time).
   void run_until(Time until);
@@ -37,7 +63,8 @@ class Network {
   /// Ground-truth maximum degradation across nodes right now.
   [[nodiscard]] double max_degradation() const;
 
-  /// Copies per-node degradation ground truth into the metrics records.
+  /// Copies per-node degradation ground truth into the metrics records and
+  /// snapshots the ledger and report-channel counters.
   void finalize_metrics();
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
@@ -64,24 +91,30 @@ class Network {
   /// Maximum forecast-window count across nodes (Fig. 4 histogram width).
   [[nodiscard]] int max_windows() const;
 
-  /// Serializes the whole engine slice (clock + server + gateways + nodes +
-  /// fault channels) at a quiescent instant — call only between run_until
-  /// calls. Throws std::runtime_error for configurations with unserialized
-  /// components (audit, packet log, external interferer).
+  /// Serializes the slice (clock, server, gateways, gateway counters,
+  /// nodes, fault channels) at a quiescent instant — call only between
+  /// run_until calls. Throws std::runtime_error for configurations with
+  /// unserialized components (audit, packet log, external interferer).
   void checkpoint_state(StateWriter& w);
 
   /// Restores a checkpoint written by checkpoint_state into this freshly
-  /// built network (same ScenarioConfig, not yet run).
+  /// built slice (same ScenarioConfig and selection, not yet run): wipes
+  /// the construction schedule, replays component state and pending
+  /// events, then restores the clock.
   void restore_state(StateReader& r);
 
  private:
+  /// The whole fleet of a freshly planned deployment as one slice.
+  Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
+          std::shared_ptr<const SolarTrace> trace);
+
   /// Throws if any configured feature is outside the checkpoint's coverage.
   void assert_checkpointable() const;
-  void build(std::shared_ptr<const SolarTrace> trace);
 
   // blam-ckpt: skip -- construction input; restore_state requires a network freshly built from the same ScenarioConfig
   ScenarioConfig config_;
   Simulator sim_;
+  // blam-ckpt: skip -- immutable channel counts from ScenarioConfig, rebuilt at construction
   ChannelPlan plan_;
   // blam-ckpt: skip -- pure function of ScenarioConfig::degradation, rebuilt at construction
   DegradationModel model_;

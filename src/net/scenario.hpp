@@ -76,8 +76,8 @@ struct ScenarioConfig {
 
   // --- Sharding -------------------------------------------------------------
   /// Conservative time-windowed parallel engine: split the deployment into
-  /// this many collision-domain shards, each on its own worker thread (see
-  /// sim/shard_engine.hpp). 0/1 = the serial engine. Any value produces
+  /// this many collision-domain shards, each on its own thread (see
+  /// sim/shard_engine.hpp). 0/1 = one whole-fleet slice. Any value produces
   /// bit-identical committed results; the BLAM_SHARDS environment variable
   /// overrides it at build time (the determinism CI leg diffs 1 vs 4).
   int shards{0};

@@ -1,13 +1,13 @@
-// Engine checkpoint orchestration ("blamsim v1").
+// Engine checkpoint codec helpers ("blamsim v1").
 //
-// A checkpoint captures ONE engine slice — a Simulator plus every component
-// scheduled on it (server, gateways, nodes, fault channels, metrics) — at a
-// quiescent instant: between run_until calls, when no callback is on the
-// stack. The serial Network is one slice; the sharded engine is one slice
-// per shard, checkpointed at a dissemination-epoch barrier where every
-// shard's clock agrees.
+// A checkpoint captures engine slices — each a Network: a Simulator plus
+// every component scheduled on it (server, gateways, nodes, fault channels,
+// metrics) — at a quiescent instant: between run_until calls, when no
+// callback is on the stack. ShardedNetwork writes a meta section, then each
+// slice's Network::checkpoint_state, at a dissemination-epoch barrier where
+// every slice's clock agrees.
 //
-// Restore is a rebuild, not a surgery: the caller constructs a FRESH network
+// Restore is a rebuild, not a surgery: the caller constructs a FRESH engine
 // from the same ScenarioConfig (burning identical construction-time RNG
 // draws), wipes the construction-time event schedule (Simulator::
 // clear_events), and then every component restores its passive state AND
@@ -19,10 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/state_codec.hpp"
@@ -32,12 +29,6 @@
 #include "sim/simulator.hpp"
 
 namespace blam {
-
-class NetworkServer;
-class Gateway;
-class Node;
-class FaultPlan;
-struct GatewayMetrics;
 
 /// First line of every engine checkpoint stream.
 inline constexpr const char* kCheckpointMagic = "blamsim v1";
@@ -69,27 +60,5 @@ void write_event(StateWriter& w, const Simulator& sim, EventHandle handle);
 /// Reads what write_event wrote; the owner re-schedules the event with its
 /// original seq via Simulator::schedule_at_seq (or drops it on nullopt).
 [[nodiscard]] std::optional<EventQueue::PendingEvent> read_event(StateReader& r);
-
-// --- slice orchestration --------------------------------------------------
-
-/// One engine slice: a simulator and everything scheduled on it. The serial
-/// Network and each shard both describe themselves with this.
-struct EngineSlice {
-  Simulator* sim{nullptr};
-  NetworkServer* server{nullptr};
-  const std::vector<std::unique_ptr<Gateway>>* gateways{nullptr};
-  const std::vector<std::unique_ptr<Node>>* nodes{nullptr};
-  GatewayMetrics* gateway_metrics{nullptr};
-  /// May be null (no fault injection).
-  FaultPlan* faults{nullptr};
-};
-
-/// Writes the slice's complete state (clock, server, gateways, nodes, fault
-/// channels, gateway counters). Must run at a quiescent instant.
-void checkpoint_slice(StateWriter& w, const EngineSlice& slice);
-
-/// Restores into a freshly built slice: wipes the construction schedule,
-/// replays component state and pending events, then restores the clock.
-void restore_slice(StateReader& r, const EngineSlice& slice);
 
 }  // namespace blam

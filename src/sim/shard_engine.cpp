@@ -7,11 +7,13 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <thread>
 
 #include "audit/audit.hpp"
+#include "common/env_number.hpp"
 #include "lora/tx_timing_cache.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/campaign.hpp"
@@ -20,24 +22,13 @@
 namespace blam {
 
 int resolve_shards(int configured) {
-  int shards = configured;
-  if (const char* env = std::getenv("BLAM_SHARDS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) {
-      shards = static_cast<int>(parsed);
-    }
-  }
-  return shards;
+  const auto env = env_number<std::int64_t>("BLAM_SHARDS", 0, std::numeric_limits<int>::max());
+  return env.has_value() ? static_cast<int>(*env) : configured;
 }
 
 double resolve_shard_timeout_s() {
-  if (const char* env = std::getenv("BLAM_SHARD_TIMEOUT_S")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && *end == '\0' && parsed >= 0.0) return parsed;
-  }
-  return 0.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return env_number<double>("BLAM_SHARD_TIMEOUT_S", 0.0, kInf).value_or(0.0);
 }
 
 void write_wedge_quarantine(const std::string& path, const ScenarioConfig& config,
@@ -101,42 +92,39 @@ void uf_unite(std::vector<int>& parent, int a, int b) {
   }
 }
 
+/// Why a configuration must run as one slice whatever its collision
+/// domains; empty when it may split.
+std::string single_slice_reason(const ScenarioConfig& config, int requested) {
+  if (requested <= 1) return "shards <= 1 requested";
+  if (audit_config_from_env(config.audit).level > 0) {
+    return "audit enabled (global event-order hooks)";
+  }
+  if (config.interference.tx_per_hour > 0.0) {
+    return "external interferer (one global arrival process)";
+  }
+  if (config.packet_log) return "packet log (global event ordering)";
+  if (config.fast_fading) return "fast fading (per-gateway draws from the node stream)";
+  if (config.adr_enabled) return "adr (runtime tx-power changes could re-couple domains)";
+  return {};
+}
+
 }  // namespace
 
 ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deployment,
                       int requested) {
+  const std::size_t n_gateways = deployment.gateway_positions.size();
   ShardPlan plan;
   plan.requested = requested;
-  if (requested <= 1) {
-    plan.serial_reason = "shards <= 1 requested";
-    return plan;
-  }
-  if (audit_config_from_env(config.audit).level > 0) {
-    plan.serial_reason = "audit enabled (global event-order hooks)";
-    return plan;
-  }
-  if (config.interference.tx_per_hour > 0.0) {
-    plan.serial_reason = "external interferer (one global arrival process)";
-    return plan;
-  }
-  if (config.packet_log) {
-    plan.serial_reason = "packet log (global event ordering)";
-    return plan;
-  }
-  if (config.fast_fading) {
-    plan.serial_reason = "fast fading (per-gateway draws from the node stream)";
-    return plan;
-  }
-  if (config.adr_enabled) {
-    plan.serial_reason = "adr (runtime tx-power changes could re-couple domains)";
-    return plan;
-  }
+  // One slice owns everything until the collision domains say otherwise.
+  plan.shard_of_gateway.assign(n_gateways, 0);
+  plan.shard_of_node.assign(deployment.nodes.size(), 0);
+  plan.serial_reason = single_slice_reason(config, requested);
+  if (!plan.serial_reason.empty()) return plan;
 
   // Collision domains: union-find over gateways, folding every pair some
   // node reaches above the audibility floor. Those gateways share
   // interference state at TX-start time (zero lookahead), so they cannot be
   // split; gateways no node couples to both of remain independent.
-  const std::size_t n_gateways = deployment.gateway_positions.size();
   std::vector<int> parent(n_gateways);
   std::iota(parent.begin(), parent.end(), 0);
   std::vector<int> anchor_gateway(deployment.nodes.size(), 0);
@@ -208,19 +196,27 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
     load[lightest] += domain_nodes[static_cast<std::size_t>(d)];
   }
 
-  plan.shard_of_gateway.resize(n_gateways);
   for (std::size_t g = 0; g < n_gateways; ++g) {
     plan.shard_of_gateway[g] =
         shard_of_domain[static_cast<std::size_t>(plan.domain_of_gateway[g])];
   }
-  plan.shard_of_node.resize(deployment.nodes.size());
   for (std::size_t i = 0; i < deployment.nodes.size(); ++i) {
     plan.shard_of_node[i] = shard_of_domain[static_cast<std::size_t>(
         plan.domain_of_gateway[static_cast<std::size_t>(anchor_gateway[i])])];
   }
   plan.serial = false;
-  plan.serial_reason.clear();
   return plan;
+}
+
+NetworkSlice ShardPlan::slice(int shard) const {
+  NetworkSlice out;
+  for (std::size_t g = 0; g < shard_of_gateway.size(); ++g) {
+    if (shard_of_gateway[g] == shard) out.gateways.push_back(static_cast<int>(g));
+  }
+  for (std::size_t i = 0; i < shard_of_node.size(); ++i) {
+    if (shard_of_node[i] == shard) out.nodes.push_back(static_cast<std::uint32_t>(i));
+  }
+  return out;
 }
 
 // --- ShardBarrier -----------------------------------------------------------
@@ -301,36 +297,9 @@ std::string ShardBarrier::wedge_report() const {
 
 // --- ShardedNetwork ---------------------------------------------------------
 
-struct ShardedNetwork::Shard {
-  Simulator sim;
-  ChannelPlan channels;
-  DegradationModel model;
-  std::unique_ptr<TemperatureModel> thermal;
-  std::unique_ptr<UtilityFunction> utility;
-  Metrics metrics;
-  std::unique_ptr<NetworkServer> server;
-  /// Full fault-plan replica built from the same 0xfa17 fork as the serial
-  /// engine's: outage/drought schedules are global, and the Gilbert-Elliott /
-  /// crash / report streams are pure per-gateway / per-node forks, so every
-  /// shard's replica regenerates exactly the draws its entities would have
-  /// consumed serially. Null when the scenario is fault-free.
-  std::unique_ptr<FaultPlan> faults;
-  std::vector<std::unique_ptr<Gateway>> gateways;
-  /// Global ids of this shard's gateways / nodes, both ascending; local
-  /// ids are the vector indices.
-  std::vector<int> gateway_ids;
-  std::vector<std::uint32_t> node_ids;
-  std::vector<std::unique_ptr<Node>> nodes;
-  double busy_seconds{0.0};
-
-  Shard(const ScenarioConfig& config, std::size_t n_local)
-      : channels{config.uplink_channels, config.downlink_channels},
-        model{config.degradation},
-        metrics{n_local} {}
-};
-
-/// Forwards each shard-local D_max into the epoch barrier's max-reduction;
-/// one instance serves every shard (stateless beyond the barrier pointer).
+/// Forwards each slice-local D_max into the epoch barrier's max-reduction;
+/// one instance serves every slice (stateless beyond the barrier pointer).
+/// With one slice the reduction is the identity.
 class ShardedNetwork::FleetReducer final : public FleetMaxCombiner {
  public:
   explicit FleetReducer(ShardBarrier& barrier) : barrier_{&barrier} {}
@@ -347,12 +316,8 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config) : ShardedNetwork{co
 namespace {
 
 std::int64_t resolve_checkpoint_every() {
-  if (const char* env = std::getenv("BLAM_CHECKPOINT_EVERY")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) return parsed;
-  }
-  return 0;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  return env_number<std::int64_t>("BLAM_CHECKPOINT_EVERY", 0, kMax).value_or(0);
 }
 
 std::string resolve_checkpoint_dir() {
@@ -370,131 +335,40 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
   config_.validate();
   checkpoint_every_ = resolve_checkpoint_every();
   checkpoint_dir_ = resolve_checkpoint_dir();
-  const Rng root{config_.seed, salt::kRootStream};
-  const DeploymentPlan deployment = plan_deployment(config_, root);
+  const DeploymentPlan deployment = plan_deployment(config_, Rng{config_.seed, salt::kRootStream});
   plan_ = plan_shards(config_, deployment, resolve_shards(config_.shards));
-  if (plan_.serial) {
-    // The proven engine, end to end — even events_executed matches a plain
-    // Network run (the deployment is re-planned inside, from the same root).
-    network_ = std::make_unique<Network>(config_, std::move(trace));
-    if (plan_.requested > 1) {
-      // The caller asked for parallelism it will not get; surface the silent
-      // degradation once on stderr and in the merged metrics.
-      std::fprintf(stderr, "blam: %d shards requested but running serial: %s\n", plan_.requested,
-                   plan_.serial_reason.c_str());
-      network_->metrics().set_serial_reason(plan_.serial_reason);
-    }
-    return;
+  if (plan_.serial && plan_.requested > 1) {
+    // The caller asked for parallelism it will not get; surface the silent
+    // degradation once on stderr and in the merged metrics.
+    std::fprintf(stderr, "blam: %d shards requested but running serial: %s\n", plan_.requested,
+                 plan_.serial_reason.c_str());
+    merged_.set_serial_reason(plan_.serial_reason);
   }
-  build_shards(deployment, std::move(trace));
+  if (trace == nullptr) trace = build_deployment_trace(config_, deployment.worst_attempt_energy);
+
+  const int n_slices = plan_.effective;
+  barrier_ = std::make_unique<ShardBarrier>(n_slices, resolve_shard_timeout_s());
+  reducer_ = std::make_unique<FleetReducer>(*barrier_);
+  runs_.resize(static_cast<std::size_t>(n_slices));
+  slices_.reserve(static_cast<std::size_t>(n_slices));
+  for (int s = 0; s < n_slices; ++s) {
+    const NetworkSlice slice = plan_.slice(s);
+    slices_.push_back(std::make_unique<Network>(config_, deployment, trace, reducer_.get(), slice));
+    // Cooperative kill switch: lets the wedge watchdog unwind a runaway
+    // event loop so the epoch join always returns.
+    slices_.back()->simulator().attach_abort_flag(&abort_flag_);
+  }
 }
 
 ShardedNetwork::~ShardedNetwork() = default;
-
-void ShardedNetwork::build_shards(const DeploymentPlan& deployment,
-                                  std::shared_ptr<const SolarTrace> trace) {
-  trace_ = trace != nullptr ? std::move(trace)
-                            : build_deployment_trace(config_, deployment.worst_attempt_energy);
-  const int n_shards = plan_.effective;
-  barrier_ = std::make_unique<ShardBarrier>(n_shards, resolve_shard_timeout_s());
-  reducer_ = std::make_unique<FleetReducer>(*barrier_);
-  failures_.resize(static_cast<std::size_t>(n_shards));
-
-  std::vector<std::size_t> node_count(static_cast<std::size_t>(n_shards), 0);
-  for (const int s : plan_.shard_of_node) ++node_count[static_cast<std::size_t>(s)];
-
-  ThermalConfig thermal = config_.thermal;
-  if (thermal.insulated) thermal.fixed_c = config_.temperature_c;
-
-  Gateway::Config gw;
-  gw.demod_paths = config_.gateway_demod_paths;
-  gw.timings = config_.timings;
-  gw.downlink_tx_dbm = config_.downlink_tx_dbm;
-  gw.rx1_bandwidth_hz = config_.rx1_bandwidth_hz;
-  gw.interference_floor_dbm = config_.interference_floor_dbm;
-
-  const std::size_t ingest_batch = resolve_ingest_batch(config_);
-  const Rng root{config_.seed, salt::kRootStream};
-
-  shards_.reserve(static_cast<std::size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
-    auto shard = std::make_unique<Shard>(config_, node_count[static_cast<std::size_t>(s)]);
-    // Cooperative kill switch: lets the wedge watchdog unwind a runaway
-    // event loop so the epoch join always returns.
-    shard->sim.attach_abort_flag(&abort_flag_);
-    shard->thermal = std::make_unique<TemperatureModel>(thermal);
-    shard->utility = make_utility(config_);
-    // Construction order mirrors Network::build — server first (its
-    // dissemination tick is the earliest scheduled event), then gateways,
-    // then nodes in ascending global id. Within a collision domain the
-    // resulting event order is the serial order's projection, which is what
-    // makes shard counts bit-identical.
-    shard->server = std::make_unique<NetworkServer>(shard->sim, shard->model,
-                                                    config_.temperature_c,
-                                                    config_.dissemination_period);
-    shard->server->attach_metrics(shard->metrics);
-    shard->server->service().set_ingest_batch(ingest_batch);
-    shard->server->service().set_fleet_combiner(reducer_.get());
-    if (config_.adaptive_theta) {
-      ThetaController::Config tc = config_.theta_controller;
-      tc.initial = std::clamp(config_.theta, tc.theta_min, tc.theta_max);
-      shard->server->enable_adaptive_theta(tc);
-    }
-    if (config_.faults.any()) {
-      shard->faults = std::make_unique<FaultPlan>(config_.faults, root.fork(salt::kFaultPlan));
-      shard->server->attach_fault_plan(shard->faults.get());
-    }
-    for (std::size_t g = 0; g < deployment.gateway_positions.size(); ++g) {
-      if (plan_.shard_of_gateway[g] != s) continue;
-      const int local_id = static_cast<int>(shard->gateways.size());
-      shard->gateways.push_back(std::make_unique<Gateway>(local_id,
-                                                          deployment.gateway_positions[g],
-                                                          shard->sim, *shard->server,
-                                                          shard->metrics, shard->channels, gw));
-      shard->gateway_ids.push_back(static_cast<int>(g));
-      if (shard->faults != nullptr) {
-        // The Gilbert-Elliott downlink chain is keyed by the GLOBAL id.
-        shard->gateways.back()->set_fault_gateway_id(static_cast<int>(g));
-        shard->gateways.back()->attach_fault_plan(shard->faults.get());
-      }
-    }
-    for (std::size_t i = 0; i < deployment.nodes.size(); ++i) {
-      if (plan_.shard_of_node[i] != s) continue;
-      const NodePlan& p = deployment.nodes[i];
-      Node::Init init;
-      init.id = static_cast<std::uint32_t>(i);
-      init.position = p.position;
-      init.period = p.period;
-      init.sf = p.sf;
-      // Shard-local link-budget vector, indexed by local gateway id.
-      init.link_losses_db.reserve(shard->gateway_ids.size());
-      for (const int global_gw : shard->gateway_ids) {
-        init.link_losses_db.push_back(p.losses_db[static_cast<std::size_t>(global_gw)]);
-      }
-      init.battery_capacity = p.battery_capacity;
-      init.panel_scale = p.panel_scale;
-      shard->server->register_node(init.id);
-      const std::size_t local = shard->nodes.size();
-      shard->nodes.push_back(std::make_unique<Node>(init, config_, shard->sim, shard->gateways,
-                                                    shard->channels, *trace_, shard->model,
-                                                    *shard->thermal, *shard->utility,
-                                                    shard->metrics.node(local),
-                                                    root.fork(salt::kNodeStreamBase + i)));
-      shard->node_ids.push_back(init.id);
-      if (shard->faults != nullptr) shard->nodes.back()->attach_fault_plan(shard->faults.get());
-      shard->nodes.back()->start();
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
 
 void ShardedNetwork::run_until(Time until) {
   if (until <= cursor_) return;
   // With checkpointing on, advance in slices that end exactly on checkpoint
   // boundaries (multiples of checkpoint_every_ dissemination epochs, in
   // absolute time), writing the rolling checkpoint file at each one. Slicing
-  // is free for determinism: the workers' epoch windows already derive from
-  // absolute boundary instants, so any split of [cursor_, until) replays the
+  // is free for determinism: the epoch windows already derive from absolute
+  // boundary instants, so any split of [cursor_, until) replays the
   // identical epoch sequence.
   const std::int64_t cp_us =
       checkpoint_every_ > 0 ? config_.dissemination_period.us() * checkpoint_every_ : 0;
@@ -504,11 +378,7 @@ void ShardedNetwork::run_until(Time until) {
       const std::int64_t next_boundary = (cursor_.us() / cp_us + 1) * cp_us;
       next = std::min(until, Time::from_us(next_boundary));
     }
-    if (network_ != nullptr) {
-      network_->run_until(next);
-    } else {
-      advance(cursor_, next);
-    }
+    advance(cursor_, next);
     cursor_ = next;
     if (cp_us > 0 && next.us() % cp_us == 0) checkpoint_to_file(checkpoint_file_path());
   }
@@ -516,17 +386,19 @@ void ShardedNetwork::run_until(Time until) {
 
 void ShardedNetwork::advance(Time start, Time until) {
   abort_flag_.store(false, std::memory_order_relaxed);
-  std::fill(failures_.begin(), failures_.end(), nullptr);
+  for (SliceRun& run : runs_) run.failure = nullptr;
+  // Slice 0 runs on the calling thread, so a one-slice run spawns nothing.
   std::vector<std::thread> workers;
-  workers.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    workers.emplace_back([this, s, start, until] { worker_run(s, start, until); });
+  workers.reserve(slices_.size() - 1);
+  for (std::size_t s = 1; s < slices_.size(); ++s) {
+    workers.emplace_back([this, s, start, until] { run_slice(s, start, until); });
   }
+  run_slice(0, start, until);
   for (std::thread& worker : workers) worker.join();
-  for (const std::exception_ptr& failure : failures_) {
-    if (failure == nullptr) continue;
+  for (const SliceRun& run : runs_) {
+    if (run.failure == nullptr) continue;
     try {
-      std::rethrow_exception(failure);
+      std::rethrow_exception(run.failure);
     } catch (const ShardWedged& wedged) {
       // A wedged run yields no results; leave the repro behind (same
       // protocol as a quarantined campaign cell) before propagating.
@@ -536,86 +408,78 @@ void ShardedNetwork::advance(Time start, Time until) {
   }
 }
 
-void ShardedNetwork::worker_run(std::size_t shard_index, Time start, Time until) {
-  Shard& shard = *shards_[shard_index];
+void ShardedNetwork::run_slice(std::size_t index, Time start, Time until) {
+  Network& slice = *slices_[index];
+  SliceRun& run = runs_[index];
   timespec t0{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
   try {
     // Epoch boundaries at multiples of the dissemination period: the w_u
-    // recompute (the only cross-shard event) fires exactly at boundary
+    // recompute (the only cross-slice event) fires exactly at boundary
     // instants, and its D_max all-reduce doubles as the alignment check.
-    // Every shard derives the identical window sequence from (start, until),
+    // Every slice derives the identical window sequence from (start, until),
     // so the collective-call sequences match one to one.
     const std::int64_t epoch_us = config_.dissemination_period.us();
     Time cursor = start;
     while (cursor < until) {
       const std::int64_t next_boundary = (cursor.us() / epoch_us + 1) * epoch_us;
       const Time next = std::min(until, Time::from_us(next_boundary));
-      shard.sim.run_until(next);
+      slice.run_until(next);
       // Publish progress before the rendezvous: if a peer wedges, the
-      // detector's report shows this shard parked at the boundary while the
+      // detector's report shows this slice parked at the boundary while the
       // laggard's heartbeat is still a round behind.
       ShardBarrier::Heartbeat hb;
       hb.epoch = static_cast<std::uint64_t>(next_boundary / epoch_us);
-      hb.queue_depth = shard.sim.pending_events();
-      hb.sim_now = shard.sim.now();
-      barrier_->heartbeat(static_cast<int>(shard_index), hb);
+      hb.queue_depth = slice.simulator().pending_events();
+      hb.sim_now = slice.simulator().now();
+      barrier_->heartbeat(static_cast<int>(index), hb);
       barrier_->sync();
       cursor = next;
     }
   } catch (const ShardAborted&) {
-    // A peer shard failed; its exception carries the diagnosis.
+    // A peer slice failed; its exception carries the diagnosis.
   } catch (const SimulationAborted&) {
-    // This shard's event loop was killed by the watchdog's abort flag; the
+    // This slice's event loop was killed by the watchdog's abort flag; the
     // detector's ShardWedged carries the diagnosis.
   } catch (const ShardWedged&) {
-    // This shard detected the wedge (its timed barrier wait expired). The
-    // barrier is already poisoned; raise the kill switch so the shard still
+    // This slice detected the wedge (its timed barrier wait expired). The
+    // barrier is already poisoned; raise the kill switch so the slice still
     // spinning inside run_until unwinds and join() returns.
-    failures_[shard_index] = std::current_exception();
+    run.failure = std::current_exception();
     abort_flag_.store(true, std::memory_order_relaxed);
   } catch (...) {
-    failures_[shard_index] = std::current_exception();
+    run.failure = std::current_exception();
     barrier_->poison();
     abort_flag_.store(true, std::memory_order_relaxed);
   }
   timespec t1{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
-  shard.busy_seconds += static_cast<double>(t1.tv_sec - t0.tv_sec) +
-                        static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
+  run.busy_seconds += static_cast<double>(t1.tv_sec - t0.tv_sec) +
+                      static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
 }
 
 double ShardedNetwork::max_degradation() const {
-  if (network_ != nullptr) return network_->max_degradation();
   double max_deg = 0.0;
-  for (const auto& shard : shards_) {
-    for (const auto& node : shard->nodes) {
-      max_deg = std::max(max_deg, node->degradation_now(shard->sim.now()));
-    }
-  }
+  for (const auto& slice : slices_) max_deg = std::max(max_deg, slice->max_degradation());
   return max_deg;
 }
 
 void ShardedNetwork::finalize_metrics() {
-  if (network_ != nullptr) {
-    network_->finalize_metrics();
-    return;
-  }
   const std::uint64_t total_gateways = plan_.shard_of_gateway.size();
   GatewayMetrics& mg = merged_.gateway();
+  mg = GatewayMetrics{};
   LedgerCounters feedback;
-  for (const auto& shard : shards_) {
-    for (const auto& node : shard->nodes) node->finalize_metrics(shard->sim.now());
-    shard->server->flush_report_channel();
+  for (const auto& slice : slices_) {
+    slice->finalize_metrics();
 
     std::uint64_t attempts = 0;
-    for (std::size_t local = 0; local < shard->node_ids.size(); ++local) {
-      const NodeMetrics& row = shard->metrics.node(local);
-      merged_.node(shard->node_ids[local]) = row;
+    for (std::size_t local = 0; local < slice->nodes().size(); ++local) {
+      const NodeMetrics& row = slice->metrics().node(local);
+      merged_.node(slice->nodes()[local]->id()) = row;
       attempts += row.tx_attempts;
     }
 
-    const GatewayMetrics& g = shard->metrics.gateway();
+    const GatewayMetrics& g = slice->metrics().gateway();
     mg.arrivals += g.arrivals;
     mg.received += g.received;
     mg.lost_interference += g.lost_interference;
@@ -630,31 +494,28 @@ void ShardedNetwork::finalize_metrics() {
     mg.lost_outage += g.lost_outage;
     mg.acks_lost_outage += g.acks_lost_outage;
     mg.acks_lost_channel += g.acks_lost_channel;
-    // Every shard's server skips the identical backhaul-down dissemination
-    // instants (the outage schedule is global), while the serial engine
+    // Every slice's server skips the identical backhaul-down dissemination
+    // instants (the outage schedule is global), while a whole-fleet run
     // counts each skip once — so this counter is replicated, not partitioned.
     mg.recomputes_skipped = g.recomputes_skipped;
-    // Report-channel fault tallies live on each shard's channel, not in the
-    // per-shard gateway metrics; nodes partition across shards, so the
-    // serial per-node lanes sum is exactly the per-shard channels sum.
-    if (const ReportChannelCounters* rc = shard->server->report_channel_counters()) {
-      mg.reports_dropped_fault += rc->dropped;
-      mg.reports_duplicated_fault += rc->duplicated;
-      mg.reports_reordered_fault += rc->reordered;
-      mg.reports_corrupted_fault += rc->corrupted;
-      mg.reports_truncated_fault += rc->truncated;
-    }
+    // Report-channel fault tallies: nodes partition across slices, so the
+    // whole-fleet per-node lanes sum is exactly the per-slice channels sum.
+    mg.reports_dropped_fault += g.reports_dropped_fault;
+    mg.reports_duplicated_fault += g.reports_duplicated_fault;
+    mg.reports_reordered_fault += g.reports_reordered_fault;
+    mg.reports_corrupted_fault += g.reports_corrupted_fault;
+    mg.reports_truncated_fault += g.reports_truncated_fault;
 
-    // Exact compensation for the gateways this shard never radiated to: in
-    // the serial engine every attempt arrives at every gateway, and at a
-    // foreign shard's gateway it would sit under the audibility floor by
+    // Exact compensation for the gateways this slice never radiated to: in
+    // a whole-fleet run every attempt arrives at every gateway, and at a
+    // foreign slice's gateway it would sit under the audibility floor by
     // construction — one arrival plus one lost_under_sensitivity, nothing
     // else. No other counter can differ.
-    const std::uint64_t missing = total_gateways - shard->gateways.size();
+    const std::uint64_t missing = total_gateways - slice->gateways().size();
     mg.arrivals += attempts * missing;
     mg.lost_under_sensitivity += attempts * missing;
 
-    const LedgerCounters& c = shard->server->service().counters();
+    const LedgerCounters& c = slice->server().service().counters();
     feedback.reports_accepted += c.reports_accepted;
     feedback.reports_duplicate += c.reports_duplicate;
     feedback.reports_checksum_rejected += c.reports_checksum_rejected;
@@ -668,55 +529,44 @@ void ShardedNetwork::finalize_metrics() {
     feedback.recoveries += c.recoveries;
   }
   merged_.set_feedback(feedback);
-  if (!shards_.empty() && shards_.front()->faults != nullptr) {
-    // The outage schedule is global and every replica regenerates it
-    // identically; any shard's tally is the serial value.
-    Shard& front = *shards_.front();
-    merged_.set_total_outage(front.faults->outage_seconds_until(front.sim.now()));
+  const Network& front = *slices_.front();
+  if (const FaultPlan* faults = front.fault_plan()) {
+    // The outage schedule is global and every slice regenerates it
+    // identically; any slice's tally is the whole-fleet value.
+    merged_.set_total_outage(faults->outage_seconds_until(front.simulator().now()));
   }
 }
 
-const Metrics& ShardedNetwork::metrics() const {
-  return network_ != nullptr ? network_->metrics() : merged_;
-}
+const Metrics& ShardedNetwork::metrics() const { return merged_; }
 
-const SolarTrace& ShardedNetwork::solar_trace() const {
-  return network_ != nullptr ? network_->solar_trace() : *trace_;
-}
+const SolarTrace& ShardedNetwork::solar_trace() const { return slices_.front()->solar_trace(); }
 
 std::shared_ptr<const SolarTrace> ShardedNetwork::share_trace() const {
-  return network_ != nullptr ? network_->share_trace() : trace_;
+  return slices_.front()->share_trace();
 }
 
-const Auditor* ShardedNetwork::auditor() const {
-  return network_ != nullptr ? network_->auditor() : nullptr;
-}
+const Auditor* ShardedNetwork::auditor() const { return slices_.front()->auditor(); }
 
 int ShardedNetwork::max_windows() const {
-  if (network_ != nullptr) return network_->max_windows();
   int max_w = 1;
-  for (const auto& shard : shards_) {
-    for (const auto& node : shard->nodes) max_w = std::max(max_w, node->n_windows());
-  }
+  for (const auto& slice : slices_) max_w = std::max(max_w, slice->max_windows());
   return max_w;
 }
 
 std::uint64_t ShardedNetwork::events_executed() const {
-  if (network_ != nullptr) return network_->simulator().events_executed();
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.events_executed();
+  for (const auto& slice : slices_) total += slice->simulator().events_executed();
   return total;
 }
 
 double ShardedNetwork::w_for(std::uint32_t node_id) const {
-  if (network_ != nullptr) return network_->server().w_for(node_id);
-  const int s = plan_.shard_of_node.at(node_id);
-  return shards_[static_cast<std::size_t>(s)]->server->w_for(node_id);
+  const auto s = static_cast<std::size_t>(plan_.shard_of_node.at(node_id));
+  return slices_[s]->server().w_for(node_id);
 }
 
 double ShardedNetwork::max_shard_busy_seconds() const {
   double max_busy = 0.0;
-  for (const auto& shard : shards_) max_busy = std::max(max_busy, shard->busy_seconds);
+  for (const SliceRun& run : runs_) max_busy = std::max(max_busy, run.busy_seconds);
   return max_busy;
 }
 
@@ -724,9 +574,9 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
   out << kCheckpointMagic << '\n';
   StateWriter w{out};
   // The meta section pins everything restore() cannot rebuild on its own:
-  // the scenario identity (seed, fleet size), the engine shape (a serial
-  // checkpoint cannot restore into a sharded engine or vice versa — slice
-  // boundaries differ), and the resume cursor.
+  // the scenario identity (seed, fleet size), the engine shape (slice
+  // boundaries differ between shard counts, so a stream only restores into
+  // the same shape), and the resume cursor.
   w.begin_section("meta");
   w.put_u64(config_.seed);
   w.put_u64(static_cast<std::uint64_t>(config_.n_nodes));
@@ -734,20 +584,7 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
   w.put_u64(static_cast<std::uint64_t>(plan_.effective));
   write_time(w, cursor_);
   w.end_section();
-  if (network_ != nullptr) {
-    network_->checkpoint_state(w);
-  } else {
-    for (const auto& shard : shards_) {
-      EngineSlice slice;
-      slice.sim = &shard->sim;
-      slice.server = shard->server.get();
-      slice.gateways = &shard->gateways;
-      slice.nodes = &shard->nodes;
-      slice.gateway_metrics = &shard->metrics.gateway();
-      slice.faults = shard->faults.get();
-      checkpoint_slice(w, slice);
-    }
-  }
+  for (const auto& slice : slices_) slice->checkpoint_state(w);
 }
 
 void ShardedNetwork::restore(std::istream& in) {
@@ -772,20 +609,7 @@ void ShardedNetwork::restore(std::istream& in) {
   }
   const Time cursor = read_time(r);
   r.end_section();
-  if (network_ != nullptr) {
-    network_->restore_state(r);
-  } else {
-    for (const auto& shard : shards_) {
-      EngineSlice slice;
-      slice.sim = &shard->sim;
-      slice.server = shard->server.get();
-      slice.gateways = &shard->gateways;
-      slice.nodes = &shard->nodes;
-      slice.gateway_metrics = &shard->metrics.gateway();
-      slice.faults = shard->faults.get();
-      restore_slice(r, slice);
-    }
-  }
+  for (const auto& slice : slices_) slice->restore_state(r);
   cursor_ = cursor;
 }
 

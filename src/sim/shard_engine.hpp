@@ -1,7 +1,9 @@
-// Conservative time-windowed parallel engine: the deployment is split into
-// collision-domain shards, each owning a private Simulator + EventQueue on a
-// worker thread, advancing in lockstep epochs of one dissemination period and
-// meeting at a barrier after every epoch.
+// Conservative time-windowed parallel engine, and the only engine: a run is
+// N >= 1 Network slices (net/network.hpp), each owning a private Simulator
+// + EventQueue, advancing in lockstep epochs of one dissemination period
+// and meeting at a barrier after every epoch. Slice 0 runs on the calling
+// thread and slices 1..N-1 on worker threads, so a one-slice run — every
+// run the planner cannot split — spawns no thread.
 //
 // Why collision domains and not arbitrary geographic cells: the interference
 // tracker couples every transmission a gateway can hear at TX START time, so
@@ -9,16 +11,15 @@
 // them — no conservative window can split them without changing results. The
 // planner therefore folds gateways into domains (union-find over "some node
 // reaches both above the audibility floor") and only parallelizes across
-// domains, where the cross-shard lookahead is infinite for PHY traffic. The
-// one remaining coupling is the daily w_u dissemination: every shard's
+// domains, where the cross-slice lookahead is infinite for PHY traffic. The
+// one remaining coupling is the daily w_u dissemination: every slice's
 // DegradationService normalizes by the FLEET-wide D_max, reduced across
-// shards at the epoch barrier (FleetMaxCombiner hook).
+// slices at the epoch barrier (FleetMaxCombiner hook).
 //
-// Invariant (CI-enforced): shards <= 1, or any configuration the planner
-// cannot split, delegates to the serial Network, and any shard count yields
-// committed results bit-identical to the serial engine — per-domain event
-// order is a projection of the serial order, node RNG streams are pure
-// per-node forks, and the D_max all-reduce reproduces the serial fleet max.
+// Invariant (CI-enforced): any shard count yields committed results
+// bit-identical to a whole-fleet Network — per-domain event order is a
+// projection of the whole-fleet order, node RNG streams are pure per-node
+// forks, and the D_max all-reduce reproduces the fleet max.
 #pragma once
 
 #include <atomic>
@@ -53,11 +54,11 @@ namespace blam {
 /// The shard planner's verdict for one deployment.
 struct ShardPlan {
   int requested{1};
-  /// Worker count actually used (min(requested, domains); 1 when serial).
+  /// Slice count actually used (min(requested, domains); 1 when serial).
   int effective{1};
-  /// True when the deployment must run on the serial engine.
+  /// True when the deployment runs as one whole-fleet slice.
   bool serial{true};
-  /// Human-readable reason for the serial fallback (empty when sharded).
+  /// Human-readable reason for the one-slice run (empty when sharded).
   std::string serial_reason;
   /// Collision domains found (0 when planning was skipped).
   int domains{0};
@@ -65,16 +66,22 @@ struct ShardPlan {
   /// epoch used is the dissemination period, the only cross-domain event).
   Time lookahead{};
   std::vector<int> domain_of_gateway;
+  /// Slice of every gateway / node (all 0 for a one-slice run).
   std::vector<int> shard_of_gateway;
   std::vector<int> shard_of_node;
+
+  /// The gateways and nodes slice `shard` owns.
+  [[nodiscard]] NetworkSlice slice(int shard) const;
 };
 
-/// Plans the shard decomposition. Serial fallbacks: requested <= 1, audit
-/// enabled (global event-order hooks), external interference, packet log,
-/// fast fading (per-gateway draws), or a single collision domain. Fault
-/// injection shards fine: every shard rebuilds the full FaultPlan from the
-/// same 0xfa17 fork, and each stream is already keyed by the global gateway
-/// or node id, so a replica regenerates exactly the serial draws.
+/// Plans the shard decomposition. It only picks a slice count: one slice
+/// when requested <= 1, audit is enabled (global event-order hooks), an
+/// external interferer, packet log, fast fading (per-gateway draws) or ADR
+/// is configured, or the deployment is a single collision domain. Those
+/// features therefore only ever run on a whole-fleet slice. Fault injection
+/// shards fine: every slice rebuilds the full FaultPlan from the same
+/// 0xfa17 fork, and each stream is keyed by the global gateway or node id,
+/// so a replica regenerates exactly the whole-fleet draws.
 [[nodiscard]] ShardPlan plan_shards(const ScenarioConfig& config,
                                     const DeploymentPlan& deployment, int requested);
 
@@ -164,10 +171,9 @@ class ShardBarrier {
   bool poisoned_{false};
 };
 
-/// Drop-in Network replacement that runs the deployment sharded when the
-/// planner allows it and delegates to the serial Network otherwise. The
-/// public surface mirrors the subset of Network that experiment.cpp and the
-/// figure binaries consume.
+/// The simulation engine: N >= 1 Network slices planned by plan_shards().
+/// Results are bit-identical at every shard count; the public surface is
+/// what experiment.cpp and the figure binaries consume.
 class ShardedNetwork {
  public:
   explicit ShardedNetwork(const ScenarioConfig& config);
@@ -177,41 +183,45 @@ class ShardedNetwork {
   ShardedNetwork(const ShardedNetwork&) = delete;
   ShardedNetwork& operator=(const ShardedNetwork&) = delete;
 
-  /// Advances every shard to `until` in lockstep epochs (serial mode: plain
-  /// Network::run_until). Safe to call repeatedly with increasing targets —
-  /// campaign slicing and run_until_eol stepping work unchanged.
+  /// Advances every slice to `until` in lockstep epochs. Safe to call
+  /// repeatedly with increasing targets — campaign slicing and
+  /// run_until_eol stepping work unchanged.
   void run_until(Time until);
 
-  /// Ground-truth maximum degradation across all shards' nodes.
+  /// Ground-truth maximum degradation across all slices' nodes.
   [[nodiscard]] double max_degradation() const;
 
-  /// Finalizes per-shard metrics and merges them into one fleet view: node
-  /// rows keyed by global id, gateway counters field-summed plus the exact
-  /// compensation for uplink copies foreign shards never saw (each would
-  /// have arrived under the audibility floor: arrivals and
+  /// Finalizes every slice's metrics and merges them into one fleet view:
+  /// node rows keyed by global id, gateway counters field-summed plus the
+  /// exact compensation for uplink copies foreign slices never saw (each
+  /// would have arrived under the audibility floor: arrivals and
   /// lost_under_sensitivity grow by tx_attempts x missing-gateway-count).
   void finalize_metrics();
 
+  /// The merged fleet view; valid after finalize_metrics() at every shard
+  /// count (before it, node rows and counters are not yet filled in).
   [[nodiscard]] const Metrics& metrics() const;
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] bool serial() const { return plan_.serial; }
   [[nodiscard]] const SolarTrace& solar_trace() const;
   [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const;
+  /// Non-null exactly when auditing is on (audited runs are one slice).
   [[nodiscard]] const Auditor* auditor() const;
   [[nodiscard]] int max_windows() const;
   [[nodiscard]] std::uint64_t events_executed() const;
-  /// Latest disseminated w_u for a node (fleet-normalized in sharded mode).
+  /// Latest disseminated w_u for a node (fleet-normalized; 0 before the
+  /// first recompute). Throws std::out_of_range for ids >= n_nodes.
   [[nodiscard]] double w_for(std::uint32_t node_id) const;
-  /// Per-worker busy time (CPU seconds) accumulated across run_until calls;
-  /// the maximum over shards is the critical path, the scalability metric
+  /// Per-slice busy time (CPU seconds) accumulated across run_until calls;
+  /// the maximum over slices is the critical path, the scalability metric
   /// the throughput bench reports on core-starved hosts.
   [[nodiscard]] double max_shard_busy_seconds() const;
 
-  /// Serializes the full engine ("blamsim v1" stream: meta + every shard's
-  /// slice, or the serial Network's single slice) at the current cursor.
-  /// Call only between run_until calls, at an epoch boundary in sharded
-  /// mode. Throws std::runtime_error for uncheckpointable configurations.
+  /// Serializes the full engine ("blamsim v1" stream: a meta section, then
+  /// every slice's Network::checkpoint_state) at the current cursor. Call
+  /// only between run_until calls. Throws std::runtime_error for
+  /// uncheckpointable configurations.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint written by checkpoint() into this freshly built
@@ -224,14 +234,17 @@ class ShardedNetwork {
   void checkpoint_to_file(const std::string& path);
 
  private:
-  struct Shard;
   class FleetReducer;
+  /// One slice's outcome in the current advance and its accumulated CPU.
+  struct SliceRun {
+    std::exception_ptr failure;
+    double busy_seconds{0.0};
+  };
 
-  void build_shards(const DeploymentPlan& deployment,
-                    std::shared_ptr<const SolarTrace> trace);
-  void worker_run(std::size_t shard_index, Time start, Time until);
-  /// One parallel lockstep advance (the body run_until slices between
-  /// checkpoint boundaries).
+  /// Runs slice `index` through the epoch loop from `start` to `until`.
+  void run_slice(std::size_t index, Time start, Time until);
+  /// One lockstep advance of every slice (the body run_until slices
+  /// between checkpoint boundaries).
   void advance(Time start, Time until);
   /// BLAM_CHECKPOINT_DIR/blamsim.ckpt — the rolling checkpoint file.
   [[nodiscard]] std::string checkpoint_file_path() const;
@@ -240,22 +253,17 @@ class ShardedNetwork {
   ScenarioConfig config_;
   // blam-ckpt: skip -- re-derived by plan_shards() from the same config and deployment at construction
   ShardPlan plan_;
-  /// Serial fallback: the whole deployment on the proven engine.
-  std::unique_ptr<Network> network_;
-  /// Sharded state (empty in serial mode).
-  // blam-ckpt: skip -- immutable once built; regenerated from (seed, solar config)
-  std::shared_ptr<const SolarTrace> trace_;
-  // blam-ckpt: skip -- epoch-merge machinery, rebuilt at construction
-  std::unique_ptr<FleetReducer> reducer_;
   // blam-ckpt: skip -- thread coordination, rebuilt at construction
   std::unique_ptr<ShardBarrier> barrier_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // blam-ckpt: skip -- in-flight worker failures; a checkpoint is only cut at a healthy epoch barrier
-  std::vector<std::exception_ptr> failures_;
-  // blam-ckpt: skip -- merge output, recomputed from the per-shard metrics at the next epoch
+  // blam-ckpt: skip -- epoch-merge machinery, rebuilt at construction
+  std::unique_ptr<FleetReducer> reducer_;
+  std::vector<std::unique_ptr<Network>> slices_;
+  // blam-ckpt: skip -- worker failures and CPU time; checkpoints are cut at healthy barriers
+  std::vector<SliceRun> runs_;
+  // blam-ckpt: skip -- merge output, recomputed from the per-slice metrics by finalize_metrics()
   Metrics merged_;
   Time cursor_{};
-  /// Cooperative kill switch for wedged shards: polled by every shard's
+  /// Cooperative kill switch for wedged slices: polled by every slice's
   /// event loop, raised when the watchdog fires so join() always returns.
   // blam-ckpt: skip -- watchdog latch; a resumed run starts unaborted by definition
   std::atomic<bool> abort_flag_{false};

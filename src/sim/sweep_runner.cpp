@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
+
+#include "common/env_number.hpp"
 
 namespace blam {
 
@@ -21,10 +24,8 @@ namespace {
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("BLAM_JOBS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) return static_cast<int>(parsed);
+  if (const auto env = env_number<std::int64_t>("BLAM_JOBS", 1, std::numeric_limits<int>::max())) {
+    return static_cast<int>(*env);
   }
   return hardware_jobs();
 }

@@ -82,8 +82,8 @@ std::string checkpoint_text(ShardedNetwork& engine) {
 }
 
 TEST(ShardEngineCheckpoint, SerialRoundTripBitIdentical) {
-  // shards=1 delegates to the serial Network; the checkpoint must still
-  // capture the whole slice and resume it bit-exactly.
+  // shards=1 is one whole-fleet slice; the checkpoint must capture it and
+  // resume it bit-exactly.
   const ScenarioConfig c = city(16, 4, 1);
   const Time mid = Time::from_days(0.7);
   const Time end = Time::from_days(2.0);

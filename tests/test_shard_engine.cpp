@@ -1,12 +1,14 @@
 // Sharded engine: planner decomposition, serial fallbacks, the epoch
 // barrier, and — the load-bearing property — bit-identical results against
-// the serial Network at any shard count. Test names carry "ShardEngine" so
+// a whole-fleet Network at any shard count. Test names carry "ShardEngine" so
 // the CI tsan leg can select this file with a ctest regex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -185,6 +187,14 @@ TEST(ShardEnginePlanner, SerialFallbackConditions) {
     const ShardPlan plan = plan_shards(c, plan_deployment(c, root), 1);
     EXPECT_TRUE(plan.serial);
     EXPECT_EQ(plan.serial_reason, "shards <= 1 requested");
+    // A one-slice plan still maps every gateway and node (to slice 0).
+    EXPECT_EQ(plan.shard_of_gateway, std::vector<int>(4, 0));
+    EXPECT_EQ(plan.shard_of_node, std::vector<int>(16, 0));
+  }
+  {
+    ScenarioConfig c = city(16, 4, 4);
+    c.audit.level = 1;
+    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
   }
   {
     // Fault injection no longer forces serial: each shard rebuilds the full
@@ -377,19 +387,56 @@ TEST(ShardEngineIdentity, EventExactlyOnEpochBoundary) {
 }
 
 TEST(ShardEngineIdentity, SerialDelegateMatchesNetworkExactly) {
-  // shards=1 delegates to the serial engine wholesale: even
-  // events_executed (which sharded mode is allowed to change) must match.
-  const ScenarioConfig c = city(16, 4, 1);
+  // A one-slice run is the whole-fleet Network, epoch loop and all: even
+  // events_executed (which extra slices are allowed to change) must match.
+  // Every feature the planner keeps on one slice is covered, each with four
+  // shards requested on the four-domain city.
+  struct Case {
+    const char* feature;
+    void (*configure)(ScenarioConfig&);
+  };
+  const Case cases[] = {
+      {"shards <= 1", [](ScenarioConfig& c) { c.shards = 1; }},
+      {"audit", [](ScenarioConfig& c) { c.audit.level = 1; }},
+      {"interferer", [](ScenarioConfig& c) { c.interference.tx_per_hour = 10.0; }},
+      {"packet log", [](ScenarioConfig& c) { c.packet_log = true; }},
+      {"fast fading", [](ScenarioConfig& c) { c.fast_fading = true; }},
+      {"adr", [](ScenarioConfig& c) { c.adr_enabled = true; }},
+  };
   const Time duration = Time::from_days(1.0);
-  Network plain{c};
-  plain.run_until(duration);
-  plain.finalize_metrics();
-  ShardedNetwork wrapped{c};
-  ASSERT_TRUE(wrapped.serial());
-  wrapped.run_until(duration);
-  wrapped.finalize_metrics();
-  expect_identical(plain.metrics(), wrapped.metrics(), 16);
-  EXPECT_EQ(plain.simulator().events_executed(), wrapped.events_executed());
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.feature);
+    ScenarioConfig c = city(16, 4, 4);
+    tc.configure(c);
+    Network plain{c};
+    plain.run_until(duration);
+    plain.finalize_metrics();
+    ShardedNetwork wrapped{c};
+    ASSERT_TRUE(wrapped.serial());
+    EXPECT_NE(wrapped.plan().serial_reason.find(tc.feature), std::string::npos)
+        << wrapped.plan().serial_reason;
+    EXPECT_EQ(wrapped.auditor() != nullptr, c.audit.level > 0);
+    wrapped.run_until(duration);
+    wrapped.finalize_metrics();
+    expect_identical(plain.metrics(), wrapped.metrics(), 16);
+    EXPECT_EQ(plain.simulator().events_executed(), wrapped.events_executed());
+  }
+}
+
+TEST(ShardEngineIdentity, UnknownNodeWForThrowsAtEveryShardCount) {
+  // One lookup path: an id past the fleet throws at any shard count, both
+  // before the first w_u recompute and after it; a known id reads 0 until
+  // the first recompute.
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    ShardedNetwork net{city(16, 4, shards)};
+    ASSERT_EQ(net.plan().effective, shards);
+    EXPECT_EQ(net.w_for(15), 0.0);
+    EXPECT_THROW((void)net.w_for(16), std::out_of_range);
+    net.run_until(Time::from_days(1.5));
+    EXPECT_THROW((void)net.w_for(16), std::out_of_range);
+    EXPECT_THROW((void)net.w_for(0xffffffffU), std::out_of_range);
+  }
 }
 
 TEST(ShardEngineBarrier, ReduceMaxAcrossGenerations) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace blam {
@@ -48,8 +50,11 @@ TEST(StepUtility, DeadlineSemantics) {
 
 // Property sweep: every utility implementation must be monotonically
 // non-increasing in t and bounded in [0, 1] — the protocol relies on both.
+// The kind is a std::string, not a const char*, so GoogleTest prints the
+// parameter by value: a pointer would put a load address into every test
+// name, and the names would change from one build to the next.
 class UtilityPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   static std::unique_ptr<UtilityFunction> make(const std::string& kind) {
     if (kind == "linear") return std::make_unique<LinearUtility>();
@@ -78,10 +83,12 @@ TEST_P(UtilityPropertyTest, FirstWindowHasFullUtility) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllUtilitiesAndWidths, UtilityPropertyTest,
-    ::testing::Combine(::testing::Values("linear", "exponential", "step"),
+    ::testing::Combine(::testing::Values(std::string{"linear"},
+                                         std::string{"exponential"},
+                                         std::string{"step"}),
                        ::testing::Values(1, 2, 10, 16, 60)),
     [](const auto& suite_info) {
-      return std::string{std::get<0>(suite_info.param)} + "_n" +
+      return std::get<0>(suite_info.param) + "_n" +
              std::to_string(std::get<1>(suite_info.param));
     });
 
