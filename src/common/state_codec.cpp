@@ -1,5 +1,6 @@
 #include "common/state_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <istream>
@@ -13,6 +14,9 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Longest decimal rendering of a 64-bit integer (i64 min: sign + 19 digits).
+constexpr std::size_t kMaxDecimal = 20;
+
 std::uint64_t fnv1a(std::uint64_t hash, const char* data, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= static_cast<unsigned char>(data[i]);
@@ -21,18 +25,20 @@ std::uint64_t fnv1a(std::uint64_t hash, const char* data, std::size_t size) {
   return hash;
 }
 
-std::string hex16(std::uint64_t value) {
+/// Writes `value` as 16 lowercase hex digits at `out`; returns the end.
+char* write_hex16(char* out, std::uint64_t value) {
   static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xfu];
+    out[i] = kDigits[value & 0xfu];
     value >>= 4;
   }
-  return out;
+  return out + 16;
 }
 
-std::uint64_t parse_hex16(const std::string& text) {
-  if (text.size() != 16) throw std::runtime_error{"state codec: malformed hex16 '" + text + "'"};
+std::uint64_t parse_hex16(std::string_view text) {
+  if (text.size() != 16) {
+    throw std::runtime_error{"state codec: malformed hex16 '" + std::string{text} + "'"};
+  }
   std::uint64_t value = 0;
   for (const char c : text) {
     value <<= 4;
@@ -41,8 +47,20 @@ std::uint64_t parse_hex16(const std::string& text) {
     } else if (c >= 'a' && c <= 'f') {
       value |= static_cast<std::uint64_t>(c - 'a' + 10);
     } else {
-      throw std::runtime_error{"state codec: malformed hex16 '" + text + "'"};
+      throw std::runtime_error{"state codec: malformed hex16 '" + std::string{text} + "'"};
     }
+  }
+  return value;
+}
+
+/// Parses the whole of `text` as a decimal integer; throws naming `what`.
+template <typename T>
+T parse_decimal(std::string_view text, const char* what) {
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw std::runtime_error{std::string{"state codec: malformed "} + what + " '" +
+                             std::string{text} + "'"};
   }
   return value;
 }
@@ -51,75 +69,115 @@ std::uint64_t parse_hex16(const std::string& text) {
 
 StateWriter::StateWriter(std::ostream& out) : out_{out} {}
 
-void StateWriter::begin_section(const std::string& name) {
-  if (in_section_) throw std::logic_error{"StateWriter: nested section '" + name + "'"};
-  out_ << "section " << name << "\n";
-  hash_ = kFnvOffset;
+char* StateWriter::reserve(std::size_t n) {
+  if (len_ + n > buf_.size()) buf_.resize(std::max(2 * buf_.size(), len_ + n));
+  return buf_.data() + len_;
+}
+
+char* StateWriter::open_value(std::string_view tag, std::size_t payload_bytes) {
+  if (!in_section_) throw std::logic_error{"StateWriter: value outside a section"};
+  char* p = reserve(tag.size() + 1 + payload_bytes + 1);
+  p = std::copy(tag.begin(), tag.end(), p);
+  *p++ = ' ';
+  return p;
+}
+
+void StateWriter::close_value(char* end) {
+  *end++ = '\n';
+  len_ = static_cast<std::size_t>(end - buf_.data());
+}
+
+void StateWriter::begin_section(std::string_view name) {
+  if (in_section_) {
+    throw std::logic_error{"StateWriter: nested section '" + std::string{name} + "'"};
+  }
+  constexpr std::string_view kTag = "section ";
+  char* p = reserve(kTag.size() + name.size() + 1);
+  p = std::copy(kTag.begin(), kTag.end(), p);
+  p = std::copy(name.begin(), name.end(), p);
+  *p++ = '\n';
+  len_ = static_cast<std::size_t>(p - buf_.data());
+  body_ = len_;  // the section line itself is not hashed
   in_section_ = true;
 }
 
 void StateWriter::end_section() {
   if (!in_section_) throw std::logic_error{"StateWriter: end_section outside a section"};
-  out_ << "end " << hex16(hash_) << "\n";
+  const std::uint64_t hash = fnv1a(kFnvOffset, buf_.data() + body_, len_ - body_);
+  constexpr std::string_view kTag = "end ";
+  char* p = reserve(kTag.size() + 16 + 1);
+  p = std::copy(kTag.begin(), kTag.end(), p);
+  p = write_hex16(p, hash);
+  *p++ = '\n';
+  out_.write(buf_.data(), p - buf_.data());
+  len_ = 0;
   in_section_ = false;
 }
 
-void StateWriter::emit(const std::string& line) {
-  if (!in_section_) throw std::logic_error{"StateWriter: value outside a section"};
-  hash_ = fnv1a(hash_, line.data(), line.size());
-  hash_ = fnv1a(hash_, "\n", 1);
-  out_ << line << "\n";
+void StateWriter::put_u64(std::uint64_t value) {
+  char* p = open_value("u", kMaxDecimal);
+  p = std::to_chars(p, p + kMaxDecimal, value).ptr;
+  close_value(p);
 }
 
-void StateWriter::put_u64(std::uint64_t value) { emit("u " + std::to_string(value)); }
-
-void StateWriter::put_i64(std::int64_t value) { emit("i " + std::to_string(value)); }
+void StateWriter::put_i64(std::int64_t value) {
+  char* p = open_value("i", kMaxDecimal);
+  p = std::to_chars(p, p + kMaxDecimal, value).ptr;
+  close_value(p);
+}
 
 void StateWriter::put_double(double value) {
-  emit("d " + hex16(std::bit_cast<std::uint64_t>(value)));
+  char* p = open_value("d", 16);
+  p = write_hex16(p, std::bit_cast<std::uint64_t>(value));
+  close_value(p);
 }
 
-void StateWriter::put_string(const std::string& value) {
-  if (value.find('\n') != std::string::npos) {
+void StateWriter::put_string(std::string_view value) {
+  if (value.find('\n') != std::string_view::npos) {
     throw std::logic_error{"StateWriter: string value contains a newline"};
   }
-  emit("s " + value);
+  char* p = open_value("s", value.size());
+  p = std::copy(value.begin(), value.end(), p);
+  close_value(p);
 }
 
-void StateWriter::put_blob(const std::string& bytes) {
-  emit("blob " + std::to_string(bytes.size()));
-  hash_ = fnv1a(hash_, bytes.data(), bytes.size());
-  hash_ = fnv1a(hash_, "\n", 1);
-  out_ << bytes << "\n";
+void StateWriter::put_blob(std::string_view bytes) {
+  char* p = open_value("blob", kMaxDecimal + bytes.size() + 1);
+  p = std::to_chars(p, p + kMaxDecimal, bytes.size()).ptr;
+  *p++ = '\n';
+  p = std::copy(bytes.begin(), bytes.end(), p);
+  close_value(p);
 }
 
 StateReader::StateReader(std::istream& in) : in_{in} {}
 
-std::string StateReader::next_line() {
-  std::string line;
-  if (!std::getline(in_, line)) {
+std::string_view StateReader::next_line() {
+  if (!std::getline(in_, line_)) {
     throw std::runtime_error{"state codec: unexpected end of checkpoint in section '" + section_ +
                              "'"};
   }
-  return line;
+  return line_;
 }
 
-void StateReader::begin_section(const std::string& name) {
-  const std::string line = next_line();
-  if (line != "section " + name) {
-    throw std::runtime_error{"state codec: expected 'section " + name + "', got '" + line + "'"};
+void StateReader::begin_section(std::string_view name) {
+  constexpr std::string_view kTag = "section ";
+  const std::string_view line = next_line();
+  if (!line.starts_with(kTag) || line.substr(kTag.size()) != name) {
+    throw std::runtime_error{"state codec: expected 'section " + std::string{name} + "', got '" +
+                             std::string{line} + "'"};
   }
-  section_ = name;
+  section_.assign(name);
   hash_ = kFnvOffset;
 }
 
 void StateReader::end_section() {
-  const std::string line = next_line();
-  if (line.rfind("end ", 0) != 0) {
+  constexpr std::string_view kTag = "end ";
+  const std::string_view line = next_line();
+  if (!line.starts_with(kTag)) {
     throw std::runtime_error{"state codec: expected section trailer in '" + section_ + "', got '" +
-                             line + "'"};
+                             std::string{line} + "'"};
   }
-  const std::uint64_t expected = parse_hex16(line.substr(4));
+  const std::uint64_t expected = parse_hex16(line.substr(kTag.size()));
   if (expected != hash_) {
     throw std::runtime_error{"state codec: checksum mismatch in section '" + section_ +
                              "' (corrupted or truncated checkpoint)"};
@@ -127,55 +185,34 @@ void StateReader::end_section() {
   section_.clear();
 }
 
-std::string StateReader::expect(const char* tag) {
-  const std::string line = next_line();
+std::string_view StateReader::expect(std::string_view tag) {
+  const std::string_view line = next_line();
   hash_ = fnv1a(hash_, line.data(), line.size());
   hash_ = fnv1a(hash_, "\n", 1);
-  const std::string prefix = std::string{tag} + " ";
-  if (line.rfind(prefix, 0) != 0) {
-    throw std::runtime_error{"state codec: expected '" + prefix + "...' in section '" + section_ +
-                             "', got '" + line + "'"};
+  if (!line.starts_with(tag) || line.size() == tag.size() || line[tag.size()] != ' ') {
+    throw std::runtime_error{"state codec: expected '" + std::string{tag} + " ...' in section '" +
+                             section_ + "', got '" + std::string{line} + "'"};
   }
-  return line.substr(prefix.size());
+  return line.substr(tag.size() + 1);
 }
 
-std::uint64_t StateReader::get_u64() {
-  const std::string text = expect("u");
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw std::runtime_error{"state codec: malformed u64 '" + text + "'"};
-  }
-  return value;
-}
+std::uint64_t StateReader::get_u64() { return parse_decimal<std::uint64_t>(expect("u"), "u64"); }
 
-std::int64_t StateReader::get_i64() {
-  const std::string text = expect("i");
-  std::int64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw std::runtime_error{"state codec: malformed i64 '" + text + "'"};
-  }
-  return value;
-}
+std::int64_t StateReader::get_i64() { return parse_decimal<std::int64_t>(expect("i"), "i64"); }
 
-double StateReader::get_double() {
-  return std::bit_cast<double>(parse_hex16(expect("d")));
-}
+double StateReader::get_double() { return std::bit_cast<double>(parse_hex16(expect("d"))); }
 
-std::string StateReader::get_string() { return expect("s"); }
+std::string StateReader::get_string() { return std::string{expect("s")}; }
 
 std::string StateReader::get_blob() {
-  const std::string header = expect("blob");
-  std::size_t size = 0;
-  const auto [ptr, ec] = std::from_chars(header.data(), header.data() + header.size(), size);
-  if (ec != std::errc{} || ptr != header.data() + header.size()) {
-    throw std::runtime_error{"state codec: malformed blob header '" + header + "'"};
-  }
+  const std::size_t size = parse_decimal<std::size_t>(expect("blob"), "blob header");
   std::string bytes(size, '\0');
-  if (size > 0) in_.read(bytes.data(), static_cast<std::streamsize>(size));
-  if (!in_ || static_cast<std::size_t>(in_.gcount()) != size) {
-    throw std::runtime_error{"state codec: truncated blob in section '" + section_ + "'"};
+  // gcount() is only meaningful after a read: an empty blob performs none.
+  if (size > 0) {
+    in_.read(bytes.data(), static_cast<std::streamsize>(size));
+    if (!in_ || static_cast<std::size_t>(in_.gcount()) != size) {
+      throw std::runtime_error{"state codec: truncated blob in section '" + section_ + "'"};
+    }
   }
   if (in_.get() != '\n') {
     throw std::runtime_error{"state codec: blob missing terminator in section '" + section_ + "'"};

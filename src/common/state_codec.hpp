@@ -9,7 +9,7 @@
 //   d 3ff0000000000000       (double, exact IEEE-754 bit pattern, hex16)
 //   s some text to eol       (string; no embedded newlines)
 //   blob 128                 (128 raw bytes follow, then a newline)
-//   end a1b2c3d4e5f60718     (FNV-1a 64 of every byte since `section`)
+//   end a1b2c3d4e5f60718     (FNV-1a 64 of every byte after the `section` line)
 //
 // Doubles travel as bit patterns, never as formatted decimals: restore is
 // bit-exact by construction, which is what lets a resumed run reproduce the
@@ -17,11 +17,19 @@
 // turns a truncated or corrupted file (the expected failure mode after a
 // kill -9 mid-write, despite the tmp+rename discipline) into a loud
 // std::runtime_error naming the section instead of a silently wrong resume.
+//
+// Both ends are allocation-free per token: a checkpoint carries ~570 tokens
+// per node, so a per-value std::string would dominate the cost. The writer
+// formats each token in place into one reusable section buffer, folds the
+// FNV hash over it, and hands the bytes to the stream once per section, at
+// end_section. The reader reuses one line buffer and parses views into it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace blam {
 
@@ -29,23 +37,31 @@ class StateWriter {
  public:
   explicit StateWriter(std::ostream& out);
 
-  void begin_section(const std::string& name);
-  /// Writes the FNV trailer and closes the current section.
+  void begin_section(std::string_view name);
+  /// Writes the FNV trailer and hands the section to the stream.
   void end_section();
 
   void put_u64(std::uint64_t value);
   void put_i64(std::int64_t value);
   void put_double(double value);
   /// `value` must not contain newlines.
-  void put_string(const std::string& value);
+  void put_string(std::string_view value);
   /// Raw byte payload (may contain anything, including newlines).
-  void put_blob(const std::string& bytes);
+  void put_blob(std::string_view bytes);
 
  private:
-  void emit(const std::string& line);
+  /// Room for `n` more bytes at the end of the section buffer.
+  [[nodiscard]] char* reserve(std::size_t n);
+  /// Starts a value line with `tag` and a space, leaving room for
+  /// `payload_bytes` more and the newline. Throws outside a section.
+  [[nodiscard]] char* open_value(std::string_view tag, std::size_t payload_bytes);
+  /// Ends the value line whose payload stops at `end`.
+  void close_value(char* end);
 
   std::ostream& out_;
-  std::uint64_t hash_{0};
+  std::string buf_;  // buf_.size() is the capacity; len_ bytes are in use
+  std::size_t len_{0};
+  std::size_t body_{0};  // the hashed part of the section starts here
   bool in_section_{false};
 };
 
@@ -54,7 +70,7 @@ class StateReader {
   explicit StateReader(std::istream& in);
 
   /// Consumes `section <name>`; throws std::runtime_error on mismatch.
-  void begin_section(const std::string& name);
+  void begin_section(std::string_view name);
   /// Consumes `end <fnv16hex>` and verifies the section hash.
   void end_section();
 
@@ -65,10 +81,13 @@ class StateReader {
   [[nodiscard]] std::string get_blob();
 
  private:
-  std::string next_line();
-  [[nodiscard]] std::string expect(const char* tag);
+  /// The next line, without its newline; valid until the next call.
+  [[nodiscard]] std::string_view next_line();
+  /// Hashes the next line and returns what follows `tag` and a space.
+  [[nodiscard]] std::string_view expect(std::string_view tag);
 
   std::istream& in_;
+  std::string line_;
   std::uint64_t hash_{0};
   std::string section_;
 };

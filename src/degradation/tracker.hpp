@@ -32,6 +32,8 @@ class DegradationTracker {
   /// `temperature_c` is the battery's initial (or fixed) internal
   /// temperature.
   DegradationTracker(const DegradationModel& model, double temperature_c);
+  /// The tracker keeps a pointer to `model`: a temporary would dangle.
+  DegradationTracker(DegradationModel&&, double) = delete;
 
   DegradationTracker(const DegradationTracker&) = delete;
   DegradationTracker& operator=(const DegradationTracker&) = delete;

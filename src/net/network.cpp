@@ -326,11 +326,13 @@ void Network::restore_state(StateReader& r) {
   }
   r.end_section();
 
+  // nodes_ is in ascending global id (the slice's build order).
   const auto node_by_id = [this](std::uint32_t id) -> Node* {
-    for (const auto& node : nodes_) {
-      if (node->id() == id) return node.get();
+    const auto it = std::ranges::lower_bound(nodes_, id, {}, [](const auto& n) { return n->id(); });
+    if (it == nodes_.end() || (*it)->id() != id) {
+      throw std::runtime_error{"restore: checkpoint references a node outside this slice"};
     }
-    throw std::runtime_error{"restore: checkpoint references a node outside this slice"};
+    return it->get();
   };
 
   server_->restore_state(r, gateways_, node_by_id);

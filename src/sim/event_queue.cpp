@@ -6,23 +6,14 @@
 namespace blam {
 
 EventHandle EventQueue::schedule(Time time, Callback callback) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.callback = std::move(callback);
-  s.live = true;
-  heap_push(HeapEntry{time, next_seq_++, slot, s.generation});
-  ++live_;
-  return EventHandle{slot, s.generation};
+  return insert(time, next_seq_++, std::move(callback));
 }
 
 EventHandle EventQueue::schedule_with_seq(Time time, std::uint64_t seq, Callback callback) {
+  return insert(time, seq, std::move(callback));
+}
+
+EventHandle EventQueue::insert(Time time, std::uint64_t seq, Callback callback) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -33,6 +24,8 @@ EventHandle EventQueue::schedule_with_seq(Time time, std::uint64_t seq, Callback
   }
   Slot& s = slots_[slot];
   s.callback = std::move(callback);
+  s.time = time;
+  s.seq = seq;
   s.live = true;
   heap_push(HeapEntry{time, seq, slot, s.generation});
   ++live_;
@@ -43,12 +36,7 @@ std::optional<EventQueue::PendingEvent> EventQueue::lookup(EventHandle handle) c
   if (handle.is_null() || handle.slot >= slots_.size()) return std::nullopt;
   const Slot& s = slots_[handle.slot];
   if (!s.live || s.generation != handle.generation) return std::nullopt;
-  for (const HeapEntry& entry : heap_) {
-    if (entry.slot == handle.slot && entry.generation == handle.generation) {
-      return PendingEvent{entry.time, entry.seq};
-    }
-  }
-  return std::nullopt;
+  return PendingEvent{s.time, s.seq};
 }
 
 void EventQueue::clear() {

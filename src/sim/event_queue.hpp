@@ -61,8 +61,8 @@ class EventQueue {
   [[nodiscard]] Popped pop();
 
   /// (time, seq) of a still-pending event, or nullopt for a null, fired, or
-  /// cancelled handle. Scans the heap, so it is checkpoint-path only — the
-  /// hot path never pays for it.
+  /// cancelled handle. O(1): the slot keeps the (time, seq) it was scheduled
+  /// under, so a checkpoint of N handles costs O(N), not O(N x pending).
   struct PendingEvent {
     Time time;
     std::uint64_t seq;
@@ -86,9 +86,14 @@ class EventQueue {
  private:
   struct Slot {
     Callback callback;
+    Time time;  // schedule key, for lookup()
+    std::uint64_t seq{0};
     std::uint32_t generation{0};
     bool live{false};
   };
+
+  /// Takes a free slot (or grows the pool) and arms it with the event.
+  EventHandle insert(Time time, std::uint64_t seq, Callback callback);
 
   struct HeapEntry {
     Time time;

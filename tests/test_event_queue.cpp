@@ -153,6 +153,68 @@ TEST(EventQueue, CancelRescheduleChurnPreservesMonotonicityAndLiveness) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, LookupReportsScheduleKeyOfLiveEvent) {
+  EventQueue q;
+  q.schedule(Time::from_ms(7), [] {});
+  const EventHandle h = q.schedule(Time::from_ms(3), [] {});
+  q.schedule(Time::from_ms(5), [] {});
+  const auto pending = q.lookup(h);
+  ASSERT_TRUE(pending.has_value());
+  EXPECT_EQ(pending->time, Time::from_ms(3));
+  EXPECT_EQ(pending->seq, 1u);
+  EXPECT_FALSE(q.lookup(EventHandle{}).has_value());
+}
+
+TEST(EventQueue, LookupIsEmptyAfterCancel) {
+  EventQueue q;
+  const EventHandle h = q.schedule(Time::from_ms(1), [] {});
+  q.schedule(Time::from_ms(2), [] {});
+  ASSERT_TRUE(q.cancel(h));
+  EXPECT_FALSE(q.lookup(h).has_value());
+}
+
+TEST(EventQueue, LookupIsEmptyAfterFire) {
+  EventQueue q;
+  const EventHandle h = q.schedule(Time::from_ms(1), [] {});
+  const EventHandle later = q.schedule(Time::from_ms(2), [] {});
+  q.pop().callback();
+  EXPECT_FALSE(q.lookup(h).has_value());
+  ASSERT_TRUE(q.lookup(later).has_value());
+  EXPECT_EQ(q.lookup(later)->seq, 1u);
+}
+
+TEST(EventQueue, LookupRejectsStaleGenerationOnRecycledSlot) {
+  EventQueue q;
+  const EventHandle old = q.schedule(Time::from_ms(1), [] {});
+  (void)q.pop();  // frees the slot
+  const EventHandle fresh = q.schedule(Time::from_ms(9), [] {});
+  ASSERT_EQ(fresh.slot, old.slot);  // the free list hands the slot back
+  EXPECT_FALSE(q.lookup(old).has_value());
+  ASSERT_TRUE(q.lookup(fresh).has_value());
+  EXPECT_EQ(q.lookup(fresh)->time, Time::from_ms(9));
+  EXPECT_EQ(q.lookup(fresh)->seq, 1u);
+}
+
+TEST(EventQueue, LookupIsEmptyAfterClear) {
+  EventQueue q;
+  const EventHandle h = q.schedule(Time::from_ms(1), [] {});
+  q.clear();
+  EXPECT_FALSE(q.lookup(h).has_value());
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ScheduleWithSeqReportsExplicitSeq) {
+  EventQueue q;
+  q.set_next_seq(10);
+  const EventHandle restored = q.schedule_with_seq(Time::from_ms(4), 3, [] {});
+  const EventHandle fresh = q.schedule(Time::from_ms(4), [] {});
+  ASSERT_TRUE(q.lookup(restored).has_value());
+  EXPECT_EQ(q.lookup(restored)->seq, 3u);
+  EXPECT_EQ(q.lookup(restored)->time, Time::from_ms(4));
+  EXPECT_EQ(q.lookup(fresh)->seq, 10u);
+  EXPECT_EQ(q.next_seq(), 11u);  // the explicit seq does not advance the counter
+}
+
 TEST(EventQueue, RandomizedOrderingProperty) {
   EventQueue q;
   Rng rng{1234};

@@ -159,7 +159,8 @@ TEST(FeedbackResilience, SequenceResetSealsResidualWithoutPhantomCycle) {
   svc.recompute(Time::from_days(20.0));
   EXPECT_EQ(svc.counters().discontinuities, 1u);
 
-  DegradationTracker reference{DegradationModel{}, 25.0};
+  const DegradationModel model;
+  DegradationTracker reference{model, 25.0};
   for (const auto& r : pre) reference.record(r[0].t, r[0].soc);
   reference.mark_discontinuity();
   for (const auto& r : post) reference.record(r[0].t, r[0].soc);
