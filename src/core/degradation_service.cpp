@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "common/checksum.hpp"
+#include "common/sorted_ids.hpp"
 
 namespace blam {
 
@@ -77,29 +79,29 @@ DegradationService::DegradationService(const DegradationModel& model, double tem
     : store_{model, temperature_c, static_cast<std::uint32_t>(kReorderDepth) + 1} {}
 
 NodeHandle DegradationService::obtain(std::uint32_t node_id) {
-  // Single hash lookup: try_emplace both registers an unknown node and
-  // finds a known one (this runs once per delivered SoC report).
-  auto [it, inserted] = handle_of_.try_emplace(node_id, NodeHandle{0});
-  if (inserted) {
-    const NodeHandle h = store_.add_node();
-    it->second = h;
-    health_.push_back(static_cast<std::uint8_t>(LedgerHealth::kHealthy));
-    has_report_.push_back(0);
-    has_data_.push_back(0);
-    last_seq_.push_back(0);
-    suspicion_.push_back(0);
-    clean_streak_.push_back(0);
-    degradation_.push_back(0.0);
-    normalized_.push_back(0.0);
-    estimated_gap_s_.push_back(0.0);
-    first_sample_t_.push_back(Time::zero());
-    last_sample_t_.push_back(Time::zero());
-    const auto pos = std::lower_bound(ids_.begin(), ids_.end(), node_id);
-    const auto index = pos - ids_.begin();
-    ids_.insert(pos, node_id);
-    handles_by_id_.insert(handles_by_id_.begin() + index, h);
+  // One search both finds a known node and positions an unknown one (this
+  // runs once per delivered SoC report). Nodes register in ascending id, so
+  // a registration appends.
+  const auto pos = lower_bound_id(ids_.begin(), ids_.end(), node_id, std::identity{});
+  const auto index = pos - ids_.begin();
+  if (pos != ids_.end() && *pos == node_id) {
+    return handles_by_id_[static_cast<std::size_t>(index)];
   }
-  return it->second;
+  const NodeHandle h = store_.add_node();
+  health_.push_back(static_cast<std::uint8_t>(LedgerHealth::kHealthy));
+  has_report_.push_back(0);
+  has_data_.push_back(0);
+  last_seq_.push_back(0);
+  suspicion_.push_back(0);
+  clean_streak_.push_back(0);
+  degradation_.push_back(0.0);
+  normalized_.push_back(0.0);
+  estimated_gap_s_.push_back(0.0);
+  first_sample_t_.push_back(Time::zero());
+  last_sample_t_.push_back(Time::zero());
+  ids_.insert(pos, node_id);
+  handles_by_id_.insert(handles_by_id_.begin() + index, h);
+  return h;
 }
 
 void DegradationService::register_node(std::uint32_t node_id) { obtain(node_id); }
@@ -300,8 +302,8 @@ void DegradationService::recompute(Time now) {
   // The dissemination period is the deterministic deadline for late
   // reports: whatever is still staged or buffered is applied now.
   drain_queue();
-  // Canonical pass order: ascending node id via ids_, never the hash table
-  // (see the member comment in the header).
+  // Canonical pass order: ascending node id via ids_ (see the member
+  // comment in the header).
   max_degradation_ = 0.0;
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     const NodeHandle h = handles_by_id_[i];
@@ -341,11 +343,11 @@ void DegradationService::recompute(Time now) {
 }
 
 NodeHandle DegradationService::handle_of(std::uint32_t node_id) const {
-  const auto it = handle_of_.find(node_id);
-  if (it == handle_of_.end()) {
+  const auto pos = lower_bound_id(ids_.begin(), ids_.end(), node_id, std::identity{});
+  if (pos == ids_.end() || *pos != node_id) {
     throw std::out_of_range{"DegradationService: unknown node " + std::to_string(node_id)};
   }
-  return it->second;
+  return handles_by_id_[static_cast<std::size_t>(pos - ids_.begin())];
 }
 
 double DegradationService::normalized_degradation(std::uint32_t node_id) const {
@@ -463,7 +465,6 @@ void DegradationService::restore(std::istream& in) {
   estimated_gap_s_.clear();
   first_sample_t_.clear();
   last_sample_t_.clear();
-  handle_of_.clear();
   ids_.clear();
   handles_by_id_.clear();
   max_degradation_ = parse_hex_double(word);
@@ -489,7 +490,7 @@ void DegradationService::restore(std::istream& in) {
     std::string norm;
     std::string gap;
     if (!(body >> tag >> id) || tag != "node") fail("missing node record");
-    if (handle_of_.find(id) != handle_of_.end()) fail("duplicate node record");
+    if (std::binary_search(ids_.begin(), ids_.end(), id)) fail("duplicate node record");
     const NodeHandle h = obtain(id);
     if (!(body >> health >> has_report >> has_data >> last_seq_[h] >> suspicion_[h] >>
           clean_streak_[h] >> deg >> norm >> gap >> first_us >> last_us)) {

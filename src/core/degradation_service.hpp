@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -220,8 +219,8 @@ class DegradationService {
  private:
   [[nodiscard]] NodeHandle handle_of(std::uint32_t node_id) const;
 
-  /// Finds-or-creates the row for `node_id` with a single hash lookup,
-  /// keeping the sorted ids_ index in step.
+  /// Finds-or-creates the row for `node_id` with one search of the sorted
+  /// ids_ index (lower_bound_id), keeping it in step.
   NodeHandle obtain(std::uint32_t node_id);
 
   /// One report through the full integrity pipeline (the drain sink).
@@ -261,13 +260,10 @@ class DegradationService {
   std::vector<Time> first_sample_t_;
   std::vector<Time> last_sample_t_;
 
-  // Node-id index. Lookup-only by node id on the per-report path; every
-  // full pass (recompute, checkpoint) walks the sorted ids_ index below.
-  // blam-lint: allow(D2) -- never iterated: full passes walk the sorted ids_ index
-  std::unordered_map<std::uint32_t, NodeHandle> handle_of_;
-  /// Ascending node ids, maintained sorted on insert: recompute() iterates
-  /// this index so w_u passes are in canonical id order regardless of hash
-  /// layout (D_max via std::max is order-independent anyway, but sorted
+  /// The node-id index: ascending node ids, maintained sorted on insert.
+  /// Per-report lookups search it (common/sorted_ids.hpp), and full passes
+  /// (recompute, checkpoint) walk it, so w_u passes run in canonical id
+  /// order (D_max via std::max is order-independent anyway, but sorted
   /// iteration keeps the pass order reproducible by inspection).
   std::vector<std::uint32_t> ids_;
   /// Dense handles parallel to ids_ (handles_by_id_[i] is the row of

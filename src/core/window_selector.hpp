@@ -58,10 +58,11 @@ struct WindowSelection {
 class WindowSelector {
  public:
   /// Reusable scratch for Algorithm 1: the per-window objective values and
-  /// the cumulative-energy array. A caller on the simulation hot path owns
-  /// one Workspace per node and passes it to every select() so the
-  /// per-period run is allocation-free after warm-up; the workspace carries
-  /// no state between calls beyond vector capacity.
+  /// the cumulative-energy array. The simulation hot path keeps one
+  /// Workspace per engine slice, shared by the slice's nodes, and passes it
+  /// to every select() so the per-period run is allocation-free after
+  /// warm-up; the workspace carries no state between calls beyond vector
+  /// capacity.
   struct Workspace {
     std::vector<double> gamma;
     std::vector<Energy> available;

@@ -1,19 +1,31 @@
 #include "fault/report_channel.hpp"
 
 #include <bit>
-#include <utility>
+
+#include "common/sorted_ids.hpp"
 
 namespace blam {
 
-ReportFaultChannel::Lane& ReportFaultChannel::lane(std::uint32_t node_id) {
-  auto it = lanes_.find(node_id);
-  if (it == lanes_.end()) {
-    // The lane's stream depends only on the node id, so traffic order cannot
-    // change which faults a node's reports experience.
-    it = lanes_.emplace(node_id, Lane{plan_->report_stream(node_id), false, 0, 0, {}}).first;
+ReportFaultChannel::Lane& ReportFaultChannel::slot(std::uint32_t node_id) {
+  // Ascending registration appends; anything else searches.
+  auto it = lanes_.end();
+  if (!lanes_.empty() && lanes_.back().node_id >= node_id) {
+    it = lower_bound_id(lanes_.begin(), lanes_.end(), node_id,
+                        [](const Lane& ln) { return ln.node_id; });
+    if (it->node_id == node_id) return *it;
   }
-  return it->second;
+  // The lane's stream depends only on the node id, so traffic order cannot
+  // change which faults a node's reports experience.
+  return *lanes_.insert(it, Lane{node_id, false, false, 0, 0, plan_->report_stream(node_id), {}});
 }
+
+ReportFaultChannel::Lane& ReportFaultChannel::lane(std::uint32_t node_id) {
+  Lane& ln = slot(node_id);
+  ln.open = true;
+  return ln;
+}
+
+void ReportFaultChannel::add_node(std::uint32_t node_id) { (void)slot(node_id); }
 
 void ReportFaultChannel::deliver(std::uint32_t node_id, std::uint16_t report_seq,
                                  std::uint8_t report_crc, std::span<const SocSample> samples,
@@ -61,7 +73,8 @@ void ReportFaultChannel::deliver(std::uint32_t node_id, std::uint16_t report_seq
     // always caught, so the detection the bench measures is the guaranteed
     // case.)
     std::uint16_t seq = report_seq;
-    std::vector<SocSample> mutated{samples.begin(), samples.end()};
+    std::vector<SocSample>& mutated = mutated_;
+    mutated.assign(samples.begin(), samples.end());
     const std::int64_t fields = static_cast<std::int64_t>(2 * mutated.size());
     const std::int64_t field = ln.rng.uniform_int(0, fields);  // `fields` = the seq itself
     if (field == fields || mutated.empty()) {
@@ -81,9 +94,9 @@ void ReportFaultChannel::deliver(std::uint32_t node_id, std::uint16_t report_seq
     ++counters_.delivered;
     // Lose the trailing sample, keep the CRC computed over the full report:
     // the ledger's checksum check rejects it.
-    std::vector<SocSample> shortened{samples.begin(), samples.end()};
-    if (!shortened.empty()) shortened.pop_back();
-    sink(node_id, report_seq, report_crc, shortened);
+    mutated_.assign(samples.begin(), samples.end());
+    if (!mutated_.empty()) mutated_.pop_back();
+    sink(node_id, report_seq, report_crc, mutated_);
   } else {
     ++counters_.delivered;
     sink(node_id, report_seq, report_crc, samples);
@@ -92,29 +105,30 @@ void ReportFaultChannel::deliver(std::uint32_t node_id, std::uint16_t report_seq
   if (ln.holding && !held_this_report) {
     // Release the held report AFTER the current one: B then A on the wire.
     ln.holding = false;
-    const std::vector<SocSample> late = std::move(ln.held_samples);
-    ln.held_samples.clear();
     ++counters_.delivered;
-    sink(node_id, ln.held_seq, ln.held_crc, late);
+    sink(node_id, ln.held_seq, ln.held_crc, ln.held_samples);
   }
 }
 
 std::vector<ReportFaultChannel::LaneSnapshot> ReportFaultChannel::snapshot() const {
   std::vector<LaneSnapshot> out;
-  out.reserve(lanes_.size());
-  for (const auto& [node_id, ln] : lanes_) {
-    out.push_back(
-        LaneSnapshot{node_id, ln.rng.state(), ln.holding, ln.held_seq, ln.held_crc,
-                     ln.held_samples});
+  for (const Lane& ln : lanes_) {
+    if (!ln.open) continue;
+    // A released report's samples linger in held_samples (kept capacity);
+    // a snapshot carries them only while the lane holds.
+    out.push_back(LaneSnapshot{ln.node_id, ln.rng.state(), ln.holding, ln.held_seq, ln.held_crc,
+                               ln.holding ? ln.held_samples : std::vector<SocSample>{}});
   }
   return out;
 }
 
 void ReportFaultChannel::restore(const std::vector<LaneSnapshot>& lanes,
                                  const ReportChannelCounters& counters) {
-  lanes_.clear();
+  for (Lane& ln : lanes_) {
+    ln = Lane{ln.node_id, false, false, 0, 0, plan_->report_stream(ln.node_id), {}};
+  }
   for (const LaneSnapshot& snap : lanes) {
-    Lane& ln = lane(snap.node_id);  // seeds the rng from the plan's fork
+    Lane& ln = lane(snap.node_id);
     ln.rng.restore(snap.rng);
     ln.holding = snap.holding;
     ln.held_seq = snap.held_seq;
@@ -125,13 +139,11 @@ void ReportFaultChannel::restore(const std::vector<LaneSnapshot>& lanes,
 }
 
 void ReportFaultChannel::flush(const Sink& sink) {
-  for (auto& [node_id, ln] : lanes_) {
+  for (Lane& ln : lanes_) {
     if (!ln.holding) continue;
     ln.holding = false;
-    const std::vector<SocSample> late = std::move(ln.held_samples);
-    ln.held_samples.clear();
     ++counters_.delivered;
-    sink(node_id, ln.held_seq, ln.held_crc, late);
+    sink(ln.node_id, ln.held_seq, ln.held_crc, ln.held_samples);
   }
 }
 

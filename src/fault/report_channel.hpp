@@ -9,13 +9,18 @@
 // along, so the ledger's checksum check is what must catch it), or sample
 // truncation. Streams are forked per node off the FaultPlan's report salt,
 // so report faults never perturb any other fault source, and a plan with
-// reports_enabled() false never constructs lanes or consumes draws —
-// fault-free runs stay bit-identical.
+// reports_enabled() false never opens lanes or consumes draws — fault-free
+// runs stay bit-identical.
+//
+// Lanes live in one array sorted by node id. The network server lays out a
+// slot for every node of its slice up front (ascending ids, so each is an
+// append); a slot becomes a lane — snapshotted, flushed — when its node's
+// first report arrives. A report from a node that was never added gets its
+// slot inserted in place.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/degradation_service.hpp"
@@ -43,6 +48,11 @@ class ReportFaultChannel {
 
   explicit ReportFaultChannel(const FaultPlan& plan) : plan_{&plan} {}
 
+  /// Lays out the (not yet open) lane slot of `node_id`; adding ids in
+  /// ascending order makes each an append. Optional: deliver() slots an
+  /// unknown node itself.
+  void add_node(std::uint32_t node_id);
+
   /// Carries one report across the faulty channel, invoking `sink` zero, one
   /// or two times depending on the fault drawn.
   void deliver(std::uint32_t node_id, std::uint16_t report_seq, std::uint8_t report_crc,
@@ -54,8 +64,7 @@ class ReportFaultChannel {
 
   [[nodiscard]] const ReportChannelCounters& counters() const { return counters_; }
 
-  /// Lane state for engine checkpoints (already sorted: lanes_ is an
-  /// ordered map).
+  /// Open-lane state for engine checkpoints, in ascending node id.
   struct LaneSnapshot {
     std::uint32_t node_id{0};
     Rng::State rng{};
@@ -70,22 +79,31 @@ class ReportFaultChannel {
 
  private:
   struct Lane {
-    Rng rng;
+    std::uint32_t node_id{0};
+    /// Has carried a report: only open lanes are snapshotted.
+    bool open{false};
     /// One-slot reorder buffer: the held report is released after the next
-    /// report from the same node goes through (B then A).
+    /// report from the same node goes through (B then A). held_samples
+    /// keeps its capacity across reports.
     bool holding{false};
     std::uint16_t held_seq{0};
     std::uint8_t held_crc{0};
+    Rng rng;
     std::vector<SocSample> held_samples;
   };
 
+  /// The slot of `node_id`, inserted (closed, freshly seeded) if missing.
+  Lane& slot(std::uint32_t node_id);
+  /// The slot of `node_id`, opened.
   Lane& lane(std::uint32_t node_id);
 
   // blam-ckpt: skip -- wiring; lane RNGs and held reports are serialized through the server section
   const FaultPlan* plan_;
-  // Ordered map: flush() iterates it, and flush order must not depend on
-  // hash layout.
-  std::map<std::uint32_t, Lane> lanes_;
+  /// Ascending node id; flush() and snapshot() walk it in that order.
+  std::vector<Lane> lanes_;
+  /// Reused copy of a report the channel corrupts or truncates.
+  // blam-ckpt: skip -- per-report scratch, overwritten before every use
+  std::vector<SocSample> mutated_;
   ReportChannelCounters counters_;
 };
 

@@ -8,40 +8,83 @@ namespace blam {
 RetxEstimator::RetxEstimator(std::size_t max_windows, int max_retx) : max_retx_{max_retx} {
   if (max_windows == 0) throw std::invalid_argument{"RetxEstimator: need at least one window"};
   if (max_retx < 0) throw std::invalid_argument{"RetxEstimator: max_retx must be >= 0"};
-  counts_.resize(max_windows);
-  for (auto& w : counts_) w.retx_counts.assign(static_cast<std::size_t>(max_retx) + 1, 0);
+  selections_.assign(max_windows, 0);
+  retx_sum_.assign(max_windows, 0);
+  histogram_.assign(max_windows * width(), 0);
+}
+
+void RetxEstimator::check(std::size_t t) const {
+  if (t >= selections_.size()) throw std::out_of_range{"RetxEstimator: window out of range"};
 }
 
 void RetxEstimator::record(std::size_t t, int retx) {
-  if (t >= counts_.size()) throw std::out_of_range{"RetxEstimator::record: window out of range"};
+  if (t >= selections_.size()) {
+    throw std::out_of_range{"RetxEstimator::record: window out of range"};
+  }
   retx = std::clamp(retx, 0, max_retx_);
-  WindowStats& w = counts_[t];
-  ++w.retx_counts[static_cast<std::size_t>(retx)];
-  ++w.selections;
-  w.retx_sum += static_cast<std::uint64_t>(retx);
+  ++histogram_[t * width() + static_cast<std::size_t>(retx)];
+  ++selections_[t];
+  retx_sum_[t] += static_cast<std::uint64_t>(retx);
 }
 
 double RetxEstimator::probability_at_most(int r, std::size_t t) const {
-  if (t >= counts_.size()) throw std::out_of_range{"RetxEstimator: window out of range"};
+  check(t);
   if (r < 0) return 0.0;
-  const WindowStats& w = counts_[t];
-  if (w.selections == 0) return 1.0;
+  if (selections_[t] == 0) return 1.0;
   r = std::min(r, max_retx_);
+  const std::span<const std::uint64_t> counts = retx_counts(t);
   std::uint64_t cumulative = 0;
-  for (int i = 0; i <= r; ++i) cumulative += w.retx_counts[static_cast<std::size_t>(i)];
-  return static_cast<double>(cumulative) / static_cast<double>(w.selections);
+  for (int i = 0; i <= r; ++i) cumulative += counts[static_cast<std::size_t>(i)];
+  return static_cast<double>(cumulative) / static_cast<double>(selections_[t]);
 }
 
 double RetxEstimator::expected_transmissions(std::size_t t) const {
-  if (t >= counts_.size()) throw std::out_of_range{"RetxEstimator: window out of range"};
-  const WindowStats& w = counts_[t];
-  if (w.selections == 0) return 1.0;
-  return 1.0 + static_cast<double>(w.retx_sum) / static_cast<double>(w.selections);
+  check(t);
+  if (selections_[t] == 0) return 1.0;
+  return 1.0 + static_cast<double>(retx_sum_[t]) / static_cast<double>(selections_[t]);
 }
 
 std::uint64_t RetxEstimator::selections(std::size_t t) const {
-  if (t >= counts_.size()) throw std::out_of_range{"RetxEstimator: window out of range"};
-  return counts_[t].selections;
+  check(t);
+  return selections_[t];
+}
+
+std::uint64_t RetxEstimator::retx_sum(std::size_t t) const {
+  check(t);
+  return retx_sum_[t];
+}
+
+std::span<const std::uint64_t> RetxEstimator::retx_counts(std::size_t t) const {
+  check(t);
+  return std::span<const std::uint64_t>{histogram_}.subspan(t * width(), width());
+}
+
+void RetxEstimator::reset() {
+  std::ranges::fill(selections_, 0);
+  std::ranges::fill(retx_sum_, 0);
+  std::ranges::fill(histogram_, 0);
+}
+
+bool RetxEstimator::restore_window(std::size_t t, std::span<const std::uint64_t> counts,
+                                   std::uint64_t selections, std::uint64_t retx_sum) {
+  check(t);
+  if (counts.size() != width()) return false;
+  // Overflow-checked: a damaged stream must not wrap its way into agreement.
+  std::uint64_t total = 0;
+  std::uint64_t weighted = 0;
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    std::uint64_t term = 0;
+    if (__builtin_add_overflow(total, counts[r], &total) ||
+        __builtin_mul_overflow(counts[r], r, &term) ||
+        __builtin_add_overflow(weighted, term, &weighted)) {
+      return false;
+    }
+  }
+  if (total != selections || weighted != retx_sum) return false;
+  std::ranges::copy(counts, histogram_.begin() + static_cast<std::ptrdiff_t>(t * width()));
+  selections_[t] = selections;
+  retx_sum_[t] = retx_sum;
+  return true;
 }
 
 }  // namespace blam

@@ -5,9 +5,15 @@
 // (I_{r,t}). P(r|t) is the empirical CDF of retransmission counts; the MAC
 // uses the expected number of *transmissions* (1 + E[retx | t]) to scale its
 // per-window energy estimate, steering nodes away from crowded windows.
+//
+// Every node keeps one, so the layout is flat: the per-window totals are two
+// contiguous arrays and the histograms one window-major array of
+// (max_retx + 1) counts per window — three allocations per estimator,
+// whatever the window count.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace blam {
@@ -33,21 +39,37 @@ class RetxEstimator {
   /// Number of times window `t` was selected (paper's S_t).
   [[nodiscard]] std::uint64_t selections(std::size_t t) const;
 
-  [[nodiscard]] std::size_t max_windows() const { return counts_.size(); }
+  /// Sum of the recorded (clamped) retransmission counts in window `t`.
+  [[nodiscard]] std::uint64_t retx_sum(std::size_t t) const;
+
+  /// Window `t`'s histogram I_{r,t}, r in [0, max_retx].
+  [[nodiscard]] std::span<const std::uint64_t> retx_counts(std::size_t t) const;
+
+  [[nodiscard]] std::size_t max_windows() const { return selections_.size(); }
   [[nodiscard]] int max_retx() const { return max_retx_; }
 
-  struct WindowStats {
-    std::vector<std::uint64_t> retx_counts;  // I_{r,t}, r in [0, max_retx]
-    std::uint64_t selections{0};             // S_t
-    std::uint64_t retx_sum{0};
-  };
+  /// Zeroes every counter in place (crash reboot: the history is volatile
+  /// MCU state).
+  void reset();
 
-  /// Raw per-window counters, for engine checkpoints.
-  [[nodiscard]] const std::vector<WindowStats>& windows() const { return counts_; }
-  [[nodiscard]] std::vector<WindowStats>& windows_mutable() { return counts_; }
+  /// Installs checkpointed counters for window `t`. Returns false, leaving
+  /// the window untouched, unless `counts` has max_retx + 1 entries,
+  /// `selections` equals their sum and `retx_sum` equals the sum of
+  /// r * counts[r] — the totals record() keeps.
+  [[nodiscard]] bool restore_window(std::size_t t, std::span<const std::uint64_t> counts,
+                                    std::uint64_t selections, std::uint64_t retx_sum);
 
  private:
-  std::vector<WindowStats> counts_;
+  [[nodiscard]] std::size_t width() const { return static_cast<std::size_t>(max_retx_) + 1; }
+  /// Throws std::out_of_range for t >= max_windows().
+  void check(std::size_t t) const;
+
+  /// S_t per window.
+  std::vector<std::uint64_t> selections_;
+  /// Sum of the recorded (clamped) retransmission counts per window.
+  std::vector<std::uint64_t> retx_sum_;
+  /// I_{r,t} at t * width() + r.
+  std::vector<std::uint64_t> histogram_;
   // blam-ckpt: skip -- construction input (scenario timings); the per-window counters are serialized
   int max_retx_;
 };

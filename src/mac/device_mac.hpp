@@ -46,8 +46,9 @@ struct WindowContext {
   /// Worst-case one-packet energy (DIF normalizer).
   Energy max_tx{};
   const UtilityFunction* utility{nullptr};
-  /// Optional caller-owned scratch for Algorithm 1 (hot-path nodes own one
-  /// alongside their forecast buffers); null = the policy allocates.
+  /// Optional caller-owned scratch for Algorithm 1 (hot-path nodes use
+  /// their slice's, next to its forecast buffers); null = the policy
+  /// allocates.
   WindowSelector::Workspace* workspace{nullptr};
 };
 

@@ -223,7 +223,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     server_->register_node(init.id);
     nodes_.push_back(std::make_unique<Node>(init, config_, sim_, gateways_, plan_, *trace_,
                                             model_, *thermal_, *utility_,
-                                            metrics_.node(nodes_.size()),
+                                            metrics_.node(nodes_.size()), node_scratch_,
                                             root.fork(salt::kNodeStreamBase + id)));
     nodes_.back()->attach_packet_log(packet_log_.get());
     nodes_.back()->attach_auditor(audit_.get());

@@ -134,6 +134,8 @@ class Network {
   std::unique_ptr<ExternalInterferer> interferer_;
   // blam-ckpt: skip -- observability; assert_checkpointable refuses packet-log runs
   std::unique_ptr<PacketLog> packet_log_;
+  // blam-ckpt: skip -- scratch shared by this slice's nodes, overwritten before every use
+  Node::Scratch node_scratch_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   Energy worst_attempt_energy_{};

@@ -37,7 +37,10 @@ std::optional<AdrCommand> NetworkServer::adr_advice(std::uint32_t node_id,
   return adr_->advise(node_id, current);
 }
 
-void NetworkServer::register_node(std::uint32_t node_id) { service_.register_node(node_id); }
+void NetworkServer::register_node(std::uint32_t node_id) {
+  service_.register_node(node_id);
+  if (report_faults_.has_value()) report_faults_->add_node(node_id);
+}
 
 void NetworkServer::attach_fault_plan(const FaultPlan* faults) {
   faults_ = faults;

@@ -64,6 +64,8 @@ class NetworkServer {
   /// uplink is checked for strict per-node sequence monotonicity.
   void attach_auditor(Auditor* auditor) { audit_ = auditor; }
 
+  /// Registers a node with the ledger (and lays out its report-fault lane
+  /// slot when report faults are on). Call in ascending id order.
   void register_node(std::uint32_t node_id);
 
   /// A gateway decoded one copy of an uplink. Copies of the same frame from

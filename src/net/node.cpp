@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "fault/fault_plan.hpp"
@@ -15,7 +18,7 @@ Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
            const std::vector<std::unique_ptr<Gateway>>& gateways, const ChannelPlan& plan,
            const SolarTrace& trace, const DegradationModel& model,
            const TemperatureModel& thermal, const UtilityFunction& utility, NodeMetrics& metrics,
-           Rng rng)
+           Scratch& scratch, Rng rng)
     : id_{init.id},
       position_{init.position},
       period_{init.period},
@@ -29,6 +32,7 @@ Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
       thermal_{&thermal},
       utility_{&utility},
       metrics_{&metrics},
+      scratch_{&scratch},
       battery_{init.battery_capacity, std::min(config.initial_soc, config.theta)},
       harvester_{trace, init.panel_scale},
       switch_{battery_, 1.0},  // the policy's theta is installed below
@@ -96,8 +100,7 @@ void Node::on_crash() {
   // The DegradationTracker survives: it is the simulator's ground truth of
   // the physical battery, not MCU memory.
   etx_ewma_ = Ewma{config_->ewma_beta};
-  retx_estimator_ = RetxEstimator{static_cast<std::size_t>(n_windows_),
-                                  config_->timings.max_transmissions - 1};
+  retx_estimator_.reset();
   w_u_ = 0.0;
   last_w_update_ = now;  // the staleness clock restarts at reboot
   consecutive_ackless_ = 0;
@@ -254,25 +257,27 @@ void Node::on_period_start() {
   }
   ctx.max_tx = max_packet_energy_;
   ctx.utility = utility_;
-  ctx.workspace = &selector_workspace_;
+  ctx.workspace = &scratch_->selector;
   if (policy_->needs_forecasts()) {
-    cost_scratch_.clear();
+    std::vector<Energy>& harvest = scratch_->harvest;
+    std::vector<Energy>& cost = scratch_->cost;
+    cost.clear();
     const double base_estimate = etx_ewma_.value_or(single_attempt_energy_.joules());
-    forecaster_.forecast_windows(now, window, n_windows_, harvest_scratch_);
+    forecaster_.forecast_windows(now, window, n_windows_, harvest);
     for (int w = 0; w < n_windows_; ++w) {
       if (faults_ != nullptr) {
         // The short-horizon forecaster sees the actual sky, so a drought
         // shows up in its predictions too.
         const Time w0 = now + window * std::int64_t{w};
         const Time w1 = now + window * std::int64_t{w + 1};
-        harvest_scratch_[static_cast<std::size_t>(w)] =
-            harvest_scratch_[static_cast<std::size_t>(w)] * faults_->drought_factor(w0, w1);
+        harvest[static_cast<std::size_t>(w)] =
+            harvest[static_cast<std::size_t>(w)] * faults_->drought_factor(w0, w1);
       }
-      cost_scratch_.push_back(Energy::from_joules(
+      cost.push_back(Energy::from_joules(
           base_estimate * retx_estimator_.expected_transmissions(static_cast<std::size_t>(w))));
     }
-    ctx.harvest_forecast = harvest_scratch_;
-    ctx.tx_cost = cost_scratch_;
+    ctx.harvest_forecast = harvest;
+    ctx.tx_cost = cost;
   }
 
   const MacDecision decision = policy_->select_window(ctx);
@@ -312,7 +317,7 @@ void Node::on_period_start() {
 }
 
 const UplinkFrame& Node::build_frame() {
-  UplinkFrame& frame = frame_scratch_;
+  UplinkFrame& frame = scratch_->frame;
   frame.node_id = id_;
   frame.seq = pending_.seq;
   frame.attempt = pending_.transmissions;
@@ -580,13 +585,13 @@ void Node::checkpoint_state(StateWriter& w) const {
 
   w.put_double(etx_ewma_.raw_value());
   w.put_u64(etx_ewma_.initialized() ? 1 : 0);
-  const auto& windows = retx_estimator_.windows();
-  w.put_u64(windows.size());
-  for (const RetxEstimator::WindowStats& stats : windows) {
-    w.put_u64(stats.retx_counts.size());
-    for (std::uint64_t count : stats.retx_counts) w.put_u64(count);
-    w.put_u64(stats.selections);
-    w.put_u64(stats.retx_sum);
+  w.put_u64(retx_estimator_.max_windows());
+  for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
+    const std::span<const std::uint64_t> counts = retx_estimator_.retx_counts(t);
+    w.put_u64(counts.size());
+    for (std::uint64_t count : counts) w.put_u64(count);
+    w.put_u64(retx_estimator_.selections(t));
+    w.put_u64(retx_estimator_.retx_sum(t));
   }
   write_time(w, duty_cycle_.next_allowed());
 
@@ -674,17 +679,21 @@ void Node::restore_state(StateReader& r) {
 
   const double ewma_value = r.get_double();
   etx_ewma_.restore(ewma_value, r.get_u64() != 0);
-  auto& windows = retx_estimator_.windows_mutable();
-  if (r.get_u64() != windows.size()) {
+  if (r.get_u64() != retx_estimator_.max_windows()) {
     throw std::runtime_error{"Node::restore_state: retx window count mismatch"};
   }
-  for (RetxEstimator::WindowStats& stats : windows) {
-    if (r.get_u64() != stats.retx_counts.size()) {
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(retx_estimator_.max_retx()) + 1);
+  for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
+    if (r.get_u64() != counts.size()) {
       throw std::runtime_error{"Node::restore_state: retx histogram width mismatch"};
     }
-    for (std::uint64_t& count : stats.retx_counts) count = r.get_u64();
-    stats.selections = r.get_u64();
-    stats.retx_sum = r.get_u64();
+    for (std::uint64_t& count : counts) count = r.get_u64();
+    const std::uint64_t selections = r.get_u64();
+    const std::uint64_t retx_sum = r.get_u64();
+    if (!retx_estimator_.restore_window(t, counts, selections, retx_sum)) {
+      throw std::runtime_error{
+          "Node::restore_state: retx window totals disagree with its histogram"};
+    }
   }
   duty_cycle_.restore_next_allowed(read_time(r));
 

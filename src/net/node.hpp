@@ -69,10 +69,22 @@ class Node {
     double panel_scale{1.0};
   };
 
+  /// Per-event scratch: the forecast, cost estimate and Algorithm 1 buffers
+  /// of a period start, and the uplink frame of an attempt. Nothing in it
+  /// outlives the event that fills it, and a slice runs its nodes' events
+  /// one at a time, so every node of a slice shares the slice's one Scratch
+  /// (owned by the Network) and vector capacity is retained across nodes.
+  struct Scratch {
+    std::vector<Energy> harvest;
+    std::vector<Energy> cost;
+    WindowSelector::Workspace selector;
+    UplinkFrame frame;
+  };
+
   Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
        const std::vector<std::unique_ptr<Gateway>>& gateways, const ChannelPlan& plan,
        const SolarTrace& trace, const DegradationModel& model, const TemperatureModel& thermal,
-       const UtilityFunction& utility, NodeMetrics& metrics, Rng rng);
+       const UtilityFunction& utility, NodeMetrics& metrics, Scratch& scratch, Rng rng);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -180,8 +192,8 @@ class Node {
   /// Shared failure path: latency penalty, optional estimator updates.
   /// Callers bump the counter matching the failure cause.
   void abort_packet(bool record_history);
-  /// Fills and returns the reusable frame scratch (valid until the next
-  /// build_frame call); receivers copy what they keep.
+  /// Fills and returns the slice's frame scratch (valid until any node of
+  /// the slice builds its next frame); receivers copy what they keep.
   [[nodiscard]] const UplinkFrame& build_frame();
 
   // --- identity / configuration -------------------------------------------
@@ -210,6 +222,8 @@ class Node {
   // blam-ckpt: skip -- wiring; the utility function is a pure function of the scenario
   const UtilityFunction* utility_;
   NodeMetrics* metrics_;
+  // blam-ckpt: skip -- wiring; the slice's shared scratch, overwritten before every use
+  Scratch* scratch_;
   // blam-ckpt: skip -- observability wiring; packet-log runs refuse checkpoints
   PacketLog* packet_log_{nullptr};
   // blam-ckpt: skip -- wiring; fault-plan state rides in the engine slice's faults section
@@ -291,16 +305,6 @@ class Node {
   SocSample period_start_sample_{};
   SocSample latest_sample_{};
   bool has_samples_{false};
-
-  // Scratch buffers reused every period (no per-period allocation).
-  // blam-ckpt: skip -- per-period scratch, overwritten before every use
-  std::vector<Energy> harvest_scratch_;
-  // blam-ckpt: skip -- per-period scratch, overwritten before every use
-  std::vector<Energy> cost_scratch_;
-  // blam-ckpt: skip -- per-period scratch, overwritten before every use
-  WindowSelector::Workspace selector_workspace_;
-  // blam-ckpt: skip -- per-attempt scratch, rebuilt by build_frame() before every transmission
-  UplinkFrame frame_scratch_;
 };
 
 }  // namespace blam

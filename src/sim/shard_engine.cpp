@@ -584,7 +584,37 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
   w.put_u64(static_cast<std::uint64_t>(plan_.effective));
   write_time(w, cursor_);
   w.end_section();
-  for (const auto& slice : slices_) slice->checkpoint_state(w);
+
+  // Slices serialize concurrently, each through its own StateWriter (the
+  // writer hands the stream whole sections, so the bytes do not depend on
+  // how the stream is split). Slice 0 comes first in the stream, so it
+  // writes straight into `out` on the calling thread; every other slice
+  // fills its own buffer, appended in slice order after the join.
+  std::vector<std::ostringstream> buffers(slices_.size());
+  std::vector<std::exception_ptr> failures(slices_.size());
+  const auto serialize = [&](std::size_t s) {
+    try {
+      StateWriter slice_writer{s == 0 ? out : buffers[s]};
+      slices_[s]->checkpoint_state(slice_writer);
+    } catch (...) {
+      failures[s] = std::current_exception();
+    }
+  };
+  {
+    // jthreads join on every exit path, so none is left joinable.
+    std::vector<std::jthread> workers;
+    workers.reserve(slices_.size() - 1);
+    for (std::size_t s = 1; s < slices_.size(); ++s) workers.emplace_back(serialize, s);
+    serialize(0);
+  }
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
+  for (std::size_t s = 1; s < buffers.size(); ++s) {
+    const std::string_view bytes = buffers[s].view();
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    buffers[s] = std::ostringstream{};  // release before the next append grows `out`
+  }
 }
 
 void ShardedNetwork::restore(std::istream& in) {

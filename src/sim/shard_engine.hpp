@@ -204,6 +204,9 @@ class ShardedNetwork {
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] bool serial() const { return plan_.serial; }
+  /// Slice `index` (0 <= index < plan().effective), for inspection between
+  /// run_until calls; the engine owns and drives it.
+  [[nodiscard]] Network& slice(int index) { return *slices_.at(static_cast<std::size_t>(index)); }
   [[nodiscard]] const SolarTrace& solar_trace() const;
   [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const;
   /// Non-null exactly when auditing is on (audited runs are one slice).
@@ -219,9 +222,12 @@ class ShardedNetwork {
   [[nodiscard]] double max_shard_busy_seconds() const;
 
   /// Serializes the full engine ("blamsim v1" stream: a meta section, then
-  /// every slice's Network::checkpoint_state) at the current cursor. Call
-  /// only between run_until calls. Throws std::runtime_error for
-  /// uncheckpointable configurations.
+  /// every slice's Network::checkpoint_state, in slice order) at the
+  /// current cursor. Slices serialize in parallel, slice 0 on the calling
+  /// thread; the stream is byte-identical to writing them one after
+  /// another. Call only between run_until calls. Throws std::runtime_error
+  /// for uncheckpointable configurations; a slice's failure is rethrown
+  /// here (lowest slice first) once every worker has joined.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint written by checkpoint() into this freshly built

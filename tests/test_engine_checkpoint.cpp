@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "common/state_codec.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard_engine.hpp"
 
@@ -175,6 +176,112 @@ TEST(ShardEngineCheckpoint, FaultedFourShardRoundTripBitIdentical) {
   EXPECT_EQ(a.mean_prr, b.mean_prr);
   EXPECT_EQ(a.total_outage_s, b.total_outage_s);
   EXPECT_GT(a.total_outage_s, 0.0);
+}
+
+TEST(ShardEngineCheckpoint, ParallelStreamEqualsSerialSliceWrites) {
+  // checkpoint() serializes slices concurrently; the stream must be the
+  // meta section followed by every slice written one after another through
+  // a single StateWriter.
+  ScenarioConfig c = city(48, 4, 4);
+  add_faults(c);
+  ShardedNetwork engine{c};
+  ASSERT_EQ(engine.plan().effective, 4);
+  engine.run_until(Time::from_days(0.7));
+  const std::string parallel = checkpoint_text(engine);
+
+  const std::size_t meta_end = parallel.find("\nsection ", parallel.find("section meta"));
+  ASSERT_NE(meta_end, std::string::npos);
+  std::ostringstream serial;
+  serial << parallel.substr(0, meta_end + 1);
+  StateWriter w{serial};
+  for (int s = 0; s < engine.plan().effective; ++s) engine.slice(s).checkpoint_state(w);
+  EXPECT_EQ(serial.str().size(), parallel.size());
+  EXPECT_TRUE(serial.str() == parallel);
+}
+
+TEST(ShardEngineCheckpoint, RefusingSliceThrowsOnTheCaller) {
+  // An audited run refuses checkpoints; the refusal must surface from
+  // checkpoint() as the slice's exception, with every writer thread joined
+  // (a joinable thread would terminate the process), and the engine must
+  // keep running.
+  ScenarioConfig c = city(16, 4, 4);
+  c.audit.level = 1;
+  ShardedNetwork engine{c};
+  ASSERT_NE(engine.auditor(), nullptr);
+  engine.run_until(Time::from_hours(6.0));
+  std::ostringstream out;
+  try {
+    engine.checkpoint(out);
+    FAIL() << "an audited engine must refuse to checkpoint";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("auditor"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(engine.checkpoint(out), std::runtime_error);
+  engine.run_until(Time::from_hours(12.0));
+  engine.finalize_metrics();
+  EXPECT_GT(engine.metrics().summarize().mean_prr, 0.0);
+}
+
+/// Offset of the `selections` line of the first retransmission-window
+/// group in `text` ("u 8", eight histogram counts, selections, retx_sum)
+/// whose totals agree and are nonzero; npos if there is none.
+std::size_t find_recorded_retx_window(const std::string& text) {
+  const auto read_u = [&](std::size_t& at, std::uint64_t& value) {
+    if (text.compare(at, 2, "u ") != 0) return false;
+    const std::size_t eol = text.find('\n', at);
+    value = std::stoull(text.substr(at + 2, eol - at - 2));
+    at = eol + 1;
+    return true;
+  };
+  const std::string group = "\nu 8\n";
+  for (std::size_t pos = text.find(group); pos != std::string::npos;
+       pos = text.find(group, pos + 1)) {
+    std::size_t at = pos + group.size();
+    std::uint64_t total = 0;
+    std::uint64_t weighted = 0;
+    bool ok = true;
+    for (std::uint64_t r = 0; r < 8 && ok; ++r) {
+      std::uint64_t count = 0;
+      ok = read_u(at, count);
+      total += count;
+      weighted += r * count;
+    }
+    const std::size_t selections_at = at;
+    std::uint64_t selections = 0;
+    std::uint64_t retx_sum = 0;
+    if (ok && read_u(at, selections) && read_u(at, retx_sum) && selections > 0 &&
+        selections == total && retx_sum == weighted) {
+      return selections_at;
+    }
+  }
+  return std::string::npos;
+}
+
+TEST(ShardEngineCheckpoint, InconsistentRetxTotalsRefuseRestore) {
+  // A node's retransmission histogram and its per-window totals travel
+  // separately; a stream where they disagree is rejected with a named error
+  // from Node::restore_state (before the section trailer is even checked).
+  const ScenarioConfig c = city(16, 4, 1);
+  ShardedNetwork original{c};
+  original.run_until(Time::from_days(1.0));
+  std::string text = checkpoint_text(original);
+
+  const std::size_t target = find_recorded_retx_window(text);
+  ASSERT_NE(target, std::string::npos) << "no recorded retransmission window in the stream";
+  const std::size_t eol = text.find('\n', target);
+  const std::uint64_t selections = std::stoull(text.substr(target + 2, eol - target - 2));
+  text.replace(target, eol - target, "u " + std::to_string(selections + 1));
+
+  std::istringstream in{text};
+  ShardedNetwork resumed{c};
+  try {
+    resumed.restore(in);
+    FAIL() << "inconsistent retx totals must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("Node::restore_state: retx window totals"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {

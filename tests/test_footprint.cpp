@@ -1,0 +1,79 @@
+// Per-node heap footprint guard. A city slice is what large runs are made
+// of, so the heap a node costs there (Node itself, its estimators and
+// storage models, its share of the server's ledger and of the metrics) is
+// pinned against a ceiling 10% above the measured value: a change that
+// re-grows per-node state fails here rather than as RSS drift in a
+// benchmark. Measured as the change in glibc's in-use heap bytes
+// (mallinfo2), which the sanitizers' allocators do not feed.
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <cstddef>
+#include <memory>
+
+#include "net/experiment.hpp"
+#include "net/network.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BLAM_FOREIGN_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define BLAM_FOREIGN_MALLOC 1
+#endif
+#endif
+
+namespace blam {
+namespace {
+
+constexpr int kNodes = 2000;
+
+// Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
+// 5,337 B/node after construction and 5,935 B/node after one day. The same
+// slice cost 6,980 and 8,981 B/node when every node kept a heap vector per
+// forecast window for its retransmission histogram plus its own selection
+// scratch.
+constexpr double kBuiltCeiling = 5870.0;
+constexpr double kOneDayCeiling = 6530.0;
+
+/// The perfbench city grid: 16 gateways 12 km apart, nodes within 1 km of
+/// their cell's gateway.
+ScenarioConfig city_slice() {
+  ScenarioConfig c = blam_scenario(kNodes, /*theta=*/0.5, /*seed=*/1);
+  c.n_gateways = 16;
+  c.gateway_grid_pitch_m = 12000.0;
+  c.cluster_radius_m = 1000.0;
+  c.interference_floor_dbm = -143.0;
+  c.sf_assignment = SfAssignment::kDistanceBased;
+  return c;
+}
+
+/// Bytes in use: chunks in the arenas (uordblks) plus mmapped ones (hblkhd),
+/// so a large array counts wherever glibc's dynamic mmap threshold put it.
+double in_use_bytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
+TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
+#ifdef BLAM_FOREIGN_MALLOC
+  GTEST_SKIP() << "the sanitizer allocator replaces malloc; mallinfo2 does not see it";
+#else
+  const ScenarioConfig c = city_slice();
+  // The solar trace is shared by every slice of a run, not per node.
+  const auto trace = build_shared_trace(c);
+  const double before = in_use_bytes();
+  auto network = std::make_unique<Network>(c, trace);
+  const double built = (in_use_bytes() - before) / kNodes;
+  network->run_until(Time::from_days(1.0));
+  const double one_day = (in_use_bytes() - before) / kNodes;
+  RecordProperty("built_bytes_per_node", static_cast<int>(built));
+  RecordProperty("one_day_bytes_per_node", static_cast<int>(one_day));
+  EXPECT_LE(built, kBuiltCeiling) << "heap per node after construction";
+  EXPECT_LE(one_day, kOneDayCeiling) << "heap per node after one simulated day";
+  // The guard must measure something: a node is more than its Node object.
+  EXPECT_GT(built, static_cast<double>(sizeof(Node)));
+#endif
+}
+
+}  // namespace
+}  // namespace blam

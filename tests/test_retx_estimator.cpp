@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace blam {
 namespace {
 
@@ -76,6 +80,92 @@ TEST(RetxEstimator, CrowdedWindowCostsMore) {
     e.record(1, 0);  // clean
   }
   EXPECT_GT(e.expected_transmissions(0), e.expected_transmissions(1) * 3.0);
+}
+
+TEST(RetxEstimator, FlatLayoutRoundTrip) {
+  // Every window's histogram and totals read back through the accessors the
+  // checkpoint writes, and restore_window installs them into a fresh
+  // estimator that then answers every query identically.
+  RetxEstimator e{5, 3};
+  const int retx[] = {0, 1, 3, 2, 0, 7, 1, 1};
+  for (int i = 0; i < 40; ++i) e.record(static_cast<std::size_t>(i % 5), retx[i % 8]);
+
+  RetxEstimator restored{5, 3};
+  for (std::size_t t = 0; t < e.max_windows(); ++t) {
+    ASSERT_EQ(e.retx_counts(t).size(), 4u);
+    const std::vector<std::uint64_t> counts(e.retx_counts(t).begin(), e.retx_counts(t).end());
+    ASSERT_TRUE(restored.restore_window(t, counts, e.selections(t), e.retx_sum(t)));
+  }
+  for (std::size_t t = 0; t < e.max_windows(); ++t) {
+    EXPECT_EQ(restored.selections(t), e.selections(t));
+    EXPECT_EQ(restored.retx_sum(t), e.retx_sum(t));
+    EXPECT_EQ(restored.expected_transmissions(t), e.expected_transmissions(t));
+    for (int r = -1; r <= 4; ++r) {
+      EXPECT_EQ(restored.probability_at_most(r, t), e.probability_at_most(r, t));
+    }
+  }
+  // Windows do not alias: window 1's row is its own.
+  RetxEstimator lone{3, 3};
+  lone.record(1, 2);
+  EXPECT_EQ(lone.retx_counts(0)[2], 0u);
+  EXPECT_EQ(lone.retx_counts(1)[2], 1u);
+  EXPECT_EQ(lone.retx_counts(2)[2], 0u);
+}
+
+TEST(RetxEstimator, ClampedRecordsLandInTheLastBucket) {
+  RetxEstimator e{2, 3};
+  e.record(1, 9);
+  e.record(1, -4);
+  EXPECT_EQ(e.retx_counts(1)[3], 1u);
+  EXPECT_EQ(e.retx_counts(1)[0], 1u);
+  EXPECT_EQ(e.retx_sum(1), 3u);
+  EXPECT_EQ(e.selections(1), 2u);
+  EXPECT_EQ(e.selections(0), 0u);
+}
+
+TEST(RetxEstimator, NewAccessorsRejectOutOfRange) {
+  RetxEstimator e{2};
+  EXPECT_THROW((void)e.retx_sum(2), std::out_of_range);
+  EXPECT_THROW((void)e.retx_counts(2), std::out_of_range);
+  const std::vector<std::uint64_t> zeros(8, 0);
+  EXPECT_THROW((void)e.restore_window(2, zeros, 0, 0), std::out_of_range);
+}
+
+TEST(RetxEstimator, ResetAfterRecordRestoresThePrior) {
+  RetxEstimator e{3, 7};
+  e.record(0, 2);
+  e.record(2, 7);
+  e.reset();
+  EXPECT_EQ(e.max_windows(), 3u);
+  EXPECT_EQ(e.max_retx(), 7);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(e.selections(t), 0u);
+    EXPECT_EQ(e.retx_sum(t), 0u);
+    EXPECT_DOUBLE_EQ(e.expected_transmissions(t), 1.0);
+    for (const std::uint64_t count : e.retx_counts(t)) EXPECT_EQ(count, 0u);
+  }
+  e.record(2, 1);  // still usable afterwards
+  EXPECT_DOUBLE_EQ(e.expected_transmissions(2), 2.0);
+}
+
+TEST(RetxEstimator, RestoreRejectsInconsistentTotals) {
+  RetxEstimator e{2, 3};
+  e.record(0, 1);
+  // Four selections costing 1 + 3 = 4 retransmissions.
+  const std::vector<std::uint64_t> counts{2, 1, 0, 1};
+  EXPECT_TRUE(e.restore_window(1, counts, 4, 4));
+  // selections != sum of counts; retx_sum != sum of r * counts[r]; width.
+  EXPECT_FALSE(e.restore_window(0, counts, 5, 4));
+  EXPECT_FALSE(e.restore_window(0, counts, 4, 3));
+  EXPECT_FALSE(e.restore_window(0, std::vector<std::uint64_t>{2, 1, 0}, 3, 1));
+  // Counts whose weighted sum wraps around 2^64 cannot fake agreement.
+  constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max() / 2 + 1;
+  const std::vector<std::uint64_t> wrapping{0, 0, kHuge, 0};
+  EXPECT_FALSE(e.restore_window(0, wrapping, kHuge, 0));
+  // A rejected window is left as it was.
+  EXPECT_EQ(e.selections(0), 1u);
+  EXPECT_EQ(e.retx_sum(0), 1u);
+  EXPECT_EQ(e.selections(1), 4u);
 }
 
 }  // namespace
