@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 
 #include "common/csv.hpp"
+#include "common/env_number.hpp"
 
 namespace blam::bench {
 
@@ -37,11 +39,13 @@ SweepOptions sweep_options() {
 CampaignOptions campaign_options() {
   CampaignOptions options;
   options.sweep = sweep_options();
-  if (const char* env = std::getenv("BLAM_CELL_TIMEOUT_S"); env != nullptr && env[0] != '\0') {
-    options.cell_timeout_s = std::atof(env);
+  if (const auto timeout = env_number<double>("BLAM_CELL_TIMEOUT_S", 0.0,
+                                               std::numeric_limits<double>::max())) {
+    options.cell_timeout_s = *timeout;
   }
-  if (const char* env = std::getenv("BLAM_RETRIES"); env != nullptr && env[0] != '\0') {
-    options.retries = std::atoi(env);
+  if (const auto retries =
+          env_number<std::int64_t>("BLAM_RETRIES", 0, std::numeric_limits<int>::max())) {
+    options.retries = static_cast<int>(*retries);
   }
   if (const char* env = std::getenv("BLAM_QUARANTINE"); env != nullptr) {
     options.quarantine_path = env;  // "" disables the quarantine file

@@ -27,9 +27,10 @@ void banner(const std::string& figure, const std::string& claim);
 [[nodiscard]] SweepOptions sweep_options();
 
 /// Default campaign options for figure grids: sweep_options() plus the
-/// crash-tolerance knobs from the environment —
-///   BLAM_CELL_TIMEOUT_S  per-cell watchdog seconds (default 0 = off)
-///   BLAM_RETRIES         re-runs before quarantining a cell (default 1)
+/// crash-tolerance knobs from the environment (the numeric ones parsed by
+/// env_number: a value that is not a number in range keeps the default) —
+///   BLAM_CELL_TIMEOUT_S  per-cell watchdog seconds >= 0 (default 0 = off)
+///   BLAM_RETRIES         re-runs before quarantining a cell, >= 0 (default 1)
 ///   BLAM_QUARANTINE      quarantine file (default "quarantine.json")
 ///   BLAM_JOURNAL         checkpoint journal for resumable grids (default
 ///                        "" = off; only the lifespan grids accept one)

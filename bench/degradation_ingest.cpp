@@ -33,6 +33,7 @@
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "common/state_codec.hpp"
 #include "core/degradation_service.hpp"
 #include "degradation/model.hpp"
 
@@ -142,7 +143,8 @@ std::string faulted_checkpoint(std::uint32_t nodes, std::uint32_t rounds, std::s
                       });
   service.recompute(Time::from_days(static_cast<double>(rounds) + 1.0));
   std::ostringstream out;
-  service.checkpoint(out);
+  StateWriter writer{out};
+  service.checkpoint_state(writer);
   return out.str();
 }
 

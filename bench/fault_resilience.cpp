@@ -33,6 +33,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 #include "common/rng.hpp"
+#include "common/state_codec.hpp"
 #include "core/degradation_service.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/report_channel.hpp"
@@ -314,9 +315,11 @@ int main() {
   };
   deliver_range(survivor, 0, cut);
   std::stringstream checkpoint;
-  survivor.checkpoint(checkpoint);
+  StateWriter writer{checkpoint};
+  survivor.checkpoint_state(writer);
   DegradationService restarted{feed_model, 25.0};
-  restarted.restore(checkpoint);
+  StateReader reader{checkpoint};
+  restarted.restore_state(reader);
   deliver_range(survivor, cut, shortest - 1);
   deliver_range(restarted, cut, shortest - 1);
   survivor.recompute(feed_end);

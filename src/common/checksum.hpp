@@ -1,10 +1,12 @@
-// Small checksum primitives shared by the wire codec and the gateway's
-// report-integrity validation.
+// Small checksum primitives: CRC-8 for the wire codec and the gateway's
+// report-integrity validation, FNV-1a 64 for persisted state (the state
+// codec's section trailers and the campaign journal's line hashes).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 namespace blam {
 
@@ -37,6 +39,20 @@ inline constexpr std::array<std::uint8_t, 256> kCrc8Table = [] {
   std::uint8_t crc = 0x00;
   for (const std::uint8_t byte : bytes) crc = crc8_step(crc, byte);
   return crc;
+}
+
+/// FNV-1a 64 offset basis: the hash of zero bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ULL;
+
+/// Folds `bytes` into the running FNV-1a 64 `hash` (start from
+/// kFnv1a64Basis), so a hash can be built up piece by piece.
+[[nodiscard]] inline std::uint64_t fnv1a64(std::string_view bytes,
+                                           std::uint64_t hash = kFnv1a64Basis) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
 }
 
 }  // namespace blam

@@ -7,23 +7,14 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/checksum.hpp"
+
 namespace blam {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 /// Longest decimal rendering of a 64-bit integer (i64 min: sign + 19 digits).
 constexpr std::size_t kMaxDecimal = 20;
-
-std::uint64_t fnv1a(std::uint64_t hash, const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Writes `value` as 16 lowercase hex digits at `out`; returns the end.
 char* write_hex16(char* out, std::uint64_t value) {
@@ -103,7 +94,7 @@ void StateWriter::begin_section(std::string_view name) {
 
 void StateWriter::end_section() {
   if (!in_section_) throw std::logic_error{"StateWriter: end_section outside a section"};
-  const std::uint64_t hash = fnv1a(kFnvOffset, buf_.data() + body_, len_ - body_);
+  const std::uint64_t hash = fnv1a64({buf_.data() + body_, len_ - body_});
   constexpr std::string_view kTag = "end ";
   char* p = reserve(kTag.size() + 16 + 1);
   p = std::copy(kTag.begin(), kTag.end(), p);
@@ -141,18 +132,12 @@ void StateWriter::put_string(std::string_view value) {
   close_value(p);
 }
 
-void StateWriter::put_blob(std::string_view bytes) {
-  char* p = open_value("blob", kMaxDecimal + bytes.size() + 1);
-  p = std::to_chars(p, p + kMaxDecimal, bytes.size()).ptr;
-  *p++ = '\n';
-  p = std::copy(bytes.begin(), bytes.end(), p);
-  close_value(p);
-}
-
 StateReader::StateReader(std::istream& in) : in_{in} {}
 
 std::string_view StateReader::next_line() {
-  if (!std::getline(in_, line_)) {
+  // Every line the writer emits ends in a newline: a last line without one
+  // is a cut-off stream, not a short token.
+  if (!std::getline(in_, line_) || in_.eof()) {
     throw std::runtime_error{"state codec: unexpected end of checkpoint in section '" + section_ +
                              "'"};
   }
@@ -167,7 +152,13 @@ void StateReader::begin_section(std::string_view name) {
                              std::string{line} + "'"};
   }
   section_.assign(name);
-  hash_ = kFnvOffset;
+  hash_ = kFnv1a64Basis;
+}
+
+bool StateReader::at_section_end() {
+  // Value lines start with a one-letter tag (u, i, d, s); only the trailer
+  // starts with 'e'.
+  return in_.peek() == 'e';
 }
 
 void StateReader::end_section() {
@@ -187,8 +178,7 @@ void StateReader::end_section() {
 
 std::string_view StateReader::expect(std::string_view tag) {
   const std::string_view line = next_line();
-  hash_ = fnv1a(hash_, line.data(), line.size());
-  hash_ = fnv1a(hash_, "\n", 1);
+  hash_ = fnv1a64("\n", fnv1a64(line, hash_));
   if (!line.starts_with(tag) || line.size() == tag.size() || line[tag.size()] != ' ') {
     throw std::runtime_error{"state codec: expected '" + std::string{tag} + " ...' in section '" +
                              section_ + "', got '" + std::string{line} + "'"};
@@ -203,23 +193,5 @@ std::int64_t StateReader::get_i64() { return parse_decimal<std::int64_t>(expect(
 double StateReader::get_double() { return std::bit_cast<double>(parse_hex16(expect("d"))); }
 
 std::string StateReader::get_string() { return std::string{expect("s")}; }
-
-std::string StateReader::get_blob() {
-  const std::size_t size = parse_decimal<std::size_t>(expect("blob"), "blob header");
-  std::string bytes(size, '\0');
-  // gcount() is only meaningful after a read: an empty blob performs none.
-  if (size > 0) {
-    in_.read(bytes.data(), static_cast<std::streamsize>(size));
-    if (!in_ || static_cast<std::size_t>(in_.gcount()) != size) {
-      throw std::runtime_error{"state codec: truncated blob in section '" + section_ + "'"};
-    }
-  }
-  if (in_.get() != '\n') {
-    throw std::runtime_error{"state codec: blob missing terminator in section '" + section_ + "'"};
-  }
-  hash_ = fnv1a(hash_, bytes.data(), bytes.size());
-  hash_ = fnv1a(hash_, "\n", 1);
-  return bytes;
-}
 
 }  // namespace blam

@@ -1,6 +1,7 @@
-// Line-oriented "blamsim v1" checkpoint codec.
+// Line-oriented state codec: the one format for persisted simulator state
+// (engine checkpoints, the gateway ledger, campaign journal payloads).
 //
-// A checkpoint is a sequence of named sections; inside a section every value
+// A stream is a sequence of named sections; inside a section every value
 // is one typed token line:
 //
 //   section <name>
@@ -8,7 +9,6 @@
 //   i -7                     (signed integer, decimal)
 //   d 3ff0000000000000       (double, exact IEEE-754 bit pattern, hex16)
 //   s some text to eol       (string; no embedded newlines)
-//   blob 128                 (128 raw bytes follow, then a newline)
 //   end a1b2c3d4e5f60718     (FNV-1a 64 of every byte after the `section` line)
 //
 // Doubles travel as bit patterns, never as formatted decimals: restore is
@@ -17,6 +17,10 @@
 // turns a truncated or corrupted file (the expected failure mode after a
 // kill -9 mid-write, despite the tmp+rename discipline) into a loud
 // std::runtime_error naming the section instead of a silently wrong resume.
+// Every malformed token is a named std::runtime_error too; callers that read
+// a count off the stream grow their containers as the counted tokens arrive
+// instead of pre-sizing from the count, so a forged count runs into the end
+// of the section rather than into the allocator.
 //
 // Both ends are allocation-free per token: a checkpoint carries ~570 tokens
 // per node, so a per-value std::string would dominate the cost. The writer
@@ -46,8 +50,6 @@ class StateWriter {
   void put_double(double value);
   /// `value` must not contain newlines.
   void put_string(std::string_view value);
-  /// Raw byte payload (may contain anything, including newlines).
-  void put_blob(std::string_view bytes);
 
  private:
   /// Room for `n` more bytes at the end of the section buffer.
@@ -73,12 +75,13 @@ class StateReader {
   void begin_section(std::string_view name);
   /// Consumes `end <fnv16hex>` and verifies the section hash.
   void end_section();
+  /// True when the next line is the section trailer (no values left).
+  [[nodiscard]] bool at_section_end();
 
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int64_t get_i64();
   [[nodiscard]] double get_double();
   [[nodiscard]] std::string get_string();
-  [[nodiscard]] std::string get_blob();
 
  private:
   /// The next line, without its newline; valid until the next call.

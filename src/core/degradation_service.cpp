@@ -2,45 +2,31 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <functional>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/checksum.hpp"
 #include "common/sorted_ids.hpp"
+#include "common/state_codec.hpp"
 
 namespace blam {
 
 namespace {
 
-// --- checkpoint text helpers -----------------------------------------------
-// Doubles travel as 16-hex-digit bit patterns (lossless round trip; the
-// campaign journal set the precedent), times as signed microseconds.
-
-std::string hex_double(double v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, std::bit_cast<std::uint64_t>(v));
-  return buf;
+[[noreturn]] void fail_restore(const std::string& what) {
+  throw std::runtime_error{"ledger checkpoint: " + what};
 }
 
-double parse_hex_double(const std::string& s) {
-  if (s.size() != 16) throw std::runtime_error{"ledger checkpoint: malformed double '" + s + "'"};
-  return std::bit_cast<double>(static_cast<std::uint64_t>(std::stoull(s, nullptr, 16)));
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+/// Reads a u64 token into the narrower column type T, naming the field when
+/// the value does not fit.
+template <typename T>
+[[nodiscard]] T get_field(StateReader& r, const char* field) {
+  const std::uint64_t value = r.get_u64();
+  if (value > std::numeric_limits<T>::max()) fail_restore(std::string{field} + " out of range");
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -366,92 +352,65 @@ double DegradationService::estimated_gap_seconds(std::uint32_t node_id) const {
   return estimated_gap_s_[handle_of(node_id)];
 }
 
-void DegradationService::checkpoint(std::ostream& out) {
+void DegradationService::checkpoint_state(StateWriter& w) {
   // Staged reports are transport state, not ledger state: fold them into
   // the ledger first. Draining here is batch-invariant (arrival order), so
   // a checkpoint taken mid-batch reads exactly like one taken after it.
   if (!queue_.empty()) drain_queue();
-  // Line-oriented text, doubles as bit patterns, FNV-1a checksum trailer.
-  std::ostringstream body;
-  body << "blamledger v1 nodes " << ids_.size() << " maxdeg " << hex_double(max_degradation_)
-       << "\n";
+  w.begin_section("ledger");
+  w.put_u64(ids_.size());
+  w.put_double(max_degradation_);
   const LedgerCounters& c = counters_;
-  body << "counters " << c.reports_accepted << ' ' << c.reports_duplicate << ' '
-       << c.reports_checksum_rejected << ' ' << c.reports_buffered << ' '
-       << c.reports_reassembled << ' ' << c.samples_rejected_nonmonotonic << ' '
-       << c.samples_rejected_range << ' ' << c.gaps_bridged << ' ' << c.discontinuities << ' '
-       << c.quarantines << ' ' << c.recoveries << "\n";
+  for (const std::uint64_t count :
+       {c.reports_accepted, c.reports_duplicate, c.reports_checksum_rejected, c.reports_buffered,
+        c.reports_reassembled, c.samples_rejected_nonmonotonic, c.samples_rejected_range,
+        c.gaps_bridged, c.discontinuities, c.quarantines, c.recoveries}) {
+    w.put_u64(count);
+  }
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    const std::uint32_t id = ids_[i];
     const NodeHandle h = handles_by_id_[i];
-    body << "node " << id << ' ' << static_cast<int>(health_[h]) << ' '
-         << (has_report_[h] != 0 ? 1 : 0) << ' ' << (has_data_[h] != 0 ? 1 : 0) << ' '
-         << last_seq_[h] << ' ' << suspicion_[h] << ' ' << clean_streak_[h] << ' '
-         << hex_double(degradation_[h]) << ' ' << hex_double(normalized_[h]) << ' '
-         << hex_double(estimated_gap_s_[h]) << ' ' << first_sample_t_[h].us() << ' '
-         << last_sample_t_[h].us() << "\n";
-    const DegradationTracker::Snapshot t = store_.snapshot(h);
-    body << "tracker " << hex_double(t.closed_cycle_sum) << ' ' << t.last_time.us() << ' '
-         << hex_double(t.last_soc) << ' ' << (t.has_sample ? 1 : 0) << ' '
-         << hex_double(t.soc_time_integral) << ' ' << hex_double(t.stress_time_integral) << ' '
-         << t.stress_integrated_to.us() << ' ' << hex_double(t.temperature_c) << ' '
-         << t.discontinuities << "\n";
-    body << "rainflow " << t.rainflow.full_cycles << ' ' << (t.rainflow.has_last ? 1 : 0) << ' '
-         << hex_double(t.rainflow.prev_direction) << ' ' << hex_double(t.rainflow.last) << ' '
-         << t.rainflow.stack.size();
-    for (const double point : t.rainflow.stack) body << ' ' << hex_double(point);
-    body << "\n";
-    body << "held " << store_.held_count(h) << "\n";
+    w.put_u64(ids_[i]);
+    w.put_u64(health_[h]);
+    w.put_u64(has_report_[h]);
+    w.put_u64(has_data_[h]);
+    w.put_u64(last_seq_[h]);
+    w.put_u64(suspicion_[h]);
+    w.put_u64(clean_streak_[h]);
+    w.put_double(degradation_[h]);
+    w.put_double(normalized_[h]);
+    w.put_double(estimated_gap_s_[h]);
+    w.put_i64(first_sample_t_[h].us());
+    w.put_i64(last_sample_t_[h].us());
+    write_tracker(w, store_.snapshot(h));
+    w.put_u64(store_.held_count(h));
     for (std::uint32_t slot = 0; slot < store_.held_count(h); ++slot) {
       const std::span<const SocSample> samples = store_.held_samples(h, slot);
-      body << "heldrep " << store_.held_seq(h, slot) << ' ' << samples.size();
+      w.put_u64(store_.held_seq(h, slot));
+      w.put_u64(samples.size());
       for (const SocSample& sample : samples) {
-        body << ' ' << sample.t.us() << ' ' << hex_double(sample.soc);
+        w.put_i64(sample.t.us());
+        w.put_double(sample.soc);
       }
-      body << "\n";
     }
   }
-  const std::string payload = body.str();
-  char trailer[32];
-  std::snprintf(trailer, sizeof trailer, "%016" PRIx64, fnv1a(payload));
-  out << payload << "checksum " << trailer << "\n";
+  w.end_section();
 }
 
-void DegradationService::restore(std::istream& in) {
-  const auto fail = [](const std::string& what) {
-    throw std::runtime_error{"ledger checkpoint: " + what};
-  };
+void DegradationService::restore_state(StateReader& r) {
   if (!queue_.empty()) {
-    throw std::logic_error{"DegradationService: drain_queue() before restore()"};
+    throw std::logic_error{"DegradationService: drain_queue() before restore_state()"};
   }
-
-  // Collect the payload first so the checksum covers exactly what is parsed.
-  std::string payload;
-  std::string checksum_line;
-  std::string line;
-  bool saw_checksum = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("checksum ", 0) == 0) {
-      checksum_line = line.substr(9);
-      saw_checksum = true;
-      break;
-    }
-    payload += line;
-    payload += '\n';
+  r.begin_section("ledger");
+  const std::uint64_t n_nodes = r.get_u64();
+  const double max_degradation = r.get_double();
+  LedgerCounters c;
+  for (std::uint64_t* count :
+       {&c.reports_accepted, &c.reports_duplicate, &c.reports_checksum_rejected,
+        &c.reports_buffered, &c.reports_reassembled, &c.samples_rejected_nonmonotonic,
+        &c.samples_rejected_range, &c.gaps_bridged, &c.discontinuities, &c.quarantines,
+        &c.recoveries}) {
+    *count = r.get_u64();
   }
-  if (!saw_checksum) fail("missing checksum trailer");
-  char expected[32];
-  std::snprintf(expected, sizeof expected, "%016" PRIx64, fnv1a(payload));
-  if (checksum_line != expected) fail("checksum mismatch (corrupt or truncated)");
-
-  std::istringstream body{payload};
-  std::string tag;
-  std::string word;
-  std::size_t n_nodes = 0;
-  if (!(body >> tag) || tag != "blamledger") fail("bad magic");
-  if (!(body >> word) || word != "v1") fail("unsupported version");
-  if (!(body >> tag >> n_nodes) || tag != "nodes") fail("missing node count");
-  if (!(body >> tag >> word) || tag != "maxdeg") fail("missing maxdeg");
 
   store_.reset();
   health_.clear();
@@ -467,108 +426,46 @@ void DegradationService::restore(std::istream& in) {
   last_sample_t_.clear();
   ids_.clear();
   handles_by_id_.clear();
-  max_degradation_ = parse_hex_double(word);
-
-  if (!(body >> tag) || tag != "counters") fail("missing counters");
-  LedgerCounters c;
-  if (!(body >> c.reports_accepted >> c.reports_duplicate >> c.reports_checksum_rejected >>
-        c.reports_buffered >> c.reports_reassembled >> c.samples_rejected_nonmonotonic >>
-        c.samples_rejected_range >> c.gaps_bridged >> c.discontinuities >> c.quarantines >>
-        c.recoveries)) {
-    fail("malformed counters");
-  }
+  max_degradation_ = max_degradation;
   counters_ = c;
 
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    std::uint32_t id = 0;
-    int health = 0;
-    int has_report = 0;
-    int has_data = 0;
-    std::int64_t first_us = 0;
-    std::int64_t last_us = 0;
-    std::string deg;
-    std::string norm;
-    std::string gap;
-    if (!(body >> tag >> id) || tag != "node") fail("missing node record");
-    if (std::binary_search(ids_.begin(), ids_.end(), id)) fail("duplicate node record");
+  std::vector<SocSample> held_samples;
+  for (std::uint64_t i = 0; i < n_nodes; ++i) {
+    const auto id = get_field<std::uint32_t>(r, "node id");
+    if (std::binary_search(ids_.begin(), ids_.end(), id)) fail_restore("duplicate node record");
     const NodeHandle h = obtain(id);
-    if (!(body >> health >> has_report >> has_data >> last_seq_[h] >> suspicion_[h] >>
-          clean_streak_[h] >> deg >> norm >> gap >> first_us >> last_us)) {
-      fail("malformed node record");
+    const std::uint64_t health = r.get_u64();
+    if (health > static_cast<std::uint64_t>(LedgerHealth::kRecovered)) {
+      fail_restore("health out of range");
     }
-    if (health < 0 || health > 3) fail("health out of range");
     health_[h] = static_cast<std::uint8_t>(health);
-    has_report_[h] = has_report != 0 ? 1 : 0;
-    has_data_[h] = has_data != 0 ? 1 : 0;
-    degradation_[h] = parse_hex_double(deg);
-    normalized_[h] = parse_hex_double(norm);
-    estimated_gap_s_[h] = parse_hex_double(gap);
-    first_sample_t_[h] = Time::from_us(first_us);
-    last_sample_t_[h] = Time::from_us(last_us);
+    has_report_[h] = r.get_u64() != 0 ? 1 : 0;
+    has_data_[h] = r.get_u64() != 0 ? 1 : 0;
+    last_seq_[h] = get_field<std::uint16_t>(r, "report sequence");
+    suspicion_[h] = get_field<std::uint32_t>(r, "suspicion");
+    clean_streak_[h] = get_field<std::uint32_t>(r, "clean streak");
+    degradation_[h] = r.get_double();
+    normalized_[h] = r.get_double();
+    estimated_gap_s_[h] = r.get_double();
+    first_sample_t_[h] = Time::from_us(r.get_i64());
+    last_sample_t_[h] = Time::from_us(r.get_i64());
+    store_.restore(h, read_tracker(r));
 
-    DegradationTracker::Snapshot t;
-    std::string closed;
-    std::string last_soc;
-    std::string soc_int;
-    std::string stress_int;
-    std::string temp;
-    std::int64_t last_time_us = 0;
-    std::int64_t stress_to_us = 0;
-    int has_sample = 0;
-    if (!(body >> tag >> closed >> last_time_us >> last_soc >> has_sample >> soc_int >>
-          stress_int >> stress_to_us >> temp >> t.discontinuities) ||
-        tag != "tracker") {
-      fail("malformed tracker record");
-    }
-    t.closed_cycle_sum = parse_hex_double(closed);
-    t.last_time = Time::from_us(last_time_us);
-    t.last_soc = parse_hex_double(last_soc);
-    t.has_sample = has_sample != 0;
-    t.soc_time_integral = parse_hex_double(soc_int);
-    t.stress_time_integral = parse_hex_double(stress_int);
-    t.stress_integrated_to = Time::from_us(stress_to_us);
-    t.temperature_c = parse_hex_double(temp);
-
-    int has_last = 0;
-    std::string direction;
-    std::string last_point;
-    std::size_t depth = 0;
-    if (!(body >> tag >> t.rainflow.full_cycles >> has_last >> direction >> last_point >>
-          depth) ||
-        tag != "rainflow") {
-      fail("malformed rainflow record");
-    }
-    t.rainflow.has_last = has_last != 0;
-    t.rainflow.prev_direction = parse_hex_double(direction);
-    t.rainflow.last = parse_hex_double(last_point);
-    t.rainflow.stack.reserve(depth);
-    for (std::size_t p = 0; p < depth; ++p) {
-      if (!(body >> word)) fail("truncated rainflow stack");
-      t.rainflow.stack.push_back(parse_hex_double(word));
-    }
-    store_.restore(h, t);
-
-    std::size_t n_held = 0;
-    if (!(body >> tag >> n_held) || tag != "held") fail("malformed held record");
-    if (n_held > kReorderDepth) fail("held buffer overflow");
-    std::vector<SocSample> held_samples;
-    for (std::size_t held = 0; held < n_held; ++held) {
-      std::uint16_t seq = 0;
-      std::size_t n_samples = 0;
-      if (!(body >> tag >> seq >> n_samples) || tag != "heldrep") {
-        fail("malformed held report");
-      }
+    const std::uint64_t n_held = r.get_u64();
+    if (n_held > kReorderDepth) fail_restore("held buffer overflow");
+    for (std::uint32_t slot = 0; slot < n_held; ++slot) {
+      const auto seq = get_field<std::uint16_t>(r, "held report sequence");
+      const std::uint64_t n_samples = r.get_u64();
       held_samples.clear();
-      held_samples.reserve(n_samples);
-      for (std::size_t sm = 0; sm < n_samples; ++sm) {
-        std::int64_t t_us = 0;
-        if (!(body >> t_us >> word)) fail("truncated held report");
-        held_samples.push_back(SocSample{Time::from_us(t_us), parse_hex_double(word)});
+      for (std::uint64_t k = 0; k < n_samples; ++k) {
+        const Time t = Time::from_us(r.get_i64());
+        held_samples.push_back(SocSample{t, r.get_double()});
       }
-      store_.held_insert(h, static_cast<std::uint32_t>(held), seq, held_samples);
+      store_.held_insert(h, slot, seq, held_samples);
     }
   }
-  if (body >> tag) fail("trailing data");
+  if (!r.at_section_end()) fail_restore("trailing data");
+  r.end_section();
 }
 
 }  // namespace blam

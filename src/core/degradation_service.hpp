@@ -37,13 +37,13 @@
 // out-of-order reassembly, flagged gap bridging, crash-reset residual
 // sealing, and the healthy → gapped → quarantined → recovered health
 // machine with the conservative prior w_u = 1 (excluded from D_max) while
-// quarantined. checkpoint()/restore() keep the PR-6 "blamledger v1" text
-// format bit-for-bit, so pre-refactor checkpoints restore into the
-// columnar layout and re-serialize byte-identically.
+// quarantined. checkpoint_state()/restore_state() persist the whole ledger
+// as one `ledger` section of the state codec (common/state_codec.hpp), the
+// same way Node, Gateway and NetworkServer persist theirs; inside an engine
+// checkpoint it follows the server's own section.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -54,6 +54,9 @@
 #include "degradation/model.hpp"
 
 namespace blam {
+
+class StateReader;
+class StateWriter;
 
 /// Checksum of a simulator-level SoC report: CRC-8 over the report sequence
 /// number and each sample's canonical byte image (timestamp microseconds +
@@ -201,20 +204,21 @@ class DegradationService {
   /// Columnar state backing the ledger (introspection for bench/tests).
   [[nodiscard]] const LedgerStore& store() const { return store_; }
 
-  /// Serializes the complete ledger (trackers, health, reassembly buffers,
-  /// counters, last recompute results) as line-oriented text with bit-exact
-  /// doubles and a trailing integrity checksum. A non-empty ingestion queue
-  /// is drained first — drain order is arrival order regardless of when the
-  /// drain runs, so checkpointing mid-batch cannot change results. The
-  /// "blamledger v1" format is unchanged; pre-drain-era checkpoints restore
-  /// into this version and vice versa.
-  void checkpoint(std::ostream& out);
+  /// Writes the complete ledger (trackers, health, reassembly buffers,
+  /// counters, last recompute results) as one `ledger` section, doubles as
+  /// bit patterns. A non-empty ingestion queue is drained first — drain
+  /// order is arrival order regardless of when the drain runs, so
+  /// checkpointing mid-batch cannot change results.
+  void checkpoint_state(StateWriter& w);
 
-  /// Rebuilds the ledger from a checkpoint() stream, replacing all current
-  /// state. The service must have been constructed with the same model and
-  /// temperature, and the ingestion queue must be empty (std::logic_error).
-  /// Throws std::runtime_error on malformed or corrupt input.
-  void restore(std::istream& in);
+  /// Rebuilds the ledger from a checkpoint_state() section, replacing all
+  /// current state. The service must have been constructed with the same
+  /// model and temperature, and the ingestion queue must be empty
+  /// (std::logic_error). Malformed or corrupt input throws a named
+  /// std::runtime_error (duplicate node record, health out of range, held
+  /// buffer overflow, trailing data, or a codec error) and leaves the ledger
+  /// partially restored: discard it.
+  void restore_state(StateReader& r);
 
  private:
   [[nodiscard]] NodeHandle handle_of(std::uint32_t node_id) const;

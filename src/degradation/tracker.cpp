@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/state_codec.hpp"
+
 namespace blam {
 
 DegradationTracker::DegradationTracker(const DegradationModel& model, double temperature_c)
@@ -114,6 +116,44 @@ double DegradationTracker::cycle_linear() const {
 
 double DegradationTracker::degradation(Time now) const {
   return model_->nonlinear(calendar_linear(now) + cycle_linear());
+}
+
+void write_tracker(StateWriter& w, const DegradationTracker::Snapshot& s) {
+  w.put_double(s.closed_cycle_sum);
+  w.put_i64(s.last_time.us());
+  w.put_double(s.last_soc);
+  w.put_u64(s.has_sample ? 1 : 0);
+  w.put_double(s.soc_time_integral);
+  w.put_double(s.stress_time_integral);
+  w.put_i64(s.stress_integrated_to.us());
+  w.put_double(s.temperature_c);
+  w.put_u64(s.discontinuities);
+  w.put_u64(s.rainflow.full_cycles);
+  w.put_u64(s.rainflow.has_last ? 1 : 0);
+  w.put_double(s.rainflow.prev_direction);
+  w.put_double(s.rainflow.last);
+  w.put_u64(s.rainflow.stack.size());
+  for (const double point : s.rainflow.stack) w.put_double(point);
+}
+
+DegradationTracker::Snapshot read_tracker(StateReader& r) {
+  DegradationTracker::Snapshot s;
+  s.closed_cycle_sum = r.get_double();
+  s.last_time = Time::from_us(r.get_i64());
+  s.last_soc = r.get_double();
+  s.has_sample = r.get_u64() != 0;
+  s.soc_time_integral = r.get_double();
+  s.stress_time_integral = r.get_double();
+  s.stress_integrated_to = Time::from_us(r.get_i64());
+  s.temperature_c = r.get_double();
+  s.discontinuities = r.get_u64();
+  s.rainflow.full_cycles = r.get_u64();
+  s.rainflow.has_last = r.get_u64() != 0;
+  s.rainflow.prev_direction = r.get_double();
+  s.rainflow.last = r.get_double();
+  const std::uint64_t depth = r.get_u64();
+  for (std::uint64_t p = 0; p < depth; ++p) s.rainflow.stack.push_back(r.get_double());
+  return s;
 }
 
 }  // namespace blam

@@ -27,6 +27,9 @@
 
 namespace blam {
 
+class StateReader;
+class StateWriter;
+
 class DegradationTracker {
  public:
   /// `temperature_c` is the battery's initial (or fixed) internal
@@ -75,9 +78,10 @@ class DegradationTracker {
   [[nodiscard]] const DegradationModel& model() const { return *model_; }
   [[nodiscard]] double temperature_c() const { return temperature_c_; }
 
-  /// Complete tracker state for gateway-ledger checkpoint/restore. The
-  /// model pointer is NOT captured: restore() requires a tracker built
-  /// against the same model/temperature configuration.
+  /// Complete tracker state for checkpoint/restore (a node's own tracker
+  /// and each gateway-ledger row). The model pointer is NOT captured:
+  /// restore() requires a tracker built against the same model/temperature
+  /// configuration.
   struct Snapshot {
     RainflowCounter::State rainflow;
     double closed_cycle_sum{0.0};
@@ -113,5 +117,11 @@ class DegradationTracker {
   double stress_time_integral_{0.0};  // integral of S_T dt (seconds)
   Time stress_integrated_to_{Time::zero()};
 };
+
+/// One tracker snapshot as state-codec tokens (node and ledger sections
+/// share the layout). The rainflow residual stack is read token by token,
+/// so a forged depth ends in a named std::runtime_error.
+void write_tracker(StateWriter& w, const DegradationTracker::Snapshot& s);
+[[nodiscard]] DegradationTracker::Snapshot read_tracker(StateReader& r);
 
 }  // namespace blam

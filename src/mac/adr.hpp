@@ -60,7 +60,7 @@ class AdrController {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// One node's SNR history, for "blamsim v1" engine checkpoints.
+  /// One node's SNR history, for "blamsim" engine checkpoints.
   struct NodeSnapshot {
     std::uint32_t node_id{0};
     std::vector<double> snr_db;  // oldest first

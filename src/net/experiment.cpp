@@ -1,10 +1,10 @@
 #include "net/experiment.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/state_codec.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/shard_engine.hpp"
@@ -105,58 +105,38 @@ std::shared_ptr<const SolarTrace> build_shared_trace(const ScenarioConfig& confi
 }
 
 std::string serialize_lifespan_result(const LifespanResult& r) {
-  std::string out = "L1 ";
-  out += r.reached_eol ? '1' : '0';
-  out += ' ';
-  out += std::to_string(r.lifespan.us());
-  out += ' ';
-  out += std::to_string(r.series_step.us());
-  out += ' ';
-  out += std::to_string(r.max_degradation_series.size());
-  char buf[24];
-  for (const double v : r.max_degradation_series) {
-    // Bit patterns, not decimal: "%.17g" round-trips too, but the bit image
-    // makes "lossless" self-evident and NaN/Inf-proof.
-    std::snprintf(buf, sizeof buf, " %016llx",
-                  static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-    out += buf;
-  }
-  out += ' ';
-  out += r.label;  // last: labels may contain spaces
-  return out;
+  std::ostringstream out;
+  StateWriter w{out};
+  w.begin_section("lifespan");
+  w.put_string(r.label);
+  w.put_u64(r.reached_eol ? 1 : 0);
+  w.put_i64(r.lifespan.us());
+  w.put_i64(r.series_step.us());
+  w.put_u64(r.max_degradation_series.size());
+  for (const double v : r.max_degradation_series) w.put_double(v);
+  w.end_section();
+  return std::move(out).str();
 }
 
 LifespanResult deserialize_lifespan_result(const std::string& payload) {
   std::istringstream in{payload};
-  std::string tag;
-  int reached = 0;
-  std::int64_t lifespan_us = 0;
-  std::int64_t step_us = 0;
-  std::size_t n_series = 0;
-  in >> tag >> reached >> lifespan_us >> step_us >> n_series;
-  if (!in || tag != "L1" || (reached != 0 && reached != 1)) {
-    throw std::runtime_error{"deserialize_lifespan_result: bad payload header: " + payload};
+  StateReader r{in};
+  r.begin_section("lifespan");
+  LifespanResult result;
+  result.label = r.get_string();
+  const std::uint64_t reached = r.get_u64();
+  if (reached > 1) throw std::runtime_error{"deserialize_lifespan_result: reached_eol is not 0/1"};
+  result.reached_eol = reached == 1;
+  result.lifespan = Time::from_us(r.get_i64());
+  result.series_step = Time::from_us(r.get_i64());
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    result.max_degradation_series.push_back(r.get_double());
   }
-  LifespanResult r;
-  r.reached_eol = reached == 1;
-  r.lifespan = Time::from_us(lifespan_us);
-  r.series_step = Time::from_us(step_us);
-  r.max_degradation_series.reserve(n_series);
-  std::string word;
-  for (std::size_t i = 0; i < n_series; ++i) {
-    if (!(in >> word)) {
-      throw std::runtime_error{"deserialize_lifespan_result: truncated series"};
-    }
-    std::size_t consumed = 0;
-    const std::uint64_t bits = std::stoull(word, &consumed, 16);
-    if (consumed != word.size()) {
-      throw std::runtime_error{"deserialize_lifespan_result: bad series word: " + word};
-    }
-    r.max_degradation_series.push_back(std::bit_cast<double>(bits));
+  r.end_section();
+  if (in.peek() != std::char_traits<char>::eof()) {
+    throw std::runtime_error{"deserialize_lifespan_result: trailing data after the payload"};
   }
-  std::getline(in, r.label);
-  if (!r.label.empty() && r.label.front() == ' ') r.label.erase(0, 1);
-  return r;
+  return result;
 }
 
 namespace {
@@ -239,7 +219,12 @@ std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells
                                           Time max_duration, Time step, CampaignOptions options) {
   const std::string quarantine_path = options.quarantine_path;
   options.sweep = with_default_labels(std::move(options.sweep), cells);
-  Campaign campaign{campaign_cells(cells, "lifespans", max_duration, step), std::move(options)};
+  // The kind names the payload format: journals written with an older
+  // lifespan payload keyed their cells without the "v2" tag, so their
+  // entries match no cell here and those cells rerun instead of reaching a
+  // decoder that cannot read them.
+  Campaign campaign{campaign_cells(cells, "lifespans v2", max_duration, step),
+                    std::move(options)};
   const CampaignReport report = campaign.run([&](std::size_t i, const CellToken& token) {
     return serialize_lifespan_result(
         run_until_eol(cells[i].config, max_duration, step, cells[i].trace, &token));

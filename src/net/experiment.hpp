@@ -55,13 +55,16 @@ struct LifespanResult {
                                            std::shared_ptr<const SolarTrace> shared_trace = nullptr,
                                            const CellToken* token = nullptr);
 
-/// Lossless text codec for LifespanResult: doubles are stored as their bit
-/// patterns, so deserialize(serialize(r)) == r down to the last bit. This is
-/// the campaign-journal payload format — a resumed cell's result is
-/// indistinguishable from a freshly computed one.
+/// Lossless codec for LifespanResult: one `lifespan` section of the state
+/// codec (common/state_codec.hpp), doubles as bit patterns, so
+/// deserialize(serialize(r)) == r down to the last bit. This is the
+/// campaign-journal payload format — a resumed cell's result is
+/// indistinguishable from a freshly computed one. The label must not
+/// contain a newline.
 [[nodiscard]] std::string serialize_lifespan_result(const LifespanResult& result);
-/// Inverse of serialize_lifespan_result; throws std::runtime_error on a
-/// payload it does not recognize.
+/// Inverse of serialize_lifespan_result; throws a named std::runtime_error
+/// on a payload it does not recognize (wrong section, bad token, section
+/// hash mismatch, trailing data).
 [[nodiscard]] LifespanResult deserialize_lifespan_result(const std::string& payload);
 
 /// Builds (or reuses) the weather shared by a batch of compared scenarios.

@@ -213,7 +213,7 @@ void write_air_packet(StateWriter& w, const AirPacket& packet) {
   write_time(w, packet.start);
   write_time(w, packet.end);
   w.put_double(packet.rx_power_dbm);
-  w.put_u64(static_cast<std::uint64_t>(packet.sf));
+  write_sf(w, packet.sf);
   w.put_i64(packet.channel);
 }
 
@@ -223,7 +223,7 @@ AirPacket read_air_packet(StateReader& r) {
   packet.start = read_time(r);
   packet.end = read_time(r);
   packet.rx_power_dbm = r.get_double();
-  packet.sf = static_cast<SpreadingFactor>(r.get_u64());
+  packet.sf = read_sf(r);
   packet.channel = static_cast<int>(r.get_i64());
   return packet;
 }
@@ -235,7 +235,7 @@ void write_ack_frame(StateWriter& w, const AckFrame& ack) {
   w.put_double(ack.normalized_degradation);
   w.put_u64(ack.adr.has_value() ? 1 : 0);
   if (ack.adr.has_value()) {
-    w.put_u64(static_cast<std::uint64_t>(ack.adr->sf));
+    write_sf(w, ack.adr->sf);
     w.put_double(ack.adr->tx_power_dbm);
   }
   w.put_u64(ack.theta.has_value() ? 1 : 0);
@@ -250,7 +250,7 @@ AckFrame read_ack_frame(StateReader& r) {
   ack.normalized_degradation = r.get_double();
   if (r.get_u64() != 0) {
     AdrCommand adr;
-    adr.sf = static_cast<SpreadingFactor>(r.get_u64());
+    adr.sf = read_sf(r);
     adr.tx_power_dbm = r.get_double();
     ack.adr = adr;
   }
@@ -321,12 +321,15 @@ void Gateway::restore_state(StateReader& r,
   busy_paths_ = static_cast<int>(r.get_i64());
   next_packet_id_ = r.get_u64();
 
-  std::vector<AirPacket> interference(r.get_u64());
-  for (AirPacket& packet : interference) packet = read_air_packet(r);
+  std::vector<AirPacket> interference;
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    interference.push_back(read_air_packet(r));
+  }
   interference_.restore_live(interference);
 
-  std::vector<AckPlanner::Interval> reservations(r.get_u64());
-  for (AckPlanner::Interval& interval : reservations) {
+  std::vector<AckPlanner::Interval> reservations;
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    AckPlanner::Interval& interval = reservations.emplace_back();
     interval.start = read_time(r);
     interval.end = read_time(r);
   }

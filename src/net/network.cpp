@@ -85,8 +85,9 @@ void write_faults(StateWriter& w, const FaultPlan& faults) {
 
 void read_faults(StateReader& r, FaultPlan& faults) {
   r.begin_section("faults");
-  std::vector<std::pair<int, GilbertElliott::State>> states(r.get_u64());
-  for (auto& [gateway_id, state] : states) {
+  std::vector<std::pair<int, GilbertElliott::State>> states;
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    auto& [gateway_id, state] = states.emplace_back();
     gateway_id = static_cast<int>(r.get_i64());
     state.rng = read_rng(r);
     state.bad = r.get_u64() != 0;
@@ -271,8 +272,8 @@ void Network::finalize_metrics() {
 
 void Network::assert_checkpointable() const {
   // Each of these carries state (RNG draws, pending events, or history) the
-  // "blamsim v1" checkpoint does not cover; resuming such a run would
-  // silently diverge, so refuse loudly instead.
+  // engine checkpoint does not cover; resuming such a run would silently
+  // diverge, so refuse loudly instead.
   if (audit_ != nullptr) {
     throw std::runtime_error{"checkpoint: auditor state is not serialized (disable BLAM_AUDIT)"};
   }

@@ -1,6 +1,5 @@
 #include "net/network_server.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "audit/audit.hpp"
@@ -237,12 +236,6 @@ void NetworkServer::checkpoint_state(StateWriter& w) {
     w.put_u64(c.truncated);
   }
 
-  // The ledger has its own checkpoint format ("blamledger v1", integrity
-  // trailer included); it rides along as an opaque blob.
-  std::ostringstream ledger;
-  service_.checkpoint(ledger);
-  w.put_blob(ledger.str());
-
   w.put_u64(pending_live_.size());
   for (const auto& [key, slot] : pending_live_) {
     const PendingFrame& pending = pending_pool_[slot];
@@ -252,19 +245,22 @@ void NetworkServer::checkpoint_state(StateWriter& w) {
     write_uplink_frame(w, pending.frame);
     w.put_double(pending.best_rx_dbm);
     write_time(w, pending.uplink_end);
-    w.put_u64(static_cast<std::uint64_t>(pending.sf));
+    write_sf(w, pending.sf);
     w.put_i64(pending.channel);
     write_event(w, sim_, pending.decide_event);
   }
   w.end_section();
+  service_.checkpoint_state(w);
 }
 
 void NetworkServer::restore_state(StateReader& r,
                                   const std::vector<std::unique_ptr<Gateway>>& gateways,
                                   const std::function<Node*(std::uint32_t)>& node_by_id) {
   r.begin_section("server");
-  last_seq_.assign(r.get_u64(), -1);
-  for (std::int64_t& seq : last_seq_) seq = r.get_i64();
+  // Counts read off the stream never pre-size a container: each one grows
+  // as its tokens arrive, so a forged count ends at the section trailer.
+  last_seq_.clear();
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) last_seq_.push_back(r.get_i64());
   recomputes_ = r.get_u64();
   if (const auto e = read_event(r)) recompute_process_->restore_arm(e->time, e->seq);
 
@@ -273,8 +269,9 @@ void NetworkServer::restore_state(StateReader& r,
     throw std::runtime_error{"NetworkServer::restore_state: theta controller mismatch"};
   }
   if (has_theta) {
-    std::vector<ThetaController::NodeSnapshot> nodes(r.get_u64());
-    for (ThetaController::NodeSnapshot& node : nodes) {
+    std::vector<ThetaController::NodeSnapshot> nodes;
+    for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+      ThetaController::NodeSnapshot& node = nodes.emplace_back();
       node.node_id = static_cast<std::uint32_t>(r.get_u64());
       node.last_seq = static_cast<std::uint32_t>(r.get_u64());
       node.has_seq = r.get_u64() != 0;
@@ -290,11 +287,11 @@ void NetworkServer::restore_state(StateReader& r,
     throw std::runtime_error{"NetworkServer::restore_state: ADR controller mismatch"};
   }
   if (has_adr) {
-    std::vector<AdrController::NodeSnapshot> nodes(r.get_u64());
-    for (AdrController::NodeSnapshot& node : nodes) {
+    std::vector<AdrController::NodeSnapshot> nodes;
+    for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+      AdrController::NodeSnapshot& node = nodes.emplace_back();
       node.node_id = static_cast<std::uint32_t>(r.get_u64());
-      node.snr_db.resize(r.get_u64());
-      for (double& snr : node.snr_db) snr = r.get_double();
+      for (std::uint64_t k = 0, m = r.get_u64(); k < m; ++k) node.snr_db.push_back(r.get_double());
     }
     adr_->restore(nodes);
   }
@@ -304,17 +301,17 @@ void NetworkServer::restore_state(StateReader& r,
     throw std::runtime_error{"NetworkServer::restore_state: report fault channel mismatch"};
   }
   if (has_report_faults) {
-    std::vector<ReportFaultChannel::LaneSnapshot> lanes(r.get_u64());
-    for (ReportFaultChannel::LaneSnapshot& lane : lanes) {
+    std::vector<ReportFaultChannel::LaneSnapshot> lanes;
+    for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+      ReportFaultChannel::LaneSnapshot& lane = lanes.emplace_back();
       lane.node_id = static_cast<std::uint32_t>(r.get_u64());
       lane.rng = read_rng(r);
       lane.holding = r.get_u64() != 0;
       lane.held_seq = static_cast<std::uint16_t>(r.get_u64());
       lane.held_crc = static_cast<std::uint8_t>(r.get_u64());
-      lane.held_samples.resize(r.get_u64());
-      for (SocSample& sample : lane.held_samples) {
-        sample.t = read_time(r);
-        sample.soc = r.get_double();
+      for (std::uint64_t k = 0, m = r.get_u64(); k < m; ++k) {
+        const Time t = read_time(r);
+        lane.held_samples.push_back(SocSample{t, r.get_double()});
       }
     }
     ReportChannelCounters counters;
@@ -326,9 +323,6 @@ void NetworkServer::restore_state(StateReader& r,
     counters.truncated = r.get_u64();
     report_faults_->restore(lanes, counters);
   }
-
-  std::istringstream ledger{r.get_blob()};
-  service_.restore(ledger);
 
   pending_pool_.clear();
   pending_free_.clear();
@@ -355,13 +349,14 @@ void NetworkServer::restore_state(StateReader& r,
     read_uplink_frame(r, pending.frame);
     pending.best_rx_dbm = r.get_double();
     pending.uplink_end = read_time(r);
-    pending.sf = static_cast<SpreadingFactor>(r.get_u64());
+    pending.sf = read_sf(r);
     pending.channel = static_cast<int>(r.get_i64());
     if (const auto e = read_event(r)) {
       pending.decide_event = sim_.schedule_at_seq(e->time, e->seq, [this, slot] { decide(slot); });
     }
   }
   r.end_section();
+  service_.restore_state(r);
 }
 
 void NetworkServer::recompute() {

@@ -107,9 +107,10 @@ class NetworkServer {
   }
 
   /// Serializes the server — dedup table, dissemination loop, theta/report
-  /// channels, the degradation ledger, and every aggregating frame — into an
-  /// engine checkpoint (see sim/checkpoint.hpp). Non-const: the ledger's
-  /// checkpoint drains its staged ingest queue first.
+  /// channels and every aggregating frame — into an engine checkpoint (see
+  /// sim/checkpoint.hpp), followed by the degradation ledger's own `ledger`
+  /// section. Non-const: the ledger's checkpoint drains its staged ingest
+  /// queue first.
   void checkpoint_state(StateWriter& w);
 
   /// Restores state captured by checkpoint_state into a freshly built server

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -512,44 +513,6 @@ void Node::apply_adr(const AdrCommand& command) {
 
 namespace {
 
-void write_tracker(StateWriter& w, const DegradationTracker::Snapshot& s) {
-  w.put_u64(s.rainflow.stack.size());
-  for (double soc : s.rainflow.stack) w.put_double(soc);
-  w.put_double(s.rainflow.last);
-  w.put_double(s.rainflow.prev_direction);
-  w.put_u64(s.rainflow.has_last ? 1 : 0);
-  w.put_u64(s.rainflow.full_cycles);
-  w.put_double(s.closed_cycle_sum);
-  write_time(w, s.last_time);
-  w.put_double(s.last_soc);
-  w.put_u64(s.has_sample ? 1 : 0);
-  w.put_double(s.soc_time_integral);
-  w.put_double(s.stress_time_integral);
-  write_time(w, s.stress_integrated_to);
-  w.put_double(s.temperature_c);
-  w.put_u64(s.discontinuities);
-}
-
-DegradationTracker::Snapshot read_tracker(StateReader& r) {
-  DegradationTracker::Snapshot s;
-  s.rainflow.stack.resize(r.get_u64());
-  for (double& soc : s.rainflow.stack) soc = r.get_double();
-  s.rainflow.last = r.get_double();
-  s.rainflow.prev_direction = r.get_double();
-  s.rainflow.has_last = r.get_u64() != 0;
-  s.rainflow.full_cycles = r.get_u64();
-  s.closed_cycle_sum = r.get_double();
-  s.last_time = read_time(r);
-  s.last_soc = r.get_double();
-  s.has_sample = r.get_u64() != 0;
-  s.soc_time_integral = r.get_double();
-  s.stress_time_integral = r.get_double();
-  s.stress_integrated_to = read_time(r);
-  s.temperature_c = r.get_double();
-  s.discontinuities = r.get_u64();
-  return s;
-}
-
 void write_sample(StateWriter& w, const SocSample& s) {
   write_time(w, s.t);
   w.put_double(s.soc);
@@ -567,7 +530,7 @@ SocSample read_sample(StateReader& r) {
 void Node::checkpoint_state(StateWriter& w) const {
   w.begin_section("node");
   w.put_u64(id_);
-  w.put_u64(static_cast<std::uint64_t>(tx_params_.sf));
+  write_sf(w, tx_params_.sf);
   w.put_double(tx_params_.tx_power_dbm);
 
   write_rng(w, rng_.state());
@@ -652,7 +615,7 @@ void Node::restore_state(StateReader& r) {
     throw std::runtime_error{"Node::restore_state: checkpoint is for a different node"};
   }
   AdrCommand radio;
-  radio.sf = static_cast<SpreadingFactor>(r.get_u64());
+  radio.sf = read_sf(r);
   radio.tx_power_dbm = r.get_double();
   apply_adr(radio);  // re-derives LDRO + energy constants like a live command
 
@@ -672,8 +635,13 @@ void Node::restore_state(StateReader& r) {
     throw std::runtime_error{"Node::restore_state: supercap presence mismatch"};
   }
   if (has_supercap) supercap_->restore_stored(read_energy(r));
-  policy_->set_soc_cap(r.get_double());
-  switch_.set_soc_cap(policy_->soc_cap());
+  try {
+    // The policy and the switch validate the cap; a bad one is stream damage.
+    policy_->set_soc_cap(r.get_double());
+    switch_.set_soc_cap(policy_->soc_cap());
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error{std::string{"Node::restore_state: "} + e.what()};
+  }
   harvester_.restore_jitter(r.get_double());
   tracker_.restore(read_tracker(r));
 

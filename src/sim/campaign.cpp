@@ -12,20 +12,13 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/checksum.hpp"
+
 namespace blam {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 [[nodiscard]] std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -234,7 +227,7 @@ class QuarantineScanner {
       } else if (field == "seed") {
         cell.seed = std::stoull(scan_scalar());
       } else if (field == "attempts") {
-        cell.attempts = std::stoi(scan_scalar());
+        cell.attempts = std::stoll(scan_scalar());
       } else if (field == "timed_out") {
         cell.timed_out = scan_scalar() == "true";
       } else {
@@ -396,7 +389,8 @@ CampaignReport Campaign::run(const Body& body) {
   }
 
   std::mutex quarantine_mutex;
-  const int max_attempts = 1 + options_.retries;
+  // 64-bit: retries may be INT_MAX.
+  const std::int64_t max_attempts = std::int64_t{1} + options_.retries;
 
   SweepOptions sweep = options_.sweep;
   if (!sweep.label) {
@@ -419,7 +413,7 @@ CampaignReport Campaign::run(const Body& body) {
     const std::size_t i = todo[t];
     std::string error;
     bool timed_out = false;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    for (std::int64_t attempt = 1; attempt <= max_attempts; ++attempt) {
       CellToken token;
       Watch& watch = watches[i];
       if (options_.cell_timeout_s > 0.0) {

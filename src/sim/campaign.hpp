@@ -84,7 +84,7 @@ struct QuarantinedCell {
   std::string key;
   std::string label;
   std::uint64_t seed{0};
-  int attempts{0};
+  std::int64_t attempts{0};
   bool timed_out{false};
   std::string error;
   std::string config_text;

@@ -1,6 +1,18 @@
 #include "sim/checkpoint.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace blam {
+
+SpreadingFactor read_sf(StateReader& r) {
+  const std::uint64_t value = r.get_u64();
+  if (value < 7 || value > 12) {
+    throw std::runtime_error{"checkpoint: spreading factor out of range: " +
+                             std::to_string(value)};
+  }
+  return static_cast<SpreadingFactor>(value);
+}
 
 void write_rng(StateWriter& w, const Rng::State& state) {
   for (std::uint64_t word : state.s) w.put_u64(word);
@@ -63,10 +75,10 @@ void read_uplink_frame(StateReader& r, UplinkFrame& frame) {
   frame.generated_at = read_time(r);
   frame.selected_window = static_cast<int>(r.get_i64());
   frame.app_payload_bytes = static_cast<int>(r.get_i64());
-  frame.soc_report.resize(r.get_u64());
-  for (SocSample& sample : frame.soc_report) {
-    sample.t = read_time(r);
-    sample.soc = r.get_double();
+  frame.soc_report.clear();
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    const Time t = read_time(r);
+    frame.soc_report.push_back(SocSample{t, r.get_double()});
   }
   frame.report_seq = static_cast<std::uint16_t>(r.get_u64());
   frame.report_crc = static_cast<std::uint8_t>(r.get_u64());

@@ -1,4 +1,4 @@
-// Engine checkpoint codec helpers ("blamsim v1").
+// Engine checkpoint codec helpers ("blamsim v2").
 //
 // A checkpoint captures engine slices — each a Network: a Simulator plus
 // every component scheduled on it (server, gateways, nodes, fault channels,
@@ -25,13 +25,15 @@
 #include "common/state_codec.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "lora/params.hpp"
 #include "mac/frame.hpp"
 #include "sim/simulator.hpp"
 
 namespace blam {
 
-/// First line of every engine checkpoint stream.
-inline constexpr const char* kCheckpointMagic = "blamsim v1";
+/// First line of every engine checkpoint stream. No other version is read:
+/// a stream written with another magic is refused at this line.
+inline constexpr const char* kCheckpointMagic = "blamsim v2";
 
 // --- shared token helpers (used by every component's checkpoint_state) ----
 
@@ -42,6 +44,11 @@ inline void write_energy(StateWriter& w, Energy e) { w.put_double(e.joules()); }
 [[nodiscard]] inline Energy read_energy(StateReader& r) {
   return Energy::from_joules(r.get_double());
 }
+
+/// A spreading factor travels as its value; outside 7..12 the stream is
+/// damaged (std::runtime_error).
+inline void write_sf(StateWriter& w, SpreadingFactor sf) { w.put_u64(sf_value(sf)); }
+[[nodiscard]] SpreadingFactor read_sf(StateReader& r);
 
 void write_rng(StateWriter& w, const Rng::State& state);
 [[nodiscard]] Rng::State read_rng(StateReader& r);

@@ -621,8 +621,10 @@ void ShardedNetwork::restore(std::istream& in) {
   std::string magic;
   std::getline(in, magic);
   if (magic != kCheckpointMagic) {
-    throw std::runtime_error{"restore: not a \"" + std::string{kCheckpointMagic} +
-                             "\" checkpoint stream"};
+    throw std::runtime_error{
+        "restore: not a \"" + std::string{kCheckpointMagic} + "\" checkpoint stream" +
+        (magic.starts_with("blamsim ") ? " (\"" + magic + "\" is not supported by this build)"
+                                       : "")};
   }
   StateReader r{in};
   r.begin_section("meta");

@@ -221,7 +221,7 @@ class ShardedNetwork {
   /// the throughput bench reports on core-starved hosts.
   [[nodiscard]] double max_shard_busy_seconds() const;
 
-  /// Serializes the full engine ("blamsim v1" stream: a meta section, then
+  /// Serializes the full engine ("blamsim v2" stream: a meta section, then
   /// every slice's Network::checkpoint_state, in slice order) at the
   /// current cursor. Slices serialize in parallel, slice 0 on the calling
   /// thread; the stream is byte-identical to writing them one after
@@ -232,7 +232,9 @@ class ShardedNetwork {
 
   /// Restores a checkpoint written by checkpoint() into this freshly built
   /// engine (same ScenarioConfig, not yet run). Subsequent run_until calls
-  /// continue bit-identically to the uninterrupted run.
+  /// continue bit-identically to the uninterrupted run. A stream from
+  /// another format version or scenario, or a damaged one, throws a named
+  /// std::runtime_error.
   void restore(std::istream& in);
 
   /// checkpoint() to `path` atomically (tmp + rename), so a crash mid-write

@@ -24,8 +24,10 @@ EventHandle Simulator::schedule_in(Time delay, Callback callback) {
 
 EventHandle Simulator::schedule_at_seq(Time at, std::uint64_t seq, Callback callback) {
   if (at < now_) {
-    throw std::invalid_argument{"Simulator::schedule_at_seq: time " + at.to_string() +
-                                " precedes now " + now_.to_string()};
+    // The time comes off a checkpoint stream: a damaged stream, not a
+    // caller bug.
+    throw std::runtime_error{"Simulator::schedule_at_seq: time " + at.to_string() +
+                             " precedes now " + now_.to_string()};
   }
   return queue_.schedule_with_seq(at, seq, std::move(callback));
 }

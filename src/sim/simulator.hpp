@@ -85,7 +85,8 @@ class Simulator {
   void clear_events() { queue_.clear(); }
 
   /// Re-inserts an event under its checkpointed sequence number. `at` must
-  /// be >= now(); restore runs at now()==0 so every future time qualifies.
+  /// be >= now() (std::runtime_error otherwise); restore runs at now()==0
+  /// so every future time qualifies.
   EventHandle schedule_at_seq(Time at, std::uint64_t seq, Callback callback);
 
   [[nodiscard]] std::uint64_t next_event_seq() const { return queue_.next_seq(); }

@@ -337,7 +337,7 @@ TEST(AnalyzeK1, SkippedMemberChainsAreOpaque) {
 }
 
 TEST(AnalyzeK1, FreeSerializerSubjectsAreRoots) {
-  // "blamledger v1"-style free functions: the non-codec parameter's type is
+  // write_tracker-style free functions: the non-codec parameter's type is
   // a serialized subject even without a member pair.
   const auto findings = active(make_project({{"src/core/codec.cpp",
                                               "struct Ledger {\n"

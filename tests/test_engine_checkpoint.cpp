@@ -1,4 +1,4 @@
-// Crash-tolerant engine: "blamsim v1" checkpoint round-trips (serial and
+// Crash-tolerant engine: "blamsim v2" checkpoint round-trips (serial and
 // sharded, with fault injection), the rolling checkpoint file knobs, the
 // epoch-barrier watchdog, and the wedge kill chain. Test names carry
 // "ShardEngine" so the CI tsan leg's ctest regex selects this file too.
@@ -117,7 +117,7 @@ TEST(ShardEngineCheckpoint, SerialRoundTripBitIdentical) {
 
 TEST(ShardEngineCheckpoint, AdrRoundTripBitIdentical) {
   // ADR runs used to refuse checkpointing; the per-node SNR windows are now
-  // part of the "blamsim v1" stream (sorted by node id, so the bytes are
+  // part of the "blamsim v2" stream (sorted by node id, so the bytes are
   // stable), and an ADR-enabled run must resume bit-exactly.
   ScenarioConfig c = city(16, 4, 1);
   c.adr_enabled = true;
@@ -310,6 +310,20 @@ TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {
   std::stringstream garbage{"not a checkpoint\n"};
   ShardedNetwork fresh{c};
   EXPECT_THROW(fresh.restore(garbage), std::runtime_error);
+
+  // A stream of the previous format version is refused at its magic line.
+  std::string v1 = stream.str();
+  v1.replace(0, v1.find('\n'), "blamsim v1");
+  std::istringstream old_format{v1};
+  ShardedNetwork fresh_again{c};
+  try {
+    fresh_again.restore(old_format);
+    FAIL() << "a blamsim v1 stream must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "restore: not a \"blamsim v2\" checkpoint stream (\"blamsim v1\" is not supported "
+              "by this build)");
+  }
 }
 
 TEST(ShardEngineCheckpoint, RollingCheckpointFileResumes) {

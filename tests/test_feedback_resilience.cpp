@@ -8,9 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
+#include "common/state_codec.hpp"
 #include "core/degradation_service.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/gilbert_elliott.hpp"
@@ -223,9 +225,11 @@ TEST(FeedbackResilience, CheckpointRestoreIsBitExactMidReassembly) {
   deliver(original, 2, 13, reports);  // held again, across the checkpoint
 
   std::stringstream saved;
-  original.checkpoint(saved);
+  StateWriter writer{saved};
+  original.checkpoint_state(writer);
   DegradationService restored{DegradationModel{}, 25.0};
-  restored.restore(saved);
+  StateReader reader{saved};
+  restored.restore_state(reader);
 
   EXPECT_EQ(restored.node_count(), original.node_count());
   EXPECT_EQ(restored.max_degradation(), original.max_degradation());
@@ -259,25 +263,35 @@ TEST(FeedbackResilience, RestoreRejectsCorruptOrTruncatedCheckpoints) {
   for (std::size_t i = 0; i < reports.size(); ++i) deliver(svc, 1, i, reports);
   svc.recompute(Time::from_days(10.0));
   std::stringstream saved;
-  svc.checkpoint(saved);
+  StateWriter writer{saved};
+  svc.checkpoint_state(writer);
   const std::string text = saved.str();
+  const auto restore_error = [](const std::string& stream) -> std::string {
+    std::istringstream in{stream};
+    StateReader reader{in};
+    DegradationService victim{DegradationModel{}, 25.0};
+    try {
+      victim.restore_state(reader);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ASSERT_EQ(restore_error(text), "");
 
-  // Flip one hex digit inside the body: the FNV trailer must catch it.
+  // Flip one hex digit of a double (D_max): the section hash must catch it.
   std::string corrupt = text;
-  const std::size_t pos = corrupt.find("node 1");
+  const std::size_t pos = corrupt.find("\nd ");
   ASSERT_NE(pos, std::string::npos);
-  corrupt[pos + 5] = '2';
-  std::stringstream bad{corrupt};
-  DegradationService victim{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim.restore(bad), std::runtime_error);
+  corrupt[pos + 5] = corrupt[pos + 5] == '0' ? '1' : '0';
+  EXPECT_EQ(restore_error(corrupt).rfind("state codec: checksum mismatch in section 'ledger'", 0),
+            0u);
 
-  std::stringstream truncated{text.substr(0, text.size() / 2)};
-  DegradationService victim2{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim2.restore(truncated), std::runtime_error);
+  EXPECT_EQ(restore_error(text.substr(0, text.size() / 2)),
+            "state codec: unexpected end of checkpoint in section 'ledger'");
 
-  std::stringstream wrong_magic{"blamledger v9\n"};
-  DegradationService victim3{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim3.restore(wrong_magic), std::runtime_error);
+  EXPECT_EQ(restore_error("blamledger v9\n"),
+            "state codec: expected 'section ledger', got 'blamledger v9'");
 }
 
 TEST(FeedbackResilience, LegacyIngestRejectsGarbageSamples) {

@@ -1,6 +1,6 @@
-// "blamsim v1" token codec: exact round-trips at the extremes of every token
-// type, one golden byte string that pins the layout, and the reader's named
-// errors for damaged input.
+// State codec tokens: exact round-trips at the extremes of every token type,
+// one golden byte string that pins the layout, and the reader's named errors
+// for damaged input.
 #include "common/state_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@ std::string encode(const std::function<void(StateWriter&)>& body) {
 TEST(StateCodec, RoundTripsEveryTokenAtItsExtremes) {
   const double nan_payload = std::bit_cast<double>(std::uint64_t{0x7ff8'dead'beef'0001});
   const double denormal = std::numeric_limits<double>::denorm_min();
-  const std::string tricky_blob = "line one\nsection x\nend 0\n\n";
   const std::string text = encode([&](StateWriter& w) {
     w.begin_section("extremes");
     w.put_u64(std::numeric_limits<std::uint64_t>::max());
@@ -40,8 +39,6 @@ TEST(StateCodec, RoundTripsEveryTokenAtItsExtremes) {
     w.put_double(std::numeric_limits<double>::infinity());
     w.put_string("");
     w.put_string("spaces  and\ttabs ");
-    w.put_blob(tricky_blob);
-    w.put_blob("");
     w.end_section();
     w.begin_section("second");
     w.put_u64(7);
@@ -64,8 +61,7 @@ TEST(StateCodec, RoundTripsEveryTokenAtItsExtremes) {
   EXPECT_EQ(r.get_double(), std::numeric_limits<double>::infinity());
   EXPECT_EQ(r.get_string(), "");
   EXPECT_EQ(r.get_string(), "spaces  and\ttabs ");
-  EXPECT_EQ(r.get_blob(), tricky_blob);
-  EXPECT_EQ(r.get_blob(), "");
+  EXPECT_TRUE(r.at_section_end());
   r.end_section();
   r.begin_section("second");
   EXPECT_EQ(r.get_u64(), 7u);
@@ -80,7 +76,6 @@ TEST(StateCodec, GoldenLayout) {
     w.put_i64(-7);
     w.put_double(1.0);
     w.put_string("hi there");
-    w.put_blob("a\nb");
     w.end_section();
     w.begin_section("empty");
     w.end_section();
@@ -93,9 +88,7 @@ TEST(StateCodec, GoldenLayout) {
             "i -7\n"
             "d 3ff0000000000000\n"
             "s hi there\n"
-            "blob 3\n"
-            "a\nb\n"
-            "end 361585c90b4b9cdf\n"
+            "end e92437063cf25670\n"
             "section empty\n"
             "end cbf29ce484222325\n");
 }
@@ -107,7 +100,6 @@ std::string sample() {
     w.put_u64(5);
     w.put_i64(-5);
     w.put_double(0.5);
-    w.put_blob("xyz");
     w.end_section();
   });
 }
@@ -121,7 +113,6 @@ std::string read_error(const std::string& text) {
     (void)r.get_u64();
     (void)r.get_i64();
     (void)r.get_double();
-    (void)r.get_blob();
     r.end_section();
   } catch (const std::runtime_error& e) {
     return e.what();
@@ -163,12 +154,8 @@ TEST(StateCodec, ReaderNamesEachDamage) {
       {"i64 trailing text", replaced(good, "i -5", "i -5 "), "state codec: malformed i64 '-5 '"},
       {"i64 overflow", replaced(good, "i -5", "i 9223372036854775808"),
        "state codec: malformed i64 '9223372036854775808'"},
-      {"malformed blob header", replaced(good, "blob 3", "blob three"),
-       "state codec: malformed blob header 'three'"},
-      {"short blob", good.substr(0, good.find("xyz") + 2),
-       "state codec: truncated blob in section 'sample'"},
-      {"blob missing terminator", replaced(good, "xyz\n", "xyzw"),
-       "state codec: blob missing terminator in section 'sample'"},
+      {"extra value", replaced(good, "\nend ", "\nu 1\nend "),
+       "state codec: expected section trailer in 'sample', got 'u 1'"},
       {"missing trailer", replaced(good, "end ", "fin "),
        "state codec: expected section trailer in 'sample', got 'fin "},
       {"malformed trailer", replaced(good, "\nend ", "\nend 0"), "state codec: malformed hex16 '0"},
@@ -184,7 +171,7 @@ TEST(StateCodec, WriterRejectsMisuse) {
   std::ostringstream out;
   StateWriter w{out};
   EXPECT_THROW(w.put_u64(1), std::logic_error);
-  EXPECT_THROW(w.put_blob("x"), std::logic_error);
+  EXPECT_THROW(w.put_string("x"), std::logic_error);
   EXPECT_THROW(w.end_section(), std::logic_error);
   w.begin_section("outer");
   EXPECT_THROW(w.begin_section("inner"), std::logic_error);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,7 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "net/experiment.hpp"
+#include "net/scenario_io.hpp"
+#include "state_stream_edit.hpp"
 
 namespace blam {
 namespace {
@@ -255,9 +259,33 @@ TEST(SweepRunnerTest, LifespanCodecRoundTripsBitForBit) {
     EXPECT_EQ(bits(back.max_degradation_series[i]), bits(result.max_degradation_series[i]));
   }
 
-  EXPECT_THROW(deserialize_lifespan_result("not a payload"), std::runtime_error);
-  EXPECT_THROW(deserialize_lifespan_result("L1 1 5 5 2 0000000000000000"),
-               std::runtime_error);  // truncated word list
+  // Every damaged payload ends in a named std::runtime_error, never in the
+  // std::invalid_argument / std::out_of_range a std::stoull parser throws.
+  const std::string good = serialize_lifespan_result(result);
+  const std::string unsealed_reached = [&] {
+    std::string text = good;
+    const std::size_t at = text.find("\nu 1\n");
+    return text.replace(at, 5, "\nu 2\n");
+  }();
+  const std::vector<std::string> damaged = {
+      "not a payload",
+      "L1 1 5 5 2 0000000000000000",          // old payload, truncated word list
+      "L1 1 5 5 1 zz",                        // old payload, non-hex word
+      "L1 1 5 5 1 00000000000000000000",      // old payload, over-long hex word
+      good.substr(0, good.size() - 3),        // cut inside the trailer
+      good + "section lifespan\n",            // trailing data
+      unsealed_reached,                       // hash mismatch
+      stream_edit::reseal(unsealed_reached),  // reached_eol is not 0/1
+  };
+  for (const std::string& payload : damaged) {
+    try {
+      (void)deserialize_lifespan_result(payload);
+      ADD_FAILURE() << "accepted: " << payload;
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wrong exception type for '" << payload << "': " << e.what();
+    }
+  }
 }
 
 TEST(SweepRunnerTest, ResumedLifespanGridIsBitIdenticalAtAnyJobCount) {
@@ -316,6 +344,78 @@ TEST(SweepRunnerTest, ResumedLifespanGridIsBitIdenticalAtAnyJobCount) {
         EXPECT_EQ(bits(resumed[i].max_degradation_series[k]),
                   bits(reference[i].max_degradation_series[k]));
       }
+    }
+  }
+  fs::remove(journal);
+}
+
+TEST(SweepRunnerTest, OlderJournalEntriesAreIgnoredAndTheirCellsRerun) {
+  // Journals written before lifespan payloads moved onto the state codec
+  // hold "L1" text payloads the current decoder cannot read. Their cells
+  // were keyed without the payload-format tag, so a resume must match none
+  // of them and rerun every cell instead of failing in the decoder.
+  namespace fs = std::filesystem;
+  const std::string journal =
+      (fs::temp_directory_path() /
+       ("blam_test_old_journal." + std::to_string(::getpid()) + ".journal"))
+          .string();
+  fs::remove(journal);
+
+  std::vector<ScenarioCell> cells;
+  const auto trace = build_shared_trace(lorawan_scenario(4, 21));
+  cells.push_back({lorawan_scenario(4, 21), trace});
+  cells.push_back({blam_scenario(4, 0.5, 21), trace});
+  const Time max_duration = Time::from_days(10.0);
+  const Time step = Time::from_days(5.0);
+  const std::vector<LifespanResult> reference =
+      run_lifespans(cells, max_duration, step, SweepOptions{});
+
+  // The older build's journal line: FNV-1a 64 from offset basis
+  // 1469598103934665603 over the untagged key and the "L1" payload. The
+  // same entries are also written under today's hash, so the key tag alone
+  // has to keep them out.
+  const auto hash_from = [](std::uint64_t basis, const std::string& text) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(text, basis)));
+    return std::string{hex};
+  };
+  const auto l1_payload = [](const LifespanResult& r) {
+    std::string text = "L1 " + std::to_string(r.reached_eol ? 1 : 0) + " " +
+                       std::to_string(r.lifespan.us()) + " " + std::to_string(r.series_step.us()) +
+                       " " + std::to_string(r.max_degradation_series.size());
+    for (const double v : r.max_degradation_series) {
+      char word[20];
+      std::snprintf(word, sizeof word, " %016llx", static_cast<unsigned long long>(bits(v)));
+      text += word;
+    }
+    return text + " " + r.label;
+  };
+  {
+    std::ofstream out{journal, std::ios::trunc};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const std::string key = "lifespans " + std::to_string(max_duration.us()) + " " +
+                              std::to_string(step.us()) + "\n" +
+                              describe_scenario(cells[i].config);
+      const std::string payload = l1_payload(reference[i]);
+      for (const std::uint64_t basis : {std::uint64_t{1469598103934665603ULL}, kFnv1a64Basis}) {
+        out << "v1 " << hash_from(basis, key) << ' ' << hash_from(basis, payload) << ' '
+            << payload << '\n';
+      }
+    }
+  }
+
+  CampaignOptions options;
+  options.sweep.jobs = 2;
+  options.quarantine_path.clear();
+  options.journal_path = journal;
+  for (int pass = 0; pass < 2; ++pass) {  // rerun, then resume what the rerun journaled
+    std::vector<LifespanResult> resumed;
+    ASSERT_NO_THROW(resumed = run_lifespans(cells, max_duration, step, options)) << pass;
+    ASSERT_EQ(resumed.size(), reference.size());
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+      SCOPED_TRACE("pass=" + std::to_string(pass) + " cell=" + std::to_string(i));
+      EXPECT_EQ(serialize_lifespan_result(resumed[i]), serialize_lifespan_result(reference[i]));
     }
   }
   fs::remove(journal);

@@ -8,8 +8,10 @@
 // tokenizer, then runs three project-wide rules:
 //
 //   K1  checkpoint coverage: every data member of every type reachable from
-//       the "blamsim v1" / "blamledger v1" serialization entry points must
-//       be written/restored through state_codec, or carry an explicit
+//       a state-codec serialization entry point (the "blamsim v2" engine
+//       checkpoint, the gateway ledger's `ledger` section, free
+//       StateWriter/StateReader functions) must be written/restored
+//       through state_codec, or carry an explicit
 //       `// blam-ckpt: skip -- <reason>` exemption on/above its declaration.
 //   S2  shard-state escape: mutable namespace-scope or function-local
 //       `static` state, non-const globals, and static data members in any
