@@ -6,15 +6,16 @@
 //
 //   $ ./fault_recovery [nodes] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/network.hpp"
 
 int main(int argc, char** argv) {
   using namespace blam;
 
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 20;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const example::Args args{argc, argv, "[nodes] [seed]", 2};
+  const int nodes = args.nodes(1, 20);
+  const std::uint64_t seed = args.seed(2, 7);
 
   ScenarioConfig c = blam_scenario(nodes, 0.5, seed);
   c.battery_days = 1.0;  // paper sizing: one day of autonomy

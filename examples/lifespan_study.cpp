@@ -6,16 +6,19 @@
 //
 //   $ ./lifespan_study [nodes] [aging-multiplier] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace blam;
 
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 30;
-  const double aging = argc > 2 ? std::atof(argv[2]) : 20.0;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2025;
+  const example::Args args{argc, argv, "[nodes] [aging-multiplier 0.01..1e6] [seed]", 3};
+  const int nodes = args.nodes(1, 30);
+  // The 30-year horizon shrinks by the multiplier: 0.01 keeps it at 3,000
+  // years, inside the simulator clock.
+  const double aging = args.number(2, 20.0, 0.01, 1e6);
+  const std::uint64_t seed = args.seed(3, 2025);
 
   std::printf("lifespan study: %d nodes, aging accelerated %.0fx, theta sweep\n", nodes, aging);
   std::printf("(lifespans below are re-scaled back to real time)\n\n");

@@ -4,16 +4,17 @@
 //
 //   $ ./quickstart [nodes] [days] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace blam;
 
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 50;
-  const double days = argc > 2 ? std::atof(argv[2]) : 7.0;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  const example::Args args{argc, argv, "[nodes] [days] [seed]", 3};
+  const int nodes = args.nodes(1, 50);
+  const double days = args.days(2, 7.0);
+  const std::uint64_t seed = args.seed(3, 42);
 
   std::printf("BLAM quickstart: %d nodes, %.1f days, seed %llu\n\n", nodes, days,
               static_cast<unsigned long long>(seed));

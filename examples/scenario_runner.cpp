@@ -7,10 +7,10 @@
 // Prints the scenario echo, the network summary, and writes per-node
 // metrics to <label>_nodes.csv.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/csv.hpp"
+#include "example_args.hpp"
 #include "net/experiment.hpp"
 #include "net/scenario_io.hpp"
 
@@ -43,10 +43,7 @@ chemistry = lmo               # lmo | nmc | lfp battery presets
 adaptive_theta = false        # closed-loop network-manager caps
 duty_cycle = 1.0              # 0.01 = EU 1% T_off rule
 confirmed = true              # false = fire-and-forget uplinks
-fast_fading = false           # Rayleigh per-transmission fades
 period_jitter = 0             # +/- fraction of the sampling period
-interference_tx_per_hour = 0  # foreign LoRa traffic
-packet_log = false            # per-packet event log (short runs only)
 ingest_batch = 1              # gateway ledger ingest watermark (any value, same bytes)
 shards = 1                    # collision-domain shards (any count, same bytes)
 interference_floor_dbm = -500 # audibility cutoff, must be <= -142.5 (SF12 sensitivity);
@@ -87,16 +84,13 @@ int main(int argc, char** argv) {
     std::fputs(kTemplate, stdout);
     return 0;
   }
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <config-file> [days]\n       %s --defaults\n", argv[0],
-                 argv[0]);
-    return 2;
-  }
+  const example::Args args{argc, argv, "<config-file> [days] | --defaults", 2};
+  if (argc < 2) args.usage();
+  const double days = args.days(2, 30.0);
 
   try {
     const ConfigFile file = ConfigFile::load(argv[1]);
     const ScenarioConfig config = scenario_from_config(file);
-    const double days = argc > 2 ? std::atof(argv[2]) : 30.0;
 
     std::fputs(describe_scenario(config).c_str(), stdout);
     std::printf("running %.1f simulated days ...\n\n", days);

@@ -6,16 +6,17 @@
 //
 //   $ ./smart_farm [nodes] [days] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace blam;
 
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 150;
-  const double days = argc > 2 ? std::atof(argv[2]) : 90.0;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2024;
+  const example::Args args{argc, argv, "[nodes] [days] [seed]", 3};
+  const int nodes = args.nodes(1, 150);
+  const double days = args.days(2, 90.0);
+  const std::uint64_t seed = args.seed(3, 2024);
 
   auto farm_config = [&](PolicyKind policy, double theta) {
     ScenarioConfig c;

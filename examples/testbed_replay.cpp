@@ -7,8 +7,8 @@
 //
 //   $ ./testbed_replay [day] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/network.hpp"
 
 namespace {
@@ -40,8 +40,9 @@ blam::ScenarioConfig testbed(blam::PolicyKind policy, double theta, std::uint64_
 int main(int argc, char** argv) {
   using namespace blam;
 
-  const int day = argc > 1 ? std::atoi(argv[1]) : 160;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const example::Args args{argc, argv, "[day 1..365] [seed]", 2};
+  const int day = static_cast<int>(args.number<std::int64_t>(1, 160, 1, 365));
+  const std::uint64_t seed = args.seed(2, 7);
 
   std::printf("testbed replay: 10 nodes, SF10, 1 channel, day %d of the solar year\n\n", day);
 

@@ -34,7 +34,6 @@ inline constexpr std::uint64_t kTopology = 0x7090;
 inline constexpr std::uint64_t kShadowing = 0x5ad0;
 inline constexpr std::uint64_t kTraffic = 0x7aff1c;
 inline constexpr std::uint64_t kFaultPlan = 0xfa17;
-inline constexpr std::uint64_t kInterferer = 0xa11e4;
 /// Per-node streams are `fork(kNodeStreamBase + node index)`.
 inline constexpr std::uint64_t kNodeStreamBase = 0x0de;
 

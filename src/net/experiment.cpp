@@ -168,9 +168,11 @@ std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells
 
 namespace {
 
-/// Campaign identity for a cell: the full human-readable scenario dump plus
-/// everything else the result depends on. Any config/seed/duration change
-/// changes the key, so a stale journal can never be replayed into it.
+/// Campaign identity for a cell: the human-readable scenario dump plus the
+/// run kind and durations. A change to any field describe_scenario prints
+/// (seed and duration included) changes the key, so a stale journal is
+/// never replayed into it; a field it does not print must be added there
+/// before a journaled grid varies it.
 std::vector<CampaignCell> campaign_cells(const std::vector<ScenarioCell>& cells,
                                          const std::string& run_kind, Time a, Time b) {
   std::vector<CampaignCell> out;

@@ -150,12 +150,6 @@ void Gateway::finish_reception(std::uint32_t rx_slot) {
   rx_free_.push_back(rx_slot);
 }
 
-void Gateway::inject_interference(AirPacket packet) {
-  packet.id = next_packet_id_++;
-  interference_.add(packet);
-  interference_.prune(sim_.now());
-}
-
 void Gateway::send_ack(Node& node, const UplinkFrame& frame, Time uplink_end, SpreadingFactor sf,
                        int channel, std::optional<double> theta_update) {
   GatewayMetrics& gm = metrics_.gateway();

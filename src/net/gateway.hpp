@@ -72,10 +72,6 @@ class Gateway {
   void on_uplink(Node& node, const UplinkFrame& frame, const TxParams& params, int channel,
                  double rx_power_dbm);
 
-  /// Injects a foreign (never-decoded) transmission into the interference
-  /// tracker: it can destroy receptions but is invisible otherwise.
-  void inject_interference(AirPacket packet);
-
   /// Called by the network server after it has chosen this gateway as the
   /// downlink for a decoded frame: builds the ACK (w_u, ADR), books the TX
   /// chain, and delivers to the node if the link budget closes.

@@ -193,13 +193,6 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     }
   }
 
-  if (config_.packet_log) packet_log_ = std::make_unique<PacketLog>();
-  if (config_.interference.tx_per_hour > 0.0) {
-    interferer_ = std::make_unique<ExternalInterferer>(sim_, gateways_, plan_,
-                                                       config_.interference,
-                                                       root.fork(salt::kInterferer));
-  }
-
   // Construction order — server first (its dissemination tick is the
   // earliest scheduled event), then gateways, then nodes in ascending global
   // id — makes a slice's event order the whole-fleet order's projection onto
@@ -226,7 +219,6 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
                                             model_, *thermal_, *utility_,
                                             metrics_.node(nodes_.size()), node_scratch_,
                                             root.fork(salt::kNodeStreamBase + id)));
-    nodes_.back()->attach_packet_log(packet_log_.get());
     nodes_.back()->attach_auditor(audit_.get());
     if (faults_ != nullptr) nodes_.back()->attach_fault_plan(faults_.get());
     nodes_.back()->start();
@@ -271,17 +263,10 @@ void Network::finalize_metrics() {
 }
 
 void Network::assert_checkpointable() const {
-  // Each of these carries state (RNG draws, pending events, or history) the
-  // engine checkpoint does not cover; resuming such a run would silently
-  // diverge, so refuse loudly instead.
+  // The auditor carries history the engine checkpoint does not cover;
+  // resuming such a run would silently diverge, so refuse loudly instead.
   if (audit_ != nullptr) {
     throw std::runtime_error{"checkpoint: auditor state is not serialized (disable BLAM_AUDIT)"};
-  }
-  if (packet_log_ != nullptr) {
-    throw std::runtime_error{"checkpoint: packet log is not serialized"};
-  }
-  if (interferer_ != nullptr) {
-    throw std::runtime_error{"checkpoint: external interferer is not serialized"};
   }
   // ADR history is covered: NetworkServer::checkpoint_state serializes the
   // per-node SNR windows, so ADR-enabled runs checkpoint and resume exactly.

@@ -18,9 +18,7 @@
 #include "net/deployment_plan.hpp"
 #include "net/gateway.hpp"
 #include "net/metrics.hpp"
-#include "net/interferer.hpp"
 #include "net/network_server.hpp"
-#include "net/packet_log.hpp"
 #include "net/node.hpp"
 #include "net/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -51,8 +49,7 @@ class Network {
   /// gateway ids stay global (metrics rows, RNG forks and fault streams are
   /// keyed by them); local indices follow the slice's ascending order.
   /// `combiner` (may be null) folds the local D_max into the fleet max at
-  /// each w_u recompute. Audit, the external interferer and the packet log
-  /// assume a whole-fleet slice.
+  /// each w_u recompute. Audit assumes a whole-fleet slice.
   Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
           std::shared_ptr<const SolarTrace> trace, FleetMaxCombiner* combiner,
           const NetworkSlice& slice);
@@ -79,8 +76,6 @@ class Network {
   [[nodiscard]] const std::vector<std::unique_ptr<Gateway>>& gateways() const {
     return gateways_;
   }
-  /// Non-null only when ScenarioConfig::packet_log is set.
-  [[nodiscard]] const PacketLog* packet_log() const { return packet_log_.get(); }
   /// Non-null only when at least one fault source is configured.
   [[nodiscard]] const FaultPlan* fault_plan() const { return faults_.get(); }
   /// Non-null only when the effective audit level (ScenarioConfig::audit
@@ -93,8 +88,8 @@ class Network {
 
   /// Serializes the slice (clock, server, gateways, gateway counters,
   /// nodes, fault channels) at a quiescent instant — call only between
-  /// run_until calls. Throws std::runtime_error for configurations with
-  /// unserialized components (audit, packet log, external interferer).
+  /// run_until calls. Throws std::runtime_error for audited runs, whose
+  /// auditor state is not serialized.
   void checkpoint_state(StateWriter& w);
 
   /// Restores a checkpoint written by checkpoint_state into this freshly
@@ -130,10 +125,6 @@ class Network {
   std::unique_ptr<Auditor> audit_;
   std::unique_ptr<FaultPlan> faults_;
   std::vector<std::unique_ptr<Gateway>> gateways_;
-  // blam-ckpt: skip -- assert_checkpointable refuses runs with an external interferer
-  std::unique_ptr<ExternalInterferer> interferer_;
-  // blam-ckpt: skip -- observability; assert_checkpointable refuses packet-log runs
-  std::unique_ptr<PacketLog> packet_log_;
   // blam-ckpt: skip -- scratch shared by this slice's nodes, overwritten before every use
   Node::Scratch node_scratch_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -94,7 +94,6 @@ void Node::on_crash() {
     // The in-flight packet dies with the MCU (latency penalty, no history
     // update — the histogram it would update is being wiped anyway).
     ++metrics_->exhausted;
-    log_event(PacketEventKind::kExhausted, pending_.transmissions - 1);
     abort_packet(/*record_history=*/false);
   }
   // Volatile state is gone; everything below re-warms from boot defaults.
@@ -158,18 +157,6 @@ Energy Node::harvest_between(Time t0, Time t1) const {
   return faults_->scaled_harvest(harvester_, t0, t1);
 }
 
-void Node::log_event(PacketEventKind kind, int attempt) {
-  if (packet_log_ == nullptr) return;
-  PacketEvent event;
-  event.at = sim_->now();
-  event.node = id_;
-  event.seq = pending_.seq;
-  event.attempt = attempt;
-  event.window = pending_.window;
-  event.kind = kind;
-  packet_log_->record(event);
-}
-
 void Node::record_soc(Time t) {
   const double soc = battery_.soc();
   if (audit_ != nullptr) audit_->on_soc(id_, t, soc, switch_.soc_cap());
@@ -223,7 +210,6 @@ void Node::on_period_start() {
     ++metrics_->exhausted;
     if (config_->confirmed && pending_.transmissions > 0) ++consecutive_ackless_;
     if (faults_ != nullptr && faults_->gateway_out(now)) ++metrics_->lost_in_outage;
-    log_event(PacketEventKind::kExhausted, pending_.transmissions - 1);
     abort_packet(/*record_history=*/true);
   }
 
@@ -235,7 +221,6 @@ void Node::on_period_start() {
     metrics_->latency_s.add(period_.seconds());
     pending_ = Pending{};
     pending_.seq = next_seq_++;
-    log_event(PacketEventKind::kGenerated);
     return;
   }
 
@@ -287,8 +272,6 @@ void Node::on_period_start() {
     metrics_->latency_s.add(period_.seconds());
     pending_ = Pending{};
     pending_.seq = next_seq_++;
-    log_event(PacketEventKind::kGenerated);
-    log_event(PacketEventKind::kPolicyDrop);
     return;
   }
 
@@ -298,7 +281,6 @@ void Node::on_period_start() {
   pending_.generated_at = now;
   pending_.window = decision.window;
   metrics_->count_window(decision.window);
-  log_event(PacketEventKind::kGenerated);
 
   // Transmission time inside the window: LoRaWAN sends immediately (pure
   // ALOHA); the proposed MAC randomizes within the window to decluster
@@ -357,10 +339,8 @@ void Node::start_attempt() {
   // regulator (counted as a duty defer + exhausted).
   if (!duty_cycle_.can_transmit(now)) {
     ++metrics_->duty_defers;
-    log_event(PacketEventKind::kDutyDefer, pending_.transmissions);
     if (duty_cycle_.next_allowed() >= pending_.generated_at + period_) {
       ++metrics_->exhausted;
-      log_event(PacketEventKind::kExhausted, pending_.transmissions - 1);
       abort_packet(/*record_history=*/false);
       return;
     }
@@ -384,7 +364,6 @@ void Node::start_attempt() {
     // The radio browned out mid-attempt: the energy is gone and the packet
     // is lost. Algorithm 1 makes this rare; LoRaWAN hits it at night.
     ++metrics_->brownouts;
-    log_event(PacketEventKind::kBrownout, pending_.transmissions);
     abort_packet(/*record_history=*/false);
     return;
   }
@@ -392,7 +371,6 @@ void Node::start_attempt() {
   ++pending_.transmissions;
   ++metrics_->tx_attempts;
   if (pending_.transmissions > 1) ++metrics_->retx;
-  log_event(PacketEventKind::kTxStart, pending_.transmissions - 1);
   if (audit_ != nullptr) {
     audit_->on_transmission(id_, now, timing_.time_on_air(params), config_->duty_cycle);
   }
@@ -401,16 +379,11 @@ void Node::start_attempt() {
   metrics_->tx_energy += radiated;
   pending_.spent += radiated;
 
-  // Every gateway hears the transmission at its own receive power; with
-  // fast fading enabled each copy gets an independent Rayleigh power fade
-  // (10*log10 of a unit-mean exponential).
+  // Every gateway hears the transmission at its own receive power.
   const int channel = plan_->random_uplink_channel(rng_);
   for (const auto& gateway : *gateways_) {
-    double rx_dbm =
+    const double rx_dbm =
         tx_params_.tx_power_dbm - link_losses_db_[static_cast<std::size_t>(gateway->id())];
-    if (config_->fast_fading) {
-      rx_dbm += 10.0 * std::log10(rng_.exponential(1.0));
-    }
     gateway->on_uplink(*this, frame, params, channel, rx_dbm);
   }
 
@@ -439,7 +412,6 @@ void Node::on_ack_timeout() {
     ++metrics_->exhausted;
     if (config_->confirmed) ++consecutive_ackless_;
     if (faults_ != nullptr && faults_->gateway_out(sim_->now())) ++metrics_->lost_in_outage;
-    log_event(PacketEventKind::kExhausted, pending_.transmissions - 1);
     abort_packet(/*record_history=*/true);
     return;
   }
@@ -469,7 +441,6 @@ void Node::receive_ack(const AckFrame& ack, Time ack_end) {
   last_delivery_at_ = ack_end;
 
   ++metrics_->delivered;
-  log_event(PacketEventKind::kDelivered, pending_.transmissions - 1);
   const double latency = (ack_end - pending_.generated_at).seconds();
   metrics_->latency_s.add(latency);
   metrics_->delivered_latency_s.add(latency);

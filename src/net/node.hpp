@@ -45,7 +45,6 @@
 #include "mac/duty_cycle.hpp"
 #include "mac/frame.hpp"
 #include "net/metrics.hpp"
-#include "net/packet_log.hpp"
 #include "net/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -88,10 +87,6 @@ class Node {
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
-
-  /// Attaches the optional packet-event log (nullptr = disabled). Call
-  /// before start().
-  void attach_packet_log(PacketLog* log) { packet_log_ = log; }
 
   /// Attaches the invariant auditor (nullptr = disabled): every power-switch
   /// flow, storage loss, SoC sample, fade update, transmission and accepted
@@ -184,7 +179,6 @@ class Node {
   [[nodiscard]] Time attempt_span(const TxParams& params) const;
 
   void record_soc(Time t);
-  void log_event(PacketEventKind kind, int attempt = -1);
   void update_capacity_fade(Time now);
   /// Applies a server ADR command: new SF / TX power, refreshed energy
   /// constants (the EWMA then converges to the new per-attempt cost).
@@ -224,8 +218,6 @@ class Node {
   NodeMetrics* metrics_;
   // blam-ckpt: skip -- wiring; the slice's shared scratch, overwritten before every use
   Scratch* scratch_;
-  // blam-ckpt: skip -- observability wiring; packet-log runs refuse checkpoints
-  PacketLog* packet_log_{nullptr};
   // blam-ckpt: skip -- wiring; fault-plan state rides in the engine slice's faults section
   const FaultPlan* faults_{nullptr};
   // blam-ckpt: skip -- observability wiring; audited runs refuse checkpoints

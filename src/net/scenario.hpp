@@ -18,7 +18,6 @@
 #include "energy/solar.hpp"
 #include "energy/thermal.hpp"
 #include "fault/fault_plan.hpp"
-#include "net/interferer_config.hpp"
 #include "lora/link.hpp"
 #include "lora/params.hpp"
 #include "mac/adr.hpp"
@@ -129,12 +128,6 @@ struct ScenarioConfig {
   /// half-duplex gateway the way large confirmed-traffic deployments do.
   double rx1_bandwidth_hz{125e3};
   PathLossModel path_loss{};
-  /// Foreign (uncoordinated) LoRa traffic sharing the band.
-  InterfererConfig interference{};
-  /// Rayleigh block fading: each transmission at each gateway gets an
-  /// independent power fade on top of the frozen shadowing. Off by default
-  /// (the NS-3 scenario the paper uses has no fast fading either).
-  bool fast_fading{false};
   ClassATimings timings{};
   RadioEnergyModel radio{};
   /// Random retransmission backoff after the RX2 window closes.
@@ -211,8 +204,6 @@ struct ScenarioConfig {
   bool ack_failure_backoff{false};
 
   // --- Diagnostics ---------------------------------------------------------
-  /// Records every packet lifecycle event (memory-heavy; short runs only).
-  bool packet_log{false};
   /// Runtime invariant auditor (level 0 = off). The BLAM_AUDIT and
   /// BLAM_AUDIT_THROW environment variables override this at Network build
   /// time; see audit/audit.hpp.

@@ -31,6 +31,40 @@ SfAssignment sf_assignment_from_string(const std::string& s) {
                            "' (expected fixed|distance)"};
 }
 
+std::string describe_utility(const ScenarioConfig& c) {
+  std::ostringstream out;
+  switch (c.utility) {
+    case UtilityKind::kLinear:
+      out << "linear";
+      break;
+    case UtilityKind::kExponential:
+      out << "exponential (lambda " << c.utility_lambda << ")";
+      break;
+    case UtilityKind::kStep:
+      out << "step (deadline " << c.step_deadline << ", floor " << c.step_floor << ")";
+      break;
+  }
+  return out.str();
+}
+
+std::string describe_theta_control(const ScenarioConfig& c) {
+  if (!c.adaptive_theta) return "fixed";
+  const ThetaController::Config& t = c.theta_controller;
+  std::ostringstream out;
+  out << "adaptive, [" << t.theta_min << ", " << t.theta_max << "] from " << t.initial;
+  out << " step " << t.step << ", loss " << t.loss_lower << "/" << t.loss_raise;
+  out << " per " << t.window_packets << " packets";
+  return out.str();
+}
+
+std::string describe_degradation(const DegradationParams& d) {
+  std::ostringstream out;
+  out << "k1 " << d.k1 << ", k2 " << d.k2 << ", k3 " << d.k3 << ", k4 " << d.k4;
+  out << ", k5 " << d.k5 << ", k6 " << d.k6 << ", SEI " << d.alpha_sei << "/" << d.k_sei;
+  out << ", EoL " << d.eol_threshold;
+  return out.str();
+}
+
 }  // namespace
 
 ScenarioConfig scenario_from_config(const ConfigFile& file) {
@@ -81,16 +115,11 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.path_loss.shadowing_sigma_db =
       file.get_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
   c.adr_enabled = file.get_bool("adr", c.adr_enabled);
-  c.fast_fading = file.get_bool("fast_fading", c.fast_fading);
   c.duty_cycle = file.get_positive_double("duty_cycle", c.duty_cycle);
   c.period_jitter = file.get_non_negative_double("period_jitter", c.period_jitter);
   c.confirmed = file.get_bool("confirmed", c.confirmed);
   c.battery_self_discharge_per_month = file.get_non_negative_double(
       "battery_self_discharge_per_month", c.battery_self_discharge_per_month);
-  c.interference.tx_per_hour =
-      file.get_non_negative_double("interference_tx_per_hour", c.interference.tx_per_hour);
-  c.interference.min_rx_dbm = file.get_double("interference_min_dbm", c.interference.min_rx_dbm);
-  c.interference.max_rx_dbm = file.get_double("interference_max_dbm", c.interference.max_rx_dbm);
 
   c.battery_days = file.get_positive_double("battery_days", c.battery_days);
   c.initial_soc = file.get_non_negative_double("initial_soc", c.initial_soc);
@@ -170,7 +199,6 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.ack_failure_backoff = file.get_bool("ack_failure_backoff", c.ack_failure_backoff);
 
   c.adaptive_theta = file.get_bool("adaptive_theta", c.adaptive_theta);
-  c.packet_log = file.get_bool("packet_log", c.packet_log);
   c.audit.level = static_cast<int>(file.get_int("audit_level", c.audit.level));
   if (c.audit.level < 0 || c.audit.level > 2) {
     throw std::runtime_error{"scenario: audit_level must be 0, 1 or 2 (got " +
@@ -201,6 +229,8 @@ std::string describe_scenario(const ScenarioConfig& c) {
   out << "label              = " << c.label << "\n"
       << "policy             = " << c.policy_label() << " (theta " << c.theta << ", w_b " << c.w_b
       << ")\n"
+      << "utility            = " << describe_utility(c) << "\n"
+      << "theta control      = " << describe_theta_control(c) << "\n"
       << "nodes / gateways   = " << c.n_nodes << " / " << c.n_gateways << " over "
       << c.radius_m / 1000.0 << " km"
       << (c.gateway_grid_pitch_m > 0.0
@@ -220,6 +250,7 @@ std::string describe_scenario(const ScenarioConfig& c) {
               ? ", supercap " + std::to_string(c.supercap_tx_buffer) + " tx"
               : std::string{})
       << "\n"
+      << "degradation        = " << describe_degradation(c.degradation) << "\n"
       << "thermal            = "
       << (c.thermal.insulated ? "insulated " + std::to_string(c.temperature_c) + " C"
                               : "outdoor, mean " + std::to_string(c.thermal.mean_c) + " C")

@@ -99,11 +99,6 @@ std::string single_slice_reason(const ScenarioConfig& config, int requested) {
   if (audit_config_from_env(config.audit).level > 0) {
     return "audit enabled (global event-order hooks)";
   }
-  if (config.interference.tx_per_hour > 0.0) {
-    return "external interferer (one global arrival process)";
-  }
-  if (config.packet_log) return "packet log (global event ordering)";
-  if (config.fast_fading) return "fast fading (per-gateway draws from the node stream)";
   if (config.adr_enabled) return "adr (runtime tx-power changes could re-couple domains)";
   return {};
 }

@@ -75,10 +75,9 @@ struct ShardPlan {
 };
 
 /// Plans the shard decomposition. It only picks a slice count: one slice
-/// when requested <= 1, audit is enabled (global event-order hooks), an
-/// external interferer, packet log, fast fading (per-gateway draws) or ADR
-/// is configured, or the deployment is a single collision domain. Those
-/// features therefore only ever run on a whole-fleet slice. Fault injection
+/// when requested <= 1, audit is enabled (global event-order hooks), ADR is
+/// configured, or the deployment is a single collision domain. Audit and
+/// ADR therefore only ever run on a whole-fleet slice. Fault injection
 /// shards fine: every slice rebuilds the full FaultPlan from the same
 /// 0xfa17 fork, and each stream is keyed by the global gateway or node id,
 /// so a replica regenerates exactly the whole-fleet draws.

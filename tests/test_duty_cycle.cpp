@@ -73,25 +73,5 @@ TEST(DutyCycleNetwork, OnePercentIsTransparentAtLoraTraffic) {
   EXPECT_GT(r.summary.mean_prr, 0.9);
 }
 
-TEST(ExternalInterference, ForeignTrafficHurtsReception) {
-  ScenarioConfig quiet = lorawan_scenario(30, 15);
-  ScenarioConfig noisy = quiet;
-  noisy.interference.tx_per_hour = 20000.0;  // saturated band
-  noisy.interference.min_rx_dbm = -110.0;
-  noisy.interference.max_rx_dbm = -90.0;
-  const auto trace = build_shared_trace(quiet);
-  const ExperimentResult a = run_scenario(quiet, Time::from_days(1.0), trace);
-  const ExperimentResult b = run_scenario(noisy, Time::from_days(1.0), trace);
-  EXPECT_GT(b.gateway.lost_interference, a.gateway.lost_interference);
-  EXPECT_LT(b.summary.mean_prr, a.summary.mean_prr);
-}
-
-TEST(ExternalInterference, MildTrafficIsTolerated) {
-  ScenarioConfig c = lorawan_scenario(20, 16);
-  c.interference.tx_per_hour = 60.0;  // one alien packet a minute
-  const ExperimentResult r = run_scenario(c, Time::from_days(1.0));
-  EXPECT_GT(r.summary.mean_prr, 0.9);
-}
-
 }  // namespace
 }  // namespace blam

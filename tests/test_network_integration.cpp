@@ -189,21 +189,6 @@ TEST(NetworkIntegration, SharedTraceGivesIdenticalWeather) {
   EXPECT_EQ(&a.solar_trace(), &b.solar_trace());
 }
 
-TEST(NetworkIntegration, FastFadingCostsPackets) {
-  // Rayleigh fading adds deep per-transmission fades: on marginal links it
-  // causes extra losses (and retransmissions) versus the frozen-shadowing
-  // twin, while strong links shrug it off.
-  ScenarioConfig calm = small(PolicyKind::kLorawan, 1.0, 20);
-  calm.radius_m = 4500.0;  // SF10 at ~5 km is marginal
-  ScenarioConfig fading = calm;
-  fading.fast_fading = true;
-  const auto trace = build_shared_trace(calm);
-  const ExperimentResult a = run_scenario(calm, Time::from_days(2.0), trace);
-  const ExperimentResult b = run_scenario(fading, Time::from_days(2.0), trace);
-  EXPECT_GT(b.gateway.lost_under_sensitivity, a.gateway.lost_under_sensitivity);
-  EXPECT_GE(b.summary.mean_retx, a.summary.mean_retx);
-}
-
 TEST(NetworkIntegration, GreedyGreenSavesEnergyNotLifespan) {
   // The related-work contrast: the energy-aware baseline cuts TX energy vs
   // LoRaWAN but keeps (roughly) LoRaWAN's degradation, while H-50 cuts both.

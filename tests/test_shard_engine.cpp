@@ -206,21 +206,6 @@ TEST(ShardEnginePlanner, SerialFallbackConditions) {
   }
   {
     ScenarioConfig c = city(16, 4, 4);
-    c.interference.tx_per_hour = 10.0;
-    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
-  }
-  {
-    ScenarioConfig c = city(16, 4, 4);
-    c.packet_log = true;
-    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
-  }
-  {
-    ScenarioConfig c = city(16, 4, 4);
-    c.fast_fading = true;
-    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
-  }
-  {
-    ScenarioConfig c = city(16, 4, 4);
     c.adr_enabled = true;
     EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
   }
@@ -398,9 +383,6 @@ TEST(ShardEngineIdentity, SerialDelegateMatchesNetworkExactly) {
   const Case cases[] = {
       {"shards <= 1", [](ScenarioConfig& c) { c.shards = 1; }},
       {"audit", [](ScenarioConfig& c) { c.audit.level = 1; }},
-      {"interferer", [](ScenarioConfig& c) { c.interference.tx_per_hour = 10.0; }},
-      {"packet log", [](ScenarioConfig& c) { c.packet_log = true; }},
-      {"fast fading", [](ScenarioConfig& c) { c.fast_fading = true; }},
       {"adr", [](ScenarioConfig& c) { c.adr_enabled = true; }},
   };
   const Time duration = Time::from_days(1.0);

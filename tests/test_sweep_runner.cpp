@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -417,6 +418,51 @@ TEST(SweepRunnerTest, OlderJournalEntriesAreIgnoredAndTheirCellsRerun) {
       SCOPED_TRACE("pass=" + std::to_string(pass) + " cell=" + std::to_string(i));
       EXPECT_EQ(serialize_lifespan_result(resumed[i]), serialize_lifespan_result(reference[i]));
     }
+  }
+  fs::remove(journal);
+}
+
+TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
+  // The committed ablation grids vary chemistry, utility and theta control
+  // between cells that share every other field. A journal written by cell A
+  // must not resume cell B: B has to come out as a fresh, un-journaled B.
+  namespace fs = std::filesystem;
+  const std::string journal =
+      (fs::temp_directory_path() /
+       ("blam_test_cell_key." + std::to_string(::getpid()) + ".journal"))
+          .string();
+  const ScenarioConfig lmo = lorawan_scenario(4, 21);
+  ScenarioConfig nmc = lmo;
+  nmc.degradation = DegradationParams::nmc();
+  const ScenarioConfig linear = blam_scenario(4, 0.5, 21);
+  ScenarioConfig step_utility = linear;
+  step_utility.utility = UtilityKind::kStep;
+  step_utility.step_floor = 0.0;
+  ScenarioConfig adaptive = linear;
+  adaptive.adaptive_theta = true;
+  const std::vector<std::pair<ScenarioConfig, ScenarioConfig>> pairs = {
+      {lmo, nmc}, {linear, step_utility}, {linear, adaptive}};
+  const Time max_duration = Time::from_days(20.0);
+  const Time step = Time::from_days(5.0);
+  CampaignOptions options;
+  options.sweep.jobs = 1;
+  options.quarantine_path.clear();
+  options.journal_path = journal;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    SCOPED_TRACE("pair " + std::to_string(i));
+    const std::vector<ScenarioCell> cell_a{{pairs[i].first, nullptr}};
+    const std::vector<ScenarioCell> cell_b{{pairs[i].second, nullptr}};
+    const std::string fresh_a = serialize_lifespan_result(
+        run_lifespans(cell_a, max_duration, step, SweepOptions{}).at(0));
+    const std::string fresh_b = serialize_lifespan_result(
+        run_lifespans(cell_b, max_duration, step, SweepOptions{}).at(0));
+    ASSERT_NE(fresh_a, fresh_b) << "the varied field must change the result";
+
+    fs::remove(journal);
+    (void)run_lifespans(cell_a, max_duration, step, options);
+    ASSERT_TRUE(fs::exists(journal));
+    const LifespanResult resumed_b = run_lifespans(cell_b, max_duration, step, options).at(0);
+    EXPECT_EQ(serialize_lifespan_result(resumed_b), fresh_b);
   }
   fs::remove(journal);
 }
