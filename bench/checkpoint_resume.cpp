@@ -1,14 +1,16 @@
 // Crash-tolerant engine bench + CI kill-resume harness.
 //
-// Default (no arguments): measures the "blamsim v1" checkpoint pipeline on a
+// Default (no arguments): measures the "blamsim v3" checkpoint pipeline on a
 // faulted 4-shard deployment — write time, stream size, restore time — then
 // kills the run at mid-epoch, resumes a fresh engine from the checkpoint,
 // and verifies the resumed run's FINAL checkpoint stream is byte-identical
 // to an uninterrupted run's (the stream covers every clock, RNG, pending
 // event, ledger and metric, so stream equality is engine equality). Emits
-// BENCH_resume.json and exits nonzero on any divergence.
+// BENCH_resume.json and exits nonzero on any divergence. BLAM_SHARDS is
+// ignored here: the measurement is always on 4 shards.
 //
-// CI kill-resume legs (shared scenario, outputs under BLAM_OUT_DIR):
+// CI kill-resume legs (shared scenario, outputs under BLAM_OUT_DIR; they
+// honour BLAM_SHARDS, so the drill also runs on one slice):
 //   --fresh            run start to end, write resume_fleet.csv and
 //                      resume_final.state
 //   --abort-at-epoch N run with the rolling checkpoint armed
@@ -254,11 +256,6 @@ int run_bench() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A stray shard override would bend the fixed 4-shard scenario.
-  if (std::getenv("BLAM_SHARDS") != nullptr) {
-    std::printf("note: ignoring BLAM_SHARDS for the fixed 4-shard scenario\n");
-    unsetenv("BLAM_SHARDS");
-  }
   if (argc >= 2 && std::strcmp(argv[1], "--fresh") == 0) return run_fresh();
   if (argc >= 3 && std::strcmp(argv[1], "--abort-at-epoch") == 0) {
     const int epoch = std::atoi(argv[2]);
@@ -272,6 +269,11 @@ int main(int argc, char** argv) {
   if (argc >= 2) {
     std::fprintf(stderr, "usage: %s [--fresh | --abort-at-epoch N | --resume]\n", argv[0]);
     return 2;
+  }
+  // A stray shard override would bend the fixed 4-shard measurement.
+  if (std::getenv("BLAM_SHARDS") != nullptr) {
+    std::printf("note: ignoring BLAM_SHARDS for the fixed 4-shard scenario\n");
+    unsetenv("BLAM_SHARDS");
   }
   return run_bench();
 }

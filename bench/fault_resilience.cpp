@@ -318,7 +318,8 @@ int main() {
   StateWriter writer{checkpoint};
   survivor.checkpoint_state(writer);
   DegradationService restarted{feed_model, 25.0};
-  StateReader reader{checkpoint};
+  const std::string checkpoint_bytes = checkpoint.str();
+  StateReader reader{checkpoint_bytes};
   restarted.restore_state(reader);
   deliver_range(survivor, cut, shortest - 1);
   deliver_range(restarted, cut, shortest - 1);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <istream>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
@@ -132,16 +132,19 @@ void StateWriter::put_string(std::string_view value) {
   close_value(p);
 }
 
-StateReader::StateReader(std::istream& in) : in_{in} {}
-
 std::string_view StateReader::next_line() {
   // Every line the writer emits ends in a newline: a last line without one
   // is a cut-off stream, not a short token.
-  if (!std::getline(in_, line_) || in_.eof()) {
+  const char* begin = bytes_.data() + pos_;
+  const std::size_t left = bytes_.size() - pos_;
+  const void* eol = left == 0 ? nullptr : std::memchr(begin, '\n', left);
+  if (eol == nullptr) {
     throw std::runtime_error{"state codec: unexpected end of checkpoint in section '" + section_ +
                              "'"};
   }
-  return line_;
+  const auto length = static_cast<std::size_t>(static_cast<const char*>(eol) - begin);
+  pos_ += length + 1;
+  return {begin, length};
 }
 
 void StateReader::begin_section(std::string_view name) {
@@ -152,24 +155,25 @@ void StateReader::begin_section(std::string_view name) {
                              std::string{line} + "'"};
   }
   section_.assign(name);
-  hash_ = kFnv1a64Basis;
+  body_ = pos_;  // the section line itself is not hashed
 }
 
-bool StateReader::at_section_end() {
+bool StateReader::at_section_end() const {
   // Value lines start with a one-letter tag (u, i, d, s); only the trailer
   // starts with 'e'.
-  return in_.peek() == 'e';
+  return pos_ < bytes_.size() && bytes_[pos_] == 'e';
 }
 
 void StateReader::end_section() {
   constexpr std::string_view kTag = "end ";
+  const std::uint64_t hash = fnv1a64(bytes_.substr(body_, pos_ - body_));
   const std::string_view line = next_line();
   if (!line.starts_with(kTag)) {
     throw std::runtime_error{"state codec: expected section trailer in '" + section_ + "', got '" +
                              std::string{line} + "'"};
   }
   const std::uint64_t expected = parse_hex16(line.substr(kTag.size()));
-  if (expected != hash_) {
+  if (expected != hash) {
     throw std::runtime_error{"state codec: checksum mismatch in section '" + section_ +
                              "' (corrupted or truncated checkpoint)"};
   }
@@ -178,7 +182,6 @@ void StateReader::end_section() {
 
 std::string_view StateReader::expect(std::string_view tag) {
   const std::string_view line = next_line();
-  hash_ = fnv1a64("\n", fnv1a64(line, hash_));
   if (!line.starts_with(tag) || line.size() == tag.size() || line[tag.size()] != ' ') {
     throw std::runtime_error{"state codec: expected '" + std::string{tag} + " ...' in section '" +
                              section_ + "', got '" + std::string{line} + "'"};

@@ -22,11 +22,13 @@
 // instead of pre-sizing from the count, so a forged count runs into the end
 // of the section rather than into the allocator.
 //
-// Both ends are allocation-free per token: a checkpoint carries ~570 tokens
-// per node, so a per-value std::string would dominate the cost. The writer
-// formats each token in place into one reusable section buffer, folds the
-// FNV hash over it, and hands the bytes to the stream once per section, at
-// end_section. The reader reuses one line buffer and parses views into it.
+// Both ends are allocation-free per token: a checkpoint carries hundreds of
+// tokens per node, so a per-value std::string would dominate the cost. The
+// writer formats each token in place into one reusable section buffer, folds
+// the FNV hash over it, and hands the bytes to the stream once per section,
+// at end_section. The reader parses views straight out of one contiguous
+// byte range (split with memchr), so disjoint ranges of one buffer can be
+// read on separate threads.
 #pragma once
 
 #include <cstddef>
@@ -69,29 +71,37 @@ class StateWriter {
 
 class StateReader {
  public:
-  explicit StateReader(std::istream& in);
+  /// Reads `bytes`, which must outlive the reader.
+  explicit StateReader(std::string_view bytes) : bytes_{bytes} {}
+  /// A temporary would dangle: keep the bytes alive and pass a view.
+  explicit StateReader(std::string&&) = delete;
 
   /// Consumes `section <name>`; throws std::runtime_error on mismatch.
   void begin_section(std::string_view name);
   /// Consumes `end <fnv16hex>` and verifies the section hash.
   void end_section();
   /// True when the next line is the section trailer (no values left).
-  [[nodiscard]] bool at_section_end();
+  [[nodiscard]] bool at_section_end() const;
 
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int64_t get_i64();
   [[nodiscard]] double get_double();
   [[nodiscard]] std::string get_string();
 
+  /// True once every byte has been read.
+  [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
+  /// The bytes not read yet.
+  [[nodiscard]] std::string_view remaining() const { return bytes_.substr(pos_); }
+
  private:
-  /// The next line, without its newline; valid until the next call.
+  /// The next line, without its newline.
   [[nodiscard]] std::string_view next_line();
-  /// Hashes the next line and returns what follows `tag` and a space.
+  /// The next line's payload: what follows `tag` and a space.
   [[nodiscard]] std::string_view expect(std::string_view tag);
 
-  std::istream& in_;
-  std::string line_;
-  std::uint64_t hash_{0};
+  std::string_view bytes_;
+  std::size_t pos_{0};
+  std::size_t body_{0};  // the current section's hashed part starts here
   std::string section_;
 };
 

@@ -65,23 +65,19 @@ void RetxEstimator::reset() {
   std::ranges::fill(histogram_, 0);
 }
 
-bool RetxEstimator::restore_window(std::size_t t, std::span<const std::uint64_t> counts,
-                                   std::uint64_t selections, std::uint64_t retx_sum) {
+bool RetxEstimator::restore_count(std::size_t t, std::size_t r, std::uint64_t count) {
   check(t);
-  if (counts.size() != width()) return false;
-  // Overflow-checked: a damaged stream must not wrap its way into agreement.
-  std::uint64_t total = 0;
+  if (r >= width() || histogram_[t * width() + r] != 0) return false;
+  // Overflow-checked: a damaged stream must not wrap the totals around.
+  std::uint64_t selections = 0;
   std::uint64_t weighted = 0;
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    std::uint64_t term = 0;
-    if (__builtin_add_overflow(total, counts[r], &total) ||
-        __builtin_mul_overflow(counts[r], r, &term) ||
-        __builtin_add_overflow(weighted, term, &weighted)) {
-      return false;
-    }
+  std::uint64_t retx_sum = 0;
+  if (__builtin_add_overflow(selections_[t], count, &selections) ||
+      __builtin_mul_overflow(count, r, &weighted) ||
+      __builtin_add_overflow(retx_sum_[t], weighted, &retx_sum)) {
+    return false;
   }
-  if (total != selections || weighted != retx_sum) return false;
-  std::ranges::copy(counts, histogram_.begin() + static_cast<std::ptrdiff_t>(t * width()));
+  histogram_[t * width() + r] = count;
   selections_[t] = selections;
   retx_sum_[t] = retx_sum;
   return true;

@@ -52,12 +52,12 @@ class RetxEstimator {
   /// MCU state).
   void reset();
 
-  /// Installs checkpointed counters for window `t`. Returns false, leaving
-  /// the window untouched, unless `counts` has max_retx + 1 entries,
-  /// `selections` equals their sum and `retx_sum` equals the sum of
-  /// r * counts[r] — the totals record() keeps.
-  [[nodiscard]] bool restore_window(std::size_t t, std::span<const std::uint64_t> counts,
-                                    std::uint64_t selections, std::uint64_t retx_sum);
+  /// Installs a checkpointed count I_{r,t} into an empty bucket and adds it
+  /// to window `t`'s totals (S_t and the retx sum), the way `count` calls
+  /// to record() would. Returns false, leaving the estimator untouched, if
+  /// `r` > max_retx, the bucket already holds a count, or a total would
+  /// overflow.
+  [[nodiscard]] bool restore_count(std::size_t t, std::size_t r, std::uint64_t count);
 
  private:
   [[nodiscard]] std::size_t width() const { return static_cast<std::size_t>(max_retx_) + 1; }

@@ -119,8 +119,7 @@ std::string serialize_lifespan_result(const LifespanResult& r) {
 }
 
 LifespanResult deserialize_lifespan_result(const std::string& payload) {
-  std::istringstream in{payload};
-  StateReader r{in};
+  StateReader r{payload};
   r.begin_section("lifespan");
   LifespanResult result;
   result.label = r.get_string();
@@ -133,7 +132,7 @@ LifespanResult deserialize_lifespan_result(const std::string& payload) {
     result.max_degradation_series.push_back(r.get_double());
   }
   r.end_section();
-  if (in.peek() != std::char_traits<char>::eof()) {
+  if (!r.at_end()) {
     throw std::runtime_error{"deserialize_lifespan_result: trailing data after the payload"};
   }
   return result;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <span>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -519,13 +519,10 @@ void Node::checkpoint_state(StateWriter& w) const {
 
   w.put_double(etx_ewma_.raw_value());
   w.put_u64(etx_ewma_.initialized() ? 1 : 0);
+  // Histogram rows only: restore re-derives S_t and the retx sum from them.
   w.put_u64(retx_estimator_.max_windows());
   for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
-    const std::span<const std::uint64_t> counts = retx_estimator_.retx_counts(t);
-    w.put_u64(counts.size());
-    for (std::uint64_t count : counts) w.put_u64(count);
-    w.put_u64(retx_estimator_.selections(t));
-    w.put_u64(retx_estimator_.retx_sum(t));
+    write_sparse_row(w, retx_estimator_.retx_counts(t));
   }
   write_time(w, duty_cycle_.next_allowed());
 
@@ -564,8 +561,7 @@ void Node::checkpoint_state(StateWriter& w) const {
   w.put_double(m.utility_sum);
   write_stats(w, m.latency_s);
   write_stats(w, m.delivered_latency_s);
-  w.put_u64(m.window_counts.size());
-  for (std::uint32_t count : m.window_counts) w.put_u64(count);
+  write_sparse_row(w, m.window_counts);
   w.put_u64(m.crashes);
   w.put_u64(m.reboot_drops);
   w.put_u64(m.lost_in_outage);
@@ -621,18 +617,16 @@ void Node::restore_state(StateReader& r) {
   if (r.get_u64() != retx_estimator_.max_windows()) {
     throw std::runtime_error{"Node::restore_state: retx window count mismatch"};
   }
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(retx_estimator_.max_retx()) + 1);
+  retx_estimator_.reset();
+  const auto width = static_cast<std::size_t>(retx_estimator_.max_retx()) + 1;
   for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
-    if (r.get_u64() != counts.size()) {
-      throw std::runtime_error{"Node::restore_state: retx histogram width mismatch"};
-    }
-    for (std::uint64_t& count : counts) count = r.get_u64();
-    const std::uint64_t selections = r.get_u64();
-    const std::uint64_t retx_sum = r.get_u64();
-    if (!retx_estimator_.restore_window(t, counts, selections, retx_sum)) {
-      throw std::runtime_error{
-          "Node::restore_state: retx window totals disagree with its histogram"};
-    }
+    read_sparse_row(r, width, "Node::restore_state: retx histogram",
+                    [&](std::size_t retx, std::uint64_t count) {
+                      if (!retx_estimator_.restore_count(t, retx, count)) {
+                        throw std::runtime_error{
+                            "Node::restore_state: retx window totals overflow"};
+                      }
+                    });
   }
   duty_cycle_.restore_next_allowed(read_time(r));
 
@@ -672,10 +666,14 @@ void Node::restore_state(StateReader& r) {
   m.utility_sum = r.get_double();
   read_stats(r, m.latency_s);
   read_stats(r, m.delivered_latency_s);
-  if (r.get_u64() != m.window_counts.size()) {
-    throw std::runtime_error{"Node::restore_state: window histogram size mismatch"};
-  }
-  for (std::uint32_t& count : m.window_counts) count = static_cast<std::uint32_t>(r.get_u64());
+  std::ranges::fill(m.window_counts, 0);
+  read_sparse_row(r, m.window_counts.size(), "Node::restore_state: window histogram",
+                  [&](std::size_t window, std::uint64_t count) {
+                    if (count > std::numeric_limits<std::uint32_t>::max()) {
+                      throw std::runtime_error{"Node::restore_state: window count out of range"};
+                    }
+                    m.window_counts[window] = static_cast<std::uint32_t>(count);
+                  });
   m.crashes = r.get_u64();
   m.reboot_drops = r.get_u64();
   m.lost_in_outage = r.get_u64();

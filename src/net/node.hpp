@@ -121,6 +121,8 @@ class Node {
   }
   [[nodiscard]] Time period() const { return period_; }
   [[nodiscard]] int n_windows() const { return n_windows_; }
+  /// The per-window retransmission history (Eq. 14).
+  [[nodiscard]] const RetxEstimator& retx_estimator() const { return retx_estimator_; }
   [[nodiscard]] double w_u() const { return w_u_; }
   [[nodiscard]] const Battery& battery() const { return battery_; }
   [[nodiscard]] const Supercap* supercap() const {

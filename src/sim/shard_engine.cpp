@@ -11,6 +11,7 @@
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "audit/audit.hpp"
 #include "common/env_number.hpp"
@@ -358,6 +359,7 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
 ShardedNetwork::~ShardedNetwork() = default;
 
 void ShardedNetwork::run_until(Time until) {
+  refuse_after_failed_restore();
   if (until <= cursor_) return;
   // With checkpointing on, advance in slices that end exactly on checkpoint
   // boundaries (multiples of checkpoint_every_ dissemination epochs, in
@@ -460,6 +462,7 @@ double ShardedNetwork::max_degradation() const {
 }
 
 void ShardedNetwork::finalize_metrics() {
+  refuse_after_failed_restore();
   const std::uint64_t total_gateways = plan_.shard_of_gateway.size();
   GatewayMetrics& mg = merged_.gateway();
   mg = GatewayMetrics{};
@@ -565,32 +568,17 @@ double ShardedNetwork::max_shard_busy_seconds() const {
   return max_busy;
 }
 
-void ShardedNetwork::checkpoint(std::ostream& out) {
-  out << kCheckpointMagic << '\n';
-  StateWriter w{out};
-  // The meta section pins everything restore() cannot rebuild on its own:
-  // the scenario identity (seed, fleet size), the engine shape (slice
-  // boundaries differ between shard counts, so a stream only restores into
-  // the same shape), and the resume cursor.
-  w.begin_section("meta");
-  w.put_u64(config_.seed);
-  w.put_u64(static_cast<std::uint64_t>(config_.n_nodes));
-  w.put_u64(plan_.serial ? 1 : 0);
-  w.put_u64(static_cast<std::uint64_t>(plan_.effective));
-  write_time(w, cursor_);
-  w.end_section();
+namespace {
 
-  // Slices serialize concurrently, each through its own StateWriter (the
-  // writer hands the stream whole sections, so the bytes do not depend on
-  // how the stream is split). Slice 0 comes first in the stream, so it
-  // writes straight into `out` on the calling thread; every other slice
-  // fills its own buffer, appended in slice order after the join.
-  std::vector<std::ostringstream> buffers(slices_.size());
-  std::vector<std::exception_ptr> failures(slices_.size());
-  const auto serialize = [&](std::size_t s) {
+/// Runs `work(s)` for every slice index, slice 0 on the calling thread and
+/// the others on their own threads, then rethrows the lowest failed slice's
+/// exception once every thread has joined.
+template <typename Work>
+void for_each_slice_parallel(std::size_t slices, const Work& work) {
+  std::vector<std::exception_ptr> failures(slices);
+  const auto guarded = [&](std::size_t s) {
     try {
-      StateWriter slice_writer{s == 0 ? out : buffers[s]};
-      slices_[s]->checkpoint_state(slice_writer);
+      work(s);
     } catch (...) {
       failures[s] = std::current_exception();
     }
@@ -598,30 +586,99 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
   {
     // jthreads join on every exit path, so none is left joinable.
     std::vector<std::jthread> workers;
-    workers.reserve(slices_.size() - 1);
-    for (std::size_t s = 1; s < slices_.size(); ++s) workers.emplace_back(serialize, s);
-    serialize(0);
+    workers.reserve(slices - 1);
+    for (std::size_t s = 1; s < slices; ++s) workers.emplace_back(guarded, s);
+    guarded(0);
   }
   for (const std::exception_ptr& failure : failures) {
     if (failure != nullptr) std::rethrow_exception(failure);
   }
-  for (std::size_t s = 1; s < buffers.size(); ++s) {
-    const std::string_view bytes = buffers[s].view();
+}
+
+/// Every byte left in `in`. A stream that can seek (a file, a string
+/// stream) is read into one buffer allocated at its final size.
+std::string read_all(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(start);
+    if (in && end >= start) {
+      std::string bytes(static_cast<std::size_t>(end - start), '\0');
+      in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes.resize(static_cast<std::size_t>(in.gcount()));
+      return bytes;
+    }
+  }
+  in.clear();
+  std::ostringstream rest;
+  rest << in.rdbuf();
+  return std::move(rest).str();
+}
+
+}  // namespace
+
+void ShardedNetwork::refuse_after_failed_restore() const {
+  if (!failed_restore_.empty()) {
+    throw std::logic_error{"ShardedNetwork: a failed restore() left this engine part-restored (" +
+                           failed_restore_ + "); build a fresh engine"};
+  }
+}
+
+void ShardedNetwork::checkpoint(std::ostream& out) {
+  refuse_after_failed_restore();
+  // Every slice serializes concurrently into its own buffer, each through
+  // its own StateWriter (the writer hands the buffer whole sections, so the
+  // bytes do not depend on how the stream is split). The buffers' lengths
+  // become the meta section's offset table.
+  std::vector<std::ostringstream> buffers(slices_.size());
+  for_each_slice_parallel(slices_.size(), [&](std::size_t s) {
+    StateWriter slice_writer{buffers[s]};
+    slices_[s]->checkpoint_state(slice_writer);
+  });
+
+  out << kCheckpointMagic << '\n';
+  StateWriter w{out};
+  // The meta section pins everything restore() cannot rebuild on its own:
+  // the scenario identity (seed, fleet size), the engine shape (slice
+  // boundaries differ between shard counts, so a stream only restores into
+  // the same shape), the resume cursor, and where each slice's bytes end.
+  w.begin_section("meta");
+  w.put_u64(config_.seed);
+  w.put_u64(static_cast<std::uint64_t>(config_.n_nodes));
+  w.put_u64(plan_.serial ? 1 : 0);
+  w.put_u64(static_cast<std::uint64_t>(plan_.effective));
+  write_time(w, cursor_);
+  for (const std::ostringstream& buffer : buffers) w.put_u64(buffer.view().size());
+  w.end_section();
+  for (std::ostringstream& buffer : buffers) {
+    // Moved out and freed after the write, before the next append grows `out`.
+    const std::string bytes = std::move(buffer).str();
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    buffers[s] = std::ostringstream{};  // release before the next append grows `out`
   }
 }
 
 void ShardedNetwork::restore(std::istream& in) {
-  std::string magic;
-  std::getline(in, magic);
-  if (magic != kCheckpointMagic) {
+  refuse_after_failed_restore();
+  const std::string bytes = read_all(in);
+  try {
+    restore_bytes(bytes);
+  } catch (const std::exception& e) {
+    failed_restore_ = std::string{"\""} + e.what() + "\"";
+    throw;
+  }
+}
+
+void ShardedNetwork::restore_bytes(std::string_view bytes) {
+  const std::string_view magic = bytes.substr(0, bytes.find('\n'));
+  if (magic.size() == bytes.size() || magic != kCheckpointMagic) {
     throw std::runtime_error{
         "restore: not a \"" + std::string{kCheckpointMagic} + "\" checkpoint stream" +
-        (magic.starts_with("blamsim ") ? " (\"" + magic + "\" is not supported by this build)"
-                                       : "")};
+        (magic.starts_with("blamsim ") && magic.size() < bytes.size()
+             ? " (\"" + std::string{magic} + "\" is not supported by this build)"
+             : "")};
   }
-  StateReader r{in};
+  StateReader r{bytes.substr(magic.size() + 1)};
   r.begin_section("meta");
   if (r.get_u64() != config_.seed) {
     throw std::runtime_error{"restore: checkpoint seed does not match this scenario"};
@@ -635,8 +692,40 @@ void ShardedNetwork::restore(std::istream& in) {
         "restore: checkpoint engine shape (serial/shard count) does not match this run"};
   }
   const Time cursor = read_time(r);
+  std::vector<std::uint64_t> lengths(slices_.size());
+  for (std::uint64_t& length : lengths) length = r.get_u64();
   r.end_section();
-  for (const auto& slice : slices_) slice->restore_state(r);
+
+  // The offset table must tile the rest of the stream exactly, every slice
+  // non-empty (each starts with its clock section).
+  const std::string_view body = r.remaining();
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] == 0) {
+      throw std::runtime_error{"restore: checkpoint offset table gives slice " +
+                               std::to_string(s) + " no bytes"};
+    }
+    if (__builtin_add_overflow(total, lengths[s], &total) || total > body.size()) {
+      throw std::runtime_error{"restore: checkpoint offset table runs past the end of the stream"};
+    }
+  }
+  if (total != body.size()) {
+    throw std::runtime_error{"restore: checkpoint offset table covers " + std::to_string(total) +
+                             " of the " + std::to_string(body.size()) + " slice bytes"};
+  }
+
+  std::vector<std::string_view> ranges;
+  ranges.reserve(lengths.size());
+  for (std::size_t s = 0, at = 0; s < lengths.size(); at += lengths[s], ++s) {
+    ranges.push_back(body.substr(at, lengths[s]));
+  }
+  for_each_slice_parallel(slices_.size(), [&](std::size_t s) {
+    StateReader slice_reader{ranges[s]};
+    slices_[s]->restore_state(slice_reader);
+    if (!slice_reader.at_end()) {
+      throw std::runtime_error{"restore: trailing bytes after slice " + std::to_string(s)};
+    }
+  });
   cursor_ = cursor;
 }
 

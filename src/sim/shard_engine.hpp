@@ -31,6 +31,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -220,20 +221,27 @@ class ShardedNetwork {
   /// the throughput bench reports on core-starved hosts.
   [[nodiscard]] double max_shard_busy_seconds() const;
 
-  /// Serializes the full engine ("blamsim v2" stream: a meta section, then
-  /// every slice's Network::checkpoint_state, in slice order) at the
-  /// current cursor. Slices serialize in parallel, slice 0 on the calling
-  /// thread; the stream is byte-identical to writing them one after
-  /// another. Call only between run_until calls. Throws std::runtime_error
-  /// for uncheckpointable configurations; a slice's failure is rethrown
-  /// here (lowest slice first) once every worker has joined.
+  /// Serializes the full engine ("blamsim v3" stream: a meta section ending
+  /// in an offset table of per-slice byte lengths, then every slice's
+  /// Network::checkpoint_state, in slice order) at the current cursor.
+  /// Slices serialize in parallel into their own buffers, slice 0 on the
+  /// calling thread; the stream is byte-identical to writing them one
+  /// after another. Call only between run_until calls. Throws
+  /// std::runtime_error for uncheckpointable configurations; a slice's
+  /// failure is rethrown here (lowest slice first) once every worker has
+  /// joined.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint written by checkpoint() into this freshly built
   /// engine (same ScenarioConfig, not yet run). Subsequent run_until calls
-  /// continue bit-identically to the uninterrupted run. A stream from
-  /// another format version or scenario, or a damaged one, throws a named
-  /// std::runtime_error.
+  /// continue bit-identically to the uninterrupted run. The stream is read
+  /// into one buffer and every slice parses its own byte range in
+  /// parallel, slice 0 on the calling thread. A stream from another format
+  /// version or scenario, or a damaged one, throws a named
+  /// std::runtime_error (the lowest failed slice's, after every worker
+  /// has joined). A failed restore may leave some slices restored and
+  /// others fresh, so from then on run_until, checkpoint,
+  /// finalize_metrics and restore throw std::logic_error.
   void restore(std::istream& in);
 
   /// checkpoint() to `path` atomically (tmp + rename), so a crash mid-write
@@ -255,6 +263,10 @@ class ShardedNetwork {
   void advance(Time start, Time until);
   /// BLAM_CHECKPOINT_DIR/blamsim.ckpt — the rolling checkpoint file.
   [[nodiscard]] std::string checkpoint_file_path() const;
+  /// restore()'s work, over the whole stream read into memory.
+  void restore_bytes(std::string_view bytes);
+  /// Throws std::logic_error once a restore() has failed.
+  void refuse_after_failed_restore() const;
 
   // blam-ckpt: skip -- construction input; restore requires an engine freshly built from the same ScenarioConfig
   ScenarioConfig config_;
@@ -281,6 +293,10 @@ class ShardedNetwork {
   /// BLAM_CHECKPOINT_DIR: directory for the rolling checkpoint file.
   // blam-ckpt: skip -- env-resolved policy (BLAM_CHECKPOINT_DIR), re-read at construction
   std::string checkpoint_dir_;
+  /// The quoted message of the restore() that failed; empty while the
+  /// engine is usable.
+  // blam-ckpt: skip -- set only by a failed restore, after which the engine refuses to checkpoint
+  std::string failed_restore_;
 };
 
 }  // namespace blam

@@ -1,4 +1,4 @@
-// Crash-tolerant engine: "blamsim v2" checkpoint round-trips (serial and
+// Crash-tolerant engine: "blamsim v3" checkpoint round-trips (serial and
 // sharded, with fault injection), the rolling checkpoint file knobs, the
 // epoch-barrier watchdog, and the wedge kill chain. Test names carry
 // "ShardEngine" so the CI tsan leg's ctest regex selects this file too.
@@ -17,6 +17,7 @@
 #include "common/state_codec.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard_engine.hpp"
+#include "state_stream_edit.hpp"
 
 namespace blam {
 namespace {
@@ -117,7 +118,7 @@ TEST(ShardEngineCheckpoint, SerialRoundTripBitIdentical) {
 
 TEST(ShardEngineCheckpoint, AdrRoundTripBitIdentical) {
   // ADR runs used to refuse checkpointing; the per-node SNR windows are now
-  // part of the "blamsim v2" stream (sorted by node id, so the bytes are
+  // part of the "blamsim v3" stream (sorted by node id, so the bytes are
   // stable), and an ADR-enabled run must resume bit-exactly.
   ScenarioConfig c = city(16, 4, 1);
   c.adr_enabled = true;
@@ -222,68 +223,6 @@ TEST(ShardEngineCheckpoint, RefusingSliceThrowsOnTheCaller) {
   EXPECT_GT(engine.metrics().summarize().mean_prr, 0.0);
 }
 
-/// Offset of the `selections` line of the first retransmission-window
-/// group in `text` ("u 8", eight histogram counts, selections, retx_sum)
-/// whose totals agree and are nonzero; npos if there is none.
-std::size_t find_recorded_retx_window(const std::string& text) {
-  const auto read_u = [&](std::size_t& at, std::uint64_t& value) {
-    if (text.compare(at, 2, "u ") != 0) return false;
-    const std::size_t eol = text.find('\n', at);
-    value = std::stoull(text.substr(at + 2, eol - at - 2));
-    at = eol + 1;
-    return true;
-  };
-  const std::string group = "\nu 8\n";
-  for (std::size_t pos = text.find(group); pos != std::string::npos;
-       pos = text.find(group, pos + 1)) {
-    std::size_t at = pos + group.size();
-    std::uint64_t total = 0;
-    std::uint64_t weighted = 0;
-    bool ok = true;
-    for (std::uint64_t r = 0; r < 8 && ok; ++r) {
-      std::uint64_t count = 0;
-      ok = read_u(at, count);
-      total += count;
-      weighted += r * count;
-    }
-    const std::size_t selections_at = at;
-    std::uint64_t selections = 0;
-    std::uint64_t retx_sum = 0;
-    if (ok && read_u(at, selections) && read_u(at, retx_sum) && selections > 0 &&
-        selections == total && retx_sum == weighted) {
-      return selections_at;
-    }
-  }
-  return std::string::npos;
-}
-
-TEST(ShardEngineCheckpoint, InconsistentRetxTotalsRefuseRestore) {
-  // A node's retransmission histogram and its per-window totals travel
-  // separately; a stream where they disagree is rejected with a named error
-  // from Node::restore_state (before the section trailer is even checked).
-  const ScenarioConfig c = city(16, 4, 1);
-  ShardedNetwork original{c};
-  original.run_until(Time::from_days(1.0));
-  std::string text = checkpoint_text(original);
-
-  const std::size_t target = find_recorded_retx_window(text);
-  ASSERT_NE(target, std::string::npos) << "no recorded retransmission window in the stream";
-  const std::size_t eol = text.find('\n', target);
-  const std::uint64_t selections = std::stoull(text.substr(target + 2, eol - target - 2));
-  text.replace(target, eol - target, "u " + std::to_string(selections + 1));
-
-  std::istringstream in{text};
-  ShardedNetwork resumed{c};
-  try {
-    resumed.restore(in);
-    FAIL() << "inconsistent retx totals must be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("Node::restore_state: retx window totals"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {
   ScenarioConfig c = city(16, 4, 2);
   ShardedNetwork original{c};
@@ -311,18 +250,64 @@ TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {
   ShardedNetwork fresh{c};
   EXPECT_THROW(fresh.restore(garbage), std::runtime_error);
 
-  // A stream of the previous format version is refused at its magic line.
-  std::string v1 = stream.str();
-  v1.replace(0, v1.find('\n'), "blamsim v1");
-  std::istringstream old_format{v1};
-  ShardedNetwork fresh_again{c};
+  // Streams of earlier format versions are refused at their magic line, by
+  // name.
+  for (const std::string version : {"blamsim v1", "blamsim v2"}) {
+    std::string old = stream.str();
+    old.replace(0, old.find('\n'), version);
+    std::istringstream old_format{old};
+    const std::string expected =
+        "restore: not a \"blamsim v3\" checkpoint stream (\"" + version + "\" is not supported";
+    ShardedNetwork fresh_again{c};
+    try {
+      fresh_again.restore(old_format);
+      FAIL() << "a " << version << " stream must be refused";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, expected + " by this build)");
+    }
+  }
+}
+
+/// Expects `call` to throw std::logic_error naming the failed restore.
+template <typename Call>
+void expect_refused(const char* what, const Call& call) {
   try {
-    fresh_again.restore(old_format);
-    FAIL() << "a blamsim v1 stream must be refused";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string{e.what()},
-              "restore: not a \"blamsim v2\" checkpoint stream (\"blamsim v1\" is not supported "
-              "by this build)");
+    call();
+    ADD_FAILURE() << what << " ran on a part-restored engine";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("failed restore()"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ShardEngineCheckpoint, FailedRestoreRefusesToRun) {
+  // A restore that fails can leave some slices restored and others fresh;
+  // running on would be a silently wrong mix. Every later run_until,
+  // checkpoint, finalize_metrics and restore must refuse by name.
+  const ScenarioConfig c = city(800, 16, 4);
+  ShardedNetwork original{c};
+  ASSERT_EQ(original.plan().effective, 4);
+  original.run_until(Time::from_days(1.0));
+  const std::string text = checkpoint_text(original);
+
+  // A stream cut at 7/8 of its length, and one whose last slice alone is
+  // damaged (so the other three restore in parallel before it fails).
+  std::string damaged = text;
+  damaged.replace(damaged.rfind("section node\n") + 13, 0, "u 0\n");
+  damaged = stream_edit::reseal(damaged);
+  for (const std::string& bad : {text.substr(0, text.size() * 7 / 8), damaged}) {
+    ShardedNetwork resumed{c};
+    std::istringstream in{bad};
+    EXPECT_THROW(resumed.restore(in), std::runtime_error);
+    expect_refused("run_until", [&] { resumed.run_until(Time::from_days(2.0)); });
+    expect_refused("checkpoint", [&] {
+      std::ostringstream out;
+      resumed.checkpoint(out);
+    });
+    expect_refused("finalize_metrics", [&] { resumed.finalize_metrics(); });
+    expect_refused("restore", [&] {
+      std::istringstream again{text};
+      resumed.restore(again);
+    });
   }
 }
 

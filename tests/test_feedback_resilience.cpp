@@ -228,7 +228,8 @@ TEST(FeedbackResilience, CheckpointRestoreIsBitExactMidReassembly) {
   StateWriter writer{saved};
   original.checkpoint_state(writer);
   DegradationService restored{DegradationModel{}, 25.0};
-  StateReader reader{saved};
+  const std::string saved_bytes = saved.str();
+  StateReader reader{saved_bytes};
   restored.restore_state(reader);
 
   EXPECT_EQ(restored.node_count(), original.node_count());
@@ -267,8 +268,7 @@ TEST(FeedbackResilience, RestoreRejectsCorruptOrTruncatedCheckpoints) {
   svc.checkpoint_state(writer);
   const std::string text = saved.str();
   const auto restore_error = [](const std::string& stream) -> std::string {
-    std::istringstream in{stream};
-    StateReader reader{in};
+    StateReader reader{stream};
     DegradationService victim{DegradationModel{}, 25.0};
     try {
       victim.restore_state(reader);

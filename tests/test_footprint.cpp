@@ -1,17 +1,20 @@
-// Per-node heap footprint guard. A city slice is what large runs are made
-// of, so the heap a node costs there (Node itself, its estimators and
-// storage models, its share of the server's ledger and of the metrics) is
-// pinned against a ceiling 10% above the measured value: a change that
-// re-grows per-node state fails here rather than as RSS drift in a
-// benchmark. Measured as the change in glibc's in-use heap bytes
-// (mallinfo2), which the sanitizers' allocators do not feed.
+// Per-node footprint guards. A city slice is what large runs are made of,
+// so the heap a node costs there (Node itself, its estimators and storage
+// models, its share of the server's ledger and of the metrics) and the
+// checkpoint bytes it costs are each pinned against a ceiling 10% above the
+// measured value: a change that re-grows per-node state or re-densifies the
+// checkpoint fails here rather than as RSS drift in a benchmark. The heap is
+// measured as the change in glibc's in-use heap bytes (mallinfo2), which the
+// sanitizers' allocators do not feed; the stream length is exact everywhere.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <cstddef>
 #include <memory>
+#include <sstream>
 
 #include "net/experiment.hpp"
+#include "common/state_codec.hpp"
 #include "net/network.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -73,6 +76,22 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
   // The guard must measure something: a node is more than its Node object.
   EXPECT_GT(built, static_cast<double>(sizeof(Node)));
 #endif
+}
+
+// Measured on the same slice after one day: 1,932 B/node in "blamsim v3"
+// (sparse histogram rows). The dense "blamsim v2" rows cost 3,577 B/node.
+constexpr double kCheckpointCeiling = 2125.0;
+
+TEST(CheckpointBytes, CitySlicePerNode) {
+  const ScenarioConfig c = city_slice();
+  Network network{c, build_shared_trace(c)};
+  network.run_until(Time::from_days(1.0));
+  std::ostringstream out;
+  StateWriter w{out};
+  network.checkpoint_state(w);
+  const double per_node = static_cast<double>(out.view().size()) / kNodes;
+  RecordProperty("checkpoint_bytes_per_node", static_cast<int>(per_node));
+  EXPECT_LE(per_node, kCheckpointCeiling) << "checkpoint bytes per node after one day";
 }
 
 }  // namespace

@@ -158,8 +158,7 @@ std::string checkpoint_text(DegradationService& svc) {
 }
 
 void restore_text(DegradationService& svc, const std::string& text) {
-  std::istringstream in{text};
-  StateReader r{in};
+  StateReader r{text};
   svc.restore_state(r);
 }
 

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace blam {
 namespace {
@@ -83,9 +82,10 @@ TEST(RetxEstimator, CrowdedWindowCostsMore) {
 }
 
 TEST(RetxEstimator, FlatLayoutRoundTrip) {
-  // Every window's histogram and totals read back through the accessors the
-  // checkpoint writes, and restore_window installs them into a fresh
-  // estimator that then answers every query identically.
+  // Every window's histogram reads back through the accessor the checkpoint
+  // writes, and restore_count installs its nonzero buckets into a fresh
+  // estimator, which re-derives the totals and answers every query
+  // identically.
   RetxEstimator e{5, 3};
   const int retx[] = {0, 1, 3, 2, 0, 7, 1, 1};
   for (int i = 0; i < 40; ++i) e.record(static_cast<std::size_t>(i % 5), retx[i % 8]);
@@ -93,8 +93,12 @@ TEST(RetxEstimator, FlatLayoutRoundTrip) {
   RetxEstimator restored{5, 3};
   for (std::size_t t = 0; t < e.max_windows(); ++t) {
     ASSERT_EQ(e.retx_counts(t).size(), 4u);
-    const std::vector<std::uint64_t> counts(e.retx_counts(t).begin(), e.retx_counts(t).end());
-    ASSERT_TRUE(restored.restore_window(t, counts, e.selections(t), e.retx_sum(t)));
+    for (std::size_t r = 0; r < 4; ++r) {
+      const std::uint64_t count = e.retx_counts(t)[r];
+      if (count != 0) {
+        ASSERT_TRUE(restored.restore_count(t, r, count));
+      }
+    }
   }
   for (std::size_t t = 0; t < e.max_windows(); ++t) {
     EXPECT_EQ(restored.selections(t), e.selections(t));
@@ -127,8 +131,7 @@ TEST(RetxEstimator, NewAccessorsRejectOutOfRange) {
   RetxEstimator e{2};
   EXPECT_THROW((void)e.retx_sum(2), std::out_of_range);
   EXPECT_THROW((void)e.retx_counts(2), std::out_of_range);
-  const std::vector<std::uint64_t> zeros(8, 0);
-  EXPECT_THROW((void)e.restore_window(2, zeros, 0, 0), std::out_of_range);
+  EXPECT_THROW((void)e.restore_count(2, 0, 1), std::out_of_range);
 }
 
 TEST(RetxEstimator, ResetAfterRecordRestoresThePrior) {
@@ -148,24 +151,28 @@ TEST(RetxEstimator, ResetAfterRecordRestoresThePrior) {
   EXPECT_DOUBLE_EQ(e.expected_transmissions(2), 2.0);
 }
 
-TEST(RetxEstimator, RestoreRejectsInconsistentTotals) {
+TEST(RetxEstimator, RestoreCountRejectsBadBucketsAndOverflow) {
   RetxEstimator e{2, 3};
   e.record(0, 1);
   // Four selections costing 1 + 3 = 4 retransmissions.
-  const std::vector<std::uint64_t> counts{2, 1, 0, 1};
-  EXPECT_TRUE(e.restore_window(1, counts, 4, 4));
-  // selections != sum of counts; retx_sum != sum of r * counts[r]; width.
-  EXPECT_FALSE(e.restore_window(0, counts, 5, 4));
-  EXPECT_FALSE(e.restore_window(0, counts, 4, 3));
-  EXPECT_FALSE(e.restore_window(0, std::vector<std::uint64_t>{2, 1, 0}, 3, 1));
-  // Counts whose weighted sum wraps around 2^64 cannot fake agreement.
+  EXPECT_TRUE(e.restore_count(1, 0, 2));
+  EXPECT_TRUE(e.restore_count(1, 1, 1));
+  EXPECT_TRUE(e.restore_count(1, 3, 1));
+  EXPECT_EQ(e.selections(1), 4u);
+  EXPECT_EQ(e.retx_sum(1), 4u);
+  // A bucket past max_retx; a bucket that already holds a count.
+  EXPECT_FALSE(e.restore_count(0, 4, 1));
+  EXPECT_FALSE(e.restore_count(0, 1, 5));
+  // Counts whose weighted sum or selection total wraps around 2^64 cannot
+  // be installed.
   constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max() / 2 + 1;
-  const std::vector<std::uint64_t> wrapping{0, 0, kHuge, 0};
-  EXPECT_FALSE(e.restore_window(0, wrapping, kHuge, 0));
-  // A rejected window is left as it was.
+  EXPECT_FALSE(e.restore_count(0, 2, kHuge));
+  EXPECT_FALSE(e.restore_count(0, 0, std::numeric_limits<std::uint64_t>::max()));
+  // A rejected count leaves the window as it was.
   EXPECT_EQ(e.selections(0), 1u);
   EXPECT_EQ(e.retx_sum(0), 1u);
-  EXPECT_EQ(e.selections(1), 4u);
+  EXPECT_EQ(e.retx_counts(0)[2], 0u);
+  EXPECT_EQ(e.retx_counts(0)[0], 0u);
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ TEST(StateCodec, RoundTripsEveryTokenAtItsExtremes) {
     w.end_section();
   });
 
-  std::istringstream in{text};
-  StateReader r{in};
+  StateReader r{text};
   r.begin_section("extremes");
   EXPECT_EQ(r.get_u64(), std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(r.get_u64(), 0u);
@@ -66,7 +65,7 @@ TEST(StateCodec, RoundTripsEveryTokenAtItsExtremes) {
   r.begin_section("second");
   EXPECT_EQ(r.get_u64(), 7u);
   r.end_section();
-  EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(StateCodec, GoldenLayout) {
@@ -106,8 +105,7 @@ std::string sample() {
 
 /// Reads sample()'s layout from `text`; returns the runtime_error message.
 std::string read_error(const std::string& text) {
-  std::istringstream in{text};
-  StateReader r{in};
+  StateReader r{text};
   try {
     r.begin_section("sample");
     (void)r.get_u64();

@@ -7,10 +7,13 @@
 //
 // Mutations: truncation at a random byte, dropping or swapping whole
 // sections, bit flips, and "resealed" edits that change, delete or
-// duplicate one value line and then recompute every section hash, so the
-// damage gets past the FNV trailers and reaches the readers' semantic
+// duplicate one value line and then recompute every section hash (and,
+// for an edit inside a slice, the engine stream's slice offset table), so
+// the damage gets past the FNV trailers and reaches the readers' semantic
 // checks. A deterministic sweep then sets each unsigned value in turn to
 // 2^62 (resealed), so every count in the stream is forged at least once.
+// Hand-made forgeries then aim at the "blamsim v3" additions: the offset
+// table in the meta section and the sparse histogram rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,8 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,6 +43,7 @@ namespace blam {
 namespace {
 
 using stream_edit::join_lines;
+using stream_edit::rehash;
 using stream_edit::reseal;
 using stream_edit::split_lines;
 
@@ -149,7 +155,9 @@ class StreamMutator {
       case Mutation::kResealedEdit: {
         std::vector<std::string> lines = lines_;
         const auto [first, last] = sections_[index(sections_.size())];
-        if (last - first < 2) return reseal(join_lines(lines));  // no value lines
+        // An edit of the meta section keeps the offset table as edited.
+        const auto seal = lines[first] == "section meta\n" ? rehash : reseal;
+        if (last - first < 2) return seal(join_lines(lines));  // no value lines
         const std::size_t at = first + 1 + index(last - first - 1);
         const double mode = rng_.uniform();
         if (mode < 0.1) {
@@ -164,7 +172,7 @@ class StreamMutator {
           const std::string old = line.substr(2, line.size() - 3);
           lines[at] = line.substr(0, 2) + edited_payload(line[0], old, rng_) + "\n";
         }
-        return reseal(join_lines(lines));
+        return seal(join_lines(lines));
       }
     }
     return original_;
@@ -231,14 +239,19 @@ Tally fuzz(const std::string& original, int mutants, std::uint64_t seed, const R
 }
 
 /// Every unsigned value of `original` in turn set to 2^62 and resealed:
-/// whichever of them are counts, none may pre-size a container.
+/// whichever of them are counts, none may pre-size a container. The meta
+/// section's values (the offset table among them) keep the forged value.
 void sweep_counts(const std::string& original, const Restore& restore, Tally& tally) {
   const std::vector<std::string> lines = split_lines(original);
+  bool in_meta = false;
   for (std::size_t at = 0; at < lines.size(); ++at) {
+    if (lines[at].starts_with("section ")) in_meta = lines[at] == "section meta\n";
     if (!lines[at].starts_with("u ")) continue;
     std::vector<std::string> edited = lines;
     edited[at] = "u 4611686018427387904\n";
-    check(reseal(join_lines(edited)), restore, tally, "count sweep, line " + std::to_string(at));
+    const std::string text = join_lines(edited);
+    check(in_meta ? rehash(text) : reseal(text), restore, tally,
+          "count sweep, line " + std::to_string(at));
   }
 }
 
@@ -290,8 +303,7 @@ std::string ledger_stream() {
 TEST(StateFuzz, LedgerStreamMutantsRestoreOrNameTheirError) {
   const std::string original = ledger_stream();
   const auto restore = [](const std::string& text) {
-    std::istringstream in{text};
-    StateReader r{in};
+    StateReader r{text};
     DegradationService svc{DegradationModel{}, 25.0};
     svc.restore_state(r);
   };
@@ -312,7 +324,8 @@ TEST(StateFuzz, LedgerStreamMutantsRestoreOrNameTheirError) {
   EXPECT_GT(count_errors(tally, "state codec: unexpected end of checkpoint"), 0);
 }
 
-TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
+/// A small faulted two-slice city: every cell its own collision domain.
+ScenarioConfig fuzz_city() {
   ScenarioConfig c;
   c.policy = PolicyKind::kBlam;
   c.theta = 0.5;
@@ -333,19 +346,46 @@ TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
   c.faults.report_reorder = 0.2;
   c.faults.report_corrupt = 0.05;
   c.label = c.policy_label();
+  return c;
+}
+
+/// The fuzz city's engine at an instant with an uplink in flight, so a
+/// gateway section carries a live reception (its air packet and its uplink
+/// frame with a SoC report) for the mutants to damage.
+void run_to_fuzz_instant(ShardedNetwork& engine) {
+  engine.run_until(Time::from_seconds(92045.1));
+}
+
+std::string checkpoint_text(ShardedNetwork& engine) {
+  std::ostringstream out;
+  engine.checkpoint(out);
+  return std::move(out).str();
+}
+
+/// Restores `text` into a fresh fuzz-city engine; the runtime_error's
+/// message, or "" when the restore succeeds.
+std::string engine_restore_error(const std::string& text, const ScenarioConfig& c,
+                                 const std::shared_ptr<const SolarTrace>& trace) {
+  std::istringstream in{text};
+  ShardedNetwork engine{c, trace};
+  try {
+    engine.restore(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
+  const ScenarioConfig c = fuzz_city();
   const auto trace = build_shared_trace(c);
 
   std::string original;
   {
     ShardedNetwork engine{c, trace};
     ASSERT_EQ(engine.plan().effective, 2);
-    // An instant with an uplink in flight, so a gateway section carries a
-    // live reception (its air packet and its uplink frame with a SoC
-    // report) for the mutants to damage.
-    engine.run_until(Time::from_seconds(92045.1));
-    std::ostringstream out;
-    engine.checkpoint(out);
-    original = out.str();
+    run_to_fuzz_instant(engine);
+    original = checkpoint_text(engine);
   }
   const auto restore = [&](const std::string& text) {
     std::istringstream in{text};
@@ -364,6 +404,141 @@ TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
         "Gateway::restore_state:", "ledger checkpoint:"}) {
     EXPECT_GT(count_errors(tally, check), 0) << check;
   }
+}
+
+/// `text` with the `index`-th value line of its meta section replaced by
+/// `u <value>`, the hashes resealed but the offset table left as edited.
+std::string with_meta_value(const std::string& text, std::size_t index, std::uint64_t value) {
+  std::vector<std::string> lines = split_lines(text);
+  lines.at(2 + index) = "u " + std::to_string(value) + "\n";
+  return rehash(join_lines(lines));
+}
+
+TEST(StateFuzz, OffsetTableForgeriesNameTheirError) {
+  // The meta section's last two values are the slices' byte lengths; they
+  // must tile the rest of the stream exactly before any slice is parsed.
+  const ScenarioConfig c = fuzz_city();
+  const auto trace = build_shared_trace(c);
+  std::string original;
+  {
+    ShardedNetwork engine{c, trace};
+    run_to_fuzz_instant(engine);
+    original = checkpoint_text(engine);
+  }
+  ASSERT_EQ(engine_restore_error(original, c, trace), "");
+  const std::vector<std::string> lines = split_lines(original);
+  // magic, `section meta`, seed, fleet size, serial flag, slice count, cursor.
+  constexpr std::size_t kTable = 5;
+  ASSERT_EQ(lines.at(2 + kTable - 1).substr(0, 2), "i ") << "the cursor precedes the table";
+  const std::uint64_t first = std::stoull(lines.at(2 + kTable).substr(2));
+  const std::uint64_t second = std::stoull(lines.at(2 + kTable + 1).substr(2));
+  const std::size_t body = original.size() - original.find("section clock\n");
+  ASSERT_EQ(first + second, body);
+
+  const std::string past_end =
+      "restore: checkpoint offset table runs past the end of the stream";
+  const std::string short_sum = "restore: checkpoint offset table covers " +
+                                std::to_string(body - 1) + " of the " + std::to_string(body) +
+                                " slice bytes";
+  struct Forgery {
+    const char* what;
+    std::string text;
+    std::string error;
+  };
+  const std::vector<Forgery> forgeries = {
+      {"a length past the end", with_meta_value(original, kTable + 1, body), past_end},
+      {"2^62", with_meta_value(original, kTable, std::uint64_t{1} << 62), past_end},
+      {"a zero length", with_meta_value(original, kTable, 0),
+       "restore: checkpoint offset table gives slice 0 no bytes"},
+      {"a sum one short", with_meta_value(original, kTable + 1, second - 1), short_sum},
+      {"a sum one long", with_meta_value(original, kTable + 1, second + 1), past_end},
+  };
+  for (const Forgery& f : forgeries) {
+    EXPECT_EQ(engine_restore_error(f.text, c, trace), f.error) << f.what;
+  }
+
+  // A boundary moved with the sum kept: the slices' own readers catch it.
+  const std::string moved =
+      with_meta_value(with_meta_value(original, kTable, first + 2), kTable + 1, second - 2);
+  EXPECT_NE(engine_restore_error(moved, c, trace), "");
+  const std::string shrunk =
+      with_meta_value(with_meta_value(original, kTable, first - 2), kTable + 1, second + 2);
+  EXPECT_NE(engine_restore_error(shrunk, c, trace), "");
+}
+
+/// `node`'s retransmission block as Node::checkpoint_state writes it: the
+/// window count, then one sparse row per window.
+std::string retx_block(const Node& node) {
+  const RetxEstimator& e = node.retx_estimator();
+  std::string block = "u " + std::to_string(e.max_windows()) + "\n";
+  for (std::size_t t = 0; t < e.max_windows(); ++t) {
+    const std::span<const std::uint64_t> row = e.retx_counts(t);
+    std::string pairs;
+    int nonzero = 0;
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      if (row[r] == 0) continue;
+      ++nonzero;
+      pairs += "u " + std::to_string(r) + "\nu " + std::to_string(row[r]) + "\n";
+    }
+    block += "u " + std::to_string(nonzero) + "\n" + pairs;
+  }
+  return block;
+}
+
+TEST(StateFuzz, SparseRowForgeriesNameTheirError) {
+  // Each way a sparse histogram row can be malformed, forged into a real
+  // node's retransmission rows and resealed (hashes and offset table), so
+  // only Node::restore_state's own checks stand in the way.
+  const ScenarioConfig c = fuzz_city();
+  const auto trace = build_shared_trace(c);
+  std::string original;
+  std::string block;
+  {
+    ShardedNetwork engine{c, trace};
+    run_to_fuzz_instant(engine);
+    original = checkpoint_text(engine);
+    for (const auto& node : engine.slice(0).nodes()) {
+      const RetxEstimator& e = node->retx_estimator();
+      for (std::size_t t = 0; t < e.max_windows() && block.empty(); ++t) {
+        if (e.selections(t) > 0) block = retx_block(*node);
+      }
+      if (!block.empty()) break;
+    }
+  }
+  ASSERT_FALSE(block.empty()) << "no node in slice 0 recorded a retransmission window";
+  const std::size_t at = original.find(block);
+  ASSERT_NE(at, std::string::npos);
+
+  // The block's lines; the first row with a pair starts at `row`.
+  std::vector<std::string> rows = split_lines(block);
+  std::size_t row = 1;
+  while (rows.at(row) == "u 0\n") ++row;
+  const auto forged = [&](const std::vector<std::string>& edited) {
+    return reseal(original.substr(0, at) + join_lines(edited) +
+                  original.substr(at + block.size()));
+  };
+  const auto edit = [&](std::size_t line, const std::string& value) {
+    std::vector<std::string> edited = rows;
+    edited.at(line) = value;
+    return forged(edited);
+  };
+  const std::string bucket = rows.at(row + 1);
+  const std::string count = rows.at(row + 2);
+  std::vector<std::string> repeated = rows;
+  repeated.at(row) = "u " + std::to_string(std::stoull(rows.at(row).substr(2)) + 1) + "\n";
+  repeated.insert(repeated.begin() + static_cast<std::ptrdiff_t>(row) + 3, {bucket, count});
+
+  const std::string prefix = "Node::restore_state: retx histogram: sparse row ";
+  EXPECT_EQ(engine_restore_error(edit(row + 1, "u 8\n"), c, trace),
+            prefix + "index past its width");
+  EXPECT_EQ(engine_restore_error(forged(repeated), c, trace),
+            prefix + "indices out of order or repeated");
+  EXPECT_EQ(engine_restore_error(edit(row + 2, "u 0\n"), c, trace),
+            prefix + "carries a zero count");
+  EXPECT_EQ(engine_restore_error(edit(row, "u 9\n"), c, trace),
+            prefix + "has more entries than its width");
+  // The untouched block restores, so each error above is the forgery's.
+  EXPECT_EQ(engine_restore_error(forged(rows), c, trace), "");
 }
 
 }  // namespace
