@@ -36,8 +36,7 @@ int main() {
     cells.push_back({std::move(lorawan), trace});
     cells.push_back({std::move(h50), trace});
   }
-  const std::vector<ExperimentResult> results =
-      run_scenarios(cells, duration, scenario_campaign_options());
+  const std::vector<ExperimentResult> results = run_scenarios(cells, duration, campaign_options());
 
   std::printf("\n%-6s %14s %14s %12s\n", "chem", "LoRaWAN_deg", "H-50_deg", "improvement");
   std::vector<std::vector<std::string>> rows;

@@ -101,8 +101,7 @@ int main() {
     cells.push_back({std::move(adaptive), trace});
   }
 
-  const std::vector<ExperimentResult> results =
-      run_scenarios(cells, duration, scenario_campaign_options());
+  const std::vector<ExperimentResult> results = run_scenarios(cells, duration, campaign_options());
 
   // (1) Supercap.
   {

@@ -33,7 +33,7 @@ int main() {
     wb_cells.push_back({std::move(config), trace});
   }
   const std::vector<ExperimentResult> wb_results =
-      run_scenarios(wb_cells, duration, scenario_campaign_options());
+      run_scenarios(wb_cells, duration, campaign_options());
   std::vector<std::vector<std::string>> rows;
   for (std::size_t i = 0; i < wbs.size(); ++i) {
     const ExperimentResult& r = wb_results[i];
@@ -62,7 +62,7 @@ int main() {
     u_cells.push_back({std::move(config), trace});
   }
   const std::vector<ExperimentResult> u_results =
-      run_scenarios(u_cells, duration, scenario_campaign_options());
+      run_scenarios(u_cells, duration, campaign_options());
   std::vector<std::vector<std::string>> urows;
   for (std::size_t i = 0; i < utilities.size(); ++i) {
     const ExperimentResult& r = u_results[i];

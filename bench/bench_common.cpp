@@ -56,12 +56,6 @@ CampaignOptions campaign_options() {
   return options;
 }
 
-CampaignOptions scenario_campaign_options() {
-  CampaignOptions options = campaign_options();
-  options.journal_path.clear();
-  return options;
-}
-
 std::string write_csv(const std::string& name, const std::vector<std::string>& header,
                       const std::vector<std::vector<std::string>>& rows) {
   namespace fs = std::filesystem;
@@ -99,7 +93,7 @@ ProtocolSweep run_protocol_sweep(int n_nodes, double years, std::uint64_t seed) 
 
   std::printf("running %d nodes x %.2f years x %zu protocols ...\n", n_nodes, years,
               cells.size());
-  sweep.results = run_scenarios(cells, duration, scenario_campaign_options());
+  sweep.results = run_scenarios(cells, duration, campaign_options());
   return sweep;
 }
 

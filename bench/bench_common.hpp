@@ -1,7 +1,7 @@
 // Shared plumbing for the figure-reproduction binaries: scale selection
 // (laptop defaults vs BLAM_FULL=1 paper scale), banner printing, CSV output
 // with directory handling, and the four-protocol comparison harness used by
-// Figs. 4-6 — now fanned across cores by SweepRunner (BLAM_JOBS workers).
+// Figs. 4-6, run as a resumable campaign across BLAM_JOBS workers.
 #pragma once
 
 #include <string>
@@ -26,19 +26,16 @@ void banner(const std::string& figure, const std::string& claim);
 /// worker count from BLAM_JOBS (hardware_concurrency when unset).
 [[nodiscard]] SweepOptions sweep_options();
 
-/// Default campaign options for figure grids: sweep_options() plus the
+/// Default campaign options for every figure grid: sweep_options() plus the
 /// crash-tolerance knobs from the environment (the numeric ones parsed by
 /// env_number: a value that is not a number in range keeps the default) —
 ///   BLAM_CELL_TIMEOUT_S  per-cell watchdog seconds >= 0 (default 0 = off)
 ///   BLAM_RETRIES         re-runs before quarantining a cell, >= 0 (default 1)
 ///   BLAM_QUARANTINE      quarantine file (default "quarantine.json")
-///   BLAM_JOURNAL         checkpoint journal for resumable grids (default
-///                        "" = off; only the lifespan grids accept one)
+///   BLAM_JOURNAL         checkpoint journal: a re-run skips the cells it
+///                        holds and reproduces their results bit for bit
+///                        (default "" = off)
 [[nodiscard]] CampaignOptions campaign_options();
-
-/// campaign_options() with the journal cleared: fixed-duration scenario
-/// grids (ExperimentResult) have no lossless codec and reject journals.
-[[nodiscard]] CampaignOptions scenario_campaign_options();
 
 /// Writes `name`.csv into BLAM_OUT_DIR (current directory when unset),
 /// creating the directory if missing, and returns the path actually written.
@@ -55,7 +52,7 @@ struct ProtocolSweep {
   double years{0.0};
 };
 
-/// Runs the four-protocol grid through SweepRunner. Cell (protocol, seed)
+/// Runs the four-protocol grid through run_scenarios. Cell (protocol, seed)
 /// results are bit-identical at any BLAM_JOBS because each cell's Network
 /// derives every random stream from its own config, and the shared solar
 /// trace is immutable.

@@ -18,15 +18,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/checksum.hpp"
 #include "common/csv.hpp"
+#include "common/state_codec.hpp"
 #include "sim/shard_engine.hpp"
 
 namespace {
@@ -48,47 +51,23 @@ ScenarioConfig city_scenario(int nodes, int gateways, std::uint64_t seed) {
   return c;
 }
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (byte * 8)) & 0xffULL;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t bits(double v) {
-  std::uint64_t out = 0;
-  static_assert(sizeof out == sizeof v);
-  std::memcpy(&out, &v, sizeof out);
-  return out;
-}
-
-/// Digest of everything the committed figures could consume: per-node
-/// counters and degradation state, disseminated w_u, and the (compensated)
-/// gateway counters. events_executed is deliberately excluded — sharded
+/// Digest of everything the committed figures could consume: every node's
+/// metric rows and disseminated w_u, and the (compensated) gateway row, as
+/// state-codec bytes. events_executed is deliberately excluded — sharded
 /// runs execute extra per-shard dissemination ticks.
 std::uint64_t fingerprint(const ShardedNetwork& net) {
-  std::uint64_t hash = 1469598103934665603ULL;
+  std::ostringstream out;
+  StateWriter w{out};
+  w.begin_section("fingerprint");
   const Metrics& m = net.metrics();
   for (std::size_t i = 0; i < m.node_count(); ++i) {
-    const NodeMetrics& n = m.node(i);
-    hash = fnv1a(hash, n.generated);
-    hash = fnv1a(hash, n.delivered);
-    hash = fnv1a(hash, n.tx_attempts);
-    hash = fnv1a(hash, n.retx);
-    hash = fnv1a(hash, bits(n.tx_energy.joules()));
-    hash = fnv1a(hash, bits(n.utility_sum));
-    hash = fnv1a(hash, bits(n.degradation));
-    hash = fnv1a(hash, bits(n.final_soc));
-    hash = fnv1a(hash, bits(net.w_for(static_cast<std::uint32_t>(i))));
+    write_node_metrics(w, m.node(i));
+    write_node_battery(w, m.node(i));
+    w.put_double(net.w_for(static_cast<std::uint32_t>(i)));
   }
-  const GatewayMetrics& g = m.gateway();
-  hash = fnv1a(hash, g.arrivals);
-  hash = fnv1a(hash, g.received);
-  hash = fnv1a(hash, g.lost_interference);
-  hash = fnv1a(hash, g.lost_under_sensitivity);
-  hash = fnv1a(hash, g.acks_sent);
-  return hash;
+  write_gateway_metrics(w, m.gateway());
+  w.end_section();
+  return fnv1a64(std::move(out).str());
 }
 
 struct RunStats {

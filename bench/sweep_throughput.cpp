@@ -14,62 +14,26 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/checksum.hpp"
 
 namespace {
 
 using namespace blam;
 using namespace blam::bench;
 
-/// Order-sensitive FNV-1a over the bit patterns of the quantities a figure
-/// binary would print, so "bit-identical" means the CSVs would match too.
-class Fingerprint {
- public:
-  void add(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    __builtin_memcpy(&bits, &v, sizeof bits);
-    add(bits);
-  }
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_{0xcbf29ce484222325ULL};
-};
-
+/// FNV-1a over every result's lossless codec bytes, so "bit-identical"
+/// means every figure CSV would match too.
 std::uint64_t fingerprint(const std::vector<ExperimentResult>& results) {
-  Fingerprint fp;
-  for (const ExperimentResult& r : results) {
-    fp.add(r.events_executed);
-    fp.add(r.summary.mean_prr);
-    fp.add(r.summary.min_prr);
-    fp.add(r.summary.mean_utility);
-    fp.add(r.summary.mean_retx);
-    fp.add(r.summary.mean_latency_s);
-    fp.add(r.summary.total_tx_energy.joules());
-    fp.add(r.summary.degradation_box.mean);
-    fp.add(r.summary.max_degradation);
-    for (const NodeMetrics& n : r.nodes) {
-      fp.add(n.generated);
-      fp.add(n.delivered);
-      fp.add(n.tx_attempts);
-      fp.add(n.tx_energy.joules());
-      fp.add(n.degradation);
-    }
-  }
-  return fp.value();
+  std::uint64_t hash = kFnv1a64Basis;
+  for (const ExperimentResult& r : results) hash = fnv1a64(serialize_experiment_result(r), hash);
+  return hash;
 }
 
 double run_grid(const std::vector<ScenarioCell>& cells, Time duration, int jobs,
                 std::uint64_t* fp_out) {
-  SweepOptions options;
-  options.jobs = jobs;
-  options.progress = true;
+  CampaignOptions options;
+  options.sweep.jobs = jobs;
+  options.sweep.progress = true;
   const auto start = std::chrono::steady_clock::now();
   const std::vector<ExperimentResult> results = run_scenarios(cells, duration, options);
   const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

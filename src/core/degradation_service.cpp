@@ -352,6 +352,14 @@ double DegradationService::estimated_gap_seconds(std::uint32_t node_id) const {
   return estimated_gap_s_[handle_of(node_id)];
 }
 
+void write_ledger_counters(StateWriter& w, const LedgerCounters& c) {
+  for (const auto count : c.fields()) w.put_u64(c.*count);
+}
+
+void read_ledger_counters(StateReader& r, LedgerCounters& c) {
+  for (const auto count : c.fields()) c.*count = r.get_u64();
+}
+
 void DegradationService::checkpoint_state(StateWriter& w) {
   // Staged reports are transport state, not ledger state: fold them into
   // the ledger first. Draining here is batch-invariant (arrival order), so
@@ -360,13 +368,7 @@ void DegradationService::checkpoint_state(StateWriter& w) {
   w.begin_section("ledger");
   w.put_u64(ids_.size());
   w.put_double(max_degradation_);
-  const LedgerCounters& c = counters_;
-  for (const std::uint64_t count :
-       {c.reports_accepted, c.reports_duplicate, c.reports_checksum_rejected, c.reports_buffered,
-        c.reports_reassembled, c.samples_rejected_nonmonotonic, c.samples_rejected_range,
-        c.gaps_bridged, c.discontinuities, c.quarantines, c.recoveries}) {
-    w.put_u64(count);
-  }
+  write_ledger_counters(w, counters_);
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     const NodeHandle h = handles_by_id_[i];
     w.put_u64(ids_[i]);
@@ -404,13 +406,7 @@ void DegradationService::restore_state(StateReader& r) {
   const std::uint64_t n_nodes = r.get_u64();
   const double max_degradation = r.get_double();
   LedgerCounters c;
-  for (std::uint64_t* count :
-       {&c.reports_accepted, &c.reports_duplicate, &c.reports_checksum_rejected,
-        &c.reports_buffered, &c.reports_reassembled, &c.samples_rejected_nonmonotonic,
-        &c.samples_rejected_range, &c.gaps_bridged, &c.discontinuities, &c.quarantines,
-        &c.recoveries}) {
-    *count = r.get_u64();
-  }
+  read_ledger_counters(r, c);
 
   store_.reset();
   health_.clear();

@@ -43,6 +43,7 @@
 // checkpoint it follows the server's own section.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -101,7 +102,24 @@ struct LedgerCounters {
   std::uint64_t discontinuities{0};
   std::uint64_t quarantines{0};
   std::uint64_t recoveries{0};
+
+  /// Every counter in row order: the codec row and the shard merge walk
+  /// this one list.
+  [[nodiscard]] constexpr auto fields() const {
+    return std::array{&LedgerCounters::reports_accepted, &LedgerCounters::reports_duplicate,
+                      &LedgerCounters::reports_checksum_rejected, &LedgerCounters::reports_buffered,
+                      &LedgerCounters::reports_reassembled,
+                      &LedgerCounters::samples_rejected_nonmonotonic,
+                      &LedgerCounters::samples_rejected_range, &LedgerCounters::gaps_bridged,
+                      &LedgerCounters::discontinuities, &LedgerCounters::quarantines,
+                      &LedgerCounters::recoveries};
+  }
 };
+
+/// The counters as one state-codec row, shared by the `ledger` section and
+/// the ExperimentResult codec (net/experiment.hpp).
+void write_ledger_counters(StateWriter& w, const LedgerCounters& c);
+void read_ledger_counters(StateReader& r, LedgerCounters& c);
 
 /// All-reduce hook for D_max: when the fleet is split across shard-local
 /// DegradationService instances (sim/shard_engine.hpp), every shard's w_u

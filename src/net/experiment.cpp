@@ -1,9 +1,13 @@
 #include "net/experiment.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
+#include "common/checksum.hpp"
 #include "common/state_codec.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/scenario_io.hpp"
@@ -25,6 +29,26 @@ void report_audit(const Auditor* audit) {
   if (audit->violation_count() > kShow) {
     std::fprintf(stderr, "[audit] ... and %zu more\n", audit->violation_count() - kShow);
   }
+}
+
+/// The result of a finished run, derived from its metrics: the fresh path
+/// and the decoder both build results here.
+ExperimentResult collect_result(std::string label, const Metrics& metrics,
+                                std::uint64_t events_executed) {
+  ExperimentResult result;
+  result.label = std::move(label);
+  result.summary = metrics.summarize();
+  result.gateway = metrics.gateway();
+  // A node's window row has one entry per forecast window of its period, so
+  // the widest row is the histogram's width.
+  std::size_t n_windows = 1;
+  for (std::size_t i = 0; i < metrics.node_count(); ++i) {
+    result.nodes.push_back(metrics.node(i));
+    n_windows = std::max(n_windows, result.nodes.back().window_counts.size());
+  }
+  result.window_histogram = metrics.majority_window_histogram(static_cast<int>(n_windows));
+  result.events_executed = events_executed;
+  return result;
 }
 
 }  // namespace
@@ -54,17 +78,7 @@ ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
   network.finalize_metrics();
   report_audit(network.auditor());
 
-  ExperimentResult result;
-  result.label = config.policy_label();
-  result.summary = network.metrics().summarize();
-  result.gateway = network.metrics().gateway();
-  result.window_histogram = network.metrics().majority_window_histogram(network.max_windows());
-  result.nodes.reserve(network.metrics().node_count());
-  for (std::size_t i = 0; i < network.metrics().node_count(); ++i) {
-    result.nodes.push_back(network.metrics().node(i));
-  }
-  result.events_executed = network.events_executed();
-  return result;
+  return collect_result(config.policy_label(), network.metrics(), network.events_executed());
 }
 
 LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration, Time step,
@@ -138,107 +152,114 @@ LifespanResult deserialize_lifespan_result(const std::string& payload) {
   return result;
 }
 
-namespace {
-
-SweepOptions with_default_labels(SweepOptions options, const std::vector<ScenarioCell>& cells) {
-  if (!options.label) {
-    options.label = [&cells](std::size_t i) { return cells[i].config.policy_label(); };
+std::string serialize_experiment_result(const ExperimentResult& r) {
+  std::ostringstream out;
+  StateWriter w{out};
+  w.begin_section("experiment");
+  w.put_string(r.label);
+  w.put_u64(r.events_executed);
+  w.put_double(r.summary.total_outage_s);
+  write_ledger_counters(w, r.summary.feedback);
+  w.put_string(r.summary.serial_reason);
+  w.put_u64(r.nodes.size());
+  for (const NodeMetrics& node : r.nodes) {
+    w.put_u64(node.window_counts.size());
+    write_node_metrics(w, node);
+    write_node_battery(w, node);
   }
-  return options;
+  write_gateway_metrics(w, r.gateway);
+  w.end_section();
+  return std::move(out).str();
 }
 
-}  // namespace
+ExperimentResult deserialize_experiment_result(const std::string& payload) {
+  const auto fail = [](const char* what) {
+    throw std::runtime_error{std::string{"deserialize_experiment_result: "} + what};
+  };
+  StateReader r{payload};
+  r.begin_section("experiment");
+  std::string label = r.get_string();
+  const std::uint64_t events_executed = r.get_u64();
+  const double total_outage_s = r.get_double();
+  LedgerCounters feedback;
+  read_ledger_counters(r, feedback);
+  std::string serial_reason = r.get_string();
+  std::vector<NodeMetrics> nodes;
+  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
+    NodeMetrics& node = nodes.emplace_back();
+    const std::uint64_t width = r.get_u64();
+    if (width > kMaxForecastWindows) fail("window count out of range");
+    node.window_counts.assign(width, 0);
+    read_node_metrics(r, node);
+    read_node_battery(r, node);
+  }
+  Metrics metrics{std::move(nodes)};
+  read_gateway_metrics(r, metrics.gateway());
+  r.end_section();
+  if (!r.at_end()) fail("trailing data after the payload");
 
-std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cells, Time duration,
-                                            SweepOptions options) {
-  SweepRunner runner{with_default_labels(std::move(options), cells)};
-  return runner.map(cells.size(), [&](std::size_t i) {
-    return run_scenario(cells[i].config, duration, cells[i].trace);
-  });
-}
-
-std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells,
-                                          Time max_duration, Time step, SweepOptions options) {
-  SweepRunner runner{with_default_labels(std::move(options), cells)};
-  return runner.map(cells.size(), [&](std::size_t i) {
-    return run_until_eol(cells[i].config, max_duration, step, cells[i].trace);
-  });
+  metrics.set_total_outage(total_outage_s);
+  metrics.set_feedback(feedback);
+  metrics.set_serial_reason(std::move(serial_reason));
+  return collect_result(std::move(label), metrics, events_executed);
 }
 
 namespace {
 
-/// Campaign identity for a cell: the human-readable scenario dump plus the
-/// run kind and durations. A change to any field describe_scenario prints
-/// (seed and duration included) changes the key, so a stale journal is
-/// never replayed into it; a field it does not print must be added there
-/// before a journaled grid varies it.
-std::vector<CampaignCell> campaign_cells(const std::vector<ScenarioCell>& cells,
-                                         const std::string& run_kind, Time a, Time b) {
-  std::vector<CampaignCell> out;
-  out.reserve(cells.size());
+/// Runs `cells` as a Campaign of `kind` runs (the payload's section name)
+/// over durations `a` and `b`, and decodes every payload, fresh or resumed,
+/// with `decode`. A cell's key hashes write_scenario_key, so a change to any
+/// config field, or to the kind or a duration, keeps a stale journal entry
+/// from being replayed into it.
+template <typename Decode>
+auto run_campaign(const std::vector<ScenarioCell>& cells, std::string_view kind, Time a, Time b,
+                  CampaignOptions options, const Campaign::Body& body, const Decode& decode) {
+  std::vector<CampaignCell> campaign_cells;
+  campaign_cells.reserve(cells.size());
   for (const ScenarioCell& cell : cells) {
-    CampaignCell cc;
-    cc.label = cell.config.policy_label();
-    cc.seed = cell.config.seed;
-    cc.config_text = describe_scenario(cell.config);
-    cc.key = run_kind + " " + std::to_string(a.us()) + " " + std::to_string(b.us()) + "\n" +
-             cc.config_text;
-    out.push_back(std::move(cc));
+    std::ostringstream key;
+    StateWriter w{key};
+    w.begin_section("scenario-key");
+    write_scenario_key(w, cell.config);
+    w.end_section();
+    campaign_cells.push_back({std::string{kind} + " " + std::to_string(a.us()) + " " +
+                                  std::to_string(b.us()) + " " +
+                                  std::to_string(fnv1a64(std::move(key).str())),
+                              cell.config.policy_label(), cell.config.seed,
+                              describe_scenario(cell.config)});
   }
-  return out;
+  const std::string quarantine_path = options.quarantine_path;
+  Campaign campaign{std::move(campaign_cells), std::move(options)};
+  const CampaignReport report = campaign.run(body);
+  throw_if_quarantined(report, quarantine_path);
+  std::vector<decltype(decode(std::string{}))> results;
+  results.reserve(report.results.size());
+  for (const auto& payload : report.results) results.push_back(decode(*payload));
+  return results;
 }
 
 }  // namespace
 
 std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cells, Time duration,
                                             CampaignOptions options) {
-  if (!options.journal_path.empty()) {
-    throw std::invalid_argument{
-        "run_scenarios: ExperimentResult has no lossless codec, so these grids cannot be "
-        "journaled; use the run_lifespans overload for resumable campaigns"};
-  }
-  const std::string quarantine_path = options.quarantine_path;
-  options.sweep = with_default_labels(std::move(options.sweep), cells);
-  Campaign campaign{campaign_cells(cells, "scenarios", duration, Time::zero()),
-                    std::move(options)};
-  // Results travel in a side vector (the journal is off, so Campaign's
-  // string payloads carry nothing); slots are distinct per cell, making the
-  // writes race-free across workers.
-  std::vector<std::optional<ExperimentResult>> slots(cells.size());
-  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken& token) {
-    slots[i] = run_scenario(cells[i].config, duration, cells[i].trace, &token);
-    return std::string{};
-  });
-  throw_if_quarantined(report, quarantine_path);
-  std::vector<ExperimentResult> results;
-  results.reserve(slots.size());
-  for (auto& slot : slots) results.push_back(std::move(*slot));
-  return results;
+  return run_campaign(
+      cells, "experiment", duration, Time::zero(), std::move(options),
+      [&](std::size_t i, const CellToken& token) {
+        return serialize_experiment_result(
+            run_scenario(cells[i].config, duration, cells[i].trace, &token));
+      },
+      deserialize_experiment_result);
 }
 
 std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells,
                                           Time max_duration, Time step, CampaignOptions options) {
-  const std::string quarantine_path = options.quarantine_path;
-  options.sweep = with_default_labels(std::move(options.sweep), cells);
-  // The kind names the payload format: journals written with an older
-  // lifespan payload keyed their cells without the "v2" tag, so their
-  // entries match no cell here and those cells rerun instead of reaching a
-  // decoder that cannot read them.
-  Campaign campaign{campaign_cells(cells, "lifespans v2", max_duration, step),
-                    std::move(options)};
-  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken& token) {
-    return serialize_lifespan_result(
-        run_until_eol(cells[i].config, max_duration, step, cells[i].trace, &token));
-  });
-  throw_if_quarantined(report, quarantine_path);
-  std::vector<LifespanResult> results;
-  results.reserve(report.results.size());
-  // Fresh and journal-resumed payloads both pass through the codec here, so
-  // the two paths cannot produce different in-memory results.
-  for (const auto& payload : report.results) {
-    results.push_back(deserialize_lifespan_result(*payload));
-  }
-  return results;
+  return run_campaign(
+      cells, "lifespan", max_duration, step, std::move(options),
+      [&](std::size_t i, const CellToken& token) {
+        return serialize_lifespan_result(
+            run_until_eol(cells[i].config, max_duration, step, cells[i].trace, &token));
+      },
+      deserialize_lifespan_result);
 }
 
 }  // namespace blam

@@ -1,7 +1,7 @@
 // Experiment runners shared by the bench binaries and integration tests:
 // run a scenario for a fixed duration and collect the figure metrics, run
 // until the first battery reaches end of life (Figs. 7-8), or fan a grid of
-// independent scenario cells across cores via SweepRunner.
+// independent scenario cells across cores as a resumable Campaign.
 #pragma once
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "net/metrics.hpp"
 #include "net/scenario.hpp"
 #include "sim/campaign.hpp"
-#include "sim/sweep_runner.hpp"
 
 namespace blam {
 
@@ -67,6 +66,17 @@ struct LifespanResult {
 /// hash mismatch, trailing data).
 [[nodiscard]] LifespanResult deserialize_lifespan_result(const std::string& payload);
 
+/// Lossless codec for the results run_scenario returns: one `experiment`
+/// section built on the metric rows of net/metrics.hpp, plus the run's event
+/// count, total outage, ledger counters and serial reason. Decode rebuilds a
+/// Metrics and re-derives the summary and window histogram through the code
+/// run_scenario runs, so deserialize(serialize(r)) == r bit for bit. The
+/// label must not contain a newline.
+[[nodiscard]] std::string serialize_experiment_result(const ExperimentResult& result);
+/// Inverse of serialize_experiment_result; throws a named std::runtime_error
+/// on a payload it does not recognize.
+[[nodiscard]] ExperimentResult deserialize_experiment_result(const std::string& payload);
+
 /// Builds (or reuses) the weather shared by a batch of compared scenarios.
 [[nodiscard]] std::shared_ptr<const SolarTrace> build_shared_trace(const ScenarioConfig& config);
 
@@ -81,35 +91,24 @@ struct ScenarioCell {
   std::shared_ptr<const SolarTrace> trace;
 };
 
-/// Runs every cell for `duration` via SweepRunner (BLAM_JOBS workers by
-/// default) and returns results in cell order, bit-identical to calling
-/// run_scenario on each cell serially. Progress labels default to the cell's
-/// policy label.
+/// Runs every cell for `duration` as a Campaign (sim/campaign.hpp): BLAM_JOBS
+/// workers by default, per-cell watchdog, retry and quarantine, and, with a
+/// journal_path, resume. A cell's journal key is the run kind, the durations
+/// and a hash of write_scenario_key (net/scenario_io.hpp), so an interrupted
+/// grid re-run skips the journaled cells and reproduces their results bit
+/// for bit. Every result, fresh or resumed, is round-tripped through its
+/// codec, so the two paths cannot diverge. Results come back in cell order,
+/// bit-identical to calling run_scenario on each cell serially; progress
+/// labels are the cells' policy labels. Throws (naming the quarantine file)
+/// if any cell failed all attempts.
 [[nodiscard]] std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cells,
                                                           Time duration,
-                                                          SweepOptions options = {});
+                                                          CampaignOptions options = {});
 
-/// Parallel analogue of run_until_eol over a grid of cells.
+/// Campaign analogue of run_until_eol over a grid of cells (see
+/// run_scenarios).
 [[nodiscard]] std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells,
                                                         Time max_duration, Time step,
-                                                        SweepOptions options = {});
-
-/// Crash-tolerant analogue of run_scenarios: per-cell watchdog, retry, and
-/// quarantine via Campaign. Throws (naming the quarantine file) if any cell
-/// failed all attempts. ExperimentResult has no lossless codec, so this
-/// overload rejects a non-empty journal_path (std::invalid_argument) — use
-/// the run_lifespans overload for resumable grids.
-[[nodiscard]] std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cells,
-                                                          Time duration, CampaignOptions options);
-
-/// Crash-tolerant, resumable analogue of run_lifespans. Each cell's identity
-/// (the journal key) covers the full scenario description, the durations and
-/// the seed; with a journal_path set, an interrupted grid re-run skips the
-/// journaled cells and reproduces their results bit-identically. Every
-/// result — fresh or resumed — is round-tripped through the lifespan codec,
-/// so the two paths cannot diverge. Throws if any cell was quarantined.
-[[nodiscard]] std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells,
-                                                        Time max_duration, Time step,
-                                                        CampaignOptions options);
+                                                        CampaignOptions options = {});
 
 }  // namespace blam

@@ -1,6 +1,10 @@
 #include "net/metrics.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+
+#include "sim/checkpoint.hpp"
 
 namespace blam {
 
@@ -17,6 +21,69 @@ void NodeMetrics::count_window(int window) {
     window_counts.resize(static_cast<std::size_t>(window) + 1, 0);
   }
   ++window_counts[static_cast<std::size_t>(window)];
+}
+
+void write_node_metrics(StateWriter& w, const NodeMetrics& m) {
+  for (const std::uint64_t count : {m.generated, m.delivered, m.exhausted, m.policy_drops,
+                                    m.brownouts, m.duty_defers, m.tx_attempts, m.retx}) {
+    w.put_u64(count);
+  }
+  write_energy(w, m.tx_energy);
+  w.put_double(m.utility_sum);
+  write_stats(w, m.latency_s);
+  write_stats(w, m.delivered_latency_s);
+  write_sparse_row(w, m.window_counts);
+  for (const std::uint64_t count : {m.crashes, m.reboot_drops, m.lost_in_outage}) {
+    w.put_u64(count);
+  }
+  write_stats(w, m.recovery_s);
+  write_stats(w, m.w_age_s);
+}
+
+void read_node_metrics(StateReader& r, NodeMetrics& m) {
+  for (std::uint64_t* count : {&m.generated, &m.delivered, &m.exhausted, &m.policy_drops,
+                               &m.brownouts, &m.duty_defers, &m.tx_attempts, &m.retx}) {
+    *count = r.get_u64();
+  }
+  m.tx_energy = read_energy(r);
+  m.utility_sum = r.get_double();
+  read_stats(r, m.latency_s);
+  read_stats(r, m.delivered_latency_s);
+  std::ranges::fill(m.window_counts, 0);
+  read_sparse_row(r, m.window_counts.size(), "node metrics: window histogram",
+                  [&](std::size_t window, std::uint64_t count) {
+                    if (count > std::numeric_limits<std::uint32_t>::max()) {
+                      throw std::runtime_error{"node metrics: window count out of range"};
+                    }
+                    m.window_counts[window] = static_cast<std::uint32_t>(count);
+                  });
+  for (std::uint64_t* count : {&m.crashes, &m.reboot_drops, &m.lost_in_outage}) {
+    *count = r.get_u64();
+  }
+  read_stats(r, m.recovery_s);
+  read_stats(r, m.w_age_s);
+}
+
+void write_node_battery(StateWriter& w, const NodeMetrics& m) {
+  for (const double v : {m.degradation, m.cycle_linear, m.calendar_linear, m.mean_soc,
+                         m.final_soc}) {
+    w.put_double(v);
+  }
+}
+
+void read_node_battery(StateReader& r, NodeMetrics& m) {
+  for (double* v : {&m.degradation, &m.cycle_linear, &m.calendar_linear, &m.mean_soc,
+                    &m.final_soc}) {
+    *v = r.get_double();
+  }
+}
+
+void write_gateway_metrics(StateWriter& w, const GatewayMetrics& m) {
+  for (const auto count : m.fields()) w.put_u64(m.*count);
+}
+
+void read_gateway_metrics(StateReader& r, GatewayMetrics& m) {
+  for (const auto count : m.fields()) m.*count = r.get_u64();
 }
 
 Metrics::Metrics(std::size_t n_nodes) : nodes_(n_nodes) {}

@@ -4,6 +4,7 @@
 // latency (with failed packets penalized by one sampling period).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,6 +15,9 @@
 #include "core/degradation_service.hpp"
 
 namespace blam {
+
+class StateReader;
+class StateWriter;
 
 struct NodeMetrics {
   std::uint64_t generated{0};
@@ -116,7 +120,39 @@ struct GatewayMetrics {
   std::uint64_t reports_reordered_fault{0};
   std::uint64_t reports_corrupted_fault{0};
   std::uint64_t reports_truncated_fault{0};
+
+  /// Every counter in row order: the codec rows and the shard merge walk
+  /// this one list.
+  [[nodiscard]] constexpr auto fields() const {
+    return std::array{&GatewayMetrics::arrivals, &GatewayMetrics::received,
+                      &GatewayMetrics::lost_interference, &GatewayMetrics::lost_half_duplex,
+                      &GatewayMetrics::lost_no_demod_path, &GatewayMetrics::lost_under_sensitivity,
+                      &GatewayMetrics::acks_sent, &GatewayMetrics::acks_rx2,
+                      &GatewayMetrics::acks_unschedulable, &GatewayMetrics::acks_undecodable,
+                      &GatewayMetrics::duplicates, &GatewayMetrics::lost_outage,
+                      &GatewayMetrics::acks_lost_outage, &GatewayMetrics::acks_lost_channel,
+                      &GatewayMetrics::recomputes_skipped, &GatewayMetrics::reports_dropped_fault,
+                      &GatewayMetrics::reports_duplicated_fault,
+                      &GatewayMetrics::reports_reordered_fault,
+                      &GatewayMetrics::reports_corrupted_fault,
+                      &GatewayMetrics::reports_truncated_fault};
+  }
 };
+
+/// State-codec rows for the metric structs. The engine checkpoint and the
+/// ExperimentResult codec (net/experiment.hpp) write the same tokens through
+/// them; a damaged row is a named std::runtime_error.
+///
+/// What a node accumulates while it runs: every NodeMetrics field but the
+/// five battery ones below. window_counts travels as a sparse row whose
+/// width the reader takes from the row's current size.
+void write_node_metrics(StateWriter& w, const NodeMetrics& m);
+void read_node_metrics(StateReader& r, NodeMetrics& m);
+/// The battery fields the network fills in when a report is taken.
+void write_node_battery(StateWriter& w, const NodeMetrics& m);
+void read_node_battery(StateReader& r, NodeMetrics& m);
+void write_gateway_metrics(StateWriter& w, const GatewayMetrics& m);
+void read_gateway_metrics(StateReader& r, GatewayMetrics& m);
 
 /// Aggregated view over all nodes, used to print figure rows.
 struct NetworkSummary {
@@ -155,6 +191,7 @@ struct NetworkSummary {
 class Metrics {
  public:
   explicit Metrics(std::size_t n_nodes);
+  explicit Metrics(std::vector<NodeMetrics> nodes) : nodes_{std::move(nodes)} {}
 
   [[nodiscard]] NodeMetrics& node(std::size_t id) { return nodes_.at(id); }
   [[nodiscard]] const NodeMetrics& node(std::size_t id) const { return nodes_.at(id); }
@@ -166,7 +203,7 @@ class Metrics {
 
   /// Total gateway-outage duration over the run (copied into the summary);
   /// set by Network::finalize_metrics when a FaultPlan is active.
-  void set_total_outage(Time total) { total_outage_s_ = total.seconds(); }
+  void set_total_outage(double seconds) { total_outage_s_ = seconds; }
 
   /// Snapshot of the gateway ledger's ingest counters (copied into the
   /// summary); set by Network::finalize_metrics.

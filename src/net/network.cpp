@@ -17,56 +17,6 @@ DeploymentPlan plan_validated(const ScenarioConfig& config) {
   return plan_deployment(config, Rng{config.seed, salt::kRootStream});
 }
 
-void write_gateway_metrics(StateWriter& w, const GatewayMetrics& m) {
-  w.begin_section("gateway-metrics");
-  w.put_u64(m.arrivals);
-  w.put_u64(m.received);
-  w.put_u64(m.lost_interference);
-  w.put_u64(m.lost_half_duplex);
-  w.put_u64(m.lost_no_demod_path);
-  w.put_u64(m.lost_under_sensitivity);
-  w.put_u64(m.acks_sent);
-  w.put_u64(m.acks_rx2);
-  w.put_u64(m.acks_unschedulable);
-  w.put_u64(m.acks_undecodable);
-  w.put_u64(m.duplicates);
-  w.put_u64(m.lost_outage);
-  w.put_u64(m.acks_lost_outage);
-  w.put_u64(m.acks_lost_channel);
-  w.put_u64(m.recomputes_skipped);
-  w.put_u64(m.reports_dropped_fault);
-  w.put_u64(m.reports_duplicated_fault);
-  w.put_u64(m.reports_reordered_fault);
-  w.put_u64(m.reports_corrupted_fault);
-  w.put_u64(m.reports_truncated_fault);
-  w.end_section();
-}
-
-void read_gateway_metrics(StateReader& r, GatewayMetrics& m) {
-  r.begin_section("gateway-metrics");
-  m.arrivals = r.get_u64();
-  m.received = r.get_u64();
-  m.lost_interference = r.get_u64();
-  m.lost_half_duplex = r.get_u64();
-  m.lost_no_demod_path = r.get_u64();
-  m.lost_under_sensitivity = r.get_u64();
-  m.acks_sent = r.get_u64();
-  m.acks_rx2 = r.get_u64();
-  m.acks_unschedulable = r.get_u64();
-  m.acks_undecodable = r.get_u64();
-  m.duplicates = r.get_u64();
-  m.lost_outage = r.get_u64();
-  m.acks_lost_outage = r.get_u64();
-  m.acks_lost_channel = r.get_u64();
-  m.recomputes_skipped = r.get_u64();
-  m.reports_dropped_fault = r.get_u64();
-  m.reports_duplicated_fault = r.get_u64();
-  m.reports_reordered_fault = r.get_u64();
-  m.reports_corrupted_fault = r.get_u64();
-  m.reports_truncated_fault = r.get_u64();
-  r.end_section();
-}
-
 void write_faults(StateWriter& w, const FaultPlan& faults) {
   // Only the downlink Gilbert-Elliott chains carry draw-consuming state;
   // the outage/drought schedules regenerate deterministically from
@@ -246,7 +196,7 @@ double Network::max_degradation() const {
 void Network::finalize_metrics() {
   for (const auto& node : nodes_) node->finalize_metrics(sim_.now());
   if (faults_ != nullptr) {
-    metrics_.set_total_outage(faults_->outage_seconds_until(sim_.now()));
+    metrics_.set_total_outage(faults_->outage_seconds_until(sim_.now()).seconds());
   }
   // Release any report the fault channel still holds, then snapshot the
   // ledger's ingest decisions and the channel's fault tally.
@@ -288,7 +238,9 @@ void Network::checkpoint_state(StateWriter& w) {
 
   server_->checkpoint_state(w);
   for (const auto& gateway : gateways_) gateway->checkpoint_state(w);
+  w.begin_section("gateway-metrics");
   write_gateway_metrics(w, metrics_.gateway());
+  w.end_section();
   for (const auto& node : nodes_) node->checkpoint_state(w);
   if (faults_ != nullptr) write_faults(w, *faults_);
 }
@@ -323,19 +275,15 @@ void Network::restore_state(StateReader& r) {
 
   server_->restore_state(r, gateways_, node_by_id);
   for (const auto& gateway : gateways_) gateway->restore_state(r, node_by_id);
+  r.begin_section("gateway-metrics");
   read_gateway_metrics(r, metrics_.gateway());
+  r.end_section();
   for (const auto& node : nodes_) node->restore_state(r);
   if (faults_ != nullptr) read_faults(r, *faults_);
 
   // Last: the clock. Every schedule_at_seq above validated against now()==0;
   // from here the engine is positioned exactly at the checkpoint instant.
   sim_.restore_clock(now, executed, next_seq);
-}
-
-int Network::max_windows() const {
-  int max_w = 1;
-  for (const auto& node : nodes_) max_w = std::max(max_w, node->n_windows());
-  return max_w;
 }
 
 }  // namespace blam

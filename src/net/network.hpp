@@ -83,9 +83,6 @@ class Network {
   [[nodiscard]] const Auditor* auditor() const { return audit_.get(); }
   [[nodiscard]] Energy worst_case_attempt_energy() const { return worst_attempt_energy_; }
 
-  /// Maximum forecast-window count across nodes (Fig. 4 histogram width).
-  [[nodiscard]] int max_windows() const;
-
   /// Serializes the slice (clock, server, gateways, gateway counters,
   /// nodes, fault channels) at a quiescent instant — call only between
   /// run_until calls. Throws std::runtime_error for audited runs, whose

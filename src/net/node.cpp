@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -548,25 +547,7 @@ void Node::checkpoint_state(StateWriter& w) const {
   write_sample(w, period_start_sample_);
   write_sample(w, latest_sample_);
 
-  const NodeMetrics& m = *metrics_;
-  w.put_u64(m.generated);
-  w.put_u64(m.delivered);
-  w.put_u64(m.exhausted);
-  w.put_u64(m.policy_drops);
-  w.put_u64(m.brownouts);
-  w.put_u64(m.duty_defers);
-  w.put_u64(m.tx_attempts);
-  w.put_u64(m.retx);
-  write_energy(w, m.tx_energy);
-  w.put_double(m.utility_sum);
-  write_stats(w, m.latency_s);
-  write_stats(w, m.delivered_latency_s);
-  write_sparse_row(w, m.window_counts);
-  w.put_u64(m.crashes);
-  w.put_u64(m.reboot_drops);
-  w.put_u64(m.lost_in_outage);
-  write_stats(w, m.recovery_s);
-  write_stats(w, m.w_age_s);
+  write_node_metrics(w, *metrics_);
 
   write_event(w, *sim_, period_event_);
   write_event(w, *sim_, crash_event_);
@@ -653,32 +634,7 @@ void Node::restore_state(StateReader& r) {
   period_start_sample_ = read_sample(r);
   latest_sample_ = read_sample(r);
 
-  NodeMetrics& m = *metrics_;
-  m.generated = r.get_u64();
-  m.delivered = r.get_u64();
-  m.exhausted = r.get_u64();
-  m.policy_drops = r.get_u64();
-  m.brownouts = r.get_u64();
-  m.duty_defers = r.get_u64();
-  m.tx_attempts = r.get_u64();
-  m.retx = r.get_u64();
-  m.tx_energy = read_energy(r);
-  m.utility_sum = r.get_double();
-  read_stats(r, m.latency_s);
-  read_stats(r, m.delivered_latency_s);
-  std::ranges::fill(m.window_counts, 0);
-  read_sparse_row(r, m.window_counts.size(), "Node::restore_state: window histogram",
-                  [&](std::size_t window, std::uint64_t count) {
-                    if (count > std::numeric_limits<std::uint32_t>::max()) {
-                      throw std::runtime_error{"Node::restore_state: window count out of range"};
-                    }
-                    m.window_counts[window] = static_cast<std::uint32_t>(count);
-                  });
-  m.crashes = r.get_u64();
-  m.reboot_drops = r.get_u64();
-  m.lost_in_outage = r.get_u64();
-  read_stats(r, m.recovery_s);
-  read_stats(r, m.w_age_s);
+  read_node_metrics(r, *metrics_);
 
   period_event_ = EventHandle{};
   crash_event_ = EventHandle{};

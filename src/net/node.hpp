@@ -120,7 +120,6 @@ class Node {
     return AdrCommand{tx_params_.sf, tx_params_.tx_power_dbm};
   }
   [[nodiscard]] Time period() const { return period_; }
-  [[nodiscard]] int n_windows() const { return n_windows_; }
   /// The per-window retransmission history (Eq. 14).
   [[nodiscard]] const RetxEstimator& retx_estimator() const { return retx_estimator_; }
   [[nodiscard]] double w_u() const { return w_u_; }

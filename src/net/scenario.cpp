@@ -80,6 +80,10 @@ void ScenarioConfig::validate() const {
   if (forecast_window <= Time::zero() || forecast_window > min_period) {
     throw std::invalid_argument{"ScenarioConfig: forecast window must be in (0, min_period]"};
   }
+  if (max_period / forecast_window > kMaxForecastWindows) {
+    throw std::invalid_argument{"ScenarioConfig: max_period holds more than " +
+                                std::to_string(kMaxForecastWindows) + " forecast windows"};
+  }
   if (theta <= 0.0 || theta > 1.0) throw std::invalid_argument{"ScenarioConfig: theta in (0,1]"};
   if (w_b < 0.0 || w_b > 1.0) throw std::invalid_argument{"ScenarioConfig: w_b in [0,1]"};
   if (payload_bytes <= 0 || payload_bytes > 222) {

@@ -46,6 +46,10 @@ enum class SfAssignment {
   kFixed,
 };
 
+/// Most forecast windows one sampling period may hold. validate() enforces
+/// it, so a reader of persisted results can bound a window count it reads.
+inline constexpr int kMaxForecastWindows = 1 << 16;
+
 struct ScenarioConfig {
   std::string label{"scenario"};
   std::uint64_t seed{42};

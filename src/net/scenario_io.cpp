@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/state_codec.hpp"
+
 namespace blam {
 
 namespace {
@@ -285,6 +287,61 @@ std::string describe_scenario(const ScenarioConfig& c) {
         << (c.ack_failure_backoff ? "on" : "off") << "\n";
   }
   return out.str();
+}
+
+void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
+  w.put_string(c.label);
+  for (const std::uint64_t v : {c.seed, c.solar.seed, c.ingest_batch, c.audit.max_recorded}) {
+    w.put_u64(v);
+  }
+  for (const bool v :
+       {c.confirmed, c.adaptive_theta, c.adr_enabled, c.solar_peak_explicit, c.thermal.insulated,
+        c.ack_failure_backoff, c.audit.throw_on_violation}) {
+    w.put_u64(v ? 1 : 0);
+  }
+  for (const int v :
+       {c.n_nodes, c.n_gateways, c.shards, c.payload_bytes, c.theta_controller.window_packets,
+        c.uplink_channels, c.downlink_channels, c.gateway_demod_paths, c.timings.max_transmissions,
+        c.adr.history, c.adr.min_history, c.audit.level, c.audit.sample_every,
+        static_cast<int>(c.policy), static_cast<int>(c.utility), static_cast<int>(c.sf_assignment),
+        sf_value(c.fixed_sf)}) {
+    w.put_i64(v);
+  }
+  for (const Time t :
+       {c.min_period, c.max_period, c.forecast_window, c.timings.rx1_delay, c.timings.rx2_delay,
+        c.timings.rx_window_duration, c.retx_backoff_min, c.retx_backoff_max,
+        c.thermal.seasonal_trough, c.thermal.diurnal_trough, c.dissemination_period,
+        c.faults.outage_daily_start, c.faults.outage_daily_duration, c.faults.outage_random_min,
+        c.faults.outage_random_max, c.faults.ack_good_mean, c.faults.ack_bad_mean,
+        c.faults.reboot_duration, c.faults.drought_start, c.faults.drought_duration}) {
+    w.put_i64(t.us());
+  }
+  for (const double v :
+       {c.radius_m, c.gateway_ring_fraction, c.gateway_grid_pitch_m, c.cluster_radius_m,
+        c.interference_floor_dbm, c.period_jitter, c.theta, c.w_b, c.utility_lambda,
+        c.step_deadline, c.step_floor, c.ewma_beta, c.theta_controller.theta_min,
+        c.theta_controller.theta_max, c.theta_controller.initial, c.theta_controller.step,
+        c.theta_controller.loss_raise, c.theta_controller.loss_lower, c.tx_power_dbm,
+        c.sf_margin_db, c.downlink_tx_dbm, c.rx1_bandwidth_hz, c.path_loss.reference_m,
+        c.path_loss.reference_loss_db, c.path_loss.exponent, c.path_loss.shadowing_sigma_db,
+        c.radio.supply_volts, c.radio.rx_current_a, c.radio.sleep_current_a,
+        c.radio.standby_current_a, c.duty_cycle, c.adr.device_margin_db, c.adr.max_tx_power_dbm,
+        c.adr.min_tx_power_dbm, c.battery_days, c.initial_soc, c.battery_self_discharge_per_month,
+        c.solar_tx_per_window, c.solar.peak.watts(), c.solar.winter_summer_ratio,
+        c.solar.min_day_hours, c.solar.max_day_hours, c.solar.clear_stay, c.solar.cloudy_stay,
+        c.solar.overcast_stay, c.solar.intraday_noise, c.panel_scale_min, c.panel_scale_max,
+        c.cloud_jitter_spread, c.forecast_error_sigma, c.supercap_tx_buffer, c.supercap_efficiency,
+        c.supercap_leak_per_day, c.degradation.k1, c.degradation.k2, c.degradation.k3,
+        c.degradation.k4, c.degradation.k5, c.degradation.k6, c.degradation.alpha_sei,
+        c.degradation.k_sei, c.degradation.eol_threshold, c.temperature_c, c.thermal.fixed_c,
+        c.thermal.mean_c, c.thermal.seasonal_amplitude_c, c.thermal.diurnal_amplitude_c,
+        c.faults.outage_random_per_day, c.faults.ack_loss_good, c.faults.ack_loss_bad,
+        c.faults.crash_per_year, c.faults.report_loss, c.faults.report_dup, c.faults.report_reorder,
+        c.faults.report_corrupt, c.faults.report_truncate, c.faults.drought_scale,
+        c.stale_feedback_k, c.audit.rel_tolerance, c.audit.abs_tolerance_j, c.audit.soc_tolerance,
+        c.audit.feedback_rel_tolerance, c.audit.feedback_abs_tolerance}) {
+    w.put_double(v);
+  }
 }
 
 }  // namespace blam

@@ -19,4 +19,11 @@ namespace blam {
 /// One-line-per-field human-readable dump (the runner echoes it).
 [[nodiscard]] std::string describe_scenario(const ScenarioConfig& config);
 
+class StateWriter;
+
+/// Writes every field of `config` as state-codec values into the section
+/// the caller has open. A campaign keys its cells by a hash of these bytes,
+/// so two configs share a journal entry only when every field matches.
+void write_scenario_key(StateWriter& w, const ScenarioConfig& config);
+
 }  // namespace blam

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/checksum.hpp"
 
@@ -389,6 +390,7 @@ CampaignReport Campaign::run(const Body& body) {
   }
 
   std::mutex quarantine_mutex;
+  std::vector<std::pair<std::size_t, QuarantinedCell>> quarantined;  // (cell index, entry)
   // 64-bit: retries may be INT_MAX.
   const std::int64_t max_attempts = std::int64_t{1} + options_.retries;
 
@@ -464,7 +466,7 @@ CampaignReport Campaign::run(const Body& body) {
     q.error = error;
     q.config_text = cells_[i].config_text;
     const std::lock_guard<std::mutex> lock{quarantine_mutex};
-    report.quarantined.push_back(std::move(q));
+    quarantined.emplace_back(i, std::move(q));
   });
 
   if (watchdog.joinable()) {
@@ -473,17 +475,10 @@ CampaignReport Campaign::run(const Body& body) {
   }
 
   // Quarantine entries land in completion order (worker-dependent); sort by
-  // cell order so the file and the error report are deterministic.
-  std::sort(report.quarantined.begin(), report.quarantined.end(),
-            [&](const QuarantinedCell& a, const QuarantinedCell& b) {
-              const auto index_of = [&](const std::string& key) {
-                for (std::size_t i = 0; i < cells_.size(); ++i) {
-                  if (cells_[i].key == key) return i;
-                }
-                return cells_.size();
-              };
-              return index_of(a.key) < index_of(b.key);
-            });
+  // cell index, not key (a grid may repeat a cell), so the file and the
+  // error report are deterministic.
+  std::ranges::sort(quarantined, {}, &std::pair<std::size_t, QuarantinedCell>::first);
+  for (auto& entry : quarantined) report.quarantined.push_back(std::move(entry.second));
 
   if (!options_.quarantine_path.empty()) {
     if (!report.quarantined.empty()) {

@@ -14,9 +14,9 @@
 // is detected and ignored per-entry — resuming is safe against both.
 //
 // Payloads are opaque strings chosen by the caller; callers that need exact
-// results round-trip them through a lossless serialization (see
-// net/experiment.hpp's LifespanResult codec), which makes "fresh" and
-// "resumed" cells indistinguishable down to the last bit.
+// results round-trip them through a lossless serialization (see the result
+// codecs in net/experiment.hpp), which makes "fresh" and "resumed" cells
+// indistinguishable down to the last bit.
 #pragma once
 
 #include <atomic>

@@ -477,32 +477,14 @@ void ShardedNetwork::finalize_metrics() {
       attempts += row.tx_attempts;
     }
 
-    const GatewayMetrics& g = slice->metrics().gateway();
-    mg.arrivals += g.arrivals;
-    mg.received += g.received;
-    mg.lost_interference += g.lost_interference;
-    mg.lost_half_duplex += g.lost_half_duplex;
-    mg.lost_no_demod_path += g.lost_no_demod_path;
-    mg.lost_under_sensitivity += g.lost_under_sensitivity;
-    mg.acks_sent += g.acks_sent;
-    mg.acks_rx2 += g.acks_rx2;
-    mg.acks_unschedulable += g.acks_unschedulable;
-    mg.acks_undecodable += g.acks_undecodable;
-    mg.duplicates += g.duplicates;
-    mg.lost_outage += g.lost_outage;
-    mg.acks_lost_outage += g.acks_lost_outage;
-    mg.acks_lost_channel += g.acks_lost_channel;
-    // Every slice's server skips the identical backhaul-down dissemination
+    // Every counter partitions across slices, report-channel fault tallies
+    // included (nodes partition, and each has its own lane), but one: every
+    // slice's server skips the identical backhaul-down dissemination
     // instants (the outage schedule is global), while a whole-fleet run
-    // counts each skip once — so this counter is replicated, not partitioned.
+    // counts each skip once — so recomputes_skipped is replicated.
+    const GatewayMetrics& g = slice->metrics().gateway();
+    for (const auto count : g.fields()) mg.*count += g.*count;
     mg.recomputes_skipped = g.recomputes_skipped;
-    // Report-channel fault tallies: nodes partition across slices, so the
-    // whole-fleet per-node lanes sum is exactly the per-slice channels sum.
-    mg.reports_dropped_fault += g.reports_dropped_fault;
-    mg.reports_duplicated_fault += g.reports_duplicated_fault;
-    mg.reports_reordered_fault += g.reports_reordered_fault;
-    mg.reports_corrupted_fault += g.reports_corrupted_fault;
-    mg.reports_truncated_fault += g.reports_truncated_fault;
 
     // Exact compensation for the gateways this slice never radiated to: in
     // a whole-fleet run every attempt arrives at every gateway, and at a
@@ -514,24 +496,14 @@ void ShardedNetwork::finalize_metrics() {
     mg.lost_under_sensitivity += attempts * missing;
 
     const LedgerCounters& c = slice->server().service().counters();
-    feedback.reports_accepted += c.reports_accepted;
-    feedback.reports_duplicate += c.reports_duplicate;
-    feedback.reports_checksum_rejected += c.reports_checksum_rejected;
-    feedback.reports_buffered += c.reports_buffered;
-    feedback.reports_reassembled += c.reports_reassembled;
-    feedback.samples_rejected_nonmonotonic += c.samples_rejected_nonmonotonic;
-    feedback.samples_rejected_range += c.samples_rejected_range;
-    feedback.gaps_bridged += c.gaps_bridged;
-    feedback.discontinuities += c.discontinuities;
-    feedback.quarantines += c.quarantines;
-    feedback.recoveries += c.recoveries;
+    for (const auto count : c.fields()) feedback.*count += c.*count;
   }
   merged_.set_feedback(feedback);
   const Network& front = *slices_.front();
   if (const FaultPlan* faults = front.fault_plan()) {
     // The outage schedule is global and every slice regenerates it
     // identically; any slice's tally is the whole-fleet value.
-    merged_.set_total_outage(faults->outage_seconds_until(front.simulator().now()));
+    merged_.set_total_outage(faults->outage_seconds_until(front.simulator().now()).seconds());
   }
 }
 
@@ -544,12 +516,6 @@ std::shared_ptr<const SolarTrace> ShardedNetwork::share_trace() const {
 }
 
 const Auditor* ShardedNetwork::auditor() const { return slices_.front()->auditor(); }
-
-int ShardedNetwork::max_windows() const {
-  int max_w = 1;
-  for (const auto& slice : slices_) max_w = std::max(max_w, slice->max_windows());
-  return max_w;
-}
 
 std::uint64_t ShardedNetwork::events_executed() const {
   std::uint64_t total = 0;

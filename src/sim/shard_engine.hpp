@@ -211,7 +211,6 @@ class ShardedNetwork {
   [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const;
   /// Non-null exactly when auditing is on (audited runs are one slice).
   [[nodiscard]] const Auditor* auditor() const;
-  [[nodiscard]] int max_windows() const;
   [[nodiscard]] std::uint64_t events_executed() const;
   /// Latest disseminated w_u for a node (fleet-normalized; 0 before the
   /// first recompute). Throws std::out_of_range for ids >= n_nodes.

@@ -128,6 +128,34 @@ TEST(CampaignTest, CleanRunRemovesAStaleQuarantineFile) {
   EXPECT_NO_THROW(throw_if_quarantined(report, quarantine.path()));
 }
 
+TEST(CampaignTest, IdenticalQuarantinedCellsKeepCellOrder) {
+  // Two cells with one key (a grid may repeat a config, as
+  // ablation_extensions repeats H-50) both fail, cell 1 first: the report
+  // still lists them in cell order.
+  CampaignOptions options = quiet_options();
+  options.sweep.jobs = 4;
+  options.retries = 0;
+  const CampaignCell cell = three_cells()[0];
+  Campaign campaign{{cell, cell}, options};
+  std::atomic<bool> second_started{false};
+  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken&) -> std::string {
+    if (i == 1) {
+      second_started.store(true);
+    } else {
+      // Fail well after cell 1 does, so its entry lands first.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+      while (!second_started.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    }
+    throw std::runtime_error{"cell " + std::to_string(i)};
+  });
+  ASSERT_EQ(report.quarantined.size(), 2u);
+  EXPECT_EQ(report.quarantined[0].error, "cell 0");
+  EXPECT_EQ(report.quarantined[1].error, "cell 1");
+}
+
 TEST(CampaignTest, WatchdogCancelsAHungCell) {
   CampaignOptions options = quiet_options();
   options.cell_timeout_s = 0.1;

@@ -28,6 +28,9 @@ TEST(NetworkIntegration, ConfigValidationFiresOnBuild) {
   c = small(PolicyKind::kLorawan, 1.0);
   c.forecast_window = c.min_period + Time::from_minutes(1.0);
   EXPECT_THROW(Network{c}, std::invalid_argument);
+  c = small(PolicyKind::kLorawan, 1.0);
+  c.forecast_window = Time::from_us(c.max_period.us() / (kMaxForecastWindows + 1));
+  EXPECT_THROW(Network{c}, std::invalid_argument);
 }
 
 TEST(NetworkIntegration, SingleNodeDeliversEverything) {

@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/state_codec.hpp"
 #include "lora/tx_timing_cache.hpp"
 #include "sim/shard_engine.hpp"
 
@@ -57,69 +59,28 @@ DeploymentPlan make_deployment(std::vector<Position> gateways,
   return d;
 }
 
+/// Every node's metric rows, the gateway row, the ledger counters and the
+/// total outage, as state-codec bytes. The serial reason is left out: a
+/// one-slice engine records why it did not shard.
+std::string metric_rows(const Metrics& m) {
+  std::ostringstream out;
+  StateWriter w{out};
+  w.begin_section("metrics");
+  for (std::size_t i = 0; i < m.node_count(); ++i) {
+    write_node_metrics(w, m.node(i));
+    write_node_battery(w, m.node(i));
+  }
+  write_gateway_metrics(w, m.gateway());
+  const NetworkSummary summary = m.summarize();
+  write_ledger_counters(w, summary.feedback);
+  w.put_double(summary.total_outage_s);
+  w.end_section();
+  return std::move(out).str();
+}
+
 void expect_identical(const Metrics& serial, const Metrics& sharded, std::size_t n_nodes) {
   ASSERT_EQ(serial.node_count(), n_nodes);
-  ASSERT_EQ(sharded.node_count(), n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    SCOPED_TRACE(i);
-    const NodeMetrics& a = serial.node(i);
-    const NodeMetrics& b = sharded.node(i);
-    EXPECT_EQ(a.generated, b.generated);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.exhausted, b.exhausted);
-    EXPECT_EQ(a.policy_drops, b.policy_drops);
-    EXPECT_EQ(a.brownouts, b.brownouts);
-    EXPECT_EQ(a.duty_defers, b.duty_defers);
-    EXPECT_EQ(a.tx_attempts, b.tx_attempts);
-    EXPECT_EQ(a.retx, b.retx);
-    EXPECT_EQ(a.tx_energy.joules(), b.tx_energy.joules());
-    EXPECT_EQ(a.utility_sum, b.utility_sum);
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    EXPECT_EQ(a.latency_s.mean(), b.latency_s.mean());
-    EXPECT_EQ(a.delivered_latency_s.count(), b.delivered_latency_s.count());
-    EXPECT_EQ(a.delivered_latency_s.mean(), b.delivered_latency_s.mean());
-    EXPECT_EQ(a.window_counts, b.window_counts);
-    EXPECT_EQ(a.w_age_s.count(), b.w_age_s.count());
-    EXPECT_EQ(a.w_age_s.mean(), b.w_age_s.mean());
-    EXPECT_EQ(a.degradation, b.degradation);
-    EXPECT_EQ(a.cycle_linear, b.cycle_linear);
-    EXPECT_EQ(a.calendar_linear, b.calendar_linear);
-    EXPECT_EQ(a.mean_soc, b.mean_soc);
-    EXPECT_EQ(a.final_soc, b.final_soc);
-    EXPECT_EQ(a.crashes, b.crashes);
-    EXPECT_EQ(a.reboot_drops, b.reboot_drops);
-    EXPECT_EQ(a.lost_in_outage, b.lost_in_outage);
-    EXPECT_EQ(a.recovery_s.count(), b.recovery_s.count());
-    EXPECT_EQ(a.recovery_s.mean(), b.recovery_s.mean());
-  }
-  const GatewayMetrics& ga = serial.gateway();
-  const GatewayMetrics& gb = sharded.gateway();
-  EXPECT_EQ(ga.arrivals, gb.arrivals);
-  EXPECT_EQ(ga.received, gb.received);
-  EXPECT_EQ(ga.lost_interference, gb.lost_interference);
-  EXPECT_EQ(ga.lost_half_duplex, gb.lost_half_duplex);
-  EXPECT_EQ(ga.lost_no_demod_path, gb.lost_no_demod_path);
-  EXPECT_EQ(ga.lost_under_sensitivity, gb.lost_under_sensitivity);
-  EXPECT_EQ(ga.acks_sent, gb.acks_sent);
-  EXPECT_EQ(ga.acks_rx2, gb.acks_rx2);
-  EXPECT_EQ(ga.acks_unschedulable, gb.acks_unschedulable);
-  EXPECT_EQ(ga.acks_undecodable, gb.acks_undecodable);
-  EXPECT_EQ(ga.duplicates, gb.duplicates);
-  EXPECT_EQ(ga.recomputes_skipped, gb.recomputes_skipped);
-  EXPECT_EQ(ga.lost_outage, gb.lost_outage);
-  EXPECT_EQ(ga.acks_lost_outage, gb.acks_lost_outage);
-  EXPECT_EQ(ga.acks_lost_channel, gb.acks_lost_channel);
-  EXPECT_EQ(ga.reports_dropped_fault, gb.reports_dropped_fault);
-  EXPECT_EQ(ga.reports_duplicated_fault, gb.reports_duplicated_fault);
-  EXPECT_EQ(ga.reports_reordered_fault, gb.reports_reordered_fault);
-  EXPECT_EQ(ga.reports_corrupted_fault, gb.reports_corrupted_fault);
-  EXPECT_EQ(ga.reports_truncated_fault, gb.reports_truncated_fault);
-  const LedgerCounters fa = serial.summarize().feedback;
-  const LedgerCounters fb = sharded.summarize().feedback;
-  EXPECT_EQ(fa.reports_accepted, fb.reports_accepted);
-  EXPECT_EQ(fa.reports_duplicate, fb.reports_duplicate);
-  EXPECT_EQ(fa.samples_rejected_nonmonotonic, fb.samples_rejected_nonmonotonic);
-  EXPECT_EQ(fa.gaps_bridged, fb.gaps_bridged);
+  EXPECT_EQ(metric_rows(serial), metric_rows(sharded));
 }
 
 TEST(ShardEnginePlanner, SingleGatewayIsOneDomain) {
@@ -306,10 +267,7 @@ TEST(ShardEngineIdentity, FaultedFourShardsBitIdenticalToSerial) {
   sharded.finalize_metrics();
 
   expect_identical(serial.metrics(), sharded.metrics(), 48);
-  const NetworkSummary sa = serial.metrics().summarize();
-  const NetworkSummary sb = sharded.metrics().summarize();
-  EXPECT_EQ(sa.total_outage_s, sb.total_outage_s);
-  EXPECT_GT(sb.total_outage_s, 0.0);
+  EXPECT_GT(sharded.metrics().summarize().total_outage_s, 0.0);
   EXPECT_EQ(serial.max_degradation(), sharded.max_degradation());
   for (std::uint32_t id = 0; id < 48; ++id) {
     EXPECT_EQ(serial.server().w_for(id), sharded.w_for(id)) << "node " << id;

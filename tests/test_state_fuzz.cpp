@@ -1,9 +1,10 @@
-// Seeded mutation fuzzing of the one state reader. Two real streams are
+// Seeded mutation fuzzing of the one state reader. Three real streams are
 // damaged over and over: a faulted two-slice engine checkpoint ("blamsim"
-// magic line plus every component's sections) and a standalone gateway
-// ledger section. Every mutant must either restore or end in a named
-// std::runtime_error; any other exception fails the test, and a crash or a
-// sanitizer report fails the run (the suite also runs under ASan/UBSan).
+// magic line plus every component's sections), a standalone gateway ledger
+// section, and a scenario grid's `experiment` journal payload. Every mutant
+// must either restore or end in a named std::runtime_error; any other
+// exception fails the test, and a crash or a sanitizer report fails the run
+// (the suite also runs under ASan/UBSan).
 //
 // Mutations: truncation at a random byte, dropping or swapping whole
 // sections, bit flips, and "resealed" edits that change, delete or
@@ -402,6 +403,38 @@ TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
   for (const char* check :
        {"state codec: checksum mismatch", "restore: checkpoint", "Node::restore_state:",
         "Gateway::restore_state:", "ledger checkpoint:"}) {
+    EXPECT_GT(count_errors(tally, check), 0) << check;
+  }
+}
+
+TEST(StateFuzz, ExperimentPayloadMutantsDecodeOrNameTheirError) {
+  // A scenario grid's journal payload: the faulted fuzz city's result after
+  // a day, so the fault, ledger and window rows all carry counts.
+  const ScenarioConfig c = fuzz_city();
+  const std::string original = serialize_experiment_result(run_scenario(c, Time::from_days(1.0)));
+  const auto restore = [](const std::string& text) { (void)deserialize_experiment_result(text); };
+  ASSERT_EQ(serialize_experiment_result(deserialize_experiment_result(original)), original);
+
+  Tally tally = fuzz(original, 4000, 20261019, restore);
+  sweep_counts(original, restore, tally);
+  // The node count, forged: section, label, event count, outage, 11 ledger
+  // counters and the serial reason precede it.
+  constexpr std::size_t kNodeCount = 16;
+  const std::vector<std::string> lines = split_lines(original);
+  ASSERT_EQ(lines.at(kNodeCount), "u " + std::to_string(c.n_nodes) + "\n");
+  for (const std::uint64_t forged : {std::uint64_t{0}, std::uint64_t{5}, std::uint64_t{7},
+                                     std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    std::vector<std::string> edited = lines;
+    edited[kNodeCount] = "u " + std::to_string(forged) + "\n";
+    const int errors = count_errors(tally, "");
+    check(reseal(join_lines(edited)), restore, tally, "node count " + std::to_string(forged));
+    EXPECT_EQ(count_errors(tally, ""), errors + 1) << "node count " << forged << " decoded";
+  }
+  EXPECT_GT(tally.restored, 0);
+  for (const char* check :
+       {"state codec: checksum mismatch", "state codec: unexpected end of checkpoint",
+        "deserialize_experiment_result: window count out of range",
+        "node metrics: window histogram: sparse row"}) {
     EXPECT_GT(count_errors(tally, check), 0) << check;
   }
 }
