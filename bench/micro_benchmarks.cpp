@@ -73,6 +73,29 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
+void BM_EventQueueScheduleAndPopCity(benchmark::State& state) {
+  // A city slice's shape: 20k nodes each holding one period-start event
+  // spread over a 33-min sampling period, and every firing schedules either
+  // the node's next period or a near-term event 1 ms - 2 s ahead (attempt
+  // end, server decision, ACK). The near-term inserts land in the calendar's
+  // current bucket, so this times the run append and the side heap.
+  constexpr std::int64_t kPeriodUs = 33LL * 60 * 1'000'000;
+  EventQueue queue;
+  Rng rng{1};
+  for (int i = 0; i < 20'000; ++i) {
+    queue.schedule(Time::from_us(rng.uniform_int(0, kPeriodUs)), [] {});
+  }
+  for (auto _ : state) {
+    auto popped = queue.pop();
+    const std::int64_t now = popped.time.us();
+    const std::int64_t ahead = rng.uniform_int(0, 1) == 0 ? rng.uniform_int(1'000, 2'000'000)
+                                                           : kPeriodUs;
+    queue.schedule(Time::from_us(now + ahead), [] {});
+    benchmark::DoNotOptimize(popped.callback);
+  }
+}
+BENCHMARK(BM_EventQueueScheduleAndPopCity);
+
 void BM_EventQueueCancel(benchmark::State& state) {
   EventQueue queue;
   for (auto _ : state) {

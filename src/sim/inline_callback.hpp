@@ -14,7 +14,15 @@
 // Move-only: the queue is the sole owner of a pending callback, and
 // captured state (handles, frames) is usually not copyable anyway. Assigning
 // nullptr destroys the captured state eagerly — EventQueue::cancel relies on
-// that to release resources before the stale heap entry drains.
+// that to release resources before the stale queue entry drains.
+//
+// Capture `this` first. EventQueue::pop prefetches the object an upcoming
+// event will touch, and the only thing it knows about that object is
+// prefetch_target(): the first captured word. A lambda `[this] {...}` or
+// `[this, slot] {...}` stores `this` there, so the hint lands on the Node,
+// Gateway or NetworkServer the callback runs on. The word only ever reaches
+// __builtin_prefetch, never a dereference, so a callable that captures
+// something else first is still correct; its hint is just wasted.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +57,10 @@ class InlineCallback {
                   "over-aligned captures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "captures must be nothrow-movable (the queue relocates slots)");
+    if constexpr (sizeof(Fn) < sizeof(void*)) {
+      // No pointer-sized first capture: make the prefetch hint null.
+      __builtin_memset(storage_, 0, sizeof(void*));
+    }
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     invoke_ = [](void* s) { (*static_cast<Fn*>(s))(); };
     if constexpr (std::is_trivially_destructible_v<Fn> &&
@@ -89,6 +101,15 @@ class InlineCallback {
   explicit operator bool() const { return invoke_ != nullptr; }
 
   void operator()() { invoke_(storage_); }
+
+  /// The first captured word (the object a capture-`this`-first lambda runs
+  /// on), or nullptr when empty. A prefetch hint only: never dereference it.
+  [[nodiscard]] const void* prefetch_target() const {
+    if (invoke_ == nullptr) return nullptr;
+    const void* target;
+    __builtin_memcpy(&target, storage_, sizeof target);
+    return target;
+  }
 
  private:
   enum class Action : std::uint8_t { kMoveTo, kDestroy };

@@ -32,22 +32,14 @@ EventHandle Simulator::schedule_at_seq(Time at, std::uint64_t seq, Callback call
   return queue_.schedule_with_seq(at, seq, std::move(callback));
 }
 
-void Simulator::run() {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    auto [time, callback] = queue_.pop();
-    if (audit_ != nullptr) audit_->on_event_pop(now_, time);
-    now_ = time;
-    ++executed_;
-    if (abort_ != nullptr && (executed_ & 1023u) == 0 &&
-        abort_->load(std::memory_order_relaxed)) {
-      throw SimulationAborted{};
-    }
-    callback();
-  }
-}
+void Simulator::run() { dispatch(Time::max()); }
 
 void Simulator::run_until(Time until) {
+  dispatch(until);
+  if (!stopped_ && now_ < until) now_ = until;
+}
+
+void Simulator::dispatch(Time until) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && queue_.next_time() <= until) {
     auto [time, callback] = queue_.pop();
@@ -60,7 +52,6 @@ void Simulator::run_until(Time until) {
     }
     callback();
   }
-  if (!stopped_ && now_ < until) now_ = until;
 }
 
 PeriodicProcess::PeriodicProcess(Simulator& sim, Time first, Time period, Tick tick)

@@ -101,6 +101,10 @@ class Simulator {
   }
 
  private:
+  /// The one run loop: pops and fires events with time <= `until` until the
+  /// queue drains or stop() is called.
+  void dispatch(Time until);
+
   EventQueue queue_;
   Time now_{Time::zero()};
   std::uint64_t executed_{0};

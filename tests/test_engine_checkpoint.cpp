@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "common/checksum.hpp"
 #include "common/state_codec.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard_engine.hpp"
@@ -351,6 +352,36 @@ TEST(ShardEngineCheckpoint, RollingCheckpointFileResumes) {
   EXPECT_EQ(checkpoint_text(writer), checkpoint_text(uninterrupted));
 
   fs::remove_all(dir);
+}
+
+TEST(ShardEngineCheckpoint, GoldenStreamPin) {
+  // The kill-resume drill compares two runs of one build, so it cannot see
+  // a change that shifts event order, seq numbers or stream tokens between
+  // builds. This pins the "blamsim v3" bytes of a small city, serial and
+  // 4-shard (the latter also with every fault stream, whose crash events sit
+  // days ahead), at the day-1 barrier and the 2-day end to constants. A
+  // change that moves them changes results: it is a bug unless the change
+  // means to alter the model (and then says so).
+  struct Pin {
+    int shards;
+    bool faults;
+    std::uint64_t day1;
+    std::uint64_t day2;
+  };
+  for (const Pin pin : {Pin{1, false, 0x5c95069005b7b5d5ULL, 0x9884cd1413355355ULL},
+                        Pin{4, false, 0x77b8d233ea059a3dULL, 0x3a3ac7611d131262ULL},
+                        Pin{4, true, 0x8d3b4d6f23c2ef90ULL, 0xebd98290fabdea59ULL}}) {
+    ScenarioConfig c = city(300, 16, pin.shards);
+    if (pin.faults) add_faults(c);
+    ShardedNetwork engine{c};
+    ASSERT_EQ(engine.plan().effective, pin.shards);
+    engine.run_until(Time::from_days(1.0));
+    EXPECT_EQ(fnv1a64(checkpoint_text(engine)), pin.day1)
+        << "shards=" << pin.shards << " faults=" << pin.faults;
+    engine.run_until(Time::from_days(2.0));
+    EXPECT_EQ(fnv1a64(checkpoint_text(engine)), pin.day2)
+        << "shards=" << pin.shards << " faults=" << pin.faults;
+  }
 }
 
 TEST(ShardEngineCheckpoint, RunUntilBeforeCursorIsANoOp) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -226,6 +229,178 @@ TEST(EventQueue, RandomizedOrderingProperty) {
     auto [time, cb] = q.pop();
     EXPECT_GE(time.us(), prev.us());
     prev = time;
+  }
+}
+
+/// Drives an EventQueue and a std::set<(time, seq)> reference side by side;
+/// every pop, peek, cancel and size must agree exactly.
+class DifferentialQueue {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+
+  void schedule(std::int64_t time_us) {
+    const std::uint64_t seq = q_.next_seq();
+    handles_.push_back({q_.schedule(Time::from_us(time_us), callback(seq)), {time_us, seq}});
+    ref_.insert({time_us, seq});
+    ++ops_;
+  }
+
+  /// Cancels a random handle (it may have fired or been cancelled already).
+  void cancel(Rng& rng) {
+    if (handles_.empty()) return;
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(handles_.size()) - 1));
+    const auto [handle, key] = handles_[k];
+    handles_[k] = handles_.back();
+    handles_.pop_back();
+    EXPECT_EQ(q_.cancel(handle), ref_.erase(key) == 1) << "cancel at op " << ops_;
+    ++ops_;
+  }
+
+  void pop() {
+    if (ref_.empty()) return;
+    const Key expected = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EventQueue::Popped popped = q_.pop();
+    popped.callback();
+    ASSERT_EQ((Key{popped.time.us(), fired_seq_}), expected) << "pop at op " << ops_;
+    now_ = popped.time.us();
+    ++ops_;
+  }
+
+  /// next_time() must equal the reference's head; returns it (or now when
+  /// empty).
+  std::int64_t peek() {
+    ++ops_;
+    if (ref_.empty()) return now_;
+    const std::int64_t t = q_.next_time().us();
+    EXPECT_EQ(t, ref_.begin()->first) << "peek at op " << ops_;
+    return t;
+  }
+
+  /// The checkpoint-restore shape: wipe the queue, replay every pending
+  /// (time, seq) in shuffled order under its original seq, then restore the
+  /// counter.
+  void clear_and_restore(Rng& rng) {
+    std::vector<Key> pending(ref_.begin(), ref_.end());
+    for (std::size_t i = pending.size(); i > 1; --i) {
+      const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(pending[i - 1], pending[j]);
+    }
+    const std::uint64_t next_seq = q_.next_seq();
+    q_.clear();
+    EXPECT_TRUE(q_.empty());
+    handles_.clear();
+    for (const Key& key : pending) {
+      handles_.push_back(
+          {q_.schedule_with_seq(Time::from_us(key.first), key.second, callback(key.second)), key});
+      ++ops_;
+    }
+    q_.set_next_seq(next_seq);
+  }
+
+  void check_size() {
+    ASSERT_EQ(q_.size(), ref_.size()) << "size at op " << ops_;
+    ASSERT_EQ(q_.empty(), ref_.empty());
+  }
+
+  void drain() {
+    while (!ref_.empty()) pop();
+    EXPECT_TRUE(q_.empty());
+  }
+
+  [[nodiscard]] std::int64_t now() const { return now_; }
+  [[nodiscard]] std::size_t size() const { return ref_.size(); }
+  [[nodiscard]] std::size_t ops() const { return ops_; }
+
+ private:
+  EventQueue::Callback callback(std::uint64_t seq) {
+    return [this, seq] { fired_seq_ = seq; };
+  }
+
+  EventQueue q_;
+  std::set<Key> ref_;
+  std::vector<std::pair<EventHandle, Key>> handles_;
+  std::int64_t now_{0};
+  std::uint64_t fired_seq_{0};
+  std::size_t ops_{0};
+};
+
+/// One seeded run of the operation mix. A dense run keeps thousands of
+/// events pending, like a city slice; a sparse run keeps at most
+/// `sparse_cap`, so a peek often jumps the cursor tens of minutes (or, when
+/// only far events remain, days) ahead and the schedule that follows
+/// rewinds it over ring entries that then sit more than a lap past the
+/// cursor, aliasing nearer buckets' lists.
+void run_mix(DifferentialQueue& d, std::uint64_t seed, int rounds, std::size_t sparse_cap) {
+  constexpr std::int64_t kMinute = 60'000'000;
+  constexpr std::int64_t kDay = 24 * 60 * kMinute;
+  constexpr std::int64_t kLap = EventQueue::kBuckets * EventQueue::kBucketWidthUs;
+  Rng rng{seed};
+  for (int round = 0; round < rounds; ++round) {
+    const std::int64_t now = d.now();
+    std::int64_t op = rng.uniform_int(0, 99);
+    if (sparse_cap > 0 && d.size() > sparse_cap && op < 40) op = 55;  // pop instead
+    if (op < 30) {
+      d.schedule(now + rng.uniform_int(0, 90 * kMinute));
+    } else if (op < 35) {
+      d.schedule(now + rng.uniform_int(0, 2'000'000));
+    } else if (op < 37) {
+      d.schedule(now + rng.uniform_int(1, 10) * kDay + rng.uniform_int(0, kDay));
+    } else if (op < 39) {
+      const std::int64_t t = now + rng.uniform_int(0, 90 * kMinute);
+      d.schedule(t);
+      d.schedule(t + kLap);
+    } else if (op < 40) {
+      d.schedule(now);
+    } else if (op < 55) {
+      d.cancel(rng);
+    } else if (op < 90) {
+      d.pop();
+    } else {
+      // run_until's barrier: peek (which may move the cursor past the
+      // barrier), then schedule anywhere between now and the peeked time.
+      const std::int64_t peeked = d.peek();
+      d.schedule(now + rng.uniform_int(0, peeked - now));
+    }
+    if (round % 40'000 == 39'999) d.clear_and_restore(rng);
+    if (round % 1'000 == 0) d.check_size();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  d.drain();
+}
+
+TEST(EventQueue, MatchesOrderedSetReference) {
+  // The calendar queue's paths, each against a std::set reference: the t=0
+  // boot burst (appends to the current run), schedules over the ring's
+  // horizon and days ahead (the far heap), in-bucket arrivals (the side
+  // heap), cancels, pairs exactly one ring lap apart (two absolute buckets
+  // sharing one list), a peek followed by a schedule before the peeked
+  // bucket (the barrier rewind), and clear() + shuffled schedule_with_seq
+  // (checkpoint restore).
+  DifferentialQueue dense;
+  for (int i = 0; i < 100'000; ++i) dense.schedule(0);
+  for (int i = 0; i < 60'000; ++i) dense.pop();
+  dense.check_size();
+  run_mix(dense, 2024, 160'000, 0);
+
+  DifferentialQueue sparse;
+  run_mix(sparse, 2025, 120'000, 24);
+  EXPECT_GE(dense.ops() + sparse.ops(), 200'000u);
+}
+
+TEST(EventQueue, PeekPastTheBarrierThenScheduleEarlierRewinds) {
+  // The sharded dissemination-tick shape at queue level: next_time() jumps
+  // the cursor to an event 10 min out (and, separately, one past the
+  // horizon); an event scheduled 1 s out must still pop first.
+  for (const std::int64_t ahead_us : {std::int64_t{600'000'000}, std::int64_t{3} * 86'400'000'000}) {
+    EventQueue q;
+    q.schedule(Time::from_us(ahead_us), [] {});
+    EXPECT_EQ(q.next_time(), Time::from_us(ahead_us));
+    q.schedule(Time::from_seconds(1.0), [] {});
+    EXPECT_EQ(q.pop().time, Time::from_seconds(1.0));
+    EXPECT_EQ(q.pop().time, Time::from_us(ahead_us));
+    EXPECT_TRUE(q.empty());
   }
 }
 

@@ -166,5 +166,59 @@ TEST(InlineCallback, QueueSlotReuseKeepsCallbacksIntact) {
   EXPECT_EQ(fired, 1);  // earliest surviving event
 }
 
+/// Stands in for Node/Gateway: builds callbacks the way their hot lambdas
+/// do, capturing `this` first.
+struct Target {
+  int hits{0};
+  InlineCallback on_this() {
+    return [this] { ++hits; };
+  }
+  InlineCallback on_this_slot(std::uint32_t slot) {
+    return [this, slot] { hits += static_cast<int>(slot); };
+  }
+};
+
+TEST(InlineCallback, PrefetchTargetIsTheCapturedThis) {
+  Target target;
+  InlineCallback a = target.on_this();
+  InlineCallback b = target.on_this_slot(7);
+  EXPECT_EQ(a.prefetch_target(), &target);
+  EXPECT_EQ(b.prefetch_target(), &target);
+
+  // It survives the moves the queue makes, and goes with the callable.
+  InlineCallback moved{std::move(b)};
+  EXPECT_EQ(moved.prefetch_target(), &target);
+  EXPECT_EQ(b.prefetch_target(), nullptr);  // NOLINT(bugprone-use-after-move)
+  moved();
+  EXPECT_EQ(target.hits, 7);
+
+  // Reset (what EventQueue::cancel does to a slot's callback) and empty
+  // callbacks have no target.
+  a = nullptr;
+  EXPECT_EQ(a.prefetch_target(), nullptr);
+  EXPECT_EQ(InlineCallback{}.prefetch_target(), nullptr);
+  EXPECT_EQ(InlineCallback{nullptr}.prefetch_target(), nullptr);
+
+  // A capture smaller than a pointer reads as null, not as stale bytes.
+  InlineCallback tiny{[] {}};
+  EXPECT_EQ(tiny.prefetch_target(), nullptr);
+}
+
+TEST(InlineCallback, CancelledEventsFireNothingAndPopTheirTargets) {
+  // A cancelled event's callback is reset in place; the queue must pop the
+  // survivors with their targets intact.
+  Target first;
+  Target second;
+  EventQueue queue;
+  const EventHandle dead = queue.schedule(Time::from_seconds(1.0), first.on_this());
+  (void)queue.schedule(Time::from_seconds(2.0), second.on_this_slot(3));
+  ASSERT_TRUE(queue.cancel(dead));
+  auto popped = queue.pop();
+  EXPECT_EQ(popped.callback.prefetch_target(), &second);
+  popped.callback();
+  EXPECT_EQ(first.hits, 0);
+  EXPECT_EQ(second.hits, 3);
+}
+
 }  // namespace
 }  // namespace blam

@@ -93,6 +93,24 @@ TEST(Simulator, CallbackCanScheduleAtCurrentTime) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(Simulator, BarrierScheduleBeforeThePeekedEventFiresFirst) {
+  // The sharded dissemination-tick shape: run_until(T) stops at an epoch
+  // barrier after peeking at the next event, 10 min past T. The barrier
+  // then schedules a tick 1 s past T, which must fire before that event.
+  Simulator sim;
+  const Time barrier = Time::from_hours(1.0);
+  std::vector<Time> fired;
+  sim.schedule_at(Time::from_minutes(5.0), [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(barrier + Time::from_minutes(10.0), [&] { fired.push_back(sim.now()); });
+  sim.run_until(barrier);
+  ASSERT_EQ(sim.now(), barrier);
+  ASSERT_EQ(fired.size(), 1u);
+  sim.schedule_at(barrier + Time::from_seconds(1.0), [&] { fired.push_back(sim.now()); });
+  sim.run_until(barrier + Time::from_hours(1.0));
+  EXPECT_EQ(fired, (std::vector<Time>{Time::from_minutes(5.0), barrier + Time::from_seconds(1.0),
+                                      barrier + Time::from_minutes(10.0)}));
+}
+
 TEST(PeriodicProcess, TicksAtFixedPeriod) {
   Simulator sim;
   std::vector<double> ticks;
