@@ -54,7 +54,6 @@ int main() {
     off.radius_m = 2500.0;
     off.sf_assignment = SfAssignment::kDistanceBased;
     off.path_loss.shadowing_sigma_db = 6.0;
-    off.fixed_sf = SpreadingFactor::kSF10;
     ScenarioConfig on = off;
     on.adr_enabled = true;
     const auto trace = build_shared_trace(off);

@@ -27,8 +27,7 @@ blam::ScenarioConfig testbed_config(blam::PolicyKind policy, double theta, std::
   c.forecast_window = Time::from_minutes(1.0);
   c.uplink_channels = 1;  // "to emulate a larger network"
   c.downlink_channels = 1;
-  c.sf_assignment = SfAssignment::kFixed;
-  c.fixed_sf = SpreadingFactor::kSF10;
+  c.sf_assignment = SfAssignment::kFixed;  // kFixedSf: SF10, as on the paper testbed
   return c;
 }
 

@@ -64,7 +64,7 @@ int main() {
   const SolarTrace trace{solar_cfg};
   const Harvester harvester{trace, 1.0};
   SolarForecaster forecaster{harvester, 0.0, Rng{5}};
-  Ewma ewma{0.3};
+  Ewma ewma{kEtxEwmaBeta};
   ewma.observe(attempt.joules());
   RetxEstimator retx{static_cast<std::size_t>(n_windows)};
   for (int w = 0; w < n_windows; ++w) retx.record(static_cast<std::size_t>(w), w % 3);
@@ -135,11 +135,11 @@ int main() {
               "(paper: +12.56%% whole-process CPU on an RPi)\n",
               ns_blam - ns_lorawan, cpu_overhead_pct);
 
+  // Only the sizeof row is a property of the code; the ns rows above are
+  // host timings and stay on stdout, so the committed CSV regenerates.
   write_csv("table1_overhead",
             {"metric", "lorawan", "blam"},
-            {{"decision_ns", CsvWriter::cell(ns_lorawan), CsvWriter::cell(ns_blam)},
-             {"ack_update_ns", CsvWriter::cell(0.0), CsvWriter::cell(ns_update)},
-             {"state_bytes", CsvWriter::cell(static_cast<std::uint64_t>(state_lorawan)),
+            {{"state_bytes", CsvWriter::cell(static_cast<std::uint64_t>(state_lorawan)),
               CsvWriter::cell(static_cast<std::uint64_t>(state_blam))}});
   return 0;
 }

@@ -27,23 +27,17 @@ seed = 42
 min_period_min = 16
 max_period_min = 60
 forecast_window_min = 1
-payload_bytes = 10
 utility = linear              # linear | exponential | step
 sf_assignment = fixed         # fixed | distance
-fixed_sf = 10
-tx_power_dbm = 14
 uplink_channels = 8
 adr = false
 battery_days = 8
-solar_tx_per_window = 3
 supercap_tx_buffer = 0        # >0 enables the hybrid-storage extension
 insulated = true              # false enables the outdoor thermal model
-temperature_c = 25
 chemistry = lmo               # lmo | nmc | lfp battery presets
 adaptive_theta = false        # closed-loop network-manager caps
 duty_cycle = 1.0              # 0.01 = EU 1% T_off rule
 confirmed = true              # false = fire-and-forget uplinks
-period_jitter = 0             # +/- fraction of the sampling period
 ingest_batch = 1              # gateway ledger ingest watermark (any value, same bytes)
 shards = 1                    # collision-domain shards (any count, same bytes)
 interference_floor_dbm = -500 # audibility cutoff, must be <= -142.5 (SF12 sensitivity);

@@ -32,12 +32,9 @@ int main(int argc, char** argv) {
     // Real terrain: distance-based SF with log-normal shadowing.
     c.sf_assignment = SfAssignment::kDistanceBased;
     c.path_loss.shadowing_sigma_db = 6.0;
-    c.sf_margin_db = 2.0;
-    // Slightly time-sensitive data: utility holds for the first 40% of the
+    // Slightly time-sensitive data: utility holds for the first 30% of the
     // period, then drops to a floor.
     c.utility = UtilityKind::kStep;
-    c.step_deadline = 0.4;
-    c.step_floor = 0.2;
     return c;
   };
 

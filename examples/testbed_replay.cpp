@@ -30,8 +30,7 @@ blam::ScenarioConfig testbed(blam::PolicyKind policy, double theta, std::uint64_
   c.max_period = Time::from_minutes(10.0);
   c.uplink_channels = 1;
   c.downlink_channels = 1;
-  c.sf_assignment = SfAssignment::kFixed;
-  c.fixed_sf = SpreadingFactor::kSF10;
+  c.sf_assignment = SfAssignment::kFixed;  // kFixedSf: SF10, as on the paper testbed
   return c;
 }
 

@@ -89,6 +89,10 @@ class SolarTrace {
   double peak_watts_{0.0};           // max of watts_, cached for peak()
 };
 
+/// Spread of the per-period cloud jitter: harvest is multiplied by
+/// U[1 - 0.3, 1], the local-cloud variation every committed figure uses.
+inline constexpr double kCloudJitterSpread = 0.3;
+
 /// A node's view of the shared trace: panel scale (fixed per node, modeling
 /// panel size / orientation / permanent shading) times a slowly-varying
 /// cloud jitter the caller updates once per sampling period.
@@ -98,7 +102,7 @@ class Harvester {
 
   /// Draws a new cloud-jitter factor for the coming period (uniform in
   /// [1-spread, 1]; local clouds only reduce output).
-  void resample_jitter(Rng& rng, double spread = 0.3);
+  void resample_jitter(Rng& rng, double spread = kCloudJitterSpread);
 
   [[nodiscard]] double jitter() const { return jitter_; }
   [[nodiscard]] double panel_scale() const { return panel_scale_; }

@@ -14,11 +14,18 @@
 
 namespace blam {
 
+/// Charge efficiency and leakage of the hybrid-storage extension's cap: 95%
+/// of offered energy is stored and 20% of the stored energy leaks per day,
+/// the values the committed ablation_extensions supercap row runs with.
+inline constexpr double kSupercapChargeEfficiency = 0.95;
+inline constexpr double kSupercapLeakPerDay = 0.2;
+
 class Supercap {
  public:
   /// `capacity` > 0; `charge_efficiency` in (0, 1]; `leak_per_day` in
   /// [0, 1) is the fraction of stored energy lost per day.
-  Supercap(Energy capacity, double charge_efficiency = 0.95, double leak_per_day = 0.2);
+  Supercap(Energy capacity, double charge_efficiency = kSupercapChargeEfficiency,
+           double leak_per_day = kSupercapLeakPerDay);
 
   [[nodiscard]] Energy capacity() const { return capacity_; }
   [[nodiscard]] Energy stored() const { return stored_; }
@@ -41,9 +48,9 @@ class Supercap {
   // blam-ckpt: skip -- construction input (scenario supercap_tx_buffer); stored is serialized
   Energy capacity_;
   Energy stored_{};
-  // blam-ckpt: skip -- construction input (scenario supercap_efficiency)
+  // blam-ckpt: skip -- construction input (kSupercapChargeEfficiency in a scenario)
   double efficiency_;
-  // blam-ckpt: skip -- construction input (scenario supercap_leak_per_day)
+  // blam-ckpt: skip -- construction input (kSupercapLeakPerDay in a scenario)
   double leak_per_day_;
 };
 

@@ -19,7 +19,7 @@ TemperatureModel::TemperatureModel(const ThermalConfig& config) : config_{config
 }
 
 double TemperatureModel::at(Time t) const {
-  if (config_.insulated) return config_.fixed_c;
+  if (config_.insulated) return kInsulatedBatteryC;
   const double day = t.days();
   // Coldest day of the year at seasonal_trough (default: day 15,
   // mid-January); warmest half a year later. The arithmetic below mirrors

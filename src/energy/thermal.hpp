@@ -12,10 +12,14 @@
 
 namespace blam {
 
+/// Internal temperature of an insulated battery (paper Sec. IV-A.1: "we
+/// consider the battery to be insulated" at 25 C). It is also the
+/// temperature the gateway's degradation service assumes for every node.
+inline constexpr double kInsulatedBatteryC = 25.0;
+
 struct ThermalConfig {
-  /// Insulated battery at a fixed temperature (the paper's setting).
+  /// Insulated battery at kInsulatedBatteryC (the paper's setting).
   bool insulated{true};
-  double fixed_c{25.0};
 
   // Outdoor model (used when insulated == false):
   //   T(t) = mean + seasonal * cos(year phase) + diurnal * cos(day phase)

@@ -7,6 +7,10 @@
 
 namespace blam {
 
+/// Beta of the nodes' TX-energy estimate: the newest packet weighs 0.3, the
+/// value every committed figure uses.
+inline constexpr double kEtxEwmaBeta = 0.3;
+
 class Ewma {
  public:
   /// `beta` in [0, 1]. The first observation initializes the estimate.

@@ -36,6 +36,10 @@ enum class CodingRate : std::uint8_t { kCR4_5 = 1, kCR4_6 = 2, kCR4_7 = 3, kCR4_
   return 4.0 / (4.0 + static_cast<double>(static_cast<int>(cr)));
 }
 
+/// End-device uplink power before any ADR step: 14 dBm, the EU868 end-device
+/// ERP limit and the NS-3 lorawan module's default.
+inline constexpr double kDeviceTxPowerDbm = 14.0;
+
 /// Complete parameter set for one transmission.
 struct TxParams {
   SpreadingFactor sf{SpreadingFactor::kSF10};
@@ -45,9 +49,9 @@ struct TxParams {
   CodingRate cr{CodingRate::kCR4_5};
   // blam-ckpt: skip -- scenario constant; ADR only ever changes sf and tx_power_dbm, which are serialized
   int preamble_symbols{8};
-  // blam-ckpt: skip -- scenario constant (ScenarioConfig::payload_bytes), re-applied at construction
+  // blam-ckpt: skip -- scenario constant (kPayloadBytes), re-applied at construction
   int payload_bytes{10};
-  double tx_power_dbm{14.0};
+  double tx_power_dbm{kDeviceTxPowerDbm};
   /// Low-data-rate optimization; mandated for SF11/SF12 at 125 kHz.
   // blam-ckpt: skip -- recomputed by with_auto_ldro() whenever sf changes (construction and ADR apply)
   bool low_data_rate_optimize{false};

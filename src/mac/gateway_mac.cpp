@@ -5,18 +5,14 @@
 namespace blam {
 
 AckPlanner::AckPlanner(const ClassATimings& timings, const ChannelPlan& plan,
-                       double downlink_tx_dbm, double rx1_bandwidth_hz)
-    : timings_{timings},
-      plan_{plan},
-      downlink_tx_dbm_{downlink_tx_dbm},
-      rx1_bandwidth_hz_{rx1_bandwidth_hz} {}
+                       double rx1_bandwidth_hz)
+    : timings_{timings}, plan_{plan}, rx1_bandwidth_hz_{rx1_bandwidth_hz} {}
 
 TxParams AckPlanner::ack_params(SpreadingFactor sf, double bandwidth_hz, int bytes) const {
   TxParams p;
   p.sf = sf;
   p.bandwidth_hz = bandwidth_hz;
   p.payload_bytes = bytes;
-  p.tx_power_dbm = downlink_tx_dbm_;
   return p.with_auto_ldro();
 }
 

@@ -38,7 +38,7 @@ class AckPlanner {
  public:
   /// `rx1_bandwidth_hz`: downlink bandwidth for RX1 ACKs (500 kHz in US-915;
   /// 125 kHz EU-style makes ACKs long and the half-duplex penalty real).
-  AckPlanner(const ClassATimings& timings, const ChannelPlan& plan, double downlink_tx_dbm = 27.0,
+  AckPlanner(const ClassATimings& timings, const ChannelPlan& plan,
              double rx1_bandwidth_hz = 500e3);
 
   /// Books an ACK for an uplink that ended at `uplink_end` using SF
@@ -53,7 +53,6 @@ class AckPlanner {
   /// Drops reservations that ended before `now`.
   void prune(Time now);
 
-  [[nodiscard]] double downlink_tx_dbm() const { return downlink_tx_dbm_; }
   [[nodiscard]] std::size_t reservations() const { return reservations_.size() - head_; }
 
   struct Interval {
@@ -84,9 +83,7 @@ class AckPlanner {
   ClassATimings timings_;
   // blam-ckpt: skip -- pure function of the scenario, rebuilt at construction
   ChannelPlan plan_;
-  // blam-ckpt: skip -- construction input (scenario downlink_tx_dbm)
-  double downlink_tx_dbm_;
-  // blam-ckpt: skip -- construction input (scenario rx1_bandwidth_hz)
+  // blam-ckpt: skip -- construction input (Gateway::kRx1BandwidthHz in a network)
   double rx1_bandwidth_hz_;
   /// ACK airtimes recur for the same (SF, length) pairs; memoized.
   // blam-ckpt: skip -- memo cache; entries regenerate on demand from TxParams

@@ -20,12 +20,11 @@ Gateway::Gateway(int id, Position position, Simulator& sim, NetworkServer& serve
       metrics_{metrics},
       plan_{plan},
       config_{config},
-      ack_planner_{config.timings, plan, config.downlink_tx_dbm, config.rx1_bandwidth_hz} {
+      ack_planner_{config.timings, plan, kRx1BandwidthHz} {
   TxParams rx1;
   rx1.sf = SpreadingFactor::kSF12;
-  rx1.bandwidth_hz = config_.rx1_bandwidth_hz;
+  rx1.bandwidth_hz = kRx1BandwidthHz;
   rx1.payload_bytes = 1;  // degradation byte
-  rx1.tx_power_dbm = config_.downlink_tx_dbm;
 
   TxParams rx2 = rx1;
   rx2.sf = plan_.rx2_spreading_factor();
@@ -85,7 +84,7 @@ void Gateway::on_uplink(Node& node, const UplinkFrame& frame, const TxParams& pa
     ++gm.lost_half_duplex;
     return;
   }
-  if (busy_paths_ >= config_.demod_paths) {
+  if (busy_paths_ >= kDemodPaths) {
     ++gm.lost_no_demod_path;
     return;
   }
@@ -176,7 +175,7 @@ void Gateway::send_ack(Node& node, const UplinkFrame& frame, Time uplink_end, Sp
   }
 
   // Downlink link budget: does the ACK reach the device?
-  const double rx_at_device = config_.downlink_tx_dbm - node.link_loss_db(id_);
+  const double rx_at_device = kDownlinkTxDbm - node.link_loss_db(id_);
   if (rx_at_device < device_sensitivity_dbm(plan->sf)) {
     ++gm.acks_undecodable;
     return;

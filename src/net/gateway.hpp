@@ -40,12 +40,19 @@ class StateWriter;
 
 class Gateway {
  public:
+  /// SX1301 concentrator: 8 demodulation paths shared by every channel
+  /// (paper Sec. IV-A.1).
+  static constexpr int kDemodPaths = 8;
+  /// ACK transmit power: 27 dBm, the ERP the EU868 plan allows on its
+  /// 869.4-869.65 MHz downlink sub-band.
+  static constexpr double kDownlinkTxDbm = 27.0;
+  /// RX1 downlink bandwidth: 125 kHz, the paper's channel width. EU-style
+  /// long RX1 ACKs stress the half-duplex gateway the way large
+  /// confirmed-traffic deployments do.
+  static constexpr double kRx1BandwidthHz = 125e3;
+
   struct Config {
-    int demod_paths{8};
     ClassATimings timings{};
-    double downlink_tx_dbm{27.0};
-    /// RX1 downlink bandwidth (Hz).
-    double rx1_bandwidth_hz{125e3};
     /// Audibility floor: arrivals below this power are dropped before they
     /// enter the interference tracker (counted as lost_under_sensitivity).
     /// The default never triggers (> 500 dB of path loss); a finite floor

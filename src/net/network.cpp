@@ -80,13 +80,10 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   trace_ = trace != nullptr ? std::move(trace)
                             : build_deployment_trace(config_, worst_attempt_energy_);
 
-  ThermalConfig thermal = config_.thermal;
-  if (thermal.insulated) thermal.fixed_c = config_.temperature_c;
-  thermal_ = std::make_unique<TemperatureModel>(thermal);
+  thermal_ = std::make_unique<TemperatureModel>(config_.thermal);
 
   utility_ = make_utility(config_);
-  server_ = std::make_unique<NetworkServer>(sim_, model_, config_.temperature_c,
-                                            config_.dissemination_period);
+  server_ = std::make_unique<NetworkServer>(sim_, model_, config_.dissemination_period);
   server_->attach_metrics(metrics_);
 
   // Ingestion-queue watermark: scenario knob, overridable from the
@@ -125,10 +122,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   }
 
   Gateway::Config gw;
-  gw.demod_paths = config_.gateway_demod_paths;
   gw.timings = config_.timings;
-  gw.downlink_tx_dbm = config_.downlink_tx_dbm;
-  gw.rx1_bandwidth_hz = config_.rx1_bandwidth_hz;
   gw.interference_floor_dbm = config_.interference_floor_dbm;
   for (const int g : slice.gateways) {
     const auto global = static_cast<std::size_t>(g);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "audit/audit.hpp"
+#include "energy/thermal.hpp"
 #include "fault/fault_plan.hpp"
 #include "mac/adr.hpp"
 #include "net/gateway.hpp"
@@ -11,9 +12,11 @@
 
 namespace blam {
 
-NetworkServer::NetworkServer(Simulator& sim, const DegradationModel& model, double temperature_c,
+NetworkServer::NetworkServer(Simulator& sim, const DegradationModel& model,
                              Time dissemination_period)
-    : sim_{sim}, service_{model, temperature_c}, noise_floor_125k_dbm_{noise_floor_dbm(125e3)} {
+    : sim_{sim},
+      service_{model, kInsulatedBatteryC},
+      noise_floor_125k_dbm_{noise_floor_dbm(125e3)} {
   recompute_process_ = std::make_unique<PeriodicProcess>(
       sim, dissemination_period, dissemination_period, [this] { recompute(); });
 }

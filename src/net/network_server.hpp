@@ -35,8 +35,9 @@ class StateWriter;
 
 class NetworkServer {
  public:
-  NetworkServer(Simulator& sim, const DegradationModel& model, double temperature_c,
-                Time dissemination_period);
+  /// The degradation service assumes every battery sits at
+  /// kInsulatedBatteryC, the paper's insulated setting.
+  NetworkServer(Simulator& sim, const DegradationModel& model, Time dissemination_period);
 
   /// Enables server-side ADR (disabled unless called).
   void enable_adr(const AdrController::Config& config);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +12,17 @@
 #include "sim/checkpoint.hpp"
 
 namespace blam {
+
+namespace {
+
+// Boot state of charge, before the policy's theta clamp: half full, the
+// value every committed figure starts from.
+constexpr double kInitialSoc = 0.5;
+// Uniform retransmission backoff once the RX2 window closes without an ACK.
+constexpr Time kRetxBackoffMin = Time::from_seconds(1.0);
+constexpr Time kRetxBackoffMax = Time::from_seconds(3.0);
+
+}  // namespace
 
 Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
            const std::vector<std::unique_ptr<Gateway>>& gateways, const ChannelPlan& plan,
@@ -33,28 +43,26 @@ Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
       utility_{&utility},
       metrics_{&metrics},
       scratch_{&scratch},
-      battery_{init.battery_capacity, std::min(config.initial_soc, config.theta)},
+      battery_{init.battery_capacity, std::min(kInitialSoc, config.theta)},
       harvester_{trace, init.panel_scale},
       switch_{battery_, 1.0},  // the policy's theta is installed below
-      tracker_{model, config.temperature_c},
+      tracker_{model, kInsulatedBatteryC},
       forecaster_{harvester_, config.forecast_error_sigma, rng.fork(salt::kForecaster)},
-      etx_ewma_{config.ewma_beta},
+      etx_ewma_{kEtxEwmaBeta},
       retx_estimator_{static_cast<std::size_t>(n_windows_), config.timings.max_transmissions - 1},
       policy_{make_policy(config)},
       duty_cycle_{config.duty_cycle},
       rng_{rng} {
   tx_params_.sf = init.sf;
   tx_params_.bandwidth_hz = 125e3;
-  tx_params_.payload_bytes = config.payload_bytes;
-  tx_params_.tx_power_dbm = config.tx_power_dbm;
+  tx_params_.payload_bytes = kPayloadBytes;
   tx_params_ = tx_params_.with_auto_ldro();
   switch_.set_soc_cap(policy_->soc_cap());
   listen_energy_ =
       config_->radio.rx_power() * (config_->timings.rx_window_duration * std::int64_t{2});
   single_attempt_energy_ = attempt_demand(tx_params_);
   if (config.supercap_tx_buffer > 0.0) {
-    supercap_.emplace(single_attempt_energy_ * config.supercap_tx_buffer,
-                      config.supercap_efficiency, config.supercap_leak_per_day);
+    supercap_.emplace(single_attempt_energy_ * config.supercap_tx_buffer);
     switch_.attach_supercap(&*supercap_);
   }
   // DIF normalizer (paper's E_tx_max): the worst case a packet can cost is
@@ -62,7 +70,7 @@ Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
   // saturate DIF at 1 whenever any retransmissions are expected, erasing
   // the per-window discrimination Algorithm 1 relies on.
   max_packet_energy_ = single_attempt_energy_ * config.timings.max_transmissions;
-  harvester_.resample_jitter(rng_, config.cloud_jitter_spread);
+  harvester_.resample_jitter(rng_);
   metrics_->window_counts.assign(static_cast<std::size_t>(n_windows_), 0);
 }
 
@@ -98,7 +106,7 @@ void Node::on_crash() {
   // Volatile state is gone; everything below re-warms from boot defaults.
   // The DegradationTracker survives: it is the simulator's ground truth of
   // the physical battery, not MCU memory.
-  etx_ewma_ = Ewma{config_->ewma_beta};
+  etx_ewma_ = Ewma{kEtxEwmaBeta};
   retx_estimator_.reset();
   w_u_ = 0.0;
   last_w_update_ = now;  // the staleness clock restarts at reboot
@@ -129,13 +137,6 @@ void Node::account_to(Time now) {
     supercap_->leak(dt);
     if (audit_ != nullptr) audit_->on_storage_loss(id_, now, before - supercap_->stored());
   }
-  if (config_->battery_self_discharge_per_month > 0.0) {
-    const double retention =
-        std::pow(1.0 - config_->battery_self_discharge_per_month, dt.days() / 30.44);
-    const Energy drained = battery_.stored() * (1.0 - retention);
-    battery_.discharge(drained);
-    if (audit_ != nullptr) audit_->on_storage_loss(id_, now, drained);
-  }
   const Energy harvest = harvest_between(last_account_, now);
   const Energy demand = config_->radio.sleep_power() * dt;
   apply_flow(harvest, demand, now);
@@ -146,7 +147,7 @@ PowerFlow Node::apply_flow(Energy harvest, Energy demand, Time at) {
   if (audit_ == nullptr) return switch_.apply(harvest, demand);
   const Energy before = total_stored();
   const PowerFlow flow = switch_.apply(harvest, demand);
-  const double min_eff = supercap_.has_value() ? config_->supercap_efficiency : 1.0;
+  const double min_eff = supercap_.has_value() ? kSupercapChargeEfficiency : 1.0;
   audit_->on_energy_flow(id_, at, harvest, demand, flow, before, total_stored(), min_eff);
   return flow;
 }
@@ -183,11 +184,7 @@ void Node::update_capacity_fade(Time now) {
 
 void Node::on_period_start() {
   const Time now = sim_->now();
-  Time next = period_;
-  if (config_->period_jitter > 0.0) {
-    next = next * (1.0 + rng_.uniform(-config_->period_jitter, config_->period_jitter));
-  }
-  period_event_ = sim_->schedule_at(now + next, [this] { on_period_start(); });
+  period_event_ = sim_->schedule_at(now + period_, [this] { on_period_start(); });
 
   account_to(now);
   // A previous packet's attempt may have pre-accounted energy past this
@@ -198,7 +195,7 @@ void Node::on_period_start() {
     tracker_.set_temperature(sample_at, thermal_->at(now));
   }
   update_capacity_fade(now);
-  harvester_.resample_jitter(rng_, config_->cloud_jitter_spread);
+  harvester_.resample_jitter(rng_);
   record_soc(sample_at);
   period_start_sample_ = latest_sample_;
 
@@ -288,7 +285,7 @@ void Node::on_period_start() {
   if (policy_->needs_forecasts()) {
     // Slack accounts for the frame as actually sent (SoC report included).
     TxParams worst = tx_params_;
-    worst.payload_bytes = config_->payload_bytes + 4;
+    worst.payload_bytes = kPayloadBytes + 4;
     const Time slack = window - attempt_span(worst);
     if (slack > Time::zero()) {
       offset = Time::from_us(rng_.uniform_int(0, slack.us()));
@@ -305,7 +302,7 @@ const UplinkFrame& Node::build_frame() {
   frame.attempt = pending_.transmissions;
   frame.generated_at = pending_.generated_at;
   frame.selected_window = pending_.window;
-  frame.app_payload_bytes = config_->payload_bytes;
+  frame.app_payload_bytes = kPayloadBytes;
   frame.confirmed = config_->confirmed;
   frame.soc_report.clear();
   if (policy_->reports_soc() && has_samples_) {
@@ -414,8 +411,7 @@ void Node::on_ack_timeout() {
     abort_packet(/*record_history=*/true);
     return;
   }
-  const Time backoff = Time::from_us(
-      rng_.uniform_int(config_->retx_backoff_min.us(), config_->retx_backoff_max.us()));
+  const Time backoff = Time::from_us(rng_.uniform_int(kRetxBackoffMin.us(), kRetxBackoffMax.us()));
   pending_.retx = sim_->schedule_in(backoff, [this] { start_attempt(); });
 }
 

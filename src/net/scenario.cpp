@@ -39,41 +39,19 @@ void ScenarioConfig::validate() const {
     }
   };
   require_finite(radius_m, "radius_m");
-  require_finite(gateway_ring_fraction, "gateway_ring_fraction");
   require_finite(gateway_grid_pitch_m, "gateway_grid_pitch_m");
   require_finite(cluster_radius_m, "cluster_radius_m");
   require_finite(interference_floor_dbm, "interference_floor_dbm");
   require_finite(theta, "theta");
   require_finite(w_b, "w_b");
-  require_finite(utility_lambda, "utility_lambda");
-  require_finite(step_deadline, "step_deadline");
-  require_finite(step_floor, "step_floor");
-  require_finite(ewma_beta, "ewma_beta");
-  require_finite(tx_power_dbm, "tx_power_dbm");
-  require_finite(sf_margin_db, "sf_margin_db");
-  require_finite(downlink_tx_dbm, "downlink_tx_dbm");
-  require_finite(rx1_bandwidth_hz, "rx1_bandwidth_hz");
   require_finite(duty_cycle, "duty_cycle");
   require_finite(battery_days, "battery_days");
-  require_finite(initial_soc, "initial_soc");
-  require_finite(battery_self_discharge_per_month, "battery_self_discharge_per_month");
-  require_finite(solar_tx_per_window, "solar_tx_per_window");
-  require_finite(panel_scale_min, "panel_scale_min");
-  require_finite(panel_scale_max, "panel_scale_max");
-  require_finite(cloud_jitter_spread, "cloud_jitter_spread");
   require_finite(forecast_error_sigma, "forecast_error_sigma");
   require_finite(supercap_tx_buffer, "supercap_tx_buffer");
-  require_finite(supercap_efficiency, "supercap_efficiency");
-  require_finite(supercap_leak_per_day, "supercap_leak_per_day");
-  require_finite(temperature_c, "temperature_c");
   require_finite(stale_feedback_k, "stale_feedback_k");
-  require_finite(period_jitter, "period_jitter");
   if (n_nodes <= 0) throw std::invalid_argument{"ScenarioConfig: n_nodes must be positive"};
   if (radius_m <= 0.0) throw std::invalid_argument{"ScenarioConfig: radius_m must be positive"};
   if (n_gateways <= 0) throw std::invalid_argument{"ScenarioConfig: n_gateways must be positive"};
-  if (gateway_ring_fraction <= 0.0 || gateway_ring_fraction > 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: gateway_ring_fraction in (0,1]"};
-  }
   if (min_period <= Time::zero() || min_period > max_period) {
     throw std::invalid_argument{"ScenarioConfig: invalid period range"};
   }
@@ -86,45 +64,15 @@ void ScenarioConfig::validate() const {
   }
   if (theta <= 0.0 || theta > 1.0) throw std::invalid_argument{"ScenarioConfig: theta in (0,1]"};
   if (w_b < 0.0 || w_b > 1.0) throw std::invalid_argument{"ScenarioConfig: w_b in [0,1]"};
-  if (payload_bytes <= 0 || payload_bytes > 222) {
-    throw std::invalid_argument{"ScenarioConfig: payload_bytes in [1,222]"};
-  }
-  if (ewma_beta < 0.0 || ewma_beta > 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: ewma_beta in [0,1]"};
-  }
   if (battery_days <= 0.0) throw std::invalid_argument{"ScenarioConfig: battery_days positive"};
-  if (initial_soc < 0.0 || initial_soc > 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: initial_soc in [0,1]"};
-  }
-  if (solar_tx_per_window <= 0.0 && !solar_peak_explicit) {
-    throw std::invalid_argument{"ScenarioConfig: solar_tx_per_window must be positive"};
-  }
-  if (panel_scale_min <= 0.0 || panel_scale_min > panel_scale_max) {
-    throw std::invalid_argument{"ScenarioConfig: invalid panel scale range"};
-  }
-  if (retx_backoff_min < Time::zero() || retx_backoff_min > retx_backoff_max) {
-    throw std::invalid_argument{"ScenarioConfig: invalid retx backoff range"};
-  }
   if (dissemination_period <= Time::zero()) {
     throw std::invalid_argument{"ScenarioConfig: dissemination_period must be positive"};
-  }
-  if (period_jitter < 0.0 || period_jitter >= 0.5) {
-    throw std::invalid_argument{"ScenarioConfig: period_jitter in [0,0.5)"};
-  }
-  if (battery_self_discharge_per_month < 0.0 || battery_self_discharge_per_month >= 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: battery_self_discharge_per_month in [0,1)"};
   }
   if (duty_cycle <= 0.0 || duty_cycle > 1.0) {
     throw std::invalid_argument{"ScenarioConfig: duty_cycle in (0,1]"};
   }
   if (supercap_tx_buffer < 0.0) {
     throw std::invalid_argument{"ScenarioConfig: supercap_tx_buffer must be >= 0"};
-  }
-  if (supercap_efficiency <= 0.0 || supercap_efficiency > 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: supercap_efficiency in (0,1]"};
-  }
-  if (supercap_leak_per_day < 0.0 || supercap_leak_per_day >= 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: supercap_leak_per_day in [0,1)"};
   }
   if (stale_feedback_k < 0.0) {
     throw std::invalid_argument{"ScenarioConfig: stale_feedback_k must be >= 0"};
@@ -167,13 +115,19 @@ std::unique_ptr<MacPolicy> make_policy(const ScenarioConfig& config) {
 }
 
 std::unique_ptr<UtilityFunction> make_utility(const ScenarioConfig& config) {
+  // The utility ablation's shapes (ablation_weights runs both): exp(-3 t/n)
+  // keeps ~5% utility at the period's end; the step keeps full utility
+  // through the first 30% of the period and 0.1 after it.
+  constexpr double kExponentialLambda = 3.0;
+  constexpr double kStepDeadline = 0.3;
+  constexpr double kStepFloor = 0.1;
   switch (config.utility) {
     case UtilityKind::kLinear:
       return std::make_unique<LinearUtility>();
     case UtilityKind::kExponential:
-      return std::make_unique<ExponentialUtility>(config.utility_lambda);
+      return std::make_unique<ExponentialUtility>(kExponentialLambda);
     case UtilityKind::kStep:
-      return std::make_unique<StepUtility>(config.step_deadline, config.step_floor);
+      return std::make_unique<StepUtility>(kStepDeadline, kStepFloor);
   }
   throw std::logic_error{"make_utility: unknown utility kind"};
 }

@@ -42,9 +42,17 @@ enum class UtilityKind { kLinear, kExponential, kStep };
 enum class SfAssignment {
   /// Minimum SF that closes the uplink (NS-3's SetSpreadingFactorsUp).
   kDistanceBased,
-  /// Every node uses `fixed_sf` (the paper's testbed uses SF10).
+  /// Every node uses kFixedSf.
   kFixed,
 };
+
+/// Spreading factor of SfAssignment::kFixed: SF10, the paper's testbed
+/// setting and the SF of every preset scenario below.
+inline constexpr SpreadingFactor kFixedSf = SpreadingFactor::kSF10;
+
+/// Application payload of every uplink before the 4-byte SoC report: the
+/// paper's 10-byte packets.
+inline constexpr int kPayloadBytes = 10;
 
 /// Most forecast windows one sampling period may hold. validate() enforces
 /// it, so a reader of persisted results can bound a window count it reads.
@@ -58,9 +66,8 @@ struct ScenarioConfig {
   int n_nodes{100};
   double radius_m{5000.0};
   /// Gateways: one at the centre (the paper's setup), or several spread on
-  /// a ring at gateway_ring_fraction * radius_m ("one or more gateways").
+  /// a ring at half the radius ("one or more gateways").
   int n_gateways{1};
-  double gateway_ring_fraction{0.5};
   /// City-scale layout: > 0 places the gateways on a centred square grid
   /// with this pitch instead of the centre/ring rule, and scatters each
   /// node inside a disk of cluster_radius_m around gateway (i mod G). This
@@ -91,10 +98,6 @@ struct ScenarioConfig {
   Time min_period{Time::from_minutes(16)};
   Time max_period{Time::from_minutes(60)};
   Time forecast_window{Time::from_minutes(1)};
-  int payload_bytes{10};
-  /// Per-period start jitter as a fraction of the period (uniform +/-).
-  /// 0 keeps the paper's strictly periodic sampling.
-  double period_jitter{0.0};
   /// Confirmed uplinks (ACK + retransmissions, the paper's mode). With
   /// false, packets are fire-and-forget: no RX windows, no retransmissions,
   /// no downlink — and no w_u dissemination, so the proposed MAC degrades
@@ -108,11 +111,6 @@ struct ScenarioConfig {
   /// Degradation-vs-utility weight w_b.
   double w_b{1.0};
   UtilityKind utility{UtilityKind::kLinear};
-  double utility_lambda{3.0};
-  double step_deadline{0.3};
-  double step_floor{0.1};
-  /// EWMA weight for the TX-energy estimate (paper Eq. 13 beta).
-  double ewma_beta{0.3};
   /// Closed-loop network-manager theta (extension): the server adapts each
   /// node's cap from inferred loss, piggybacked on ACKs. Applies to the
   /// capped policies (blam / theta_only).
@@ -122,23 +120,14 @@ struct ScenarioConfig {
   // --- Radio --------------------------------------------------------------
   int uplink_channels{8};
   int downlink_channels{8};
-  double tx_power_dbm{14.0};
-  int gateway_demod_paths{8};
   SfAssignment sf_assignment{SfAssignment::kFixed};
-  SpreadingFactor fixed_sf{SpreadingFactor::kSF10};
-  double sf_margin_db{0.0};
-  double downlink_tx_dbm{27.0};
-  /// RX1 downlink bandwidth. 125 kHz (EU-style, long ACKs) stresses the
-  /// half-duplex gateway the way large confirmed-traffic deployments do.
-  double rx1_bandwidth_hz{125e3};
   PathLossModel path_loss{};
   ClassATimings timings{};
   RadioEnergyModel radio{};
-  /// Random retransmission backoff after the RX2 window closes.
-  Time retx_backoff_min{Time::from_seconds(1.0)};
-  Time retx_backoff_max{Time::from_seconds(3.0)};
   /// Regulatory duty cycle (ETSI T_off rule); 1.0 disables (US-915 has
-  /// dwell-time limits instead of a duty cycle).
+  /// dwell-time limits instead of a duty cycle). Nothing committed sets it,
+  /// but DutyCycleLimiter::next_allowed is a "blamsim v3" token, so it goes
+  /// with the next stream format change.
   double duty_cycle{1.0};
   /// Server-side Adaptive Data Rate: piggybacks SF / TX-power adjustments
   /// on ACKs. Off by default (the paper's evaluation fixes parameters).
@@ -153,38 +142,20 @@ struct ScenarioConfig {
   /// baseline LoRaWAN battery idles near full SoC, the premise of the
   /// paper's calendar-aging argument.
   double battery_days{8.0};
-  /// Initial SoC as a fraction (clamped by theta).
-  double initial_soc{0.5};
-  /// Battery self-discharge per month (fraction of stored energy); Li-ion
-  /// is ~1-3%/month.
-  double battery_self_discharge_per_month{0.0};
-  /// Solar peak sized so one forecast window at peak harvests this many
-  /// worst-case transmissions. The paper scales its trace so "peak power
-  /// supports two transmissions"; our default is more generous so that the
-  /// baseline's battery stays near full SoC (the paper's premise) even
-  /// through overcast winter days, with the window-selection benefit intact.
-  double solar_tx_per_window{3.0};
   SolarTraceConfig solar{};
-  /// If true, use solar.peak as-is instead of the sizing rule above.
-  bool solar_peak_explicit{false};
-  double panel_scale_min{0.8};
-  double panel_scale_max{1.2};
-  /// Per-period cloud jitter spread (harvest multiplied by U[1-s, 1]).
-  double cloud_jitter_spread{0.3};
+  /// Solar forecast noise. Nothing committed sets it, but the forecaster's
+  /// RNG state is part of the "blamsim v3" stream, so it goes with the next
+  /// stream format change.
   double forecast_error_sigma{0.0};
   /// Hybrid storage (the paper's future-work extension): a supercapacitor
   /// sized to hold this many worst-case transmissions sits in front of the
   /// battery; 0 disables it.
   double supercap_tx_buffer{0.0};
-  double supercap_efficiency{0.95};
-  double supercap_leak_per_day{0.2};
 
   // --- Degradation --------------------------------------------------------
   DegradationParams degradation{};
-  /// Battery temperature used for the gateway's degradation service and as
-  /// the fixed temperature when thermal.insulated (the paper's setting).
-  double temperature_c{25.0};
-  /// Outdoor-temperature extension; insulated by default.
+  /// Outdoor-temperature extension; insulated at kInsulatedBatteryC by
+  /// default (the paper's setting).
   ThermalConfig thermal{};
   /// How often the gateway recomputes and disseminates w_u.
   Time dissemination_period{Time::from_days(1.0)};

@@ -40,10 +40,10 @@ std::string describe_utility(const ScenarioConfig& c) {
       out << "linear";
       break;
     case UtilityKind::kExponential:
-      out << "exponential (lambda " << c.utility_lambda << ")";
+      out << "exponential";
       break;
     case UtilityKind::kStep:
-      out << "step (deadline " << c.step_deadline << ", floor " << c.step_floor << ")";
+      out << "step";
       break;
   }
   return out.str();
@@ -76,7 +76,6 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.n_nodes = static_cast<int>(file.get_int("nodes", c.n_nodes));
   c.radius_m = file.get_positive_double("radius_m", c.radius_m);
   c.n_gateways = static_cast<int>(file.get_int("gateways", c.n_gateways));
-  c.gateway_ring_fraction = file.get_positive_double("gateway_ring_fraction", c.gateway_ring_fraction);
   c.gateway_grid_pitch_m =
       file.get_non_negative_double("gateway_grid_pitch_m", c.gateway_grid_pitch_m);
   c.cluster_radius_m = file.get_non_negative_double("cluster_radius_m", c.cluster_radius_m);
@@ -90,53 +89,27 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
       Time::from_minutes(file.get_positive_double("max_period_min", c.max_period.minutes()));
   c.forecast_window = Time::from_minutes(
       file.get_positive_double("forecast_window_min", c.forecast_window.minutes()));
-  c.payload_bytes = static_cast<int>(file.get_int("payload_bytes", c.payload_bytes));
 
   c.policy = policy_from_string(file.get_string("policy", "lorawan"));
   c.theta = file.get_double("theta", c.theta);
   c.w_b = file.get_double("w_b", c.w_b);
   c.utility = utility_from_string(file.get_string("utility", "linear"));
-  c.utility_lambda = file.get_double("utility_lambda", c.utility_lambda);
-  c.step_deadline = file.get_double("step_deadline", c.step_deadline);
-  c.step_floor = file.get_double("step_floor", c.step_floor);
-  c.ewma_beta = file.get_double("ewma_beta", c.ewma_beta);
 
   c.uplink_channels = static_cast<int>(file.get_int("uplink_channels", c.uplink_channels));
   c.downlink_channels = static_cast<int>(file.get_int("downlink_channels", c.downlink_channels));
-  c.tx_power_dbm = file.get_double("tx_power_dbm", c.tx_power_dbm);
-  c.gateway_demod_paths =
-      static_cast<int>(file.get_int("gateway_demod_paths", c.gateway_demod_paths));
   c.sf_assignment = sf_assignment_from_string(file.get_string("sf_assignment", "fixed"));
-  if (file.has("fixed_sf")) {
-    c.fixed_sf = sf_from_value(static_cast<int>(file.get_int("fixed_sf", 10)));
-  }
-  c.sf_margin_db = file.get_double("sf_margin_db", c.sf_margin_db);
-  c.downlink_tx_dbm = file.get_double("downlink_tx_dbm", c.downlink_tx_dbm);
-  c.rx1_bandwidth_hz = file.get_double("rx1_bandwidth_hz", c.rx1_bandwidth_hz);
   c.path_loss.exponent = file.get_double("path_loss_exponent", c.path_loss.exponent);
   c.path_loss.shadowing_sigma_db =
       file.get_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
   c.adr_enabled = file.get_bool("adr", c.adr_enabled);
   c.duty_cycle = file.get_positive_double("duty_cycle", c.duty_cycle);
-  c.period_jitter = file.get_non_negative_double("period_jitter", c.period_jitter);
   c.confirmed = file.get_bool("confirmed", c.confirmed);
-  c.battery_self_discharge_per_month = file.get_non_negative_double(
-      "battery_self_discharge_per_month", c.battery_self_discharge_per_month);
 
   c.battery_days = file.get_positive_double("battery_days", c.battery_days);
-  c.initial_soc = file.get_non_negative_double("initial_soc", c.initial_soc);
-  c.solar_tx_per_window = file.get_positive_double("solar_tx_per_window", c.solar_tx_per_window);
-  c.panel_scale_min = file.get_positive_double("panel_scale_min", c.panel_scale_min);
-  c.panel_scale_max = file.get_positive_double("panel_scale_max", c.panel_scale_max);
-  c.cloud_jitter_spread = file.get_non_negative_double("cloud_jitter_spread", c.cloud_jitter_spread);
   c.forecast_error_sigma =
       file.get_non_negative_double("forecast_error_sigma", c.forecast_error_sigma);
   c.supercap_tx_buffer = file.get_non_negative_double("supercap_tx_buffer", c.supercap_tx_buffer);
-  c.supercap_efficiency = file.get_positive_double("supercap_efficiency", c.supercap_efficiency);
-  c.supercap_leak_per_day =
-      file.get_non_negative_double("supercap_leak_per_day", c.supercap_leak_per_day);
 
-  c.temperature_c = file.get_double("temperature_c", c.temperature_c);
   c.thermal.insulated = file.get_bool("insulated", c.thermal.insulated);
   c.thermal.mean_c = file.get_double("ambient_mean_c", c.thermal.mean_c);
   c.thermal.seasonal_amplitude_c =
@@ -243,9 +216,9 @@ std::string describe_scenario(const ScenarioConfig& c) {
       << "period             = [" << c.min_period.minutes() << ", " << c.max_period.minutes()
       << "] min, window " << c.forecast_window.minutes() << " min\n"
       << "radio              = " << (c.sf_assignment == SfAssignment::kFixed
-                                         ? to_string(c.fixed_sf)
+                                         ? to_string(kFixedSf)
                                          : std::string{"distance-based SF"})
-      << ", " << c.tx_power_dbm << " dBm, " << c.uplink_channels << " channels, ADR "
+      << ", " << kDeviceTxPowerDbm << " dBm, " << c.uplink_channels << " channels, ADR "
       << (c.adr_enabled ? "on" : "off") << "\n"
       << "battery            = " << c.battery_days << " nominal days, theta cap " << c.theta
       << (c.supercap_tx_buffer > 0.0
@@ -254,7 +227,7 @@ std::string describe_scenario(const ScenarioConfig& c) {
       << "\n"
       << "degradation        = " << describe_degradation(c.degradation) << "\n"
       << "thermal            = "
-      << (c.thermal.insulated ? "insulated " + std::to_string(c.temperature_c) + " C"
+      << (c.thermal.insulated ? "insulated " + std::to_string(kInsulatedBatteryC) + " C"
                               : "outdoor, mean " + std::to_string(c.thermal.mean_c) + " C")
       << "\n"
       << "seed               = " << c.seed << "\n";
@@ -295,46 +268,40 @@ void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
     w.put_u64(v);
   }
   for (const bool v :
-       {c.confirmed, c.adaptive_theta, c.adr_enabled, c.solar_peak_explicit, c.thermal.insulated,
-        c.ack_failure_backoff, c.audit.throw_on_violation}) {
+       {c.confirmed, c.adaptive_theta, c.adr_enabled, c.thermal.insulated, c.ack_failure_backoff,
+        c.audit.throw_on_violation}) {
     w.put_u64(v ? 1 : 0);
   }
   for (const int v :
-       {c.n_nodes, c.n_gateways, c.shards, c.payload_bytes, c.theta_controller.window_packets,
-        c.uplink_channels, c.downlink_channels, c.gateway_demod_paths, c.timings.max_transmissions,
-        c.adr.history, c.adr.min_history, c.audit.level, c.audit.sample_every,
-        static_cast<int>(c.policy), static_cast<int>(c.utility), static_cast<int>(c.sf_assignment),
-        sf_value(c.fixed_sf)}) {
+       {c.n_nodes, c.n_gateways, c.shards, c.theta_controller.window_packets, c.uplink_channels,
+        c.downlink_channels, c.timings.max_transmissions, c.adr.history, c.adr.min_history,
+        c.audit.level, c.audit.sample_every, static_cast<int>(c.policy),
+        static_cast<int>(c.utility), static_cast<int>(c.sf_assignment)}) {
     w.put_i64(v);
   }
   for (const Time t :
        {c.min_period, c.max_period, c.forecast_window, c.timings.rx1_delay, c.timings.rx2_delay,
-        c.timings.rx_window_duration, c.retx_backoff_min, c.retx_backoff_max,
-        c.thermal.seasonal_trough, c.thermal.diurnal_trough, c.dissemination_period,
-        c.faults.outage_daily_start, c.faults.outage_daily_duration, c.faults.outage_random_min,
-        c.faults.outage_random_max, c.faults.ack_good_mean, c.faults.ack_bad_mean,
-        c.faults.reboot_duration, c.faults.drought_start, c.faults.drought_duration}) {
+        c.timings.rx_window_duration, c.thermal.seasonal_trough, c.thermal.diurnal_trough,
+        c.dissemination_period, c.faults.outage_daily_start, c.faults.outage_daily_duration,
+        c.faults.outage_random_min, c.faults.outage_random_max, c.faults.ack_good_mean,
+        c.faults.ack_bad_mean, c.faults.reboot_duration, c.faults.drought_start,
+        c.faults.drought_duration}) {
     w.put_i64(t.us());
   }
   for (const double v :
-       {c.radius_m, c.gateway_ring_fraction, c.gateway_grid_pitch_m, c.cluster_radius_m,
-        c.interference_floor_dbm, c.period_jitter, c.theta, c.w_b, c.utility_lambda,
-        c.step_deadline, c.step_floor, c.ewma_beta, c.theta_controller.theta_min,
-        c.theta_controller.theta_max, c.theta_controller.initial, c.theta_controller.step,
-        c.theta_controller.loss_raise, c.theta_controller.loss_lower, c.tx_power_dbm,
-        c.sf_margin_db, c.downlink_tx_dbm, c.rx1_bandwidth_hz, c.path_loss.reference_m,
-        c.path_loss.reference_loss_db, c.path_loss.exponent, c.path_loss.shadowing_sigma_db,
-        c.radio.supply_volts, c.radio.rx_current_a, c.radio.sleep_current_a,
-        c.radio.standby_current_a, c.duty_cycle, c.adr.device_margin_db, c.adr.max_tx_power_dbm,
-        c.adr.min_tx_power_dbm, c.battery_days, c.initial_soc, c.battery_self_discharge_per_month,
-        c.solar_tx_per_window, c.solar.peak.watts(), c.solar.winter_summer_ratio,
-        c.solar.min_day_hours, c.solar.max_day_hours, c.solar.clear_stay, c.solar.cloudy_stay,
-        c.solar.overcast_stay, c.solar.intraday_noise, c.panel_scale_min, c.panel_scale_max,
-        c.cloud_jitter_spread, c.forecast_error_sigma, c.supercap_tx_buffer, c.supercap_efficiency,
-        c.supercap_leak_per_day, c.degradation.k1, c.degradation.k2, c.degradation.k3,
-        c.degradation.k4, c.degradation.k5, c.degradation.k6, c.degradation.alpha_sei,
-        c.degradation.k_sei, c.degradation.eol_threshold, c.temperature_c, c.thermal.fixed_c,
-        c.thermal.mean_c, c.thermal.seasonal_amplitude_c, c.thermal.diurnal_amplitude_c,
+       {c.radius_m, c.gateway_grid_pitch_m, c.cluster_radius_m, c.interference_floor_dbm, c.theta,
+        c.w_b, c.theta_controller.theta_min, c.theta_controller.theta_max,
+        c.theta_controller.initial, c.theta_controller.step, c.theta_controller.loss_raise,
+        c.theta_controller.loss_lower, c.path_loss.reference_m, c.path_loss.reference_loss_db,
+        c.path_loss.exponent, c.path_loss.shadowing_sigma_db, c.radio.supply_volts,
+        c.radio.rx_current_a, c.radio.sleep_current_a, c.radio.standby_current_a, c.duty_cycle,
+        c.adr.device_margin_db, c.adr.max_tx_power_dbm, c.adr.min_tx_power_dbm, c.battery_days,
+        c.solar.peak.watts(), c.solar.winter_summer_ratio, c.solar.min_day_hours,
+        c.solar.max_day_hours, c.solar.clear_stay, c.solar.cloudy_stay, c.solar.overcast_stay,
+        c.solar.intraday_noise, c.forecast_error_sigma, c.supercap_tx_buffer, c.degradation.k1,
+        c.degradation.k2, c.degradation.k3, c.degradation.k4, c.degradation.k5, c.degradation.k6,
+        c.degradation.alpha_sei, c.degradation.k_sei, c.degradation.eol_threshold, c.thermal.mean_c,
+        c.thermal.seasonal_amplitude_c, c.thermal.diurnal_amplitude_c,
         c.faults.outage_random_per_day, c.faults.ack_loss_good, c.faults.ack_loss_bad,
         c.faults.crash_per_year, c.faults.report_loss, c.faults.report_dup, c.faults.report_reorder,
         c.faults.report_corrupt, c.faults.report_truncate, c.faults.drought_scale,

@@ -60,8 +60,7 @@ Time cross_shard_lookahead(const ScenarioConfig& config, const DeploymentPlan& d
     TxParams params;
     params.sf = sf;
     params.bandwidth_hz = 125e3;
-    params.payload_bytes = config.payload_bytes + 4;  // with SoC report
-    params.tx_power_dbm = config.tx_power_dbm;
+    params.payload_bytes = kPayloadBytes + 4;  // with SoC report
     params = params.with_auto_ldro();
     const Time toa = timing.time_on_air(params);
     if (!seen || toa < min_toa) min_toa = toa;
@@ -134,7 +133,7 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
         best_loss = node.losses_db[g];
         best_gateway = static_cast<int>(g);
       }
-      const double rx_dbm = config.tx_power_dbm - node.losses_db[g];
+      const double rx_dbm = kDeviceTxPowerDbm - node.losses_db[g];
       if (rx_dbm >= config.interference_floor_dbm) {
         if (first_coupled < 0) {
           first_coupled = static_cast<int>(g);

@@ -7,7 +7,7 @@ namespace {
 
 class AckPlannerTest : public ::testing::Test {
  protected:
-  AckPlannerTest() : plan_{8, 8}, planner_{timings_, plan_, 27.0, 500e3} {}
+  AckPlannerTest() : plan_{8, 8}, planner_{timings_, plan_, 500e3} {}
 
   ClassATimings timings_{};
   ChannelPlan plan_;
@@ -83,8 +83,8 @@ TEST_F(AckPlannerTest, SequentialUplinksBothGetRx1) {
 TEST(AckPlannerBandwidth, NarrowRx1MakesLongAcks) {
   ClassATimings timings;
   ChannelPlan plan{8, 8};
-  AckPlanner wide{timings, plan, 27.0, 500e3};
-  AckPlanner narrow{timings, plan, 27.0, 125e3};
+  AckPlanner wide{timings, plan, 500e3};
+  AckPlanner narrow{timings, plan, 125e3};
   const auto a = wide.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
   const auto b = narrow.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
   ASSERT_TRUE(a.has_value());

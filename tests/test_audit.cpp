@@ -238,7 +238,6 @@ TEST(AuditIntegrationTest, CleanScenarioHasZeroViolationsAtLevel2) {
   config.audit.level = 2;
   config.duty_cycle = 0.01;
   config.supercap_tx_buffer = 2.0;
-  config.battery_self_discharge_per_month = 0.02;
   Network network{config};
   network.run_until(Time::from_days(5.0));
   ASSERT_NE(network.auditor(), nullptr);

@@ -121,7 +121,6 @@ seed = 99
 min_period_min = 20
 max_period_min = 40
 utility = step
-step_deadline = 0.4
 sf_assignment = distance
 adr = true
 supercap_tx_buffer = 4
@@ -165,6 +164,32 @@ TEST(ScenarioIo, RemovedAndMisspelledKeysRejectedByName) {
   expect_rejected("interference" "_tx_per_hour", "10");
   expect_rejected("interference_min_dbm", "-120");
   expect_rejected("interference_max_dbm", "-90");
+  // Knobs that lost their mechanism, then knobs that became named constants.
+  expect_rejected("battery_self_discharge" "_per_month", "0.01");
+  expect_rejected("period" "_jitter", "0.1");
+  expect_rejected("solar_peak" "_explicit", "true");
+  expect_rejected("sf" "_margin_db", "2");
+  expect_rejected("utility" "_lambda", "3");
+  expect_rejected("step" "_deadline", "0.3");
+  expect_rejected("step" "_floor", "0.1");
+  expect_rejected("ewma" "_beta", "0.3");
+  expect_rejected("gateway_ring" "_fraction", "0.5");
+  expect_rejected("gateway_demod" "_paths", "8");
+  expect_rejected("downlink" "_tx_dbm", "27");
+  expect_rejected("rx1" "_bandwidth_hz", "125000");
+  expect_rejected("retx_backoff" "_min", "1");
+  expect_rejected("retx_backoff" "_max", "3");
+  expect_rejected("initial" "_soc", "0.5");
+  expect_rejected("panel_scale" "_min", "0.8");
+  expect_rejected("panel_scale" "_max", "1.2");
+  expect_rejected("cloud_jitter" "_spread", "0.3");
+  expect_rejected("supercap" "_efficiency", "0.95");
+  expect_rejected("supercap_leak" "_per_day", "0.2");
+  expect_rejected("temperature" "_c", "25");
+  expect_rejected("tx_power" "_dbm", "14");
+  expect_rejected("fixed" "_sf", "10");
+  expect_rejected("payload" "_bytes", "10");
+  expect_rejected("solar_tx" "_per_window", "3");
   expect_rejected("fast_fadng", "true");
 }
 
@@ -186,8 +211,7 @@ TEST(ScenarioIo, NonFiniteAndNonPositiveValuesRejectedAtParse) {
   for (const char* text : {"radius_m = nan", "radius_m = inf", "radius_m = -100",
                            "radius_m = 0", "battery_days = nan", "battery_days = 0",
                            "duty_cycle = -0.01", "min_period_min = 0",
-                           "period_jitter = -0.1", "initial_soc = nan",
-                           "supercap_leak_per_day = -1", "forecast_error_sigma = -2"}) {
+                           "supercap_tx_buffer = -1", "forecast_error_sigma = -2"}) {
     EXPECT_THROW(scenario_from_config(ConfigFile::parse(text)), std::runtime_error) << text;
   }
   try {

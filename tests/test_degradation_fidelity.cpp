@@ -5,6 +5,7 @@
 // tests quantify that claim in the live protocol.
 #include <gtest/gtest.h>
 
+#include "net/deployment_plan.hpp"
 #include "net/network.hpp"
 
 namespace blam {
@@ -29,11 +30,12 @@ TEST(DegradationFidelity, GatewayEstimateTracksGroundTruth) {
 }
 
 TEST(DegradationFidelity, NormalizedWeightsOrderLikeGroundTruth) {
-  ScenarioConfig c = blam_scenario(12, 0.5, 24);
-  // Widen panel diversity so nodes genuinely degrade at different rates.
-  c.panel_scale_min = 0.5;
-  c.panel_scale_max = 1.5;
-  Network network{c};
+  const ScenarioConfig c = blam_scenario(12, 0.5, 24);
+  // Widen panel diversity so nodes genuinely degrade at different rates:
+  // each planned U[0.8, 1.2] scale maps onto U[0.5, 1.5], draw for draw.
+  DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  for (NodePlan& node : plan.nodes) node.panel_scale = 0.5 + (node.panel_scale - 0.8) / 0.4;
+  Network network{c, plan, nullptr, nullptr, NetworkSlice::whole(plan)};
   network.run_until(Time::from_days(15.0));
   const Time now = network.simulator().now();
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/experiment.hpp"
+#include "net/gateway.hpp"
 #include "net/network.hpp"
 
 namespace blam {
@@ -15,29 +16,27 @@ ScenarioConfig base(int nodes, std::uint64_t seed = 31) {
   return c;
 }
 
-TEST(GatewayBehaviour, SingleDemodPathSerializesReceptions) {
-  // Many synchronized nodes, one channel, one demodulator: overlapping
-  // uplinks beyond the first cannot lock.
+TEST(GatewayBehaviour, SaturatedDemodPathsDropReceptions) {
+  // More synchronized nodes on one channel than the SX1301 has demodulators:
+  // the overlapping uplinks beyond the eighth cannot lock.
   ScenarioConfig c = base(20);
   c.uplink_channels = 1;
-  c.gateway_demod_paths = 1;
   c.min_period = Time::from_minutes(16.0);
   c.max_period = Time::from_minutes(16.0);  // all periods identical -> pileups
   const ExperimentResult r = run_scenario(c, Time::from_days(1.0));
   EXPECT_GT(r.gateway.lost_no_demod_path, 0u);
 }
 
-TEST(GatewayBehaviour, EightDemodPathsAbsorbTheSameLoad) {
-  ScenarioConfig c = base(20);
+TEST(GatewayBehaviour, EightDemodPathsAbsorbEightSynchronizedNodes) {
+  // The same pileups with no more nodes than demodulators: every uplink
+  // locks, however badly the packets collide.
+  ScenarioConfig c = base(Gateway::kDemodPaths);
   c.uplink_channels = 1;
-  c.gateway_demod_paths = 8;
   c.min_period = Time::from_minutes(16.0);
   c.max_period = Time::from_minutes(16.0);
   const ExperimentResult r = run_scenario(c, Time::from_days(1.0));
-  ScenarioConfig single = c;
-  single.gateway_demod_paths = 1;
-  const ExperimentResult r1 = run_scenario(single, Time::from_days(1.0));
-  EXPECT_LT(r.gateway.lost_no_demod_path, r1.gateway.lost_no_demod_path);
+  EXPECT_GT(r.gateway.arrivals, 0u);
+  EXPECT_EQ(r.gateway.lost_no_demod_path, 0u);
 }
 
 TEST(GatewayBehaviour, HalfDuplexLossesAppearUnderAckLoad) {
@@ -67,7 +66,6 @@ TEST(GatewayBehaviour, UnderSensitivityNodesNeverDecode) {
   ScenarioConfig c = base(5);
   c.radius_m = 60000.0;  // 60 km: SF10 cannot close
   c.sf_assignment = SfAssignment::kFixed;
-  c.fixed_sf = SpreadingFactor::kSF10;
   // Place all nodes far out by shrinking the inner exclusion: with a uniform
   // disk most of the 5 nodes land beyond any closable distance.
   const ExperimentResult r = run_scenario(c, Time::from_days(0.5));
@@ -102,7 +100,6 @@ TEST(GatewayBehaviour, SupercapDoesNotBridgeNights) {
   c.policy = PolicyKind::kBlam;
   c.theta = 0.02;  // almost no battery headroom
   c.supercap_tx_buffer = 4.0;
-  c.supercap_leak_per_day = 0.9;  // realistic supercap self-discharge
   const ExperimentResult r = run_scenario(c, Time::from_days(5.0));
   EXPECT_LT(r.summary.mean_prr, 0.95);  // night packets drop
 }

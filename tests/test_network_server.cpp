@@ -23,7 +23,7 @@ class NetworkServerTest : public ::testing::Test {
  protected:
   Simulator sim_;
   DegradationModel model_{};
-  NetworkServer server_{sim_, model_, 25.0, Time::from_days(1.0)};
+  NetworkServer server_{sim_, model_, Time::from_days(1.0)};
 };
 
 TEST_F(NetworkServerTest, AcceptsNewAndRejectsDuplicates) {

@@ -21,10 +21,10 @@ TEST(ScenarioPresets, LorawanDefaultsMatchPaper) {
   EXPECT_EQ(c.max_period, Time::from_minutes(60.0));
   EXPECT_EQ(c.forecast_window, Time::from_minutes(1.0));      // 1-min windows
   EXPECT_DOUBLE_EQ(c.w_b, 1.0);                               // w_b = 1
-  EXPECT_DOUBLE_EQ(c.temperature_c, 25.0);                    // insulated 25 C
-  EXPECT_TRUE(c.thermal.insulated);
-  EXPECT_EQ(c.payload_bytes, 10);                             // 10-byte packets
+  EXPECT_TRUE(c.thermal.insulated);                           // insulated 25 C
+  EXPECT_EQ(kPayloadBytes, 10);                               // 10-byte packets
   EXPECT_EQ(c.timings.max_transmissions, 8);                  // 8 transmissions
+  EXPECT_DOUBLE_EQ(TemperatureModel{c.thermal}.at(Time::zero()), 25.0);
   EXPECT_NO_THROW(c.validate());
 }
 
@@ -62,26 +62,15 @@ TEST(ScenarioValidation, CatchesEachBadField) {
   expect_invalid([](ScenarioConfig& c) { c.n_nodes = 0; });
   expect_invalid([](ScenarioConfig& c) { c.radius_m = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.n_gateways = 0; });
-  expect_invalid([](ScenarioConfig& c) { c.gateway_ring_fraction = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.min_period = Time::zero(); });
   expect_invalid([](ScenarioConfig& c) { c.max_period = c.min_period - Time::from_minutes(1.0); });
   expect_invalid([](ScenarioConfig& c) { c.forecast_window = c.min_period * 2; });
   expect_invalid([](ScenarioConfig& c) { c.theta = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.w_b = 1.5; });
-  expect_invalid([](ScenarioConfig& c) { c.payload_bytes = 0; });
-  expect_invalid([](ScenarioConfig& c) { c.payload_bytes = 300; });
-  expect_invalid([](ScenarioConfig& c) { c.ewma_beta = -0.1; });
   expect_invalid([](ScenarioConfig& c) { c.battery_days = 0.0; });
-  expect_invalid([](ScenarioConfig& c) { c.initial_soc = 1.5; });
-  expect_invalid([](ScenarioConfig& c) { c.panel_scale_min = 2.0; c.panel_scale_max = 1.0; });
-  expect_invalid([](ScenarioConfig& c) { c.retx_backoff_min = c.retx_backoff_max * 2; });
   expect_invalid([](ScenarioConfig& c) { c.dissemination_period = Time::zero(); });
   expect_invalid([](ScenarioConfig& c) { c.duty_cycle = 0.0; });
-  expect_invalid([](ScenarioConfig& c) { c.period_jitter = 0.5; });
-  expect_invalid([](ScenarioConfig& c) { c.battery_self_discharge_per_month = 1.0; });
   expect_invalid([](ScenarioConfig& c) { c.supercap_tx_buffer = -1.0; });
-  expect_invalid([](ScenarioConfig& c) { c.supercap_efficiency = 0.0; });
-  expect_invalid([](ScenarioConfig& c) { c.supercap_leak_per_day = 1.0; });
 }
 
 TEST(ScenarioValidation, RejectsNonFiniteFieldsNamingTheField) {
@@ -107,10 +96,9 @@ TEST(ScenarioValidation, RejectsNonFiniteFieldsNamingTheField) {
   expect_invalid([=](ScenarioConfig& c) { c.battery_days = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.duty_cycle = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.w_b = nan; });
-  expect_invalid([=](ScenarioConfig& c) { c.tx_power_dbm = nan; });
-  expect_invalid([=](ScenarioConfig& c) { c.supercap_efficiency = inf; });
+  expect_invalid([=](ScenarioConfig& c) { c.supercap_tx_buffer = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.forecast_error_sigma = nan; });
-  expect_invalid([=](ScenarioConfig& c) { c.initial_soc = -nan; });
+  expect_invalid([=](ScenarioConfig& c) { c.interference_floor_dbm = -nan; });
 }
 
 TEST(ScenarioValidation, WindowsForRoundsDown) {

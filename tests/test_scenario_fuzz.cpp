@@ -30,17 +30,13 @@ ScenarioConfig random_scenario(Rng& rng) {
   c.utility = static_cast<UtilityKind>(rng.uniform_int(0, 2));
   c.uplink_channels = static_cast<int>(rng.uniform_int(1, 8));
   c.sf_assignment = rng.bernoulli(0.5) ? SfAssignment::kFixed : SfAssignment::kDistanceBased;
-  c.fixed_sf = sf_from_value(static_cast<int>(rng.uniform_int(7, 12)));
   c.path_loss.shadowing_sigma_db = rng.uniform(0.0, 8.0);
   c.adr_enabled = rng.bernoulli(0.3);
   c.confirmed = rng.bernoulli(0.8);
   c.duty_cycle = rng.bernoulli(0.3) ? rng.uniform(0.01, 1.0) : 1.0;
-  c.period_jitter = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.3) : 0.0;
   c.supercap_tx_buffer = rng.bernoulli(0.3) ? rng.uniform(1.0, 8.0) : 0.0;
-  c.battery_self_discharge_per_month = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.1) : 0.0;
   c.thermal.insulated = rng.bernoulli(0.7);
   c.thermal.mean_c = rng.uniform(-5.0, 35.0);
-  c.solar_tx_per_window = rng.uniform(1.0, 6.0);
   c.battery_days = rng.uniform(2.0, 10.0);
   c.forecast_error_sigma = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.5) : 0.0;
   return c;

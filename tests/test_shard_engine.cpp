@@ -192,8 +192,7 @@ TEST(ShardEngineLookahead, TracksTheFastestAssignedSf) {
     TxParams p;
     p.sf = sf;
     p.bandwidth_hz = 125e3;
-    p.payload_bytes = c.payload_bytes + 4;
-    p.tx_power_dbm = c.tx_power_dbm;
+    p.payload_bytes = kPayloadBytes + 4;
     return timing.time_on_air(p.with_auto_ldro());
   };
   const auto slow = make_deployment({{0.0, 0.0}}, {{120.0}, {120.0}}, SpreadingFactor::kSF12);

@@ -429,11 +429,10 @@ TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
   const ScenarioConfig linear = blam_scenario(4, 0.5, 21);
   ScenarioConfig step_utility = linear;
   step_utility.utility = UtilityKind::kStep;
-  step_utility.step_floor = 0.0;
   ScenarioConfig adaptive = linear;
   adaptive.adaptive_theta = true;
-  ScenarioConfig payload = linear;
-  payload.payload_bytes = 40;
+  ScenarioConfig battery = linear;
+  battery.battery_days = 4.0;
   ScenarioConfig duty = linear;
   duty.duty_cycle = 0.001;
   ScenarioConfig unconfirmed = linear;
@@ -443,7 +442,7 @@ TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
   ScenarioConfig radio = linear;
   radio.radio.rx_current_a *= 4.0;
   const std::vector<std::pair<ScenarioConfig, ScenarioConfig>> pairs = {
-      {lmo, nmc},         {linear, step_utility}, {linear, adaptive}, {linear, payload},
+      {lmo, nmc},         {linear, step_utility}, {linear, adaptive}, {linear, battery},
       {linear, duty},     {linear, unconfirmed},  {linear, timings},  {linear, radio}};
   const Time max_duration = Time::from_days(20.0);
   const Time step = Time::from_days(5.0);

@@ -1,5 +1,4 @@
-// Traffic-mode extensions: unconfirmed (fire-and-forget) uplinks, sampling
-// jitter, and battery self-discharge.
+// Traffic-mode extension: unconfirmed (fire-and-forget) uplinks.
 #include <gtest/gtest.h>
 
 #include "net/experiment.hpp"
@@ -55,63 +54,6 @@ TEST(UnconfirmedTraffic, BlamFallsBackToThetaOnly) {
     EXPECT_DOUBLE_EQ(node->w_u(), 0.0);
     EXPECT_LE(node->battery().soc(), 0.5 + 1e-9);
   }
-}
-
-TEST(PeriodJitter, ValidatedAndChangesCollisions) {
-  ScenarioConfig c = lorawan_scenario(10, 45);
-  c.period_jitter = 0.6;
-  EXPECT_THROW(Network{c}, std::invalid_argument);
-
-  // Jitter decorrelates the synchronized deployment: with identical
-  // periods, window-0 pileups soften.
-  ScenarioConfig rigid = lorawan_scenario(60, 45);
-  rigid.min_period = Time::from_minutes(16.0);
-  rigid.max_period = Time::from_minutes(16.0);
-  rigid.uplink_channels = 2;
-  ScenarioConfig jittered = rigid;
-  jittered.period_jitter = 0.2;
-  const auto trace = build_shared_trace(rigid);
-  const ExperimentResult a = run_scenario(rigid, Time::from_days(2.0), trace);
-  const ExperimentResult b = run_scenario(jittered, Time::from_days(2.0), trace);
-  EXPECT_LT(b.summary.mean_retx, a.summary.mean_retx);
-}
-
-TEST(PeriodJitter, PacketCountsStayInBand) {
-  ScenarioConfig c = lorawan_scenario(5, 46);
-  c.min_period = Time::from_minutes(20.0);
-  c.max_period = Time::from_minutes(20.0);
-  c.period_jitter = 0.3;
-  const ExperimentResult r = run_scenario(c, Time::from_days(2.0));
-  for (const NodeMetrics& m : r.nodes) {
-    // 2 days / 20 min = 144 nominal packets; jitter is zero-mean.
-    EXPECT_GT(m.generated, 110u);
-    EXPECT_LT(m.generated, 180u);
-  }
-}
-
-TEST(SelfDischarge, DrainsIdleBattery) {
-  // Disable harvesting at night is automatic; to isolate self-discharge,
-  // compare the same network with and without it over winter nights.
-  ScenarioConfig base = lorawan_scenario(8, 47);
-  ScenarioConfig leaky = base;
-  leaky.battery_self_discharge_per_month = 0.5;  // exaggerated for the test
-  const auto trace = build_shared_trace(base);
-
-  Network a{base, trace};
-  Network b{leaky, trace};
-  a.run_until(Time::from_days(7.0));
-  b.run_until(Time::from_days(7.0));
-  double soc_a = 0.0;
-  double soc_b = 0.0;
-  for (const auto& node : a.nodes()) soc_a += node->battery().soc();
-  for (const auto& node : b.nodes()) soc_b += node->battery().soc();
-  EXPECT_LT(soc_b, soc_a);
-}
-
-TEST(SelfDischarge, Validated) {
-  ScenarioConfig c = lorawan_scenario(5, 48);
-  c.battery_self_discharge_per_month = 1.0;
-  EXPECT_THROW(Network{c}, std::invalid_argument);
 }
 
 }  // namespace
