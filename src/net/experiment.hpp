@@ -30,7 +30,7 @@ struct ExperimentResult {
 /// non-null the scenario uses that weather instead of synthesizing its own
 /// (so protocol variants face identical conditions). A non-null `token`
 /// makes the run cancellable: the simulation advances in slices and throws
-/// CellTimeout between them when the watchdog fired — slicing run_until is
+/// CellTimeout between them once the token's deadline passed — slicing run_until is
 /// bit-identical to a single call.
 [[nodiscard]] ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
                                             std::shared_ptr<const SolarTrace> shared_trace = nullptr,

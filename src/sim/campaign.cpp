@@ -9,7 +9,6 @@
 #include <mutex>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -254,10 +253,20 @@ class QuarantineScanner {
   std::size_t pos_{0};
 };
 
+/// The token of one attempt: a deadline `timeout_s` seconds from now, or
+/// none for 0 (or NaN) or a budget past the clock's range.
+[[nodiscard]] CellToken attempt_token(double timeout_s) {
+  using Clock = CellToken::Clock;
+  const std::chrono::duration<double> budget{timeout_s};
+  const Clock::time_point now = Clock::now();
+  if (!(timeout_s > 0.0) || budget >= Clock::time_point::max() - now) return CellToken{};
+  return CellToken{now + std::chrono::duration_cast<Clock::duration>(budget)};
+}
+
 }  // namespace
 
 void CellToken::throw_if_cancelled() const {
-  if (cancelled()) throw CellTimeout{"cell cancelled by the campaign watchdog"};
+  if (cancelled()) throw CellTimeout{"cell cancelled: its campaign deadline passed"};
 }
 
 void write_quarantine(const std::string& path, const std::vector<QuarantinedCell>& cells) {
@@ -326,7 +335,6 @@ Campaign::Campaign(std::vector<CampaignCell> cells, CampaignOptions options)
 }
 
 CampaignReport Campaign::run(const Body& body) {
-  using Clock = std::chrono::steady_clock;
   const std::size_t n = cells_.size();
   CampaignReport report;
   report.results.resize(n);
@@ -363,32 +371,6 @@ CampaignReport Campaign::run(const Body& body) {
     }
   }
 
-  // --- watchdog: cancel cells that outlive the per-cell deadline ----------
-  struct Watch {
-    std::mutex m;
-    CellToken token;
-    Clock::time_point deadline;
-    bool armed{false};
-  };
-  std::vector<Watch> watches(n);
-  std::atomic<bool> stop_watchdog{false};
-  std::thread watchdog;
-  if (options_.cell_timeout_s > 0.0 && !todo.empty()) {
-    watchdog = std::thread{[&] {
-      while (!stop_watchdog.load(std::memory_order_relaxed)) {
-        const Clock::time_point now = Clock::now();
-        for (Watch& w : watches) {
-          const std::lock_guard<std::mutex> lock{w.m};
-          if (w.armed && now >= w.deadline) {
-            w.token.cancel();
-            w.armed = false;
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{10});
-      }
-    }};
-  }
-
   std::mutex quarantine_mutex;
   std::vector<std::pair<std::size_t, QuarantinedCell>> quarantined;  // (cell index, entry)
   // 64-bit: retries may be INT_MAX.
@@ -416,22 +398,9 @@ CampaignReport Campaign::run(const Body& body) {
     std::string error;
     bool timed_out = false;
     for (std::int64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-      CellToken token;
-      Watch& watch = watches[i];
-      if (options_.cell_timeout_s > 0.0) {
-        const std::lock_guard<std::mutex> lock{watch.m};
-        watch.token = token;
-        watch.deadline =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>{options_.cell_timeout_s});
-        watch.armed = true;
-      }
+      const CellToken token = attempt_token(options_.cell_timeout_s);
       try {
         std::string payload = body(i, token);
-        {
-          const std::lock_guard<std::mutex> lock{watch.m};
-          watch.armed = false;
-        }
         if (journal.is_open()) {
           const std::string line = "v1 " + hex64(fnv1a64(cells_[i].key)) + ' ' +
                                    hex64(fnv1a64(payload)) + ' ' + escape_payload(payload);
@@ -442,17 +411,9 @@ CampaignReport Campaign::run(const Body& body) {
         report.results[i] = std::move(payload);
         return;
       } catch (const std::exception& e) {
-        {
-          const std::lock_guard<std::mutex> lock{watch.m};
-          watch.armed = false;
-        }
         error = e.what();
         timed_out = token.cancelled();
       } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock{watch.m};
-          watch.armed = false;
-        }
         error = "unknown exception";
         timed_out = token.cancelled();
       }
@@ -468,11 +429,6 @@ CampaignReport Campaign::run(const Body& body) {
     const std::lock_guard<std::mutex> lock{quarantine_mutex};
     quarantined.emplace_back(i, std::move(q));
   });
-
-  if (watchdog.joinable()) {
-    stop_watchdog.store(true, std::memory_order_relaxed);
-    watchdog.join();
-  }
 
   // Quarantine entries land in completion order (worker-dependent); sort by
   // cell index, not key (a grid may repeat a cell), so the file and the

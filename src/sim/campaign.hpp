@@ -1,11 +1,12 @@
 // Crash-tolerant sweep campaigns layered on SweepRunner.
 //
 // A campaign hardens a grid of independent cells against the three ways a
-// long run dies today: a cell that hangs (per-cell watchdog + cooperative
-// cancellation), a cell that throws (retry, then quarantine the config+seed
-// to quarantine.json for offline repro instead of losing the grid), and the
-// process being killed (an append-only checkpoint journal so a re-run skips
-// completed cells and reproduces their payloads byte-identically).
+// long run dies today: a cell that hangs (a per-attempt deadline the cell
+// polls cooperatively), a cell that throws (retry, then quarantine the
+// config+seed to quarantine.json for offline repro instead of losing the
+// grid), and the process being killed (an append-only checkpoint journal so
+// a re-run skips completed cells and reproduces their payloads
+// byte-identically).
 //
 // Identity model: each cell carries a caller-supplied `key` that fingerprints
 // everything the cell's result depends on (config, seed, durations). The
@@ -19,10 +20,9 @@
 // indistinguishable down to the last bit.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -32,26 +32,29 @@
 
 namespace blam {
 
-/// Thrown by CellToken::throw_if_cancelled when the watchdog fired.
+/// Thrown by CellToken::throw_if_cancelled once the cell's deadline passed.
 class CellTimeout : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Cooperative cancellation flag shared between a cell body and the
-/// watchdog. Copies share the flag; a body polls cancelled() (or calls
-/// throw_if_cancelled()) at its natural step boundaries.
+/// Cooperative cancellation: the steady-clock deadline of one attempt of a
+/// cell. A body polls cancelled() (or calls throw_if_cancelled()) at its
+/// natural step boundaries, on its own thread; copies carry the same
+/// deadline. A default token has no deadline and is never cancelled.
 class CellToken {
  public:
-  CellToken() : flag_{std::make_shared<std::atomic<bool>>(false)} {}
+  using Clock = std::chrono::steady_clock;
 
-  [[nodiscard]] bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-  void cancel() const { flag_->store(true, std::memory_order_relaxed); }
-  /// Throws CellTimeout if the watchdog cancelled this cell.
+  CellToken() = default;
+  explicit CellToken(Clock::time_point deadline) : deadline_{deadline} {}
+
+  [[nodiscard]] bool cancelled() const { return Clock::now() >= deadline_; }
+  /// Throws CellTimeout once the deadline has passed.
   void throw_if_cancelled() const;
 
  private:
-  std::shared_ptr<std::atomic<bool>> flag_;
+  Clock::time_point deadline_{Clock::time_point::max()};
 };
 
 struct CampaignCell {
@@ -67,8 +70,9 @@ struct CampaignCell {
 
 struct CampaignOptions {
   SweepOptions sweep{};
-  /// Watchdog: cancel a cell running longer than this (0 disables). The
-  /// cancellation is cooperative — bodies observe it at step boundaries.
+  /// Watchdog: each attempt of a cell gets a deadline this many seconds
+  /// after it starts (0 = none). The cancellation is cooperative — bodies
+  /// observe the deadline at step boundaries, through their CellToken.
   double cell_timeout_s{0.0};
   /// Re-runs after a failure before the cell is quarantined.
   int retries{1};

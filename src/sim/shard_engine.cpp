@@ -10,7 +10,6 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "audit/audit.hpp"
@@ -19,6 +18,7 @@
 #include "net/scenario_io.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/sweep_runner.hpp"
 
 namespace blam {
 
@@ -344,7 +344,7 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
   const int n_slices = plan_.effective;
   barrier_ = std::make_unique<ShardBarrier>(n_slices, resolve_shard_timeout_s());
   reducer_ = std::make_unique<FleetReducer>(*barrier_);
-  runs_.resize(static_cast<std::size_t>(n_slices));
+  busy_seconds_.assign(static_cast<std::size_t>(n_slices), 0.0);
   slices_.reserve(static_cast<std::size_t>(n_slices));
   for (int s = 0; s < n_slices; ++s) {
     const NetworkSlice slice = plan_.slice(s);
@@ -382,33 +382,35 @@ void ShardedNetwork::run_until(Time until) {
 
 void ShardedNetwork::advance(Time start, Time until) {
   abort_flag_.store(false, std::memory_order_relaxed);
-  for (SliceRun& run : runs_) run.failure = nullptr;
-  // Slice 0 runs on the calling thread, so a one-slice run spawns nothing.
-  std::vector<std::thread> workers;
-  workers.reserve(slices_.size() - 1);
-  for (std::size_t s = 1; s < slices_.size(); ++s) {
-    workers.emplace_back([this, s, start, until] { run_slice(s, start, until); });
-  }
-  run_slice(0, start, until);
-  for (std::thread& worker : workers) worker.join();
-  for (const SliceRun& run : runs_) {
-    if (run.failure == nullptr) continue;
-    try {
-      std::rethrow_exception(run.failure);
-    } catch (const ShardWedged& wedged) {
-      // A wedged run yields no results; leave the repro behind (same
-      // protocol as a quarantined campaign cell) before propagating.
-      write_wedge_quarantine("quarantine.json", config_, wedged.what());
-      throw;
-    }
+  try {
+    // Slice 0 runs on the calling thread, so a one-slice run starts nothing.
+    fork_join(slices_.size(), [&](std::size_t s) { run_slice(s, start, until); });
+  } catch (const ShardWedged& wedged) {
+    // A wedged run yields no results; leave the repro behind (same
+    // protocol as a quarantined campaign cell) before propagating.
+    write_wedge_quarantine("quarantine.json", config_, wedged.what());
+    throw;
   }
 }
 
+namespace {
+
+[[nodiscard]] double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+}  // namespace
+
 void ShardedNetwork::run_slice(std::size_t index, Time start, Time until) {
   Network& slice = *slices_[index];
-  SliceRun& run = runs_[index];
-  timespec t0{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+  // Charges this thread's CPU time to the slice on every exit path.
+  struct BusyTimer {
+    double& total;
+    double start{thread_cpu_seconds()};
+    ~BusyTimer() { total += thread_cpu_seconds() - start; }
+  } busy{busy_seconds_[index]};
   try {
     // Epoch boundaries at multiples of the dissemination period: the w_u
     // recompute (the only cross-slice event) fires exactly at boundary
@@ -440,18 +442,14 @@ void ShardedNetwork::run_slice(std::size_t index, Time start, Time until) {
   } catch (const ShardWedged&) {
     // This slice detected the wedge (its timed barrier wait expired). The
     // barrier is already poisoned; raise the kill switch so the slice still
-    // spinning inside run_until unwinds and join() returns.
-    run.failure = std::current_exception();
+    // spinning inside run_until unwinds and the join returns.
     abort_flag_.store(true, std::memory_order_relaxed);
+    throw;
   } catch (...) {
-    run.failure = std::current_exception();
     barrier_->poison();
     abort_flag_.store(true, std::memory_order_relaxed);
+    throw;
   }
-  timespec t1{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
-  run.busy_seconds += static_cast<double>(t1.tv_sec - t0.tv_sec) +
-                      static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
 }
 
 double ShardedNetwork::max_degradation() const {
@@ -528,37 +526,10 @@ double ShardedNetwork::w_for(std::uint32_t node_id) const {
 }
 
 double ShardedNetwork::max_shard_busy_seconds() const {
-  double max_busy = 0.0;
-  for (const SliceRun& run : runs_) max_busy = std::max(max_busy, run.busy_seconds);
-  return max_busy;
+  return std::ranges::max(busy_seconds_);
 }
 
 namespace {
-
-/// Runs `work(s)` for every slice index, slice 0 on the calling thread and
-/// the others on their own threads, then rethrows the lowest failed slice's
-/// exception once every thread has joined.
-template <typename Work>
-void for_each_slice_parallel(std::size_t slices, const Work& work) {
-  std::vector<std::exception_ptr> failures(slices);
-  const auto guarded = [&](std::size_t s) {
-    try {
-      work(s);
-    } catch (...) {
-      failures[s] = std::current_exception();
-    }
-  };
-  {
-    // jthreads join on every exit path, so none is left joinable.
-    std::vector<std::jthread> workers;
-    workers.reserve(slices - 1);
-    for (std::size_t s = 1; s < slices; ++s) workers.emplace_back(guarded, s);
-    guarded(0);
-  }
-  for (const std::exception_ptr& failure : failures) {
-    if (failure != nullptr) std::rethrow_exception(failure);
-  }
-}
 
 /// Every byte left in `in`. A stream that can seek (a file, a string
 /// stream) is read into one buffer allocated at its final size.
@@ -597,7 +568,7 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
   // bytes do not depend on how the stream is split). The buffers' lengths
   // become the meta section's offset table.
   std::vector<std::ostringstream> buffers(slices_.size());
-  for_each_slice_parallel(slices_.size(), [&](std::size_t s) {
+  fork_join(slices_.size(), [&](std::size_t s) {
     StateWriter slice_writer{buffers[s]};
     slices_[s]->checkpoint_state(slice_writer);
   });
@@ -684,7 +655,7 @@ void ShardedNetwork::restore_bytes(std::string_view bytes) {
   for (std::size_t s = 0, at = 0; s < lengths.size(); at += lengths[s], ++s) {
     ranges.push_back(body.substr(at, lengths[s]));
   }
-  for_each_slice_parallel(slices_.size(), [&](std::size_t s) {
+  fork_join(slices_.size(), [&](std::size_t s) {
     StateReader slice_reader{ranges[s]};
     slices_[s]->restore_state(slice_reader);
     if (!slice_reader.at_end()) {

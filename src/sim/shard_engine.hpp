@@ -1,9 +1,10 @@
 // Conservative time-windowed parallel engine, and the only engine: a run is
 // N >= 1 Network slices (net/network.hpp), each owning a private Simulator
 // + EventQueue, advancing in lockstep epochs of one dissemination period
-// and meeting at a barrier after every epoch. Slice 0 runs on the calling
-// thread and slices 1..N-1 on worker threads, so a one-slice run — every
-// run the planner cannot split — spawns no thread.
+// and meeting at a barrier after every epoch. The slices run through
+// fork_join (sim/sweep_runner.hpp): slice 0 on the calling thread and
+// slices 1..N-1 each on its own thread, so a one-slice run — every run the
+// planner cannot split — starts no thread.
 //
 // Why collision domains and not arbitrary geographic cells: the interference
 // tracker couples every transmission a gateway can hear at TX START time, so
@@ -249,13 +250,10 @@ class ShardedNetwork {
 
  private:
   class FleetReducer;
-  /// One slice's outcome in the current advance and its accumulated CPU.
-  struct SliceRun {
-    std::exception_ptr failure;
-    double busy_seconds{0.0};
-  };
 
   /// Runs slice `index` through the epoch loop from `start` to `until`.
+  /// The first failure poisons the barrier and propagates; a peer's
+  /// ShardAborted / SimulationAborted is swallowed.
   void run_slice(std::size_t index, Time start, Time until);
   /// One lockstep advance of every slice (the body run_until slices
   /// between checkpoint boundaries).
@@ -276,8 +274,9 @@ class ShardedNetwork {
   // blam-ckpt: skip -- epoch-merge machinery, rebuilt at construction
   std::unique_ptr<FleetReducer> reducer_;
   std::vector<std::unique_ptr<Network>> slices_;
-  // blam-ckpt: skip -- worker failures and CPU time; checkpoints are cut at healthy barriers
-  std::vector<SliceRun> runs_;
+  /// CPU seconds each slice has run, across run_until calls.
+  // blam-ckpt: skip -- CPU-time measurement, not simulation state
+  std::vector<double> busy_seconds_;
   // blam-ckpt: skip -- merge output, recomputed from the per-slice metrics by finalize_metrics()
   Metrics merged_;
   Time cursor_{};

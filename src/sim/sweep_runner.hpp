@@ -5,10 +5,11 @@
 // streams derive from the cell's own ScenarioConfig::seed (see common/rng.hpp),
 // and the only cross-cell object — a shared SolarTrace — is immutable after
 // construction. SweepRunner exploits that independence: it fans cell bodies
-// across a pool of worker threads pulling indices from a shared work queue,
-// while each result lands in its submission-order slot. Because no cell reads
-// or writes another cell's state, the aggregated output is bit-identical to
-// running the same cells serially, regardless of worker count or scheduling.
+// across worker threads (the caller is worker 0) pulling indices from a
+// shared work queue, while each result lands in its submission-order slot.
+// Because no cell reads or writes another cell's state, the aggregated
+// output is bit-identical to running the same cells serially, regardless of
+// worker count or scheduling.
 //
 // Thread-safety contract for cell bodies: a body may touch only (a) state it
 // creates itself, (b) its own result slot, and (c) objects that are immutable
@@ -26,6 +27,16 @@
 
 namespace blam {
 
+/// Runs work(i) for every i in [0, n): work(0) on the calling thread and
+/// work(1..n-1) each on its own thread, then joins them all and rethrows the
+/// exception of the lowest index that threw. Every index runs whatever the
+/// others do; n <= 1 starts no thread. Every index owning a thread is what
+/// lets callers make the indices parties of one barrier (ShardBarrier): no
+/// party ever waits for another to be scheduled. This is the one place in
+/// src/ that starts threads. A thread that cannot be started terminates the
+/// process, since the indices already running may be waiting for it.
+void fork_join(std::size_t n, const std::function<void(std::size_t)>& work);
+
 /// Worker count resolution: an explicit positive `requested` wins; otherwise
 /// the BLAM_JOBS environment variable (a positive integer); otherwise
 /// std::thread::hardware_concurrency() (at least 1). A malformed or
@@ -33,7 +44,8 @@ namespace blam {
 [[nodiscard]] int resolve_jobs(int requested = 0);
 
 struct SweepOptions {
-  /// Worker threads; 0 = BLAM_JOBS env, else hardware_concurrency.
+  /// Workers, the calling thread included; 0 = BLAM_JOBS env, else
+  /// hardware_concurrency.
   int jobs{0};
   /// Print one "[sweep] k/n <label> t s" line per completed cell (stderr,
   /// completion order — stdout stays clean for figure rows).
@@ -49,11 +61,12 @@ class SweepRunner {
   /// Resolved worker count (>= 1).
   [[nodiscard]] int jobs() const { return jobs_; }
 
-  /// Runs body(i) for i in [0, n). With jobs() == 1 this is a plain loop on
-  /// the calling thread (the serial path); otherwise min(jobs, n) workers
-  /// drain a shared index queue. If any cell throws, no further cells are
-  /// started (in-flight cells finish) and after the join the exception of
-  /// the lowest-index failed cell is rethrown.
+  /// Runs body(i) for i in [0, n). min(jobs, n) workers drain a shared
+  /// index queue through fork_join, worker 0 on the calling thread; with
+  /// jobs() == 1 that is a plain loop on the calling thread (the serial
+  /// path). If any cell throws, no further cells are started (in-flight
+  /// cells finish) and after the join the exception of the lowest-index
+  /// failed cell is rethrown.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Maps fn over [0, n) and returns the results in submission (index)
@@ -70,15 +83,10 @@ class SweepRunner {
     return out;
   }
 
-  /// Wall-clock seconds each cell of the last run took, indexed by cell
-  /// (0 for cells never started because an earlier cell failed).
-  [[nodiscard]] const std::vector<double>& cell_seconds() const { return cell_seconds_; }
-
  private:
   int jobs_;
   bool progress_;
   std::function<std::string(std::size_t)> label_;
-  std::vector<double> cell_seconds_;
 };
 
 }  // namespace blam

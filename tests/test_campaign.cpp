@@ -180,6 +180,22 @@ TEST(CampaignTest, WatchdogCancelsAHungCell) {
   EXPECT_TRUE(report.results[1].has_value());
 }
 
+// A budget past the steady clock's range is no deadline at all; it used to
+// overflow the deadline arithmetic and time every cell out at once.
+TEST(CampaignTest, TimeoutPastTheClockRangeNeverFires) {
+  CampaignOptions options = quiet_options();
+  options.cell_timeout_s = 1e300;
+  options.retries = 0;
+  Campaign campaign{three_cells(), options};
+  const CampaignReport report = campaign.run([](std::size_t, const CellToken& token) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{30});
+    token.throw_if_cancelled();
+    return std::string{"done"};
+  });
+  EXPECT_TRUE(report.quarantined.empty());
+  for (const auto& result : report.results) EXPECT_EQ(result, "done");
+}
+
 TEST(CampaignTest, QuarantineJsonRoundTripsSpecialCharacters) {
   ScratchFile path{"blam_test_quarantine_escape"};
   QuarantinedCell cell;
@@ -294,13 +310,21 @@ TEST(CampaignTest, ChangedCellKeyInvalidatesTheJournalEntry) {
 }
 
 TEST(CampaignTest, CellTokenThrowsOnlyWhenCancelled) {
-  CellToken token;
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_NO_THROW(token.throw_if_cancelled());
-  const CellToken copy = token;  // copies share the flag
-  copy.cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_THROW(token.throw_if_cancelled(), CellTimeout);
+  const CellToken no_deadline;
+  EXPECT_FALSE(no_deadline.cancelled());
+  EXPECT_NO_THROW(no_deadline.throw_if_cancelled());
+
+  const CellToken::Clock::time_point now = CellToken::Clock::now();
+  const CellToken past{now - std::chrono::milliseconds{1}};
+  EXPECT_TRUE(past.cancelled());
+  EXPECT_THROW(past.throw_if_cancelled(), CellTimeout);
+
+  const CellToken future{now + std::chrono::hours{1}};
+  const CellToken copy = future;  // copies carry the same deadline
+  EXPECT_FALSE(copy.cancelled());
+  EXPECT_NO_THROW(copy.throw_if_cancelled());
+  const CellToken past_copy = past;
+  EXPECT_THROW(past_copy.throw_if_cancelled(), CellTimeout);
 }
 
 }  // namespace

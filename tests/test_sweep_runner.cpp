@@ -1,18 +1,22 @@
-// SweepRunner: the parallel grid must be indistinguishable — bit for bit —
-// from the serial path, errors must propagate deterministically, and
-// BLAM_JOBS=1 must degenerate to a plain loop on the calling thread.
+// SweepRunner and fork_join: the parallel grid must be indistinguishable —
+// bit for bit — from the serial path, sharded cells included, errors must
+// propagate deterministically, and BLAM_JOBS=1 must degenerate to a plain
+// loop on the calling thread.
 #include "sim/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -23,6 +27,7 @@
 #include "common/checksum.hpp"
 #include "net/experiment.hpp"
 #include "net/scenario_io.hpp"
+#include "sim/shard_engine.hpp"
 #include "state_stream_edit.hpp"
 
 namespace blam {
@@ -69,7 +74,6 @@ TEST(SweepRunnerTest, MapPreservesSubmissionOrder) {
       runner.map(100, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-  EXPECT_EQ(runner.cell_seconds().size(), 100u);
 }
 
 TEST(SweepRunnerTest, SingleJobDegeneratesToSerialPathOnCallingThread) {
@@ -145,7 +149,68 @@ TEST(SweepRunnerTest, EmptyGridIsANoOp) {
   std::atomic<int> calls{0};
   runner.run_indexed(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
-  EXPECT_TRUE(runner.cell_seconds().empty());
+}
+
+// --- fork_join ----------------------------------------------------------------
+
+/// Threads of this process, from /proc/self/task.
+[[nodiscard]] std::ptrdiff_t process_threads() {
+  return std::distance(std::filesystem::directory_iterator{"/proc/self/task"},
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(SweepRunnerTest, ForkJoinRunsIndexZeroOnTheCallingThread) {
+  constexpr std::size_t kN = 4;
+  std::array<std::thread::id, kN> ran_on{};
+  fork_join(kN, [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  // Every other index had a thread of its own.
+  for (std::size_t i = 1; i < kN; ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(ran_on[i], ran_on[j]) << i << " vs " << j;
+  }
+}
+
+TEST(SweepRunnerTest, ForkJoinOfOneStartsNoThread) {
+  const std::ptrdiff_t before = process_threads();
+  std::ptrdiff_t during = 0;
+  std::thread::id ran_on;
+  fork_join(1, [&](std::size_t) {
+    during = process_threads();
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(during, before);
+  fork_join(0, [](std::size_t) { ADD_FAILURE() << "fork_join(0) ran an index"; });
+}
+
+TEST(SweepRunnerTest, ForkJoinRunsEveryIndexOnceWhenALowerOneThrows) {
+  constexpr std::size_t kN = 6;
+  std::array<std::atomic<int>, kN> runs{};
+  EXPECT_THROW(fork_join(kN,
+                         [&](std::size_t i) {
+                           ++runs[i];
+                           if (i <= 1) throw std::runtime_error{"index " + std::to_string(i)};
+                         }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+}
+
+TEST(SweepRunnerTest, ForkJoinRethrowsTheLowestFailureAfterEveryIndexFinished) {
+  constexpr std::size_t kN = 5;
+  std::array<std::atomic<bool>, kN> finished{};
+  try {
+    fork_join(kN, [&](std::size_t i) {
+      // Index 3 fails first and index 1 last; index 4 outlives both.
+      if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds{20});
+      if (i == 4) std::this_thread::sleep_for(std::chrono::milliseconds{60});
+      finished[i] = true;
+      if (i == 1 || i == 3) throw std::runtime_error{"index " + std::to_string(i)};
+    });
+    FAIL() << "expected an index's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_TRUE(finished[i].load()) << "index " << i;
+  }
 }
 
 // --- Scenario-grid determinism ---------------------------------------------
@@ -190,6 +255,54 @@ TEST(SweepRunnerTest, ParallelGridMatchesSerialBitForBit) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) + " cell=" + std::to_string(i));
       expect_bit_identical(reference[i], swept[i]);
     }
+  }
+}
+
+/// The shard tests' city: gateways on a 12 km grid, nodes within 1 km of
+/// their own gateway, a -143 dBm audibility floor, so every gateway is its
+/// own collision domain and the planner splits the fleet.
+[[nodiscard]] ScenarioConfig sharded_city(std::uint64_t seed) {
+  ScenarioConfig c;
+  c.policy = PolicyKind::kBlam;
+  c.theta = 0.5;
+  c.n_nodes = 48;
+  c.n_gateways = 4;
+  c.gateway_grid_pitch_m = 12000.0;
+  c.cluster_radius_m = 1000.0;
+  c.interference_floor_dbm = -143.0;
+  c.sf_assignment = SfAssignment::kDistanceBased;
+  c.shards = 4;
+  c.seed = seed;
+  c.label = c.policy_label();
+  return c;
+}
+
+// Each cell's four slices are barrier parties with a thread each, so four
+// such cells on four grid workers run sixteen slice threads at once and
+// must neither deadlock nor change a bit.
+TEST(SweepRunnerTest, ShardedCellsInAParallelGridMatchSerial) {
+  const EnvGuard guard{"BLAM_SHARDS"};
+  ::unsetenv("BLAM_SHARDS");
+  std::vector<ScenarioCell> cells;
+  for (std::uint64_t seed : {31, 32, 33, 34}) cells.push_back({sharded_city(seed), nullptr});
+  {
+    const ShardedNetwork probe{cells.front().config};
+    ASSERT_GT(probe.plan().effective, 1) << probe.plan().serial_reason;
+  }
+
+  const Time duration = Time::from_days(2.0);
+  std::vector<std::vector<ExperimentResult>> grids;
+  for (int jobs : {1, 4}) {
+    CampaignOptions options;
+    options.sweep.jobs = jobs;
+    grids.push_back(run_scenarios(cells, duration, options));
+  }
+  ASSERT_EQ(grids[0].size(), cells.size());
+  ASSERT_EQ(grids[1].size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell=" + std::to_string(i));
+    EXPECT_GT(grids[0][i].events_executed, 0u);
+    expect_bit_identical(grids[0][i], grids[1][i]);
   }
 }
 
