@@ -81,6 +81,7 @@ int main() {
   base_ctx.utility = &utility;
   base_ctx.battery = attempt * 4;
   base_ctx.battery_capacity = attempt * 8;
+  base_ctx.soc_cap = blam.soc_cap();
   base_ctx.max_tx = attempt * 8;
   const double ns_lorawan = time_ns_per_call(
       [&](int) { g_sink = g_sink + lorawan.select_window(base_ctx).window; }, iterations);

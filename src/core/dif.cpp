@@ -1,18 +1,11 @@
 #include "core/dif.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace blam {
 
-double degradation_impact_factor(Energy estimated_tx, Energy harvest, Energy max_tx) {
-  if (max_tx <= Energy::zero()) {
-    throw std::invalid_argument{"degradation_impact_factor: max_tx must be positive"};
-  }
-  const Energy deficit = std::max(estimated_tx - harvest, Energy::zero());
-  // Estimates can exceed the nominal worst case (e.g. EWMA warm-up); clamp
-  // so DIF stays in the paper's [0, 1] range.
-  return std::min(deficit / max_tx, 1.0);
+void throw_dif_max_tx() {
+  throw std::invalid_argument{"degradation_impact_factor: max_tx must be positive"};
 }
 
 }  // namespace blam

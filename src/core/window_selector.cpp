@@ -30,17 +30,31 @@ void validate(const WindowSelectorInput& input) {
 
 }  // namespace
 
+std::span<const double> WindowSelector::Workspace::utility_loss(const UtilityFunction& utility,
+                                                                int n) {
+  if (table_utility_ != &utility) {
+    utility_loss_.clear();
+    table_utility_ = &utility;
+  }
+  const auto un = static_cast<std::size_t>(n);
+  if (utility_loss_.size() <= un) utility_loss_.resize(un + 1);
+  std::vector<double>& row = utility_loss_[un];
+  if (row.empty()) {
+    row.resize(un);
+    for (int t = 0; t < n; ++t) row[static_cast<std::size_t>(t)] = 1.0 - utility.value(t, n);
+  }
+  return row;
+}
+
 std::span<const double> WindowSelector::objective_values(const WindowSelectorInput& input,
                                                          Workspace& ws) const {
   validate(input);
-  const int n = static_cast<int>(input.harvest.size());
-  ws.gamma.resize(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    const double mu = input.utility->value(t, n);
-    const double dif =
-        degradation_impact_factor(input.tx_cost[static_cast<std::size_t>(t)],
-                                  input.harvest[static_cast<std::size_t>(t)], input.max_tx);
-    ws.gamma[static_cast<std::size_t>(t)] = (1.0 - mu) + input.w_u * dif * input.w_b;
+  const std::size_t n = input.harvest.size();
+  const std::span<const double> loss = ws.utility_loss(*input.utility, static_cast<int>(n));
+  ws.gamma.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double dif = degradation_impact_factor(input.tx_cost[t], input.harvest[t], input.max_tx);
+    ws.gamma[t] = loss[t] + input.w_u * dif * input.w_b;
   }
   return ws.gamma;
 }

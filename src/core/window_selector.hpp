@@ -57,15 +57,28 @@ struct WindowSelection {
 
 class WindowSelector {
  public:
-  /// Reusable scratch for Algorithm 1: the per-window objective values and
-  /// the cumulative-energy array. The simulation hot path keeps one
-  /// Workspace per engine slice, shared by the slice's nodes, and passes it
-  /// to every select() so the per-period run is allocation-free after
-  /// warm-up; the workspace carries no state between calls beyond vector
-  /// capacity.
+  /// Reusable scratch for Algorithm 1: the per-window objective values, the
+  /// cumulative-energy array and the utility table. The simulation hot path
+  /// keeps one Workspace per engine slice, shared by the slice's nodes, and
+  /// passes it to every select() so the per-period run is allocation-free
+  /// after warm-up.
+  ///
+  /// The table holds one row of 1 - mu(t, n) per window count n, built on
+  /// the first selection over n windows and then only read, so the objective
+  /// scan makes no virtual utility call per window. A scenario has one
+  /// utility function; a call with a different one rebuilds the table. The
+  /// table is keyed by the utility's address, so a workspace must not be
+  /// used across the destruction of a utility it has served.
   struct Workspace {
     std::vector<double> gamma;
     std::vector<Energy> available;
+
+    /// Row n of the table: 1 - utility.value(t, n) for t in [0, n).
+    [[nodiscard]] std::span<const double> utility_loss(const UtilityFunction& utility, int n);
+
+   private:
+    const UtilityFunction* table_utility_{nullptr};
+    std::vector<std::vector<double>> utility_loss_;
   };
 
   /// Runs Algorithm 1. Throws std::invalid_argument on malformed input

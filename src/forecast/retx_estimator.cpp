@@ -13,8 +13,8 @@ RetxEstimator::RetxEstimator(std::size_t max_windows, int max_retx) : max_retx_{
   histogram_.assign(max_windows * width(), 0);
 }
 
-void RetxEstimator::check(std::size_t t) const {
-  if (t >= selections_.size()) throw std::out_of_range{"RetxEstimator: window out of range"};
+void RetxEstimator::throw_window_out_of_range() {
+  throw std::out_of_range{"RetxEstimator: window out of range"};
 }
 
 void RetxEstimator::record(std::size_t t, int retx) {
@@ -36,12 +36,6 @@ double RetxEstimator::probability_at_most(int r, std::size_t t) const {
   std::uint64_t cumulative = 0;
   for (int i = 0; i <= r; ++i) cumulative += counts[static_cast<std::size_t>(i)];
   return static_cast<double>(cumulative) / static_cast<double>(selections_[t]);
-}
-
-double RetxEstimator::expected_transmissions(std::size_t t) const {
-  check(t);
-  if (selections_[t] == 0) return 1.0;
-  return 1.0 + static_cast<double>(retx_sum_[t]) / static_cast<double>(selections_[t]);
 }
 
 std::uint64_t RetxEstimator::selections(std::size_t t) const {

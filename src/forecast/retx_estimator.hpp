@@ -33,8 +33,13 @@ class RetxEstimator {
   [[nodiscard]] double probability_at_most(int r, std::size_t t) const;
 
   /// Expected number of transmissions (first + retransmissions) in window
-  /// `t`; 1.0 for windows with no history.
-  [[nodiscard]] double expected_transmissions(std::size_t t) const;
+  /// `t`; 1.0 for windows with no history. Inline: a node's cost estimate
+  /// calls it once per forecast window every period.
+  [[nodiscard]] double expected_transmissions(std::size_t t) const {
+    check(t);
+    if (selections_[t] == 0) return 1.0;
+    return 1.0 + static_cast<double>(retx_sum_[t]) / static_cast<double>(selections_[t]);
+  }
 
   /// Number of times window `t` was selected (paper's S_t).
   [[nodiscard]] std::uint64_t selections(std::size_t t) const;
@@ -62,7 +67,10 @@ class RetxEstimator {
  private:
   [[nodiscard]] std::size_t width() const { return static_cast<std::size_t>(max_retx_) + 1; }
   /// Throws std::out_of_range for t >= max_windows().
-  void check(std::size_t t) const;
+  void check(std::size_t t) const {
+    if (t >= selections_.size()) throw_window_out_of_range();
+  }
+  [[noreturn]] static void throw_window_out_of_range();
 
   /// S_t per window.
   std::vector<std::uint64_t> selections_;

@@ -2,9 +2,10 @@
 //
 // The SX1276 airtime formula (Eq. 7) is pure in its TxParams, and a running
 // simulation only ever evaluates it for a handful of distinct parameter sets:
-// a node cycles between "payload with SoC report" and "payload without", a
-// gateway sees one set per (node SF, frame size), an ACK planner one per
-// (SF, ack length). Profiling shows the repeated ceil/log math on the hot
+// a node cycles between "payload with SoC report" and "payload without" (one
+// cache serves all of an engine slice's nodes: a few sets per SF), a gateway
+// sees one set per (node SF, frame size), an ACK planner one per (SF, ack
+// length). Profiling shows the repeated ceil/log math on the hot
 // path; this cache collapses each distinct TxParams to one computation and
 // replays the stored result, so every returned value is bit-identical to
 // calling time_on_air()/tx_energy() directly.
@@ -30,8 +31,8 @@ class TxTimingCache {
   }
 
   /// Transmission energy of `params` under `radio`. The cache assumes one
-  /// radio model per instance (true for every user: a node/gateway's radio
-  /// is fixed at construction); the energy memoized on first use is exactly
+  /// radio model per instance (true for every user: a scenario fixes the
+  /// radio of all its nodes); the energy memoized on first use is exactly
   /// tx_energy(params, radio).
   [[nodiscard]] Energy tx_energy(const TxParams& params, const RadioEnergyModel& radio) {
     Entry& e = find_or_insert(params);

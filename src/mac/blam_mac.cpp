@@ -15,7 +15,7 @@ BlamMac::BlamMac(double theta) : theta_{theta} {
 MacDecision BlamMac::select_window(const WindowContext& ctx) {
   WindowSelectorInput input;
   input.battery = ctx.battery;
-  input.storage_cap = ctx.battery_capacity * theta_;
+  input.storage_cap = ctx.battery_capacity * ctx.soc_cap;
   input.w_u = effective_w_u(ctx);
   input.w_b = ctx.w_b;
   input.harvest = ctx.harvest_forecast;
@@ -27,11 +27,11 @@ MacDecision BlamMac::select_window(const WindowContext& ctx) {
   return MacDecision{last_.success, last_.success ? last_.window : 0};
 }
 
-void BlamMac::set_soc_cap(double theta) {
+double BlamMac::adopt_soc_cap(double /*current*/, double theta) const {
   if (theta <= 0.0 || theta > 1.0) {
-    throw std::invalid_argument{"BlamMac::set_soc_cap: theta must be in (0,1]"};
+    throw std::invalid_argument{"BlamMac::adopt_soc_cap: theta must be in (0,1]"};
   }
-  theta_ = theta;
+  return theta;
 }
 
 double BlamMac::effective_w_u(const WindowContext& ctx) {

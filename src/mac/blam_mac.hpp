@@ -15,12 +15,13 @@ class BlamMac final : public MacPolicy {
 
   [[nodiscard]] MacDecision select_window(const WindowContext& ctx) override;
   [[nodiscard]] double soc_cap() const override { return theta_; }
-  void set_soc_cap(double theta) override;
+  [[nodiscard]] double adopt_soc_cap(double current, double theta) const override;
   [[nodiscard]] bool needs_forecasts() const override { return true; }
   [[nodiscard]] bool reports_soc() const override { return true; }
   [[nodiscard]] std::string name() const override;
 
-  /// Details of the most recent selection (diagnostics, Fig. 3 bench).
+  /// Details of the most recent selection of any node sharing this policy
+  /// (diagnostics).
   [[nodiscard]] const WindowSelection& last_selection() const { return last_; }
 
   /// The w_u actually fed to Algorithm 1: the reported value while fresh,

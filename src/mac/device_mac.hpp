@@ -5,7 +5,9 @@
 // between LoRaWAN, BLAM and the H-50C ablation is only (a) WHICH forecast
 // window of the sampling period carries the packet and (b) the charging cap
 // theta. MacPolicy captures exactly that variation, so every figure's
-// protocol variants share one code path.
+// protocol variants share one code path. A scenario runs one policy, so an
+// engine slice holds one instance for all its nodes: each node keeps its own
+// theta and passes it in through WindowContext.
 #pragma once
 
 #include <span>
@@ -28,6 +30,9 @@ struct WindowContext {
   Energy battery{};
   /// Battery original capacity (theta cap base).
   Energy battery_capacity{};
+  /// The node's theta: stored-energy ceiling as a fraction of original
+  /// capacity.
+  double soc_cap{1.0};
   /// Normalized degradation w_u received from the gateway.
   double w_u{0.0};
   /// Age of w_u in dissemination periods (0 = fresh). Counted from the
@@ -65,12 +70,17 @@ class MacPolicy {
 
   [[nodiscard]] virtual MacDecision select_window(const WindowContext& ctx) = 0;
 
-  /// Theta: stored-energy ceiling as a fraction of original capacity.
+  /// Theta a node boots with: stored-energy ceiling as a fraction of
+  /// original capacity.
   [[nodiscard]] virtual double soc_cap() const = 0;
 
-  /// Adopts a network-manager theta update (adaptive-theta extension).
-  /// Default: ignored (policies without a cap).
-  virtual void set_soc_cap(double theta) { (void)theta; }
+  /// The theta a node whose cap is `current` holds after a network-manager
+  /// update to `theta` (adaptive-theta extension). Throws
+  /// std::invalid_argument for a theta outside the policy's range.
+  /// Default: the update is ignored (policies without a cap).
+  [[nodiscard]] virtual double adopt_soc_cap(double current, double /*theta*/) const {
+    return current;
+  }
 
   /// Whether the node must compute solar forecasts and energy estimates for
   /// this policy (false for plain LoRaWAN — saves simulation time and models

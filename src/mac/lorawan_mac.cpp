@@ -21,11 +21,11 @@ MacDecision ThetaOnlyMac::select_window(const WindowContext& ctx) {
   return MacDecision{true, 0};
 }
 
-void ThetaOnlyMac::set_soc_cap(double theta) {
+double ThetaOnlyMac::adopt_soc_cap(double /*current*/, double theta) const {
   if (theta < 0.0 || theta > 1.0) {
-    throw std::invalid_argument{"ThetaOnlyMac::set_soc_cap: theta must be in [0,1]"};
+    throw std::invalid_argument{"ThetaOnlyMac::adopt_soc_cap: theta must be in [0,1]"};
   }
-  theta_ = theta;
+  return theta;
 }
 
 std::string ThetaOnlyMac::name() const {

@@ -25,7 +25,7 @@ class ThetaOnlyMac final : public MacPolicy {
 
   [[nodiscard]] MacDecision select_window(const WindowContext& ctx) override;
   [[nodiscard]] double soc_cap() const override { return theta_; }
-  void set_soc_cap(double theta) override;
+  [[nodiscard]] double adopt_soc_cap(double current, double theta) const override;
   [[nodiscard]] bool needs_forecasts() const override { return false; }
   /// The gateway still tracks degradation for metrics, but H-50C does not
   /// use w_u; reporting stays on so Fig. 7 can compare fairly.

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -137,12 +138,39 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     }
   }
 
+  policy_ = make_policy(config_);
+  node_shared_.config = &config_;
+  node_shared_.sim = &sim_;
+  node_shared_.gateways = &gateways_;
+  node_shared_.plan = &plan_;
+  node_shared_.thermal = thermal_.get();
+  node_shared_.utility = utility_.get();
+  node_shared_.policy = policy_.get();
+  node_shared_.gateway_metrics = &metrics_.gateway();
+
+  // Each node's reach: the slice gateways its uplinks clear the audibility
+  // floor at when sent at the most power it will ever use (the same test
+  // Gateway::on_uplink makes), laid out node after node in one array.
+  const double max_power = Node::max_tx_power_dbm(config_);
+  std::vector<std::size_t> first_link(slice.nodes.size() + 1, 0);
+  for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
+    const NodePlan& p = deployment.nodes[slice.nodes[i]];
+    for (std::size_t local = 0; local < slice.gateways.size(); ++local) {
+      const double loss = p.losses_db[static_cast<std::size_t>(slice.gateways[local])];
+      if (!(max_power - loss < config_.interference_floor_dbm)) {
+        node_links_.push_back(Node::Link{static_cast<int>(local), loss});
+      }
+    }
+    first_link[i + 1] = node_links_.size();
+  }
+
   // Construction order — server first (its dissemination tick is the
   // earliest scheduled event), then gateways, then nodes in ascending global
   // id — makes a slice's event order the whole-fleet order's projection onto
   // its collision domains, which is what keeps shard counts bit-identical.
   nodes_.reserve(slice.nodes.size());
-  for (const std::uint32_t id : slice.nodes) {
+  for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
+    const std::uint32_t id = slice.nodes[i];
     const NodePlan& p = deployment.nodes[id];
 
     Node::Init init;
@@ -150,18 +178,21 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     init.position = p.position;
     init.period = p.period;
     init.sf = p.sf;
-    // Link budget to this slice's gateways, indexed by local gateway id.
-    init.link_losses_db.reserve(slice.gateways.size());
+    init.audible = std::span<const Node::Link>{node_links_}.subspan(
+        first_link[i], first_link[i + 1] - first_link[i]);
+    init.inaudible_gateways =
+        static_cast<std::uint32_t>(slice.gateways.size() - init.audible.size());
+    init.min_link_loss_db = std::numeric_limits<double>::infinity();
     for (const int g : slice.gateways) {
-      init.link_losses_db.push_back(p.losses_db[static_cast<std::size_t>(g)]);
+      init.min_link_loss_db =
+          std::min(init.min_link_loss_db, p.losses_db[static_cast<std::size_t>(g)]);
     }
     init.battery_capacity = p.battery_capacity;
     init.panel_scale = p.panel_scale;
 
     server_->register_node(init.id);
-    nodes_.push_back(std::make_unique<Node>(init, config_, sim_, gateways_, plan_, *trace_,
-                                            model_, *thermal_, *utility_,
-                                            metrics_.node(nodes_.size()), node_scratch_,
+    nodes_.push_back(std::make_unique<Node>(init, node_shared_, *trace_, model_,
+                                            metrics_.node(nodes_.size()),
                                             root.fork(salt::kNodeStreamBase + id)));
     nodes_.back()->attach_auditor(audit_.get());
     if (faults_ != nullptr) nodes_.back()->attach_fault_plan(faults_.get());

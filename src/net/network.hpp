@@ -122,8 +122,12 @@ class Network {
   std::unique_ptr<Auditor> audit_;
   std::unique_ptr<FaultPlan> faults_;
   std::vector<std::unique_ptr<Gateway>> gateways_;
-  // blam-ckpt: skip -- scratch shared by this slice's nodes, overwritten before every use
-  Node::Scratch node_scratch_;
+  // blam-ckpt: skip -- pure function of the scenario; each node checkpoints its own theta
+  std::unique_ptr<MacPolicy> policy_;
+  // blam-ckpt: skip -- wiring, scratch and memo shared by this slice's nodes, rebuilt at construction
+  Node::Shared node_shared_;
+  // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
+  std::vector<Node::Link> node_links_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   Energy worst_attempt_energy_{};

@@ -13,6 +13,10 @@
 
 namespace blam {
 
+// The event queue prefetches this many bytes of a Node ahead of its events.
+static_assert(sizeof(Node) <= EventQueue::kTargetLines * 64,
+              "EventQueue::kTargetLines must cover a Node");
+
 namespace {
 
 // Boot state of charge, before the policy's theta clamp: half full, the
@@ -24,42 +28,38 @@ constexpr Time kRetxBackoffMax = Time::from_seconds(3.0);
 
 }  // namespace
 
-Node::Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
-           const std::vector<std::unique_ptr<Gateway>>& gateways, const ChannelPlan& plan,
-           const SolarTrace& trace, const DegradationModel& model,
-           const TemperatureModel& thermal, const UtilityFunction& utility, NodeMetrics& metrics,
-           Scratch& scratch, Rng rng)
+double Node::max_tx_power_dbm(const ScenarioConfig& config) {
+  return config.adr_enabled ? std::max(kDeviceTxPowerDbm, config.adr.max_tx_power_dbm)
+                            : kDeviceTxPowerDbm;
+}
+
+Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
+           const DegradationModel& model, NodeMetrics& metrics, Rng rng)
     : id_{init.id},
       position_{init.position},
       period_{init.period},
-      n_windows_{config.windows_for(init.period)},
-      link_losses_db_{init.link_losses_db},
-      min_link_loss_db_{*std::min_element(init.link_losses_db.begin(), init.link_losses_db.end())},
-      config_{&config},
-      sim_{&sim},
-      gateways_{&gateways},
-      plan_{&plan},
-      thermal_{&thermal},
-      utility_{&utility},
+      n_windows_{shared.config->windows_for(init.period)},
+      inaudible_gateways_{init.inaudible_gateways},
+      links_{init.audible},
+      min_link_loss_db_{init.min_link_loss_db},
+      shared_{&shared},
       metrics_{&metrics},
-      scratch_{&scratch},
-      battery_{init.battery_capacity, std::min(kInitialSoc, config.theta)},
+      battery_{init.battery_capacity, std::min(kInitialSoc, shared.config->theta)},
       harvester_{trace, init.panel_scale},
-      switch_{battery_, 1.0},  // the policy's theta is installed below
+      switch_{battery_, shared.policy->soc_cap()},
       tracker_{model, kInsulatedBatteryC},
-      forecaster_{harvester_, config.forecast_error_sigma, rng.fork(salt::kForecaster)},
+      forecaster_{harvester_, shared.config->forecast_error_sigma, rng.fork(salt::kForecaster)},
       etx_ewma_{kEtxEwmaBeta},
-      retx_estimator_{static_cast<std::size_t>(n_windows_), config.timings.max_transmissions - 1},
-      policy_{make_policy(config)},
-      duty_cycle_{config.duty_cycle},
+      retx_estimator_{static_cast<std::size_t>(n_windows_),
+                      shared.config->timings.max_transmissions - 1},
+      duty_cycle_{shared.config->duty_cycle},
       rng_{rng} {
+  const ScenarioConfig& config = *shared.config;
   tx_params_.sf = init.sf;
   tx_params_.bandwidth_hz = 125e3;
   tx_params_.payload_bytes = kPayloadBytes;
   tx_params_ = tx_params_.with_auto_ldro();
-  switch_.set_soc_cap(policy_->soc_cap());
-  listen_energy_ =
-      config_->radio.rx_power() * (config_->timings.rx_window_duration * std::int64_t{2});
+  listen_energy_ = config.radio.rx_power() * (config.timings.rx_window_duration * std::int64_t{2});
   single_attempt_energy_ = attempt_demand(tx_params_);
   if (config.supercap_tx_buffer > 0.0) {
     supercap_.emplace(single_attempt_energy_ * config.supercap_tx_buffer);
@@ -83,18 +83,18 @@ void Node::attach_fault_plan(const FaultPlan* faults) {
 
 void Node::start() {
   record_soc(Time::zero());
-  period_event_ = sim_->schedule_at(Time::zero(), [this] { on_period_start(); });
+  period_event_ = sim().schedule_at(Time::zero(), [this] { on_period_start(); });
   if (crash_rng_.has_value()) schedule_next_crash();
 }
 
 void Node::schedule_next_crash() {
   const double mean_days = 365.25 / faults_->config().crash_per_year;
   const Time gap = Time::from_days(crash_rng_->exponential(mean_days));
-  crash_event_ = sim_->schedule_in(gap, [this] { on_crash(); });
+  crash_event_ = sim().schedule_in(gap, [this] { on_crash(); });
 }
 
 void Node::on_crash() {
-  const Time now = sim_->now();
+  const Time now = sim().now();
   ++metrics_->crashes;
   account_to(now);
   if (pending_.active) {
@@ -119,14 +119,21 @@ void Node::on_crash() {
 }
 
 Energy Node::attempt_demand(const TxParams& params) const {
-  if (!config_->confirmed) return timing_.tx_energy(params, config_->radio);  // no RX windows
-  return timing_.tx_energy(params, config_->radio) + listen_energy_;
+  const Energy tx = shared_->scratch.timing.tx_energy(params, config().radio);
+  return config().confirmed ? tx + listen_energy_ : tx;  // unconfirmed: no RX windows
 }
 
 Time Node::attempt_span(const TxParams& params) const {
-  if (!config_->confirmed) return timing_.time_on_air(params);
-  return timing_.time_on_air(params) + config_->timings.rx2_delay +
-         config_->timings.rx_window_duration;
+  const Time toa = shared_->scratch.timing.time_on_air(params);
+  if (!config().confirmed) return toa;
+  return toa + config().timings.rx2_delay + config().timings.rx_window_duration;
+}
+
+double Node::link_loss_db(int gateway_id) const {
+  for (const Link& link : links_) {
+    if (link.gateway == gateway_id) return link.loss_db;
+  }
+  throw std::out_of_range{"Node::link_loss_db: gateway out of this node's reach"};
 }
 
 void Node::account_to(Time now) {
@@ -138,7 +145,7 @@ void Node::account_to(Time now) {
     if (audit_ != nullptr) audit_->on_storage_loss(id_, now, before - supercap_->stored());
   }
   const Energy harvest = harvest_between(last_account_, now);
-  const Energy demand = config_->radio.sleep_power() * dt;
+  const Energy demand = config().radio.sleep_power() * dt;
   apply_flow(harvest, demand, now);
   last_account_ = now;
 }
@@ -183,16 +190,16 @@ void Node::update_capacity_fade(Time now) {
 }
 
 void Node::on_period_start() {
-  const Time now = sim_->now();
-  period_event_ = sim_->schedule_at(now + period_, [this] { on_period_start(); });
+  const Time now = sim().now();
+  period_event_ = sim().schedule_at(now + period_, [this] { on_period_start(); });
 
   account_to(now);
   // A previous packet's attempt may have pre-accounted energy past this
   // boundary (its RX windows straddle it); the battery state is then only
   // known at last_account_, so sample there, never before.
   const Time sample_at = std::max(now, last_account_);
-  if (!thermal_->config().insulated) {
-    tracker_.set_temperature(sample_at, thermal_->at(now));
+  if (!shared_->thermal->config().insulated) {
+    tracker_.set_temperature(sample_at, shared_->thermal->at(now));
   }
   update_capacity_fade(now);
   harvester_.resample_jitter(rng_);
@@ -204,7 +211,7 @@ void Node::on_period_start() {
     // (possible when a late window plus the full retransmission ladder
     // crosses it): fail the old packet and kill its scheduled events.
     ++metrics_->exhausted;
-    if (config_->confirmed && pending_.transmissions > 0) ++consecutive_ackless_;
+    if (config().confirmed && pending_.transmissions > 0) ++consecutive_ackless_;
     if (faults_ != nullptr && faults_->gateway_out(now)) ++metrics_->lost_in_outage;
     abort_packet(/*record_history=*/true);
   }
@@ -221,7 +228,7 @@ void Node::on_period_start() {
   }
 
   ++metrics_->generated;
-  const Time window = config_->forecast_window;
+  const Time window = config().forecast_window;
 
   WindowContext ctx;
   ctx.n_windows = n_windows_;
@@ -229,20 +236,21 @@ void Node::on_period_start() {
   ctx.period_start = now;
   ctx.battery = battery_.stored();
   ctx.battery_capacity = battery_.original_capacity();
+  ctx.soc_cap = switch_.soc_cap();
   ctx.w_u = w_u_;
   ctx.w_u_age_periods =
-      (now - last_w_update_).seconds() / config_->dissemination_period.seconds();
-  ctx.stale_feedback_k = config_->stale_feedback_k;
-  ctx.w_b = config_->w_b;
-  if (policy_->reports_soc()) {
+      (now - last_w_update_).seconds() / config().dissemination_period.seconds();
+  ctx.stale_feedback_k = config().stale_feedback_k;
+  ctx.w_b = config().w_b;
+  if (policy().reports_soc()) {
     metrics_->w_age_s.add((now - last_w_update_).seconds());
   }
   ctx.max_tx = max_packet_energy_;
-  ctx.utility = utility_;
-  ctx.workspace = &scratch_->selector;
-  if (policy_->needs_forecasts()) {
-    std::vector<Energy>& harvest = scratch_->harvest;
-    std::vector<Energy>& cost = scratch_->cost;
+  ctx.utility = shared_->utility;
+  ctx.workspace = &shared_->scratch.selector;
+  if (policy().needs_forecasts()) {
+    std::vector<Energy>& harvest = shared_->scratch.harvest;
+    std::vector<Energy>& cost = shared_->scratch.cost;
     cost.clear();
     const double base_estimate = etx_ewma_.value_or(single_attempt_energy_.joules());
     forecaster_.forecast_windows(now, window, n_windows_, harvest);
@@ -262,7 +270,7 @@ void Node::on_period_start() {
     ctx.tx_cost = cost;
   }
 
-  const MacDecision decision = policy_->select_window(ctx);
+  const MacDecision decision = policy().select_window(ctx);
   if (!decision.transmit) {
     ++metrics_->policy_drops;
     metrics_->latency_s.add(period_.seconds());
@@ -282,7 +290,7 @@ void Node::on_period_start() {
   // ALOHA); the proposed MAC randomizes within the window to decluster
   // (paper Sec. III-B, "Network dynamics and channel access").
   Time offset = Time::zero();
-  if (policy_->needs_forecasts()) {
+  if (policy().needs_forecasts()) {
     // Slack accounts for the frame as actually sent (SoC report included).
     TxParams worst = tx_params_;
     worst.payload_bytes = kPayloadBytes + 4;
@@ -292,20 +300,20 @@ void Node::on_period_start() {
     }
   }
   const Time tx_at = now + window * std::int64_t{decision.window} + offset;
-  window_tx_ = sim_->schedule_at(tx_at, [this] { start_attempt(); });
+  window_tx_ = sim().schedule_at(tx_at, [this] { start_attempt(); });
 }
 
 const UplinkFrame& Node::build_frame() {
-  UplinkFrame& frame = scratch_->frame;
+  UplinkFrame& frame = shared_->scratch.frame;
   frame.node_id = id_;
   frame.seq = pending_.seq;
   frame.attempt = pending_.transmissions;
   frame.generated_at = pending_.generated_at;
   frame.selected_window = pending_.window;
   frame.app_payload_bytes = kPayloadBytes;
-  frame.confirmed = config_->confirmed;
+  frame.confirmed = config().confirmed;
   frame.soc_report.clear();
-  if (policy_->reports_soc() && has_samples_) {
+  if (policy().reports_soc() && has_samples_) {
     frame.soc_report.push_back(period_start_sample_);
     if (latest_sample_.t > period_start_sample_.t) frame.soc_report.push_back(latest_sample_);
     // One report generation per packet: retransmissions reuse the sequence
@@ -328,7 +336,7 @@ const UplinkFrame& Node::build_frame() {
 void Node::start_attempt() {
   if (!pending_.active) return;  // packet resolved while this event was in flight
   pending_.retx = EventHandle{};
-  const Time now = sim_->now();
+  const Time now = sim().now();
 
   // Regulatory duty cycle: defer the attempt until T_off expires. If the
   // silence extends past the sampling period, the packet is lost to the
@@ -340,7 +348,7 @@ void Node::start_attempt() {
       abort_packet(/*record_history=*/false);
       return;
     }
-    pending_.retx = sim_->schedule_at(duty_cycle_.next_allowed(), [this] { start_attempt(); });
+    pending_.retx = sim().schedule_at(duty_cycle_.next_allowed(), [this] { start_attempt(); });
     return;
   }
   account_to(now);
@@ -367,31 +375,34 @@ void Node::start_attempt() {
   ++pending_.transmissions;
   ++metrics_->tx_attempts;
   if (pending_.transmissions > 1) ++metrics_->retx;
-  if (audit_ != nullptr) {
-    audit_->on_transmission(id_, now, timing_.time_on_air(params), config_->duty_cycle);
-  }
-  duty_cycle_.record(now, timing_.time_on_air(params));
-  const Energy radiated = timing_.tx_energy(params, config_->radio);
+  TxTimingCache& timing = shared_->scratch.timing;
+  const Time toa = timing.time_on_air(params);
+  if (audit_ != nullptr) audit_->on_transmission(id_, now, toa, config().duty_cycle);
+  duty_cycle_.record(now, toa);
+  const Energy radiated = timing.tx_energy(params, config().radio);
   metrics_->tx_energy += radiated;
   pending_.spent += radiated;
 
-  // Every gateway hears the transmission at its own receive power.
-  const int channel = plan_->random_uplink_channel(rng_);
-  for (const auto& gateway : *gateways_) {
-    const double rx_dbm =
-        tx_params_.tx_power_dbm - link_losses_db_[static_cast<std::size_t>(gateway->id())];
-    gateway->on_uplink(*this, frame, params, channel, rx_dbm);
+  // Every gateway hears the transmission at its own receive power. The ones
+  // this node cannot reach even at its maximum power would drop the copy at
+  // their audibility floor, so they only count it.
+  const int channel = shared_->plan->random_uplink_channel(rng_);
+  const std::vector<std::unique_ptr<Gateway>>& gateways = *shared_->gateways;
+  for (const Link& link : links_) {
+    gateways[static_cast<std::size_t>(link.gateway)]->on_uplink(
+        *this, frame, params, channel, tx_params_.tx_power_dbm - link.loss_db);
   }
+  GatewayMetrics& gm = *shared_->gateway_metrics;
+  gm.arrivals += inaudible_gateways_;
+  gm.lost_under_sensitivity += inaudible_gateways_;
 
   // Confirmed: wait out the ACK deadline. Unconfirmed: fire-and-forget —
   // the server's delivery notification (5 ms after airtime end) either
   // resolves the packet or the timeout counts it lost.
-  const Time timeout_at =
-      config_->confirmed
-          ? now + timing_.time_on_air(params) + (*gateways_)[0]->max_ack_end_delay() +
-                Time::from_ms(50)
-          : now + timing_.time_on_air(params) + Time::from_ms(5);
-  pending_.timeout = sim_->schedule_at(timeout_at, [this] { on_ack_timeout(); });
+  const Time timeout_at = config().confirmed
+                              ? now + toa + gateways[0]->max_ack_end_delay() + Time::from_ms(50)
+                              : now + toa + Time::from_ms(5);
+  pending_.timeout = sim().schedule_at(timeout_at, [this] { on_ack_timeout(); });
 }
 
 void Node::on_ack_timeout() {
@@ -400,19 +411,19 @@ void Node::on_ack_timeout() {
   // Bounded exponential backoff: after n consecutive ACK-less packets the
   // transmission budget halves per failure (floor 1), so a dead gateway
   // gets one probe per period instead of the full ladder.
-  int budget = config_->timings.max_transmissions;
-  if (config_->ack_failure_backoff && consecutive_ackless_ > 0) {
+  int budget = config().timings.max_transmissions;
+  if (config().ack_failure_backoff && consecutive_ackless_ > 0) {
     budget = std::max(1, budget >> std::min(consecutive_ackless_, 3));
   }
-  if (!config_->confirmed || pending_.transmissions >= budget) {
+  if (!config().confirmed || pending_.transmissions >= budget) {
     ++metrics_->exhausted;
-    if (config_->confirmed) ++consecutive_ackless_;
-    if (faults_ != nullptr && faults_->gateway_out(sim_->now())) ++metrics_->lost_in_outage;
+    if (config().confirmed) ++consecutive_ackless_;
+    if (faults_ != nullptr && faults_->gateway_out(sim().now())) ++metrics_->lost_in_outage;
     abort_packet(/*record_history=*/true);
     return;
   }
   const Time backoff = Time::from_us(rng_.uniform_int(kRetxBackoffMin.us(), kRetxBackoffMax.us()));
-  pending_.retx = sim_->schedule_in(backoff, [this] { start_attempt(); });
+  pending_.retx = sim().schedule_in(backoff, [this] { start_attempt(); });
 }
 
 void Node::receive_ack(const AckFrame& ack, Time ack_end) {
@@ -421,8 +432,8 @@ void Node::receive_ack(const AckFrame& ack, Time ack_end) {
     audit_->on_ack(id_, ack_end, ack.node_id, ack.seq, next_seq_ - 1, ack.has_degradation,
                    ack.normalized_degradation);
   }
-  sim_->cancel(pending_.timeout);
-  sim_->cancel(pending_.retx);  // an ACK can arrive after a timeout already armed a retry
+  sim().cancel(pending_.timeout);
+  sim().cancel(pending_.retx);  // an ACK can arrive after a timeout already armed a retry
 
   consecutive_ackless_ = 0;
   if (faults_ != nullptr) {
@@ -439,7 +450,7 @@ void Node::receive_ack(const AckFrame& ack, Time ack_end) {
   const double latency = (ack_end - pending_.generated_at).seconds();
   metrics_->latency_s.add(latency);
   metrics_->delivered_latency_s.add(latency);
-  metrics_->utility_sum += utility_->value(pending_.window, n_windows_);
+  metrics_->utility_sum += shared_->utility->value(pending_.window, n_windows_);
   retx_estimator_.record(static_cast<std::size_t>(pending_.window), pending_.transmissions - 1);
   // EWMA tracks PER-TRANSMISSION energy; the per-window cost estimate then
   // scales it by the expected transmission count (Eq. 14), so tracking the
@@ -451,15 +462,14 @@ void Node::receive_ack(const AckFrame& ack, Time ack_end) {
   }
   if (ack.adr.has_value()) apply_adr(*ack.adr);
   if (ack.theta.has_value()) {
-    policy_->set_soc_cap(*ack.theta);
-    switch_.set_soc_cap(policy_->soc_cap());
+    switch_.set_soc_cap(policy().adopt_soc_cap(switch_.soc_cap(), *ack.theta));
   }
   pending_.active = false;
 }
 
 void Node::abort_packet(bool record_history) {
-  sim_->cancel(pending_.timeout);
-  sim_->cancel(pending_.retx);
+  sim().cancel(pending_.timeout);
+  sim().cancel(pending_.retx);
   metrics_->latency_s.add(period_.seconds());
   if (record_history && pending_.transmissions > 0) {
     retx_estimator_.record(static_cast<std::size_t>(pending_.window),
@@ -474,7 +484,7 @@ void Node::apply_adr(const AdrCommand& command) {
   tx_params_.tx_power_dbm = command.tx_power_dbm;
   tx_params_ = tx_params_.with_auto_ldro();
   single_attempt_energy_ = attempt_demand(tx_params_);
-  max_packet_energy_ = single_attempt_energy_ * config_->timings.max_transmissions;
+  max_packet_energy_ = single_attempt_energy_ * config().timings.max_transmissions;
 }
 
 namespace {
@@ -508,7 +518,7 @@ void Node::checkpoint_state(StateWriter& w) const {
   w.put_double(battery_.degradation());
   w.put_u64(supercap_.has_value() ? 1 : 0);
   if (supercap_.has_value()) write_energy(w, supercap_->stored());
-  w.put_double(policy_->soc_cap());
+  w.put_double(switch_.soc_cap());
   w.put_double(harvester_.jitter());
   write_tracker(w, tracker_.snapshot());
 
@@ -545,11 +555,11 @@ void Node::checkpoint_state(StateWriter& w) const {
 
   write_node_metrics(w, *metrics_);
 
-  write_event(w, *sim_, period_event_);
-  write_event(w, *sim_, crash_event_);
-  write_event(w, *sim_, window_tx_);
-  write_event(w, *sim_, pending_.timeout);
-  write_event(w, *sim_, pending_.retx);
+  write_event(w, sim(), period_event_);
+  write_event(w, sim(), crash_event_);
+  write_event(w, sim(), window_tx_);
+  write_event(w, sim(), pending_.timeout);
+  write_event(w, sim(), pending_.retx);
   w.end_section();
 }
 
@@ -561,6 +571,11 @@ void Node::restore_state(StateReader& r) {
   AdrCommand radio;
   radio.sf = read_sf(r);
   radio.tx_power_dbm = r.get_double();
+  // The audible-gateway list was built for the scenario's maximum power; a
+  // louder node would reach gateways that list leaves out.
+  if (!(radio.tx_power_dbm <= max_tx_power_dbm(config()))) {
+    throw std::runtime_error{"Node::restore_state: TX power above the scenario maximum"};
+  }
   apply_adr(radio);  // re-derives LDRO + energy constants like a live command
 
   rng_.restore(read_rng(r));
@@ -581,8 +596,7 @@ void Node::restore_state(StateReader& r) {
   if (has_supercap) supercap_->restore_stored(read_energy(r));
   try {
     // The policy and the switch validate the cap; a bad one is stream damage.
-    policy_->set_soc_cap(r.get_double());
-    switch_.set_soc_cap(policy_->soc_cap());
+    switch_.set_soc_cap(policy().adopt_soc_cap(switch_.soc_cap(), r.get_double()));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error{std::string{"Node::restore_state: "} + e.what()};
   }
@@ -636,19 +650,19 @@ void Node::restore_state(StateReader& r) {
   crash_event_ = EventHandle{};
   window_tx_ = EventHandle{};
   if (const auto e = read_event(r)) {
-    period_event_ = sim_->schedule_at_seq(e->time, e->seq, [this] { on_period_start(); });
+    period_event_ = sim().schedule_at_seq(e->time, e->seq, [this] { on_period_start(); });
   }
   if (const auto e = read_event(r)) {
-    crash_event_ = sim_->schedule_at_seq(e->time, e->seq, [this] { on_crash(); });
+    crash_event_ = sim().schedule_at_seq(e->time, e->seq, [this] { on_crash(); });
   }
   if (const auto e = read_event(r)) {
-    window_tx_ = sim_->schedule_at_seq(e->time, e->seq, [this] { start_attempt(); });
+    window_tx_ = sim().schedule_at_seq(e->time, e->seq, [this] { start_attempt(); });
   }
   if (const auto e = read_event(r)) {
-    pending_.timeout = sim_->schedule_at_seq(e->time, e->seq, [this] { on_ack_timeout(); });
+    pending_.timeout = sim().schedule_at_seq(e->time, e->seq, [this] { on_ack_timeout(); });
   }
   if (const auto e = read_event(r)) {
-    pending_.retx = sim_->schedule_at_seq(e->time, e->seq, [this] { start_attempt(); });
+    pending_.retx = sim().schedule_at_seq(e->time, e->seq, [this] { start_attempt(); });
   }
   r.end_section();
 }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,33 +58,68 @@ class StateWriter;
 
 class Node {
  public:
+  /// One slice gateway a node's uplinks can reach: its local id and the
+  /// path loss to it.
+  struct Link {
+    int gateway{0};
+    double loss_db{0.0};
+  };
+
   struct Init {
     std::uint32_t id{0};
     Position position{};
     Time period{};
     SpreadingFactor sf{SpreadingFactor::kSF10};
-    /// Path loss (dB) to each gateway, indexed by gateway id.
-    std::vector<double> link_losses_db;
+    /// The slice gateways an uplink at max_tx_power_dbm(config) clears the
+    /// audibility floor at, in ascending local id. Slice-owned storage that
+    /// outlives the node.
+    std::span<const Link> audible;
+    /// How many other gateways the slice has: every uplink arrives under
+    /// their floor, which is a pure counter bump.
+    std::uint32_t inaudible_gateways{0};
+    /// Best (lowest) path loss across all of the slice's gateways.
+    double min_link_loss_db{0.0};
     Energy battery_capacity{};
     double panel_scale{1.0};
   };
 
   /// Per-event scratch: the forecast, cost estimate and Algorithm 1 buffers
-  /// of a period start, and the uplink frame of an attempt. Nothing in it
-  /// outlives the event that fills it, and a slice runs its nodes' events
-  /// one at a time, so every node of a slice shares the slice's one Scratch
-  /// (owned by the Network) and vector capacity is retained across nodes.
+  /// of a period start, and the uplink frame of an attempt, plus the airtime
+  /// memo. Nothing in the buffers outlives the event that fills them, and a
+  /// slice runs its nodes' events one at a time, so every node of a slice
+  /// shares the slice's one Scratch and vector capacity is retained across
+  /// nodes. The memo is a pure function of TxParams under the scenario's one
+  /// radio model, so one per slice serves every node.
   struct Scratch {
     std::vector<Energy> harvest;
     std::vector<Energy> cost;
     WindowSelector::Workspace selector;
     UplinkFrame frame;
+    TxTimingCache timing;
   };
 
-  Node(const Init& init, const ScenarioConfig& config, Simulator& sim,
-       const std::vector<std::unique_ptr<Gateway>>& gateways, const ChannelPlan& plan,
-       const SolarTrace& trace, const DegradationModel& model, const TemperatureModel& thermal,
-       const UtilityFunction& utility, NodeMetrics& metrics, Scratch& scratch, Rng rng);
+  /// What every node of one engine slice shares, owned by the slice's
+  /// Network: the scenario wiring, the slice's one MAC policy, its gateway
+  /// counters and the Scratch. A node holds one pointer to it.
+  struct Shared {
+    const ScenarioConfig* config{nullptr};
+    Simulator* sim{nullptr};
+    const std::vector<std::unique_ptr<Gateway>>* gateways{nullptr};
+    const ChannelPlan* plan{nullptr};
+    const TemperatureModel* thermal{nullptr};
+    const UtilityFunction* utility{nullptr};
+    MacPolicy* policy{nullptr};
+    GatewayMetrics* gateway_metrics{nullptr};
+    Scratch scratch;
+  };
+
+  /// The most power a node of `config` ever transmits at: the device power,
+  /// or ADR's ceiling when ADR may raise it. A gateway under the audibility
+  /// floor at this power is under it at any power the node uses.
+  [[nodiscard]] static double max_tx_power_dbm(const ScenarioConfig& config);
+
+  Node(const Init& init, Shared& shared, const SolarTrace& trace, const DegradationModel& model,
+       NodeMetrics& metrics, Rng rng);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -108,10 +144,9 @@ class Node {
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] Position position() const { return position_; }
-  /// Path loss to a specific gateway.
-  [[nodiscard]] double link_loss_db(int gateway_id) const {
-    return link_losses_db_.at(static_cast<std::size_t>(gateway_id));
-  }
+  /// Path loss to a gateway this node's uplinks can reach; throws
+  /// std::out_of_range for any other gateway.
+  [[nodiscard]] double link_loss_db(int gateway_id) const;
   /// Best (lowest) path loss across gateways.
   [[nodiscard]] double min_link_loss_db() const { return min_link_loss_db_; }
   [[nodiscard]] SpreadingFactor sf() const { return tx_params_.sf; }
@@ -128,7 +163,9 @@ class Node {
     return supercap_.has_value() ? &*supercap_ : nullptr;
   }
   [[nodiscard]] const DegradationTracker& tracker() const { return tracker_; }
-  [[nodiscard]] const MacPolicy& policy() const { return *policy_; }
+  /// Theta: this node's stored-energy ceiling as a fraction of original
+  /// capacity (the policy's boot value until the network manager moves it).
+  [[nodiscard]] double soc_cap() const { return switch_.soc_cap(); }
 
   /// Ground-truth degradation right now (advances the SoC integral virtually).
   [[nodiscard]] double degradation_now(Time now) const { return tracker_.degradation(now); }
@@ -173,6 +210,10 @@ class Node {
   /// when one is attached.
   [[nodiscard]] Energy harvest_between(Time t0, Time t1) const;
 
+  [[nodiscard]] const ScenarioConfig& config() const { return *shared_->config; }
+  [[nodiscard]] Simulator& sim() const { return *shared_->sim; }
+  [[nodiscard]] MacPolicy& policy() const { return *shared_->policy; }
+
   /// Energy one transmission attempt costs: TX airtime + both RX windows.
   [[nodiscard]] Energy attempt_demand(const TxParams& params) const;
 
@@ -199,26 +240,16 @@ class Node {
   Time period_;
   // blam-ckpt: skip -- derived from the scenario (windows_for) at construction
   int n_windows_;
+  // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
+  std::uint32_t inaudible_gateways_;
   TxParams tx_params_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
-  std::vector<double> link_losses_db_;
-  // blam-ckpt: skip -- derived from link_losses_db_ at construction
+  std::span<const Link> links_;
+  // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   double min_link_loss_db_;
-  // blam-ckpt: skip -- scenario input; the engine is rebuilt from the same config before restore
-  const ScenarioConfig* config_;
-  // blam-ckpt: skip -- wiring; the clock itself is restored through the simulator section
-  Simulator* sim_;
-  // blam-ckpt: skip -- wiring, re-attached at construction
-  const std::vector<std::unique_ptr<Gateway>>* gateways_;
-  // blam-ckpt: skip -- wiring; the channel plan is a pure function of the scenario
-  const ChannelPlan* plan_;
-  // blam-ckpt: skip -- wiring; the thermal model is a pure function of the scenario
-  const TemperatureModel* thermal_;
-  // blam-ckpt: skip -- wiring; the utility function is a pure function of the scenario
-  const UtilityFunction* utility_;
+  // blam-ckpt: skip -- wiring; the slice's shared state, re-attached at construction
+  Shared* shared_;
   NodeMetrics* metrics_;
-  // blam-ckpt: skip -- wiring; the slice's shared scratch, overwritten before every use
-  Scratch* scratch_;
   // blam-ckpt: skip -- wiring; fault-plan state rides in the engine slice's faults section
   const FaultPlan* faults_{nullptr};
   // blam-ckpt: skip -- observability wiring; audited runs refuse checkpoints
@@ -233,7 +264,6 @@ class Node {
   SolarForecaster forecaster_;
   Ewma etx_ewma_;
   RetxEstimator retx_estimator_;
-  std::unique_ptr<MacPolicy> policy_;
   DutyCycleLimiter duty_cycle_;
   Rng rng_;
 
@@ -265,10 +295,6 @@ class Node {
   Energy max_packet_energy_{};      // DIF normalizer: full retransmission budget
   // blam-ckpt: skip -- derived constant (both RX windows), fixed by the scenario radio/timings
   Energy listen_energy_{};          // both class-A RX windows (constant per run)
-  /// Memoized airtime/energy per TxParams; mutable because the const cost
-  /// estimators (attempt_demand/attempt_span) share it with start_attempt().
-  // blam-ckpt: skip -- memo cache; entries regenerate on demand from TxParams
-  mutable TxTimingCache timing_;
 
   struct Pending {
     bool active{false};

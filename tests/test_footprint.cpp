@@ -5,12 +5,18 @@
 // measured value: a change that re-grows per-node state or re-densifies the
 // checkpoint fails here rather than as RSS drift in a benchmark. The heap is
 // measured as the change in glibc's in-use heap bytes (mallinfo2), which the
-// sanitizers' allocators do not feed; the stream length is exact everywhere.
+// sanitizers' allocators do not feed, and allocations are counted by
+// replacing the global operator new (sanitizer builds keep their own); the
+// stream length and sizeof(Node) are exact everywhere.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <sstream>
 
 #include "net/experiment.hpp"
@@ -25,18 +31,55 @@
 #endif
 #endif
 
+#ifndef BLAM_FOREIGN_MALLOC
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+
+// GCC pairs these deletes with the *default* operator new and warns about
+// free(); the replacement news above are malloc-backed, so the pairing is
+// correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+#endif
+
 namespace blam {
 namespace {
 
 constexpr int kNodes = 2000;
 
 // Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
-// 5,337 B/node after construction and 5,935 B/node after one day. The same
-// slice cost 6,980 and 8,981 B/node when every node kept a heap vector per
-// forecast window for its retransmission histogram plus its own selection
-// scratch.
-constexpr double kBuiltCeiling = 5870.0;
-constexpr double kOneDayCeiling = 6530.0;
+// 4,978 B/node after construction and 5,330 B/node after one day. Before
+// the audible-gateway lists and the slice-wide airtime memo and MAC policy,
+// the same slice cost 5,337 and 5,935 B/node; with a heap vector per
+// forecast window for the retransmission histogram plus per-node selection
+// scratch, 6,980 and 8,981 B/node.
+constexpr double kBuiltCeiling = 5476.0;
+constexpr double kOneDayCeiling = 5863.0;
+// Heap allocations the build makes per node (operator new calls, frees not
+// subtracted): 10.23, against 14.22 with a per-node link vector, airtime
+// memo and MAC policy, and 51 with the per-window histograms.
+constexpr double kBuildAllocationsCeiling = 11.25;
+// The Node object itself, which the event queue prefetches ahead of each of
+// its events: 976 B, against 1,072 B before; pinned exactly.
+constexpr std::size_t kNodeBytes = 976;
 
 /// The perfbench city grid: 16 gateways 12 km apart, nodes within 1 km of
 /// their cell's gateway.
@@ -50,11 +93,18 @@ ScenarioConfig city_slice() {
   return c;
 }
 
+#ifndef BLAM_FOREIGN_MALLOC
 /// Bytes in use: chunks in the arenas (uordblks) plus mmapped ones (hblkhd),
 /// so a large array counts wherever glibc's dynamic mmap threshold put it.
 double in_use_bytes() {
   const struct mallinfo2 info = mallinfo2();
   return static_cast<double>(info.uordblks + info.hblkhd);
+}
+#endif
+
+TEST(NodeFootprint, NodeObjectBytes) {
+  RecordProperty("node_bytes", static_cast<int>(sizeof(Node)));
+  EXPECT_LE(sizeof(Node), kNodeBytes);
 }
 
 TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
@@ -65,13 +115,19 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
   // The solar trace is shared by every slice of a run, not per node.
   const auto trace = build_shared_trace(c);
   const double before = in_use_bytes();
+  const std::uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
   auto network = std::make_unique<Network>(c, trace);
   const double built = (in_use_bytes() - before) / kNodes;
+  const double allocations =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before) /
+      kNodes;
   network->run_until(Time::from_days(1.0));
   const double one_day = (in_use_bytes() - before) / kNodes;
   RecordProperty("built_bytes_per_node", static_cast<int>(built));
   RecordProperty("one_day_bytes_per_node", static_cast<int>(one_day));
+  RecordProperty("build_allocations_per_node_x100", static_cast<int>(allocations * 100.0));
   EXPECT_LE(built, kBuiltCeiling) << "heap per node after construction";
+  EXPECT_LE(allocations, kBuildAllocationsCeiling) << "heap allocations per node at build";
   EXPECT_LE(one_day, kOneDayCeiling) << "heap per node after one simulated day";
   // The guard must measure something: a node is more than its Node object.
   EXPECT_GT(built, static_cast<double>(sizeof(Node)));

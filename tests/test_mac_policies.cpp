@@ -86,6 +86,7 @@ TEST(BlamMac, ThetaCapAppliedToCarryOver) {
   std::vector<Energy> cost(4, J(1.0));
   WindowContext ctx = context(harvest, cost, u, 0.0);
   ctx.battery = J(0.0);
+  ctx.soc_cap = mac.soc_cap();  // a node boots at its policy's theta
   // Carry-over saturates at 0.5, plus 0.3 in-window < 1.0 -> FAIL.
   const MacDecision d = mac.select_window(ctx);
   EXPECT_FALSE(d.transmit);

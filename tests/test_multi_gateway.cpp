@@ -3,6 +3,8 @@
 // server picks the strongest copy and ACKs through that gateway.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "net/deployment_plan.hpp"
 #include "net/experiment.hpp"
 #include "net/network.hpp"
 
@@ -88,6 +90,103 @@ TEST(MultiGateway, NodeTracksPerGatewayLosses) {
     EXPECT_DOUBLE_EQ(best, node->min_link_loss_db());
     EXPECT_THROW((void)node->link_loss_db(3), std::out_of_range);
   }
+}
+
+/// A finite-floor city whose 2 km clusters on a 3 km grid leave every node
+/// within reach of some of the 16 gateways but not all.
+ScenarioConfig partial_reach_city(std::uint64_t seed = 23) {
+  ScenarioConfig c = blam_scenario(300, /*theta=*/0.5, seed);
+  c.n_gateways = 16;
+  c.gateway_grid_pitch_m = 3000.0;
+  c.cluster_radius_m = 2000.0;
+  c.interference_floor_dbm = -143.0;
+  c.sf_assignment = SfAssignment::kDistanceBased;
+  return c;
+}
+
+/// Gateways of `node` an uplink at `power_dbm` clears the floor at.
+int audible_at(const NodePlan& node, double power_dbm, double floor_dbm) {
+  int n = 0;
+  for (const double loss : node.losses_db) n += power_dbm - loss < floor_dbm ? 0 : 1;
+  return n;
+}
+
+// Uplinks are handed only to the gateways a node can reach; every other
+// gateway's copy is counted as an arrival dropped under the floor. The
+// counters must equal what handing every copy to every gateway gives:
+// gateways x attempts arrivals, and a per-node recount from the deployment
+// of the copies under each gateway's floor or SF sensitivity.
+TEST(MultiGateway, AudibleFanOutIsExact) {
+  const ScenarioConfig c = partial_reach_city();
+  const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  Network network{c, nullptr};
+  network.run_until(Time::from_days(1.0));
+  network.finalize_metrics();
+
+  std::uint64_t attempts = 0;
+  std::uint64_t under_floor = 0;
+  std::uint64_t under_sensitivity = 0;
+  int partial_reach_nodes = 0;
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const NodePlan& p = plan.nodes[i];
+    const Node& node = *network.nodes()[i];
+    const std::uint64_t tx = network.metrics().node(i).tx_attempts;
+    attempts += tx;
+    const int audible = audible_at(p, kDeviceTxPowerDbm, c.interference_floor_dbm);
+    if (audible > 0 && audible < c.n_gateways) ++partial_reach_nodes;
+    for (int g = 0; g < c.n_gateways; ++g) {
+      const double loss = p.losses_db[static_cast<std::size_t>(g)];
+      const double rx = kDeviceTxPowerDbm - loss;
+      if (rx < c.interference_floor_dbm) {
+        under_floor += tx;
+        EXPECT_THROW((void)node.link_loss_db(g), std::out_of_range);
+      } else {
+        EXPECT_EQ(node.link_loss_db(g), loss);
+        if (rx < gateway_sensitivity_dbm(node.sf())) under_sensitivity += tx;
+      }
+    }
+  }
+  EXPECT_GT(partial_reach_nodes, 0);
+  EXPECT_GT(under_floor, 0u);
+  const GatewayMetrics& gm = network.metrics().gateway();
+  EXPECT_EQ(gm.arrivals, attempts * static_cast<std::uint64_t>(c.n_gateways));
+  EXPECT_EQ(gm.lost_under_sensitivity, under_floor + under_sensitivity);
+}
+
+// With ADR allowed to raise the power past the 14 dBm boot value, a node's
+// list is built at ADR's ceiling: a gateway under the floor at 14 dBm but
+// audible at the ceiling stays in it (Gateway::on_uplink's own floor check
+// then drops the copies sent at lower power), and only gateways under the
+// floor even at the ceiling are left out.
+TEST(MultiGateway, AudibleListsUseAdrCeiling) {
+  ScenarioConfig c = partial_reach_city(29);
+  c.adr_enabled = true;
+  c.adr.max_tx_power_dbm = 20.0;
+  const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  Network network{c, nullptr};
+  int kept_by_ceiling = 0;
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const Node& node = *network.nodes()[i];
+    for (int g = 0; g < c.n_gateways; ++g) {
+      const double loss = plan.nodes[i].losses_db[static_cast<std::size_t>(g)];
+      if (c.adr.max_tx_power_dbm - loss < c.interference_floor_dbm) {
+        EXPECT_THROW((void)node.link_loss_db(g), std::out_of_range);
+        continue;
+      }
+      EXPECT_EQ(node.link_loss_db(g), loss);
+      if (kDeviceTxPowerDbm - loss < c.interference_floor_dbm) ++kept_by_ceiling;
+    }
+  }
+  EXPECT_GT(kept_by_ceiling, 0);
+
+  network.run_until(Time::from_days(1.0));
+  network.finalize_metrics();
+  std::uint64_t attempts = 0;
+  for (std::size_t i = 0; i < network.metrics().node_count(); ++i) {
+    attempts += network.metrics().node(i).tx_attempts;
+  }
+  EXPECT_EQ(network.metrics().gateway().arrivals,
+            attempts * static_cast<std::uint64_t>(c.n_gateways));
 }
 
 }  // namespace

@@ -120,8 +120,8 @@ TEST(AdaptiveThetaNetwork, HealthyNetworkDriftsThetaDown) {
   network.run_until(Time::from_days(10.0));
   double mean_cap = 0.0;
   for (const auto& node : network.nodes()) {
-    mean_cap += node->policy().soc_cap();
-    EXPECT_LE(node->battery().soc(), node->policy().soc_cap() + 1e-9);
+    mean_cap += node->soc_cap();
+    EXPECT_LE(node->battery().soc(), node->soc_cap() + 1e-9);
   }
   mean_cap /= static_cast<double>(network.nodes().size());
   EXPECT_LT(mean_cap, 0.5);

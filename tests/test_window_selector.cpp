@@ -277,5 +277,28 @@ TEST(WindowSelector, WorkspaceMatchesAllocatingApiOnRandomInputs) {
   }
 }
 
+// The workspace's utility table must hold exactly 1 - mu(t, n), whichever
+// utility and window count came before: the objective scan reads it in place
+// of calling the utility per window.
+TEST(WindowSelector, UtilityTableHoldsOneMinusMu) {
+  const LinearUtility linear;
+  const ExponentialUtility exponential{3.0};
+  const StepUtility step{0.3, 0.1};
+  WindowSelector::Workspace ws;
+  for (int round = 0; round < 2; ++round) {
+    for (const UtilityFunction* u : {static_cast<const UtilityFunction*>(&linear),
+                                     static_cast<const UtilityFunction*>(&exponential),
+                                     static_cast<const UtilityFunction*>(&step)}) {
+      for (const int n : {60, 1, 16, 17}) {
+        const std::span<const double> row = ws.utility_loss(*u, n);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
+        for (int t = 0; t < n; ++t) {
+          EXPECT_EQ(row[static_cast<std::size_t>(t)], 1.0 - u->value(t, n));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace blam
