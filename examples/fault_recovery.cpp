@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "example_args.hpp"
+#include "net/deployment_plan.hpp"
 #include "net/network.hpp"
 
 int main(int argc, char** argv) {
@@ -18,7 +19,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.seed(2, 7);
 
   ScenarioConfig c = blam_scenario(nodes, 0.5, seed);
-  c.battery_days = 1.0;  // paper sizing: one day of autonomy
   // Resilience knobs under test.
   c.stale_feedback_k = 3.0;
   c.ack_failure_backoff = true;
@@ -37,7 +37,10 @@ int main(int argc, char** argv) {
               "~1 crash per node-month\n");
   std::printf("resilience: stale_feedback_k=3, ack_failure_backoff=on\n\n");
 
-  Network network{c};
+  // Paper sizing: one day of autonomy instead of the simulator's kBatteryDays.
+  DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  for (NodePlan& node : plan.nodes) node.battery_capacity = node.battery_capacity / kBatteryDays;
+  Network network{c, plan, nullptr, nullptr, NetworkSlice::whole(plan)};
   std::printf("%4s %10s %10s %10s %10s %9s\n", "day", "generated", "delivered", "lost_out",
               "brownouts", "crashes");
 

@@ -31,13 +31,11 @@ utility = linear              # linear | exponential | step
 sf_assignment = fixed         # fixed | distance
 uplink_channels = 8
 adr = false
-battery_days = 8
 supercap_tx_buffer = 0        # >0 enables the hybrid-storage extension
 insulated = true              # false enables the outdoor thermal model
 chemistry = lmo               # lmo | nmc | lfp battery presets
 adaptive_theta = false        # closed-loop network-manager caps
 duty_cycle = 1.0              # 0.01 = EU 1% T_off rule
-confirmed = true              # false = fire-and-forget uplinks
 ingest_batch = 1              # gateway ledger ingest watermark (any value, same bytes)
 shards = 1                    # collision-domain shards (any count, same bytes)
 interference_floor_dbm = -500 # audibility cutoff, must be <= -142.5 (SF12 sensitivity);

@@ -73,7 +73,7 @@ class ThetaController {
     double theta;
   };
 
-  // blam-ckpt: skip -- construction input; rebuilt from ScenarioConfig::theta_controller
+  // blam-ckpt: skip -- construction input; the engine rebuilds it at its defaults from theta
   Config config_;
   // blam-lint: allow(D2) -- lookup-only by node id (on_delivery/theta); never iterated
   std::unordered_map<std::uint32_t, NodeState> nodes_;

@@ -62,7 +62,7 @@ class Battery {
   }
 
  private:
-  // blam-ckpt: skip -- construction input (scenario battery_days); stored and degradation are serialized
+  // blam-ckpt: skip -- construction input (kBatteryDays); stored and degradation are serialized
   Energy original_capacity_;
   Energy stored_;
   double degradation_{0.0};

@@ -78,7 +78,7 @@ class RetxEstimator {
   std::vector<std::uint64_t> retx_sum_;
   /// I_{r,t} at t * width() + r.
   std::vector<std::uint64_t> histogram_;
-  // blam-ckpt: skip -- construction input (scenario timings); the per-window counters are serialized
+  // blam-ckpt: skip -- construction input (kMaxTransmissions); per-window counters are serialized
   int max_retx_;
 };
 

@@ -4,9 +4,9 @@
 
 namespace blam {
 
-double PathLossModel::path_loss_db(double d_m) const {
-  const double d = std::max(d_m, reference_m);
-  return reference_loss_db + 10.0 * exponent * std::log10(d / reference_m);
+double PathLossModel::path_loss_db(double d_m) {
+  const double d = std::max(d_m, kReferenceM);
+  return kReferenceLossDb + 10.0 * kExponent * std::log10(d / kReferenceM);
 }
 
 Link::Link(Position device, Position gateway, const PathLossModel& model, Rng& rng)

@@ -24,18 +24,20 @@ struct Position {
 };
 
 /// Log-distance path loss:
-///   PL(d) = reference_loss_db + 10 * exponent * log10(d / reference_m)
-/// Defaults match the NS-3 lorawan smart-city example (Magrin et al.).
+///   PL(d) = kReferenceLossDb + 10 * kExponent * log10(d / kReferenceM)
+/// The constants are the NS-3 lorawan smart-city example's (Magrin et al.);
+/// only the shadowing spread varies between committed scenarios.
 struct PathLossModel {
-  double reference_m{1.0};
-  double reference_loss_db{7.7};
-  double exponent{3.76};
+  static constexpr double kReferenceM = 1.0;
+  static constexpr double kReferenceLossDb = 7.7;
+  static constexpr double kExponent = 3.76;
+
   /// Log-normal shadowing standard deviation (dB); 0 disables shadowing.
   double shadowing_sigma_db{0.0};
 
   /// Deterministic (median) path loss in dB at distance `d_m` (>= 1 m
   /// enforced by clamping, matching NS-3).
-  [[nodiscard]] double path_loss_db(double d_m) const;
+  [[nodiscard]] static double path_loss_db(double d_m);
 };
 
 /// One device<->gateway link with a frozen shadowing realization. Shadowing

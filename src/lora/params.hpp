@@ -36,8 +36,9 @@ enum class CodingRate : std::uint8_t { kCR4_5 = 1, kCR4_6 = 2, kCR4_7 = 3, kCR4_
   return 4.0 / (4.0 + static_cast<double>(static_cast<int>(cr)));
 }
 
-/// End-device uplink power before any ADR step: 14 dBm, the EU868 end-device
-/// ERP limit and the NS-3 lorawan module's default.
+/// End-device uplink power: 14 dBm, the EU868 end-device ERP limit and the
+/// NS-3 lorawan module's default. It is also ADR's ceiling, so no node ever
+/// transmits louder than the power the shard planner cuts domains at.
 inline constexpr double kDeviceTxPowerDbm = 14.0;
 
 /// Complete parameter set for one transmission.
@@ -93,14 +94,18 @@ struct RadioEnergyModel {
   }
 };
 
-/// LoRaWAN class-A timing constants.
-struct ClassATimings {
-  Time rx1_delay{Time::from_seconds(1.0)};
-  Time rx2_delay{Time::from_seconds(2.0)};
-  /// Receive-window open duration when no downlink preamble is detected.
-  Time rx_window_duration{Time::from_ms(60)};
-  /// Maximum transmissions of a confirmed uplink (first + retransmissions).
-  int max_transmissions{8};
-};
+/// The SX1276 every node carries: the datasheet currents above. Every
+/// energy figure uses it, so it is a constant, not a scenario knob.
+inline constexpr RadioEnergyModel kSx1276{};
+
+// LoRaWAN class-A timing (the LoRaWAN 1.0 regional defaults the NS-3
+// lorawan module uses): the RX1 and RX2 windows open 1 s and 2 s after the
+// uplink ends.
+inline constexpr Time kRx1Delay = Time::from_seconds(1.0);
+inline constexpr Time kRx2Delay = Time::from_seconds(2.0);
+/// Receive-window open duration when no downlink preamble is detected.
+inline constexpr Time kRxWindowDuration = Time::from_ms(60);
+/// Most transmissions of a confirmed uplink (first + retransmissions).
+inline constexpr int kMaxTransmissions = 8;
 
 }  // namespace blam

@@ -30,14 +30,12 @@ class TxTimingCache {
     return find_or_insert(params).toa;
   }
 
-  /// Transmission energy of `params` under `radio`. The cache assumes one
-  /// radio model per instance (true for every user: a scenario fixes the
-  /// radio of all its nodes); the energy memoized on first use is exactly
-  /// tx_energy(params, radio).
-  [[nodiscard]] Energy tx_energy(const TxParams& params, const RadioEnergyModel& radio) {
+  /// Transmission energy of `params` on the SX1276 every node carries:
+  /// exactly tx_energy(params, kSx1276), memoized on first use.
+  [[nodiscard]] Energy tx_energy(const TxParams& params) {
     Entry& e = find_or_insert(params);
     if (!e.has_energy) {
-      e.energy = blam::tx_energy(e.params, radio);
+      e.energy = blam::tx_energy(e.params, kSx1276);
       e.has_energy = true;
     }
     return e.energy;

@@ -21,7 +21,7 @@ AdrController::AdrController(const Config& config) : config_{config} {
   if (config.history <= 0 || config.min_history <= 0 || config.min_history > config.history) {
     throw std::invalid_argument{"AdrController: invalid history configuration"};
   }
-  if (config.min_tx_power_dbm > config.max_tx_power_dbm) {
+  if (config.min_tx_power_dbm > kDeviceTxPowerDbm) {
     throw std::invalid_argument{"AdrController: invalid TX power bounds"};
   }
 }
@@ -57,7 +57,7 @@ std::optional<AdrCommand> AdrController::advise(std::uint32_t node_id,
   }
   // Negative margin: climb power back up (never raises SF — the standard
   // leaves SF increases to the device's own ADR backoff).
-  while (steps < 0 && next.tx_power_dbm + 2.0 <= config_.max_tx_power_dbm) {
+  while (steps < 0 && next.tx_power_dbm + 2.0 <= kDeviceTxPowerDbm) {
     next.tx_power_dbm += 2.0;
     ++steps;
   }

@@ -7,7 +7,9 @@
 // a transmission over time. This implements the standard server-side ADR:
 // keep the SNR of the last N uplinks, compute the margin over the SF's
 // demodulation floor, and convert every 3 dB of spare margin into one step
-// of data rate (SF down) and then TX power (down to the minimum).
+// of data rate (SF down) and then TX power (down to the minimum). A weak
+// link climbs back up to kDeviceTxPowerDbm and never above it, so ADR never
+// lifts an uplink over the audibility floor the shard planner cut at.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,7 @@ namespace blam {
 /// A parameter adjustment the server piggybacks on an ACK (LinkADRReq).
 struct AdrCommand {
   SpreadingFactor sf{SpreadingFactor::kSF10};
-  double tx_power_dbm{14.0};
+  double tx_power_dbm{kDeviceTxPowerDbm};
 };
 
 class AdrController {
@@ -40,8 +42,8 @@ class AdrController {
     int history{20};
     /// Safety margin (dB) on top of the demodulation floor.
     double device_margin_db{10.0};
-    /// TX power bounds (dBm); steps of 2 dB like US-915.
-    double max_tx_power_dbm{14.0};
+    /// Lowest TX power (dBm); steps of 2 dB like US-915, up to at most
+    /// kDeviceTxPowerDbm.
     double min_tx_power_dbm{2.0};
     /// Fewest uplinks before the first adjustment.
     int min_history{10};
@@ -54,7 +56,8 @@ class AdrController {
 
   /// Computes the adjusted parameters for the node, or nullopt when history
   /// is too short or nothing would change. `current` is what the node uses
-  /// now; the result never increases SF and never raises power above max.
+  /// now; the result never increases SF and never raises power above
+  /// kDeviceTxPowerDbm.
   [[nodiscard]] std::optional<AdrCommand> advise(std::uint32_t node_id,
                                                  const AdrCommand& current) const;
 
@@ -79,7 +82,7 @@ class AdrController {
     std::deque<double> snr_db;
   };
 
-  // blam-ckpt: skip -- construction input, rebuilt by enable_adr() from the same ScenarioConfig
+  // blam-ckpt: skip -- construction input; enable_adr() rebuilds it at its defaults
   Config config_;
   // blam-lint: allow(D2) -- lookup-only by node id (observe/advise); never iterated
   std::unordered_map<std::uint32_t, History> nodes_;

@@ -4,9 +4,8 @@
 
 namespace blam {
 
-AckPlanner::AckPlanner(const ClassATimings& timings, const ChannelPlan& plan,
-                       double rx1_bandwidth_hz)
-    : timings_{timings}, plan_{plan}, rx1_bandwidth_hz_{rx1_bandwidth_hz} {}
+AckPlanner::AckPlanner(const ChannelPlan& plan, double rx1_bandwidth_hz)
+    : plan_{plan}, rx1_bandwidth_hz_{rx1_bandwidth_hz} {}
 
 TxParams AckPlanner::ack_params(SpreadingFactor sf, double bandwidth_hz, int bytes) const {
   TxParams p;
@@ -21,7 +20,7 @@ std::optional<AckPlan> AckPlanner::plan(Time uplink_end, SpreadingFactor uplink_
   // RX1: same SF on the paired downlink channel.
   {
     const TxParams params = ack_params(uplink_sf, rx1_bandwidth_hz_, ack_bytes);
-    const Time start = uplink_end + timings_.rx1_delay;
+    const Time start = uplink_end + kRx1Delay;
     const Time end = start + timing_.time_on_air(params);
     if (!conflicts(start, end)) {
       reserve(start, end);
@@ -33,7 +32,7 @@ std::optional<AckPlan> AckPlanner::plan(Time uplink_end, SpreadingFactor uplink_
   // RX2: fixed robust parameters.
   {
     const TxParams params = ack_params(plan_.rx2_spreading_factor(), plan_.rx2_bandwidth_hz(), ack_bytes);
-    const Time start = uplink_end + timings_.rx2_delay;
+    const Time start = uplink_end + kRx2Delay;
     const Time end = start + timing_.time_on_air(params);
     if (!conflicts(start, end)) {
       reserve(start, end);

@@ -38,8 +38,7 @@ class AckPlanner {
  public:
   /// `rx1_bandwidth_hz`: downlink bandwidth for RX1 ACKs (500 kHz in US-915;
   /// 125 kHz EU-style makes ACKs long and the half-duplex penalty real).
-  AckPlanner(const ClassATimings& timings, const ChannelPlan& plan,
-             double rx1_bandwidth_hz = 500e3);
+  explicit AckPlanner(const ChannelPlan& plan, double rx1_bandwidth_hz = 500e3);
 
   /// Books an ACK for an uplink that ended at `uplink_end` using SF
   /// `uplink_sf` on `uplink_channel`; `ack_bytes` sets the airtime.
@@ -79,8 +78,6 @@ class AckPlanner {
 
   [[nodiscard]] TxParams ack_params(SpreadingFactor sf, double bandwidth_hz, int bytes) const;
 
-  // blam-ckpt: skip -- construction input, rebuilt from the same ScenarioConfig timings
-  ClassATimings timings_;
   // blam-ckpt: skip -- pure function of the scenario, rebuilt at construction
   ChannelPlan plan_;
   // blam-ckpt: skip -- construction input (Gateway::kRx1BandwidthHz in a network)

@@ -12,16 +12,21 @@
 
 namespace blam {
 
-Energy attempt_energy(const ScenarioConfig& config, SpreadingFactor sf) {
+namespace {
+
+/// Energy of one transmission attempt: the uplink at `sf` with its SoC
+/// report, plus both RX windows.
+Energy attempt_energy(SpreadingFactor sf) {
   TxParams params;
   params.sf = sf;
   params.bandwidth_hz = 125e3;
   params.payload_bytes = kPayloadBytes + 4;  // with SoC report
   params = params.with_auto_ldro();
-  const Energy listen =
-      config.radio.rx_power() * (config.timings.rx_window_duration * std::int64_t{2});
-  return tx_energy(params, config.radio) + listen;
+  const Energy listen = kSx1276.rx_power() * (kRxWindowDuration * std::int64_t{2});
+  return tx_energy(params, kSx1276) + listen;
 }
+
+}  // namespace
 
 DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
   // The paper's system model allows "one or more gateways" without placing
@@ -101,15 +106,15 @@ DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
 
   // Worst-case one-attempt energy across the network ("enough for two
   // transmissions at peak", Sec. IV-A.1) and per-node battery sizing: sleep
-  // floor plus one attempt per sampling period for battery_days days.
+  // floor plus one attempt per sampling period for kBatteryDays days.
   plan.worst_attempt_energy = Energy::zero();
   for (NodePlan& node : plan.nodes) {
-    const Energy per_attempt = attempt_energy(config, node.sf);
+    const Energy per_attempt = attempt_energy(node.sf);
     plan.worst_attempt_energy = std::max(plan.worst_attempt_energy, per_attempt);
     const double packets_per_day = 86400.0 / node.period.seconds();
     const Energy daily =
-        config.radio.sleep_power() * Time::from_days(1.0) + per_attempt * packets_per_day;
-    node.battery_capacity = daily * config.battery_days;
+        kSx1276.sleep_power() * Time::from_days(1.0) + per_attempt * packets_per_day;
+    node.battery_capacity = daily * kBatteryDays;
   }
   return plan;
 }
@@ -122,7 +127,7 @@ std::shared_ptr<const SolarTrace> build_deployment_trace(const ScenarioConfig& c
   // paper's premise) through overcast winter days, with the window-selection
   // benefit intact.
   constexpr double kSolarTxPerWindow = 3.0;
-  SolarTraceConfig solar = config.solar;
+  SolarTraceConfig solar;
   solar.peak = Power::from_watts(kSolarTxPerWindow * worst_attempt.joules() /
                                  config.forecast_window.seconds());
   // Weather follows the scenario seed, but an explicitly varied solar.seed

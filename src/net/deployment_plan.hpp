@@ -29,7 +29,7 @@ struct NodePlan {
   SpreadingFactor sf{SpreadingFactor::kSF10};
   Time period{};
   double panel_scale{1.0};
-  /// Battery sized for `battery_days` of operation without recharge.
+  /// Battery sized for kBatteryDays of operation without recharge.
   Energy battery_capacity{};
 };
 
@@ -40,15 +40,12 @@ struct DeploymentPlan {
   Energy worst_attempt_energy{};
 };
 
-/// Energy of one transmission attempt (uplink at `sf` + both RX windows).
-[[nodiscard]] Energy attempt_energy(const ScenarioConfig& config, SpreadingFactor sf);
-
 /// Draws the full deployment from the scenario root rng. `root` is only
 /// forked (fork() is const and order-independent), never advanced.
 [[nodiscard]] DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root);
 
 /// Builds the solar trace for a deployment (peak sized from the worst-case
-/// attempt energy unless solar_peak_explicit).
+/// attempt energy).
 [[nodiscard]] std::shared_ptr<const SolarTrace> build_deployment_trace(
     const ScenarioConfig& config, Energy worst_attempt);
 

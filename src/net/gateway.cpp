@@ -20,7 +20,7 @@ Gateway::Gateway(int id, Position position, Simulator& sim, NetworkServer& serve
       metrics_{metrics},
       plan_{plan},
       config_{config},
-      ack_planner_{config.timings, plan, kRx1BandwidthHz} {
+      ack_planner_{plan, kRx1BandwidthHz} {
   TxParams rx1;
   rx1.sf = SpreadingFactor::kSF12;
   rx1.bandwidth_hz = kRx1BandwidthHz;
@@ -30,8 +30,8 @@ Gateway::Gateway(int id, Position position, Simulator& sim, NetworkServer& serve
   rx2.sf = plan_.rx2_spreading_factor();
   rx2.bandwidth_hz = plan_.rx2_bandwidth_hz();
 
-  max_ack_end_delay_ = std::max(config_.timings.rx1_delay + time_on_air(rx1.with_auto_ldro()),
-                                config_.timings.rx2_delay + time_on_air(rx2.with_auto_ldro()));
+  max_ack_end_delay_ = std::max(kRx1Delay + time_on_air(rx1.with_auto_ldro()),
+                                kRx2Delay + time_on_air(rx2.with_auto_ldro()));
 }
 
 void Gateway::on_uplink(Node& node, const UplinkFrame& frame, const TxParams& params, int channel,

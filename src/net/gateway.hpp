@@ -52,7 +52,6 @@ class Gateway {
   static constexpr double kRx1BandwidthHz = 125e3;
 
   struct Config {
-    ClassATimings timings{};
     /// Audibility floor: arrivals below this power are dropped before they
     /// enter the interference tracker (counted as lost_under_sensitivity).
     /// The default never triggers (> 500 dB of path loss); a finite floor
@@ -155,7 +154,7 @@ class Gateway {
   AckPlanner ack_planner_;
   int busy_paths_{0};
   std::uint64_t next_packet_id_{1};
-  // blam-ckpt: skip -- derived constant, computed from the scenario timings at construction
+  // blam-ckpt: skip -- derived constant, computed from the class-A delays at construction
   Time max_ack_end_delay_{};
   // blam-ckpt: skip -- memo cache; entries regenerate on demand from TxParams
   TxTimingCache timing_;

@@ -81,7 +81,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   trace_ = trace != nullptr ? std::move(trace)
                             : build_deployment_trace(config_, worst_attempt_energy_);
 
-  thermal_ = std::make_unique<TemperatureModel>(config_.thermal);
+  thermal_ = std::make_unique<TemperatureModel>(config_.thermal.model());
 
   utility_ = make_utility(config_);
   server_ = std::make_unique<NetworkServer>(sim_, model_, config_.dissemination_period);
@@ -103,9 +103,9 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     server_->attach_auditor(audit_.get());
   }
 
-  if (config_.adr_enabled) server_->enable_adr(config_.adr);
+  if (config_.adr_enabled) server_->enable_adr();
   if (config_.adaptive_theta) {
-    ThetaController::Config tc = config_.theta_controller;
+    ThetaController::Config tc;
     tc.initial = std::clamp(config_.theta, tc.theta_min, tc.theta_max);
     server_->enable_adaptive_theta(tc);
   }
@@ -123,7 +123,6 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   }
 
   Gateway::Config gw;
-  gw.timings = config_.timings;
   gw.interference_floor_dbm = config_.interference_floor_dbm;
   for (const int g : slice.gateways) {
     const auto global = static_cast<std::size_t>(g);
@@ -149,15 +148,15 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   node_shared_.gateway_metrics = &metrics_.gateway();
 
   // Each node's reach: the slice gateways its uplinks clear the audibility
-  // floor at when sent at the most power it will ever use (the same test
-  // Gateway::on_uplink makes), laid out node after node in one array.
-  const double max_power = Node::max_tx_power_dbm(config_);
+  // floor at when sent at kDeviceTxPowerDbm, the most power it ever uses
+  // (ADR only steps down from it and back), by the same test
+  // Gateway::on_uplink makes; laid out node after node in one array.
   std::vector<std::size_t> first_link(slice.nodes.size() + 1, 0);
   for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
     const NodePlan& p = deployment.nodes[slice.nodes[i]];
     for (std::size_t local = 0; local < slice.gateways.size(); ++local) {
       const double loss = p.losses_db[static_cast<std::size_t>(slice.gateways[local])];
-      if (!(max_power - loss < config_.interference_floor_dbm)) {
+      if (!(kDeviceTxPowerDbm - loss < config_.interference_floor_dbm)) {
         node_links_.push_back(Node::Link{static_cast<int>(local), loss});
       }
     }

@@ -21,9 +21,7 @@ NetworkServer::NetworkServer(Simulator& sim, const DegradationModel& model,
       sim, dissemination_period, dissemination_period, [this] { recompute(); });
 }
 
-void NetworkServer::enable_adr(const AdrController::Config& config) {
-  adr_.emplace(config);
-}
+void NetworkServer::enable_adr() { adr_.emplace(AdrController::Config{}); }
 
 void NetworkServer::enable_adaptive_theta(const ThetaController::Config& config) {
   theta_.emplace(config);
@@ -130,19 +128,6 @@ void NetworkServer::decide(std::uint32_t slot) {
     // but the frame must still be acknowledged or the device will burn its
     // whole retransmission budget.
     if (metrics_ != nullptr) ++metrics_->gateway().duplicates;
-  }
-  if (!pending.frame.confirmed) {
-    // Fire-and-forget uplink: no radio ACK. Deliver a synthetic,
-    // bookkeeping-only confirmation so the node's metrics resolve; it
-    // carries no w_u (there is no downlink to piggyback on).
-    AckFrame note;
-    note.node_id = pending.frame.node_id;
-    note.seq = pending.frame.seq;
-    Node* node = pending.node;
-    const Time at = pending.uplink_end;
-    pending_free_.push_back(slot);
-    node->receive_ack(note, at);
-    return;
   }
   pending.gateway->send_ack(*pending.node, pending.frame, pending.uplink_end, pending.sf,
                             pending.channel, theta_update);

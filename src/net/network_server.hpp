@@ -39,8 +39,9 @@ class NetworkServer {
   /// kInsulatedBatteryC, the paper's insulated setting.
   NetworkServer(Simulator& sim, const DegradationModel& model, Time dissemination_period);
 
-  /// Enables server-side ADR (disabled unless called).
-  void enable_adr(const AdrController::Config& config);
+  /// Enables server-side ADR at AdrController::Config's defaults (disabled
+  /// unless called).
+  void enable_adr();
 
   /// Enables the adaptive-theta network manager (disabled unless called).
   void enable_adaptive_theta(const ThetaController::Config& config);

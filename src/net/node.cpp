@@ -25,13 +25,10 @@ constexpr double kInitialSoc = 0.5;
 // Uniform retransmission backoff once the RX2 window closes without an ACK.
 constexpr Time kRetxBackoffMin = Time::from_seconds(1.0);
 constexpr Time kRetxBackoffMax = Time::from_seconds(3.0);
+// Both class-A receive windows, listened through after every transmission.
+const Energy kListenEnergy = kSx1276.rx_power() * (kRxWindowDuration * std::int64_t{2});
 
 }  // namespace
-
-double Node::max_tx_power_dbm(const ScenarioConfig& config) {
-  return config.adr_enabled ? std::max(kDeviceTxPowerDbm, config.adr.max_tx_power_dbm)
-                            : kDeviceTxPowerDbm;
-}
 
 Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
            const DegradationModel& model, NodeMetrics& metrics, Rng rng)
@@ -50,8 +47,7 @@ Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
       tracker_{model, kInsulatedBatteryC},
       forecaster_{harvester_, shared.config->forecast_error_sigma, rng.fork(salt::kForecaster)},
       etx_ewma_{kEtxEwmaBeta},
-      retx_estimator_{static_cast<std::size_t>(n_windows_),
-                      shared.config->timings.max_transmissions - 1},
+      retx_estimator_{static_cast<std::size_t>(n_windows_), kMaxTransmissions - 1},
       duty_cycle_{shared.config->duty_cycle},
       rng_{rng} {
   const ScenarioConfig& config = *shared.config;
@@ -59,7 +55,6 @@ Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
   tx_params_.bandwidth_hz = 125e3;
   tx_params_.payload_bytes = kPayloadBytes;
   tx_params_ = tx_params_.with_auto_ldro();
-  listen_energy_ = config.radio.rx_power() * (config.timings.rx_window_duration * std::int64_t{2});
   single_attempt_energy_ = attempt_demand(tx_params_);
   if (config.supercap_tx_buffer > 0.0) {
     supercap_.emplace(single_attempt_energy_ * config.supercap_tx_buffer);
@@ -69,7 +64,7 @@ Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
   // the full retransmission budget. Normalizing by a single attempt would
   // saturate DIF at 1 whenever any retransmissions are expected, erasing
   // the per-window discrimination Algorithm 1 relies on.
-  max_packet_energy_ = single_attempt_energy_ * config.timings.max_transmissions;
+  max_packet_energy_ = single_attempt_energy_ * kMaxTransmissions;
   harvester_.resample_jitter(rng_);
   metrics_->window_counts.assign(static_cast<std::size_t>(n_windows_), 0);
 }
@@ -119,14 +114,11 @@ void Node::on_crash() {
 }
 
 Energy Node::attempt_demand(const TxParams& params) const {
-  const Energy tx = shared_->scratch.timing.tx_energy(params, config().radio);
-  return config().confirmed ? tx + listen_energy_ : tx;  // unconfirmed: no RX windows
+  return shared_->scratch.timing.tx_energy(params) + kListenEnergy;
 }
 
 Time Node::attempt_span(const TxParams& params) const {
-  const Time toa = shared_->scratch.timing.time_on_air(params);
-  if (!config().confirmed) return toa;
-  return toa + config().timings.rx2_delay + config().timings.rx_window_duration;
+  return shared_->scratch.timing.time_on_air(params) + kRx2Delay + kRxWindowDuration;
 }
 
 double Node::link_loss_db(int gateway_id) const {
@@ -145,7 +137,7 @@ void Node::account_to(Time now) {
     if (audit_ != nullptr) audit_->on_storage_loss(id_, now, before - supercap_->stored());
   }
   const Energy harvest = harvest_between(last_account_, now);
-  const Energy demand = config().radio.sleep_power() * dt;
+  const Energy demand = kSx1276.sleep_power() * dt;
   apply_flow(harvest, demand, now);
   last_account_ = now;
 }
@@ -211,7 +203,7 @@ void Node::on_period_start() {
     // (possible when a late window plus the full retransmission ladder
     // crosses it): fail the old packet and kill its scheduled events.
     ++metrics_->exhausted;
-    if (config().confirmed && pending_.transmissions > 0) ++consecutive_ackless_;
+    if (pending_.transmissions > 0) ++consecutive_ackless_;
     if (faults_ != nullptr && faults_->gateway_out(now)) ++metrics_->lost_in_outage;
     abort_packet(/*record_history=*/true);
   }
@@ -311,7 +303,7 @@ const UplinkFrame& Node::build_frame() {
   frame.generated_at = pending_.generated_at;
   frame.selected_window = pending_.window;
   frame.app_payload_bytes = kPayloadBytes;
-  frame.confirmed = config().confirmed;
+  frame.confirmed = true;
   frame.soc_report.clear();
   if (policy().reports_soc() && has_samples_) {
     frame.soc_report.push_back(period_start_sample_);
@@ -379,7 +371,7 @@ void Node::start_attempt() {
   const Time toa = timing.time_on_air(params);
   if (audit_ != nullptr) audit_->on_transmission(id_, now, toa, config().duty_cycle);
   duty_cycle_.record(now, toa);
-  const Energy radiated = timing.tx_energy(params, config().radio);
+  const Energy radiated = timing.tx_energy(params);
   metrics_->tx_energy += radiated;
   pending_.spent += radiated;
 
@@ -396,12 +388,8 @@ void Node::start_attempt() {
   gm.arrivals += inaudible_gateways_;
   gm.lost_under_sensitivity += inaudible_gateways_;
 
-  // Confirmed: wait out the ACK deadline. Unconfirmed: fire-and-forget —
-  // the server's delivery notification (5 ms after airtime end) either
-  // resolves the packet or the timeout counts it lost.
-  const Time timeout_at = config().confirmed
-                              ? now + toa + gateways[0]->max_ack_end_delay() + Time::from_ms(50)
-                              : now + toa + Time::from_ms(5);
+  // Wait out the ACK deadline.
+  const Time timeout_at = now + toa + gateways[0]->max_ack_end_delay() + Time::from_ms(50);
   pending_.timeout = sim().schedule_at(timeout_at, [this] { on_ack_timeout(); });
 }
 
@@ -411,13 +399,13 @@ void Node::on_ack_timeout() {
   // Bounded exponential backoff: after n consecutive ACK-less packets the
   // transmission budget halves per failure (floor 1), so a dead gateway
   // gets one probe per period instead of the full ladder.
-  int budget = config().timings.max_transmissions;
+  int budget = kMaxTransmissions;
   if (config().ack_failure_backoff && consecutive_ackless_ > 0) {
     budget = std::max(1, budget >> std::min(consecutive_ackless_, 3));
   }
-  if (!config().confirmed || pending_.transmissions >= budget) {
+  if (pending_.transmissions >= budget) {
     ++metrics_->exhausted;
-    if (config().confirmed) ++consecutive_ackless_;
+    ++consecutive_ackless_;
     if (faults_ != nullptr && faults_->gateway_out(sim().now())) ++metrics_->lost_in_outage;
     abort_packet(/*record_history=*/true);
     return;
@@ -484,7 +472,7 @@ void Node::apply_adr(const AdrCommand& command) {
   tx_params_.tx_power_dbm = command.tx_power_dbm;
   tx_params_ = tx_params_.with_auto_ldro();
   single_attempt_energy_ = attempt_demand(tx_params_);
-  max_packet_energy_ = single_attempt_energy_ * config().timings.max_transmissions;
+  max_packet_energy_ = single_attempt_energy_ * kMaxTransmissions;
 }
 
 namespace {
@@ -571,10 +559,10 @@ void Node::restore_state(StateReader& r) {
   AdrCommand radio;
   radio.sf = read_sf(r);
   radio.tx_power_dbm = r.get_double();
-  // The audible-gateway list was built for the scenario's maximum power; a
-  // louder node would reach gateways that list leaves out.
-  if (!(radio.tx_power_dbm <= max_tx_power_dbm(config()))) {
-    throw std::runtime_error{"Node::restore_state: TX power above the scenario maximum"};
+  // The audible-gateway list was built for kDeviceTxPowerDbm, ADR's ceiling;
+  // a louder node would reach gateways that list leaves out.
+  if (!(radio.tx_power_dbm <= kDeviceTxPowerDbm)) {
+    throw std::runtime_error{"Node::restore_state: TX power above the 14 dBm device maximum"};
   }
   apply_adr(radio);  // re-derives LDRO + energy constants like a live command
 

@@ -70,7 +70,7 @@ class Node {
     Position position{};
     Time period{};
     SpreadingFactor sf{SpreadingFactor::kSF10};
-    /// The slice gateways an uplink at max_tx_power_dbm(config) clears the
+    /// The slice gateways an uplink at kDeviceTxPowerDbm clears the
     /// audibility floor at, in ascending local id. Slice-owned storage that
     /// outlives the node.
     std::span<const Link> audible;
@@ -88,8 +88,8 @@ class Node {
   /// memo. Nothing in the buffers outlives the event that fills them, and a
   /// slice runs its nodes' events one at a time, so every node of a slice
   /// shares the slice's one Scratch and vector capacity is retained across
-  /// nodes. The memo is a pure function of TxParams under the scenario's one
-  /// radio model, so one per slice serves every node.
+  /// nodes. The memo is a pure function of TxParams, so one per slice
+  /// serves every node.
   struct Scratch {
     std::vector<Energy> harvest;
     std::vector<Energy> cost;
@@ -112,11 +112,6 @@ class Node {
     GatewayMetrics* gateway_metrics{nullptr};
     Scratch scratch;
   };
-
-  /// The most power a node of `config` ever transmits at: the device power,
-  /// or ADR's ceiling when ADR may raise it. A gateway under the audibility
-  /// floor at this power is under it at any power the node uses.
-  [[nodiscard]] static double max_tx_power_dbm(const ScenarioConfig& config);
 
   Node(const Init& init, Shared& shared, const SolarTrace& trace, const DegradationModel& model,
        NodeMetrics& metrics, Rng rng);
@@ -293,8 +288,6 @@ class Node {
   Energy single_attempt_energy_{};  // one TX + RX windows; EWMA warm-up value
   // blam-ckpt: skip -- derived constant, recomputed from TxParams at construction and on ADR changes
   Energy max_packet_energy_{};      // DIF normalizer: full retransmission budget
-  // blam-ckpt: skip -- derived constant (both RX windows), fixed by the scenario radio/timings
-  Energy listen_energy_{};          // both class-A RX windows (constant per run)
 
   struct Pending {
     bool active{false};

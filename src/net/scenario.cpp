@@ -45,7 +45,6 @@ void ScenarioConfig::validate() const {
   require_finite(theta, "theta");
   require_finite(w_b, "w_b");
   require_finite(duty_cycle, "duty_cycle");
-  require_finite(battery_days, "battery_days");
   require_finite(forecast_error_sigma, "forecast_error_sigma");
   require_finite(supercap_tx_buffer, "supercap_tx_buffer");
   require_finite(stale_feedback_k, "stale_feedback_k");
@@ -64,7 +63,6 @@ void ScenarioConfig::validate() const {
   }
   if (theta <= 0.0 || theta > 1.0) throw std::invalid_argument{"ScenarioConfig: theta in (0,1]"};
   if (w_b < 0.0 || w_b > 1.0) throw std::invalid_argument{"ScenarioConfig: w_b in [0,1]"};
-  if (battery_days <= 0.0) throw std::invalid_argument{"ScenarioConfig: battery_days positive"};
   if (dissemination_period <= Time::zero()) {
     throw std::invalid_argument{"ScenarioConfig: dissemination_period must be positive"};
   }

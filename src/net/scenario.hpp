@@ -12,15 +12,12 @@
 
 #include "audit/audit.hpp"
 #include "common/units.hpp"
-#include "core/theta_controller.hpp"
 #include "core/utility.hpp"
 #include "degradation/model.hpp"
-#include "energy/solar.hpp"
 #include "energy/thermal.hpp"
 #include "fault/fault_plan.hpp"
 #include "lora/link.hpp"
 #include "lora/params.hpp"
-#include "mac/adr.hpp"
 #include "mac/device_mac.hpp"
 
 namespace blam {
@@ -53,6 +50,15 @@ inline constexpr SpreadingFactor kFixedSf = SpreadingFactor::kSF10;
 /// Application payload of every uplink before the 4-byte SoC report: the
 /// paper's 10-byte packets.
 inline constexpr int kPayloadBytes = 10;
+
+/// Battery capacity in days of estimated nominal demand. The paper requires
+/// "24 hours of operation without recharging"; the nominal estimate assumes
+/// one transmission per packet, so a generous factor leaves headroom for
+/// retransmissions and overcast days — under it the baseline LoRaWAN battery
+/// idles near full SoC, the premise of the paper's calendar-aging argument.
+/// A smaller battery is a plan_deployment edit: scale each NodePlan's
+/// battery_capacity.
+inline constexpr double kBatteryDays = 8.0;
 
 /// Most forecast windows one sampling period may hold. validate() enforces
 /// it, so a reader of persisted results can bound a window count it reads.
@@ -98,11 +104,6 @@ struct ScenarioConfig {
   Time min_period{Time::from_minutes(16)};
   Time max_period{Time::from_minutes(60)};
   Time forecast_window{Time::from_minutes(1)};
-  /// Confirmed uplinks (ACK + retransmissions, the paper's mode). With
-  /// false, packets are fire-and-forget: no RX windows, no retransmissions,
-  /// no downlink — and no w_u dissemination, so the proposed MAC degrades
-  /// to its theta cap.
-  bool confirmed{true};
 
   // --- Protocol -----------------------------------------------------------
   PolicyKind policy{PolicyKind::kLorawan};
@@ -113,36 +114,34 @@ struct ScenarioConfig {
   UtilityKind utility{UtilityKind::kLinear};
   /// Closed-loop network-manager theta (extension): the server adapts each
   /// node's cap from inferred loss, piggybacked on ACKs. Applies to the
-  /// capped policies (blam / theta_only).
+  /// capped policies (blam / theta_only). The controller runs at
+  /// ThetaController::Config's defaults, starting from `theta`.
   bool adaptive_theta{false};
-  ThetaController::Config theta_controller{};
 
   // --- Radio --------------------------------------------------------------
   int uplink_channels{8};
   int downlink_channels{8};
   SfAssignment sf_assignment{SfAssignment::kFixed};
+  /// Per-link shadowing; the log-distance curve itself is fixed.
   PathLossModel path_loss{};
-  ClassATimings timings{};
-  RadioEnergyModel radio{};
   /// Regulatory duty cycle (ETSI T_off rule); 1.0 disables (US-915 has
   /// dwell-time limits instead of a duty cycle). Nothing committed sets it,
   /// but DutyCycleLimiter::next_allowed is a "blamsim v3" token, so it goes
   /// with the next stream format change.
   double duty_cycle{1.0};
   /// Server-side Adaptive Data Rate: piggybacks SF / TX-power adjustments
-  /// on ACKs. Off by default (the paper's evaluation fixes parameters).
+  /// on ACKs, at AdrController::Config's defaults. Off by default (the
+  /// paper's evaluation fixes parameters).
   bool adr_enabled{false};
-  AdrController::Config adr{};
 
   // --- Energy -------------------------------------------------------------
-  /// Battery capacity = battery_days * estimated nominal daily demand. The
-  /// paper requires "24 hours of operation without recharging"; the nominal
-  /// estimate assumes one transmission per packet, so a generous factor
-  /// leaves headroom for retransmissions and overcast days — under it the
-  /// baseline LoRaWAN battery idles near full SoC, the premise of the
-  /// paper's calendar-aging argument.
-  double battery_days{8.0};
-  SolarTraceConfig solar{};
+  /// Solar weather. The trace is synthesized at SolarTraceConfig's defaults
+  /// with its peak sized from the fleet's worst attempt; `seed` selects
+  /// another weather realization for the same scenario seed.
+  struct Solar {
+    std::uint64_t seed{1};
+  };
+  Solar solar{};
   /// Solar forecast noise. Nothing committed sets it, but the forecaster's
   /// RNG state is part of the "blamsim v3" stream, so it goes with the next
   /// stream format change.
@@ -155,8 +154,21 @@ struct ScenarioConfig {
   // --- Degradation --------------------------------------------------------
   DegradationParams degradation{};
   /// Outdoor-temperature extension; insulated at kInsulatedBatteryC by
-  /// default (the paper's setting).
-  ThermalConfig thermal{};
+  /// default (the paper's setting). An outdoor battery follows
+  /// TemperatureModel around `mean_c` with ThermalConfig's default seasonal
+  /// and diurnal swings.
+  struct Thermal {
+    bool insulated{true};
+    double mean_c{15.0};
+
+    [[nodiscard]] ThermalConfig model() const {
+      ThermalConfig config;
+      config.insulated = insulated;
+      config.mean_c = mean_c;
+      return config;
+    }
+  };
+  Thermal thermal{};
   /// How often the gateway recomputes and disseminates w_u.
   Time dissemination_period{Time::from_days(1.0)};
 
@@ -173,7 +185,7 @@ struct ScenarioConfig {
   double stale_feedback_k{0.0};
   /// Bounded exponential backoff across consecutive ACK-less packets: after
   /// n straight packets end with no ACK, the next packet's transmission
-  /// budget is max_transmissions >> min(n, 3) (floor 1), so a node facing a
+  /// budget is kMaxTransmissions >> min(n, 3) (floor 1), so a node facing a
   /// dead gateway probes once per period instead of hammering the full
   /// retransmission ladder into it. Off by default.
   bool ack_failure_backoff{false};

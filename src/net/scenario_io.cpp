@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/state_codec.hpp"
+#include "core/theta_controller.hpp"
 
 namespace blam {
 
@@ -51,7 +52,7 @@ std::string describe_utility(const ScenarioConfig& c) {
 
 std::string describe_theta_control(const ScenarioConfig& c) {
   if (!c.adaptive_theta) return "fixed";
-  const ThetaController::Config& t = c.theta_controller;
+  const ThetaController::Config t{};
   std::ostringstream out;
   out << "adaptive, [" << t.theta_min << ", " << t.theta_max << "] from " << t.initial;
   out << " step " << t.step << ", loss " << t.loss_lower << "/" << t.loss_raise;
@@ -98,28 +99,17 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.uplink_channels = static_cast<int>(file.get_int("uplink_channels", c.uplink_channels));
   c.downlink_channels = static_cast<int>(file.get_int("downlink_channels", c.downlink_channels));
   c.sf_assignment = sf_assignment_from_string(file.get_string("sf_assignment", "fixed"));
-  c.path_loss.exponent = file.get_double("path_loss_exponent", c.path_loss.exponent);
   c.path_loss.shadowing_sigma_db =
       file.get_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
   c.adr_enabled = file.get_bool("adr", c.adr_enabled);
   c.duty_cycle = file.get_positive_double("duty_cycle", c.duty_cycle);
-  c.confirmed = file.get_bool("confirmed", c.confirmed);
 
-  c.battery_days = file.get_positive_double("battery_days", c.battery_days);
   c.forecast_error_sigma =
       file.get_non_negative_double("forecast_error_sigma", c.forecast_error_sigma);
   c.supercap_tx_buffer = file.get_non_negative_double("supercap_tx_buffer", c.supercap_tx_buffer);
 
   c.thermal.insulated = file.get_bool("insulated", c.thermal.insulated);
   c.thermal.mean_c = file.get_double("ambient_mean_c", c.thermal.mean_c);
-  c.thermal.seasonal_amplitude_c =
-      file.get_double("ambient_seasonal_c", c.thermal.seasonal_amplitude_c);
-  c.thermal.diurnal_amplitude_c =
-      file.get_double("ambient_diurnal_c", c.thermal.diurnal_amplitude_c);
-  c.thermal.seasonal_trough = Time::from_days(
-      file.get_non_negative_double("ambient_coldest_day", c.thermal.seasonal_trough.days()));
-  c.thermal.diurnal_trough = Time::from_hours(
-      file.get_non_negative_double("ambient_coldest_hour", c.thermal.diurnal_trough.hours()));
   c.dissemination_period =
       Time::from_days(file.get_positive_double("dissemination_days", c.dissemination_period.days()));
   const std::string chemistry = file.get_string("chemistry", "lmo");
@@ -133,7 +123,6 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
     throw std::runtime_error{"scenario: unknown chemistry '" + chemistry +
                              "' (expected lmo|nmc|lfp)"};
   }
-  c.degradation.k6 = file.get_double("cycle_aging_k6", c.degradation.k6);
 
   // Fault injection & graceful degradation (all default to "no faults").
   c.faults.outage_daily_start =
@@ -220,7 +209,7 @@ std::string describe_scenario(const ScenarioConfig& c) {
                                          : std::string{"distance-based SF"})
       << ", " << kDeviceTxPowerDbm << " dBm, " << c.uplink_channels << " channels, ADR "
       << (c.adr_enabled ? "on" : "off") << "\n"
-      << "battery            = " << c.battery_days << " nominal days, theta cap " << c.theta
+      << "battery            = " << kBatteryDays << " nominal days, theta cap " << c.theta
       << (c.supercap_tx_buffer > 0.0
               ? ", supercap " + std::to_string(c.supercap_tx_buffer) + " tx"
               : std::string{})
@@ -267,41 +256,29 @@ void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
   for (const std::uint64_t v : {c.seed, c.solar.seed, c.ingest_batch, c.audit.max_recorded}) {
     w.put_u64(v);
   }
-  for (const bool v :
-       {c.confirmed, c.adaptive_theta, c.adr_enabled, c.thermal.insulated, c.ack_failure_backoff,
-        c.audit.throw_on_violation}) {
+  for (const bool v : {c.adaptive_theta, c.adr_enabled, c.thermal.insulated,
+                       c.ack_failure_backoff, c.audit.throw_on_violation}) {
     w.put_u64(v ? 1 : 0);
   }
   for (const int v :
-       {c.n_nodes, c.n_gateways, c.shards, c.theta_controller.window_packets, c.uplink_channels,
-        c.downlink_channels, c.timings.max_transmissions, c.adr.history, c.adr.min_history,
-        c.audit.level, c.audit.sample_every, static_cast<int>(c.policy),
-        static_cast<int>(c.utility), static_cast<int>(c.sf_assignment)}) {
+       {c.n_nodes, c.n_gateways, c.shards, c.uplink_channels, c.downlink_channels, c.audit.level,
+        c.audit.sample_every, static_cast<int>(c.policy), static_cast<int>(c.utility),
+        static_cast<int>(c.sf_assignment)}) {
     w.put_i64(v);
   }
   for (const Time t :
-       {c.min_period, c.max_period, c.forecast_window, c.timings.rx1_delay, c.timings.rx2_delay,
-        c.timings.rx_window_duration, c.thermal.seasonal_trough, c.thermal.diurnal_trough,
-        c.dissemination_period, c.faults.outage_daily_start, c.faults.outage_daily_duration,
-        c.faults.outage_random_min, c.faults.outage_random_max, c.faults.ack_good_mean,
-        c.faults.ack_bad_mean, c.faults.reboot_duration, c.faults.drought_start,
-        c.faults.drought_duration}) {
+       {c.min_period, c.max_period, c.forecast_window, c.dissemination_period,
+        c.faults.outage_daily_start, c.faults.outage_daily_duration, c.faults.outage_random_min,
+        c.faults.outage_random_max, c.faults.ack_good_mean, c.faults.ack_bad_mean,
+        c.faults.reboot_duration, c.faults.drought_start, c.faults.drought_duration}) {
     w.put_i64(t.us());
   }
   for (const double v :
        {c.radius_m, c.gateway_grid_pitch_m, c.cluster_radius_m, c.interference_floor_dbm, c.theta,
-        c.w_b, c.theta_controller.theta_min, c.theta_controller.theta_max,
-        c.theta_controller.initial, c.theta_controller.step, c.theta_controller.loss_raise,
-        c.theta_controller.loss_lower, c.path_loss.reference_m, c.path_loss.reference_loss_db,
-        c.path_loss.exponent, c.path_loss.shadowing_sigma_db, c.radio.supply_volts,
-        c.radio.rx_current_a, c.radio.sleep_current_a, c.radio.standby_current_a, c.duty_cycle,
-        c.adr.device_margin_db, c.adr.max_tx_power_dbm, c.adr.min_tx_power_dbm, c.battery_days,
-        c.solar.peak.watts(), c.solar.winter_summer_ratio, c.solar.min_day_hours,
-        c.solar.max_day_hours, c.solar.clear_stay, c.solar.cloudy_stay, c.solar.overcast_stay,
-        c.solar.intraday_noise, c.forecast_error_sigma, c.supercap_tx_buffer, c.degradation.k1,
-        c.degradation.k2, c.degradation.k3, c.degradation.k4, c.degradation.k5, c.degradation.k6,
-        c.degradation.alpha_sei, c.degradation.k_sei, c.degradation.eol_threshold, c.thermal.mean_c,
-        c.thermal.seasonal_amplitude_c, c.thermal.diurnal_amplitude_c,
+        c.w_b, c.path_loss.shadowing_sigma_db, c.duty_cycle, c.forecast_error_sigma,
+        c.supercap_tx_buffer, c.degradation.k1, c.degradation.k2, c.degradation.k3,
+        c.degradation.k4, c.degradation.k5, c.degradation.k6, c.degradation.alpha_sei,
+        c.degradation.k_sei, c.degradation.eol_threshold, c.thermal.mean_c,
         c.faults.outage_random_per_day, c.faults.ack_loss_good, c.faults.ack_loss_bad,
         c.faults.crash_per_year, c.faults.report_loss, c.faults.report_dup, c.faults.report_reorder,
         c.faults.report_corrupt, c.faults.report_truncate, c.faults.drought_scale,

@@ -82,7 +82,11 @@ void read_uplink_frame(StateReader& r, UplinkFrame& frame) {
   }
   frame.report_seq = static_cast<std::uint16_t>(r.get_u64());
   frame.report_crc = static_cast<std::uint8_t>(r.get_u64());
-  frame.confirmed = r.get_u64() != 0;
+  // Nodes send only confirmed uplinks, so a cleared bit is stream damage.
+  if (r.get_u64() == 0) {
+    throw std::runtime_error{"read_uplink_frame: unconfirmed frame"};
+  }
+  frame.confirmed = true;
 }
 
 void write_event(StateWriter& w, const Simulator& sim, EventHandle handle) {

@@ -1,7 +1,6 @@
 #include "sim/shard_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -14,7 +13,6 @@
 
 #include "audit/audit.hpp"
 #include "common/env_number.hpp"
-#include "lora/tx_timing_cache.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
@@ -43,30 +41,6 @@ void write_wedge_quarantine(const std::string& path, const ScenarioConfig& confi
   cell.error = report;
   cell.config_text = describe_scenario(config);
   write_quarantine(path, std::vector<QuarantinedCell>{cell});
-}
-
-Time cross_shard_lookahead(const ScenarioConfig& config, const DeploymentPlan& deployment) {
-  // Which SFs are actually assigned (fixed at build time: sharded plans
-  // reject ADR, the only runtime SF mutation).
-  std::array<bool, 16> assigned{};
-  for (const NodePlan& node : deployment.nodes) {
-    assigned[static_cast<std::size_t>(node.sf)] = true;
-  }
-  TxTimingCache timing;
-  Time min_toa{};
-  bool seen = false;
-  for (SpreadingFactor sf : kAllSpreadingFactors) {
-    if (!assigned[static_cast<std::size_t>(sf)]) continue;
-    TxParams params;
-    params.sf = sf;
-    params.bandwidth_hz = 125e3;
-    params.payload_bytes = kPayloadBytes + 4;  // with SoC report
-    params = params.with_auto_ldro();
-    const Time toa = timing.time_on_air(params);
-    if (!seen || toa < min_toa) min_toa = toa;
-    seen = true;
-  }
-  return min_toa + config.timings.rx1_delay;
 }
 
 namespace {
@@ -99,7 +73,6 @@ std::string single_slice_reason(const ScenarioConfig& config, int requested) {
   if (audit_config_from_env(config.audit).level > 0) {
     return "audit enabled (global event-order hooks)";
   }
-  if (config.adr_enabled) return "adr (runtime tx-power changes could re-couple domains)";
   return {};
 }
 
@@ -160,7 +133,6 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
     plan.domain_of_gateway[g] = domain_of_root[static_cast<std::size_t>(root)];
   }
   plan.domains = n_domains;
-  plan.lookahead = cross_shard_lookahead(config, deployment);
   if (n_domains <= 1) {
     plan.serial_reason = "single collision domain";
     return plan;

@@ -45,14 +45,6 @@ namespace blam {
 /// values, like non-numeric text, are ignored).
 [[nodiscard]] int resolve_shards(int configured);
 
-/// Minimum cross-shard propagation latency: the earliest a transmission
-/// starting now could demand a response is its own time-on-air (shortest
-/// frame at the fastest assigned SF) plus the RX1 turnaround. Recomputed
-/// from the deployment's actual SF set — ADR is off in sharded runs, so the
-/// set is fixed at build time.
-[[nodiscard]] Time cross_shard_lookahead(const ScenarioConfig& config,
-                                         const DeploymentPlan& deployment);
-
 /// The shard planner's verdict for one deployment.
 struct ShardPlan {
   int requested{1};
@@ -64,9 +56,6 @@ struct ShardPlan {
   std::string serial_reason;
   /// Collision domains found (0 when planning was skipped).
   int domains{0};
-  /// Conservative lookahead bound for the epoch length (informational: the
-  /// epoch used is the dissemination period, the only cross-domain event).
-  Time lookahead{};
   std::vector<int> domain_of_gateway;
   /// Slice of every gateway / node (all 0 for a one-slice run).
   std::vector<int> shard_of_gateway;
@@ -77,12 +66,14 @@ struct ShardPlan {
 };
 
 /// Plans the shard decomposition. It only picks a slice count: one slice
-/// when requested <= 1, audit is enabled (global event-order hooks), ADR is
-/// configured, or the deployment is a single collision domain. Audit and
-/// ADR therefore only ever run on a whole-fleet slice. Fault injection
-/// shards fine: every slice rebuilds the full FaultPlan from the same
-/// 0xfa17 fork, and each stream is keyed by the global gateway or node id,
-/// so a replica regenerates exactly the whole-fleet draws.
+/// when requested <= 1, audit is enabled (global event-order hooks), or the
+/// deployment is a single collision domain. Audit therefore only ever runs
+/// on a whole-fleet slice. ADR shards: it never raises a node above
+/// kDeviceTxPowerDbm, the power the domains are cut at, and its SNR
+/// history is per node. Fault injection shards too: every slice rebuilds
+/// the full FaultPlan from the same 0xfa17 fork, and each stream is keyed
+/// by the global gateway or node id, so a replica regenerates exactly the
+/// whole-fleet draws.
 [[nodiscard]] ShardPlan plan_shards(const ScenarioConfig& config,
                                     const DeploymentPlan& deployment, int requested);
 

@@ -7,9 +7,8 @@ namespace {
 
 class AckPlannerTest : public ::testing::Test {
  protected:
-  AckPlannerTest() : plan_{8, 8}, planner_{timings_, plan_, 500e3} {}
+  AckPlannerTest() : plan_{8, 8}, planner_{plan_, 500e3} {}
 
-  ClassATimings timings_{};
   ChannelPlan plan_;
   AckPlanner planner_;
 };
@@ -19,7 +18,7 @@ TEST_F(AckPlannerTest, FirstAckLandsInRx1) {
   const auto ack = planner_.plan(uplink_end, SpreadingFactor::kSF10, 3, 1);
   ASSERT_TRUE(ack.has_value());
   EXPECT_FALSE(ack->rx2);
-  EXPECT_EQ(ack->tx_start, uplink_end + timings_.rx1_delay);
+  EXPECT_EQ(ack->tx_start, uplink_end + kRx1Delay);
   EXPECT_EQ(ack->sf, SpreadingFactor::kSF10);
   EXPECT_EQ(ack->channel, plan_.rx1_channel(3));
   EXPECT_GT(ack->tx_end, ack->tx_start);
@@ -35,7 +34,7 @@ TEST_F(AckPlannerTest, ConflictFallsBackToRx2) {
   const auto b = planner_.plan(end_b, SpreadingFactor::kSF12, 1, 1);
   ASSERT_TRUE(b.has_value());
   EXPECT_TRUE(b->rx2);
-  EXPECT_EQ(b->tx_start, end_b + timings_.rx2_delay);
+  EXPECT_EQ(b->tx_start, end_b + kRx2Delay);
   EXPECT_EQ(b->sf, plan_.rx2_spreading_factor());
 }
 
@@ -81,10 +80,9 @@ TEST_F(AckPlannerTest, SequentialUplinksBothGetRx1) {
 }
 
 TEST(AckPlannerBandwidth, NarrowRx1MakesLongAcks) {
-  ClassATimings timings;
   ChannelPlan plan{8, 8};
-  AckPlanner wide{timings, plan, 500e3};
-  AckPlanner narrow{timings, plan, 125e3};
+  AckPlanner wide{plan, 500e3};
+  AckPlanner narrow{plan, 125e3};
   const auto a = wide.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
   const auto b = narrow.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
   ASSERT_TRUE(a.has_value());

@@ -37,8 +37,7 @@ TEST(AdrController, ValidatesConfig) {
   c.min_history = c.history + 1;
   EXPECT_THROW(AdrController{c}, std::invalid_argument);
   c = AdrController::Config{};
-  c.min_tx_power_dbm = 20.0;
-  c.max_tx_power_dbm = 2.0;
+  c.min_tx_power_dbm = kDeviceTxPowerDbm + 2.0;  // floor above the fixed ceiling
   EXPECT_THROW(AdrController{c}, std::invalid_argument);
 }
 

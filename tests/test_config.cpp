@@ -190,6 +190,14 @@ TEST(ScenarioIo, RemovedAndMisspelledKeysRejectedByName) {
   expect_rejected("fixed" "_sf", "10");
   expect_rejected("payload" "_bytes", "10");
   expect_rejected("solar_tx" "_per_window", "3");
+  expect_rejected("confirmed", "false");
+  expect_rejected("battery" "_days", "8");
+  expect_rejected("path_loss" "_exponent", "3.76");
+  expect_rejected("ambient" "_seasonal_c", "10");
+  expect_rejected("ambient" "_diurnal_c", "6");
+  expect_rejected("ambient" "_coldest_day", "15");
+  expect_rejected("ambient" "_coldest_hour", "4");
+  expect_rejected("cycle_aging" "_k6", "1e-4");
   expect_rejected("fast_fadng", "true");
 }
 
@@ -209,16 +217,16 @@ TEST(ScenarioIo, InvalidScenarioRejected) {
 TEST(ScenarioIo, NonFiniteAndNonPositiveValuesRejectedAtParse) {
   // The parse layer rejects these before validate() ever runs, naming the key.
   for (const char* text : {"radius_m = nan", "radius_m = inf", "radius_m = -100",
-                           "radius_m = 0", "battery_days = nan", "battery_days = 0",
+                           "radius_m = 0", "dissemination_days = nan", "dissemination_days = 0",
                            "duty_cycle = -0.01", "min_period_min = 0",
                            "supercap_tx_buffer = -1", "forecast_error_sigma = -2"}) {
     EXPECT_THROW(scenario_from_config(ConfigFile::parse(text)), std::runtime_error) << text;
   }
   try {
-    (void)scenario_from_config(ConfigFile::parse("battery_days = -3"));
+    (void)scenario_from_config(ConfigFile::parse("dissemination_days = -3"));
     FAIL() << "expected rejection";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("battery_days"), std::string::npos) << e.what();
+    EXPECT_NE(std::string{e.what()}.find("dissemination_days"), std::string::npos) << e.what();
   }
 }
 

@@ -4,6 +4,7 @@
 // "ShardEngine" so the CI tsan leg's ctest regex selects this file too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -13,10 +14,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/checksum.hpp"
 #include "common/state_codec.hpp"
 #include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/shard_engine.hpp"
 #include "state_stream_edit.hpp"
 
@@ -140,6 +143,102 @@ TEST(ShardEngineCheckpoint, AdrRoundTripBitIdentical) {
 
   EXPECT_EQ(checkpoint_text(resumed), checkpoint_text(uninterrupted));
   EXPECT_EQ(resumed.max_degradation(), uninterrupted.max_degradation());
+}
+
+TEST(ShardEngineCheckpoint, AdrFourShardRoundTripBitIdentical) {
+  // ADR splits like any other run: each slice's server carries the SNR
+  // windows of its own nodes, and the four slices resume bit-exactly.
+  ScenarioConfig c = city(48, 4, 4);
+  c.adr_enabled = true;
+  const Time mid = Time::from_days(0.7);
+  const Time end = Time::from_days(2.0);
+
+  ShardedNetwork uninterrupted{c};
+  ASSERT_FALSE(uninterrupted.serial());
+  ASSERT_EQ(uninterrupted.plan().effective, 4);
+  uninterrupted.run_until(end);
+
+  ShardedNetwork original{c};
+  original.run_until(mid);
+  std::stringstream stream;
+  original.checkpoint(stream);
+
+  ShardedNetwork resumed{c};
+  resumed.restore(stream);
+  resumed.run_until(end);
+
+  EXPECT_EQ(checkpoint_text(resumed), checkpoint_text(uninterrupted));
+  EXPECT_EQ(resumed.max_degradation(), uninterrupted.max_degradation());
+  for (std::uint32_t id = 0; id < 48; ++id) {
+    EXPECT_EQ(resumed.w_for(id), uninterrupted.w_for(id)) << "node " << id;
+  }
+}
+
+TEST(ShardEngineCheckpoint, UnconfirmedInFlightFrameRefusedByName) {
+  // Nodes send only confirmed uplinks, so an in-flight frame whose MHDR
+  // confirmed bit is cleared can only be stream damage.
+  const auto encode = [](bool confirmed) {
+    UplinkFrame frame;
+    frame.node_id = 3;
+    frame.seq = 9;
+    frame.confirmed = confirmed;
+    std::ostringstream out;
+    StateWriter w{out};
+    w.begin_section("frame");
+    write_uplink_frame(w, frame);
+    w.end_section();
+    return std::move(out).str();
+  };
+  const std::string good = encode(true);
+  StateReader ok{good};
+  ok.begin_section("frame");
+  UplinkFrame frame;
+  read_uplink_frame(ok, frame);
+  EXPECT_TRUE(frame.confirmed);
+  EXPECT_EQ(frame.seq, 9u);
+
+  const std::string bad = encode(false);
+  StateReader damaged{bad};
+  damaged.begin_section("frame");
+  try {
+    read_uplink_frame(damaged, frame);
+    FAIL() << "an unconfirmed frame restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("unconfirmed"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ShardEngineCheckpoint, TxPowerAboveDeviceMaximumRefusedByName) {
+  // Audible-gateway lists are built at kDeviceTxPowerDbm, ADR's ceiling; a
+  // node restored louder than that would reach gateways its list leaves
+  // out, so the restore names the forged power instead.
+  ScenarioConfig c = city(16, 4, 1);
+  c.adr_enabled = true;
+  ShardedNetwork original{c};
+  original.run_until(Time::from_days(0.5));
+  const auto power_line = [](double dbm) {
+    std::ostringstream out;
+    StateWriter w{out};
+    w.begin_section("power");
+    w.put_double(dbm);
+    w.end_section();
+    return stream_edit::split_lines(out.str()).at(1);
+  };
+  std::vector<std::string> lines = stream_edit::split_lines(checkpoint_text(original));
+  const auto node = std::find(lines.begin(), lines.end(), "section node\n");
+  ASSERT_NE(node, lines.end());
+  // id, SF, then the TX power (ADR may have stepped it down already).
+  ASSERT_TRUE((node + 3)->starts_with("d ")) << *(node + 3);
+  *(node + 3) = power_line(kDeviceTxPowerDbm + 6.0);
+
+  ShardedNetwork resumed{c};
+  std::istringstream in{stream_edit::reseal(stream_edit::join_lines(lines))};
+  try {
+    resumed.restore(in);
+    FAIL() << "a 20 dBm node restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("TX power above"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ShardEngineCheckpoint, FaultedFourShardRoundTripBitIdentical) {

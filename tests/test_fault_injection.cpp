@@ -8,6 +8,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "mac/blam_mac.hpp"
+#include "net/deployment_plan.hpp"
 #include "net/experiment.hpp"
 #include "net/network.hpp"
 
@@ -47,15 +48,19 @@ PhaseCounts delta(const PhaseCounts& now, const PhaseCounts& before) {
 }
 
 TEST(FaultInjection, DroughtCausesBrownoutsThenRecovery) {
-  // Half-day battery + a 2-day drought at 2% harvest: nodes keep running on
-  // the battery for a few hours, brown out, and come back with the sun.
+  // Half-day battery (a plan_deployment edit) + a 2-day drought at 2%
+  // harvest: nodes keep running on the battery for a few hours, brown out,
+  // and come back with the sun.
   ScenarioConfig c = base_config(PolicyKind::kLorawan, 1.0, 8, 13);
-  c.battery_days = 0.5;
   c.faults.drought_start = Time::from_days(2.0);
   c.faults.drought_duration = Time::from_days(2.0);
   c.faults.drought_scale = 0.02;
+  DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  for (NodePlan& node : plan.nodes) {
+    node.battery_capacity = node.battery_capacity * (0.5 / kBatteryDays);  // half a day
+  }
 
-  Network network{c};
+  Network network{c, plan, nullptr, nullptr, NetworkSlice::whole(plan)};
   network.run_until(Time::from_days(2.0));
   const PhaseCounts pre = totals(network);
   network.run_until(Time::from_days(4.0));

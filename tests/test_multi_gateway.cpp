@@ -153,41 +153,5 @@ TEST(MultiGateway, AudibleFanOutIsExact) {
   EXPECT_EQ(gm.lost_under_sensitivity, under_floor + under_sensitivity);
 }
 
-// With ADR allowed to raise the power past the 14 dBm boot value, a node's
-// list is built at ADR's ceiling: a gateway under the floor at 14 dBm but
-// audible at the ceiling stays in it (Gateway::on_uplink's own floor check
-// then drops the copies sent at lower power), and only gateways under the
-// floor even at the ceiling are left out.
-TEST(MultiGateway, AudibleListsUseAdrCeiling) {
-  ScenarioConfig c = partial_reach_city(29);
-  c.adr_enabled = true;
-  c.adr.max_tx_power_dbm = 20.0;
-  const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
-  Network network{c, nullptr};
-  int kept_by_ceiling = 0;
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const Node& node = *network.nodes()[i];
-    for (int g = 0; g < c.n_gateways; ++g) {
-      const double loss = plan.nodes[i].losses_db[static_cast<std::size_t>(g)];
-      if (c.adr.max_tx_power_dbm - loss < c.interference_floor_dbm) {
-        EXPECT_THROW((void)node.link_loss_db(g), std::out_of_range);
-        continue;
-      }
-      EXPECT_EQ(node.link_loss_db(g), loss);
-      if (kDeviceTxPowerDbm - loss < c.interference_floor_dbm) ++kept_by_ceiling;
-    }
-  }
-  EXPECT_GT(kept_by_ceiling, 0);
-
-  network.run_until(Time::from_days(1.0));
-  network.finalize_metrics();
-  std::uint64_t attempts = 0;
-  for (std::size_t i = 0; i < network.metrics().node_count(); ++i) {
-    attempts += network.metrics().node(i).tx_attempts;
-  }
-  EXPECT_EQ(network.metrics().gateway().arrivals,
-            attempts * static_cast<std::uint64_t>(c.n_gateways));
-}
-
 }  // namespace
 }  // namespace blam

@@ -23,8 +23,8 @@ TEST(ScenarioPresets, LorawanDefaultsMatchPaper) {
   EXPECT_DOUBLE_EQ(c.w_b, 1.0);                               // w_b = 1
   EXPECT_TRUE(c.thermal.insulated);                           // insulated 25 C
   EXPECT_EQ(kPayloadBytes, 10);                               // 10-byte packets
-  EXPECT_EQ(c.timings.max_transmissions, 8);                  // 8 transmissions
-  EXPECT_DOUBLE_EQ(TemperatureModel{c.thermal}.at(Time::zero()), 25.0);
+  EXPECT_EQ(kMaxTransmissions, 8);                            // 8 transmissions
+  EXPECT_DOUBLE_EQ(TemperatureModel{c.thermal.model()}.at(Time::zero()), 25.0);
   EXPECT_NO_THROW(c.validate());
 }
 
@@ -67,7 +67,6 @@ TEST(ScenarioValidation, CatchesEachBadField) {
   expect_invalid([](ScenarioConfig& c) { c.forecast_window = c.min_period * 2; });
   expect_invalid([](ScenarioConfig& c) { c.theta = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.w_b = 1.5; });
-  expect_invalid([](ScenarioConfig& c) { c.battery_days = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.dissemination_period = Time::zero(); });
   expect_invalid([](ScenarioConfig& c) { c.duty_cycle = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.supercap_tx_buffer = -1.0; });
@@ -93,7 +92,7 @@ TEST(ScenarioValidation, RejectsNonFiniteFieldsNamingTheField) {
     EXPECT_THROW(c.validate(), std::invalid_argument);
   };
   expect_invalid([=](ScenarioConfig& c) { c.radius_m = inf; });
-  expect_invalid([=](ScenarioConfig& c) { c.battery_days = nan; });
+  expect_invalid([=](ScenarioConfig& c) { c.stale_feedback_k = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.duty_cycle = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.w_b = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.supercap_tx_buffer = inf; });

@@ -32,12 +32,10 @@ ScenarioConfig random_scenario(Rng& rng) {
   c.sf_assignment = rng.bernoulli(0.5) ? SfAssignment::kFixed : SfAssignment::kDistanceBased;
   c.path_loss.shadowing_sigma_db = rng.uniform(0.0, 8.0);
   c.adr_enabled = rng.bernoulli(0.3);
-  c.confirmed = rng.bernoulli(0.8);
   c.duty_cycle = rng.bernoulli(0.3) ? rng.uniform(0.01, 1.0) : 1.0;
   c.supercap_tx_buffer = rng.bernoulli(0.3) ? rng.uniform(1.0, 8.0) : 0.0;
   c.thermal.insulated = rng.bernoulli(0.7);
   c.thermal.mean_c = rng.uniform(-5.0, 35.0);
-  c.battery_days = rng.uniform(2.0, 10.0);
   c.forecast_error_sigma = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.5) : 0.0;
   return c;
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/state_codec.hpp"
-#include "lora/tx_timing_cache.hpp"
 #include "sim/shard_engine.hpp"
 
 namespace blam {
@@ -166,9 +165,11 @@ TEST(ShardEnginePlanner, SerialFallbackConditions) {
     EXPECT_FALSE(plan_shards(c, plan_deployment(c, root), 4).serial);
   }
   {
+    // Nor does ADR: it never raises a node above kDeviceTxPowerDbm, the
+    // power the planner cuts domains at.
     ScenarioConfig c = city(16, 4, 4);
     c.adr_enabled = true;
-    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
+    EXPECT_FALSE(plan_shards(c, plan_deployment(c, root), 4).serial);
   }
 }
 
@@ -183,27 +184,6 @@ TEST(ShardEnginePlanner, ResolveShardsEnvOverride) {
   EXPECT_EQ(resolve_shards(2), 2);
   ASSERT_EQ(unsetenv("BLAM_SHARDS"), 0);
   EXPECT_EQ(resolve_shards(3), 3);
-}
-
-TEST(ShardEngineLookahead, TracksTheFastestAssignedSf) {
-  ScenarioConfig c = city(2, 1, 1);
-  TxTimingCache timing;
-  const auto toa = [&](SpreadingFactor sf) {
-    TxParams p;
-    p.sf = sf;
-    p.bandwidth_hz = 125e3;
-    p.payload_bytes = kPayloadBytes + 4;
-    return timing.time_on_air(p.with_auto_ldro());
-  };
-  const auto slow = make_deployment({{0.0, 0.0}}, {{120.0}, {120.0}}, SpreadingFactor::kSF12);
-  EXPECT_EQ(cross_shard_lookahead(c, slow).us(),
-            (toa(SpreadingFactor::kSF12) + c.timings.rx1_delay).us());
-  // Adding one SF7 node shrinks the bound to the SF7 time-on-air.
-  auto mixed = make_deployment({{0.0, 0.0}}, {{120.0}, {120.0}}, SpreadingFactor::kSF12);
-  mixed.nodes[1].sf = SpreadingFactor::kSF7;
-  EXPECT_EQ(cross_shard_lookahead(c, mixed).us(),
-            (toa(SpreadingFactor::kSF7) + c.timings.rx1_delay).us());
-  EXPECT_LT(cross_shard_lookahead(c, mixed).us(), cross_shard_lookahead(c, slow).us());
 }
 
 TEST(ShardEngineIdentity, TwoShardsBitIdenticalToSerial) {
@@ -269,6 +249,39 @@ TEST(ShardEngineIdentity, FaultedFourShardsBitIdenticalToSerial) {
   EXPECT_GT(sharded.metrics().summarize().total_outage_s, 0.0);
   EXPECT_EQ(serial.max_degradation(), sharded.max_degradation());
   for (std::uint32_t id = 0; id < 48; ++id) {
+    EXPECT_EQ(serial.server().w_for(id), sharded.w_for(id)) << "node " << id;
+  }
+}
+
+TEST(ShardEngineIdentity, AdrFourShardsBitIdenticalToSerial) {
+  // ADR steps SF and power down and climbs back to at most
+  // kDeviceTxPowerDbm, the power the planner cuts domains at, and a node's
+  // SNR history lives in its own domain's server. So an ADR city splits
+  // like any other and reproduces the one-slice run bit for bit.
+  ScenarioConfig c = city(300, 16, 4);
+  c.adr_enabled = true;
+  const Time duration = Time::from_days(2.0);
+
+  Network serial{c};
+  serial.run_until(duration);
+  serial.finalize_metrics();
+  int stepped_down = 0;
+  for (const auto& node : serial.nodes()) {
+    EXPECT_LE(node->radio_params().tx_power_dbm, kDeviceTxPowerDbm);
+    if (node->radio_params().tx_power_dbm < kDeviceTxPowerDbm) ++stepped_down;
+  }
+  ASSERT_GT(stepped_down, 0) << "ADR never acted; the test would prove nothing";
+
+  ShardedNetwork sharded{c};
+  ASSERT_FALSE(sharded.serial());
+  EXPECT_EQ(sharded.plan().effective, 4);
+  sharded.run_until(Time::from_days(0.7));
+  sharded.run_until(duration);
+  sharded.finalize_metrics();
+
+  expect_identical(serial.metrics(), sharded.metrics(), 300);
+  EXPECT_EQ(serial.max_degradation(), sharded.max_degradation());
+  for (std::uint32_t id = 0; id < 300; ++id) {
     EXPECT_EQ(serial.server().w_for(id), sharded.w_for(id)) << "node " << id;
   }
 }
@@ -340,7 +353,6 @@ TEST(ShardEngineIdentity, SerialDelegateMatchesNetworkExactly) {
   const Case cases[] = {
       {"shards <= 1", [](ScenarioConfig& c) { c.shards = 1; }},
       {"audit", [](ScenarioConfig& c) { c.audit.level = 1; }},
-      {"adr", [](ScenarioConfig& c) { c.adr_enabled = true; }},
   };
   const Time duration = Time::from_days(1.0);
   for (const Case& tc : cases) {

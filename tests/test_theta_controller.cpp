@@ -115,7 +115,6 @@ TEST(AdaptiveThetaNetwork, HealthyNetworkDriftsThetaDown) {
   // caps down toward theta_min, buying calendar lifespan for free.
   ScenarioConfig c = blam_scenario(15, 0.5, 61);
   c.adaptive_theta = true;
-  c.theta_controller.window_packets = 20;
   Network network{c};
   network.run_until(Time::from_days(10.0));
   double mean_cap = 0.0;
@@ -131,7 +130,6 @@ TEST(AdaptiveThetaNetwork, ReducesDegradationVersusFixedTheta) {
   ScenarioConfig fixed = blam_scenario(15, 0.5, 62);
   ScenarioConfig adaptive = fixed;
   adaptive.adaptive_theta = true;
-  adaptive.theta_controller.window_packets = 20;
   const auto trace = build_shared_trace(fixed);
   const ExperimentResult a = run_scenario(fixed, Time::from_days(20.0), trace);
   const ExperimentResult b = run_scenario(adaptive, Time::from_days(20.0), trace);
