@@ -13,7 +13,7 @@ int main() {
   using namespace blam::bench;
 
   // BLAM_SMOKE=1: a minutes-scale configuration for sanitizer CI legs that
-  // run the full pipeline (typically with BLAM_AUDIT=2) rather than measure.
+  // run the full pipeline (typically with BLAM_AUDIT=1) rather than measure.
   const char* smoke_env = std::getenv("BLAM_SMOKE");
   const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
   const int nodes = smoke ? 20 : scaled(300, 100);

@@ -1,4 +1,4 @@
-// Runtime invariant auditor: samples the simulator's physical bookkeeping
+// Runtime invariant auditor: checks the simulator's physical bookkeeping
 // while it runs and records (or throws on) violations.
 //
 // The long-run figures (Figs. 5-10) rest on energy conservation, SoC caps
@@ -7,20 +7,22 @@
 // observe-only tap on the hot paths: Node reports every PowerSwitch flow and
 // storage loss, the Simulator reports every event pop, and the NetworkServer
 // reports every accepted uplink. The auditor never draws random numbers and
-// never mutates simulation state, so results are bit-identical at every
-// audit level.
+// never mutates simulation state, so results are bit-identical with it on
+// or off.
 //
-// Levels: 0 = off (no Auditor is constructed; hooks are a null-pointer test),
-// 1 = sampled (state is tracked on every call, the arithmetic checks run on
-// every `sample_every`-th call per invariant), 2 = every call. Environment
-// overrides: BLAM_AUDIT=<0|1|2> and BLAM_AUDIT_THROW=<0|1>.
+// Switches: BLAM_AUDIT=1 builds an Auditor in every engine slice, and it
+// runs every check on every call; 0 or unset builds none (each hook is a
+// null-pointer test). BLAM_AUDIT_THROW=1 throws at the first violation.
 //
-// Thread safety: one Auditor belongs to one Network (one simulator thread).
-// Sweep workers each own their cell's Network and therefore their own
-// Auditor; no cross-thread state.
+// Thread safety: one Auditor belongs to one Network, i.e. one engine slice
+// on one simulator thread. Its per-node ledger covers exactly that slice's
+// nodes, and its state travels in the slice's checkpoint as an `audit`
+// section, so an audited run splits into any number of slices and resumes
+// from a checkpoint like any other.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,6 +31,9 @@
 #include "energy/power_switch.hpp"
 
 namespace blam {
+
+class StateReader;
+class StateWriter;
 
 enum class AuditInvariant {
   /// Per-node ledger: harvest/demand splits, storage delta vs charged minus
@@ -48,9 +53,9 @@ enum class AuditInvariant {
   kSequence,
   /// Disseminated normalized degradation w_u in [0, 1].
   kFeedbackRange,
-  /// Fault-free only: the gateway ledger's per-node degradation estimate
-  /// must not exceed the node's own tracker by more than the configured
-  /// tolerance. One-sided — the gateway sees a subsampled trace and
+  /// Fault-free, insulated runs only: the gateway ledger's per-node
+  /// degradation estimate must not exceed the node's own tracker by more
+  /// than 5% + 1e-6. One-sided — the gateway sees a subsampled trace and
   /// legitimately underestimates; a ledger *inflating* degradation means
   /// the ingest pipeline fabricated aging.
   kFeedbackConsistency,
@@ -62,7 +67,7 @@ struct AuditViolation {
   AuditInvariant invariant{AuditInvariant::kEnergyConservation};
   /// Simulation time of the offending observation.
   Time at{};
-  /// Node id, or -1 for network-wide invariants (event-queue order).
+  /// Global node id, or -1 for slice-wide invariants (event-queue order).
   std::int64_t node{-1};
   double observed{0.0};
   double bound{0.0};
@@ -73,32 +78,18 @@ struct AuditViolation {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// The audit switches, read from the environment.
 struct AuditConfig {
-  /// 0 = off (Network builds no Auditor), 1 = sampled, 2 = every call.
-  int level{0};
-  /// Throw AuditError at the first violation instead of recording it.
+  /// BLAM_AUDIT=1: every slice's Network builds an Auditor.
+  bool enabled{false};
+  /// BLAM_AUDIT_THROW=1: throw AuditError at the first violation instead
+  /// of recording it.
   bool throw_on_violation{false};
-  /// Energy-ledger tolerance: abs + rel * max(|terms|) joules. The switch's
-  /// identities are exact up to double rounding, so 1e-9 relative leaves
-  /// seven orders of magnitude between rounding noise and a real bug.
-  double rel_tolerance{1e-9};
-  double abs_tolerance_j{1e-9};
-  /// Tolerance for dimensionless bounds (SoC, degradation, w_u).
-  double soc_tolerance{1e-9};
-  /// Feedback-consistency slack: the ledger may exceed node truth by
-  /// rel * truth + abs before it counts as fabrication. The gateway's
-  /// trace is minute-quantized and subsampled, so this is loose by design.
-  double feedback_rel_tolerance{0.05};
-  double feedback_abs_tolerance{1e-6};
-  /// Level 1: run each invariant's arithmetic on every n-th observation.
-  int sample_every{16};
-  /// Violations kept for reporting (the count is always exact).
-  std::size_t max_recorded{64};
 };
 
-/// Applies the BLAM_AUDIT / BLAM_AUDIT_THROW environment overrides on top of
-/// `base` (malformed values are ignored, keeping the scenario's setting).
-[[nodiscard]] AuditConfig audit_config_from_env(AuditConfig base);
+/// Reads BLAM_AUDIT (0|1) and BLAM_AUDIT_THROW; an unset, malformed or
+/// out-of-range value leaves its switch off.
+[[nodiscard]] AuditConfig audit_config_from_env();
 
 class AuditError : public std::runtime_error {
  public:
@@ -111,7 +102,14 @@ class AuditError : public std::runtime_error {
 
 class Auditor {
  public:
-  explicit Auditor(AuditConfig config);
+  /// Violations kept for reporting per auditor and per merged report (the
+  /// count is always exact).
+  static constexpr std::size_t kMaxRecorded = 64;
+
+  /// Audits the engine slice whose nodes have the ascending, unique global
+  /// ids `node_ids` (std::invalid_argument otherwise). Node hooks take the
+  /// global id; an id outside the slice throws std::out_of_range.
+  Auditor(std::vector<std::uint32_t> node_ids, bool throw_on_violation);
 
   // --- hooks (called by Simulator / Node / NetworkServer) -----------------
 
@@ -153,27 +151,28 @@ class Auditor {
   void on_uplink_seq(std::uint32_t node, Time at, std::int64_t seq, std::int64_t prev_seen);
 
   /// Gateway ledger estimate vs node ground truth at a recompute instant
-  /// (called by the NetworkServer on fault-free runs only; see
+  /// (called by the NetworkServer on fault-free, insulated runs only; see
   /// kFeedbackConsistency).
   void on_feedback_ledger(std::uint32_t node, Time at, double gateway_estimate,
                           double node_truth);
 
   // --- results -------------------------------------------------------------
 
-  [[nodiscard]] const AuditConfig& config() const { return config_; }
   /// Total violations observed (recording is capped, counting is not).
   [[nodiscard]] std::uint64_t violation_count() const { return violation_count_; }
-  /// First `max_recorded` violations, in observation order.
+  /// First kMaxRecorded violations, in observation order.
   [[nodiscard]] const std::vector<AuditViolation>& violations() const { return violations_; }
-  /// Invariant evaluations actually run (after sampling).
+  /// Invariant evaluations run.
   [[nodiscard]] std::uint64_t checks_run() const { return checks_run_; }
-  /// Network-wide energy totals accumulated by the ledger (joules).
-  [[nodiscard]] double total_harvested_j() const { return total_harvested_j_; }
-  [[nodiscard]] double total_consumed_j() const { return total_consumed_j_; }
-  [[nodiscard]] double total_wasted_j() const { return total_wasted_j_; }
 
-  /// One-line summary: "audit level 2: N checks, M violations".
-  [[nodiscard]] std::string summary() const;
+  // --- checkpoint ----------------------------------------------------------
+
+  /// Writes the `audit` section: the counts, one ledger row per slice node
+  /// in ascending id, then the recorded violations.
+  void checkpoint_state(StateWriter& w) const;
+  /// Reads an `audit` section into this freshly built auditor of the same
+  /// slice; a damaged section throws a named std::runtime_error.
+  void restore_state(StateReader& r);
 
  private:
   struct NodeLedger {
@@ -182,29 +181,40 @@ class Auditor {
     double last_stored_j{0.0};
     /// External losses reported since that flow (leak/self-discharge/fade).
     double pending_loss_j{0.0};
-    double last_soc{-1.0};
     bool seen_soc{false};
+    double last_soc{-1.0};
     double last_degradation{0.0};
     Time duty_next_allowed{Time::zero()};
   };
 
   [[nodiscard]] NodeLedger& ledger(std::uint32_t node);
-  /// Level-2: always due. Level-1: every sample_every-th call per counter.
-  [[nodiscard]] bool due(std::uint64_t& counter);
   void report(AuditInvariant invariant, Time at, std::int64_t node, double observed,
               double bound, std::string detail);
 
-  AuditConfig config_;
+  // blam-ckpt: skip -- the slice's node ids, rebuilt from the same shard plan at construction
+  std::vector<std::uint32_t> node_ids_;
+  // blam-ckpt: skip -- BLAM_AUDIT_THROW, re-read at construction
+  bool throw_on_violation_;
+  /// One row per node_ids_ entry, in the same order.
   std::vector<NodeLedger> ledgers_;
   std::vector<AuditViolation> violations_;
   std::uint64_t violation_count_{0};
   std::uint64_t checks_run_{0};
-  std::uint64_t flow_counter_{0};
-  std::uint64_t soc_counter_{0};
-  std::uint64_t event_counter_{0};
-  double total_harvested_j_{0.0};
-  double total_consumed_j_{0.0};
-  double total_wasted_j_{0.0};
 };
+
+/// Every slice's auditor of one run as one report: exact counts, and the
+/// recorded violations merged in (time, node) order, the first
+/// Auditor::kMaxRecorded kept, so the report reads the same at any slice
+/// count.
+struct AuditReport {
+  std::uint64_t checks_run{0};
+  std::uint64_t violation_count{0};
+  std::vector<AuditViolation> violations;
+
+  /// "audit: N checks, M violation(s)".
+  [[nodiscard]] std::string summary() const;
+};
+
+[[nodiscard]] AuditReport merge_audits(std::span<const Auditor* const> audits);
 
 }  // namespace blam

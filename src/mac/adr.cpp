@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "common/sorted_ids.hpp"
 
 namespace blam {
 
@@ -17,31 +22,47 @@ double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) {
   return -174.0 + 10.0 * std::log10(bandwidth_hz) + noise_figure_db;
 }
 
-AdrController::AdrController(const Config& config) : config_{config} {
+AdrController::AdrController(const Config& config, std::vector<std::uint32_t> node_ids)
+    : config_{config}, node_ids_{std::move(node_ids)} {
   if (config.history <= 0 || config.min_history <= 0 || config.min_history > config.history) {
     throw std::invalid_argument{"AdrController: invalid history configuration"};
   }
   if (config.min_tx_power_dbm > kDeviceTxPowerDbm) {
     throw std::invalid_argument{"AdrController: invalid TX power bounds"};
   }
+  snr_db_.resize(node_ids_.size() * static_cast<std::size_t>(config.history));
+  held_.resize(node_ids_.size());
+}
+
+std::optional<std::size_t> AdrController::slot_of(std::uint32_t node_id) const {
+  const auto it = lower_bound_id(node_ids_.begin(), node_ids_.end(), node_id, std::identity{});
+  if (it == node_ids_.end() || *it != node_id) return std::nullopt;
+  return static_cast<std::size_t>(it - node_ids_.begin());
 }
 
 void AdrController::observe(std::uint32_t node_id, double snr_db) {
-  History& h = nodes_[node_id];
-  h.snr_db.push_back(snr_db);
-  while (h.snr_db.size() > static_cast<std::size_t>(config_.history)) h.snr_db.pop_front();
+  const std::optional<std::size_t> slot = slot_of(node_id);
+  if (!slot.has_value()) {
+    throw std::out_of_range{"AdrController: node " + std::to_string(node_id) +
+                            " is outside this slice"};
+  }
+  const auto first = snr_db_.begin() + static_cast<std::ptrdiff_t>(*slot) * config_.history;
+  int& held = held_[*slot];
+  if (held == config_.history) {
+    std::shift_left(first, first + held, 1);  // forget the oldest
+    --held;
+  }
+  first[held++] = snr_db;
 }
 
 std::optional<AdrCommand> AdrController::advise(std::uint32_t node_id,
                                                 const AdrCommand& current) const {
-  const auto it = nodes_.find(node_id);
-  if (it == nodes_.end() ||
-      it->second.snr_db.size() < static_cast<std::size_t>(config_.min_history)) {
-    return std::nullopt;
-  }
+  const std::optional<std::size_t> slot = slot_of(node_id);
+  if (!slot.has_value() || held_[*slot] < config_.min_history) return std::nullopt;
   // The LoRaWAN-recommended ADR uses the MAX SNR of the history (robust to
   // fading dips without starving the link).
-  const double snr_max = *std::max_element(it->second.snr_db.begin(), it->second.snr_db.end());
+  const auto first = snr_db_.begin() + static_cast<std::ptrdiff_t>(*slot) * config_.history;
+  const double snr_max = *std::max_element(first, first + held_[*slot]);
   double margin = snr_max - required_snr_db(current.sf) - config_.device_margin_db;
   int steps = static_cast<int>(std::floor(margin / 3.0));
 
@@ -68,23 +89,26 @@ std::optional<AdrCommand> AdrController::advise(std::uint32_t node_id,
 
 std::vector<AdrController::NodeSnapshot> AdrController::snapshot() const {
   std::vector<NodeSnapshot> out;
-  out.reserve(nodes_.size());
-  for (const auto& [node_id, history] : nodes_) {
-    NodeSnapshot snap;
-    snap.node_id = node_id;
-    snap.snr_db.assign(history.snr_db.begin(), history.snr_db.end());
-    out.push_back(std::move(snap));
+  for (std::size_t slot = 0; slot < node_ids_.size(); ++slot) {
+    if (held_[slot] == 0) continue;
+    const auto first = snr_db_.begin() + static_cast<std::ptrdiff_t>(slot) * config_.history;
+    out.push_back({node_ids_[slot], std::vector<double>(first, first + held_[slot])});
   }
-  std::sort(out.begin(), out.end(),
-            [](const NodeSnapshot& a, const NodeSnapshot& b) { return a.node_id < b.node_id; });
   return out;
 }
 
 void AdrController::restore(const std::vector<NodeSnapshot>& nodes) {
-  nodes_.clear();
+  std::fill(held_.begin(), held_.end(), 0);
   for (const NodeSnapshot& snap : nodes) {
-    History& h = nodes_[snap.node_id];
-    h.snr_db.assign(snap.snr_db.begin(), snap.snr_db.end());
+    const std::optional<std::size_t> slot = slot_of(snap.node_id);
+    if (!slot.has_value() || snap.snr_db.size() > static_cast<std::size_t>(config_.history)) {
+      throw std::runtime_error{"ADR checkpoint: node " + std::to_string(snap.node_id) +
+                               " is outside this slice or holds more than " +
+                               std::to_string(config_.history) + " SNR values"};
+    }
+    std::copy(snap.snr_db.begin(), snap.snr_db.end(),
+              snr_db_.begin() + static_cast<std::ptrdiff_t>(*slot) * config_.history);
+    held_[*slot] = static_cast<int>(snap.snr_db.size());
   }
 }
 

@@ -13,9 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "lora/params.hpp"
@@ -49,15 +47,18 @@ class AdrController {
     int min_history{10};
   };
 
-  explicit AdrController(const Config& config);
+  /// Keeps the histories of the engine slice whose nodes have the
+  /// ascending, unique ids `node_ids`.
+  AdrController(const Config& config, std::vector<std::uint32_t> node_ids);
 
-  /// Records a decoded uplink's SNR for `node_id`.
+  /// Records a decoded uplink's SNR for `node_id` (std::out_of_range for a
+  /// node outside the slice).
   void observe(std::uint32_t node_id, double snr_db);
 
   /// Computes the adjusted parameters for the node, or nullopt when history
-  /// is too short or nothing would change. `current` is what the node uses
-  /// now; the result never increases SF and never raises power above
-  /// kDeviceTxPowerDbm.
+  /// is too short (or the node is not in the slice) or nothing would
+  /// change. `current` is what the node uses now; the result never
+  /// increases SF and never raises power above kDeviceTxPowerDbm.
   [[nodiscard]] std::optional<AdrCommand> advise(std::uint32_t node_id,
                                                  const AdrCommand& current) const;
 
@@ -69,23 +70,27 @@ class AdrController {
     std::vector<double> snr_db;  // oldest first
   };
 
-  /// Snapshots every node's history, sorted by node id (the map iterates in
-  /// hash order; checkpoints must be byte-stable for identical state).
+  /// Snapshots the history of every node that has one, in ascending id.
   [[nodiscard]] std::vector<NodeSnapshot> snapshot() const;
 
   /// Replaces all history with the snapshot's (restore is a rebuild: the
-  /// controller was freshly constructed from the same scenario config).
+  /// controller was freshly constructed from the same scenario config). A
+  /// node outside the slice or a history longer than Config::history
+  /// throws std::runtime_error.
   void restore(const std::vector<NodeSnapshot>& nodes);
 
  private:
-  struct History {
-    std::deque<double> snr_db;
-  };
+  /// `node_id`'s index in node_ids_, or nullopt.
+  [[nodiscard]] std::optional<std::size_t> slot_of(std::uint32_t node_id) const;
 
   // blam-ckpt: skip -- construction input; enable_adr() rebuilds it at its defaults
   Config config_;
-  // blam-lint: allow(D2) -- lookup-only by node id (observe/advise); never iterated
-  std::unordered_map<std::uint32_t, History> nodes_;
+  // blam-ckpt: skip -- the slice's node ids, rebuilt at construction
+  std::vector<std::uint32_t> node_ids_;
+  /// config_.history SNR values per node, node after node; a node's first
+  /// held_ values are its history, oldest first.
+  std::vector<double> snr_db_;
+  std::vector<int> held_;
 };
 
 }  // namespace blam

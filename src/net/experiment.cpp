@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -16,18 +17,18 @@
 namespace blam {
 namespace {
 
-// Recorded violations (throw_on_violation off) must still reach the user:
+// Recorded violations (BLAM_AUDIT_THROW off) must still reach the user:
 // one stderr block per run, summary plus the first few structured records.
-void report_audit(const Auditor* audit) {
-  if (audit == nullptr || audit->violation_count() == 0) return;
+void report_audit(const std::optional<AuditReport>& audit) {
+  if (!audit.has_value() || audit->violation_count == 0) return;
   std::fprintf(stderr, "[audit] %s\n", audit->summary().c_str());
   constexpr std::size_t kShow = 5;
-  const auto& violations = audit->violations();
-  for (std::size_t i = 0; i < violations.size() && i < kShow; ++i) {
-    std::fprintf(stderr, "%s\n", violations[i].to_string().c_str());
+  for (std::size_t i = 0; i < audit->violations.size() && i < kShow; ++i) {
+    std::fprintf(stderr, "%s\n", audit->violations[i].to_string().c_str());
   }
-  if (audit->violation_count() > kShow) {
-    std::fprintf(stderr, "[audit] ... and %zu more\n", audit->violation_count() - kShow);
+  if (audit->violation_count > kShow) {
+    std::fprintf(stderr, "[audit] ... and %zu more\n",
+                 static_cast<std::size_t>(audit->violation_count - kShow));
   }
 }
 
@@ -76,7 +77,7 @@ ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
   }
   network.run_until(duration);
   network.finalize_metrics();
-  report_audit(network.auditor());
+  report_audit(network.audit_report());
 
   return collect_result(config.policy_label(), network.metrics(), network.events_executed());
 }
@@ -101,12 +102,12 @@ LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration, Ti
     if (max_deg >= eol) {
       result.reached_eol = true;
       result.lifespan = now;
-      report_audit(network.auditor());
+      report_audit(network.audit_report());
       return result;
     }
   }
   result.lifespan = max_duration;
-  report_audit(network.auditor());
+  report_audit(network.audit_report());
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/sorted_ids.hpp"
 #include "net/deployment_plan.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -93,17 +94,17 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   server_->service().set_ingest_batch(resolve_ingest_batch(config_));
   server_->service().set_fleet_combiner(combiner);
 
-  // The auditor is observe-only (no RNG, no state mutation), so any level
-  // yields bit-identical simulation results; it attaches before anything
-  // schedules events so the first pops are covered too.
-  const AuditConfig audit_config = audit_config_from_env(config_.audit);
-  if (audit_config.level > 0) {
-    audit_ = std::make_unique<Auditor>(audit_config);
+  // The auditor is observe-only (no RNG, no state mutation), so results are
+  // bit-identical with it on or off; it attaches before anything schedules
+  // events so the first pops are covered too. Its ledger covers this
+  // slice's nodes only.
+  if (const AuditConfig audit = audit_config_from_env(); audit.enabled) {
+    audit_ = std::make_unique<Auditor>(slice.nodes, audit.throw_on_violation);
     sim_.attach_auditor(audit_.get());
     server_->attach_auditor(audit_.get());
   }
 
-  if (config_.adr_enabled) server_->enable_adr();
+  if (config_.adr_enabled) server_->enable_adr(slice.nodes);
   if (config_.adaptive_theta) {
     ThetaController::Config tc;
     tc.initial = std::clamp(config_.theta, tc.theta_min, tc.theta_max);
@@ -199,12 +200,23 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   }
 
   // Feedback-consistency audit needs the nodes' ground-truth trackers. The
-  // planner gives audited runs a whole-fleet slice, where node ids are the
-  // dense vector indices, so the probe is a direct lookup.
-  if (audit_ != nullptr) {
+  // server probes only the nodes registered above, by global id. The ledger
+  // ages every battery at kInsulatedBatteryC, so an outdoor battery's truth
+  // legitimately differs from it and the check stays off there.
+  if (audit_ != nullptr && config_.thermal.insulated) {
     server_->set_truth_probe(
-        [this](std::uint32_t id, Time at) { return nodes_[id]->degradation_now(at); });
+        [this](std::uint32_t id, Time at) { return node_by_id(id).degradation_now(at); });
   }
+}
+
+Node& Network::node_by_id(std::uint32_t id) const {
+  // nodes_ is in ascending global id (the slice's build order).
+  const auto it =
+      lower_bound_id(nodes_.begin(), nodes_.end(), id, [](const auto& n) { return n->id(); });
+  if (it == nodes_.end() || (*it)->id() != id) {
+    throw std::runtime_error{"Network: node " + std::to_string(id) + " is outside this slice"};
+  }
+  return **it;
 }
 
 void Network::run_until(Time until) { sim_.run_until(until); }
@@ -236,18 +248,7 @@ void Network::finalize_metrics() {
   }
 }
 
-void Network::assert_checkpointable() const {
-  // The auditor carries history the engine checkpoint does not cover;
-  // resuming such a run would silently diverge, so refuse loudly instead.
-  if (audit_ != nullptr) {
-    throw std::runtime_error{"checkpoint: auditor state is not serialized (disable BLAM_AUDIT)"};
-  }
-  // ADR history is covered: NetworkServer::checkpoint_state serializes the
-  // per-node SNR windows, so ADR-enabled runs checkpoint and resume exactly.
-}
-
 void Network::checkpoint_state(StateWriter& w) {
-  assert_checkpointable();
   w.begin_section("clock");
   write_time(w, sim_.now());
   w.put_u64(sim_.events_executed());
@@ -267,10 +268,11 @@ void Network::checkpoint_state(StateWriter& w) {
   w.end_section();
   for (const auto& node : nodes_) node->checkpoint_state(w);
   if (faults_ != nullptr) write_faults(w, *faults_);
+  // Last, so an unaudited stream is unchanged by the audit subsystem.
+  if (audit_ != nullptr) audit_->checkpoint_state(w);
 }
 
 void Network::restore_state(StateReader& r) {
-  assert_checkpointable();
   // Wipe the construction-time schedule first: every component then replays
   // its own pending events under their original seqs.
   sim_.clear_events();
@@ -288,22 +290,18 @@ void Network::restore_state(StateReader& r) {
   }
   r.end_section();
 
-  // nodes_ is in ascending global id (the slice's build order).
-  const auto node_by_id = [this](std::uint32_t id) -> Node* {
-    const auto it = std::ranges::lower_bound(nodes_, id, {}, [](const auto& n) { return n->id(); });
-    if (it == nodes_.end() || (*it)->id() != id) {
-      throw std::runtime_error{"restore: checkpoint references a node outside this slice"};
-    }
-    return it->get();
-  };
-
-  server_->restore_state(r, gateways_, node_by_id);
-  for (const auto& gateway : gateways_) gateway->restore_state(r, node_by_id);
+  const auto restored_node = [this](std::uint32_t id) { return &node_by_id(id); };
+  server_->restore_state(r, gateways_, restored_node);
+  for (const auto& gateway : gateways_) gateway->restore_state(r, restored_node);
   r.begin_section("gateway-metrics");
   read_gateway_metrics(r, metrics_.gateway());
   r.end_section();
   for (const auto& node : nodes_) node->restore_state(r);
   if (faults_ != nullptr) read_faults(r, *faults_);
+  if (r.remaining().starts_with("section audit\n") != (audit_ != nullptr)) {
+    throw std::runtime_error{"restore: checkpoint and this run differ in auditing (BLAM_AUDIT)"};
+  }
+  if (audit_ != nullptr) audit_->restore_state(r);
 
   // Last: the clock. Every schedule_at_seq above validated against now()==0;
   // from here the engine is positioned exactly at the checkpoint instant.

@@ -49,7 +49,7 @@ class Network {
   /// gateway ids stay global (metrics rows, RNG forks and fault streams are
   /// keyed by them); local indices follow the slice's ascending order.
   /// `combiner` (may be null) folds the local D_max into the fleet max at
-  /// each w_u recompute. Audit assumes a whole-fleet slice.
+  /// each w_u recompute.
   Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
           std::shared_ptr<const SolarTrace> trace, FleetMaxCombiner* combiner,
           const NetworkSlice& slice);
@@ -78,21 +78,20 @@ class Network {
   }
   /// Non-null only when at least one fault source is configured.
   [[nodiscard]] const FaultPlan* fault_plan() const { return faults_.get(); }
-  /// Non-null only when the effective audit level (ScenarioConfig::audit
-  /// overlaid with BLAM_AUDIT / BLAM_AUDIT_THROW) is > 0.
+  /// This slice's auditor; non-null exactly when BLAM_AUDIT=1.
   [[nodiscard]] const Auditor* auditor() const { return audit_.get(); }
   [[nodiscard]] Energy worst_case_attempt_energy() const { return worst_attempt_energy_; }
 
   /// Serializes the slice (clock, server, gateways, gateway counters,
-  /// nodes, fault channels) at a quiescent instant — call only between
-  /// run_until calls. Throws std::runtime_error for audited runs, whose
-  /// auditor state is not serialized.
+  /// nodes, fault channels, then the auditor when there is one) at a
+  /// quiescent instant — call only between run_until calls.
   void checkpoint_state(StateWriter& w);
 
   /// Restores a checkpoint written by checkpoint_state into this freshly
   /// built slice (same ScenarioConfig and selection, not yet run): wipes
   /// the construction schedule, replays component state and pending
-  /// events, then restores the clock.
+  /// events, then restores the clock. A stream whose auditing (on/off)
+  /// differs from this slice's is refused by name.
   void restore_state(StateReader& r);
 
  private:
@@ -100,8 +99,9 @@ class Network {
   Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
           std::shared_ptr<const SolarTrace> trace);
 
-  /// Throws if any configured feature is outside the checkpoint's coverage.
-  void assert_checkpointable() const;
+  /// The slice node with global id `id`; std::runtime_error if it is not
+  /// in this slice.
+  [[nodiscard]] Node& node_by_id(std::uint32_t id) const;
 
   // blam-ckpt: skip -- construction input; restore_state requires a network freshly built from the same ScenarioConfig
   ScenarioConfig config_;
@@ -118,7 +118,6 @@ class Network {
   // blam-ckpt: skip -- pure function of the scenario, rebuilt at construction
   std::unique_ptr<UtilityFunction> utility_;
   std::unique_ptr<NetworkServer> server_;
-  // blam-ckpt: skip -- observability; assert_checkpointable refuses audited runs
   std::unique_ptr<Auditor> audit_;
   std::unique_ptr<FaultPlan> faults_;
   std::vector<std::unique_ptr<Gateway>> gateways_;

@@ -1,6 +1,7 @@
 #include "net/network_server.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "audit/audit.hpp"
 #include "energy/thermal.hpp"
@@ -21,7 +22,9 @@ NetworkServer::NetworkServer(Simulator& sim, const DegradationModel& model,
       sim, dissemination_period, dissemination_period, [this] { recompute(); });
 }
 
-void NetworkServer::enable_adr() { adr_.emplace(AdrController::Config{}); }
+void NetworkServer::enable_adr(std::vector<std::uint32_t> node_ids) {
+  adr_.emplace(AdrController::Config{}, std::move(node_ids));
+}
 
 void NetworkServer::enable_adaptive_theta(const ThetaController::Config& config) {
   theta_.emplace(config);
@@ -358,7 +361,7 @@ void NetworkServer::recompute() {
   service_.recompute(sim_.now());
   ++recomputes_;
   if (audit_ != nullptr && truth_probe_ && faults_ == nullptr) {
-    // Feedback-consistency audit (level 1+, observe-only): on a fault-free
+    // Feedback-consistency audit (observe-only): on a fault-free
     // run the ledger's per-node estimate must stay close to the node's own
     // tracker. With any fault plan active, divergence is injected behavior,
     // not a bug — the check stays off.

@@ -39,9 +39,9 @@ class NetworkServer {
   /// kInsulatedBatteryC, the paper's insulated setting.
   NetworkServer(Simulator& sim, const DegradationModel& model, Time dissemination_period);
 
-  /// Enables server-side ADR at AdrController::Config's defaults (disabled
-  /// unless called).
-  void enable_adr();
+  /// Enables server-side ADR at AdrController::Config's defaults for the
+  /// slice nodes `node_ids` (ascending; disabled unless called).
+  void enable_adr(std::vector<std::uint32_t> node_ids);
 
   /// Enables the adaptive-theta network manager (disabled unless called).
   void enable_adaptive_theta(const ThetaController::Config& config);
@@ -58,7 +58,7 @@ class NetworkServer {
   /// Ground-truth probe for the feedback-consistency audit: returns the
   /// node's own tracker degradation at `at`. Checked at each recompute, and
   /// only on fault-free runs (under injected report faults the ledger is
-  /// EXPECTED to diverge).
+  /// EXPECTED to diverge). Network sets none for outdoor batteries.
   using TruthProbe = std::function<double(std::uint32_t node_id, Time at)>;
   void set_truth_probe(TruthProbe probe) { truth_probe_ = std::move(probe); }
 
@@ -159,7 +159,7 @@ class NetworkServer {
   Metrics* metrics_{nullptr};
   // blam-ckpt: skip -- wiring; fault-plan state rides in the engine slice's faults section
   const FaultPlan* faults_{nullptr};
-  // blam-ckpt: skip -- observability wiring; audited runs refuse checkpoints
+  // blam-ckpt: skip -- wiring, re-attached at construction; Network checkpoints the auditor
   Auditor* audit_{nullptr};
   /// Fault channel between PHY and ledger (engaged only when the plan has
   /// report faults; absent otherwise so fault-free runs take the direct

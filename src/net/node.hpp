@@ -247,7 +247,7 @@ class Node {
   NodeMetrics* metrics_;
   // blam-ckpt: skip -- wiring; fault-plan state rides in the engine slice's faults section
   const FaultPlan* faults_{nullptr};
-  // blam-ckpt: skip -- observability wiring; audited runs refuse checkpoints
+  // blam-ckpt: skip -- wiring, re-attached at construction; Network checkpoints the auditor
   Auditor* audit_{nullptr};
 
   // --- energy subsystem ----------------------------------------------------

@@ -48,6 +48,7 @@ void ScenarioConfig::validate() const {
   require_finite(forecast_error_sigma, "forecast_error_sigma");
   require_finite(supercap_tx_buffer, "supercap_tx_buffer");
   require_finite(stale_feedback_k, "stale_feedback_k");
+  require_finite(path_loss.shadowing_sigma_db, "path_loss.shadowing_sigma_db");
   if (n_nodes <= 0) throw std::invalid_argument{"ScenarioConfig: n_nodes must be positive"};
   if (radius_m <= 0.0) throw std::invalid_argument{"ScenarioConfig: radius_m must be positive"};
   if (n_gateways <= 0) throw std::invalid_argument{"ScenarioConfig: n_gateways must be positive"};
@@ -74,6 +75,11 @@ void ScenarioConfig::validate() const {
   }
   if (stale_feedback_k < 0.0) {
     throw std::invalid_argument{"ScenarioConfig: stale_feedback_k must be >= 0"};
+  }
+  // A negative sigma would run exactly like 0 (Link draws shadowing only
+  // for sigma > 0) under a different scenario key.
+  if (path_loss.shadowing_sigma_db < 0.0) {
+    throw std::invalid_argument{"ScenarioConfig: path_loss.shadowing_sigma_db must be >= 0"};
   }
   if (gateway_grid_pitch_m < 0.0) {
     throw std::invalid_argument{"ScenarioConfig: gateway_grid_pitch_m must be >= 0"};

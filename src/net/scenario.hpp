@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "audit/audit.hpp"
 #include "common/units.hpp"
 #include "core/utility.hpp"
 #include "degradation/model.hpp"
@@ -190,11 +189,7 @@ struct ScenarioConfig {
   /// retransmission ladder into it. Off by default.
   bool ack_failure_backoff{false};
 
-  // --- Diagnostics ---------------------------------------------------------
-  /// Runtime invariant auditor (level 0 = off). The BLAM_AUDIT and
-  /// BLAM_AUDIT_THROW environment variables override this at Network build
-  /// time; see audit/audit.hpp.
-  AuditConfig audit{};
+  // --- Ingest --------------------------------------------------------------
   /// Degradation-ledger ingestion-queue watermark: piggy-backed SoC reports
   /// are staged and processed in batches of this size (1 = drain on every
   /// report, the legacy synchronous path). Any value yields bit-identical

@@ -1,5 +1,6 @@
 #include "net/scenario_io.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -54,7 +55,9 @@ std::string describe_theta_control(const ScenarioConfig& c) {
   if (!c.adaptive_theta) return "fixed";
   const ThetaController::Config t{};
   std::ostringstream out;
-  out << "adaptive, [" << t.theta_min << ", " << t.theta_max << "] from " << t.initial;
+  // Network starts the caps at the scenario's theta, clamped into range.
+  out << "adaptive, [" << t.theta_min << ", " << t.theta_max << "] from "
+      << std::clamp(c.theta, t.theta_min, t.theta_max);
   out << " step " << t.step << ", loss " << t.loss_lower << "/" << t.loss_raise;
   out << " per " << t.window_packets << " packets";
   return out.str();
@@ -100,7 +103,7 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.downlink_channels = static_cast<int>(file.get_int("downlink_channels", c.downlink_channels));
   c.sf_assignment = sf_assignment_from_string(file.get_string("sf_assignment", "fixed"));
   c.path_loss.shadowing_sigma_db =
-      file.get_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
+      file.get_non_negative_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
   c.adr_enabled = file.get_bool("adr", c.adr_enabled);
   c.duty_cycle = file.get_positive_double("duty_cycle", c.duty_cycle);
 
@@ -163,12 +166,6 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.ack_failure_backoff = file.get_bool("ack_failure_backoff", c.ack_failure_backoff);
 
   c.adaptive_theta = file.get_bool("adaptive_theta", c.adaptive_theta);
-  c.audit.level = static_cast<int>(file.get_int("audit_level", c.audit.level));
-  if (c.audit.level < 0 || c.audit.level > 2) {
-    throw std::runtime_error{"scenario: audit_level must be 0, 1 or 2 (got " +
-                             std::to_string(c.audit.level) + ")"};
-  }
-  c.audit.throw_on_violation = file.get_bool("audit_throw", c.audit.throw_on_violation);
   const std::int64_t ingest_batch =
       file.get_int("ingest_batch", static_cast<std::int64_t>(c.ingest_batch));
   if (ingest_batch < 1) {
@@ -253,17 +250,14 @@ std::string describe_scenario(const ScenarioConfig& c) {
 
 void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
   w.put_string(c.label);
-  for (const std::uint64_t v : {c.seed, c.solar.seed, c.ingest_batch, c.audit.max_recorded}) {
-    w.put_u64(v);
-  }
-  for (const bool v : {c.adaptive_theta, c.adr_enabled, c.thermal.insulated,
-                       c.ack_failure_backoff, c.audit.throw_on_violation}) {
+  for (const std::uint64_t v : {c.seed, c.solar.seed, c.ingest_batch}) w.put_u64(v);
+  for (const bool v :
+       {c.adaptive_theta, c.adr_enabled, c.thermal.insulated, c.ack_failure_backoff}) {
     w.put_u64(v ? 1 : 0);
   }
-  for (const int v :
-       {c.n_nodes, c.n_gateways, c.shards, c.uplink_channels, c.downlink_channels, c.audit.level,
-        c.audit.sample_every, static_cast<int>(c.policy), static_cast<int>(c.utility),
-        static_cast<int>(c.sf_assignment)}) {
+  for (const int v : {c.n_nodes, c.n_gateways, c.shards, c.uplink_channels, c.downlink_channels,
+                      static_cast<int>(c.policy), static_cast<int>(c.utility),
+                      static_cast<int>(c.sf_assignment)}) {
     w.put_i64(v);
   }
   for (const Time t :
@@ -282,8 +276,7 @@ void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
         c.faults.outage_random_per_day, c.faults.ack_loss_good, c.faults.ack_loss_bad,
         c.faults.crash_per_year, c.faults.report_loss, c.faults.report_dup, c.faults.report_reorder,
         c.faults.report_corrupt, c.faults.report_truncate, c.faults.drought_scale,
-        c.stale_feedback_k, c.audit.rel_tolerance, c.audit.abs_tolerance_j, c.audit.soc_tolerance,
-        c.audit.feedback_rel_tolerance, c.audit.feedback_abs_tolerance}) {
+        c.stale_feedback_k}) {
     w.put_double(v);
   }
 }

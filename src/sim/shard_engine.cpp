@@ -11,7 +11,6 @@
 #include <sstream>
 #include <utility>
 
-#include "audit/audit.hpp"
 #include "common/env_number.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/campaign.hpp"
@@ -66,16 +65,6 @@ void uf_unite(std::vector<int>& parent, int a, int b) {
   }
 }
 
-/// Why a configuration must run as one slice whatever its collision
-/// domains; empty when it may split.
-std::string single_slice_reason(const ScenarioConfig& config, int requested) {
-  if (requested <= 1) return "shards <= 1 requested";
-  if (audit_config_from_env(config.audit).level > 0) {
-    return "audit enabled (global event-order hooks)";
-  }
-  return {};
-}
-
 }  // namespace
 
 ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deployment,
@@ -86,8 +75,10 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
   // One slice owns everything until the collision domains say otherwise.
   plan.shard_of_gateway.assign(n_gateways, 0);
   plan.shard_of_node.assign(deployment.nodes.size(), 0);
-  plan.serial_reason = single_slice_reason(config, requested);
-  if (!plan.serial_reason.empty()) return plan;
+  if (requested <= 1) {
+    plan.serial_reason = "shards <= 1 requested";
+    return plan;
+  }
 
   // Collision domains: union-find over gateways, folding every pair some
   // node reaches above the audibility floor. Those gateways share
@@ -484,7 +475,14 @@ std::shared_ptr<const SolarTrace> ShardedNetwork::share_trace() const {
   return slices_.front()->share_trace();
 }
 
-const Auditor* ShardedNetwork::auditor() const { return slices_.front()->auditor(); }
+std::optional<AuditReport> ShardedNetwork::audit_report() const {
+  std::vector<const Auditor*> audits;
+  for (const auto& slice : slices_) {
+    if (slice->auditor() != nullptr) audits.push_back(slice->auditor());
+  }
+  if (audits.empty()) return std::nullopt;
+  return merge_audits(audits);
+}
 
 std::uint64_t ShardedNetwork::events_executed() const {
   std::uint64_t total = 0;

@@ -30,11 +30,13 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "common/units.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/network.hpp"
@@ -66,13 +68,13 @@ struct ShardPlan {
 };
 
 /// Plans the shard decomposition. It only picks a slice count: one slice
-/// when requested <= 1, audit is enabled (global event-order hooks), or the
-/// deployment is a single collision domain. Audit therefore only ever runs
-/// on a whole-fleet slice. ADR shards: it never raises a node above
+/// when requested <= 1 or the deployment is a single collision domain.
+/// Every feature splits. Audit: each slice's auditor checks its own nodes
+/// and its own event queue. ADR: it never raises a node above
 /// kDeviceTxPowerDbm, the power the domains are cut at, and its SNR
-/// history is per node. Fault injection shards too: every slice rebuilds
-/// the full FaultPlan from the same 0xfa17 fork, and each stream is keyed
-/// by the global gateway or node id, so a replica regenerates exactly the
+/// history is per node. Fault injection: every slice rebuilds the full
+/// FaultPlan from the same 0xfa17 fork, and each stream is keyed by the
+/// global gateway or node id, so a replica regenerates exactly the
 /// whole-fleet draws.
 [[nodiscard]] ShardPlan plan_shards(const ScenarioConfig& config,
                                     const DeploymentPlan& deployment, int requested);
@@ -201,8 +203,9 @@ class ShardedNetwork {
   [[nodiscard]] Network& slice(int index) { return *slices_.at(static_cast<std::size_t>(index)); }
   [[nodiscard]] const SolarTrace& solar_trace() const;
   [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const;
-  /// Non-null exactly when auditing is on (audited runs are one slice).
-  [[nodiscard]] const Auditor* auditor() const;
+  /// Every slice's auditor merged into one report; nullopt exactly when
+  /// auditing is off (BLAM_AUDIT unset or 0).
+  [[nodiscard]] std::optional<AuditReport> audit_report() const;
   [[nodiscard]] std::uint64_t events_executed() const;
   /// Latest disseminated w_u for a node (fleet-normalized; 0 before the
   /// first recompute). Throws std::out_of_range for ids >= n_nodes.
@@ -217,10 +220,8 @@ class ShardedNetwork {
   /// Network::checkpoint_state, in slice order) at the current cursor.
   /// Slices serialize in parallel into their own buffers, slice 0 on the
   /// calling thread; the stream is byte-identical to writing them one
-  /// after another. Call only between run_until calls. Throws
-  /// std::runtime_error for uncheckpointable configurations; a slice's
-  /// failure is rethrown here (lowest slice first) once every worker has
-  /// joined.
+  /// after another. Call only between run_until calls. A slice's failure
+  /// is rethrown here (lowest slice first) once every worker has joined.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint written by checkpoint() into this freshly built

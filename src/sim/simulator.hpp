@@ -110,7 +110,7 @@ class Simulator {
   std::uint64_t executed_{0};
   // blam-ckpt: skip -- run-loop latch; every run_until() resets it before draining events
   bool stopped_{false};
-  // blam-ckpt: skip -- observability wiring, re-attached at construction (audited runs refuse checkpoints)
+  // blam-ckpt: skip -- wiring, re-attached at construction; Network checkpoints the auditor
   Auditor* audit_{nullptr};
   // blam-ckpt: skip -- shard watchdog wiring, re-attached by the owning engine
   const std::atomic<bool>* abort_{nullptr};

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace blam {
 namespace {
 
@@ -9,7 +12,7 @@ AdrController controller(int min_history = 3) {
   AdrController::Config c;
   c.history = 10;
   c.min_history = min_history;
-  return AdrController{c};
+  return AdrController{c, {1, 2}};
 }
 
 TEST(AdrBasics, RequiredSnrMonotoneInSf) {
@@ -32,13 +35,13 @@ TEST(AdrBasics, NoiseFloor) {
 TEST(AdrController, ValidatesConfig) {
   AdrController::Config c;
   c.history = 0;
-  EXPECT_THROW(AdrController{c}, std::invalid_argument);
+  EXPECT_THROW((AdrController{c, {}}), std::invalid_argument);
   c = AdrController::Config{};
   c.min_history = c.history + 1;
-  EXPECT_THROW(AdrController{c}, std::invalid_argument);
+  EXPECT_THROW((AdrController{c, {}}), std::invalid_argument);
   c = AdrController::Config{};
   c.min_tx_power_dbm = kDeviceTxPowerDbm + 2.0;  // floor above the fixed ceiling
-  EXPECT_THROW(AdrController{c}, std::invalid_argument);
+  EXPECT_THROW((AdrController{c, {}}), std::invalid_argument);
 }
 
 TEST(AdrController, SilentUntilEnoughHistory) {
@@ -122,6 +125,28 @@ TEST(AdrController, NodesAreIndependent) {
   for (int i = 0; i < 5; ++i) adr.observe(1, 20.0);
   EXPECT_TRUE(adr.advise(1, AdrCommand{SpreadingFactor::kSF12, 14.0}).has_value());
   EXPECT_FALSE(adr.advise(2, AdrCommand{SpreadingFactor::kSF12, 14.0}).has_value());
+}
+
+TEST(AdrController, SnapshotKeepsTheNewestHistoryOldestFirst) {
+  AdrController adr = controller();  // history 10, nodes 1 and 2
+  for (int i = 0; i < 15; ++i) adr.observe(1, static_cast<double>(i));
+  const auto snap = adr.snapshot();
+  ASSERT_EQ(snap.size(), 1u);  // node 2 has no history
+  EXPECT_EQ(snap[0].node_id, 1u);
+  EXPECT_EQ(snap[0].snr_db, (std::vector<double>{5, 6, 7, 8, 9, 10, 11, 12, 13, 14}));
+  EXPECT_THROW(adr.observe(3, 0.0), std::out_of_range);
+
+  AdrController restored = controller();
+  restored.restore(snap);
+  restored.observe(1, 15.0);
+  adr.observe(1, 15.0);
+  EXPECT_EQ(restored.snapshot()[0].snr_db, adr.snapshot()[0].snr_db);
+}
+
+TEST(AdrController, RestoreRefusesForeignNodesAndOverlongHistory) {
+  AdrController adr = controller();
+  EXPECT_THROW(adr.restore({{7, {1.0}}}), std::runtime_error);
+  EXPECT_THROW(adr.restore({{1, std::vector<double>(11, 1.0)}}), std::runtime_error);
 }
 
 }  // namespace

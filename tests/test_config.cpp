@@ -198,7 +198,32 @@ TEST(ScenarioIo, RemovedAndMisspelledKeysRejectedByName) {
   expect_rejected("ambient" "_coldest_day", "15");
   expect_rejected("ambient" "_coldest_hour", "4");
   expect_rejected("cycle_aging" "_k6", "1e-4");
+  // Auditing is switched by BLAM_AUDIT / BLAM_AUDIT_THROW alone.
+  expect_rejected("audit" "_level", "2");
+  expect_rejected("audit" "_throw", "true");
   expect_rejected("fast_fadng", "true");
+}
+
+TEST(ScenarioIo, NegativeShadowingSigmaRejectedByName) {
+  try {
+    (void)scenario_from_config(ConfigFile::parse("shadowing_sigma_db = -3"));
+    FAIL() << "expected rejection";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("shadowing_sigma_db"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(scenario_from_config(ConfigFile::parse("shadowing_sigma_db = 6"))
+                .path_loss.shadowing_sigma_db,
+            6.0);
+}
+
+TEST(ScenarioIo, AdaptiveThetaEchoStartsAtTheClampedTheta) {
+  // Network starts the adaptive caps at clamp(theta, theta_min, theta_max).
+  const auto echo = [](const std::string& theta) {
+    return describe_scenario(scenario_from_config(
+        ConfigFile::parse("policy = blam\nadaptive_theta = true\ntheta = " + theta)));
+  };
+  EXPECT_NE(echo("0.8").find("[0.2, 0.9] from 0.8 "), std::string::npos) << echo("0.8");
+  EXPECT_NE(echo("0.95").find("[0.2, 0.9] from 0.9 "), std::string::npos) << echo("0.95");
 }
 
 TEST(ScenarioIo, BadEnumRejected) {
@@ -228,16 +253,6 @@ TEST(ScenarioIo, NonFiniteAndNonPositiveValuesRejectedAtParse) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("dissemination_days"), std::string::npos) << e.what();
   }
-}
-
-TEST(ScenarioIo, AuditKeysParseAndValidate) {
-  const ScenarioConfig c =
-      scenario_from_config(ConfigFile::parse("audit_level = 2\naudit_throw = true"));
-  EXPECT_EQ(c.audit.level, 2);
-  EXPECT_TRUE(c.audit.throw_on_violation);
-  EXPECT_EQ(scenario_from_config(ConfigFile::parse("")).audit.level, 0);
-  EXPECT_THROW(scenario_from_config(ConfigFile::parse("audit_level = 3")), std::runtime_error);
-  EXPECT_THROW(scenario_from_config(ConfigFile::parse("audit_level = -1")), std::runtime_error);
 }
 
 TEST(ScenarioIo, DescribeMentionsKeyFields) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "common/checksum.hpp"
 #include "common/state_codec.hpp"
+#include "env_guard.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/shard_engine.hpp"
@@ -300,27 +302,71 @@ TEST(ShardEngineCheckpoint, ParallelStreamEqualsSerialSliceWrites) {
   EXPECT_TRUE(serial.str() == parallel);
 }
 
-TEST(ShardEngineCheckpoint, RefusingSliceThrowsOnTheCaller) {
-  // An audited run refuses checkpoints; the refusal must surface from
-  // checkpoint() as the slice's exception, with every writer thread joined
-  // (a joinable thread would terminate the process), and the engine must
-  // keep running.
-  ScenarioConfig c = city(16, 4, 4);
-  c.audit.level = 1;
-  ShardedNetwork engine{c};
-  ASSERT_NE(engine.auditor(), nullptr);
-  engine.run_until(Time::from_hours(6.0));
-  std::ostringstream out;
-  try {
-    engine.checkpoint(out);
-    FAIL() << "an audited engine must refuse to checkpoint";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("auditor"), std::string::npos) << e.what();
+TEST(ShardEngineCheckpoint, AuditedFourShardRoundTripBitIdentical) {
+  // Each audited slice writes its auditor's ledger, counts and recorded
+  // violations as an `audit` section after its other sections; the resumed
+  // run's final stream, audit sections included, is the uninterrupted one.
+  const EnvGuard audit{"BLAM_AUDIT", "1"};
+  ScenarioConfig c = city(48, 4, 4);
+  add_faults(c);
+  const Time mid = Time::from_days(0.7);
+  const Time end = Time::from_days(2.0);
+
+  ShardedNetwork uninterrupted{c};
+  ASSERT_EQ(uninterrupted.plan().effective, 4);
+  uninterrupted.run_until(end);
+  const std::string expected = checkpoint_text(uninterrupted);
+  std::size_t audit_sections = 0;
+  for (std::size_t at = expected.find("\nsection audit\n"); at != std::string::npos;
+       at = expected.find("\nsection audit\n", at + 1)) {
+    ++audit_sections;
   }
-  EXPECT_THROW(engine.checkpoint(out), std::runtime_error);
-  engine.run_until(Time::from_hours(12.0));
-  engine.finalize_metrics();
-  EXPECT_GT(engine.metrics().summarize().mean_prr, 0.0);
+  EXPECT_EQ(audit_sections, 4u);
+
+  ShardedNetwork original{c};
+  original.run_until(mid);
+  std::stringstream stream;
+  original.checkpoint(stream);
+
+  ShardedNetwork resumed{c};
+  resumed.restore(stream);
+  resumed.run_until(end);
+
+  EXPECT_EQ(checkpoint_text(resumed), expected);
+  const std::optional<AuditReport> report = resumed.audit_report();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->checks_run, uninterrupted.audit_report()->checks_run);
+  EXPECT_EQ(report->violation_count, 0u);
+}
+
+TEST(ShardEngineCheckpoint, AuditMismatchRefusedByName) {
+  // A stream restores only into an engine that audits exactly when the
+  // writer did; either mismatch is refused by name.
+  const ScenarioConfig c = city(16, 4, 2);
+  const auto written = [&c](const char* audit_env) {
+    const EnvGuard audit{"BLAM_AUDIT", audit_env};
+    ShardedNetwork engine{c};
+    engine.run_until(Time::from_hours(6.0));
+    return checkpoint_text(engine);
+  };
+  const auto restore_error = [&c](const std::string& text, const char* audit_env) {
+    const EnvGuard audit{"BLAM_AUDIT", audit_env};
+    ShardedNetwork engine{c};
+    std::istringstream in{text};
+    try {
+      engine.restore(in);
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  const std::string audited = written("1");
+  const std::string plain = written("0");
+  EXPECT_EQ(restore_error(audited, "1"), "");
+  EXPECT_EQ(restore_error(plain, "0"), "");
+  for (const std::string& error : {restore_error(audited, "0"), restore_error(plain, "1")}) {
+    EXPECT_NE(error.find("differ in auditing (BLAM_AUDIT)"), std::string::npos) << error;
+  }
 }
 
 TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {

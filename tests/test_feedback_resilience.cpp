@@ -440,10 +440,7 @@ TEST(ReportFaultChannel, DeterministicAndCaughtBySimChecksum) {
 }
 
 TEST(Audit, FeedbackConsistencyFlagsOnlyInflatedLedgers) {
-  AuditConfig config;
-  config.level = 2;
-  config.throw_on_violation = false;
-  Auditor audit{config};
+  Auditor audit{{1, 2}, /*throw_on_violation=*/false};
   // Estimate below and slightly above truth (within 5% + abs): clean.
   audit.on_feedback_ledger(1, Time::from_days(1.0), 0.010, 0.012);
   audit.on_feedback_ledger(1, Time::from_days(2.0), 0.0104, 0.010);
@@ -455,9 +452,7 @@ TEST(Audit, FeedbackConsistencyFlagsOnlyInflatedLedgers) {
   ASSERT_EQ(audit.violations().size(), 1u);
   EXPECT_EQ(audit.violations()[0].invariant, AuditInvariant::kFeedbackConsistency);
 
-  AuditConfig throwing = config;
-  throwing.throw_on_violation = true;
-  Auditor strict{throwing};
+  Auditor strict{{1, 2}, /*throw_on_violation=*/true};
   EXPECT_THROW(strict.on_feedback_ledger(2, Time::zero(), 1.0, 0.5), AuditError);
 }
 

@@ -98,6 +98,21 @@ TEST(ScenarioValidation, RejectsNonFiniteFieldsNamingTheField) {
   expect_invalid([=](ScenarioConfig& c) { c.supercap_tx_buffer = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.forecast_error_sigma = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.interference_floor_dbm = -nan; });
+  expect_invalid([=](ScenarioConfig& c) { c.path_loss.shadowing_sigma_db = nan; });
+}
+
+TEST(ScenarioValidation, NegativeShadowingSigmaRejectedByName) {
+  // A negative sigma would run exactly like 0 under a different scenario key.
+  ScenarioConfig c = lorawan_scenario(10, 1);
+  c.path_loss.shadowing_sigma_db = -3.0;
+  try {
+    c.validate();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("shadowing_sigma_db"), std::string::npos) << e.what();
+  }
+  c.path_loss.shadowing_sigma_db = 0.0;
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(ScenarioValidation, WindowsForRoundsDown) {

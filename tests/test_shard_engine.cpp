@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/state_codec.hpp"
+#include "env_guard.hpp"
 #include "sim/shard_engine.hpp"
 
 namespace blam {
@@ -152,9 +154,10 @@ TEST(ShardEnginePlanner, SerialFallbackConditions) {
     EXPECT_EQ(plan.shard_of_node, std::vector<int>(16, 0));
   }
   {
+    // Nor does auditing: each slice's auditor checks its own nodes.
+    const EnvGuard audit{"BLAM_AUDIT", "1"};
     ScenarioConfig c = city(16, 4, 4);
-    c.audit.level = 1;
-    EXPECT_TRUE(plan_shards(c, plan_deployment(c, root), 4).serial);
+    EXPECT_FALSE(plan_shards(c, plan_deployment(c, root), 4).serial);
   }
   {
     // Fault injection no longer forces serial: each shard rebuilds the full
@@ -286,6 +289,48 @@ TEST(ShardEngineIdentity, AdrFourShardsBitIdenticalToSerial) {
   }
 }
 
+TEST(ShardEngineIdentity, AuditedFourShardsBitIdenticalToSerial) {
+  // Every slice audits its own nodes (the feedback-consistency probe
+  // included: the run is fault-free) and its own event queue. The audited
+  // split run reproduces the unaudited one-slice run bit for bit.
+  const ScenarioConfig c = city(48, 4, 4);
+  const Time duration = Time::from_days(2.0);
+
+  ScenarioConfig one_slice = c;
+  one_slice.shards = 1;
+  ShardedNetwork serial{one_slice};
+  ASSERT_FALSE(serial.audit_report().has_value());
+  serial.run_until(duration);
+  serial.finalize_metrics();
+
+  const EnvGuard audit{"BLAM_AUDIT", "1"};
+  ShardedNetwork sharded{c};
+  ASSERT_FALSE(sharded.serial());
+  ASSERT_EQ(sharded.plan().effective, 4);
+  sharded.run_until(Time::from_days(0.7));
+  sharded.run_until(duration);
+  sharded.finalize_metrics();
+
+  std::uint64_t checks = 0;
+  for (int s = 0; s < sharded.plan().effective; ++s) {
+    const Auditor* slice_audit = sharded.slice(s).auditor();
+    ASSERT_NE(slice_audit, nullptr) << "slice " << s;
+    EXPECT_GT(slice_audit->checks_run(), 0u) << "slice " << s;
+    checks += slice_audit->checks_run();
+  }
+  const std::optional<AuditReport> report = sharded.audit_report();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->checks_run, checks);
+  EXPECT_EQ(report->violation_count, 0u)
+      << (report->violations.empty() ? std::string{} : report->violations[0].to_string());
+
+  expect_identical(serial.metrics(), sharded.metrics(), 48);
+  EXPECT_EQ(serial.max_degradation(), sharded.max_degradation());
+  for (std::uint32_t id = 0; id < 48; ++id) {
+    EXPECT_EQ(serial.w_for(id), sharded.w_for(id)) << "node " << id;
+  }
+}
+
 TEST(ShardEngineFallback, SerialReasonSurfacesInMergedMetrics) {
   // A run that requests shards but degenerates to serial must say so in the
   // summary; a genuinely sharded run leaves the field empty.
@@ -344,34 +389,19 @@ TEST(ShardEngineIdentity, EventExactlyOnEpochBoundary) {
 TEST(ShardEngineIdentity, SerialDelegateMatchesNetworkExactly) {
   // A one-slice run is the whole-fleet Network, epoch loop and all: even
   // events_executed (which extra slices are allowed to change) must match.
-  // Every feature the planner keeps on one slice is covered, each with four
-  // shards requested on the four-domain city.
-  struct Case {
-    const char* feature;
-    void (*configure)(ScenarioConfig&);
-  };
-  const Case cases[] = {
-      {"shards <= 1", [](ScenarioConfig& c) { c.shards = 1; }},
-      {"audit", [](ScenarioConfig& c) { c.audit.level = 1; }},
-  };
+  // Only a one-slice request keeps the four-domain city on one slice.
+  const ScenarioConfig c = city(16, 4, 1);
   const Time duration = Time::from_days(1.0);
-  for (const Case& tc : cases) {
-    SCOPED_TRACE(tc.feature);
-    ScenarioConfig c = city(16, 4, 4);
-    tc.configure(c);
-    Network plain{c};
-    plain.run_until(duration);
-    plain.finalize_metrics();
-    ShardedNetwork wrapped{c};
-    ASSERT_TRUE(wrapped.serial());
-    EXPECT_NE(wrapped.plan().serial_reason.find(tc.feature), std::string::npos)
-        << wrapped.plan().serial_reason;
-    EXPECT_EQ(wrapped.auditor() != nullptr, c.audit.level > 0);
-    wrapped.run_until(duration);
-    wrapped.finalize_metrics();
-    expect_identical(plain.metrics(), wrapped.metrics(), 16);
-    EXPECT_EQ(plain.simulator().events_executed(), wrapped.events_executed());
-  }
+  Network plain{c};
+  plain.run_until(duration);
+  plain.finalize_metrics();
+  ShardedNetwork wrapped{c};
+  ASSERT_TRUE(wrapped.serial());
+  EXPECT_EQ(wrapped.plan().serial_reason, "shards <= 1 requested");
+  wrapped.run_until(duration);
+  wrapped.finalize_metrics();
+  expect_identical(plain.metrics(), wrapped.metrics(), 16);
+  EXPECT_EQ(plain.simulator().events_executed(), wrapped.events_executed());
 }
 
 TEST(ShardEngineIdentity, UnknownNodeWForThrowsAtEveryShardCount) {

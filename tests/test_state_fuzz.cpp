@@ -1,6 +1,7 @@
-// Seeded mutation fuzzing of the one state reader. Three real streams are
+// Seeded mutation fuzzing of the one state reader. Four real streams are
 // damaged over and over: a faulted two-slice engine checkpoint ("blamsim"
-// magic line plus every component's sections), a standalone gateway ledger
+// magic line plus every component's sections), the same engine audited
+// (each slice ending in an `audit` section), a standalone gateway ledger
 // section, and a scenario grid's `experiment` journal payload. Every mutant
 // must either restore or end in a named std::runtime_error; any other
 // exception fails the test, and a crash or a sanitizer report fails the run
@@ -36,6 +37,7 @@
 #include "common/rng.hpp"
 #include "common/state_codec.hpp"
 #include "core/degradation_service.hpp"
+#include "env_guard.hpp"
 #include "net/experiment.hpp"
 #include "sim/shard_engine.hpp"
 #include "state_stream_edit.hpp"
@@ -403,6 +405,38 @@ TEST(StateFuzz, EngineStreamMutantsRestoreOrNameTheirError) {
   for (const char* check :
        {"state codec: checksum mismatch", "restore: checkpoint", "Node::restore_state:",
         "Gateway::restore_state:", "ledger checkpoint:"}) {
+    EXPECT_GT(count_errors(tally, check), 0) << check;
+  }
+}
+
+TEST(StateFuzz, AuditedEngineStreamMutantsRestoreOrNameTheirError) {
+  // The same city audited: every slice's stream ends in an `audit` section
+  // (ledger rows, counts, recorded violations) that damage must reach too.
+  const EnvGuard audit{"BLAM_AUDIT", "1"};
+  const ScenarioConfig c = fuzz_city();
+  const auto trace = build_shared_trace(c);
+
+  std::string original;
+  {
+    ShardedNetwork engine{c, trace};
+    ASSERT_EQ(engine.plan().effective, 2);
+    run_to_fuzz_instant(engine);
+    original = checkpoint_text(engine);
+  }
+  ASSERT_NE(original.find("\nsection audit\n"), std::string::npos);
+  const auto restore = [&](const std::string& text) {
+    std::istringstream in{text};
+    ShardedNetwork engine{c, trace};
+    engine.restore(in);
+  };
+  ASSERT_NO_THROW(restore(original));
+
+  Tally tally = fuzz(original, 3000, 20261019, restore);
+  sweep_counts(original, restore, tally);
+  EXPECT_GT(tally.restored, 0);
+  for (const char* check : {"state codec: checksum mismatch", "audit checkpoint: ledger rows",
+                            "audit checkpoint: more violations",
+                            "restore: checkpoint and this run differ in auditing"}) {
     EXPECT_GT(count_errors(tally, check), 0) << check;
   }
 }

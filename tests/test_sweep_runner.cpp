@@ -17,7 +17,6 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "env_guard.hpp"
 #include "net/experiment.hpp"
 #include "net/scenario_io.hpp"
 #include "sim/shard_engine.hpp"
@@ -32,25 +32,6 @@
 
 namespace blam {
 namespace {
-
-// RAII guard so BLAM_JOBS manipulation cannot leak into other tests.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_{name} {
-    if (const char* v = std::getenv(name)) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 TEST(SweepRunnerTest, ResolveJobsPrefersExplicitThenEnvThenHardware) {
   const EnvGuard guard{"BLAM_JOBS"};
