@@ -1,6 +1,6 @@
 // Crash-tolerant engine bench + CI kill-resume harness.
 //
-// Default (no arguments): measures the "blamsim v3" checkpoint pipeline on a
+// Default (no arguments): measures the "blamsim v4" checkpoint pipeline on a
 // faulted 4-shard deployment — write time, stream size, restore time — then
 // kills the run at mid-epoch, resumes a fresh engine from the checkpoint,
 // and verifies the resumed run's FINAL checkpoint stream is byte-identical

@@ -81,7 +81,8 @@ int main() {
     return sum;
   };
 
-  const double var_lorawan = variance_of(lorawan, [](const NodeMetrics& m) { return m.degradation; });
+  const double var_lorawan =
+      variance_of(lorawan, [](const NodeMetrics& m) { return m.degradation; });
   const double var_h100 = variance_of(h100, [](const NodeMetrics& m) { return m.degradation; });
   const double cyc_lorawan = sum_of(lorawan, [](const NodeMetrics& m) { return m.cycle_linear; });
   const double cyc_h100 = sum_of(h100, [](const NodeMetrics& m) { return m.cycle_linear; });

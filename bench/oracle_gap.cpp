@@ -13,7 +13,6 @@
 #include "common/csv.hpp"
 #include "core/window_selector.hpp"
 #include "energy/solar.hpp"
-#include "forecast/solar_forecaster.hpp"
 #include "lora/airtime.hpp"
 #include "oracle/tdma_scheduler.hpp"
 

@@ -7,8 +7,9 @@
 //   * CPU: wall time of one per-period MAC decision (forecast 10 windows,
 //     estimate costs, run Algorithm 1) vs the baseline decision ("transmit
 //     now"), plus the per-ACK estimator updates;
-//   * memory: bytes of protocol state a node must keep (estimators,
-//     forecaster, selection scratch) for BLAM vs LoRaWAN.
+//   * memory: bytes of protocol state a node must keep (estimators and
+//     selection scratch; the forecast reads the node's own harvester) for
+//     BLAM vs LoRaWAN.
 #include <chrono>
 #include <cstdio>
 #include <numeric>
@@ -19,7 +20,6 @@
 #include "core/window_selector.hpp"
 #include "forecast/ewma.hpp"
 #include "forecast/retx_estimator.hpp"
-#include "forecast/solar_forecaster.hpp"
 #include "lora/airtime.hpp"
 #include "mac/blam_mac.hpp"
 #include "mac/lorawan_mac.hpp"
@@ -63,7 +63,6 @@ int main() {
   solar_cfg.seed = 3;
   const SolarTrace trace{solar_cfg};
   const Harvester harvester{trace, 1.0};
-  SolarForecaster forecaster{harvester, 0.0, Rng{5}};
   Ewma ewma{kEtxEwmaBeta};
   ewma.observe(attempt.joules());
   RetxEstimator retx{static_cast<std::size_t>(n_windows)};
@@ -90,9 +89,8 @@ int main() {
   const double ns_blam = time_ns_per_call(
       [&](int i) {
         const Time start = Time::from_minutes(static_cast<double>(i % 1440));
+        harvester.energy_windows(start, Time::from_minutes(1.0), n_windows, harvest.data());
         for (int w = 0; w < n_windows; ++w) {
-          harvest[static_cast<std::size_t>(w)] =
-              forecaster.forecast_one(start + Time::from_minutes(w), start + Time::from_minutes(w + 1));
           cost[static_cast<std::size_t>(w)] = Energy::from_joules(
               ewma.value_or(attempt.joules()) *
               retx.expected_transmissions(static_cast<std::size_t>(w)));
@@ -117,8 +115,7 @@ int main() {
   const std::size_t state_lorawan = sizeof(LorawanMac);
   const std::size_t state_blam =
       sizeof(BlamMac) + sizeof(Ewma) + sizeof(RetxEstimator) +
-      static_cast<std::size_t>(n_windows) * (sizeof(std::uint64_t) * 10 + 2 * sizeof(Energy)) +
-      sizeof(SolarForecaster);
+      static_cast<std::size_t>(n_windows) * (sizeof(std::uint64_t) * 10 + 2 * sizeof(Energy));
 
   std::printf("\n%-34s %12s %12s\n", "", "LoRaWAN", "H-x (BLAM)");
   std::printf("%-34s %12.1f %12.1f\n", "per-period decision [ns]", ns_lorawan, ns_blam);

@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
   failure_breakdown(base);
   failure_breakdown(blam);
 
-  std::printf("\ngateway (LoRaWAN): arrivals=%llu received=%llu interference=%llu half-duplex=%llu\n",
+  std::printf("\ngateway (LoRaWAN): arrivals=%llu received=%llu interference=%llu "
+              "half-duplex=%llu\n",
               static_cast<unsigned long long>(base.gateway.arrivals),
               static_cast<unsigned long long>(base.gateway.received),
               static_cast<unsigned long long>(base.gateway.lost_interference),

@@ -16,7 +16,8 @@
 
 namespace {
 
-constexpr const char* kTemplate = R"(# BLAM scenario template - every key is optional; these are the defaults.
+constexpr const char* kTemplate =
+    R"(# BLAM scenario template - every key is optional; these are the defaults.
 policy = lorawan              # lorawan | blam | theta_only | greedy_green
 theta = 1.0                   # charging cap (H-50 => policy=blam, theta=0.5)
 w_b = 1.0                     # degradation-vs-utility weight
@@ -35,7 +36,6 @@ supercap_tx_buffer = 0        # >0 enables the hybrid-storage extension
 insulated = true              # false enables the outdoor thermal model
 chemistry = lmo               # lmo | nmc | lfp battery presets
 adaptive_theta = false        # closed-loop network-manager caps
-duty_cycle = 1.0              # 0.01 = EU 1% T_off rule
 ingest_batch = 1              # gateway ledger ingest watermark (any value, same bytes)
 shards = 1                    # collision-domain shards (any count, same bytes)
 interference_floor_dbm = -500 # audibility cutoff, must be <= -142.5 (SF12 sensitivity);
@@ -46,15 +46,10 @@ cluster_radius_m = 0          # node scatter radius around the cell gateway
 # Fault injection (all off by default) + graceful-degradation knobs.
 fault_outage_daily_start_h = 0
 fault_outage_daily_duration_h = 0   # >0 = fixed daily gateway outage
-fault_outage_random_per_day = 0     # Poisson random outages
-fault_outage_min_min = 15
-fault_outage_max_min = 120
+fault_outage_random_per_day = 0     # Poisson random outages, 15 min to 2 h each
 fault_ack_loss_good = 0             # Gilbert-Elliott downlink ACK loss
-fault_ack_loss_bad = 0
-fault_ack_good_mean_min = 240
-fault_ack_bad_mean_min = 10
-fault_crash_per_year = 0            # node crash/reboot (wipes estimators)
-fault_reboot_duration_min = 10
+fault_ack_loss_bad = 0              # (mean sojourns 4 h good / 10 min bad)
+fault_crash_per_year = 0            # node crash + 10 min reboot (wipes estimators)
 fault_drought_start_days = 0        # solar drought interval
 fault_drought_duration_days = 0
 fault_drought_scale = 1

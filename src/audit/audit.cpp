@@ -42,8 +42,6 @@ const char* audit_invariant_name(AuditInvariant invariant) {
       return "fade-monotonic";
     case AuditInvariant::kEventMonotonic:
       return "event-monotonic";
-    case AuditInvariant::kDutyCycle:
-      return "duty-cycle";
     case AuditInvariant::kSequence:
       return "sequence";
     case AuditInvariant::kFeedbackRange:
@@ -212,25 +210,6 @@ void Auditor::on_event_pop(Time now, Time event_time) {
   }
 }
 
-void Auditor::on_transmission(std::uint32_t node, Time start, Time airtime, double max_duty) {
-  NodeLedger& led = ledger(node);
-  ++checks_run_;
-  if (airtime < Time::zero()) {
-    report(AuditInvariant::kDutyCycle, start, node, airtime.seconds(), 0.0, "negative airtime");
-    return;
-  }
-  if (max_duty < 1.0) {
-    if (start < led.duty_next_allowed) {
-      report(AuditInvariant::kDutyCycle, start, node, start.seconds(),
-             led.duty_next_allowed.seconds(), "transmission inside the regulatory T_off window");
-    }
-    // Same arithmetic as DutyCycleLimiter::record, tracked independently.
-    const Time off = airtime * (1.0 / max_duty - 1.0);
-    const Time candidate = start + airtime + off;
-    if (candidate > led.duty_next_allowed) led.duty_next_allowed = candidate;
-  }
-}
-
 void Auditor::on_ack(std::uint32_t node, Time at, std::uint32_t ack_node, std::uint32_t ack_seq,
                      std::uint32_t highest_seq, bool has_w, double w) {
   ++checks_run_;
@@ -280,7 +259,6 @@ void Auditor::checkpoint_state(StateWriter& w) const {
     w.put_u64(led.seen_soc ? 1 : 0);
     w.put_double(led.last_soc);
     w.put_double(led.last_degradation);
-    write_time(w, led.duty_next_allowed);
   }
   w.put_u64(violations_.size());
   for (const AuditViolation& v : violations_) {
@@ -308,7 +286,6 @@ void Auditor::restore_state(StateReader& r) {
     led.seen_soc = r.get_u64() != 0;
     led.last_soc = r.get_double();
     led.last_degradation = r.get_double();
-    led.duty_next_allowed = read_time(r);
   }
   // A forged count runs into the section trailer, never into the allocator.
   violations_.clear();

@@ -46,8 +46,6 @@ enum class AuditInvariant {
   kFadeMonotonic,
   /// The event queue never pops a timestamp behind the simulation clock.
   kEventMonotonic,
-  /// Transmissions respect the regulatory duty-cycle T_off rule.
-  kDutyCycle,
   /// ACKs name the node and an uplink sequence number it actually sent; the
   /// server accepts per-node sequence numbers strictly monotonically.
   kSequence,
@@ -136,11 +134,6 @@ class Auditor {
   /// Event-queue pop: `event_time` must not precede the clock `now`.
   void on_event_pop(Time now, Time event_time);
 
-  /// A transmission started at `start` occupying `airtime`; replays the
-  /// ETSI T_off rule (`off = airtime * (1/duty - 1)`) independently of
-  /// DutyCycleLimiter. `max_duty` = 1 disables the check.
-  void on_transmission(std::uint32_t node, Time start, Time airtime, double max_duty);
-
   /// Node accepted an ACK; `highest_seq` is the highest uplink sequence the
   /// node has generated so far.
   void on_ack(std::uint32_t node, Time at, std::uint32_t ack_node, std::uint32_t ack_seq,
@@ -184,7 +177,6 @@ class Auditor {
     bool seen_soc{false};
     double last_soc{-1.0};
     double last_degradation{0.0};
-    Time duty_next_allowed{Time::zero()};
   };
 
   [[nodiscard]] NodeLedger& ledger(std::uint32_t node);

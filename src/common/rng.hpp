@@ -37,9 +37,6 @@ inline constexpr std::uint64_t kFaultPlan = 0xfa17;
 /// Per-node streams are `fork(kNodeStreamBase + node index)`.
 inline constexpr std::uint64_t kNodeStreamBase = 0x0de;
 
-// Forks of the per-node stream.
-inline constexpr std::uint64_t kForecaster = 0x5eca57;
-
 // Forks of the fault-plan stream (one per fault source, so the sources stay
 // independent and adding one never shifts another's draws).
 inline constexpr std::uint64_t kOutage = 0x007a6e;

@@ -102,8 +102,12 @@ class Energy {
     j_ -= rhs.j_;
     return *this;
   }
-  [[nodiscard]] friend constexpr Energy operator+(Energy a, Energy b) { return Energy{a.j_ + b.j_}; }
-  [[nodiscard]] friend constexpr Energy operator-(Energy a, Energy b) { return Energy{a.j_ - b.j_}; }
+  [[nodiscard]] friend constexpr Energy operator+(Energy a, Energy b) {
+    return Energy{a.j_ + b.j_};
+  }
+  [[nodiscard]] friend constexpr Energy operator-(Energy a, Energy b) {
+    return Energy{a.j_ - b.j_};
+  }
   [[nodiscard]] friend constexpr Energy operator*(Energy a, double k) { return Energy{a.j_ * k}; }
   [[nodiscard]] friend constexpr Energy operator*(double k, Energy a) { return Energy{a.j_ * k}; }
   [[nodiscard]] friend constexpr Energy operator/(Energy a, double k) { return Energy{a.j_ / k}; }

@@ -31,20 +31,6 @@ template <typename T>
 
 }  // namespace
 
-const char* ledger_health_name(LedgerHealth health) {
-  switch (health) {
-    case LedgerHealth::kHealthy:
-      return "healthy";
-    case LedgerHealth::kGapped:
-      return "gapped";
-    case LedgerHealth::kQuarantined:
-      return "quarantined";
-    case LedgerHealth::kRecovered:
-      return "recovered";
-  }
-  return "?";
-}
-
 std::uint8_t report_checksum(std::uint16_t report_seq, std::span<const SocSample> samples) {
   // Canonical little-endian image: seq(2) then per sample t.us()(8) + the
   // SoC double's bit pattern(8). Bit patterns (not value comparisons) so a

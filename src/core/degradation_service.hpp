@@ -82,8 +82,6 @@ enum class LedgerHealth : std::uint8_t {
   kRecovered = 3,
 };
 
-[[nodiscard]] const char* ledger_health_name(LedgerHealth health);
-
 /// Structured counters over every ingest decision (aggregated across
 /// nodes; all zero on a clean in-order stream).
 struct LedgerCounters {

@@ -76,7 +76,8 @@ WindowSelection WindowSelector::select(const WindowSelectorInput& input, Workspa
   ws.available.resize(gamma.size());
   Energy carried = std::min(input.battery, input.storage_cap);
   for (int t = 0; t < n; ++t) {
-    ws.available[static_cast<std::size_t>(t)] = carried + input.harvest[static_cast<std::size_t>(t)];
+    ws.available[static_cast<std::size_t>(t)] =
+        carried + input.harvest[static_cast<std::size_t>(t)];
     carried = std::min(ws.available[static_cast<std::size_t>(t)], input.storage_cap);
   }
 

@@ -14,7 +14,8 @@ DegradationTracker::DegradationTracker(const DegradationModel& model, double tem
       rainflow_{[this](const RainflowCycle& cycle) {
         // Inline cycle_aging_term with the cached temperature stress: this
         // fires for every closed cycle on the simulation hot path.
-        closed_cycle_sum_ += cycle.weight * cycle.range * cycle.mean * model_->params().k6 * temp_stress_;
+        closed_cycle_sum_ +=
+            cycle.weight * cycle.range * cycle.mean * model_->params().k6 * temp_stress_;
       }} {}
 
 void DegradationTracker::advance_stress_integral(Time t) {

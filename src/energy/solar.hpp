@@ -68,7 +68,9 @@ class SolarTrace {
   /// Requires window > 0 and room for n results in `out`.
   void energy_windows(Time start, Time window, int n, Energy* out) const;
 
-  [[nodiscard]] Time period() const { return Time::from_minutes(static_cast<double>(watts_.size())); }
+  [[nodiscard]] Time period() const {
+    return Time::from_minutes(static_cast<double>(watts_.size()));
+  }
   [[nodiscard]] std::size_t samples() const { return watts_.size(); }
   /// Largest per-minute sample; cached at construction (the trace is
   /// immutable, and setup code queries this per node).

@@ -8,7 +8,9 @@ namespace blam {
 
 Supercap::Supercap(Energy capacity, double charge_efficiency, double leak_per_day)
     : capacity_{capacity}, efficiency_{charge_efficiency}, leak_per_day_{leak_per_day} {
-  if (capacity <= Energy::zero()) throw std::invalid_argument{"Supercap: capacity must be positive"};
+  if (capacity <= Energy::zero()) {
+    throw std::invalid_argument{"Supercap: capacity must be positive"};
+  }
   if (charge_efficiency <= 0.0 || charge_efficiency > 1.0) {
     throw std::invalid_argument{"Supercap: efficiency must be in (0,1]"};
   }

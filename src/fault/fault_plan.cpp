@@ -5,6 +5,26 @@
 
 namespace blam {
 
+namespace {
+
+// A random outage lasts Uniform[kOutageRandomMin, kOutageRandomMax].
+constexpr Time kOutageRandomMin = Time::from_minutes(15.0);
+constexpr Time kOutageRandomMax = Time::from_hours(2.0);
+// Mean sojourns of the downlink ACK chain in its good and bad states.
+constexpr Time kAckGoodMean = Time::from_hours(4.0);
+constexpr Time kAckBadMean = Time::from_minutes(10.0);
+
+GilbertElliott::Params ack_channel_params(const FaultPlanConfig& config) {
+  GilbertElliott::Params params;
+  params.loss_good = config.ack_loss_good;
+  params.loss_bad = config.ack_loss_bad;
+  params.good_mean = kAckGoodMean;
+  params.bad_mean = kAckBadMean;
+  return params;
+}
+
+}  // namespace
+
 bool FaultPlanConfig::outages_enabled() const {
   return outage_daily_duration > Time::zero() || outage_random_per_day > 0.0;
 }
@@ -39,21 +59,11 @@ void FaultPlanConfig::validate() const {
   if (outage_random_per_day < 0.0) {
     throw std::invalid_argument{"FaultPlanConfig: outage_random_per_day must be >= 0"};
   }
-  if (outage_random_per_day > 0.0 &&
-      (outage_random_min <= Time::zero() || outage_random_min > outage_random_max)) {
-    throw std::invalid_argument{"FaultPlanConfig: invalid random outage duration range"};
-  }
   if (ack_loss_good < 0.0 || ack_loss_good > 1.0 || ack_loss_bad < 0.0 || ack_loss_bad > 1.0) {
     throw std::invalid_argument{"FaultPlanConfig: ack loss probabilities in [0,1]"};
   }
-  if (ack_loss_enabled() && (ack_good_mean <= Time::zero() || ack_bad_mean <= Time::zero())) {
-    throw std::invalid_argument{"FaultPlanConfig: ack channel sojourn means must be positive"};
-  }
   if (crash_per_year < 0.0) {
     throw std::invalid_argument{"FaultPlanConfig: crash_per_year must be >= 0"};
-  }
-  if (crashes_enabled() && reboot_duration <= Time::zero()) {
-    throw std::invalid_argument{"FaultPlanConfig: reboot_duration must be positive"};
   }
   if (drought_start < Time::zero() || drought_duration < Time::zero()) {
     throw std::invalid_argument{"FaultPlanConfig: drought interval must be non-negative"};
@@ -114,8 +124,8 @@ void FaultPlan::ensure_outages(Time t) const {
       random_seeded_ = true;
     }
     while (next_random_start_ < target) {
-      const Time duration = Time::from_us(outage_rng_.uniform_int(
-          config_.outage_random_min.us(), config_.outage_random_max.us()));
+      const Time duration =
+          Time::from_us(outage_rng_.uniform_int(kOutageRandomMin.us(), kOutageRandomMax.us()));
       fresh.push_back({next_random_start_, next_random_start_ + duration});
       next_random_start_ += Time::from_seconds(outage_rng_.exponential(mean_gap_s));
     }
@@ -180,17 +190,13 @@ bool FaultPlan::downlink_lost(int gateway_id, Time t) {
   if (!config_.ack_loss_enabled()) return false;
   auto it = ack_channels_.find(gateway_id);
   if (it == ack_channels_.end()) {
-    GilbertElliott::Params params;
-    params.loss_good = config_.ack_loss_good;
-    params.loss_bad = config_.ack_loss_bad;
-    params.good_mean = config_.ack_good_mean;
-    params.bad_mean = config_.ack_bad_mean;
     // The chain's stream depends only on the gateway id, so creation order
     // (and therefore traffic order) cannot change its realization.
     it = ack_channels_
              .emplace(gateway_id,
-                      GilbertElliott{params, base_.fork(salt::kAckChannel +
-                                                        static_cast<std::uint64_t>(gateway_id))})
+                      GilbertElliott{ack_channel_params(config_),
+                                     base_.fork(salt::kAckChannel +
+                                                static_cast<std::uint64_t>(gateway_id))})
              .first;
   }
   return it->second.lost(t);
@@ -208,11 +214,7 @@ std::vector<std::pair<int, GilbertElliott::State>> FaultPlan::channel_states() c
 void FaultPlan::restore_channel_states(
     const std::vector<std::pair<int, GilbertElliott::State>>& states) {
   ack_channels_.clear();
-  GilbertElliott::Params params;
-  params.loss_good = config_.ack_loss_good;
-  params.loss_bad = config_.ack_loss_bad;
-  params.good_mean = config_.ack_good_mean;
-  params.bad_mean = config_.ack_bad_mean;
+  const GilbertElliott::Params params = ack_channel_params(config_);
   for (const auto& [gateway_id, state] : states) {
     auto it = ack_channels_
                   .emplace(gateway_id,

@@ -38,26 +38,21 @@ struct FaultPlanConfig {
   Time outage_daily_start{Time::zero()};
   Time outage_daily_duration{Time::zero()};
   /// Random outages: Poisson arrivals at this expected rate per day, each
-  /// lasting Uniform[outage_random_min, outage_random_max]. Zero disables.
+  /// lasting 15 min to 2 h (uniform). Zero disables.
   double outage_random_per_day{0.0};
-  Time outage_random_min{Time::from_minutes(15.0)};
-  Time outage_random_max{Time::from_hours(2.0)};
 
   // --- (b) downlink ACK-loss bursts (Gilbert-Elliott) --------------------
-  /// Per-ACK loss probability in the good / bad channel state. Both zero
-  /// disables the channel entirely (no chain is created, no draws consumed).
+  /// Per-ACK loss probability in the good / bad channel state (mean
+  /// sojourns 4 h / 10 min). Both zero disables the channel entirely (no
+  /// chain is created, no draws consumed).
   double ack_loss_good{0.0};
   double ack_loss_bad{0.0};
-  /// Mean sojourn in each state (exponential).
-  Time ack_good_mean{Time::from_hours(4.0)};
-  Time ack_bad_mean{Time::from_minutes(10.0)};
 
   // --- (c) node crash / reboot -------------------------------------------
   /// Expected crashes per node per year (Poisson). A crash wipes the node's
   /// volatile estimator state (EWMA, retransmission histogram, w_u) and the
-  /// node stays dark for reboot_duration. Zero disables.
+  /// node stays dark for 10 min while it reboots. Zero disables.
   double crash_per_year{0.0};
-  Time reboot_duration{Time::from_minutes(10.0)};
 
   // --- (e) SoC-report channel faults -------------------------------------
   /// Per-report probabilities of the feedback-pipe faults applied to each

@@ -24,7 +24,8 @@ double packet_symbols(const TxParams& params) {
   const double numerator = 8.0 * params.payload_bytes - 4.0 * sf + 28.0 + 16.0 * crc - 20.0 * ih;
   const double denominator = 4.0 * (sf - 2 * de);
   const double coded_groups = std::max(std::ceil(numerator / denominator), 0.0);
-  const double payload_symbols = 8.0 + coded_groups * (static_cast<double>(static_cast<int>(params.cr)) + 4.0);
+  const double payload_symbols =
+      8.0 + coded_groups * (static_cast<double>(static_cast<int>(params.cr)) + 4.0);
   return static_cast<double>(params.preamble_symbols) + 4.25 + payload_symbols;
 }
 

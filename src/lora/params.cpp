@@ -43,7 +43,8 @@ Power RadioEnergyModel::tx_power(double tx_power_dbm) const {
     double dbm;
     double amps;
   };
-  static constexpr std::array<Point, 4> kPoints{{{7.0, 0.020}, {13.0, 0.029}, {17.0, 0.090}, {20.0, 0.120}}};
+  static constexpr std::array<Point, 4> kPoints{
+      {{7.0, 0.020}, {13.0, 0.029}, {17.0, 0.090}, {20.0, 0.120}}};
 
   double amps;
   if (tx_power_dbm <= kPoints.front().dbm) {

@@ -15,7 +15,14 @@
 namespace blam {
 
 /// LoRa spreading factor; SF7..SF12 per the LoRa specification.
-enum class SpreadingFactor : std::uint8_t { kSF7 = 7, kSF8 = 8, kSF9 = 9, kSF10 = 10, kSF11 = 11, kSF12 = 12 };
+enum class SpreadingFactor : std::uint8_t {
+  kSF7 = 7,
+  kSF8 = 8,
+  kSF9 = 9,
+  kSF10 = 10,
+  kSF11 = 11,
+  kSF12 = 12
+};
 
 [[nodiscard]] constexpr int sf_value(SpreadingFactor sf) { return static_cast<int>(sf); }
 [[nodiscard]] constexpr std::size_t sf_index(SpreadingFactor sf) {

@@ -18,7 +18,9 @@ double required_snr_db(SpreadingFactor sf) {
 }
 
 double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) {
-  if (bandwidth_hz <= 0.0) throw std::invalid_argument{"noise_floor_dbm: bandwidth must be positive"};
+  if (bandwidth_hz <= 0.0) {
+    throw std::invalid_argument{"noise_floor_dbm: bandwidth must be positive"};
+  }
   return -174.0 + 10.0 * std::log10(bandwidth_hz) + noise_figure_db;
 }
 

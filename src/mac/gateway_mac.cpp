@@ -31,7 +31,8 @@ std::optional<AckPlan> AckPlanner::plan(Time uplink_end, SpreadingFactor uplink_
   }
   // RX2: fixed robust parameters.
   {
-    const TxParams params = ack_params(plan_.rx2_spreading_factor(), plan_.rx2_bandwidth_hz(), ack_bytes);
+    const TxParams params =
+        ack_params(plan_.rx2_spreading_factor(), plan_.rx2_bandwidth_hz(), ack_bytes);
     const Time start = uplink_end + kRx2Delay;
     const Time end = start + timing_.time_on_air(params);
     if (!conflicts(start, end)) {
@@ -69,7 +70,8 @@ void AckPlanner::prune(Time now) {
   // Reclaim the dead prefix once it dominates the buffer; erase shifts the
   // live tail within the existing capacity, so no reallocation happens.
   if (head_ >= 64 && head_ * 2 >= reservations_.size()) {
-    reservations_.erase(reservations_.begin(), reservations_.begin() + static_cast<std::ptrdiff_t>(head_));
+    reservations_.erase(reservations_.begin(),
+                        reservations_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
 }

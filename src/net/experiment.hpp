@@ -32,9 +32,9 @@ struct ExperimentResult {
 /// makes the run cancellable: the simulation advances in slices and throws
 /// CellTimeout between them once the token's deadline passed — slicing run_until is
 /// bit-identical to a single call.
-[[nodiscard]] ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
-                                            std::shared_ptr<const SolarTrace> shared_trace = nullptr,
-                                            const CellToken* token = nullptr);
+[[nodiscard]] ExperimentResult run_scenario(
+    const ScenarioConfig& config, Time duration,
+    std::shared_ptr<const SolarTrace> shared_trace = nullptr, const CellToken* token = nullptr);
 
 struct LifespanResult {
   std::string label;

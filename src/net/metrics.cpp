@@ -25,7 +25,7 @@ void NodeMetrics::count_window(int window) {
 
 void write_node_metrics(StateWriter& w, const NodeMetrics& m) {
   for (const std::uint64_t count : {m.generated, m.delivered, m.exhausted, m.policy_drops,
-                                    m.brownouts, m.duty_defers, m.tx_attempts, m.retx}) {
+                                    m.brownouts, m.tx_attempts, m.retx}) {
     w.put_u64(count);
   }
   write_energy(w, m.tx_energy);
@@ -42,7 +42,7 @@ void write_node_metrics(StateWriter& w, const NodeMetrics& m) {
 
 void read_node_metrics(StateReader& r, NodeMetrics& m) {
   for (std::uint64_t* count : {&m.generated, &m.delivered, &m.exhausted, &m.policy_drops,
-                               &m.brownouts, &m.duty_defers, &m.tx_attempts, &m.retx}) {
+                               &m.brownouts, &m.tx_attempts, &m.retx}) {
     *count = r.get_u64();
   }
   m.tx_energy = read_energy(r);

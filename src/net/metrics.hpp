@@ -30,7 +30,8 @@ struct NodeMetrics {
   /// Packets abandoned because the battery + harvest could not fund a
   /// transmission at the scheduled time.
   std::uint64_t brownouts{0};
-  /// Attempts deferred by the regulatory duty-cycle limiter.
+  /// Always 0: nothing defers an attempt.
+  // blam-ckpt: skip -- always 0; kept only because perfbench's fleet digest reads it
   std::uint64_t duty_defers{0};
   /// Transmissions on air (first attempts + retransmissions).
   std::uint64_t tx_attempts{0};

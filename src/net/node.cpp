@@ -25,6 +25,8 @@ constexpr double kInitialSoc = 0.5;
 // Uniform retransmission backoff once the RX2 window closes without an ACK.
 constexpr Time kRetxBackoffMin = Time::from_seconds(1.0);
 constexpr Time kRetxBackoffMax = Time::from_seconds(3.0);
+// How long a crashed node stays dark while it reboots.
+constexpr Time kRebootDuration = Time::from_minutes(10.0);
 // Both class-A receive windows, listened through after every transmission.
 const Energy kListenEnergy = kSx1276.rx_power() * (kRxWindowDuration * std::int64_t{2});
 
@@ -45,10 +47,8 @@ Node::Node(const Init& init, Shared& shared, const SolarTrace& trace,
       harvester_{trace, init.panel_scale},
       switch_{battery_, shared.policy->soc_cap()},
       tracker_{model, kInsulatedBatteryC},
-      forecaster_{harvester_, shared.config->forecast_error_sigma, rng.fork(salt::kForecaster)},
       etx_ewma_{kEtxEwmaBeta},
       retx_estimator_{static_cast<std::size_t>(n_windows_), kMaxTransmissions - 1},
-      duty_cycle_{shared.config->duty_cycle},
       rng_{rng} {
   const ScenarioConfig& config = *shared.config;
   tx_params_.sf = init.sf;
@@ -109,7 +109,7 @@ void Node::on_crash() {
   has_samples_ = false;
   report_seq_ = 0;  // volatile counter: its reset is the gateway's reboot signal
   last_report_packet_ = 0;
-  rebooting_until_ = now + faults_->config().reboot_duration;
+  rebooting_until_ = now + kRebootDuration;
   schedule_next_crash();
 }
 
@@ -245,7 +245,10 @@ void Node::on_period_start() {
     std::vector<Energy>& cost = shared_->scratch.cost;
     cost.clear();
     const double base_estimate = etx_ewma_.value_or(single_attempt_energy_.joules());
-    forecaster_.forecast_windows(now, window, n_windows_, harvest);
+    // The paper's on-sensor forecaster is accurate within a window, so the
+    // forecast is the harvester's own window sweep.
+    harvest.resize(static_cast<std::size_t>(n_windows_));
+    harvester_.energy_windows(now, window, n_windows_, harvest.data());
     for (int w = 0; w < n_windows_; ++w) {
       if (faults_ != nullptr) {
         // The short-horizon forecaster sees the actual sky, so a drought
@@ -330,19 +333,6 @@ void Node::start_attempt() {
   pending_.retx = EventHandle{};
   const Time now = sim().now();
 
-  // Regulatory duty cycle: defer the attempt until T_off expires. If the
-  // silence extends past the sampling period, the packet is lost to the
-  // regulator (counted as a duty defer + exhausted).
-  if (!duty_cycle_.can_transmit(now)) {
-    ++metrics_->duty_defers;
-    if (duty_cycle_.next_allowed() >= pending_.generated_at + period_) {
-      ++metrics_->exhausted;
-      abort_packet(/*record_history=*/false);
-      return;
-    }
-    pending_.retx = sim().schedule_at(duty_cycle_.next_allowed(), [this] { start_attempt(); });
-    return;
-  }
   account_to(now);
 
   const UplinkFrame& frame = build_frame();
@@ -369,8 +359,6 @@ void Node::start_attempt() {
   if (pending_.transmissions > 1) ++metrics_->retx;
   TxTimingCache& timing = shared_->scratch.timing;
   const Time toa = timing.time_on_air(params);
-  if (audit_ != nullptr) audit_->on_transmission(id_, now, toa, config().duty_cycle);
-  duty_cycle_.record(now, toa);
   const Energy radiated = timing.tx_energy(params);
   metrics_->tx_energy += radiated;
   pending_.spent += radiated;
@@ -500,7 +488,6 @@ void Node::checkpoint_state(StateWriter& w) const {
   write_rng(w, rng_.state());
   w.put_u64(crash_rng_.has_value() ? 1 : 0);
   if (crash_rng_.has_value()) write_rng(w, crash_rng_->state());
-  write_rng(w, forecaster_.rng_state());
 
   write_energy(w, battery_.stored());
   w.put_double(battery_.degradation());
@@ -517,7 +504,6 @@ void Node::checkpoint_state(StateWriter& w) const {
   for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
     write_sparse_row(w, retx_estimator_.retx_counts(t));
   }
-  write_time(w, duty_cycle_.next_allowed());
 
   write_time(w, last_account_);
   write_time(w, last_fade_update_);
@@ -572,7 +558,6 @@ void Node::restore_state(StateReader& r) {
     throw std::runtime_error{"Node::restore_state: crash-fault stream mismatch"};
   }
   if (has_crash_rng) crash_rng_->restore(read_rng(r));
-  forecaster_.restore_rng(read_rng(r));
 
   const Energy stored = read_energy(r);
   const double degradation = r.get_double();
@@ -607,7 +592,6 @@ void Node::restore_state(StateReader& r) {
                       }
                     });
   }
-  duty_cycle_.restore_next_allowed(read_time(r));
 
   last_account_ = read_time(r);
   last_fade_update_ = read_time(r);

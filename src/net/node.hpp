@@ -37,13 +37,11 @@
 #include "energy/thermal.hpp"
 #include "forecast/ewma.hpp"
 #include "forecast/retx_estimator.hpp"
-#include "forecast/solar_forecaster.hpp"
 #include "lora/airtime.hpp"
 #include "lora/channel_plan.hpp"
 #include "lora/tx_timing_cache.hpp"
 #include "lora/link.hpp"
 #include "mac/device_mac.hpp"
-#include "mac/duty_cycle.hpp"
 #include "mac/frame.hpp"
 #include "net/metrics.hpp"
 #include "net/scenario.hpp"
@@ -120,8 +118,8 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   /// Attaches the invariant auditor (nullptr = disabled): every power-switch
-  /// flow, storage loss, SoC sample, fade update, transmission and accepted
-  /// ACK is reported. Observe-only — results are bit-identical either way.
+  /// flow, storage loss, SoC sample, fade update and accepted ACK is
+  /// reported. Observe-only — results are bit-identical either way.
   /// Call before start().
   void attach_auditor(Auditor* auditor) { audit_ = auditor; }
 
@@ -256,10 +254,8 @@ class Node {
   std::optional<Supercap> supercap_;
   PowerSwitch switch_;
   DegradationTracker tracker_;
-  SolarForecaster forecaster_;
   Ewma etx_ewma_;
   RetxEstimator retx_estimator_;
-  DutyCycleLimiter duty_cycle_;
   Rng rng_;
 
   // --- running state -------------------------------------------------------

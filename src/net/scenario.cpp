@@ -44,8 +44,6 @@ void ScenarioConfig::validate() const {
   require_finite(interference_floor_dbm, "interference_floor_dbm");
   require_finite(theta, "theta");
   require_finite(w_b, "w_b");
-  require_finite(duty_cycle, "duty_cycle");
-  require_finite(forecast_error_sigma, "forecast_error_sigma");
   require_finite(supercap_tx_buffer, "supercap_tx_buffer");
   require_finite(stale_feedback_k, "stale_feedback_k");
   require_finite(path_loss.shadowing_sigma_db, "path_loss.shadowing_sigma_db");
@@ -66,9 +64,6 @@ void ScenarioConfig::validate() const {
   if (w_b < 0.0 || w_b > 1.0) throw std::invalid_argument{"ScenarioConfig: w_b in [0,1]"};
   if (dissemination_period <= Time::zero()) {
     throw std::invalid_argument{"ScenarioConfig: dissemination_period must be positive"};
-  }
-  if (duty_cycle <= 0.0 || duty_cycle > 1.0) {
-    throw std::invalid_argument{"ScenarioConfig: duty_cycle in (0,1]"};
   }
   if (supercap_tx_buffer < 0.0) {
     throw std::invalid_argument{"ScenarioConfig: supercap_tx_buffer must be >= 0"};

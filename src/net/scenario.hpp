@@ -123,11 +123,6 @@ struct ScenarioConfig {
   SfAssignment sf_assignment{SfAssignment::kFixed};
   /// Per-link shadowing; the log-distance curve itself is fixed.
   PathLossModel path_loss{};
-  /// Regulatory duty cycle (ETSI T_off rule); 1.0 disables (US-915 has
-  /// dwell-time limits instead of a duty cycle). Nothing committed sets it,
-  /// but DutyCycleLimiter::next_allowed is a "blamsim v3" token, so it goes
-  /// with the next stream format change.
-  double duty_cycle{1.0};
   /// Server-side Adaptive Data Rate: piggybacks SF / TX-power adjustments
   /// on ACKs, at AdrController::Config's defaults. Off by default (the
   /// paper's evaluation fixes parameters).
@@ -141,10 +136,6 @@ struct ScenarioConfig {
     std::uint64_t seed{1};
   };
   Solar solar{};
-  /// Solar forecast noise. Nothing committed sets it, but the forecaster's
-  /// RNG state is part of the "blamsim v3" stream, so it goes with the next
-  /// stream format change.
-  double forecast_error_sigma{0.0};
   /// Hybrid storage (the paper's future-work extension): a supercapacitor
   /// sized to hold this many worst-case transmissions sits in front of the
   /// battery; 0 disables it.

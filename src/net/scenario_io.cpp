@@ -105,16 +105,13 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   c.path_loss.shadowing_sigma_db =
       file.get_non_negative_double("shadowing_sigma_db", c.path_loss.shadowing_sigma_db);
   c.adr_enabled = file.get_bool("adr", c.adr_enabled);
-  c.duty_cycle = file.get_positive_double("duty_cycle", c.duty_cycle);
 
-  c.forecast_error_sigma =
-      file.get_non_negative_double("forecast_error_sigma", c.forecast_error_sigma);
   c.supercap_tx_buffer = file.get_non_negative_double("supercap_tx_buffer", c.supercap_tx_buffer);
 
   c.thermal.insulated = file.get_bool("insulated", c.thermal.insulated);
   c.thermal.mean_c = file.get_double("ambient_mean_c", c.thermal.mean_c);
-  c.dissemination_period =
-      Time::from_days(file.get_positive_double("dissemination_days", c.dissemination_period.days()));
+  c.dissemination_period = Time::from_days(
+      file.get_positive_double("dissemination_days", c.dissemination_period.days()));
   const std::string chemistry = file.get_string("chemistry", "lmo");
   if (chemistry == "lmo") {
     c.degradation = DegradationParams::lmo();
@@ -128,30 +125,20 @@ ScenarioConfig scenario_from_config(const ConfigFile& file) {
   }
 
   // Fault injection & graceful degradation (all default to "no faults").
-  c.faults.outage_daily_start =
-      Time::from_hours(file.get_double("fault_outage_daily_start_h", c.faults.outage_daily_start.hours()));
+  c.faults.outage_daily_start = Time::from_hours(
+      file.get_double("fault_outage_daily_start_h", c.faults.outage_daily_start.hours()));
   c.faults.outage_daily_duration = Time::from_hours(
       file.get_double("fault_outage_daily_duration_h", c.faults.outage_daily_duration.hours()));
   c.faults.outage_random_per_day =
       file.get_non_negative_double("fault_outage_random_per_day", c.faults.outage_random_per_day);
-  c.faults.outage_random_min =
-      Time::from_minutes(file.get_double("fault_outage_min_min", c.faults.outage_random_min.minutes()));
-  c.faults.outage_random_max =
-      Time::from_minutes(file.get_double("fault_outage_max_min", c.faults.outage_random_max.minutes()));
   c.faults.ack_loss_good = file.get_double("fault_ack_loss_good", c.faults.ack_loss_good);
   c.faults.ack_loss_bad = file.get_double("fault_ack_loss_bad", c.faults.ack_loss_bad);
-  c.faults.ack_good_mean =
-      Time::from_minutes(file.get_double("fault_ack_good_mean_min", c.faults.ack_good_mean.minutes()));
-  c.faults.ack_bad_mean =
-      Time::from_minutes(file.get_double("fault_ack_bad_mean_min", c.faults.ack_bad_mean.minutes()));
   c.faults.crash_per_year =
       file.get_non_negative_double("fault_crash_per_year", c.faults.crash_per_year);
-  c.faults.reboot_duration =
-      Time::from_minutes(file.get_double("fault_reboot_duration_min", c.faults.reboot_duration.minutes()));
   c.faults.drought_start =
       Time::from_days(file.get_double("fault_drought_start_days", c.faults.drought_start.days()));
-  c.faults.drought_duration =
-      Time::from_days(file.get_double("fault_drought_duration_days", c.faults.drought_duration.days()));
+  c.faults.drought_duration = Time::from_days(
+      file.get_double("fault_drought_duration_days", c.faults.drought_duration.days()));
   c.faults.drought_scale = file.get_double("fault_drought_scale", c.faults.drought_scale);
   c.faults.report_loss =
       file.get_non_negative_double("fault_report_loss", c.faults.report_loss);
@@ -195,8 +182,8 @@ std::string describe_scenario(const ScenarioConfig& c) {
       << "nodes / gateways   = " << c.n_nodes << " / " << c.n_gateways << " over "
       << c.radius_m / 1000.0 << " km"
       << (c.gateway_grid_pitch_m > 0.0
-              ? " (grid pitch " + std::to_string(c.gateway_grid_pitch_m / 1000.0) + " km, cluster " +
-                    std::to_string(c.cluster_radius_m / 1000.0) + " km)"
+              ? " (grid pitch " + std::to_string(c.gateway_grid_pitch_m / 1000.0) +
+                    " km, cluster " + std::to_string(c.cluster_radius_m / 1000.0) + " km)"
               : std::string{})
       << "\n"
       << "period             = [" << c.min_period.minutes() << ", " << c.max_period.minutes()
@@ -262,17 +249,15 @@ void write_scenario_key(StateWriter& w, const ScenarioConfig& c) {
   }
   for (const Time t :
        {c.min_period, c.max_period, c.forecast_window, c.dissemination_period,
-        c.faults.outage_daily_start, c.faults.outage_daily_duration, c.faults.outage_random_min,
-        c.faults.outage_random_max, c.faults.ack_good_mean, c.faults.ack_bad_mean,
-        c.faults.reboot_duration, c.faults.drought_start, c.faults.drought_duration}) {
+        c.faults.outage_daily_start, c.faults.outage_daily_duration, c.faults.drought_start,
+        c.faults.drought_duration}) {
     w.put_i64(t.us());
   }
   for (const double v :
        {c.radius_m, c.gateway_grid_pitch_m, c.cluster_radius_m, c.interference_floor_dbm, c.theta,
-        c.w_b, c.path_loss.shadowing_sigma_db, c.duty_cycle, c.forecast_error_sigma,
-        c.supercap_tx_buffer, c.degradation.k1, c.degradation.k2, c.degradation.k3,
-        c.degradation.k4, c.degradation.k5, c.degradation.k6, c.degradation.alpha_sei,
-        c.degradation.k_sei, c.degradation.eol_threshold, c.thermal.mean_c,
+        c.w_b, c.path_loss.shadowing_sigma_db, c.supercap_tx_buffer, c.degradation.k1,
+        c.degradation.k2, c.degradation.k3, c.degradation.k4, c.degradation.k5, c.degradation.k6,
+        c.degradation.alpha_sei, c.degradation.k_sei, c.degradation.eol_threshold, c.thermal.mean_c,
         c.faults.outage_random_per_day, c.faults.ack_loss_good, c.faults.ack_loss_bad,
         c.faults.crash_per_year, c.faults.report_loss, c.faults.report_dup, c.faults.report_reorder,
         c.faults.report_corrupt, c.faults.report_truncate, c.faults.drought_scale,

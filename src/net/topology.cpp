@@ -15,7 +15,8 @@ std::vector<Position> random_disk(int n, double radius_m, Position center, Rng& 
     // Uniform over the disk: radius ~ sqrt(U) * R.
     const double r = radius_m * std::sqrt(rng.uniform());
     const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    positions.push_back(Position{center.x_m + r * std::cos(angle), center.y_m + r * std::sin(angle)});
+    positions.push_back(
+        Position{center.x_m + r * std::cos(angle), center.y_m + r * std::sin(angle)});
   }
   return positions;
 }

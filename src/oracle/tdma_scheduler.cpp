@@ -26,7 +26,9 @@ void validate(const OracleConfig& config, const std::vector<OracleNodeSpec>& nod
     if (n.harvest.size() != static_cast<std::size_t>(config.horizon_slots)) {
       throw std::invalid_argument{"oracle: harvest length must equal horizon"};
     }
-    if (n.tx_cost <= Energy::zero()) throw std::invalid_argument{"oracle: tx_cost must be positive"};
+    if (n.tx_cost <= Energy::zero()) {
+      throw std::invalid_argument{"oracle: tx_cost must be positive"};
+    }
     if (n.w_u < 0.0 || n.w_u > 1.0) throw std::invalid_argument{"oracle: w_u in [0,1]"};
   }
 }

@@ -65,7 +65,6 @@ void write_uplink_frame(StateWriter& w, const UplinkFrame& frame) {
   }
   w.put_u64(frame.report_seq);
   w.put_u64(frame.report_crc);
-  w.put_u64(frame.confirmed ? 1 : 0);
 }
 
 void read_uplink_frame(StateReader& r, UplinkFrame& frame) {
@@ -82,11 +81,7 @@ void read_uplink_frame(StateReader& r, UplinkFrame& frame) {
   }
   frame.report_seq = static_cast<std::uint16_t>(r.get_u64());
   frame.report_crc = static_cast<std::uint8_t>(r.get_u64());
-  // Nodes send only confirmed uplinks, so a cleared bit is stream damage.
-  if (r.get_u64() == 0) {
-    throw std::runtime_error{"read_uplink_frame: unconfirmed frame"};
-  }
-  frame.confirmed = true;
+  frame.confirmed = true;  // nodes send only confirmed uplinks
 }
 
 void write_event(StateWriter& w, const Simulator& sim, EventHandle handle) {

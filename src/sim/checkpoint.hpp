@@ -1,4 +1,4 @@
-// Engine checkpoint codec helpers ("blamsim v3").
+// Engine checkpoint codec helpers ("blamsim v4").
 //
 // A checkpoint captures engine slices — each a Network: a Simulator plus
 // every component scheduled on it (server, gateways, nodes, fault channels,
@@ -38,7 +38,7 @@ namespace blam {
 
 /// First line of every engine checkpoint stream. No other version is read:
 /// a stream written with another magic is refused at this line.
-inline constexpr const char* kCheckpointMagic = "blamsim v3";
+inline constexpr const char* kCheckpointMagic = "blamsim v4";
 
 // --- shared token helpers (used by every component's checkpoint_state) ----
 

@@ -215,7 +215,7 @@ class ShardedNetwork {
   /// the throughput bench reports on core-starved hosts.
   [[nodiscard]] double max_shard_busy_seconds() const;
 
-  /// Serializes the full engine ("blamsim v3" stream: a meta section ending
+  /// Serializes the full engine ("blamsim v4" stream: a meta section ending
   /// in an offset table of per-slice byte lengths, then every slice's
   /// Network::checkpoint_state, in slice order) at the current cursor.
   /// Slices serialize in parallel into their own buffers, slice 0 on the

@@ -55,7 +55,8 @@ TEST_F(AckPlannerTest, OverlapsTxDetectsReservations) {
   const auto ack = planner_.plan(end, SpreadingFactor::kSF10, 0, 1);
   ASSERT_TRUE(ack.has_value());
   EXPECT_TRUE(planner_.overlaps_tx(ack->tx_start, ack->tx_end));
-  EXPECT_TRUE(planner_.overlaps_tx(ack->tx_start - Time::from_ms(10), ack->tx_start + Time::from_ms(1)));
+  EXPECT_TRUE(
+      planner_.overlaps_tx(ack->tx_start - Time::from_ms(10), ack->tx_start + Time::from_ms(1)));
   EXPECT_FALSE(planner_.overlaps_tx(ack->tx_end, ack->tx_end + Time::from_seconds(1.0)));
   EXPECT_FALSE(planner_.overlaps_tx(Time::zero(), Time::from_seconds(1.0)));
 }

@@ -109,22 +109,6 @@ TEST(AuditorTest, FadeMustBeMonotonicWithinUnitInterval) {
   EXPECT_EQ(audit.violation_count(), 2u);
 }
 
-TEST(AuditorTest, TransmissionInsideTOffWindowIsViolation) {
-  Auditor audit = audited();
-  const Time airtime = Time::from_ms(100);
-  // 1% duty: T_off = 100 ms * 99 = 9.9 s; next allowed at t = 10 s.
-  audit.on_transmission(2, Time::from_seconds(1.0), airtime, 0.01);
-  EXPECT_EQ(audit.violation_count(), 0u);
-  audit.on_transmission(2, Time::from_seconds(5.0), airtime, 0.01);
-  ASSERT_EQ(audit.violation_count(), 1u);
-  EXPECT_EQ(audit.violations()[0].invariant, AuditInvariant::kDutyCycle);
-  // max_duty = 1 disables the rule entirely.
-  Auditor lax = audited();
-  lax.on_transmission(2, Time::from_seconds(1.0), airtime, 1.0);
-  lax.on_transmission(2, Time::from_seconds(1.1), airtime, 1.0);
-  EXPECT_EQ(lax.violation_count(), 0u);
-}
-
 TEST(AuditorTest, AckConsistencyAndFeedbackRange) {
   Auditor audit = audited();
   audit.on_ack(4, Time::from_seconds(1.0), 4, 10, 12, true, 0.3);
@@ -216,7 +200,6 @@ TEST(AuditorTest, CheckpointRoundTripCarriesLedgerAndViolations) {
   original.on_storage_loss(8, Time::from_seconds(2.0), Energy::from_joules(0.25));
   original.on_soc(3, Time::from_seconds(3.0), 0.4, 0.5);
   original.on_degradation(3, Time::from_days(1.0), 0.02);
-  original.on_transmission(3, Time::from_seconds(4.0), Time::from_ms(100), 0.01);
   original.on_soc(8, Time::from_seconds(5.0), 1.5, 1.0);  // recorded violation
   const auto text = [](const Auditor& audit) {
     std::ostringstream out;
@@ -236,13 +219,12 @@ TEST(AuditorTest, CheckpointRoundTripCarriesLedgerAndViolations) {
   EXPECT_EQ(restored.violations()[0].to_string(), original.violations()[0].to_string());
 
   // The restored ledger carries on exactly: the pending loss still balances
-  // node 8's next flow, the fade floor and the T_off window still hold.
+  // node 8's next flow and the fade floor still holds.
   restored.on_energy_flow(8, Time::from_seconds(6.0), Energy::zero(), Energy::zero(), idle,
                           Energy::from_joules(4.75), Energy::from_joules(4.75), 1.0);
   EXPECT_EQ(restored.violation_count(), 1u);
   restored.on_degradation(3, Time::from_days(2.0), 0.01);
-  restored.on_transmission(3, Time::from_seconds(5.0), Time::from_ms(100), 0.01);
-  EXPECT_EQ(restored.violation_count(), 3u);
+  EXPECT_EQ(restored.violation_count(), 2u);
 
   // Another slice's rows do not fit.
   Auditor other{{3, 8, 9}, false};
@@ -279,7 +261,6 @@ TEST(AuditorTest, MergedReportOrdersByTimeThenNodeAndCapsRecords) {
 TEST(AuditIntegrationTest, CleanScenarioHasZeroViolationsAtLevel2) {
   const EnvGuard audit{"BLAM_AUDIT", "1"};
   ScenarioConfig config = blam_scenario(6, 0.5, 11);
-  config.duty_cycle = 0.01;
   config.supercap_tx_buffer = 2.0;
   Network network{config};
   network.run_until(Time::from_days(5.0));

@@ -122,7 +122,8 @@ TEST(BenchSchema, FaultGridOrderIsEnforced) {
   // Swap the last two cells: (loss, reorder, corrupt) is no longer
   // lexicographically increasing.
   const std::string disordered = with_replacement(
-      with_replacement(valid, "{\"loss\": 0.0, \"reorder\": 0.1", "{\"loss\": 0.2, \"reorder\": 0.1"),
+      with_replacement(valid, "{\"loss\": 0.0, \"reorder\": 0.1",
+                       "{\"loss\": 0.2, \"reorder\": 0.1"),
       "{\"loss\": 0.1, \"reorder\": 0.0", "{\"loss\": 0.1, \"reorder\": 0.9");
   EXPECT_FALSE(check_bench_json("BENCH_fault.json", disordered).empty());
 }

@@ -201,6 +201,15 @@ TEST(ScenarioIo, RemovedAndMisspelledKeysRejectedByName) {
   // Auditing is switched by BLAM_AUDIT / BLAM_AUDIT_THROW alone.
   expect_rejected("audit" "_level", "2");
   expect_rejected("audit" "_throw", "true");
+  // Dead mechanisms retired with the "blamsim v4" stream format, then fault
+  // timings that became named constants.
+  expect_rejected("duty" "_cycle", "0.01");
+  expect_rejected("forecast_error" "_sigma", "0.2");
+  expect_rejected("fault_outage" "_min_min", "15");
+  expect_rejected("fault_outage" "_max_min", "120");
+  expect_rejected("fault_ack_good" "_mean_min", "240");
+  expect_rejected("fault_ack_bad" "_mean_min", "10");
+  expect_rejected("fault_reboot" "_duration_min", "10");
   expect_rejected("fast_fadng", "true");
 }
 
@@ -243,8 +252,7 @@ TEST(ScenarioIo, NonFiniteAndNonPositiveValuesRejectedAtParse) {
   // The parse layer rejects these before validate() ever runs, naming the key.
   for (const char* text : {"radius_m = nan", "radius_m = inf", "radius_m = -100",
                            "radius_m = 0", "dissemination_days = nan", "dissemination_days = 0",
-                           "duty_cycle = -0.01", "min_period_min = 0",
-                           "supercap_tx_buffer = -1", "forecast_error_sigma = -2"}) {
+                           "min_period_min = 0", "supercap_tx_buffer = -1"}) {
     EXPECT_THROW(scenario_from_config(ConfigFile::parse(text)), std::runtime_error) << text;
   }
   try {

@@ -1,4 +1,4 @@
-// Crash-tolerant engine: "blamsim v3" checkpoint round-trips (serial and
+// Crash-tolerant engine: "blamsim v4" checkpoint round-trips (serial and
 // sharded, with fault injection), the rolling checkpoint file knobs, the
 // epoch-barrier watchdog, and the wedge kill chain. Test names carry
 // "ShardEngine" so the CI tsan leg's ctest regex selects this file too.
@@ -124,7 +124,7 @@ TEST(ShardEngineCheckpoint, SerialRoundTripBitIdentical) {
 
 TEST(ShardEngineCheckpoint, AdrRoundTripBitIdentical) {
   // ADR runs used to refuse checkpointing; the per-node SNR windows are now
-  // part of the "blamsim v3" stream (sorted by node id, so the bytes are
+  // part of the engine stream (sorted by node id, so the bytes are
   // stable), and an ADR-enabled run must resume bit-exactly.
   ScenarioConfig c = city(16, 4, 1);
   c.adr_enabled = true;
@@ -173,40 +173,6 @@ TEST(ShardEngineCheckpoint, AdrFourShardRoundTripBitIdentical) {
   EXPECT_EQ(resumed.max_degradation(), uninterrupted.max_degradation());
   for (std::uint32_t id = 0; id < 48; ++id) {
     EXPECT_EQ(resumed.w_for(id), uninterrupted.w_for(id)) << "node " << id;
-  }
-}
-
-TEST(ShardEngineCheckpoint, UnconfirmedInFlightFrameRefusedByName) {
-  // Nodes send only confirmed uplinks, so an in-flight frame whose MHDR
-  // confirmed bit is cleared can only be stream damage.
-  const auto encode = [](bool confirmed) {
-    UplinkFrame frame;
-    frame.node_id = 3;
-    frame.seq = 9;
-    frame.confirmed = confirmed;
-    std::ostringstream out;
-    StateWriter w{out};
-    w.begin_section("frame");
-    write_uplink_frame(w, frame);
-    w.end_section();
-    return std::move(out).str();
-  };
-  const std::string good = encode(true);
-  StateReader ok{good};
-  ok.begin_section("frame");
-  UplinkFrame frame;
-  read_uplink_frame(ok, frame);
-  EXPECT_TRUE(frame.confirmed);
-  EXPECT_EQ(frame.seq, 9u);
-
-  const std::string bad = encode(false);
-  StateReader damaged{bad};
-  damaged.begin_section("frame");
-  try {
-    read_uplink_frame(damaged, frame);
-    FAIL() << "an unconfirmed frame restored";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("unconfirmed"), std::string::npos) << e.what();
   }
 }
 
@@ -398,12 +364,12 @@ TEST(ShardEngineCheckpoint, MetaMismatchRefusesRestore) {
 
   // Streams of earlier format versions are refused at their magic line, by
   // name.
-  for (const std::string version : {"blamsim v1", "blamsim v2"}) {
+  for (const std::string version : {"blamsim v1", "blamsim v2", "blamsim v3"}) {
     std::string old = stream.str();
     old.replace(0, old.find('\n'), version);
     std::istringstream old_format{old};
     const std::string expected =
-        "restore: not a \"blamsim v3\" checkpoint stream (\"" + version + "\" is not supported";
+        "restore: not a \"blamsim v4\" checkpoint stream (\"" + version + "\" is not supported";
     ShardedNetwork fresh_again{c};
     try {
       fresh_again.restore(old_format);
@@ -502,20 +468,23 @@ TEST(ShardEngineCheckpoint, RollingCheckpointFileResumes) {
 TEST(ShardEngineCheckpoint, GoldenStreamPin) {
   // The kill-resume drill compares two runs of one build, so it cannot see
   // a change that shifts event order, seq numbers or stream tokens between
-  // builds. This pins the "blamsim v3" bytes of a small city, serial and
+  // builds. This pins the "blamsim v4" bytes of a small city, serial and
   // 4-shard (the latter also with every fault stream, whose crash events sit
   // days ahead), at the day-1 barrier and the 2-day end to constants. A
   // change that moves them changes results: it is a bug unless the change
-  // means to alter the model (and then says so).
+  // means to alter the model (and then says so). The v4 constants were
+  // recorded when the dead duty-cycle, forecast-noise and confirmed-bit
+  // tokens left the format: each v4 stream is its v3 stream without those
+  // tokens, line for line, with the same results.
   struct Pin {
     int shards;
     bool faults;
     std::uint64_t day1;
     std::uint64_t day2;
   };
-  for (const Pin pin : {Pin{1, false, 0x5c95069005b7b5d5ULL, 0x9884cd1413355355ULL},
-                        Pin{4, false, 0x77b8d233ea059a3dULL, 0x3a3ac7611d131262ULL},
-                        Pin{4, true, 0x8d3b4d6f23c2ef90ULL, 0xebd98290fabdea59ULL}}) {
+  for (const Pin pin : {Pin{1, false, 0xad26367607f55be5ULL, 0x3379b176ccba81a3ULL},
+                        Pin{4, false, 0x54030f8d0a1305b6ULL, 0x340a2c486ba93b92ULL},
+                        Pin{4, true, 0x862ef10110004042ULL, 0x8832163aa2658a60ULL}}) {
     ScenarioConfig c = city(300, 16, pin.shards);
     if (pin.faults) add_faults(c);
     ShardedNetwork engine{c};

@@ -393,7 +393,8 @@ TEST(EventQueue, PeekPastTheBarrierThenScheduleEarlierRewinds) {
   // The sharded dissemination-tick shape at queue level: next_time() jumps
   // the cursor to an event 10 min out (and, separately, one past the
   // horizon); an event scheduled 1 s out must still pop first.
-  for (const std::int64_t ahead_us : {std::int64_t{600'000'000}, std::int64_t{3} * 86'400'000'000}) {
+  for (const std::int64_t ahead_us :
+       {std::int64_t{600'000'000}, std::int64_t{3} * 86'400'000'000}) {
     EventQueue q;
     q.schedule(Time::from_us(ahead_us), [] {});
     EXPECT_EQ(q.next_time(), Time::from_us(ahead_us));

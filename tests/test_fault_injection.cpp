@@ -114,8 +114,6 @@ TEST(FaultInjection, AckLossBurstsForceRetransmissions) {
   ScenarioConfig plain = base_config(PolicyKind::kLorawan, 1.0, 10, 31);
   ScenarioConfig bursty = plain;
   bursty.faults.ack_loss_bad = 1.0;
-  bursty.faults.ack_good_mean = Time::from_hours(2.0);
-  bursty.faults.ack_bad_mean = Time::from_minutes(30.0);
 
   const ExperimentResult a = run_scenario(plain, Time::from_days(2.0));
   const ExperimentResult b = run_scenario(bursty, Time::from_days(2.0));
@@ -129,7 +127,6 @@ TEST(FaultInjection, AckLossBurstsForceRetransmissions) {
 TEST(FaultInjection, CrashesWipeStateAndDropRebootPackets) {
   ScenarioConfig c = base_config(PolicyKind::kBlam, 0.5, 10, 37);
   c.faults.crash_per_year = 2000.0;  // ~5.5 per node-day: an accelerated test
-  c.faults.reboot_duration = Time::from_minutes(45.0);
 
   const ExperimentResult r = run_scenario(c, Time::from_days(4.0));
   std::uint64_t crashes = 0;
@@ -142,7 +139,7 @@ TEST(FaultInjection, CrashesWipeStateAndDropRebootPackets) {
   }
   EXPECT_GT(crashes, 20u);
   EXPECT_EQ(r.summary.crashes, crashes);
-  // 45-minute reboots against 16-60 minute periods: some period boundaries
+  // 10-minute reboots against 16-60 minute periods: some period boundaries
   // land inside a reboot and their packets are never transmitted.
   EXPECT_GT(reboot_drops, 0u);
   // The network survives: estimators re-warm after every wipe.

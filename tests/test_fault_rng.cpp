@@ -197,8 +197,6 @@ TEST(FaultRng, PerGatewayAckChannelsAreIndependent) {
   FaultPlanConfig f;
   f.ack_loss_good = 0.0;
   f.ack_loss_bad = 1.0;
-  f.ack_good_mean = Time::from_minutes(30.0);
-  f.ack_bad_mean = Time::from_minutes(30.0);
   FaultPlan plan{f, Rng{5, 1}.fork(0xfa17)};
   int diverged = 0;
   for (int i = 0; i < 2000; ++i) {

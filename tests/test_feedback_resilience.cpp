@@ -373,11 +373,6 @@ TEST(FaultPlanConfig, ValidatesGilbertElliottParameters) {
   negative_prob.ack_loss_bad = 0.5;
   EXPECT_THROW(negative_prob.validate(), std::invalid_argument);
 
-  FaultPlanConfig zero_sojourn;
-  zero_sojourn.ack_loss_bad = 0.5;
-  zero_sojourn.ack_bad_mean = Time::zero();
-  EXPECT_THROW(zero_sojourn.validate(), std::invalid_argument);
-
   GilbertElliott::Params p;
   p.loss_bad = 1.1;
   EXPECT_THROW((GilbertElliott{p, Rng{1, 2}}), std::invalid_argument);

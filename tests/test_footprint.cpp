@@ -66,21 +66,23 @@ namespace {
 constexpr int kNodes = 2000;
 
 // Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
-// 4,978 B/node after construction and 5,330 B/node after one day. Before
-// the audible-gateway lists and the slice-wide airtime memo and MAC policy,
-// the same slice cost 5,337 and 5,935 B/node; with a heap vector per
-// forecast window for the retransmission histogram plus per-node selection
-// scratch, 6,980 and 8,981 B/node.
-constexpr double kBuiltCeiling = 5476.0;
-constexpr double kOneDayCeiling = 5863.0;
+// 4,865 B/node after construction and 5,219 B/node after one day. With a
+// forecaster and a duty-cycle limiter in every Node, the same slice cost
+// 4,960 and 5,313 B/node; before the audible-gateway lists and the
+// slice-wide airtime memo and MAC policy, 5,337 and 5,935 B/node; with a
+// heap vector per forecast window for the retransmission histogram plus
+// per-node selection scratch, 6,980 and 8,981 B/node.
+constexpr double kBuiltCeiling = 5352.0;
+constexpr double kOneDayCeiling = 5741.0;
 // Heap allocations the build makes per node (operator new calls, frees not
 // subtracted): 10.23, against 14.22 with a per-node link vector, airtime
 // memo and MAC policy, and 51 with the per-window histograms.
 constexpr double kBuildAllocationsCeiling = 11.25;
 // The Node object itself, which the event queue prefetches ahead of each of
-// its events: 968 B, against 976 B with a per-node copy of the RX-window
+// its events: 872 B, against 968 B with a SolarForecaster (80 B) and a
+// DutyCycleLimiter (16 B), 976 B with a per-node copy of the RX-window
 // energy and 1,072 B before that; pinned exactly.
-constexpr std::size_t kNodeBytes = 968;
+constexpr std::size_t kNodeBytes = 872;
 
 /// The perfbench city grid: 16 gateways 12 km apart, nodes within 1 km of
 /// their cell's gateway.
@@ -135,9 +137,10 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
 #endif
 }
 
-// Measured on the same slice after one day: 1,932 B/node in "blamsim v3"
-// (sparse histogram rows). The dense "blamsim v2" rows cost 3,577 B/node.
-constexpr double kCheckpointCeiling = 2125.0;
+// Measured on the same slice after one day: 1,768 B/node in "blamsim v4".
+// "blamsim v3" cost 1,931 B/node (its forecaster RNG, T_off and duty-defer
+// tokens), and the dense "blamsim v2" histogram rows 3,577 B/node.
+constexpr double kCheckpointCeiling = 1945.0;
 
 TEST(CheckpointBytes, CitySlicePerNode) {
   const ScenarioConfig c = city_slice();

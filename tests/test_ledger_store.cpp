@@ -94,7 +94,8 @@ TEST(LedgerStore, ResidualCacheHitIsBitExactAndCounted) {
     const double soc = (i % 2 == 0) ? 0.9 - 0.01 * i : 0.2 + 0.01 * i;
     fresh.record(Time::from_hours(i), soc);
   }
-  EXPECT_EQ(store.degradation_at(a, Time::from_days(60.0)), fresh.degradation(Time::from_days(60.0)));
+  EXPECT_EQ(store.degradation_at(a, Time::from_days(60.0)),
+            fresh.degradation(Time::from_days(60.0)));
 
   // New sample dirties only that row.
   store.record(b, Time::from_hours(41.0), 0.77);

@@ -234,11 +234,36 @@ TEST(LintC1, FlushedWriterAndNonConstructionUsesAreClean) {
   EXPECT_TRUE(active("src/common/csv.hpp", "class CsvWriter { CsvWriter(); };").empty());
 }
 
+// --- W1 ---------------------------------------------------------------------
+
+TEST(LintW1, FlagsCodeLinesOverOneHundredColumnsButNotAnnotations) {
+  const std::string wide(101, 'x');
+  const std::string fits(100, 'x');
+  const auto findings = active("tests/x.cpp", fits + "\n" + wide + "\n");
+  ASSERT_EQ(count_rule(findings, "W1"), 1);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[0].col, 101);
+  // Columns are code points: 100 two-byte characters fit.
+  std::string accented;
+  for (int i = 0; i < 100; ++i) accented += "\xc3\xa9";
+  EXPECT_TRUE(active("src/x.cpp", "// " + accented.substr(6) + "\n").empty());
+  // A line that carries an annotation comment is exempt whatever its width,
+  // and so is the line an own-line W1 suppression covers.
+  for (const char* pragma : {"blam-ckpt: skip -- ", "blam-shared: ", "blam-lint: allow(D1) -- "}) {
+    EXPECT_TRUE(active("src/x.cpp", "int v;  // " + std::string{pragma} + wide + "\n").empty())
+        << pragma;
+  }
+  EXPECT_TRUE(active("src/x.cpp", "// blam-lint: allow(W1) -- fixture\n" + wide + "\n").empty());
+  // Pragma text inside a string literal is code, not an annotation.
+  EXPECT_EQ(count_rule(active("src/x.cpp", "auto s = \"blam-ckpt: " + wide + "\";\n"), "W1"), 1);
+}
+
 // --- Suppressions ----------------------------------------------------------
 
 TEST(LintSuppression, TrailingCommentCoversItsLineAndRecordsReason) {
-  const auto all = lint_source(
-      "src/x.cpp", "int r = rand();  // blam-lint: allow(D1) -- fixture for the suppression test\n");
+  const auto all = lint_source("src/x.cpp",
+                               "int r = rand();  // blam-lint: allow(D1) -- fixture for the "
+                               "suppression test\n");
   ASSERT_EQ(all.size(), 1u);
   EXPECT_TRUE(all[0].suppressed);
   EXPECT_EQ(all[0].suppress_reason, "fixture for the suppression test");
@@ -309,8 +334,8 @@ TEST(LintGate, JsonOutputCarriesAllFields) {
 
 TEST(LintGate, RuleRegistryListsAllRules) {
   const auto& infos = rule_infos();
-  ASSERT_EQ(infos.size(), 6u);
-  for (const char* id : {"D1", "D2", "U1", "H1", "C1", "S1"}) {
+  ASSERT_EQ(infos.size(), 7u);
+  for (const char* id : {"D1", "D2", "U1", "H1", "C1", "W1", "S1"}) {
     EXPECT_TRUE(std::any_of(infos.begin(), infos.end(),
                             [id](const RuleInfo& r) { return r.id == id; }))
         << id;

@@ -98,7 +98,8 @@ TEST(NetworkIntegration, PacketAccountingIsConsistent) {
 }
 
 TEST(NetworkIntegration, GatewayCountersBalanceWithNodeAttempts) {
-  const ExperimentResult r = run_scenario(small(PolicyKind::kLorawan, 1.0, 25), Time::from_days(2.0));
+  const ExperimentResult r =
+      run_scenario(small(PolicyKind::kLorawan, 1.0, 25), Time::from_days(2.0));
   std::uint64_t attempts = 0;
   for (const NodeMetrics& m : r.nodes) attempts += m.tx_attempts;
   EXPECT_EQ(r.gateway.arrivals, attempts);
@@ -115,7 +116,8 @@ TEST(NetworkIntegration, GatewayCountersBalanceWithNodeAttempts) {
 }
 
 TEST(NetworkIntegration, LorawanAlwaysUsesWindowZero) {
-  const ExperimentResult r = run_scenario(small(PolicyKind::kLorawan, 1.0, 10), Time::from_days(1.0));
+  const ExperimentResult r =
+      run_scenario(small(PolicyKind::kLorawan, 1.0, 10), Time::from_days(1.0));
   ASSERT_FALSE(r.window_histogram.empty());
   int nodes_with_majority = 0;
   for (std::size_t w = 1; w < r.window_histogram.size(); ++w) {

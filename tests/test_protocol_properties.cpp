@@ -128,19 +128,5 @@ TEST(ProtocolProperties, WbZeroRecoversLowLatencyBehaviour) {
   EXPECT_GT(without_wb.summary.mean_utility, 0.9);
 }
 
-TEST(ProtocolProperties, ForecastErrorDegradesGracefully) {
-  const int nodes = 30;
-  const std::uint64_t seed = 6;
-  ScenarioConfig noisy = blam_scenario(nodes, 0.5, seed);
-  noisy.forecast_error_sigma = 0.5;
-  const auto trace = build_shared_trace(noisy);
-  const ExperimentResult clean =
-      run_scenario(blam_scenario(nodes, 0.5, seed), Time::from_days(10.0), trace);
-  const ExperimentResult degraded = run_scenario(noisy, Time::from_days(10.0), trace);
-  // Still functional: PRR stays high even with 50% forecast error.
-  EXPECT_GT(degraded.summary.mean_prr, 0.9);
-  EXPECT_LE(degraded.summary.mean_prr, clean.summary.mean_prr + 0.05);
-}
-
 }  // namespace
 }  // namespace blam

@@ -68,7 +68,6 @@ TEST(ScenarioValidation, CatchesEachBadField) {
   expect_invalid([](ScenarioConfig& c) { c.theta = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.w_b = 1.5; });
   expect_invalid([](ScenarioConfig& c) { c.dissemination_period = Time::zero(); });
-  expect_invalid([](ScenarioConfig& c) { c.duty_cycle = 0.0; });
   expect_invalid([](ScenarioConfig& c) { c.supercap_tx_buffer = -1.0; });
 }
 
@@ -93,10 +92,8 @@ TEST(ScenarioValidation, RejectsNonFiniteFieldsNamingTheField) {
   };
   expect_invalid([=](ScenarioConfig& c) { c.radius_m = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.stale_feedback_k = nan; });
-  expect_invalid([=](ScenarioConfig& c) { c.duty_cycle = inf; });
   expect_invalid([=](ScenarioConfig& c) { c.w_b = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.supercap_tx_buffer = inf; });
-  expect_invalid([=](ScenarioConfig& c) { c.forecast_error_sigma = nan; });
   expect_invalid([=](ScenarioConfig& c) { c.interference_floor_dbm = -nan; });
   expect_invalid([=](ScenarioConfig& c) { c.path_loss.shadowing_sigma_db = nan; });
 }

@@ -168,13 +168,100 @@ TEST(Harvester, ScalesAndJitters) {
   EXPECT_LE(h.jitter(), 1.0);
   EXPECT_DOUBLE_EQ(h.power_at(noon).watts(), trace.power_at(noon).watts() * 2.0 * h.jitter());
   EXPECT_NEAR(h.energy_between(noon, noon + Time::from_minutes(5.0)).joules(),
-              trace.energy_between(noon, noon + Time::from_minutes(5.0)).joules() * 2.0 * h.jitter(),
+              trace.energy_between(noon, noon + Time::from_minutes(5.0)).joules() * 2.0 *
+                  h.jitter(),
               1e-12);
 }
 
 TEST(Harvester, RejectsNonPositiveScale) {
   const SolarTrace trace{small_config()};
   EXPECT_THROW(Harvester(trace, 0.0), std::invalid_argument);
+}
+
+// The node's per-period forecast is its harvester's batched window sweep
+// (the forecaster of Kraemer et al. is assumed accurate within a window),
+// so these check Harvester::energy_windows, panel scale and cloud jitter
+// included, against the per-interval energy_between the energy accounting
+// integrates.
+class ForecasterTest : public ::testing::Test {
+ protected:
+  ForecasterTest() : trace_{make_config()}, harvester_{trace_, 1.3} {
+    Rng rng{11};
+    harvester_.resample_jitter(rng);
+  }
+
+  static SolarTraceConfig make_config() {
+    SolarTraceConfig c;
+    c.peak = Power::from_milli_watts(20.0);
+    c.seed = 5;
+    return c;
+  }
+
+  [[nodiscard]] std::vector<Energy> forecast(Time start, Time window, int n) const {
+    std::vector<Energy> out(static_cast<std::size_t>(n));
+    harvester_.energy_windows(start, window, n, out.data());
+    return out;
+  }
+
+  SolarTrace trace_;
+  Harvester harvester_;
+};
+
+TEST_F(ForecasterTest, PerfectForecastMatchesTruth) {
+  const Time noon = Time::from_days(150.0) + Time::from_hours(11.0);
+  const auto windows = forecast(noon, Time::from_minutes(1.0), 30);
+  for (int i = 0; i < 30; ++i) {
+    const Time t0 = noon + Time::from_minutes(i);
+    const Time t1 = noon + Time::from_minutes(i + 1);
+    EXPECT_DOUBLE_EQ(windows[static_cast<std::size_t>(i)].joules(),
+                     harvester_.energy_between(t0, t1).joules());
+  }
+}
+
+TEST_F(ForecasterTest, NightForecastIsZero) {
+  const Time midnight = Time::from_days(150.0);
+  for (const Energy& e : forecast(midnight, Time::from_minutes(1.0), 10)) {
+    EXPECT_DOUBLE_EQ(e.joules(), 0.0);
+  }
+}
+
+TEST_F(ForecasterTest, ValidatesArguments) {
+  Energy out[1];
+  EXPECT_THROW(harvester_.energy_windows(Time::zero(), Time::zero(), 1, out),
+               std::invalid_argument);
+  EXPECT_THROW(harvester_.energy_windows(Time::zero(), Time::from_minutes(-1.0), 1, out),
+               std::invalid_argument);
+}
+
+TEST_F(ForecasterTest, ZeroWindowsGivesEmpty) {
+  Energy out[1] = {Energy::from_joules(-1.0)};
+  harvester_.energy_windows(Time::zero(), Time::from_minutes(1.0), 0, out);
+  EXPECT_EQ(out[0].joules(), -1.0);  // nothing written
+}
+
+TEST_F(ForecasterTest, BatchedForecastMatchesSequentialExactly) {
+  // The batched sweep must reproduce the per-window energy_between loop bit
+  // for bit, scale and jitter included, across the year wrap too.
+  ASSERT_NE(harvester_.jitter(), 1.0);
+  const Time window = Time::from_minutes(2.0);
+  for (const double day : {0.0, 120.5, 364.9}) {
+    const Time start = Time::from_days(day);
+    const auto out = forecast(start, window, 48);
+    for (int i = 0; i < 48; ++i) {
+      const Energy one = harvester_.energy_between(start + window * std::int64_t{i},
+                                                   start + window * std::int64_t{i + 1});
+      ASSERT_EQ(out[static_cast<std::size_t>(i)].joules(), one.joules())
+          << "day=" << day << " window " << i;
+    }
+  }
+}
+
+TEST_F(ForecasterTest, WindowsPartitionThePeriod) {
+  const Time start = Time::from_days(100.0) + Time::from_hours(10.0);
+  double sum = 0.0;
+  for (const Energy& e : forecast(start, Time::from_minutes(1.0), 40)) sum += e.joules();
+  EXPECT_NEAR(sum, harvester_.energy_between(start, start + Time::from_minutes(40.0)).joules(),
+              1e-9);
 }
 
 TEST(SolarTrace, PeakMatchesMaxSample) {

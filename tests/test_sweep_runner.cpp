@@ -525,10 +525,10 @@ TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
   step_utility.utility = UtilityKind::kStep;
   ScenarioConfig adaptive = linear;
   adaptive.adaptive_theta = true;
-  ScenarioConfig duty = linear;
-  duty.duty_cycle = 0.001;
+  ScenarioConfig weather = linear;
+  weather.solar.seed = 2;
   const std::vector<std::pair<ScenarioConfig, ScenarioConfig>> pairs = {
-      {lmo, nmc}, {linear, step_utility}, {linear, adaptive}, {linear, duty}};
+      {lmo, nmc}, {linear, step_utility}, {linear, adaptive}, {linear, weather}};
   const Time max_duration = Time::from_days(20.0);
   const Time step = Time::from_days(5.0);
   // One cell's result as codec bytes, through each grid kind.

@@ -8,7 +8,7 @@
 // tokenizer, then runs three project-wide rules:
 //
 //   K1  checkpoint coverage: every data member of every type reachable from
-//       a state-codec serialization entry point (the "blamsim v3" engine
+//       a state-codec serialization entry point (the "blamsim v4" engine
 //       checkpoint, the gateway ledger's `ledger` section, free
 //       StateWriter/StateReader functions) must be written/restored
 //       through state_codec, or carry an explicit

@@ -19,6 +19,7 @@
 //   U1  raw double/float unit-suffixed parameters in public headers
 //   H1  allocation/indirection constructs in the event hot path
 //   C1  CsvWriter constructed without a reachable flush() in the same file
+//   W1  code line wider than 100 columns (blam-* annotation lines exempt)
 //   S1  malformed suppression comment (unknown rule, missing reason)
 #pragma once
 

@@ -337,6 +337,44 @@ void rule_c1(const Ctx& ctx, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// W1: a code line wider than .clang-format's ColumnLimit, in UTF-8 code
+// points. A line that carries a blam-ckpt / blam-lint / blam-shared comment
+// is exempt: the analyzers read each such annotation as one line, so
+// .clang-format's CommentPragmas keeps it whole, and so does this rule.
+// ---------------------------------------------------------------------------
+
+constexpr int kColumnLimit = 100;
+
+void rule_w1(const Ctx& ctx, std::string_view source, const std::vector<Comment>& comments,
+             std::vector<Finding>& out) {
+  std::set<int> annotated;
+  for (const Comment& c : comments) {
+    for (const std::string_view pragma : {"blam-ckpt:", "blam-lint:", "blam-shared:"}) {
+      if (c.text.find(pragma) != std::string::npos) annotated.insert(c.line);
+    }
+  }
+  int line = 1;
+  int columns = 0;
+  for (std::size_t i = 0; i <= source.size(); ++i) {
+    const bool end = i == source.size() || source[i] == '\n';
+    if (!end) {
+      // UTF-8 continuation bytes share their lead byte's column; a CR
+      // before the newline takes none.
+      const auto byte = static_cast<unsigned char>(source[i]);
+      if ((byte & 0xC0) != 0x80 && byte != '\r') ++columns;
+      continue;
+    }
+    if (columns > kColumnLimit && !annotated.contains(line)) {
+      add(out, "W1", ctx, Token{TokKind::kPunct, "", line, kColumnLimit + 1},
+          "line is " + std::to_string(columns) + " columns wide, over the " +
+              std::to_string(kColumnLimit) + "-column limit of .clang-format; wrap it");
+    }
+    ++line;
+    columns = 0;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Suppressions: the tool name, a colon, then `allow(RULE[,RULE...]) -- reason`
 // (see lint.hpp for a literal example). Trailing comments cover their own
 // line; own-line comments cover the next line. A marker that does not
@@ -418,6 +456,7 @@ const std::vector<RuleInfo>& rule_infos() {
       {"U1", "raw double/float unit-suffixed parameters in public headers"},
       {"H1", "allocation/indirection constructs in event hot-path files"},
       {"C1", "CsvWriter constructed without a reachable flush()"},
+      {"W1", "code line wider than 100 columns (annotation lines exempt)"},
       {"S1", "malformed suppression comment (not itself suppressible)"},
   };
   return kInfos;
@@ -434,6 +473,7 @@ std::vector<Finding> lint_source(const std::string& path, std::string_view sourc
   rule_u1(ctx, findings);
   rule_h1(ctx, findings);
   rule_c1(ctx, findings);
+  rule_w1(ctx, source, tokenized.comments, findings);
 
   std::vector<Suppression> sups;
   parse_suppressions(ctx, tokenized.comments, sups, findings);
