@@ -56,10 +56,9 @@ CampaignOptions campaign_options() {
   return options;
 }
 
-std::string write_csv(const std::string& name, const std::vector<std::string>& header,
-                      const std::vector<std::vector<std::string>>& rows) {
+std::string out_path(const std::string& name) {
   namespace fs = std::filesystem;
-  fs::path path{name + ".csv"};
+  fs::path path{name};
   if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
     path = fs::path{dir} / path;
   }
@@ -67,15 +66,21 @@ std::string write_csv(const std::string& name, const std::vector<std::string>& h
     std::error_code ec;
     fs::create_directories(path.parent_path(), ec);
     if (ec) {
-      throw std::runtime_error{"write_csv: cannot create directory " +
+      throw std::runtime_error{"cannot create output directory " +
                                path.parent_path().string() + ": " + ec.message()};
     }
   }
-  CsvWriter writer{path.string(), header};  // throws if the file cannot be opened
+  return path.string();
+}
+
+std::string write_csv(const std::string& name, const std::vector<std::string>& header,
+                      const std::vector<std::vector<std::string>>& rows) {
+  const std::string path = out_path(name + ".csv");
+  CsvWriter writer{path, header};  // throws if the file cannot be opened
   for (const auto& row : rows) writer.row(row);
   writer.flush();  // throws on short/failed writes instead of reporting success
-  std::printf("[csv] wrote %s (%zu rows)\n", path.string().c_str(), rows.size());
-  return path.string();
+  std::printf("[csv] wrote %s (%zu rows)\n", path.c_str(), rows.size());
+  return path;
 }
 
 ProtocolSweep run_protocol_sweep(int n_nodes, double years, std::uint64_t seed) {

@@ -37,8 +37,13 @@ void banner(const std::string& figure, const std::string& claim);
 ///                        (default "" = off)
 [[nodiscard]] CampaignOptions campaign_options();
 
-/// Writes `name`.csv into BLAM_OUT_DIR (current directory when unset),
-/// creating the directory if missing, and returns the path actually written.
+/// The path `name` resolves to inside BLAM_OUT_DIR (the current directory
+/// when unset), creating the directory if missing. Throws std::runtime_error
+/// when it cannot be created: an output written anywhere else, or nowhere, is
+/// worse than aborting (a byte-compare against it would pass vacuously).
+[[nodiscard]] std::string out_path(const std::string& name);
+
+/// Writes `name`.csv to out_path and returns the path actually written.
 /// Throws std::runtime_error when the directory cannot be created or the
 /// write fails — figure data silently going missing is worse than aborting.
 std::string write_csv(const std::string& name, const std::vector<std::string>& header,

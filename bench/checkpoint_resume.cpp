@@ -85,18 +85,6 @@ std::string checkpoint_text(ShardedNetwork& engine) {
   return out.str();
 }
 
-/// BLAM_OUT_DIR-relative path (mirrors write_csv / the bench JSON idiom).
-std::string out_path(const std::string& name) {
-  namespace fs = std::filesystem;
-  fs::path path{name};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) path = fs::path{dir} / path;
-  }
-  return path.string();
-}
-
 /// The two byte-compare artifacts: the final checkpoint stream (complete
 /// engine state) and a per-node figure-style CSV. The stream is written
 /// BEFORE finalize_metrics — finalizing drains the report channel, and both

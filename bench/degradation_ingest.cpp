@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -257,13 +256,7 @@ int main(int argc, char** argv) {
   }
 
   // --- BENCH_ingest.json ----------------------------------------------------
-  namespace fs = std::filesystem;
-  fs::path json_path{"BENCH_ingest.json"};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) json_path = fs::path{dir} / json_path;
-  }
+  const std::string json_path = bench::out_path("BENCH_ingest.json");
   std::ofstream json{json_path};
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -302,9 +295,9 @@ int main(int argc, char** argv) {
   json << "  ]\n}\n";
   json.flush();
   if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.string().c_str());
+    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
-  std::printf("[json] wrote %s\n", json_path.string().c_str());
+  std::printf("[json] wrote %s\n", json_path.c_str());
   return 0;
 }

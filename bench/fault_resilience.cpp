@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -335,13 +334,7 @@ int main() {
   std::printf("\ncheckpoint kill/restart mid-reorder: %s\n",
               checkpoint_exact ? "bit-exact" : "MISMATCH");
 
-  namespace fs = std::filesystem;
-  fs::path json_path{"BENCH_fault.json"};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) json_path = fs::path{dir} / json_path;
-  }
+  const std::string json_path = out_path("BENCH_fault.json");
   std::ofstream json{json_path};
   char head[512];
   std::snprintf(head, sizeof head,
@@ -357,9 +350,9 @@ int main() {
   json << head << cells_json << "\n  ]\n}\n";
   json.flush();
   if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.string().c_str());
+    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
-  std::printf("[json] wrote %s\n", json_path.string().c_str());
+  std::printf("[json] wrote %s\n", json_path.c_str());
   return within_5pct && checkpoint_exact ? 0 : 1;
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -70,13 +69,7 @@ int main() {
   std::printf("%-22s %12.2f\n", "wall seconds", r.wall_s);
   std::printf("%-22s %12.0f\n", "events/sec", events_per_s);
 
-  namespace fs = std::filesystem;
-  fs::path json_path{"BENCH_hotpath.json"};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) json_path = fs::path{dir} / json_path;
-  }
+  const std::string json_path = out_path("BENCH_hotpath.json");
   std::ofstream json{json_path};
   char buf[768];
   std::snprintf(buf, sizeof buf,
@@ -96,9 +89,9 @@ int main() {
   json << buf;
   json.flush();
   if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.string().c_str());
+    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
-  std::printf("[json] wrote %s\n", json_path.string().c_str());
+  std::printf("[json] wrote %s\n", json_path.c_str());
   return 0;
 }

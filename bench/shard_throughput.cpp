@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -215,13 +214,7 @@ int main() {
 
   write_city_map();
 
-  namespace fs = std::filesystem;
-  fs::path json_path{"BENCH_shard.json"};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) json_path = fs::path{dir} / json_path;
-  }
+  const std::string json_path = out_path("BENCH_shard.json");
   std::ofstream json{json_path};
   json << "{\n"
        << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
@@ -233,9 +226,9 @@ int main() {
        << json_deployments << "\n  ]\n}\n";
   json.flush();
   if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.string().c_str());
+    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
-  std::printf("\n[json] wrote %s\n", json_path.string().c_str());
+  std::printf("\n[json] wrote %s\n", json_path.c_str());
   return bit_identical ? 0 : 1;
 }

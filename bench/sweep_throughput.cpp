@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -81,14 +80,7 @@ int main() {
   std::printf("speedup: %.2fx at %d worker(s); results bit-identical: %s\n", speedup, jobs,
               identical ? "YES" : "NO");
 
-  // BENCH_sweep.json next to the CSVs (BLAM_OUT_DIR-aware).
-  namespace fs = std::filesystem;
-  fs::path json_path{"BENCH_sweep.json"};
-  if (const char* dir = std::getenv("BLAM_OUT_DIR"); dir != nullptr && dir[0] != '\0') {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) json_path = fs::path{dir} / json_path;
-  }
+  const std::string json_path = out_path("BENCH_sweep.json");
   std::ofstream json{json_path};
   char buf[512];
   std::snprintf(buf, sizeof buf,
@@ -109,10 +101,10 @@ int main() {
   json << buf;
   json.flush();
   if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.string().c_str());
+    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
-  std::printf("[json] wrote %s\n", json_path.string().c_str());
+  std::printf("[json] wrote %s\n", json_path.c_str());
 
   if (!identical) {
     std::fprintf(stderr, "error: parallel grid diverged from the serial path\n");

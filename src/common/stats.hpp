@@ -67,7 +67,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] double bin_lo(std::size_t bin) const;

@@ -90,7 +90,6 @@ class Energy {
   [[nodiscard]] static constexpr Energy zero() { return Energy{0.0}; }
 
   [[nodiscard]] constexpr double joules() const { return j_; }
-  [[nodiscard]] constexpr double milli_joules() const { return j_ * 1e3; }
 
   constexpr auto operator<=>(const Energy&) const = default;
 
@@ -129,7 +128,6 @@ class Power {
   [[nodiscard]] static constexpr Power zero() { return Power{0.0}; }
 
   [[nodiscard]] constexpr double watts() const { return w_; }
-  [[nodiscard]] constexpr double milli_watts() const { return w_ * 1e3; }
 
   constexpr auto operator<=>(const Power&) const = default;
 

@@ -34,9 +34,6 @@ class GilbertElliott {
   /// is lost.
   [[nodiscard]] bool lost(Time now);
 
-  /// State after the most recent query (diagnostics).
-  [[nodiscard]] bool in_bad_state() const { return bad_; }
-
   /// Long-run fraction of time spent in the bad state.
   [[nodiscard]] double bad_fraction() const;
 

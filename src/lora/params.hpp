@@ -38,11 +38,6 @@ inline constexpr std::array<SpreadingFactor, 6> kAllSpreadingFactors{
 /// Forward-error-correction rate 4/(4+n) for n in 1..4.
 enum class CodingRate : std::uint8_t { kCR4_5 = 1, kCR4_6 = 2, kCR4_7 = 3, kCR4_8 = 4 };
 
-/// The 4/(4+n) ratio as a double (e.g. 0.8 for 4/5).
-[[nodiscard]] constexpr double coding_rate_ratio(CodingRate cr) {
-  return 4.0 / (4.0 + static_cast<double>(static_cast<int>(cr)));
-}
-
 /// End-device uplink power: 14 dBm, the EU868 end-device ERP limit and the
 /// NS-3 lorawan module's default. It is also ADR's ceiling, so no node ever
 /// transmits louder than the power the shard planner cuts domains at.
@@ -95,9 +90,6 @@ struct RadioEnergyModel {
   [[nodiscard]] Power rx_power() const { return Power::from_watts(rx_current_a * supply_volts); }
   [[nodiscard]] Power sleep_power() const {
     return Power::from_watts(sleep_current_a * supply_volts);
-  }
-  [[nodiscard]] Power standby_power() const {
-    return Power::from_watts(standby_current_a * supply_volts);
   }
 };
 

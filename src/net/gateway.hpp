@@ -71,7 +71,6 @@ class Gateway {
   /// with the GLOBAL gateway id so a shard-local gateway draws from the same
   /// per-gateway chain as its serial twin.
   void set_fault_gateway_id(int id) { fault_id_ = id; }
-  [[nodiscard]] int fault_gateway_id() const { return fault_id_; }
 
   /// Called by a node at the instant its transmission starts.
   /// `rx_power_dbm` is the power this uplink arrives with at THIS gateway.
@@ -87,7 +86,6 @@ class Gateway {
   [[nodiscard]] int id() const { return id_; }
   [[nodiscard]] Position position() const { return position_; }
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] int busy_paths() const { return busy_paths_; }
 
   /// Worst-case delay from uplink end to ACK airtime end, across the RX1
   /// (slowest SF at the RX1 bandwidth) and RX2 options — nodes place their

@@ -80,7 +80,6 @@ class Network {
   [[nodiscard]] const FaultPlan* fault_plan() const { return faults_.get(); }
   /// This slice's auditor; non-null exactly when BLAM_AUDIT=1.
   [[nodiscard]] const Auditor* auditor() const { return audit_.get(); }
-  [[nodiscard]] Energy worst_case_attempt_energy() const { return worst_attempt_energy_; }
 
   /// Serializes the slice (clock, server, gateways, gateway counters,
   /// nodes, fault channels, then the auditor when there is one) at a

@@ -13,9 +13,12 @@
 
 namespace blam {
 
-// The event queue prefetches this many bytes of a Node ahead of its events.
+// The event queue prefetches this many bytes of a Node ahead of its events:
+// enough lines to cover one, and not a whole line more.
 static_assert(sizeof(Node) <= EventQueue::kTargetLines * 64,
               "EventQueue::kTargetLines must cover a Node");
+static_assert(sizeof(Node) > (EventQueue::kTargetLines - 1) * 64,
+              "EventQueue::kTargetLines prefetches a line past a Node");
 
 namespace {
 
