@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -56,3 +56,5 @@ int main() {
             rows);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("ablation_chemistry", run_program); }

@@ -22,7 +22,7 @@ double total_cycle_linear(const ExperimentResult& r) {
 
 }  // namespace
 
-int main() {
+int run_program() {
   const int nodes = scaled(200, 80);
   const double days = scaled(180.0, 45.0);
   banner("Ablations - supercap / ADR / multi-gateway / thermal extensions",
@@ -177,3 +177,5 @@ int main() {
   write_csv("ablation_extensions", {"ablation", "a", "b", "c", "d"}, rows);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("ablation_extensions", run_program); }

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -77,3 +77,5 @@ int main() {
             urows);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("ablation_weights", run_program); }

@@ -11,6 +11,15 @@
 
 namespace blam::bench {
 
+int guarded_main(const char* program, const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", program, e.what());
+    return 1;
+  }
+}
+
 bool full_scale() {
   const char* env = std::getenv("BLAM_FULL");
   return env != nullptr && env[0] == '1';

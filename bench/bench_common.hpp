@@ -4,12 +4,18 @@
 // Figs. 4-6, run as a resumable campaign across BLAM_JOBS workers.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "net/experiment.hpp"
 
 namespace blam::bench {
+
+/// Runs a bench program's body and returns its exit status. An exception
+/// escaping the body prints "<program>: error: <what>" on stderr and returns
+/// 1, so a failed output is a named failure rather than std::terminate.
+[[nodiscard]] int guarded_main(const char* program, const std::function<int()>& body);
 
 /// True when BLAM_FULL=1: run the experiment at the paper's scale.
 [[nodiscard]] bool full_scale();

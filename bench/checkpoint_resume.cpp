@@ -243,7 +243,7 @@ int run_bench() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--fresh") == 0) return run_fresh();
   if (argc >= 3 && std::strcmp(argv[1], "--abort-at-epoch") == 0) {
     const int epoch = std::atoi(argv[2]);
@@ -264,4 +264,8 @@ int main(int argc, char** argv) {
     unsetenv("BLAM_SHARDS");
   }
   return run_bench();
+}
+
+int main(int argc, char** argv) {
+  return blam::bench::guarded_main("checkpoint_resume", [&] { return run_program(argc, argv); });
 }

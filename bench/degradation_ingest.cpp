@@ -149,7 +149,7 @@ std::string faulted_checkpoint(std::uint32_t nodes, std::uint32_t rounds, std::s
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   constexpr std::uint32_t kCheckNodes = 20000;
   constexpr std::uint32_t kCheckRounds = 8;
 
@@ -300,4 +300,8 @@ int main(int argc, char** argv) {
   }
   std::printf("[json] wrote %s\n", json_path.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return blam::bench::guarded_main("degradation_ingest", [&] { return run_program(argc, argv); });
 }

@@ -95,7 +95,7 @@ void replay_in_order(const std::vector<std::vector<SyntheticReport>>& feeds,
 
 }  // namespace
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -356,3 +356,5 @@ int main() {
   std::printf("[json] wrote %s\n", json_path.c_str());
   return within_5pct && checkpoint_exact ? 0 : 1;
 }
+
+int main() { return blam::bench::guarded_main("fault_resilience", run_program); }

@@ -43,7 +43,7 @@ LayoutDump dump(const blam::ScenarioConfig& config) {
 
 }  // namespace
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
   banner("Fig. 10 - deployment layouts (testbed + large-scale)",
@@ -74,3 +74,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig10_deployment_map", run_program); }

@@ -8,7 +8,7 @@
 #include "common/csv.hpp"
 #include "net/network.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -65,3 +65,5 @@ int main() {
               cyc > 0.0 ? cal / cyc : 0.0);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig2_degradation_split", run_program); }

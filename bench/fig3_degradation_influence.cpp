@@ -23,7 +23,7 @@
 #include "core/window_selector.hpp"
 #include "lora/airtime.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -93,3 +93,5 @@ int main() {
               "to the first green window while the w=0.05 node stays at window 0.\n");
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig3_degradation_influence", run_program); }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -54,3 +54,5 @@ int main() {
               h50_beyond_first, nodes);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig4_window_selection", run_program); }

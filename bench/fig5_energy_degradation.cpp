@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -49,3 +49,5 @@ int main() {
               100.0 * (h50.degradation_box.mean / lorawan.degradation_box.mean - 1.0));
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig5_energy_degradation", run_program); }

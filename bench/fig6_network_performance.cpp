@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -51,3 +51,5 @@ int main() {
               h50.mean_delivered_latency_s, lorawan.mean_delivered_latency_s);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig6_network_performance", run_program); }

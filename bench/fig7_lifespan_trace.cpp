@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -65,3 +65,5 @@ int main() {
   std::printf("\n");
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig7_lifespan_trace", run_program); }

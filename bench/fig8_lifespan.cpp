@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -44,3 +44,5 @@ int main() {
   std::printf("\npaper: H-50 improves battery lifespan by up to 69.7%% over LoRaWAN\n");
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig8_lifespan", run_program); }

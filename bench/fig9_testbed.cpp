@@ -33,7 +33,7 @@ blam::ScenarioConfig testbed_config(blam::PolicyKind policy, double theta, std::
 
 }  // namespace
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -98,3 +98,5 @@ int main() {
               lorawan.summary.mean_delivered_latency_s, h100.summary.mean_delivered_latency_s);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("fig9_testbed", run_program); }

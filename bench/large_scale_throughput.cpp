@@ -44,7 +44,7 @@ RunResult run_once(const ScenarioConfig& config, Time duration) {
 
 }  // namespace
 
-int main() {
+int run_program() {
   const int nodes = scaled(4000, 300);
   const double days = scaled(365.0, 60.0);
   banner("Hot-path throughput - large-scale single-run engine speed",
@@ -95,3 +95,5 @@ int main() {
   std::printf("[json] wrote %s\n", json_path.c_str());
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("large_scale_throughput", run_program); }

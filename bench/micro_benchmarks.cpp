@@ -10,6 +10,7 @@
 #include <new>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/theta_controller.hpp"
 #include "core/window_selector.hpp"
 #include "degradation/rainflow.hpp"
@@ -287,4 +288,12 @@ BENCHMARK(BM_ThetaControllerDelivery);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return blam::bench::guarded_main("micro_benchmarks", [&] {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

@@ -16,7 +16,7 @@
 #include "lora/airtime.hpp"
 #include "oracle/tdma_scheduler.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -167,3 +167,5 @@ int main() {
               "for fresh nodes and a small gap for degraded ones is the expected shape.\n");
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("oracle_gap", run_program); }

@@ -8,7 +8,7 @@
 #include "common/csv.hpp"
 #include "net/replication.hpp"
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -66,3 +66,5 @@ int main() {
               summaries[2].degradation_mean.mean, h50.degradation_mean.mean);
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("replication_study", run_program); }

@@ -139,7 +139,7 @@ void write_city_map() {
 
 }  // namespace
 
-int main() {
+int run_program() {
   // The JSON's shard axis is fixed; a stray BLAM_SHARDS override would
   // silently bend every run onto one count.
   if (std::getenv("BLAM_SHARDS") != nullptr) {
@@ -232,3 +232,5 @@ int main() {
   std::printf("\n[json] wrote %s\n", json_path.c_str());
   return bit_identical ? 0 : 1;
 }
+
+int main() { return blam::bench::guarded_main("shard_throughput", run_program); }

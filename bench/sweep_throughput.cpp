@@ -43,7 +43,7 @@ double run_grid(const std::vector<ScenarioCell>& cells, Time duration, int jobs,
 
 }  // namespace
 
-int main() {
+int run_program() {
   const int nodes = scaled(200, 60);
   const double days = scaled(180.0, 45.0);
   banner("Sweep throughput - parallel scenario grid vs the serial path",
@@ -112,3 +112,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("sweep_throughput", run_program); }

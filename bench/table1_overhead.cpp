@@ -40,7 +40,7 @@ double time_ns_per_call(F&& f, int iterations) {
 
 }  // namespace
 
-int main() {
+int run_program() {
   using namespace blam;
   using namespace blam::bench;
 
@@ -111,11 +111,13 @@ int main() {
       },
       iterations);
 
-  // Protocol state footprint per node.
+  // Protocol state footprint per node. Per window: the u32 histogram row,
+  // the expected-transmissions double, and the harvest and cost forecasts.
   const std::size_t state_lorawan = sizeof(LorawanMac);
+  const auto histogram_row = static_cast<std::size_t>(retx.max_retx() + 1) * sizeof(std::uint32_t);
   const std::size_t state_blam =
       sizeof(BlamMac) + sizeof(Ewma) + sizeof(RetxEstimator) +
-      static_cast<std::size_t>(n_windows) * (sizeof(std::uint64_t) * 10 + 2 * sizeof(Energy));
+      static_cast<std::size_t>(n_windows) * (histogram_row + sizeof(double) + 2 * sizeof(Energy));
 
   std::printf("\n%-34s %12s %12s\n", "", "LoRaWAN", "H-x (BLAM)");
   std::printf("%-34s %12.1f %12.1f\n", "per-period decision [ns]", ns_lorawan, ns_blam);
@@ -141,3 +143,5 @@ int main() {
               CsvWriter::cell(static_cast<std::uint64_t>(state_blam))}});
   return 0;
 }
+
+int main() { return blam::bench::guarded_main("table1_overhead", run_program); }

@@ -502,7 +502,7 @@ void Node::checkpoint_state(StateWriter& w) const {
 
   w.put_double(etx_ewma_.raw_value());
   w.put_u64(etx_ewma_.initialized() ? 1 : 0);
-  // Histogram rows only: restore re-derives S_t and the retx sum from them.
+  // Histogram rows only: restore re-derives the expected-transmissions row.
   w.put_u64(retx_estimator_.max_windows());
   for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
     write_sparse_row(w, retx_estimator_.retx_counts(t));
@@ -589,9 +589,11 @@ void Node::restore_state(StateReader& r) {
   for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
     read_sparse_row(r, width, "Node::restore_state: retx histogram",
                     [&](std::size_t retx, std::uint64_t count) {
+                      // The sparse reader has checked the index and its
+                      // order, so only the count's width can refuse.
                       if (!retx_estimator_.restore_count(t, retx, count)) {
                         throw std::runtime_error{
-                            "Node::restore_state: retx window totals overflow"};
+                            "Node::restore_state: retx histogram: count above 2^32-1"};
                       }
                     });
   }

@@ -179,14 +179,16 @@ std::string describe_scenario(const ScenarioConfig& c) {
       << ")\n"
       << "utility            = " << describe_utility(c) << "\n"
       << "theta control      = " << describe_theta_control(c) << "\n"
-      << "nodes / gateways   = " << c.n_nodes << " / " << c.n_gateways << " over "
-      << c.radius_m / 1000.0 << " km"
-      << (c.gateway_grid_pitch_m > 0.0
-              ? " (grid pitch " + std::to_string(c.gateway_grid_pitch_m / 1000.0) +
-                    " km, cluster " + std::to_string(c.cluster_radius_m / 1000.0) + " km)"
-              : std::string{})
-      << "\n"
-      << "period             = [" << c.min_period.minutes() << ", " << c.max_period.minutes()
+      << "nodes / gateways   = " << c.n_nodes << " / " << c.n_gateways;
+  // A grid deployment places gateways by pitch and nodes by cluster radius;
+  // radius_m is unused there.
+  if (c.gateway_grid_pitch_m > 0.0) {
+    out << ", grid pitch " << c.gateway_grid_pitch_m / 1000.0 << " km, cluster "
+        << c.cluster_radius_m / 1000.0 << " km\n";
+  } else {
+    out << " over " << c.radius_m / 1000.0 << " km\n";
+  }
+  out << "period             = [" << c.min_period.minutes() << ", " << c.max_period.minutes()
       << "] min, window " << c.forecast_window.minutes() << " min\n"
       << "radio              = " << (c.sf_assignment == SfAssignment::kFixed
                                          ? to_string(kFixedSf)

@@ -98,7 +98,7 @@ class EventQueue {
   static constexpr std::size_t kSlotLookahead = 4;
   /// ... and the callback's target object this many entries ahead, over
   /// kTargetLines cache lines from the object's address (14 x 64 B covers
-  /// the 872-byte Node and no line past it, which node.cpp asserts).
+  /// the 848-byte Node and no line past it, which node.cpp asserts).
   static constexpr std::size_t kTargetLookahead = 2;
   static constexpr int kTargetLines = 14;
 

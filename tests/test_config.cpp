@@ -271,5 +271,21 @@ TEST(ScenarioIo, DescribeMentionsKeyFields) {
   EXPECT_NE(text.find("SF10"), std::string::npos);
 }
 
+TEST(ScenarioIo, DescribeGridNamesPitchAndClusterNotRadius) {
+  ScenarioConfig c = blam_scenario(2000, 0.5, 1);
+  c.n_gateways = 16;
+  c.gateway_grid_pitch_m = 12000.0;
+  c.cluster_radius_m = 1000.0;
+  const std::string text = describe_scenario(c);
+  EXPECT_NE(text.find("nodes / gateways   = 2000 / 16, grid pitch 12 km, cluster 1 km\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find(" over "), std::string::npos) << text;
+  c.gateway_grid_pitch_m = 0.0;
+  c.radius_m = 5000.0;
+  EXPECT_NE(describe_scenario(c).find("nodes / gateways   = 2000 / 16 over 5 km\n"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace blam

@@ -66,23 +66,27 @@ namespace {
 constexpr int kNodes = 2000;
 
 // Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
-// 4,865 B/node after construction and 5,219 B/node after one day. With a
-// forecaster and a duty-cycle limiter in every Node, the same slice cost
-// 4,960 and 5,313 B/node; before the audible-gateway lists and the
-// slice-wide airtime memo and MAC policy, 5,337 and 5,935 B/node; with a
-// heap vector per forecast window for the retransmission histogram plus
-// per-node selection scratch, 6,980 and 8,981 B/node.
-constexpr double kBuiltCeiling = 5352.0;
-constexpr double kOneDayCeiling = 5741.0;
+// 3,321 B/node after construction and 3,678 B/node after one day. With u64
+// retransmission histograms and two u64 per-window totals arrays, the same
+// slice cost 4,865 and 5,219 B/node; with a forecaster and a duty-cycle
+// limiter in every Node too, 4,960 and 5,313 B/node; before the
+// audible-gateway lists and the slice-wide airtime memo and MAC policy,
+// 5,337 and 5,935 B/node; with a heap vector per forecast window for the
+// retransmission histogram plus per-node selection scratch, 6,980 and
+// 8,981 B/node.
+constexpr double kBuiltCeiling = 3654.0;
+constexpr double kOneDayCeiling = 4046.0;
 // Heap allocations the build makes per node (operator new calls, frees not
-// subtracted): 10.23, against 14.22 with a per-node link vector, airtime
-// memo and MAC policy, and 51 with the per-window histograms.
-constexpr double kBuildAllocationsCeiling = 11.25;
+// subtracted): 9.23, against 10.23 with the retransmission totals arrays,
+// 14.22 with a per-node link vector, airtime memo and MAC policy, and 51
+// with the per-window histograms.
+constexpr double kBuildAllocationsCeiling = 10.15;
 // The Node object itself, which the event queue prefetches ahead of each of
-// its events: 872 B, against 968 B with a SolarForecaster (80 B) and a
-// DutyCycleLimiter (16 B), 976 B with a per-node copy of the RX-window
-// energy and 1,072 B before that; pinned exactly.
-constexpr std::size_t kNodeBytes = 872;
+// its events: 848 B, against 872 B with the retransmission totals arrays,
+// 968 B with a SolarForecaster (80 B) and a DutyCycleLimiter (16 B), 976 B
+// with a per-node copy of the RX-window energy and 1,072 B before that;
+// pinned exactly.
+constexpr std::size_t kNodeBytes = 848;
 
 /// The perfbench city grid: 16 gateways 12 km apart, nodes within 1 km of
 /// their cell's gateway.

@@ -539,7 +539,7 @@ std::string retx_block(const Node& node) {
   const RetxEstimator& e = node.retx_estimator();
   std::string block = "u " + std::to_string(e.max_windows()) + "\n";
   for (std::size_t t = 0; t < e.max_windows(); ++t) {
-    const std::span<const std::uint64_t> row = e.retx_counts(t);
+    const std::span<const std::uint32_t> row = e.retx_counts(t);
     std::string pairs;
     int nonzero = 0;
     for (std::size_t r = 0; r < row.size(); ++r) {
@@ -567,7 +567,9 @@ TEST(StateFuzz, SparseRowForgeriesNameTheirError) {
     for (const auto& node : engine.slice(0).nodes()) {
       const RetxEstimator& e = node->retx_estimator();
       for (std::size_t t = 0; t < e.max_windows() && block.empty(); ++t) {
-        if (e.selections(t) > 0) block = retx_block(*node);
+        for (const std::uint32_t count : e.retx_counts(t)) {
+          if (count > 0) block = retx_block(*node);
+        }
       }
       if (!block.empty()) break;
     }
@@ -604,6 +606,9 @@ TEST(StateFuzz, SparseRowForgeriesNameTheirError) {
             prefix + "carries a zero count");
   EXPECT_EQ(engine_restore_error(edit(row, "u 9\n"), c, trace),
             prefix + "has more entries than its width");
+  // A well-formed pair whose count does not fit a u32 bucket.
+  EXPECT_EQ(engine_restore_error(edit(row + 2, "u 4294967296\n"), c, trace),
+            "Node::restore_state: retx histogram: count above 2^32-1");
   // The untouched block restores, so each error above is the forgery's.
   EXPECT_EQ(engine_restore_error(forged(rows), c, trace), "");
 }
