@@ -72,7 +72,7 @@ int run_program() {
   LorawanMac lorawan;
   BlamMac blam{0.5};
   std::vector<Energy> harvest(static_cast<std::size_t>(n_windows));
-  std::vector<Energy> cost(static_cast<std::size_t>(n_windows));
+  std::vector<Energy> cost;
 
   // Baseline decision: LoRaWAN "transmit immediately".
   WindowContext base_ctx;
@@ -90,11 +90,7 @@ int run_program() {
       [&](int i) {
         const Time start = Time::from_minutes(static_cast<double>(i % 1440));
         harvester.energy_windows(start, Time::from_minutes(1.0), n_windows, harvest.data());
-        for (int w = 0; w < n_windows; ++w) {
-          cost[static_cast<std::size_t>(w)] = Energy::from_joules(
-              ewma.value_or(attempt.joules()) *
-              retx.expected_transmissions(static_cast<std::size_t>(w)));
-        }
+        retx.fill_tx_cost(Energy::from_joules(ewma.value_or(attempt.joules())), cost);
         WindowContext ctx = base_ctx;
         ctx.w_u = 0.7;
         ctx.harvest_forecast = harvest;
@@ -111,13 +107,13 @@ int run_program() {
       },
       iterations);
 
-  // Protocol state footprint per node. Per window: the u32 histogram row,
-  // the expected-transmissions double, and the harvest and cost forecasts.
+  // Protocol state footprint per node. Per window with history (all ten
+  // here): the estimator's row of counts and expected transmissions, and
+  // the harvest and cost forecasts.
   const std::size_t state_lorawan = sizeof(LorawanMac);
-  const auto histogram_row = static_cast<std::size_t>(retx.max_retx() + 1) * sizeof(std::uint32_t);
   const std::size_t state_blam =
       sizeof(BlamMac) + sizeof(Ewma) + sizeof(RetxEstimator) +
-      static_cast<std::size_t>(n_windows) * (histogram_row + sizeof(double) + 2 * sizeof(Energy));
+      retx.rows().size() * (sizeof(RetxEstimator::Row) + 2 * sizeof(Energy));
 
   std::printf("\n%-34s %12s %12s\n", "", "LoRaWAN", "H-x (BLAM)");
   std::printf("%-34s %12.1f %12.1f\n", "per-period decision [ns]", ns_lorawan, ns_blam);

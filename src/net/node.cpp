@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -246,24 +247,22 @@ void Node::on_period_start() {
   if (policy().needs_forecasts()) {
     std::vector<Energy>& harvest = shared_->scratch.harvest;
     std::vector<Energy>& cost = shared_->scratch.cost;
-    cost.clear();
-    const double base_estimate = etx_ewma_.value_or(single_attempt_energy_.joules());
     // The paper's on-sensor forecaster is accurate within a window, so the
     // forecast is the harvester's own window sweep.
     harvest.resize(static_cast<std::size_t>(n_windows_));
     harvester_.energy_windows(now, window, n_windows_, harvest.data());
-    for (int w = 0; w < n_windows_; ++w) {
-      if (faults_ != nullptr) {
-        // The short-horizon forecaster sees the actual sky, so a drought
-        // shows up in its predictions too.
+    if (faults_ != nullptr) {
+      // The short-horizon forecaster sees the actual sky, so a drought
+      // shows up in its predictions too.
+      for (int w = 0; w < n_windows_; ++w) {
         const Time w0 = now + window * std::int64_t{w};
         const Time w1 = now + window * std::int64_t{w + 1};
         harvest[static_cast<std::size_t>(w)] =
             harvest[static_cast<std::size_t>(w)] * faults_->drought_factor(w0, w1);
       }
-      cost.push_back(Energy::from_joules(
-          base_estimate * retx_estimator_.expected_transmissions(static_cast<std::size_t>(w))));
     }
+    retx_estimator_.fill_tx_cost(
+        Energy::from_joules(etx_ewma_.value_or(single_attempt_energy_.joules())), cost);
     ctx.harvest_forecast = harvest;
     ctx.tx_cost = cost;
   }
@@ -480,6 +479,22 @@ SocSample read_sample(StateReader& r) {
   return s;
 }
 
+/// The retransmission histograms in stream order, one sparse row per
+/// window: a window without history writes the empty row. A row's buckets
+/// above max_retx are zero, so the sparse row never names them.
+void write_retx_rows(StateWriter& w, std::span<const RetxEstimator::Row> rows,
+                     std::size_t n_windows) {
+  auto row = rows.begin();
+  for (std::size_t t = 0; t < n_windows; ++t) {
+    if (row != rows.end() && row->window == t) {
+      write_sparse_row(w, row->counts);
+      ++row;
+    } else {
+      w.put_u64(0);  // no nonzero entry
+    }
+  }
+}
+
 }  // namespace
 
 void Node::checkpoint_state(StateWriter& w) const {
@@ -502,11 +517,10 @@ void Node::checkpoint_state(StateWriter& w) const {
 
   w.put_double(etx_ewma_.raw_value());
   w.put_u64(etx_ewma_.initialized() ? 1 : 0);
-  // Histogram rows only: restore re-derives the expected-transmissions row.
+  // One histogram row per window, `u 0` where the window has no history;
+  // restore re-derives each row's expected transmissions.
   w.put_u64(retx_estimator_.max_windows());
-  for (std::size_t t = 0; t < retx_estimator_.max_windows(); ++t) {
-    write_sparse_row(w, retx_estimator_.retx_counts(t));
-  }
+  write_retx_rows(w, retx_estimator_.rows(), retx_estimator_.max_windows());
 
   write_time(w, last_account_);
   write_time(w, last_fade_update_);

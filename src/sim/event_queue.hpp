@@ -97,10 +97,10 @@ class EventQueue {
   /// pop() prefetches the slot this many run entries ahead ...
   static constexpr std::size_t kSlotLookahead = 4;
   /// ... and the callback's target object this many entries ahead, over
-  /// kTargetLines cache lines from the object's address (14 x 64 B covers
-  /// the 848-byte Node and no line past it, which node.cpp asserts).
+  /// kTargetLines cache lines from the object's address (13 x 64 B covers
+  /// the 824-byte Node and no line past it, which node.cpp asserts).
   static constexpr std::size_t kTargetLookahead = 2;
-  static constexpr int kTargetLines = 14;
+  static constexpr int kTargetLines = 13;
 
   /// Inserts an event; `time` must not precede the last popped time (the
   /// engine enforces this, the queue only stores).

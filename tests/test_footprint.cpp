@@ -66,27 +66,36 @@ namespace {
 constexpr int kNodes = 2000;
 
 // Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
-// 3,321 B/node after construction and 3,678 B/node after one day. With u64
-// retransmission histograms and two u64 per-window totals arrays, the same
-// slice cost 4,865 and 5,219 B/node; with a forecaster and a duty-cycle
-// limiter in every Node too, 4,960 and 5,313 B/node; before the
-// audible-gateway lists and the slice-wide airtime memo and MAC policy,
-// 5,337 and 5,935 B/node; with a heap vector per forecast window for the
-// retransmission histogram plus per-node selection scratch, 6,980 and
-// 8,981 B/node.
-constexpr double kBuiltCeiling = 3654.0;
-constexpr double kOneDayCeiling = 4046.0;
+// 1,758 B/node after construction and 2,170 B/node after one day. With a
+// dense u32 retransmission histogram and expected-transmissions row over
+// every forecast window, the same slice cost 3,321 and 3,678 B/node; with
+// u64 histograms and two u64 per-window totals arrays, 4,865 and
+// 5,219 B/node; with a forecaster and a duty-cycle limiter in every Node
+// too, 4,960 and 5,313 B/node; before the audible-gateway lists and the
+// slice-wide airtime memo and MAC policy, 5,337 and 5,935 B/node; with a
+// heap vector per forecast window for the retransmission histogram plus
+// per-node selection scratch, 6,980 and 8,981 B/node.
+constexpr double kBuiltCeiling = 1934.0;
+constexpr double kOneDayCeiling = 2387.0;
 // Heap allocations the build makes per node (operator new calls, frees not
-// subtracted): 9.23, against 10.23 with the retransmission totals arrays,
-// 14.22 with a per-node link vector, airtime memo and MAC policy, and 51
-// with the per-window histograms.
-constexpr double kBuildAllocationsCeiling = 10.15;
+// subtracted): 7.23, against 9.23 with the dense histogram and expected
+// row, 10.23 with the retransmission totals arrays too, 14.22 with a
+// per-node link vector, airtime memo and MAC policy, and 51 with the
+// per-window histograms.
+constexpr double kBuildAllocationsCeiling = 7.95;
+// Heap allocations per node period over the slice's second day, once the
+// first day has grown every pool and scratch buffer: 17 over 87,847
+// periods (1.94e-4), the same with the dense histogram. A node's first
+// packet in a window it has not sent in before inserts a history row, the
+// one allocation a period may still make; on this slice every node's
+// history row already exists after day 1.
+constexpr double kSteadyAllocationsCeiling = 2.13e-4;
 // The Node object itself, which the event queue prefetches ahead of each of
-// its events: 848 B, against 872 B with the retransmission totals arrays,
-// 968 B with a SolarForecaster (80 B) and a DutyCycleLimiter (16 B), 976 B
-// with a per-node copy of the RX-window energy and 1,072 B before that;
-// pinned exactly.
-constexpr std::size_t kNodeBytes = 848;
+// its events: 824 B, against 848 B with the dense retransmission history,
+// 872 B with the retransmission totals arrays, 968 B with a SolarForecaster
+// (80 B) and a DutyCycleLimiter (16 B), 976 B with a per-node copy of the
+// RX-window energy and 1,072 B before that; pinned exactly.
+constexpr std::size_t kNodeBytes = 824;
 
 /// The perfbench city grid: 16 gateways 12 km apart, nodes within 1 km of
 /// their cell's gateway.
@@ -138,6 +147,34 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
   EXPECT_LE(one_day, kOneDayCeiling) << "heap per node after one simulated day";
   // The guard must measure something: a node is more than its Node object.
   EXPECT_GT(built, static_cast<double>(sizeof(Node)));
+#endif
+}
+
+TEST(NodeFootprint, CitySliceSteadyStateAllocationsPerPeriod) {
+#ifdef BLAM_FOREIGN_MALLOC
+  GTEST_SKIP() << "the sanitizer allocator replaces operator new; the counter does not see it";
+#else
+  const ScenarioConfig c = city_slice();
+  Network network{c, build_shared_trace(c)};
+  network.run_until(Time::from_days(1.0));
+  // One generated packet is one node period.
+  const auto periods = [&network] {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < network.metrics().node_count(); ++i) {
+      total += network.metrics().node(i).generated;
+    }
+    return total;
+  };
+  const std::uint64_t periods_before = periods();
+  const std::uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
+  network.run_until(Time::from_days(2.0));
+  const double day_two_periods = static_cast<double>(periods() - periods_before);
+  const double per_period =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before) /
+      day_two_periods;
+  RecordProperty("steady_allocations_per_period_x1e6", static_cast<int>(per_period * 1e6));
+  ASSERT_GT(day_two_periods, 0.0);
+  EXPECT_LE(per_period, kSteadyAllocationsCeiling) << "heap allocations per node period, day 2";
 #endif
 }
 

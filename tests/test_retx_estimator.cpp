@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 
 namespace blam {
 namespace {
@@ -52,6 +56,9 @@ double recomputed_expected(const RetxEstimator& e, std::size_t t) {
 TEST(RetxEstimator, ValidatesConstruction) {
   EXPECT_THROW(RetxEstimator(0), std::invalid_argument);
   EXPECT_THROW(RetxEstimator(4, -1), std::invalid_argument);
+  // A row holds eight buckets, LoRaWAN's cap of 7 retransmissions.
+  EXPECT_THROW(RetxEstimator(4, 8), std::invalid_argument);
+  EXPECT_NO_THROW(RetxEstimator(4, RetxEstimator::kMaxRetxCap));
 }
 
 TEST(RetxEstimator, OptimisticPriorForUnseenWindows) {
@@ -123,10 +130,9 @@ TEST(RetxEstimator, CrowdedWindowCostsMore) {
 }
 
 TEST(RetxEstimator, FlatLayoutRoundTrip) {
-  // Every window's histogram reads back through the accessor the checkpoint
-  // writes, and restore_count installs its nonzero buckets into a fresh
-  // estimator, which re-derives the totals and answers every query
-  // identically.
+  // Every window's histogram reads back through retx_counts, and
+  // restore_count installs its nonzero buckets into a fresh estimator,
+  // which re-derives the totals and answers every query identically.
   RetxEstimator e{5, 3};
   const int retx[] = {0, 1, 3, 2, 0, 7, 1, 1};
   for (int i = 0; i < 40; ++i) e.record(static_cast<std::size_t>(i % 5), retx[i % 8]);
@@ -287,6 +293,114 @@ TEST(RetxEstimator, CachedRowMatchesHistogramBitForBit) {
       if (HasFatalFailure()) return;
     }
   }
+}
+
+TEST(RetxEstimator, SparseRowsMatchDenseReference) {
+  // Seeded interleavings of record (clamped and overflowing ones included),
+  // reset and restore_count (refused ones included) against a dense
+  // histogram kept here: after every step each window answers exactly as
+  // the dense model, the cost fill gives every window's product, and
+  // rows() holds the windows with history, sorted, with no all-zero row.
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  int refused = 0;  // restore_count calls that returned false
+  int overflows = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng{seed, 1};
+    const auto windows = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    const int max_retx = static_cast<int>(rng.uniform_int(0, RetxEstimator::kMaxRetxCap));
+    const auto width = static_cast<std::size_t>(max_retx) + 1;
+    RetxEstimator e{windows, max_retx};
+    std::vector<std::array<std::uint64_t, 8>> dense(windows);
+
+    const auto dense_expected = [&](std::size_t t) {
+      std::uint64_t total = 0;
+      std::uint64_t sum = 0;
+      for (std::size_t r = 0; r < width; ++r) {
+        total += dense[t][r];
+        sum += r * dense[t][r];
+      }
+      return total == 0 ? 1.0 : 1.0 + static_cast<double>(sum) / static_cast<double>(total);
+    };
+    const Energy per_attempt = Energy::from_joules(0.0371);
+    std::vector<Energy> cost;
+    const auto check_all = [&](int step) {
+      e.fill_tx_cost(per_attempt, cost);
+      ASSERT_EQ(cost.size(), windows);
+      std::size_t with_history = 0;
+      for (std::size_t t = 0; t < windows; ++t) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(e.expected_transmissions(t)),
+                  std::bit_cast<std::uint64_t>(dense_expected(t)))
+            << "seed " << seed << " step " << step << " window " << t;
+        // The cost fill's product, bit for bit, as if taken per window.
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cost[t].joules()),
+                  std::bit_cast<std::uint64_t>(per_attempt.joules() * dense_expected(t)));
+        const std::span<const std::uint32_t> counts = e.retx_counts(t);
+        ASSERT_EQ(counts.size(), width);
+        bool nonzero = false;
+        for (std::size_t r = 0; r < width; ++r) {
+          ASSERT_EQ(counts[r], dense[t][r])
+              << "seed " << seed << " step " << step << " window " << t << " r " << r;
+          nonzero |= counts[r] != 0;
+        }
+        with_history += nonzero ? 1 : 0;
+      }
+      const std::span<const RetxEstimator::Row> rows = e.rows();
+      ASSERT_EQ(rows.size(), with_history) << "seed " << seed << " step " << step;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (i > 0) {
+          ASSERT_LT(rows[i - 1].window, rows[i].window);
+        }
+        std::uint64_t total = 0;
+        for (const std::uint32_t count : rows[i].counts) total += count;
+        ASSERT_GT(total, 0u) << "seed " << seed << " step " << step;
+      }
+    };
+
+    for (int step = 0; step < 2000; ++step) {
+      const double op = rng.uniform();
+      const auto last = static_cast<std::int64_t>(windows) - 1;
+      const auto t = static_cast<std::size_t>(rng.uniform_int(0, last));
+      if (op < 0.01) {
+        e.reset();
+        for (auto& row : dense) row.fill(0);
+      } else if (op < 0.2) {
+        // A bucket index past the width, a count of zero or past 2^32 - 1,
+        // and a bucket that already holds a count are refused or no-ops.
+        const auto r = static_cast<std::size_t>(rng.uniform_int(0, 8));
+        const double pick = rng.uniform();
+        auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+        if (pick < 0.1) {
+          count = 0;
+        } else if (pick < 0.2) {
+          count = kU32Max + 1;
+        } else if (pick < 0.3) {
+          count = kU32Max;
+        }
+        const bool accepted = r < width && dense[t][r] == 0 && count <= kU32Max;
+        ASSERT_EQ(e.restore_count(t, r, count), accepted) << "seed " << seed << " step " << step;
+        if (accepted) dense[t][r] = count;
+        refused += accepted ? 0 : 1;
+      } else if (op < 0.21) {
+        EXPECT_THROW(e.record(windows + t, 0), std::out_of_range);
+        EXPECT_THROW((void)e.restore_count(windows, 0, 1), std::out_of_range);
+      } else {
+        const int retx = static_cast<int>(rng.uniform_int(-2, 12));
+        const auto r = static_cast<std::size_t>(std::clamp(retx, 0, max_retx));
+        if (dense[t][r] == kU32Max) {
+          EXPECT_THROW(e.record(t, retx), std::overflow_error);
+          ++overflows;
+        } else {
+          e.record(t, retx);
+          ++dense[t][r];
+        }
+      }
+      check_all(step);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The walk reaches the refusals it claims to check.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(overflows, 0);
 }
 
 }  // namespace
