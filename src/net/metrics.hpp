@@ -122,8 +122,8 @@ struct GatewayMetrics {
   std::uint64_t reports_corrupted_fault{0};
   std::uint64_t reports_truncated_fault{0};
 
-  /// Every counter in row order: the codec rows and the shard merge walk
-  /// this one list.
+  /// Every counter in row order: the codec rows and the engine's sum over
+  /// slices walk this one list.
   [[nodiscard]] constexpr auto fields() const {
     return std::array{&GatewayMetrics::arrivals, &GatewayMetrics::received,
                       &GatewayMetrics::lost_interference, &GatewayMetrics::lost_half_duplex,

@@ -75,7 +75,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     : config_{config},
       plan_{config.uplink_channels, config.downlink_channels},
       model_{config.degradation},
-      metrics_{slice.nodes.size()},
+      metrics_{slice.fleet != nullptr ? 0 : deployment.nodes.size()},
       worst_attempt_energy_{deployment.worst_attempt_energy} {
   config_.validate();
   const Rng root{config_.seed, salt::kRootStream};
@@ -168,6 +168,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   // earliest scheduled event), then gateways, then nodes in ascending global
   // id — makes a slice's event order the whole-fleet order's projection onto
   // its collision domains, which is what keeps shard counts bit-identical.
+  Metrics& fleet = slice.fleet != nullptr ? *slice.fleet : metrics_;
   nodes_.reserve(slice.nodes.size());
   for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
     const std::uint32_t id = slice.nodes[i];
@@ -191,8 +192,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     init.panel_scale = p.panel_scale;
 
     server_->register_node(init.id);
-    nodes_.push_back(std::make_unique<Node>(init, node_shared_, *trace_, model_,
-                                            metrics_.node(nodes_.size()),
+    nodes_.push_back(std::make_unique<Node>(init, node_shared_, *trace_, model_, fleet.node(id),
                                             root.fork(salt::kNodeStreamBase + id)));
     nodes_.back()->attach_auditor(audit_.get());
     if (faults_ != nullptr) nodes_.back()->attach_fault_plan(faults_.get());

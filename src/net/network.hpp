@@ -26,10 +26,12 @@
 namespace blam {
 
 /// The part of a deployment one Network builds: ascending global ids of
-/// its gateways and nodes.
+/// its gateways and nodes, and the fleet's row table its nodes write.
 struct NetworkSlice {
   std::vector<int> gateways;
   std::vector<std::uint32_t> nodes;
+  /// Node `id` writes fleet->node(id); null makes the Network its own fleet.
+  Metrics* fleet{nullptr};
 
   /// Every gateway and node of `deployment`.
   [[nodiscard]] static NetworkSlice whole(const DeploymentPlan& deployment);
@@ -46,7 +48,7 @@ class Network {
 
   /// The one build path: the `slice` share of an already planned
   /// `deployment`. A null `trace` is built from the deployment. Node and
-  /// gateway ids stay global (metrics rows, RNG forks and fault streams are
+  /// gateway ids stay global (fleet rows, RNG forks and fault streams are
   /// keyed by them); local indices follow the slice's ascending order.
   /// `combiner` (may be null) folds the local D_max into the fleet max at
   /// each w_u recompute.
@@ -60,12 +62,13 @@ class Network {
   /// Ground-truth maximum degradation across nodes right now.
   [[nodiscard]] double max_degradation() const;
 
-  /// Copies per-node degradation ground truth into the metrics records and
+  /// Copies per-node degradation ground truth into the nodes' rows and
   /// snapshots the ledger and report-channel counters.
   void finalize_metrics();
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] const Simulator& simulator() const { return sim_; }
+  /// Gateway counters and summary fields, plus every node row if its own fleet.
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }

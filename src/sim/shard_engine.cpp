@@ -289,7 +289,7 @@ std::string resolve_checkpoint_dir() {
 
 ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
                                std::shared_ptr<const SolarTrace> trace)
-    : config_{config}, merged_{static_cast<std::size_t>(config.n_nodes)} {
+    : config_{config}, fleet_{static_cast<std::size_t>(config.n_nodes)} {
   config_.validate();
   checkpoint_every_ = resolve_checkpoint_every();
   checkpoint_dir_ = resolve_checkpoint_dir();
@@ -297,10 +297,10 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
   plan_ = plan_shards(config_, deployment, resolve_shards(config_.shards));
   if (plan_.serial && plan_.requested > 1) {
     // The caller asked for parallelism it will not get; surface the silent
-    // degradation once on stderr and in the merged metrics.
+    // degradation once on stderr and in the fleet's metrics.
     std::fprintf(stderr, "blam: %d shards requested but running serial: %s\n", plan_.requested,
                  plan_.serial_reason.c_str());
-    merged_.set_serial_reason(plan_.serial_reason);
+    fleet_.set_serial_reason(plan_.serial_reason);
   }
   if (trace == nullptr) trace = build_deployment_trace(config_, deployment.worst_attempt_energy);
 
@@ -310,7 +310,8 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
   busy_seconds_.assign(static_cast<std::size_t>(n_slices), 0.0);
   slices_.reserve(static_cast<std::size_t>(n_slices));
   for (int s = 0; s < n_slices; ++s) {
-    const NetworkSlice slice = plan_.slice(s);
+    NetworkSlice slice = plan_.slice(s);
+    slice.fleet = &fleet_;
     slices_.push_back(std::make_unique<Network>(config_, deployment, trace, reducer_.get(), slice));
     // Cooperative kill switch: lets the wedge watchdog unwind a runaway
     // event loop so the epoch join always returns.
@@ -424,18 +425,11 @@ double ShardedNetwork::max_degradation() const {
 void ShardedNetwork::finalize_metrics() {
   refuse_after_failed_restore();
   const std::uint64_t total_gateways = plan_.shard_of_gateway.size();
-  GatewayMetrics& mg = merged_.gateway();
+  GatewayMetrics& mg = fleet_.gateway();
   mg = GatewayMetrics{};
   LedgerCounters feedback;
   for (const auto& slice : slices_) {
     slice->finalize_metrics();
-
-    std::uint64_t attempts = 0;
-    for (std::size_t local = 0; local < slice->nodes().size(); ++local) {
-      const NodeMetrics& row = slice->metrics().node(local);
-      merged_.node(slice->nodes()[local]->id()) = row;
-      attempts += row.tx_attempts;
-    }
 
     // Every counter partitions across slices, report-channel fault tallies
     // included (nodes partition, and each has its own lane), but one: every
@@ -452,22 +446,24 @@ void ShardedNetwork::finalize_metrics() {
     // construction — one arrival plus one lost_under_sensitivity, nothing
     // else. No other counter can differ.
     const std::uint64_t missing = total_gateways - slice->gateways().size();
+    std::uint64_t attempts = 0;
+    for (const auto& node : slice->nodes()) attempts += fleet_.node(node->id()).tx_attempts;
     mg.arrivals += attempts * missing;
     mg.lost_under_sensitivity += attempts * missing;
 
     const LedgerCounters& c = slice->server().service().counters();
     for (const auto count : c.fields()) feedback.*count += c.*count;
   }
-  merged_.set_feedback(feedback);
+  fleet_.set_feedback(feedback);
   const Network& front = *slices_.front();
   if (const FaultPlan* faults = front.fault_plan()) {
     // The outage schedule is global and every slice regenerates it
     // identically; any slice's tally is the whole-fleet value.
-    merged_.set_total_outage(faults->outage_seconds_until(front.simulator().now()).seconds());
+    fleet_.set_total_outage(faults->outage_seconds_until(front.simulator().now()).seconds());
   }
 }
 
-const Metrics& ShardedNetwork::metrics() const { return merged_; }
+const Metrics& ShardedNetwork::metrics() const { return fleet_; }
 
 const SolarTrace& ShardedNetwork::solar_trace() const { return slices_.front()->solar_trace(); }
 

@@ -185,15 +185,15 @@ class ShardedNetwork {
   /// Ground-truth maximum degradation across all slices' nodes.
   [[nodiscard]] double max_degradation() const;
 
-  /// Finalizes every slice's metrics and merges them into one fleet view:
-  /// node rows keyed by global id, gateway counters field-summed plus the
-  /// exact compensation for uplink copies foreign slices never saw (each
-  /// would have arrived under the audibility floor: arrivals and
+  /// Finalizes every slice (each node writes its battery fields into its
+  /// row), then fills the fleet's gateway counters: the slices' sums plus
+  /// the exact compensation for uplink copies foreign slices never saw
+  /// (each would have arrived under the audibility floor: arrivals and
   /// lost_under_sensitivity grow by tx_attempts x missing-gateway-count).
   void finalize_metrics();
 
-  /// The merged fleet view; valid after finalize_metrics() at every shard
-  /// count (before it, node rows and counters are not yet filled in).
+  /// The fleet's one row table, by global node id. Rows are live; their battery
+  /// fields, gateway/ledger counters and outage total fill in finalize_metrics().
   [[nodiscard]] const Metrics& metrics() const;
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
@@ -265,12 +265,12 @@ class ShardedNetwork {
   std::unique_ptr<ShardBarrier> barrier_;
   // blam-ckpt: skip -- epoch-merge machinery, rebuilt at construction
   std::unique_ptr<FleetReducer> reducer_;
+  // blam-ckpt: skip -- sized once, never reallocated; rows travel in each node's section, counters refilled by finalize_metrics()
+  Metrics fleet_;
   std::vector<std::unique_ptr<Network>> slices_;
   /// CPU seconds each slice has run, across run_until calls.
   // blam-ckpt: skip -- CPU-time measurement, not simulation state
   std::vector<double> busy_seconds_;
-  // blam-ckpt: skip -- merge output, recomputed from the per-slice metrics by finalize_metrics()
-  Metrics merged_;
   Time cursor_{};
   /// Cooperative kill switch for wedged slices: polled by every slice's
   /// event loop, raised when the watchdog fires so join() always returns.

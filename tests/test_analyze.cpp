@@ -135,6 +135,19 @@ TEST(AnalyzeStructure, TemplateClassMembersAreCaptured) {
   EXPECT_NE(find_member(*box, "count"), nullptr);
 }
 
+TEST(AnalyzeStructure, TemplateHeadersNameTheirParameters) {
+  const TranslationUnit unit =
+      parse_unit("src/a.hpp",
+                 "template <typename T, std::size_t N = sizeof(T), class = void>\n"
+                 "void fill(T& t) {}\n"
+                 "template <typename U> using Vec = std::vector<U>;\n"
+                 "void plain(int x) {}\n");
+  ASSERT_EQ(unit.functions.size(), 2u);
+  EXPECT_EQ(unit.functions[0].template_params, (std::vector<std::string>{"T", "N"}));
+  // An alias template's names end with the alias.
+  EXPECT_TRUE(unit.functions[1].template_params.empty());
+}
+
 TEST(AnalyzeStructure, InlineAndOutOfClassFunctionDefinitionsAreRecorded) {
   const auto unit = parse_unit("src/x.cpp",
                                "struct Counter {\n"
@@ -350,6 +363,27 @@ TEST(AnalyzeK1, FreeSerializerSubjectsAreRoots) {
                                               "}\n"}}));
   EXPECT_EQ(count_rule(findings, "K1"), 1);
   EXPECT_TRUE(mentions(findings, "K1", "Ledger::unsaved_"));
+}
+
+TEST(AnalyzeK1, TemplateParametersOfFreeSerializersAreNotClasses) {
+  // `const Row&` in a templated codec helper names the helper's own template
+  // parameter, not the unrelated `struct Row` beside it: no group roots Row.
+  // The same helper without its template header does root it, and Row's
+  // unmentioned member is then drift.
+  const std::string row = "struct Row {\n  int window{0};\n};\n";
+  const std::string helper =
+      "void write_row(StateWriter& w, const Row& row) {\n"
+      "  w.put_u64(row.size());\n"
+      "}\n";
+  const Project templated =
+      make_project({{"src/sim/codec.hpp", row + "template <typename Row>\n" + helper}});
+  ASSERT_EQ(templated.units[0].functions.size(), 1u);
+  EXPECT_EQ(templated.units[0].functions[0].template_params, std::vector<std::string>{"Row"});
+  EXPECT_EQ(count_rule(active(templated), "K1"), 0);
+
+  const auto plain = active(make_project({{"src/sim/codec.hpp", row + helper}}));
+  EXPECT_EQ(count_rule(plain, "K1"), 1);
+  EXPECT_TRUE(mentions(plain, "K1", "Row::window"));
 }
 
 TEST(AnalyzeK1, DerivedOverridesJoinTheGroupOnVirtualDispatch) {

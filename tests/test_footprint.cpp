@@ -18,10 +18,13 @@
 #include <memory>
 #include <new>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "net/experiment.hpp"
 #include "common/state_codec.hpp"
 #include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define BLAM_FOREIGN_MALLOC 1
@@ -147,6 +150,34 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
   EXPECT_LE(one_day, kOneDayCeiling) << "heap per node after one simulated day";
   // The guard must measure something: a node is more than its Node object.
   EXPECT_GT(built, static_cast<double>(sizeof(Node)));
+#endif
+}
+
+// The engine on the same city after one day and finalize_metrics(), per
+// node, at shards 1 and 4: 2,174 and 2,246 B/node, against 2,631 and
+// 2,737 B/node when the engine kept a second, merged row per node beside
+// the rows its slices owned (the whole-fleet Network above: 2,170 B/node).
+constexpr std::pair<int, double> kShardedOneDayCeilings[] = {{1, 2392.0}, {4, 2472.0}};
+
+TEST(NodeFootprint, ShardedEngineHeapBytesPerNode) {
+#ifdef BLAM_FOREIGN_MALLOC
+  GTEST_SKIP() << "the sanitizer allocator replaces malloc; mallinfo2 does not see it";
+#else
+  for (const auto& [shards, ceiling] : kShardedOneDayCeilings) {
+    SCOPED_TRACE(shards);
+    ScenarioConfig c = city_slice();
+    c.shards = shards;
+    const auto trace = build_shared_trace(c);
+    const double before = in_use_bytes();
+    auto engine = std::make_unique<ShardedNetwork>(c, trace);
+    ASSERT_EQ(engine->plan().effective, shards);
+    engine->run_until(Time::from_days(1.0));
+    engine->finalize_metrics();
+    const double per_node = (in_use_bytes() - before) / kNodes;
+    RecordProperty("one_day_bytes_per_node_shards" + std::to_string(shards),
+                   static_cast<int>(per_node));
+    EXPECT_LE(per_node, ceiling) << "heap per node after one simulated day and finalize_metrics()";
+  }
 #endif
 }
 

@@ -84,6 +84,9 @@ struct FunctionDef {
   std::string name;
   int line{0};
   std::vector<ParamDecl> params;
+  /// Names the definition's own `template <...>` header declares ("Row"
+  /// for `template <typename Row>`); empty for a non-template.
+  std::vector<std::string> template_params;
   /// Token index range of the body, [begin, end): `{` .. `}` inclusive of
   /// neither brace's payload beyond the braces themselves.
   std::size_t body_begin{0};

@@ -278,7 +278,10 @@ class K1Engine {
       }
     }
     // (b) free functions with a StateWriter/StateReader parameter: every
-    // other class-typed parameter is a serialized subject.
+    // other class-typed parameter is a serialized subject, except one whose
+    // type names the function's own template parameter (`const Row&` in
+    // `template <typename Row> void write_row(StateWriter&, const Row&)`
+    // is no class called Row).
     for (const TranslationUnit& unit : project_.units) {
       for (const FunctionDef& def : unit.functions) {
         if (!def.class_name.empty()) continue;
@@ -290,6 +293,11 @@ class K1Engine {
         for (const ParamDecl& p : def.params) {
           if (p.type.find("StateWriter") != std::string::npos ||
               p.type.find("StateReader") != std::string::npos) {
+            continue;
+          }
+          const std::vector<std::string> chains = type_chains(p.type);
+          if (std::find_first_of(chains.begin(), chains.end(), def.template_params.begin(),
+                                 def.template_params.end()) != chains.end()) {
             continue;
           }
           for (const std::string& key : resolve_type(ix_, "", p.type)) {

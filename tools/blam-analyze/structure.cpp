@@ -11,6 +11,7 @@
 #include <cctype>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "blam-analyze/analyze.hpp"
 #include "blam-analyze/annotations.hpp"
@@ -130,6 +131,9 @@ class StructureParser {
   TranslationUnit& unit_;
   const detail::Annotations& notes_;
   std::size_t i_{0};
+  /// Names the last `template <...>` header declared, for the declaration
+  /// that follows it.
+  std::vector<std::string> template_params_;
 
   [[nodiscard]] bool done() const { return i_ >= toks_.size(); }
 
@@ -177,6 +181,34 @@ class StructureParser {
       }
       ++i_;
     }
+  }
+
+  /// Consumes a `template <...>` parameter list and returns the names it
+  /// declares: the last identifier of each top-level parameter before its
+  /// default (`typename Row` -> Row, `std::size_t N = 4` -> N).
+  std::vector<std::string> parse_template_params() {
+    const std::size_t open = i_;
+    skip_angles();
+    std::vector<std::string> names;
+    std::string last;
+    bool in_default = false;
+    int depth = 0;
+    for (std::size_t j = open; j < i_; ++j) {
+      const std::string& x = toks_[j].text;
+      if (x == "<" || x == ">") depth += x == "<" ? 1 : -1;
+      if (depth != 1 || x == "<") continue;
+      if (x == ",") {
+        if (!last.empty()) names.push_back(std::exchange(last, {}));
+        in_default = false;
+      } else if (x == "=") {
+        in_default = true;
+      } else if (!in_default && toks_[j].kind == TokKind::kIdentifier && x != "typename" &&
+                 x != "class") {
+        last = x;
+      }
+    }
+    if (!last.empty()) names.push_back(last);
+    return names;
   }
 
   /// Consumes to the `;` ending the current statement, matching brackets.
@@ -234,10 +266,11 @@ class StructureParser {
         }
         if (kw == "template") {
           ++i_;
-          if (at("<")) skip_angles();
+          if (at("<")) template_params_ = parse_template_params();
           continue;  // the templated declaration parses normally
         }
         if (kw == "using" || kw == "typedef" || kw == "static_assert" || kw == "friend") {
+          template_params_.clear();  // an alias or friend template's names end here
           skip_statement();
           continue;
         }
@@ -309,6 +342,7 @@ class StructureParser {
   }
 
   void parse_class(ClassInfo* parent) {
+    template_params_.clear();
     const bool is_struct = !at("class");
     const int decl_line = tok().line;
     ++i_;
@@ -434,6 +468,7 @@ class StructureParser {
   /// global/static variable, a function declaration, or a function
   /// definition (body recorded, contents skipped).
   void parse_declaration(ClassInfo* cls) {
+    std::vector<std::string> template_params = std::exchange(template_params_, {});
     const std::size_t start = i_;
     const int start_line = tok().line;
     bool saw_static = false;
@@ -593,7 +628,8 @@ class StructureParser {
     while (!done()) {
       const std::string& x = tok().text;
       if (x == "{") {
-        record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator);
+        record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator,
+                        std::move(template_params));
         return;
       }
       if (x == ";") {
@@ -627,7 +663,8 @@ class StructureParser {
               skip_group("{", "}");  // an init brace
               continue;
             }
-            record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator);
+            record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator,
+                            std::move(template_params));
             return;
           }
           if (y == ";") {
@@ -646,11 +683,12 @@ class StructureParser {
 
   void record_function(ClassInfo* cls, const std::string& qualifier, const std::string& name,
                        int line, const std::vector<std::pair<std::size_t, std::size_t>>& params,
-                       bool is_operator) {
+                       bool is_operator, std::vector<std::string> template_params) {
     FunctionDef def;
     def.class_name = cls != nullptr ? cls->name : qualifier;
     def.name = name;
     def.line = line;
+    def.template_params = std::move(template_params);
     if (!params.empty()) def.params = parse_params(params.back().first, params.back().second);
     def.body_begin = i_;
     skip_group("{", "}");
