@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
 
 #include "common/csv.hpp"
@@ -46,19 +45,9 @@ SweepOptions sweep_options() {
 }
 
 CampaignOptions campaign_options() {
+  refuse_retired_env();
   CampaignOptions options;
   options.sweep = sweep_options();
-  if (const auto timeout = env_number<double>("BLAM_CELL_TIMEOUT_S", 0.0,
-                                               std::numeric_limits<double>::max())) {
-    options.cell_timeout_s = *timeout;
-  }
-  if (const auto retries =
-          env_number<std::int64_t>("BLAM_RETRIES", 0, std::numeric_limits<int>::max())) {
-    options.retries = static_cast<int>(*retries);
-  }
-  if (const char* env = std::getenv("BLAM_QUARANTINE"); env != nullptr) {
-    options.quarantine_path = env;  // "" disables the quarantine file
-  }
   if (const char* env = std::getenv("BLAM_JOURNAL"); env != nullptr) {
     options.journal_path = env;
   }

@@ -32,15 +32,11 @@ void banner(const std::string& figure, const std::string& claim);
 /// worker count from BLAM_JOBS (hardware_concurrency when unset).
 [[nodiscard]] SweepOptions sweep_options();
 
-/// Default campaign options for every figure grid: sweep_options() plus the
-/// crash-tolerance knobs from the environment (the numeric ones parsed by
-/// env_number: a value that is not a number in range keeps the default) —
-///   BLAM_CELL_TIMEOUT_S  per-cell watchdog seconds >= 0 (default 0 = off)
-///   BLAM_RETRIES         re-runs before quarantining a cell, >= 0 (default 1)
-///   BLAM_QUARANTINE      quarantine file (default "quarantine.json")
-///   BLAM_JOURNAL         checkpoint journal: a re-run skips the cells it
-///                        holds and reproduces their results bit for bit
-///                        (default "" = off)
+/// Default campaign options for every figure grid: sweep_options() plus
+/// BLAM_JOURNAL, the checkpoint journal (default "" = off): a re-run skips
+/// the cells it holds and reproduces their results bit for bit. Throws
+/// std::runtime_error naming any retired variable that is set
+/// (refuse_retired_env, common/env_number.hpp).
 [[nodiscard]] CampaignOptions campaign_options();
 
 /// The path `name` resolves to inside BLAM_OUT_DIR (the current directory

@@ -24,8 +24,8 @@ int run_program() {
                                         {blam_scenario(nodes, 0.5, seed), trace},
                                         {theta_only_scenario(nodes, 0.5, seed), trace}};
   std::printf("running %zu protocols until EoL ...\n", cells.size());
-  // campaign_options() adds the watchdog/retry/quarantine hardening; with
-  // BLAM_JOURNAL set, a killed run resumes here skipping completed cells.
+  // With BLAM_JOURNAL set (campaign_options()), a killed run resumes here
+  // skipping completed cells.
   const std::vector<LifespanResult> results =
       run_lifespans(cells, max_duration, step, campaign_options());
 

@@ -33,8 +33,9 @@ void report_audit(const std::optional<AuditReport>& audit) {
 }
 
 /// The result of a finished run, derived from its metrics: the fresh path
-/// and the decoder both build results here.
-ExperimentResult collect_result(std::string label, const Metrics& metrics,
+/// and the decoder both build results here. The node rows move into the
+/// result; nothing else holds them afterwards.
+ExperimentResult collect_result(std::string label, Metrics metrics,
                                 std::uint64_t events_executed) {
   ExperimentResult result;
   result.label = std::move(label);
@@ -44,10 +45,10 @@ ExperimentResult collect_result(std::string label, const Metrics& metrics,
   // the widest row is the histogram's width.
   std::size_t n_windows = 1;
   for (std::size_t i = 0; i < metrics.node_count(); ++i) {
-    result.nodes.push_back(metrics.node(i));
-    n_windows = std::max(n_windows, result.nodes.back().window_counts.size());
+    n_windows = std::max(n_windows, metrics.node(i).window_counts.size());
   }
   result.window_histogram = metrics.majority_window_histogram(static_cast<int>(n_windows));
+  result.nodes = std::move(metrics).release_nodes();
   result.events_executed = events_executed;
   return result;
 }
@@ -55,36 +56,21 @@ ExperimentResult collect_result(std::string label, const Metrics& metrics,
 }  // namespace
 
 ExperimentResult run_scenario(const ScenarioConfig& config, Time duration,
-                              std::shared_ptr<const SolarTrace> shared_trace,
-                              const CellToken* token) {
+                              std::shared_ptr<const SolarTrace> shared_trace) {
   // One slice unless the scenario both asks for shards (config.shards /
   // BLAM_SHARDS) and decomposes into more than one collision domain; the
   // results are bit-identical either way.
   ShardedNetwork network{config, std::move(shared_trace)};
-  if (token != nullptr) {
-    // Cancellation points: advance in slices and poll between them. Setting
-    // the clock to an intermediate instant changes nothing about the event
-    // trace, so the sliced run is bit-identical to one run_until(duration).
-    constexpr std::int64_t kSlices = 128;
-    const Time slice = Time::from_us(duration.us() / kSlices);
-    if (slice > Time::zero()) {
-      for (std::int64_t i = 1; i < kSlices; ++i) {
-        token->throw_if_cancelled();
-        network.run_until(slice * i);
-      }
-    }
-    token->throw_if_cancelled();
-  }
   network.run_until(duration);
   network.finalize_metrics();
   report_audit(network.audit_report());
 
-  return collect_result(config.policy_label(), network.metrics(), network.events_executed());
+  const std::uint64_t events = network.events_executed();
+  return collect_result(config.policy_label(), std::move(network).release_metrics(), events);
 }
 
 LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration, Time step,
-                             std::shared_ptr<const SolarTrace> shared_trace,
-                             const CellToken* token) {
+                             std::shared_ptr<const SolarTrace> shared_trace) {
   ShardedNetwork network{config, std::move(shared_trace)};
   const double eol = config.degradation.eol_threshold;
 
@@ -94,7 +80,6 @@ LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration, Ti
 
   Time now = Time::zero();
   while (now < max_duration) {
-    if (token != nullptr) token->throw_if_cancelled();
     now += step;
     network.run_until(now);
     const double max_deg = network.max_degradation();
@@ -202,7 +187,7 @@ ExperimentResult deserialize_experiment_result(const std::string& payload) {
   metrics.set_total_outage(total_outage_s);
   metrics.set_feedback(feedback);
   metrics.set_serial_reason(std::move(serial_reason));
-  return collect_result(std::move(label), metrics, events_executed);
+  return collect_result(std::move(label), std::move(metrics), events_executed);
 }
 
 namespace {
@@ -226,16 +211,13 @@ auto run_campaign(const std::vector<ScenarioCell>& cells, std::string_view kind,
     campaign_cells.push_back({std::string{kind} + " " + std::to_string(a.us()) + " " +
                                   std::to_string(b.us()) + " " +
                                   std::to_string(fnv1a64(std::move(key).str())),
-                              cell.config.policy_label(), cell.config.seed,
-                              describe_scenario(cell.config)});
+                              cell.config.policy_label()});
   }
-  const std::string quarantine_path = options.quarantine_path;
   Campaign campaign{std::move(campaign_cells), std::move(options)};
   const CampaignReport report = campaign.run(body);
-  throw_if_quarantined(report, quarantine_path);
   std::vector<decltype(decode(std::string{}))> results;
   results.reserve(report.results.size());
-  for (const auto& payload : report.results) results.push_back(decode(*payload));
+  for (const std::string& payload : report.results) results.push_back(decode(payload));
   return results;
 }
 
@@ -245,9 +227,8 @@ std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cel
                                             CampaignOptions options) {
   return run_campaign(
       cells, "experiment", duration, Time::zero(), std::move(options),
-      [&](std::size_t i, const CellToken& token) {
-        return serialize_experiment_result(
-            run_scenario(cells[i].config, duration, cells[i].trace, &token));
+      [&](std::size_t i) {
+        return serialize_experiment_result(run_scenario(cells[i].config, duration, cells[i].trace));
       },
       deserialize_experiment_result);
 }
@@ -256,9 +237,9 @@ std::vector<LifespanResult> run_lifespans(const std::vector<ScenarioCell>& cells
                                           Time max_duration, Time step, CampaignOptions options) {
   return run_campaign(
       cells, "lifespan", max_duration, step, std::move(options),
-      [&](std::size_t i, const CellToken& token) {
+      [&](std::size_t i) {
         return serialize_lifespan_result(
-            run_until_eol(cells[i].config, max_duration, step, cells[i].trace, &token));
+            run_until_eol(cells[i].config, max_duration, step, cells[i].trace));
       },
       deserialize_lifespan_result);
 }

@@ -1,7 +1,7 @@
 // Experiment runners shared by the bench binaries and integration tests:
 // run a scenario for a fixed duration and collect the figure metrics, run
 // until the first battery reaches end of life (Figs. 7-8), or fan a grid of
-// independent scenario cells across cores as a resumable Campaign.
+// independent scenario cells across cores as a resumable, journaled Campaign.
 #pragma once
 
 #include <string>
@@ -28,13 +28,10 @@ struct ExperimentResult {
 
 /// Runs `config` for `duration` of simulated time. If `shared_trace` is
 /// non-null the scenario uses that weather instead of synthesizing its own
-/// (so protocol variants face identical conditions). A non-null `token`
-/// makes the run cancellable: the simulation advances in slices and throws
-/// CellTimeout between them once the token's deadline passed — slicing run_until is
-/// bit-identical to a single call.
+/// (so protocol variants face identical conditions).
 [[nodiscard]] ExperimentResult run_scenario(
     const ScenarioConfig& config, Time duration,
-    std::shared_ptr<const SolarTrace> shared_trace = nullptr, const CellToken* token = nullptr);
+    std::shared_ptr<const SolarTrace> shared_trace = nullptr);
 
 struct LifespanResult {
   std::string label;
@@ -48,11 +45,9 @@ struct LifespanResult {
 
 /// Runs `config` until the first node's battery degrades past the model's
 /// EoL threshold (or `max_duration`), sampling max degradation every `step`.
-/// A non-null `token` is polled at every step (see run_scenario).
-[[nodiscard]] LifespanResult run_until_eol(const ScenarioConfig& config, Time max_duration,
-                                           Time step,
-                                           std::shared_ptr<const SolarTrace> shared_trace = nullptr,
-                                           const CellToken* token = nullptr);
+[[nodiscard]] LifespanResult run_until_eol(
+    const ScenarioConfig& config, Time max_duration, Time step,
+    std::shared_ptr<const SolarTrace> shared_trace = nullptr);
 
 /// Lossless codec for LifespanResult: one `lifespan` section of the state
 /// codec (common/state_codec.hpp), doubles as bit patterns, so
@@ -92,15 +87,15 @@ struct ScenarioCell {
 };
 
 /// Runs every cell for `duration` as a Campaign (sim/campaign.hpp): BLAM_JOBS
-/// workers by default, per-cell watchdog, retry and quarantine, and, with a
-/// journal_path, resume. A cell's journal key is the run kind, the durations
-/// and a hash of write_scenario_key (net/scenario_io.hpp), so an interrupted
-/// grid re-run skips the journaled cells and reproduces their results bit
-/// for bit. Every result, fresh or resumed, is round-tripped through its
-/// codec, so the two paths cannot diverge. Results come back in cell order,
-/// bit-identical to calling run_scenario on each cell serially; progress
-/// labels are the cells' policy labels. Throws (naming the quarantine file)
-/// if any cell failed all attempts.
+/// workers by default and, with a journal_path, resume. A cell's journal key
+/// is the run kind, the durations and a hash of write_scenario_key
+/// (net/scenario_io.hpp), so an interrupted grid re-run skips the journaled
+/// cells and reproduces their results bit for bit. Every result, fresh or
+/// resumed, is round-tripped through its codec, so the two paths cannot
+/// diverge. Results come back in cell order, bit-identical to calling
+/// run_scenario on each cell serially; progress labels are the cells' policy
+/// labels. A cell that throws fails the grid: its error is rethrown with its
+/// policy label prepended, after the cells in flight are journaled.
 [[nodiscard]] std::vector<ExperimentResult> run_scenarios(const std::vector<ScenarioCell>& cells,
                                                           Time duration,
                                                           CampaignOptions options = {});

@@ -197,6 +197,8 @@ class Metrics {
   [[nodiscard]] NodeMetrics& node(std::size_t id) { return nodes_.at(id); }
   [[nodiscard]] const NodeMetrics& node(std::size_t id) const { return nodes_.at(id); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// Moves the node rows out, leaving this table empty.
+  [[nodiscard]] std::vector<NodeMetrics> release_nodes() && { return std::move(nodes_); }
   [[nodiscard]] GatewayMetrics& gateway() { return gateway_; }
   [[nodiscard]] const GatewayMetrics& gateway() const { return gateway_; }
 

@@ -1,7 +1,6 @@
 #include "sim/shard_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -12,8 +11,6 @@
 #include <utility>
 
 #include "common/env_number.hpp"
-#include "net/scenario_io.hpp"
-#include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -22,24 +19,6 @@ namespace blam {
 int resolve_shards(int configured) {
   const auto env = env_number<std::int64_t>("BLAM_SHARDS", 0, std::numeric_limits<int>::max());
   return env.has_value() ? static_cast<int>(*env) : configured;
-}
-
-double resolve_shard_timeout_s() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  return env_number<double>("BLAM_SHARD_TIMEOUT_S", 0.0, kInf).value_or(0.0);
-}
-
-void write_wedge_quarantine(const std::string& path, const ScenarioConfig& config,
-                            const std::string& report) {
-  QuarantinedCell cell;
-  cell.key = "sharded-run";
-  cell.label = "wedged shard";
-  cell.seed = config.seed;
-  cell.attempts = 1;
-  cell.timed_out = true;
-  cell.error = report;
-  cell.config_text = describe_scenario(config);
-  write_quarantine(path, std::vector<QuarantinedCell>{cell});
 }
 
 namespace {
@@ -179,10 +158,7 @@ NetworkSlice ShardPlan::slice(int shard) const {
 
 // --- ShardBarrier -----------------------------------------------------------
 
-ShardBarrier::ShardBarrier(int parties, double timeout_s)
-    : parties_{parties},
-      timeout_s_{timeout_s},
-      heartbeats_(static_cast<std::size_t>(parties)) {}
+ShardBarrier::ShardBarrier(int parties) : parties_{parties} {}
 
 double ShardBarrier::reduce_max(double value) {
   std::unique_lock<std::mutex> lock{mutex_};
@@ -196,24 +172,7 @@ double ShardBarrier::reduce_max(double value) {
     return result_;
   }
   const std::uint64_t my_generation = generation_;
-  const auto released = [this, my_generation] {
-    return generation_ != my_generation || poisoned_;
-  };
-  if (timeout_s_ <= 0.0) {
-    cv_.wait(lock, released);
-  } else if (const auto deadline = std::chrono::steady_clock::now() +
-                                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                       std::chrono::duration<double>{timeout_s_});
-             !cv_.wait_until(lock, deadline, released)) {
-    // wait_until returned with the predicate still false: a peer shard has
-    // missed the rendezvous for a full timeout window. This waiter — exactly
-    // one, since the check runs under the lock and poisoning flips the
-    // predicate for everyone else — becomes the detector: it kills the
-    // barrier and escapes with the diagnostics.
-    poisoned_ = true;
-    cv_.notify_all();
-    throw ShardWedged{wedge_report()};
-  }
+  cv_.wait(lock, [this, my_generation] { return generation_ != my_generation || poisoned_; });
   if (poisoned_) throw ShardAborted{};
   // Safe to read under the lock: the next round cannot complete (and
   // overwrite result_) until every waiter of this round has re-arrived.
@@ -221,11 +180,6 @@ double ShardBarrier::reduce_max(double value) {
 }
 
 void ShardBarrier::sync() { (void)reduce_max(0.0); }
-
-void ShardBarrier::heartbeat(int party, const Heartbeat& hb) {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  heartbeats_[static_cast<std::size_t>(party)] = hb;
-}
 
 void ShardBarrier::poison() {
   const std::lock_guard<std::mutex> lock{mutex_};
@@ -236,21 +190,6 @@ void ShardBarrier::poison() {
 bool ShardBarrier::poisoned() const {
   const std::lock_guard<std::mutex> lock{mutex_};
   return poisoned_;
-}
-
-std::string ShardBarrier::wedge_report() const {
-  std::uint64_t max_epoch = 0;
-  for (const Heartbeat& hb : heartbeats_) max_epoch = std::max(max_epoch, hb.epoch);
-  std::ostringstream out;
-  out << "shard wedged: epoch barrier timed out after " << timeout_s_
-      << " s; per-shard progress:";
-  for (std::size_t p = 0; p < heartbeats_.size(); ++p) {
-    const Heartbeat& hb = heartbeats_[p];
-    out << "\n  shard " << p << ": epoch " << hb.epoch << ", queue depth " << hb.queue_depth
-        << ", sim time " << static_cast<double>(hb.sim_now.us()) * 1e-6 << " s";
-    if (hb.epoch < max_epoch) out << "  <-- lagging";
-  }
-  return out.str();
 }
 
 // --- ShardedNetwork ---------------------------------------------------------
@@ -290,6 +229,7 @@ std::string resolve_checkpoint_dir() {
 ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
                                std::shared_ptr<const SolarTrace> trace)
     : config_{config}, fleet_{static_cast<std::size_t>(config.n_nodes)} {
+  refuse_retired_env();
   config_.validate();
   checkpoint_every_ = resolve_checkpoint_every();
   checkpoint_dir_ = resolve_checkpoint_dir();
@@ -305,7 +245,7 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
   if (trace == nullptr) trace = build_deployment_trace(config_, deployment.worst_attempt_energy);
 
   const int n_slices = plan_.effective;
-  barrier_ = std::make_unique<ShardBarrier>(n_slices, resolve_shard_timeout_s());
+  barrier_ = std::make_unique<ShardBarrier>(n_slices);
   reducer_ = std::make_unique<FleetReducer>(*barrier_);
   busy_seconds_.assign(static_cast<std::size_t>(n_slices), 0.0);
   slices_.reserve(static_cast<std::size_t>(n_slices));
@@ -313,9 +253,6 @@ ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
     NetworkSlice slice = plan_.slice(s);
     slice.fleet = &fleet_;
     slices_.push_back(std::make_unique<Network>(config_, deployment, trace, reducer_.get(), slice));
-    // Cooperative kill switch: lets the wedge watchdog unwind a runaway
-    // event loop so the epoch join always returns.
-    slices_.back()->simulator().attach_abort_flag(&abort_flag_);
   }
 }
 
@@ -338,22 +275,10 @@ void ShardedNetwork::run_until(Time until) {
       const std::int64_t next_boundary = (cursor_.us() / cp_us + 1) * cp_us;
       next = std::min(until, Time::from_us(next_boundary));
     }
-    advance(cursor_, next);
+    // Slice 0 runs on the calling thread, so a one-slice run starts nothing.
+    fork_join(slices_.size(), [&](std::size_t s) { run_slice(s, cursor_, next); });
     cursor_ = next;
     if (cp_us > 0 && next.us() % cp_us == 0) checkpoint_to_file(checkpoint_file_path());
-  }
-}
-
-void ShardedNetwork::advance(Time start, Time until) {
-  abort_flag_.store(false, std::memory_order_relaxed);
-  try {
-    // Slice 0 runs on the calling thread, so a one-slice run starts nothing.
-    fork_join(slices_.size(), [&](std::size_t s) { run_slice(s, start, until); });
-  } catch (const ShardWedged& wedged) {
-    // A wedged run yields no results; leave the repro behind (same
-    // protocol as a quarantined campaign cell) before propagating.
-    write_wedge_quarantine("quarantine.json", config_, wedged.what());
-    throw;
   }
 }
 
@@ -387,31 +312,14 @@ void ShardedNetwork::run_slice(std::size_t index, Time start, Time until) {
       const std::int64_t next_boundary = (cursor.us() / epoch_us + 1) * epoch_us;
       const Time next = std::min(until, Time::from_us(next_boundary));
       slice.run_until(next);
-      // Publish progress before the rendezvous: if a peer wedges, the
-      // detector's report shows this slice parked at the boundary while the
-      // laggard's heartbeat is still a round behind.
-      ShardBarrier::Heartbeat hb;
-      hb.epoch = static_cast<std::uint64_t>(next_boundary / epoch_us);
-      hb.queue_depth = slice.simulator().pending_events();
-      hb.sim_now = slice.simulator().now();
-      barrier_->heartbeat(static_cast<int>(index), hb);
       barrier_->sync();
       cursor = next;
     }
   } catch (const ShardAborted&) {
     // A peer slice failed; its exception carries the diagnosis.
-  } catch (const SimulationAborted&) {
-    // This slice's event loop was killed by the watchdog's abort flag; the
-    // detector's ShardWedged carries the diagnosis.
-  } catch (const ShardWedged&) {
-    // This slice detected the wedge (its timed barrier wait expired). The
-    // barrier is already poisoned; raise the kill switch so the slice still
-    // spinning inside run_until unwinds and the join returns.
-    abort_flag_.store(true, std::memory_order_relaxed);
-    throw;
   } catch (...) {
+    // Peers unwind at their next collective call, at most one epoch on.
     barrier_->poison();
-    abort_flag_.store(true, std::memory_order_relaxed);
     throw;
   }
 }
@@ -464,6 +372,8 @@ void ShardedNetwork::finalize_metrics() {
 }
 
 const Metrics& ShardedNetwork::metrics() const { return fleet_; }
+
+Metrics ShardedNetwork::release_metrics() && { return std::move(fleet_); }
 
 const SolarTrace& ShardedNetwork::solar_trace() const { return slices_.front()->solar_trace(); }
 

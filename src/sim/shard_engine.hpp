@@ -23,7 +23,6 @@
 // forks, and the D_max all-reduce reproduces the fleet max.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -31,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,8 +78,9 @@ struct ShardPlan {
                                     const DeploymentPlan& deployment, int requested);
 
 /// Thrown inside peer shards when one shard fails: the barrier is poisoned,
-/// every blocked or arriving worker unwinds with this, and the original
-/// exception is rethrown from the lowest-index failed shard.
+/// every blocked or arriving worker unwinds with this at its next
+/// collective call, and the original exception is rethrown from the
+/// lowest-index failed shard.
 class ShardAborted : public std::exception {
  public:
   [[nodiscard]] const char* what() const noexcept override {
@@ -89,57 +88,20 @@ class ShardAborted : public std::exception {
   }
 };
 
-/// Thrown by exactly one barrier waiter — the first whose timed wait expires
-/// — when a peer shard misses the epoch rendezvous for longer than
-/// BLAM_SHARD_TIMEOUT_S. Carries the stuck-shard diagnostics (per-party
-/// heartbeats: epoch, queue depth, last simulated instant).
-class ShardWedged : public std::runtime_error {
- public:
-  explicit ShardWedged(const std::string& report) : std::runtime_error{report} {}
-};
-
-/// BLAM_SHARD_TIMEOUT_S: wedged-shard watchdog timeout in (wall-clock)
-/// seconds for the epoch barrier; 0 or unset disables the watchdog.
-[[nodiscard]] double resolve_shard_timeout_s();
-
-/// Records a wedged sharded run as one PR-4 quarantine cell (timed_out =
-/// true, the wedge report as the error, describe_scenario() as the repro
-/// text) at `path`, atomically. Factored out so the wedge e2e test exercises
-/// the exact production writer.
-void write_wedge_quarantine(const std::string& path, const ScenarioConfig& config,
-                            const std::string& report);
-
 /// Rendezvous point for the epoch loop. Every shard performs the identical
 /// sequence of collective calls (reduce_max inside each dissemination tick,
 /// sync at each epoch end), so one generation counter serializes them all.
 /// Exposed for the tsan test.
 class ShardBarrier {
  public:
-  /// Last-known progress of one shard, published before each epoch
-  /// rendezvous; the watchdog's wedge report is composed from these.
-  struct Heartbeat {
-    std::uint64_t epoch{0};
-    std::size_t queue_depth{0};
-    Time sim_now{};
-  };
-
-  /// timeout_s <= 0 disables the watchdog (plain blocking barrier).
-  // blam-lint: allow(U1) -- wall-clock watchdog seconds (steady_clock deadline), not sim time; blam::Time does not apply
-  explicit ShardBarrier(int parties, double timeout_s = 0.0);
+  explicit ShardBarrier(int parties);
 
   /// Collective max-reduction: blocks until all parties contribute, returns
-  /// the maximum. Throws ShardAborted once poisoned. With the watchdog
-  /// armed, the first waiter whose timed wait expires poisons the barrier
-  /// and throws ShardWedged carrying the per-party heartbeat report; later
-  /// waiters and arrivals see the poison and throw ShardAborted.
+  /// the maximum. Throws ShardAborted once poisoned.
   [[nodiscard]] double reduce_max(double value);
 
-  /// Collective barrier with no payload. Throws ShardAborted once poisoned
-  /// (or ShardWedged in the single watchdog detector).
+  /// Collective barrier with no payload. Throws ShardAborted once poisoned.
   void sync();
-
-  /// Publishes the shard's progress snapshot for wedge diagnostics.
-  void heartbeat(int party, const Heartbeat& hb);
 
   /// Wakes every waiter and makes all current and future collective calls
   /// throw ShardAborted. Idempotent.
@@ -150,14 +112,9 @@ class ShardBarrier {
   [[nodiscard]] int parties() const { return parties_; }
 
  private:
-  /// Composes the stuck-shard diagnostics from heartbeats_; mutex_ held.
-  [[nodiscard]] std::string wedge_report() const;
-
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   int parties_;
-  double timeout_s_;
-  std::vector<Heartbeat> heartbeats_;
   int arrived_{0};
   std::uint64_t generation_{0};
   double folding_max_{0.0};
@@ -178,8 +135,8 @@ class ShardedNetwork {
   ShardedNetwork& operator=(const ShardedNetwork&) = delete;
 
   /// Advances every slice to `until` in lockstep epochs. Safe to call
-  /// repeatedly with increasing targets — campaign slicing and
-  /// run_until_eol stepping work unchanged.
+  /// repeatedly with increasing targets: run_until_eol's steps and the
+  /// rolling checkpoint's slices replay the identical epoch sequence.
   void run_until(Time until);
 
   /// Ground-truth maximum degradation across all slices' nodes.
@@ -195,6 +152,10 @@ class ShardedNetwork {
   /// The fleet's one row table, by global node id. Rows are live; their battery
   /// fields, gateway/ledger counters and outage total fill in finalize_metrics().
   [[nodiscard]] const Metrics& metrics() const;
+  /// Moves the fleet's table out of an engine the caller is done with
+  /// (after finalize_metrics()); the slices' nodes still point into the
+  /// moved rows, so the engine may only be destroyed afterwards.
+  [[nodiscard]] Metrics release_metrics() &&;
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] bool serial() const { return plan_.serial; }
@@ -245,11 +206,8 @@ class ShardedNetwork {
 
   /// Runs slice `index` through the epoch loop from `start` to `until`.
   /// The first failure poisons the barrier and propagates; a peer's
-  /// ShardAborted / SimulationAborted is swallowed.
+  /// ShardAborted is swallowed.
   void run_slice(std::size_t index, Time start, Time until);
-  /// One lockstep advance of every slice (the body run_until slices
-  /// between checkpoint boundaries).
-  void advance(Time start, Time until);
   /// BLAM_CHECKPOINT_DIR/blamsim.ckpt — the rolling checkpoint file.
   [[nodiscard]] std::string checkpoint_file_path() const;
   /// restore()'s work, over the whole stream read into memory.
@@ -272,10 +230,6 @@ class ShardedNetwork {
   // blam-ckpt: skip -- CPU-time measurement, not simulation state
   std::vector<double> busy_seconds_;
   Time cursor_{};
-  /// Cooperative kill switch for wedged slices: polled by every slice's
-  /// event loop, raised when the watchdog fires so join() always returns.
-  // blam-ckpt: skip -- watchdog latch; a resumed run starts unaborted by definition
-  std::atomic<bool> abort_flag_{false};
   /// BLAM_CHECKPOINT_EVERY: dissemination epochs between rolling
   /// checkpoints (0 = off).
   // blam-ckpt: skip -- env-resolved policy (BLAM_CHECKPOINT_EVERY), re-read at construction

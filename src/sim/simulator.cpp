@@ -46,10 +46,6 @@ void Simulator::dispatch(Time until) {
     if (audit_ != nullptr) audit_->on_event_pop(now_, time);
     now_ = time;
     ++executed_;
-    if (abort_ != nullptr && (executed_ & 1023u) == 0 &&
-        abort_->load(std::memory_order_relaxed)) {
-      throw SimulationAborted{};
-    }
     callback();
   }
 }

@@ -6,9 +6,7 @@
 // at the current timestamp (they run after the current callback returns).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
@@ -16,16 +14,6 @@
 namespace blam {
 
 class Auditor;
-
-/// Thrown out of run()/run_until() when an attached abort flag flips: the
-/// cooperative kill switch the shard watchdog uses to unwind a wedged shard
-/// (a runaway event loop) without detaching its thread.
-class SimulationAborted : public std::exception {
- public:
-  [[nodiscard]] const char* what() const noexcept override {
-    return "simulation aborted: external abort flag set";
-  }
-};
 
 class Simulator {
  public:
@@ -67,11 +55,6 @@ class Simulator {
   /// Number of currently pending events.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
-  /// Attaches a cooperative abort flag (nullptr detaches). run()/run_until()
-  /// poll it every 1024 events and throw SimulationAborted once set — the
-  /// shard watchdog's way to unwind a runaway shard.
-  void attach_abort_flag(const std::atomic<bool>* flag) { abort_ = flag; }
-
   // --- Checkpoint surface (cold path; see sim/checkpoint.hpp) ---
 
   /// (time, seq) of a pending event, or nullopt for null/fired/cancelled
@@ -112,8 +95,6 @@ class Simulator {
   bool stopped_{false};
   // blam-ckpt: skip -- wiring, re-attached at construction; Network checkpoints the auditor
   Auditor* audit_{nullptr};
-  // blam-ckpt: skip -- shard watchdog wiring, re-attached by the owning engine
-  const std::atomic<bool>* abort_{nullptr};
 };
 
 /// Repeatedly invokes a callback at a fixed period, starting at `first`.

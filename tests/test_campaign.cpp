@@ -1,11 +1,12 @@
-// Crash-tolerant campaign engine: retry/quarantine, watchdog timeouts,
-// quarantine JSON round-trips, and journal-based resume.
+// Resumable campaign engine: journal-based resume, and a failing cell
+// failing the grid once, by label, with the finished cells journaled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -40,8 +41,6 @@ std::vector<CampaignCell> three_cells() {
     CampaignCell cell;
     cell.key = "cell-key-" + std::to_string(i) + "\nconfig body " + std::to_string(i);
     cell.label = "cell-" + std::to_string(i);
-    cell.seed = 100 + static_cast<std::uint64_t>(i);
-    cell.config_text = "config " + std::to_string(i);
     cells.push_back(cell);
   }
   return cells;
@@ -50,172 +49,7 @@ std::vector<CampaignCell> three_cells() {
 CampaignOptions quiet_options() {
   CampaignOptions options;
   options.sweep.jobs = 1;
-  options.quarantine_path.clear();  // tests opt in explicitly
   return options;
-}
-
-TEST(CampaignTest, RetrySucceedsAfterTransientFailure) {
-  CampaignOptions options = quiet_options();
-  options.retries = 1;
-  Campaign campaign{three_cells(), options};
-  std::atomic<int> failures_left{1};
-  std::atomic<int> calls{0};
-  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken&) {
-    calls.fetch_add(1);
-    if (i == 1 && failures_left.fetch_sub(1) > 0) {
-      throw std::runtime_error{"transient"};
-    }
-    return "payload-" + std::to_string(i);
-  });
-  EXPECT_EQ(calls.load(), 4);  // 3 cells + 1 retry
-  EXPECT_TRUE(report.quarantined.empty());
-  ASSERT_EQ(report.results.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(report.results[i].has_value());
-    EXPECT_EQ(*report.results[i], "payload-" + std::to_string(i));
-  }
-}
-
-TEST(CampaignTest, ExhaustedRetriesQuarantineTheCellAndKeepTheGrid) {
-  ScratchFile quarantine{"blam_test_quarantine"};
-  CampaignOptions options = quiet_options();
-  options.retries = 2;
-  options.quarantine_path = quarantine.path();
-  Campaign campaign{three_cells(), options};
-  std::atomic<int> cell1_calls{0};
-  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken&) {
-    if (i == 1) {
-      cell1_calls.fetch_add(1);
-      throw std::runtime_error{"deterministic \"bad\" cell"};
-    }
-    return std::string{"ok"};
-  });
-  EXPECT_EQ(cell1_calls.load(), 3);  // initial attempt + 2 retries
-  ASSERT_EQ(report.quarantined.size(), 1u);
-  EXPECT_EQ(report.quarantined[0].label, "cell-1");
-  EXPECT_EQ(report.quarantined[0].attempts, 3);
-  EXPECT_FALSE(report.quarantined[0].timed_out);
-  EXPECT_FALSE(report.results[1].has_value());
-  EXPECT_TRUE(report.results[0].has_value());
-  EXPECT_TRUE(report.results[2].has_value());
-
-  // The quarantine file round-trips, including the quoted error text.
-  ASSERT_TRUE(fs::exists(quarantine.path()));
-  const std::vector<QuarantinedCell> loaded = load_quarantine(quarantine.path());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].key, report.quarantined[0].key);
-  EXPECT_EQ(loaded[0].seed, 101u);
-  EXPECT_EQ(loaded[0].error, "deterministic \"bad\" cell");
-  EXPECT_EQ(loaded[0].config_text, "config 1");
-
-  EXPECT_THROW(throw_if_quarantined(report, quarantine.path()), std::runtime_error);
-}
-
-TEST(CampaignTest, CleanRunRemovesAStaleQuarantineFile) {
-  ScratchFile quarantine{"blam_test_quarantine_stale"};
-  QuarantinedCell stale;
-  stale.key = "old";
-  stale.label = "old";
-  write_quarantine(quarantine.path(), {stale});
-  ASSERT_TRUE(fs::exists(quarantine.path()));
-  CampaignOptions options = quiet_options();
-  options.quarantine_path = quarantine.path();
-  Campaign campaign{three_cells(), options};
-  const CampaignReport report =
-      campaign.run([](std::size_t, const CellToken&) { return std::string{"ok"}; });
-  EXPECT_TRUE(report.quarantined.empty());
-  EXPECT_FALSE(fs::exists(quarantine.path()));  // presence means loss
-  EXPECT_NO_THROW(throw_if_quarantined(report, quarantine.path()));
-}
-
-TEST(CampaignTest, IdenticalQuarantinedCellsKeepCellOrder) {
-  // Two cells with one key (a grid may repeat a config, as
-  // ablation_extensions repeats H-50) both fail, cell 1 first: the report
-  // still lists them in cell order.
-  CampaignOptions options = quiet_options();
-  options.sweep.jobs = 4;
-  options.retries = 0;
-  const CampaignCell cell = three_cells()[0];
-  Campaign campaign{{cell, cell}, options};
-  std::atomic<bool> second_started{false};
-  const CampaignReport report = campaign.run([&](std::size_t i, const CellToken&) -> std::string {
-    if (i == 1) {
-      second_started.store(true);
-    } else {
-      // Fail well after cell 1 does, so its entry lands first.
-      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
-      while (!second_started.load() && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds{1});
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds{50});
-    }
-    throw std::runtime_error{"cell " + std::to_string(i)};
-  });
-  ASSERT_EQ(report.quarantined.size(), 2u);
-  EXPECT_EQ(report.quarantined[0].error, "cell 0");
-  EXPECT_EQ(report.quarantined[1].error, "cell 1");
-}
-
-TEST(CampaignTest, WatchdogCancelsAHungCell) {
-  CampaignOptions options = quiet_options();
-  options.cell_timeout_s = 0.1;
-  options.retries = 0;
-  Campaign campaign{three_cells(), options};
-  const CampaignReport report = campaign.run([](std::size_t i, const CellToken& token) {
-    if (i == 2) {
-      // A "hung" cell that still honors cooperative cancellation.
-      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-      while (std::chrono::steady_clock::now() < deadline) {
-        token.throw_if_cancelled();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    return std::string{"done"};
-  });
-  ASSERT_EQ(report.quarantined.size(), 1u);
-  EXPECT_EQ(report.quarantined[0].label, "cell-2");
-  EXPECT_TRUE(report.quarantined[0].timed_out);
-  EXPECT_FALSE(report.results[2].has_value());
-  EXPECT_TRUE(report.results[0].has_value());
-  EXPECT_TRUE(report.results[1].has_value());
-}
-
-// A budget past the steady clock's range is no deadline at all; it used to
-// overflow the deadline arithmetic and time every cell out at once.
-TEST(CampaignTest, TimeoutPastTheClockRangeNeverFires) {
-  CampaignOptions options = quiet_options();
-  options.cell_timeout_s = 1e300;
-  options.retries = 0;
-  Campaign campaign{three_cells(), options};
-  const CampaignReport report = campaign.run([](std::size_t, const CellToken& token) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{30});
-    token.throw_if_cancelled();
-    return std::string{"done"};
-  });
-  EXPECT_TRUE(report.quarantined.empty());
-  for (const auto& result : report.results) EXPECT_EQ(result, "done");
-}
-
-TEST(CampaignTest, QuarantineJsonRoundTripsSpecialCharacters) {
-  ScratchFile path{"blam_test_quarantine_escape"};
-  QuarantinedCell cell;
-  cell.key = "line1\nline2\t\"quoted\" \\slash\\";
-  cell.label = "wei\"rd,label";
-  cell.seed = 18446744073709551615ull;
-  cell.attempts = 7;
-  cell.timed_out = true;
-  cell.error = "error with\nnewline and \"quotes\"";
-  cell.config_text = "a = 1\nb = \"x\\y\"\n";
-  write_quarantine(path.path(), {cell});
-  const std::vector<QuarantinedCell> loaded = load_quarantine(path.path());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].key, cell.key);
-  EXPECT_EQ(loaded[0].label, cell.label);
-  EXPECT_EQ(loaded[0].seed, cell.seed);
-  EXPECT_EQ(loaded[0].attempts, cell.attempts);
-  EXPECT_EQ(loaded[0].timed_out, cell.timed_out);
-  EXPECT_EQ(loaded[0].error, cell.error);
-  EXPECT_EQ(loaded[0].config_text, cell.config_text);
 }
 
 TEST(CampaignTest, JournalResumeSkipsCompletedCellsWithIdenticalPayloads) {
@@ -224,7 +58,7 @@ TEST(CampaignTest, JournalResumeSkipsCompletedCellsWithIdenticalPayloads) {
   options.journal_path = journal.path();
 
   Campaign first{three_cells(), options};
-  const CampaignReport fresh = first.run([](std::size_t i, const CellToken&) {
+  const CampaignReport fresh = first.run([](std::size_t i) {
     return "payload with spaces & newline\n#" + std::to_string(i);
   });
   EXPECT_EQ(fresh.resumed, 0u);
@@ -232,15 +66,14 @@ TEST(CampaignTest, JournalResumeSkipsCompletedCellsWithIdenticalPayloads) {
 
   Campaign second{three_cells(), options};
   std::atomic<int> body_calls{0};
-  const CampaignReport resumed = second.run([&](std::size_t, const CellToken&) {
+  const CampaignReport resumed = second.run([&](std::size_t) {
     body_calls.fetch_add(1);
     return std::string{"SHOULD NOT RUN"};
   });
   EXPECT_EQ(body_calls.load(), 0);
   EXPECT_EQ(resumed.resumed, 3u);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(resumed.results[i].has_value());
-    EXPECT_EQ(*resumed.results[i], *fresh.results[i]);
+    EXPECT_EQ(resumed.results[i], fresh.results[i]);
   }
 }
 
@@ -251,7 +84,7 @@ TEST(CampaignTest, TornJournalLineIsIgnoredAndOnlyThatCellReruns) {
 
   Campaign first{three_cells(), options};
   (void)first.run(
-      [](std::size_t i, const CellToken&) { return "payload-" + std::to_string(i); });
+      [](std::size_t i) { return "payload-" + std::to_string(i); });
 
   // Simulate kill -9 mid-append: chop the last journal line in half and add
   // line noise. The loader must drop both without rejecting the file.
@@ -274,15 +107,14 @@ TEST(CampaignTest, TornJournalLineIsIgnoredAndOnlyThatCellReruns) {
 
   Campaign second{three_cells(), options};
   std::atomic<int> body_calls{0};
-  const CampaignReport report = second.run([&](std::size_t i, const CellToken&) {
+  const CampaignReport report = second.run([&](std::size_t i) {
     body_calls.fetch_add(1);
     return "payload-" + std::to_string(i);
   });
   EXPECT_EQ(body_calls.load(), 1);  // only the torn cell re-runs
   EXPECT_EQ(report.resumed, 2u);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(report.results[i].has_value());
-    EXPECT_EQ(*report.results[i], "payload-" + std::to_string(i));
+    EXPECT_EQ(report.results[i], "payload-" + std::to_string(i));
   }
 }
 
@@ -292,39 +124,101 @@ TEST(CampaignTest, ChangedCellKeyInvalidatesTheJournalEntry) {
   options.journal_path = journal.path();
 
   Campaign first{three_cells(), options};
-  (void)first.run([](std::size_t, const CellToken&) { return std::string{"stale"}; });
+  (void)first.run([](std::size_t) { return std::string{"stale"}; });
 
   std::vector<CampaignCell> cells = three_cells();
   cells[1].key += " (config changed)";
   Campaign second{cells, options};
   std::atomic<int> body_calls{0};
-  const CampaignReport report = second.run([&](std::size_t, const CellToken&) {
+  const CampaignReport report = second.run([&](std::size_t) {
     body_calls.fetch_add(1);
     return std::string{"fresh"};
   });
   EXPECT_EQ(body_calls.load(), 1);
   EXPECT_EQ(report.resumed, 2u);
-  EXPECT_EQ(*report.results[0], "stale");
-  EXPECT_EQ(*report.results[1], "fresh");
-  EXPECT_EQ(*report.results[2], "stale");
+  EXPECT_EQ(report.results[0], "stale");
+  EXPECT_EQ(report.results[1], "fresh");
+  EXPECT_EQ(report.results[2], "stale");
 }
 
-TEST(CampaignTest, CellTokenThrowsOnlyWhenCancelled) {
-  const CellToken no_deadline;
-  EXPECT_FALSE(no_deadline.cancelled());
-  EXPECT_NO_THROW(no_deadline.throw_if_cancelled());
+TEST(CampaignTest, FailingCellRunsOnceFailsTheGridByLabelAndResumes) {
+  // A cell's computation is deterministic, so a throwing cell runs exactly
+  // once and fails the grid under its label; no later cell starts (one
+  // worker), the cells finished before it stay journaled, and a rerun with
+  // the cause fixed resumes them without calling the body.
+  ScratchFile journal{"blam_test_journal_fail"};
+  CampaignOptions options = quiet_options();
+  options.journal_path = journal.path();
 
-  const CellToken::Clock::time_point now = CellToken::Clock::now();
-  const CellToken past{now - std::chrono::milliseconds{1}};
-  EXPECT_TRUE(past.cancelled());
-  EXPECT_THROW(past.throw_if_cancelled(), CellTimeout);
+  std::vector<int> calls(3, 0);
+  Campaign first{three_cells(), options};
+  try {
+    (void)first.run([&](std::size_t i) -> std::string {
+      ++calls[i];
+      if (i == 1) throw std::runtime_error{"deterministic failure"};
+      return "payload-" + std::to_string(i);
+    });
+    FAIL() << "the grid must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell-1: deterministic failure");
+  }
+  EXPECT_EQ(calls, (std::vector<int>{1, 1, 0}));
 
-  const CellToken future{now + std::chrono::hours{1}};
-  const CellToken copy = future;  // copies carry the same deadline
-  EXPECT_FALSE(copy.cancelled());
-  EXPECT_NO_THROW(copy.throw_if_cancelled());
-  const CellToken past_copy = past;
-  EXPECT_THROW(past_copy.throw_if_cancelled(), CellTimeout);
+  std::vector<std::size_t> rerun;
+  Campaign second{three_cells(), options};
+  const CampaignReport report = second.run([&](std::size_t i) {
+    rerun.push_back(i);
+    return "payload-" + std::to_string(i);
+  });
+  EXPECT_EQ(rerun, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(report.resumed, 1u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(report.results[i], "payload-" + std::to_string(i));
+}
+
+TEST(CampaignTest, CellsInFlightWhenOneFailsAreJournaled) {
+  // Four workers, four cells, all started before any fails: cell 0 throws
+  // once every cell is in flight, cell 2 throws after it, and cells 1 and 3
+  // return after it. The cells in flight finish and are journaled, and the
+  // lowest-index failure is the one rethrown.
+  ScratchFile journal{"blam_test_journal_inflight"};
+  CampaignOptions options = quiet_options();
+  options.sweep.jobs = 4;
+  options.journal_path = journal.path();
+  std::vector<CampaignCell> cells = three_cells();
+  cells.push_back({"cell-key-3", ""});
+
+  std::atomic<int> started{0};
+  std::atomic<bool> cell0_threw{false};
+  Campaign first{cells, options};
+  try {
+    (void)first.run([&](std::size_t i) -> std::string {
+      started.fetch_add(1);
+      if (i == 0) {
+        while (started.load() < 4) std::this_thread::yield();
+        cell0_threw.store(true);
+        throw std::runtime_error{"cell 0 failed"};
+      }
+      while (!cell0_threw.load()) std::this_thread::yield();
+      if (i == 2) throw std::runtime_error{"cell 2 failed"};
+      return "payload-" + std::to_string(i);
+    });
+    FAIL() << "the grid must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell-0: cell 0 failed");
+  }
+
+  std::vector<std::size_t> rerun;
+  std::mutex rerun_mutex;
+  Campaign second{cells, options};
+  const CampaignReport report = second.run([&](std::size_t i) {
+    const std::lock_guard<std::mutex> lock{rerun_mutex};
+    rerun.push_back(i);
+    return "payload-" + std::to_string(i);
+  });
+  std::sort(rerun.begin(), rerun.end());
+  EXPECT_EQ(rerun, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(report.resumed, 2u);
+  EXPECT_EQ(report.results[3], "payload-3");
 }
 
 }  // namespace

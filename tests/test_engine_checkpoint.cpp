@@ -1,12 +1,10 @@
 // Crash-tolerant engine: "blamsim v4" checkpoint round-trips (serial and
-// sharded, with fault injection), the rolling checkpoint file knobs, the
-// epoch-barrier watchdog, and the wedge kill chain. Test names carry
-// "ShardEngine" so the CI tsan leg's ctest regex selects this file too.
+// sharded, with fault injection) and the rolling checkpoint file knobs.
+// Test names carry "ShardEngine" so the CI tsan leg's ctest regex selects
+// this file too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,13 +12,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/checksum.hpp"
 #include "common/state_codec.hpp"
 #include "env_guard.hpp"
-#include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/shard_engine.hpp"
 #include "state_stream_edit.hpp"
@@ -505,110 +501,6 @@ TEST(ShardEngineCheckpoint, RunUntilBeforeCursorIsANoOp) {
   const std::string at_six = checkpoint_text(engine);
   engine.run_until(Time::from_hours(3.0));  // already past: must not rewind
   EXPECT_EQ(checkpoint_text(engine), at_six);
-}
-
-TEST(ShardEngineWatchdog, ResolveTimeoutEnv) {
-  ASSERT_EQ(setenv("BLAM_SHARD_TIMEOUT_S", "2.5", 1), 0);
-  EXPECT_EQ(resolve_shard_timeout_s(), 2.5);
-  ASSERT_EQ(setenv("BLAM_SHARD_TIMEOUT_S", "nope", 1), 0);
-  EXPECT_EQ(resolve_shard_timeout_s(), 0.0);
-  ASSERT_EQ(setenv("BLAM_SHARD_TIMEOUT_S", "-1", 1), 0);
-  EXPECT_EQ(resolve_shard_timeout_s(), 0.0);
-  ASSERT_EQ(unsetenv("BLAM_SHARD_TIMEOUT_S"), 0);
-  EXPECT_EQ(resolve_shard_timeout_s(), 0.0);
-}
-
-TEST(ShardEngineWatchdog, TimedBarrierSingleDetectorWithDiagnostics) {
-  // Three parties, one never arrives. Exactly one of the two waiters must
-  // become the detector (ShardWedged, with the laggard identified from the
-  // heartbeats); the other unwinds with ShardAborted. No deadlock: the test
-  // itself completes.
-  ShardBarrier barrier{3, 0.2};
-  ShardBarrier::Heartbeat stale;
-  stale.epoch = 4;
-  stale.queue_depth = 17;
-  stale.sim_now = Time::from_hours(1.0);
-  barrier.heartbeat(2, stale);  // the absent party's last known progress
-
-  std::atomic<int> wedged{0};
-  std::atomic<int> aborted{0};
-  std::string report;
-  std::mutex report_mutex;
-  std::vector<std::thread> waiters;
-  for (int party = 0; party < 2; ++party) {
-    waiters.emplace_back([&, party] {
-      ShardBarrier::Heartbeat hb;
-      hb.epoch = 5;
-      hb.queue_depth = 3;
-      hb.sim_now = Time::from_hours(2.0);
-      barrier.heartbeat(party, hb);
-      try {
-        barrier.sync();
-      } catch (const ShardWedged& e) {
-        wedged.fetch_add(1);
-        const std::lock_guard<std::mutex> lock{report_mutex};
-        report = e.what();
-      } catch (const ShardAborted&) {
-        aborted.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& waiter : waiters) waiter.join();
-
-  EXPECT_EQ(wedged.load(), 1);
-  EXPECT_EQ(aborted.load(), 1);
-  EXPECT_TRUE(barrier.poisoned());
-  EXPECT_NE(report.find("shard wedged"), std::string::npos) << report;
-  EXPECT_NE(report.find("shard 2: epoch 4, queue depth 17"), std::string::npos) << report;
-  EXPECT_NE(report.find("lagging"), std::string::npos) << report;
-  // Once poisoned, every future collective call aborts immediately.
-  EXPECT_THROW(barrier.sync(), ShardAborted);
-}
-
-TEST(ShardEngineWatchdog, KillChainUnwindsStuckWorkerAndWritesQuarantine) {
-  // End-to-end wedge protocol, exactly as ShardedNetwork runs it: a healthy
-  // worker heartbeats and syncs, the peer is stuck in a runaway event loop
-  // that only polls the cooperative abort flag (as Simulator::run_until
-  // does). The healthy worker's watchdog fires, it quarantines the run via
-  // the production writer and raises the kill switch; the stuck worker
-  // unwinds; both threads join — no detached threads, no deadlock.
-  const ScratchFile quarantine{"blam-wedge-quarantine"};
-  const ScenarioConfig config = city(16, 4, 2, /*seed=*/77);
-  ShardBarrier barrier{2, 0.15};
-  std::atomic<bool> abort_flag{false};
-  std::atomic<bool> stuck_unwound{false};
-
-  std::thread stuck{[&abort_flag, &stuck_unwound] {
-    while (!abort_flag.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    stuck_unwound.store(true);  // SimulationAborted unwinds to the catch
-  }};
-  std::thread healthy{[&] {
-    ShardBarrier::Heartbeat hb;
-    hb.epoch = 12;
-    hb.queue_depth = 0;
-    hb.sim_now = Time::from_days(1.0);
-    barrier.heartbeat(0, hb);
-    try {
-      barrier.sync();
-    } catch (const ShardWedged& e) {
-      write_wedge_quarantine(quarantine.path(), config, e.what());
-      abort_flag.store(true);
-    }
-  }};
-  healthy.join();
-  stuck.join();
-  EXPECT_TRUE(stuck_unwound.load());
-
-  const std::vector<QuarantinedCell> cells = load_quarantine(quarantine.path());
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].key, "sharded-run");
-  EXPECT_EQ(cells[0].seed, 77u);
-  EXPECT_TRUE(cells[0].timed_out);
-  EXPECT_NE(cells[0].error.find("shard wedged"), std::string::npos);
-  EXPECT_NE(cells[0].error.find("shard 0: epoch 12"), std::string::npos);
-  EXPECT_FALSE(cells[0].config_text.empty());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The one parse rule behind every numeric BLAM_* environment override:
 // the whole string must be a number inside the knob's bounds, or the
-// caller keeps its default.
+// caller keeps its default. Retired variables are refused by name at the
+// two places that used to read them.
 #include "common/env_number.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,13 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "bench_common.hpp"
+#include "env_guard.hpp"
+#include "net/scenario.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -48,7 +56,7 @@ struct DoubleCase {
 };
 
 TEST(EnvNumber, FloatingPointTable) {
-  // Bounds [0, inf], like a watchdog timeout in seconds.
+  // Bounds [0, inf], like a duration in seconds.
   const double inf = std::numeric_limits<double>::infinity();
   const DoubleCase cases[] = {
       {nullptr, std::nullopt},  // unset
@@ -74,6 +82,40 @@ TEST(EnvNumber, ReadsTheEnvironment) {
   EXPECT_EQ(env_number<std::int64_t>("BLAM_ENV_NUMBER_TEST", 0, 10), std::nullopt);
   ASSERT_EQ(unsetenv("BLAM_ENV_NUMBER_TEST"), 0);
   EXPECT_EQ(env_number<std::int64_t>("BLAM_ENV_NUMBER_TEST", 0, 100), std::nullopt);
+}
+
+TEST(EnvNumber, RetiredVariablesAreRefusedByNameAtBothSites) {
+  // Each retired variable, set to any value (empty included), makes both
+  // of its former readers throw a std::runtime_error naming it: the figure
+  // grids' campaign options and the engine's constructor.
+  const ScenarioConfig config = lorawan_scenario(4, 1);
+  ASSERT_EQ(kRetiredEnv.size(), 4u);
+  for (const char* name : kRetiredEnv) {
+    for (const char* value : {"1", ""}) {
+      SCOPED_TRACE(std::string{name} + "=" + value);
+      const EnvGuard guard{name, value};
+      const auto names_it = [name](const std::runtime_error& e) {
+        return std::string{e.what()}.find(name) != std::string::npos;
+      };
+      try {
+        (void)bench::campaign_options();
+        ADD_FAILURE() << "campaign_options() accepted it";
+      } catch (const std::runtime_error& e) {
+        EXPECT_TRUE(names_it(e)) << e.what();
+      }
+      try {
+        const ShardedNetwork engine{config};
+        ADD_FAILURE() << "ShardedNetwork accepted it";
+      } catch (const std::runtime_error& e) {
+        EXPECT_TRUE(names_it(e)) << e.what();
+      }
+    }
+    SCOPED_TRACE(std::string{name} + " unset");
+    const EnvGuard unset{name};
+    ::unsetenv(name);
+    EXPECT_NO_THROW((void)bench::campaign_options());
+    EXPECT_NO_THROW(ShardedNetwork{config});
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/state_codec.hpp"
 #include "env_guard.hpp"
 #include "sim/shard_engine.hpp"
+#include "sim/sweep_runner.hpp"
 
 namespace blam {
 namespace {
@@ -524,6 +525,37 @@ TEST(ShardEngineBarrier, PoisonWakesWaitersAndPoisonsFutureCalls) {
   EXPECT_TRUE(aborted.load());
   EXPECT_THROW((void)barrier.reduce_max(0.0), ShardAborted);
   EXPECT_THROW(barrier.sync(), ShardAborted);
+}
+
+TEST(ShardEngineBarrier, FailedPartyUnwindsItsPeersThroughTheJoin) {
+  // The engine's failure protocol: four parties on fork_join, each a
+  // thread of its own as in ShardedNetwork::run_until. Party 2 throws
+  // before its first sync and poisons the barrier, as run_slice does; the
+  // three parties blocked in sync unwind with ShardAborted, the join
+  // returns and rethrows party 2's error. A hang here fails the test by
+  // its ctest timeout.
+  constexpr int kParties = 4;
+  ShardBarrier barrier{kParties};
+  std::atomic<int> aborted{0};
+  const auto party = [&](std::size_t p) {
+    try {
+      if (p == 2) throw std::runtime_error{"party 2 failed"};
+      for (int epoch = 0; epoch < 3; ++epoch) barrier.sync();
+    } catch (const ShardAborted&) {
+      aborted.fetch_add(1);
+    } catch (...) {
+      barrier.poison();
+      throw;
+    }
+  };
+  try {
+    fork_join(kParties, party);
+    FAIL() << "the join must rethrow party 2's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "party 2 failed");
+  }
+  EXPECT_EQ(aborted.load(), kParties - 1);
+  EXPECT_TRUE(barrier.poisoned());
 }
 
 }  // namespace

@@ -386,7 +386,6 @@ void expect_resume_bit_identical(const std::string& stem, const GridBytes& run_g
   const std::string journal = scratch_journal(stem);
   CampaignOptions options;
   options.sweep.jobs = 1;
-  options.quarantine_path.clear();
   options.journal_path = journal;
   const std::vector<std::string> reference = run_grid(options);
   const std::vector<std::string> lines = journal_lines(journal);
@@ -460,7 +459,6 @@ TEST(SweepRunnerTest, OlderJournalEntriesAreIgnoredAndTheirCellsRerun) {
   const Time step = Time::from_days(5.0);
   CampaignOptions options;
   options.sweep.jobs = 2;
-  options.quarantine_path.clear();
   const std::vector<LifespanResult> reference = run_lifespans(cells, max_duration, step, options);
 
   // The older build's journal line: FNV-1a 64 from offset basis
@@ -542,7 +540,6 @@ TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
       }};
   CampaignOptions plain;
   plain.sweep.jobs = 1;
-  plain.quarantine_path.clear();
   CampaignOptions journaled = plain;
   journaled.journal_path = journal;
   for (std::size_t k = 0; k < kinds.size(); ++k) {
@@ -559,15 +556,6 @@ TEST(SweepRunnerTest, JournalNeverReplaysOneCellIntoAnother) {
     }
   }
   std::filesystem::remove(journal);
-}
-
-TEST(SweepRunnerTest, CancellableRunScenarioIsBitIdenticalToUncancelled) {
-  const ScenarioConfig config = blam_scenario(4, 0.5, 33);
-  const Time duration = Time::from_days(3.0);
-  const ExperimentResult plain = run_scenario(config, duration);
-  const CellToken token;  // never cancelled: slicing must not change anything
-  const ExperimentResult sliced = run_scenario(config, duration, nullptr, &token);
-  expect_bit_identical(plain, sliced);
 }
 
 }  // namespace
