@@ -46,9 +46,6 @@ class CsvWriter {
   /// this succeeds the final path is untouched. Idempotent.
   void flush();
 
-  /// Whether flush() committed the file.
-  [[nodiscard]] bool committed() const { return committed_; }
-
   [[nodiscard]] static std::string cell(double v);
   [[nodiscard]] static std::string cell(std::int64_t v);
   [[nodiscard]] static std::string cell(std::uint64_t v);

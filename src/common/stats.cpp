@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace blam {
 
@@ -41,28 +40,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, width_{(hi - lo) / static_cast<double>(bins)}, counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument{"Histogram requires at least one bin"};
-  if (!(hi > lo)) throw std::invalid_argument{"Histogram requires hi > lo"};
-}
-
-void Histogram::add(double x) {
-  auto bin = static_cast<std::int64_t>((x - lo_) / width_);
-  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const { return lo_ + width_ * static_cast<double>(bin); }
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin) + width_; }
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(bin)) / static_cast<double>(total_);
-}
 
 void QuantileSampler::merge(const QuantileSampler& other) {
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -58,27 +57,6 @@ class RunningStats {
   double m2_{0.0};
   double min_{std::numeric_limits<double>::infinity()};
   double max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples are clamped into
-/// the first/last bin so totals always match the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-  /// Fraction of samples in a bin; 0 when empty.
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_{0};
 };
 
 /// Buffered sampler with exact quantiles; suitable for per-node aggregates

@@ -35,9 +35,6 @@ std::string Power::to_string() const {
   return format("%.3f W", w_);
 }
 
-double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
-double linear_to_db(double linear) { return 10.0 * std::log10(linear); }
 double dbm_to_watts(double dbm) { return std::pow(10.0, (dbm - 30.0) / 10.0); }
-double watts_to_dbm(double watts) { return 10.0 * std::log10(watts) + 30.0; }
 
 }  // namespace blam

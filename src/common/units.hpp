@@ -82,11 +82,6 @@ class Energy {
  public:
   constexpr Energy() = default;
   [[nodiscard]] static constexpr Energy from_joules(double j) { return Energy{j}; }
-  [[nodiscard]] static constexpr Energy from_milli_joules(double mj) { return Energy{mj * 1e-3}; }
-  /// Energy of a battery given capacity in mAh at a nominal voltage.
-  [[nodiscard]] static constexpr Energy from_mah(double mah, double volts) {
-    return Energy{mah * 3.6 * volts};
-  }
   [[nodiscard]] static constexpr Energy zero() { return Energy{0.0}; }
 
   [[nodiscard]] constexpr double joules() const { return j_; }
@@ -163,10 +158,7 @@ class Power {
   return Time::from_seconds(e.joules() / p.watts());
 }
 
-/// Decibel helpers used by the PHY link-budget code.
-[[nodiscard]] double db_to_linear(double db);
-[[nodiscard]] double linear_to_db(double linear);
+/// dBm to watts, for the interference energy integral (`lora/interference`).
 [[nodiscard]] double dbm_to_watts(double dbm);
-[[nodiscard]] double watts_to_dbm(double watts);
 
 }  // namespace blam

@@ -183,7 +183,6 @@ class DegradationService {
   /// Queue watermark for enqueue_report() (must be >= 1).
   void set_ingest_batch(std::size_t batch);
   [[nodiscard]] std::size_t ingest_batch() const { return ingest_batch_; }
-  [[nodiscard]] std::size_t queued_reports() const { return queue_.size(); }
 
   /// Recomputes D_u for every node and refreshes w_u = D_u / D_max.
   /// Call once per dissemination period (daily in the paper). Drains the
@@ -212,7 +211,9 @@ class DegradationService {
   [[nodiscard]] LedgerHealth health(std::uint32_t node_id) const;
 
   /// Seconds of this node's trace bridged by interpolation (the estimated,
-  /// not observed, share of its degradation input).
+  /// not observed, share of its degradation input). It reads the ledger
+  /// section's gap column, which leaves with the next format version.
+  // blam-analyze: allow(N1) -- stream-bound; FeedbackResilience.LostReportGapIsBridgedAndFlagged
   [[nodiscard]] double estimated_gap_seconds(std::uint32_t node_id) const;
 
   [[nodiscard]] const LedgerCounters& counters() const { return counters_; }

@@ -39,7 +39,6 @@ class SocIngestQueue {
     record.sample_count = static_cast<std::uint32_t>(samples.size());
     samples_.insert(samples_.end(), samples.begin(), samples.end());
     records_.push_back(record);
-    ++total_pushed_;
   }
 
   [[nodiscard]] bool empty() const { return head_ == records_.size(); }
@@ -65,16 +64,11 @@ class SocIngestQueue {
     }
   }
 
-  /// Samples currently queued (payload backlog, for backpressure stats).
-  [[nodiscard]] std::size_t queued_samples() const {
-    return empty() ? 0 : samples_.size() - records_[head_].sample_offset;
-  }
-
-  /// Reports ever pushed (lifetime counter, for the bench).
-  [[nodiscard]] std::uint64_t total_pushed() const { return total_pushed_; }
-
-  /// High-water mark helpers for capacity reporting.
+  /// Storage capacities: the probes for the arena surviving a drain, which
+  /// nothing else observes.
+  // blam-analyze: allow(N1) -- invariant probe; SocIngestQueue.WholesaleRecycleKeepsCapacity
   [[nodiscard]] std::size_t record_capacity() const { return records_.capacity(); }
+  // blam-analyze: allow(N1) -- invariant probe; SocIngestQueue.WholesaleRecycleKeepsCapacity
   [[nodiscard]] std::size_t sample_capacity() const { return samples_.capacity(); }
 
  private:
@@ -82,8 +76,6 @@ class SocIngestQueue {
   // blam-ckpt: skip -- always empty at a checkpoint: DegradationService::checkpoint drains the queue first
   std::vector<SocSample> samples_;
   std::size_t head_{0};
-  // blam-ckpt: skip -- capacity telemetry (high-water reporting), not simulation state
-  std::uint64_t total_pushed_{0};
 };
 
 }  // namespace blam

@@ -40,21 +40,4 @@ double DegradationModel::nonlinear(double linear_sum) const {
   return 1.0 - a * std::exp(-params_.k_sei * linear_sum) - (1.0 - a) * std::exp(-linear_sum);
 }
 
-double DegradationModel::linear_for(double d) const {
-  if (d < 0.0 || d >= 1.0) throw std::invalid_argument{"linear_for: d must be in [0,1)"};
-  // Monotone in linear_sum: bisection is robust and only used offline.
-  double lo = 0.0;
-  double hi = 1.0;
-  while (nonlinear(hi) < d) hi *= 2.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (nonlinear(mid) < d) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace blam

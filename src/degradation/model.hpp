@@ -77,18 +77,18 @@ class DegradationModel {
   [[nodiscard]] double temperature_stress(double temperature_c) const;
 
   /// Eq. (1): calendar aging for `age` elapsed, mean SoC `phi_bar`, at
-  /// `temperature_c`.
+  /// `temperature_c`. DegradationTracker::calendar_linear() inlines it over the
+  /// stress-time integral.
+  // blam-analyze: allow(N1) -- reference; TrackerTest.CalendarUsesMeanSocAndExtendsToNow
   [[nodiscard]] double calendar_aging(Time age, double phi_bar, double temperature_c) const;
 
-  /// Eq. (2) single-cycle term: eta * delta * phi * k6 * S_T.
+  /// Eq. (2) single-cycle term: eta * delta * phi * k6 * S_T. The tracker's
+  /// rainflow callback inlines it with the cached stress.
+  // blam-analyze: allow(N1) -- reference; TrackerTest.CyclesAccumulate
   [[nodiscard]] double cycle_aging_term(const RainflowCycle& cycle, double temperature_c) const;
 
   /// Eq. (4): non-linear (SEI) degradation from the linear sum D_L.
   [[nodiscard]] double nonlinear(double linear_sum) const;
-
-  /// Inverse of Eq. (4): the linear sum that produces degradation `d`.
-  /// Used to predict lifespans analytically in tests and the oracle.
-  [[nodiscard]] double linear_for(double d) const;
 
  private:
   // blam-ckpt: skip -- model constants; rebuilt from ScenarioConfig::degradation

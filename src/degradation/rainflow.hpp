@@ -57,9 +57,6 @@ class RainflowCounter {
   /// Number of full cycles closed so far.
   [[nodiscard]] std::size_t full_cycles() const { return full_cycles_; }
 
-  /// Current residual stack depth (turning points not yet paired).
-  [[nodiscard]] std::size_t residual_depth() const { return stack_.size(); }
-
   /// Complete streaming state (checkpoint/restore of a gateway ledger).
   /// The callback is NOT part of the state: restore() keeps the counter's
   /// own callback and only replaces the trace position.

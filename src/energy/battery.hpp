@@ -35,11 +35,6 @@ class Battery {
 
   [[nodiscard]] double degradation() const { return degradation_; }
 
-  /// True once degradation >= `threshold` (default: the 20% EoL rule).
-  [[nodiscard]] bool at_end_of_life(double threshold = 0.2) const {
-    return degradation_ >= threshold;
-  }
-
   /// Adds energy, clamped by both the current capacity and `soc_cap` (the
   /// protocol's theta threshold, as a fraction of original capacity).
   /// Returns the energy actually absorbed.

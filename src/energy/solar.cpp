@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numbers>
-#include <sstream>
 #include <stdexcept>
 
 namespace blam {
@@ -97,35 +95,6 @@ SolarTrace::SolarTrace(const SolarTraceConfig& config) {
   build_cumulative();
 }
 
-SolarTrace::SolarTrace(std::vector<double> watts) : watts_{std::move(watts)} {
-  if (watts_.empty()) throw std::invalid_argument{"SolarTrace: empty trace"};
-  build_cumulative();
-}
-
-SolarTrace SolarTrace::from_csv(const std::string& path, Power peak) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error{"SolarTrace: cannot open " + path};
-  std::vector<double> watts;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    // Accept either "value" or "index,value"; skip non-numeric header lines.
-    const auto comma = line.rfind(',');
-    const std::string cell = comma == std::string::npos ? line : line.substr(comma + 1);
-    try {
-      watts.push_back(std::stod(cell));
-    } catch (const std::exception&) {
-      if (!watts.empty()) throw std::runtime_error{"SolarTrace: malformed row: " + line};
-      // header row: skip
-    }
-  }
-  if (watts.empty()) throw std::runtime_error{"SolarTrace: no samples in " + path};
-  const double max = *std::max_element(watts.begin(), watts.end());
-  if (max <= 0.0) throw std::runtime_error{"SolarTrace: trace has no positive samples"};
-  for (double& w : watts) w = std::max(0.0, w) * peak.watts() / max;
-  return SolarTrace{std::move(watts)};
-}
-
 void SolarTrace::build_cumulative() {
   cumulative_.resize(watts_.size() + 1);
   cumulative_[0] = 0.0;
@@ -212,10 +181,6 @@ Harvester::Harvester(const SolarTrace& trace, double panel_scale)
 void Harvester::resample_jitter(Rng& rng, double spread) {
   spread = std::clamp(spread, 0.0, 1.0);
   jitter_ = rng.uniform(1.0 - spread, 1.0);
-}
-
-Power Harvester::power_at(Time t) const {
-  return trace_->power_at(t) * (panel_scale_ * jitter_);
 }
 
 Energy Harvester::energy_between(Time t0, Time t1) const {

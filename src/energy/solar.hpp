@@ -6,8 +6,7 @@
 // and shading. That dataset is not redistributable here, so SolarTrace
 // synthesizes a statistically similar year: a clear-sky diurnal/seasonal
 // envelope modulated by a per-day clearness state (Markov chain over clear /
-// partly-cloudy / overcast) and smooth intra-day noise. A CSV loader is
-// provided for running against real traces.
+// partly-cloudy / overcast) and smooth intra-day noise.
 //
 // The trace stores per-minute power over one year plus a cumulative-energy
 // array, so any interval integral is O(1); the year repeats periodically for
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,12 +47,9 @@ class SolarTrace {
   /// Synthesizes a year-long (525600-minute) trace.
   explicit SolarTrace(const SolarTraceConfig& config);
 
-  /// Loads per-minute power samples (watts, one column named or unnamed) and
-  /// scales them so the maximum equals `peak`. The file must contain at
-  /// least one sample; the trace repeats with the file's length as period.
-  static SolarTrace from_csv(const std::string& path, Power peak);
-
-  /// Instantaneous power at simulation time `t` (year wraps around).
+  /// Instantaneous power at simulation time `t` (year wraps around): the
+  /// step function energy_between integrates through its cumulative sums.
+  // blam-analyze: allow(N1) -- reference; SolarTrace.EnergyBetweenMatchesSampleSum
   [[nodiscard]] Power power_at(Time t) const;
 
   /// Exact integral of power over [t0, t1]; O(1) via cumulative sums.
@@ -77,8 +72,6 @@ class SolarTrace {
   [[nodiscard]] Power peak() const { return Power::from_watts(peak_watts_); }
 
  private:
-  explicit SolarTrace(std::vector<double> watts);
-
   void build_cumulative();
 
   /// Cumulative energy (J) from trace start to time `t` within one period,
@@ -112,7 +105,6 @@ class Harvester {
   /// Checkpoint restore: reinstates the jitter factor without an RNG draw.
   void restore_jitter(double jitter) { jitter_ = jitter; }
 
-  [[nodiscard]] Power power_at(Time t) const;
   [[nodiscard]] Energy energy_between(Time t0, Time t1) const;
 
   /// Batched consecutive-window energies (see SolarTrace::energy_windows),

@@ -29,7 +29,6 @@ class Supercap {
 
   [[nodiscard]] Energy capacity() const { return capacity_; }
   [[nodiscard]] Energy stored() const { return stored_; }
-  [[nodiscard]] double fill() const { return stored_ / capacity_; }
 
   /// Offers `amount` for storage; returns the energy CONSUMED from the
   /// source (stored energy grows by consumed * efficiency).

@@ -29,10 +29,4 @@ bool GilbertElliott::lost(Time now) {
   return rng_.bernoulli(bad_ ? params_.loss_bad : params_.loss_good);
 }
 
-double GilbertElliott::bad_fraction() const {
-  const double g = params_.good_mean.seconds();
-  const double b = params_.bad_mean.seconds();
-  return b / (g + b);
-}
-
 }  // namespace blam

@@ -34,9 +34,6 @@ class GilbertElliott {
   /// is lost.
   [[nodiscard]] bool lost(Time now);
 
-  /// Long-run fraction of time spent in the bad state.
-  [[nodiscard]] double bad_fraction() const;
-
   /// Chain state for engine checkpoints (params are rebuilt from config).
   struct State {
     Rng::State rng{};

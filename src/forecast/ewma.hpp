@@ -32,8 +32,6 @@ class Ewma {
   /// Current estimate; `fallback` until the first observation.
   [[nodiscard]] double value_or(double fallback) const { return initialized_ ? value_ : fallback; }
 
-  [[nodiscard]] double beta() const { return beta_; }
-
   /// Raw estimate word for engine checkpoints (value_or(0.0) conflates "no
   /// observation yet" with a genuine 0 estimate; this does not).
   [[nodiscard]] double raw_value() const { return value_; }

@@ -7,9 +7,6 @@
 
 namespace blam {
 
-/// Duration of one LoRa symbol: 2^SF / BW.
-[[nodiscard]] Time symbol_time(SpreadingFactor sf, double bandwidth_hz);
-
 /// Total symbol count of a packet, paper Eq. 7:
 ///   L = preamble + 4.25 + 8 + max(ceil((8*payload - 4*SF + 28 + 16*CRC
 ///        - 20*IH) / (4*(SF - 2*DE))) * (CR+4), 0)
@@ -17,15 +14,12 @@ namespace blam {
 /// Returns a fractional symbol count (preamble contributes 4.25).
 [[nodiscard]] double packet_symbols(const TxParams& params);
 
-/// Time on air of the whole packet.
+/// Time on air of the whole packet: packet_symbols() symbols of 2^SF / BW.
 [[nodiscard]] Time time_on_air(const TxParams& params);
 
 /// Electrical energy consumed by one transmission, paper Eq. 6:
 ///   E_tx = P_tx * L_symbols * 2^SF / BW
 /// where P_tx is the radio supply power at the configured output power.
 [[nodiscard]] Energy tx_energy(const TxParams& params, const RadioEnergyModel& radio);
-
-/// Energy consumed keeping the receiver open for `duration`.
-[[nodiscard]] Energy rx_energy(Time duration, const RadioEnergyModel& radio);
 
 }  // namespace blam

@@ -35,8 +35,6 @@ class ChannelPlan {
   [[nodiscard]] SpreadingFactor rx2_spreading_factor() const { return SpreadingFactor::kSF12; }
   [[nodiscard]] double rx2_bandwidth_hz() const { return 500e3; }
 
-  [[nodiscard]] bool is_downlink(int channel) const { return channel >= uplink_; }
-
  private:
   int uplink_;
   int downlink_;

@@ -54,7 +54,7 @@ bool InterferenceTracker::survives(const AirPacket& packet) const {
   for (std::size_t j = 0; j < interference_j.size(); ++j) {
     if (interference_j[j] <= 0.0) continue;
     const double sir_db = 10.0 * std::log10(signal_j / interference_j[j]);
-    if (sir_db < kIsolationDb[sf_index(packet.sf)][j]) return false;
+    if (sir_db < sir_isolation_db(packet.sf, kAllSpreadingFactors[j])) return false;
   }
   return true;
 }

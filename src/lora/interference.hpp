@@ -48,8 +48,6 @@ class InterferenceTracker {
   /// or after `now` minus the maximum packet airtime. Call opportunistically.
   void prune(Time now);
 
-  [[nodiscard]] std::size_t tracked() const { return packets_.size() - head_; }
-
   /// Live packets in arrival order, for engine checkpoints.
   [[nodiscard]] std::span<const AirPacket> live() const {
     return {packets_.data() + head_, packets_.size() - head_};

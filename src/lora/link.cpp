@@ -10,18 +10,15 @@ double PathLossModel::path_loss_db(double d_m) {
 }
 
 Link::Link(Position device, Position gateway, const PathLossModel& model, Rng& rng)
-    : distance_m_{device.distance_to(gateway)} {
-  loss_db_ = model.path_loss_db(distance_m_);
+    : loss_db_{model.path_loss_db(device.distance_to(gateway))} {
   if (model.shadowing_sigma_db > 0.0) {
     loss_db_ += rng.normal(0.0, model.shadowing_sigma_db);
   }
 }
 
-std::optional<SpreadingFactor> Link::min_spreading_factor(double tx_power_dbm,
-                                                          double margin_db) const {
-  const double rx_dbm = rx_power_dbm(tx_power_dbm);
+std::optional<SpreadingFactor> min_spreading_factor(double rx_power_dbm) {
   for (SpreadingFactor sf : kAllSpreadingFactors) {
-    if (rx_dbm >= gateway_sensitivity_dbm(sf) + margin_db) return sf;
+    if (rx_power_dbm >= gateway_sensitivity_dbm(sf)) return sf;
   }
   return std::nullopt;
 }

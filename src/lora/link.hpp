@@ -47,20 +47,16 @@ class Link {
  public:
   Link(Position device, Position gateway, const PathLossModel& model, Rng& rng);
 
-  [[nodiscard]] double distance_m() const { return distance_m_; }
   [[nodiscard]] double total_loss_db() const { return loss_db_; }
 
-  /// Received power at the other end for a given transmit power.
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm) const { return tx_power_dbm - loss_db_; }
-
-  /// Smallest SF whose *gateway* sensitivity (plus margin) the uplink
-  /// closes at `tx_power_dbm`; nullopt if even SF12 cannot close the link.
-  [[nodiscard]] std::optional<SpreadingFactor> min_spreading_factor(double tx_power_dbm,
-                                                                    double margin_db = 0.0) const;
-
  private:
-  double distance_m_;
   double loss_db_;
 };
+
+/// The distance-based SF rule (NS-3 "SetSpreadingFactorsUp"): the smallest
+/// SF whose *gateway* sensitivity an uplink received at `rx_power_dbm`
+/// clears; nullopt if even SF12 does not. plan_deployment applies it to
+/// each node's strongest gateway.
+[[nodiscard]] std::optional<SpreadingFactor> min_spreading_factor(double rx_power_dbm);
 
 }  // namespace blam

@@ -35,9 +35,6 @@ inline constexpr std::array<SpreadingFactor, 6> kAllSpreadingFactors{
     SpreadingFactor::kSF7,  SpreadingFactor::kSF8,  SpreadingFactor::kSF9,
     SpreadingFactor::kSF10, SpreadingFactor::kSF11, SpreadingFactor::kSF12};
 
-/// Forward-error-correction rate 4/(4+n) for n in 1..4.
-enum class CodingRate : std::uint8_t { kCR4_5 = 1, kCR4_6 = 2, kCR4_7 = 3, kCR4_8 = 4 };
-
 /// End-device uplink power: 14 dBm, the EU868 end-device ERP limit and the
 /// NS-3 lorawan module's default. It is also ADR's ceiling, so no node ever
 /// transmits louder than the power the shard planner cuts domains at.
@@ -48,8 +45,6 @@ struct TxParams {
   SpreadingFactor sf{SpreadingFactor::kSF10};
   // blam-ckpt: skip -- scenario constant; ADR only ever changes sf and tx_power_dbm, which are serialized
   double bandwidth_hz{125e3};
-  // blam-ckpt: skip -- scenario constant; ADR only ever changes sf and tx_power_dbm, which are serialized
-  CodingRate cr{CodingRate::kCR4_5};
   // blam-ckpt: skip -- scenario constant; ADR only ever changes sf and tx_power_dbm, which are serialized
   int preamble_symbols{8};
   // blam-ckpt: skip -- scenario constant (kPayloadBytes), re-applied at construction

@@ -52,7 +52,7 @@ class TxTimingCache {
   };
 
   static bool same_key(const TxParams& a, const TxParams& b) {
-    return a.sf == b.sf && a.payload_bytes == b.payload_bytes && a.cr == b.cr &&
+    return a.sf == b.sf && a.payload_bytes == b.payload_bytes &&
            a.low_data_rate_optimize == b.low_data_rate_optimize &&
            a.tx_power_dbm == b.tx_power_dbm && a.bandwidth_hz == b.bandwidth_hz &&
            a.preamble_symbols == b.preamble_symbols && a.explicit_header == b.explicit_header;

@@ -22,9 +22,10 @@ MacDecision BlamMac::select_window(const WindowContext& ctx) {
   input.tx_cost = ctx.tx_cost;
   input.max_tx = ctx.max_tx;
   input.utility = ctx.utility;
-  last_ = ctx.workspace != nullptr ? selector_.select(input, *ctx.workspace)
-                                   : selector_.select(input);
-  return MacDecision{last_.success, last_.success ? last_.window : 0};
+  const WindowSelection selection = ctx.workspace != nullptr
+                                        ? selector_.select(input, *ctx.workspace)
+                                        : selector_.select(input);
+  return MacDecision{selection.success, selection.success ? selection.window : 0};
 }
 
 double BlamMac::adopt_soc_cap(double /*current*/, double theta) const {

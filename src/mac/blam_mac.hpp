@@ -20,10 +20,6 @@ class BlamMac final : public MacPolicy {
   [[nodiscard]] bool reports_soc() const override { return true; }
   [[nodiscard]] std::string name() const override;
 
-  /// Details of the most recent selection of any node sharing this policy
-  /// (diagnostics).
-  [[nodiscard]] const WindowSelection& last_selection() const { return last_; }
-
   /// The w_u actually fed to Algorithm 1: the reported value while fresh,
   /// decayed toward 1 (conservative) once it is older than
   /// ctx.stale_feedback_k dissemination periods. Exposed for tests.
@@ -33,7 +29,6 @@ class BlamMac final : public MacPolicy {
   double theta_;
   // blam-ckpt: skip -- stateless selection strategy, rebuilt at construction
   WindowSelector selector_;
-  WindowSelection last_{};
 };
 
 }  // namespace blam

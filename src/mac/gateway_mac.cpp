@@ -4,9 +4,6 @@
 
 namespace blam {
 
-AckPlanner::AckPlanner(const ChannelPlan& plan, double rx1_bandwidth_hz)
-    : plan_{plan}, rx1_bandwidth_hz_{rx1_bandwidth_hz} {}
-
 TxParams AckPlanner::ack_params(SpreadingFactor sf, double bandwidth_hz, int bytes) const {
   TxParams p;
   p.sf = sf;
@@ -19,13 +16,12 @@ std::optional<AckPlan> AckPlanner::plan(Time uplink_end, SpreadingFactor uplink_
                                         int uplink_channel, int ack_bytes) {
   // RX1: same SF on the paired downlink channel.
   {
-    const TxParams params = ack_params(uplink_sf, rx1_bandwidth_hz_, ack_bytes);
+    const TxParams params = ack_params(uplink_sf, kRx1BandwidthHz, ack_bytes);
     const Time start = uplink_end + kRx1Delay;
     const Time end = start + timing_.time_on_air(params);
     if (!conflicts(start, end)) {
       reserve(start, end);
-      return AckPlan{start,       end, plan_.rx1_channel(uplink_channel),
-                     uplink_sf,   rx1_bandwidth_hz_,
+      return AckPlan{start, end, plan_.rx1_channel(uplink_channel), uplink_sf, kRx1BandwidthHz,
                      false};
     }
   }

@@ -4,7 +4,7 @@
 // ACK it cannot receive, and two ACKs cannot overlap. The planner keeps the
 // reservation ledger of the TX chain: given a successfully decoded uplink it
 // books the ACK into the device's RX1 slot (1 s after uplink end, same SF at
-// 500 kHz per US-915), falls back to RX2 (2 s, SF12 at 500 kHz) when RX1
+// 125 kHz), falls back to RX2 (2 s, SF12 at 500 kHz) when RX1
 // collides with an existing reservation, and reports failure when both slots
 // are taken — the device will then retransmit. The ledger also answers "was
 // the gateway transmitting during [a, b)?", which destroys overlapping
@@ -24,6 +24,11 @@
 
 namespace blam {
 
+/// RX1 downlink bandwidth: 125 kHz, the paper's channel width. EU-style
+/// long RX1 ACKs stress the half-duplex gateway the way large
+/// confirmed-traffic deployments do.
+inline constexpr double kRx1BandwidthHz = 125e3;
+
 struct AckPlan {
   Time tx_start{};
   Time tx_end{};
@@ -36,9 +41,7 @@ struct AckPlan {
 
 class AckPlanner {
  public:
-  /// `rx1_bandwidth_hz`: downlink bandwidth for RX1 ACKs (500 kHz in US-915;
-  /// 125 kHz EU-style makes ACKs long and the half-duplex penalty real).
-  explicit AckPlanner(const ChannelPlan& plan, double rx1_bandwidth_hz = 500e3);
+  explicit AckPlanner(const ChannelPlan& plan) : plan_{plan} {}
 
   /// Books an ACK for an uplink that ended at `uplink_end` using SF
   /// `uplink_sf` on `uplink_channel`; `ack_bytes` sets the airtime.
@@ -51,8 +54,6 @@ class AckPlanner {
 
   /// Drops reservations that ended before `now`.
   void prune(Time now);
-
-  [[nodiscard]] std::size_t reservations() const { return reservations_.size() - head_; }
 
   struct Interval {
     Time start;
@@ -80,8 +81,6 @@ class AckPlanner {
 
   // blam-ckpt: skip -- pure function of the scenario, rebuilt at construction
   ChannelPlan plan_;
-  // blam-ckpt: skip -- construction input (Gateway::kRx1BandwidthHz in a network)
-  double rx1_bandwidth_hz_;
   /// ACK airtimes recur for the same (SF, length) pairs; memoized.
   // blam-ckpt: skip -- memo cache; entries regenerate on demand from TxParams
   TxTimingCache timing_;

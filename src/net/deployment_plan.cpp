@@ -83,17 +83,10 @@ DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
     }
     node.sf = kFixedSf;
     if (config.sf_assignment == SfAssignment::kDistanceBased) {
-      // NS-3 "SetSpreadingFactorsUp" against the strongest gateway:
-      // smallest SF that closes the uplink; nodes even SF12 cannot serve
-      // keep SF12 (they will underperform, as in NS-3).
-      const double rx_dbm = kDeviceTxPowerDbm - node.best_loss_db;
-      node.sf = SpreadingFactor::kSF12;
-      for (SpreadingFactor sf : kAllSpreadingFactors) {
-        if (rx_dbm >= gateway_sensitivity_dbm(sf)) {
-          node.sf = sf;
-          break;
-        }
-      }
+      // Against the strongest gateway; nodes even SF12 cannot serve keep
+      // SF12 (they will underperform, as in NS-3).
+      node.sf = min_spreading_factor(kDeviceTxPowerDbm - node.best_loss_db)
+                    .value_or(SpreadingFactor::kSF12);
     }
     // Sampling period: whole minutes in [min, max], fixed per node; all
     // nodes boot at t=0 (synchronized deployment), which gives the baseline

@@ -20,7 +20,7 @@ Gateway::Gateway(int id, Position position, Simulator& sim, NetworkServer& serve
       metrics_{metrics},
       plan_{plan},
       config_{config},
-      ack_planner_{plan, kRx1BandwidthHz} {
+      ack_planner_{plan} {
   TxParams rx1;
   rx1.sf = SpreadingFactor::kSF12;
   rx1.bandwidth_hz = kRx1BandwidthHz;

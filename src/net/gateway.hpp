@@ -46,10 +46,6 @@ class Gateway {
   /// ACK transmit power: 27 dBm, the ERP the EU868 plan allows on its
   /// 869.4-869.65 MHz downlink sub-band.
   static constexpr double kDownlinkTxDbm = 27.0;
-  /// RX1 downlink bandwidth: 125 kHz, the paper's channel width. EU-style
-  /// long RX1 ACKs stress the half-duplex gateway the way large
-  /// confirmed-traffic deployments do.
-  static constexpr double kRx1BandwidthHz = 125e3;
 
   struct Config {
     /// Audibility floor: arrivals below this power are dropped before they

@@ -73,8 +73,6 @@ class Network {
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
-  [[nodiscard]] const SolarTrace& solar_trace() const { return *trace_; }
-  [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const { return trace_; }
   [[nodiscard]] const NetworkServer& server() const { return *server_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Gateway>>& gateways() const {
     return gateways_;

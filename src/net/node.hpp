@@ -148,7 +148,9 @@ class Node {
     return AdrCommand{tx_params_.sf, tx_params_.tx_power_dbm};
   }
   [[nodiscard]] Time period() const { return period_; }
-  /// The per-window retransmission history (Eq. 14).
+  /// The per-window retransmission history (Eq. 14); nothing else exposes
+  /// its rows.
+  // blam-analyze: allow(N1) -- invariant probe; StateFuzz.SparseRowForgeriesNameTheirError
   [[nodiscard]] const RetxEstimator& retx_estimator() const { return retx_estimator_; }
   [[nodiscard]] double w_u() const { return w_u_; }
   [[nodiscard]] const Battery& battery() const { return battery_; }

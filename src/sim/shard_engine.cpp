@@ -187,11 +187,6 @@ void ShardBarrier::poison() {
   cv_.notify_all();
 }
 
-bool ShardBarrier::poisoned() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return poisoned_;
-}
-
 // --- ShardedNetwork ---------------------------------------------------------
 
 /// Forwards each slice-local D_max into the epoch barrier's max-reduction;
@@ -374,12 +369,6 @@ void ShardedNetwork::finalize_metrics() {
 const Metrics& ShardedNetwork::metrics() const { return fleet_; }
 
 Metrics ShardedNetwork::release_metrics() && { return std::move(fleet_); }
-
-const SolarTrace& ShardedNetwork::solar_trace() const { return slices_.front()->solar_trace(); }
-
-std::shared_ptr<const SolarTrace> ShardedNetwork::share_trace() const {
-  return slices_.front()->share_trace();
-}
 
 std::optional<AuditReport> ShardedNetwork::audit_report() const {
   std::vector<const Auditor*> audits;

@@ -107,12 +107,8 @@ class ShardBarrier {
   /// throw ShardAborted. Idempotent.
   void poison();
 
-  [[nodiscard]] bool poisoned() const;
-
-  [[nodiscard]] int parties() const { return parties_; }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   int parties_;
   int arrived_{0};
@@ -162,8 +158,6 @@ class ShardedNetwork {
   /// Slice `index` (0 <= index < plan().effective), for inspection between
   /// run_until calls; the engine owns and drives it.
   [[nodiscard]] Network& slice(int index) { return *slices_.at(static_cast<std::size_t>(index)); }
-  [[nodiscard]] const SolarTrace& solar_trace() const;
-  [[nodiscard]] std::shared_ptr<const SolarTrace> share_trace() const;
   /// Every slice's auditor merged into one report; nullopt exactly when
   /// auditing is off (BLAM_AUDIT unset or 0).
   [[nodiscard]] std::optional<AuditReport> audit_report() const;

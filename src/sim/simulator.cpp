@@ -32,22 +32,15 @@ EventHandle Simulator::schedule_at_seq(Time at, std::uint64_t seq, Callback call
   return queue_.schedule_with_seq(at, seq, std::move(callback));
 }
 
-void Simulator::run() { dispatch(Time::max()); }
-
 void Simulator::run_until(Time until) {
-  dispatch(until);
-  if (!stopped_ && now_ < until) now_ = until;
-}
-
-void Simulator::dispatch(Time until) {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= until) {
+  while (!queue_.empty() && queue_.next_time() <= until) {
     auto [time, callback] = queue_.pop();
     if (audit_ != nullptr) audit_->on_event_pop(now_, time);
     now_ = time;
     ++executed_;
     callback();
   }
+  if (now_ < until) now_ = until;
 }
 
 PeriodicProcess::PeriodicProcess(Simulator& sim, Time first, Time period, Tick tick)

@@ -37,17 +37,9 @@ class Simulator {
   /// Cancels a pending event; harmless on null/fired/cancelled handles.
   bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 
-  /// Runs until the queue drains or `stop()` is called.
-  void run();
-
   /// Runs events with time <= `until`, then sets the clock to `until`
-  /// (even if the queue drained earlier), unless stopped.
+  /// (even if the queue drained earlier).
   void run_until(Time until);
-
-  /// Requests the run loop to return after the current callback.
-  void stop() { stopped_ = true; }
-
-  [[nodiscard]] bool stopped() const { return stopped_; }
 
   /// Number of events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
@@ -84,15 +76,9 @@ class Simulator {
   }
 
  private:
-  /// The one run loop: pops and fires events with time <= `until` until the
-  /// queue drains or stop() is called.
-  void dispatch(Time until);
-
   EventQueue queue_;
   Time now_{Time::zero()};
   std::uint64_t executed_{0};
-  // blam-ckpt: skip -- run-loop latch; every run_until() resets it before draining events
-  bool stopped_{false};
   // blam-ckpt: skip -- wiring, re-attached at construction; Network checkpoints the auditor
   Auditor* audit_{nullptr};
 };

@@ -7,7 +7,7 @@ namespace {
 
 class AckPlannerTest : public ::testing::Test {
  protected:
-  AckPlannerTest() : plan_{8, 8}, planner_{plan_, 500e3} {}
+  AckPlannerTest() : plan_{8, 8}, planner_{plan_} {}
 
   ChannelPlan plan_;
   AckPlanner planner_;
@@ -21,7 +21,9 @@ TEST_F(AckPlannerTest, FirstAckLandsInRx1) {
   EXPECT_EQ(ack->tx_start, uplink_end + kRx1Delay);
   EXPECT_EQ(ack->sf, SpreadingFactor::kSF10);
   EXPECT_EQ(ack->channel, plan_.rx1_channel(3));
-  EXPECT_GT(ack->tx_end, ack->tx_start);
+  EXPECT_EQ(ack->bandwidth_hz, kRx1BandwidthHz);
+  // A 1-byte SF10 ACK at 125 kHz: 25.25 symbols of 8.192 ms.
+  EXPECT_EQ(ack->tx_end - ack->tx_start, Time::from_us(206848));
 }
 
 TEST_F(AckPlannerTest, ConflictFallsBackToRx2) {
@@ -29,7 +31,9 @@ TEST_F(AckPlannerTest, ConflictFallsBackToRx2) {
   const auto a = planner_.plan(end_a, SpreadingFactor::kSF12, 0, 1);
   ASSERT_TRUE(a.has_value());
   ASSERT_FALSE(a->rx2);
-  // A second uplink ending such that its RX1 slot overlaps A's reservation.
+  // A second uplink ending such that its RX1 slot overlaps A's reservation
+  // (a 1-byte SF12 ACK at 125 kHz is ~0.83 s); its RX2 slot, 1 s later, is
+  // past A's.
   const Time end_b = end_a + Time::from_ms(50);
   const auto b = planner_.plan(end_b, SpreadingFactor::kSF12, 1, 1);
   ASSERT_TRUE(b.has_value());
@@ -39,9 +43,9 @@ TEST_F(AckPlannerTest, ConflictFallsBackToRx2) {
 }
 
 TEST_F(AckPlannerTest, BothSlotsBusyFails) {
-  // Saturate: many uplinks ending at nearly the same time. SF12 ACKs at
-  // 500 kHz are ~0.2 s, so a handful of overlapping requests exhausts both
-  // RX1 and RX2 slots for some requester.
+  // Saturate: many uplinks ending at nearly the same time. SF12 ACKs are
+  // ~0.83 s in RX1 (125 kHz) and ~0.2 s in RX2 (500 kHz), so a handful of
+  // overlapping requests exhausts both slots for some requester.
   int failures = 0;
   for (int i = 0; i < 20; ++i) {
     const Time end = Time::from_seconds(10.0) + Time::from_ms(5 * i);
@@ -65,9 +69,9 @@ TEST_F(AckPlannerTest, PruneDropsOldReservations) {
   for (int i = 0; i < 10; ++i) {
     (void)planner_.plan(Time::from_seconds(10.0 * i), SpreadingFactor::kSF7, 0, 1);
   }
-  EXPECT_EQ(planner_.reservations(), 10u);
+  EXPECT_EQ(planner_.live().size(), 10u);
   planner_.prune(Time::from_seconds(1000.0));
-  EXPECT_EQ(planner_.reservations(), 0u);
+  EXPECT_EQ(planner_.live().size(), 0u);
 }
 
 TEST_F(AckPlannerTest, SequentialUplinksBothGetRx1) {
@@ -78,18 +82,6 @@ TEST_F(AckPlannerTest, SequentialUplinksBothGetRx1) {
   ASSERT_TRUE(b.has_value());
   EXPECT_FALSE(a->rx2);
   EXPECT_FALSE(b->rx2);
-}
-
-TEST(AckPlannerBandwidth, NarrowRx1MakesLongAcks) {
-  ChannelPlan plan{8, 8};
-  AckPlanner wide{plan, 500e3};
-  AckPlanner narrow{plan, 125e3};
-  const auto a = wide.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
-  const auto b = narrow.plan(Time::from_seconds(1.0), SpreadingFactor::kSF10, 0, 1);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_NEAR((b->tx_end - b->tx_start).seconds(), 4.0 * (a->tx_end - a->tx_start).seconds(),
-              1e-9);
 }
 
 }  // namespace

@@ -561,6 +561,141 @@ TEST(AnalyzeR1, FilesOutsideSrcAreNotScanned) {
   EXPECT_EQ(count_rule(findings, "R1"), 0);
 }
 
+// --- N1: no consumer ---------------------------------------------------------
+
+constexpr const char* kQueueHeader =
+    "struct Queue {\n"
+    "  Queue() = default;\n"
+    "  void push(int v);\n"
+    "  int depth() const;\n"
+    "};\n";
+constexpr const char* kQueueImpl =
+    "#include \"q/queue.hpp\"\n"
+    "void Queue::push(int v) { (void)v; }\n"
+    "int Queue::depth() const { return 0; }\n";
+constexpr const char* kQueueUser =
+    "void feed(Queue& q) { q.push(1); }\n"
+    "void drive() { Queue q; feed(q); }\n";
+
+[[nodiscard]] Project queue_project(std::vector<std::pair<std::string, std::string>> extra) {
+  std::vector<std::pair<std::string, std::string>> files = {
+      {"src/q/queue.hpp", kQueueHeader},
+      {"src/q/queue.cpp", kQueueImpl},
+      {"src/q/user.cpp", kQueueUser},
+      {"src/q/user.hpp", "void drive();\n"},
+      {"examples/main.cpp", "int main() { drive(); }\n"},
+  };
+  files.insert(files.end(), extra.begin(), extra.end());
+  return make_project(files);
+}
+
+TEST(AnalyzeN1, MethodCalledOnlyFromTestsIsTestOnlyApi) {
+  const auto findings = active(queue_project(
+      {{"tests/test_queue.cpp", "TEST(Q, D) { Queue q; EXPECT_EQ(q.depth(), 0); }\n"}}));
+  EXPECT_EQ(count_rule(findings, "N1"), 1);
+  EXPECT_TRUE(mentions(findings, "N1", "test-only API: Queue::depth"));
+  EXPECT_TRUE(mentions(findings, "N1", "tests/test_queue.cpp"));
+}
+
+TEST(AnalyzeN1, MethodCalledFromBenchIsConsumed) {
+  const auto findings = active(queue_project({
+      {"tests/test_queue.cpp", "TEST(Q, D) { Queue q; EXPECT_EQ(q.depth(), 0); }\n"},
+      {"bench/depth.cpp", "int probe(const Queue& q) { return q.depth(); }\n"},
+  }));
+  EXPECT_EQ(count_rule(findings, "N1"), 0);
+}
+
+TEST(AnalyzeN1, MethodWithNoCallerIsUnused) {
+  // The declaration and the out-of-class definition are not uses; nor is
+  // the library's own std::-qualified name.
+  const auto findings =
+      active(queue_project({{"src/q/sort.cpp", "void f(int* p) { std::depth(p); }\n"}}));
+  EXPECT_EQ(count_rule(findings, "N1"), 1);
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Queue::depth"));
+}
+
+TEST(AnalyzeN1, OverrideCalledThroughABasePointerIsConsumed) {
+  const auto findings = active(make_project({
+      {"src/mac/policy.hpp",
+       "struct Policy {\n"
+       "  virtual ~Policy() = default;\n"
+       "  virtual int pick() const = 0;\n"
+       "};\n"
+       "struct Greedy final : Policy {\n"
+       "  int pick() const override { return 1; }\n"
+       "};\n"},
+      {"src/mac/run.cpp",
+       "int choose(const Policy& p) { return p.pick(); }\n"
+       "int greedy() { return choose(Greedy{}); }\n"},
+  }));
+  EXPECT_FALSE(mentions(findings, "N1", "pick"));
+  EXPECT_FALSE(mentions(findings, "N1", "Policy"));
+  EXPECT_FALSE(mentions(findings, "N1", "Greedy"));
+}
+
+TEST(AnalyzeN1, TypeUsedOnlyInsideItsOwnDefinitionsIsUnused) {
+  const auto findings = active(make_project({
+      {"src/a/cell.hpp",
+       "struct Cell {\n"
+       "  static Cell make();\n"
+       "  enum class Kind { kUsed, kSpare };\n"
+       "};\n"
+       "struct Lonely {\n"
+       "  Lonely() = default;\n"
+       "  Lonely copy() const;\n"
+       "};\n"},
+      {"src/a/cell.cpp",
+       "#include \"a/cell.hpp\"\n"
+       "Cell Cell::make() { return Cell{}; }\n"
+       "Lonely Lonely::copy() const { return Lonely{}; }\n"
+       "int spare() { return static_cast<int>(Cell::Kind::kUsed); }\n"},
+  }));
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Cell::make"));
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Kind::kSpare"));
+  EXPECT_FALSE(mentions(findings, "N1", "kUsed"));
+  EXPECT_FALSE(mentions(findings, "N1", "unused: Cell has"));  // Cell::Kind names Cell
+  // Lonely's name appears only in its body and its member's definition.
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Lonely has"));
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Lonely::copy"));
+}
+
+TEST(AnalyzeN1, AllowWithReasonIsHonouredAndReasonlessIsA1) {
+  const std::string test_use = "TEST(Q, D) { Queue q; EXPECT_EQ(q.depth(), 0); }\n";
+  const auto allowed = [&](const std::string& marker) {
+    std::string header = kQueueHeader;
+    header.insert(header.find("  int depth"), marker);
+    return make_project({
+        {"src/q/queue.hpp", header},
+        {"src/q/queue.cpp", kQueueImpl},
+        {"src/q/user.cpp", kQueueUser},
+        {"tests/test_queue.cpp", test_use},
+    });
+  };
+  const Project honoured =
+      allowed("  // blam-analyze: allow(N1) -- invariant probe; Q.D reads it\n");
+  EXPECT_EQ(count_rule(active(honoured), "N1"), 0);
+  const auto all = analyze_project(honoured);
+  const auto it = std::find_if(all.begin(), all.end(),
+                               [](const Finding& f) { return f.rule == "N1"; });
+  ASSERT_NE(it, all.end());
+  EXPECT_TRUE(it->suppressed);
+  EXPECT_EQ(it->suppress_reason, "invariant probe; Q.D reads it");
+
+  const auto reasonless = active(allowed("  // blam-analyze: allow(N1)\n"));
+  EXPECT_EQ(count_rule(reasonless, "N1"), 1);
+  EXPECT_EQ(count_rule(reasonless, "A1"), 1);
+}
+
+TEST(AnalyzeN1, ConsumerDirectoriesAreReadForUsesOnly) {
+  // A fixture class in tests/ or tools/ is never itself a finding, for N1
+  // or any other rule.
+  const auto findings = active(make_project({
+      {"tests/test_x.cpp", "struct Unused { int never(); };\nint g_count = 0;\n"},
+      {"tools/t/main.cpp", "// blam-ckpt: nonsense\nstruct Tool { void idle(); };\n"},
+  }));
+  EXPECT_TRUE(findings.empty());
+}
+
 // --- A1 + suppression protocol ---------------------------------------------
 
 TEST(AnalyzeA1, MalformedAnnotationsAreFindings) {
@@ -636,13 +771,14 @@ TEST(AnalyzeJson, FindingsCarryTheLintJsonFields) {
   EXPECT_NE(json.find("Engine::drift_"), std::string::npos);
 }
 
-TEST(AnalyzeRules, RegistryListsTheFourRules) {
+TEST(AnalyzeRules, RegistryListsTheFiveRules) {
   const auto& infos = rule_infos();
-  ASSERT_EQ(infos.size(), 4u);
+  ASSERT_EQ(infos.size(), 5u);
   EXPECT_EQ(infos[0].id, "K1");
   EXPECT_EQ(infos[1].id, "S2");
   EXPECT_EQ(infos[2].id, "R1");
-  EXPECT_EQ(infos[3].id, "A1");
+  EXPECT_EQ(infos[3].id, "N1");
+  EXPECT_EQ(infos[4].id, "A1");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "degradation/model.hpp"
+
 namespace blam {
 namespace {
 
@@ -22,7 +24,6 @@ TEST(Battery, InitialState) {
   EXPECT_DOUBLE_EQ(b.stored().joules(), 50.0);
   EXPECT_DOUBLE_EQ(b.soc(), 0.5);
   EXPECT_DOUBLE_EQ(b.degradation(), 0.0);
-  EXPECT_FALSE(b.at_end_of_life());
 }
 
 TEST(Battery, ChargeRespectsCapacity) {
@@ -79,12 +80,11 @@ TEST(Battery, DegradationIsMonotone) {
 }
 
 TEST(Battery, EndOfLifeAtThreshold) {
+  // The default EoL rule (run_until_eol stops at eol_threshold) is the
+  // point where 80% of the original capacity is left.
   Battery b = make();
-  b.set_degradation(0.19);
-  EXPECT_FALSE(b.at_end_of_life());
-  b.set_degradation(0.2);
-  EXPECT_TRUE(b.at_end_of_life());
-  EXPECT_FALSE(b.at_end_of_life(0.3));
+  b.set_degradation(DegradationParams{}.eol_threshold);
+  EXPECT_DOUBLE_EQ(b.current_capacity().joules(), 0.8 * b.original_capacity().joules());
 }
 
 TEST(Battery, ChargeCappedByDegradedCapacity) {

@@ -45,10 +45,8 @@ TEST(CsvWriterTest, FinalFileAppearsOnlyAtFlush) {
   // Mid-write: only the staging file exists.
   EXPECT_FALSE(fs::exists(scratch.path()));
   EXPECT_TRUE(fs::exists(scratch.path() + ".tmp"));
-  EXPECT_FALSE(writer.committed());
 
   writer.flush();
-  EXPECT_TRUE(writer.committed());
   EXPECT_TRUE(fs::exists(scratch.path()));
   EXPECT_FALSE(fs::exists(scratch.path() + ".tmp"));
   EXPECT_EQ(slurp(scratch.path()), "a,b\n1,2\n");

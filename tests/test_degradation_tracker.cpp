@@ -66,8 +66,9 @@ TEST_F(TrackerTest, CyclesAccumulate) {
     t.record(now, 0.2);
   }
   EXPECT_GE(t.full_cycles(), 9u);
-  // Each full cycle: range 0.6, mean 0.5.
-  const double expected_per_cycle = 0.6 * 0.5 * model_.params().k6;
+  // Each full cycle: range 0.6, mean 0.5, priced by the model's Eq. (2)
+  // term that the tracker inlines.
+  const double expected_per_cycle = model_.cycle_aging_term(RainflowCycle{0.6, 0.5, 1.0}, 25.0);
   EXPECT_NEAR(t.cycle_linear(), (t.full_cycles() + /*residual halves*/ 1.0) * expected_per_cycle,
               expected_per_cycle);
 }

@@ -29,8 +29,6 @@ TEST(SocIngestQueue, FifoOrderAndPayloadIntegrity) {
            make_samples(10 * r, r + 1));
   }
   EXPECT_EQ(q.size(), 5u);
-  EXPECT_EQ(q.queued_samples(), 1u + 2u + 3u + 4u + 5u);
-  EXPECT_EQ(q.total_pushed(), 5u);
 
   for (int r = 0; r < 5; ++r) {
     ASSERT_FALSE(q.empty());
@@ -47,7 +45,6 @@ TEST(SocIngestQueue, FifoOrderAndPayloadIntegrity) {
     q.pop_front();
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.queued_samples(), 0u);
 }
 
 TEST(SocIngestQueue, WholesaleRecycleKeepsCapacity) {
@@ -61,7 +58,6 @@ TEST(SocIngestQueue, WholesaleRecycleKeepsCapacity) {
   EXPECT_GE(rec_cap, 64u);
   EXPECT_GE(sam_cap, 64u * 8u);
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.total_pushed(), 64u);
 
   // Refill at the same rate: the drained storage is reused in place, no
   // reallocation.
@@ -73,7 +69,6 @@ TEST(SocIngestQueue, WholesaleRecycleKeepsCapacity) {
   }
   EXPECT_EQ(q.record_capacity(), rec_cap);
   EXPECT_EQ(q.sample_capacity(), sam_cap);
-  EXPECT_EQ(q.total_pushed(), 64u * 11u);
 }
 
 TEST(SocIngestQueue, InterleavedPushPopKeepsArrivalOrder) {
@@ -97,7 +92,6 @@ TEST(SocIngestQueue, EmptyReportCarriesNoSamples) {
   SocIngestQueue q;
   q.push(9, 3, 0x5A, {});
   ASSERT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.queued_samples(), 0u);
   EXPECT_TRUE(q.front_samples().empty());
   EXPECT_EQ(q.front().report_seq, 3u);
   q.pop_front();

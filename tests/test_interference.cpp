@@ -131,9 +131,9 @@ TEST(Interference, PruneDropsOldPackets) {
   for (int i = 0; i < 100; ++i) {
     tracker.add(packet(static_cast<std::uint64_t>(i) + 1, i * 1.0, 0.3, -100.0));
   }
-  EXPECT_EQ(tracker.tracked(), 100u);
+  EXPECT_EQ(tracker.live().size(), 100u);
   tracker.prune(Time::from_seconds(100.0));
-  EXPECT_LT(tracker.tracked(), 10u);
+  EXPECT_LT(tracker.live().size(), 10u);
 }
 
 TEST(Interference, PruneKeepsRecentPackets) {

@@ -266,9 +266,9 @@ TEST(LedgerCheckpoint, CheckpointDrainsStagedReports) {
   DegradationService svc{DegradationModel{}, 25.0};
   svc.set_ingest_batch(100);
   svc.enqueue_report(1, 0, report_checksum(0, samples), samples);
-  ASSERT_EQ(svc.queued_reports(), 1u);
+  ASSERT_EQ(svc.counters().reports_accepted, 0u);  // still staged
   EXPECT_EQ(checkpoint_text(svc), expected);
-  EXPECT_EQ(svc.queued_reports(), 0u);
+  EXPECT_EQ(svc.drain_queue(), 0u);
 
   // Restore still refuses a non-empty queue: staged reports would be
   // silently destroyed by the rebuild.

@@ -75,8 +75,6 @@ TEST(BlamMac, RunsAlgorithmOne) {
   EXPECT_EQ(d.window, 2);
   EXPECT_TRUE(mac.needs_forecasts());
   EXPECT_TRUE(mac.reports_soc());
-  EXPECT_TRUE(mac.last_selection().success);
-  EXPECT_DOUBLE_EQ(mac.last_selection().dif, 0.0);
 }
 
 TEST(BlamMac, ThetaCapAppliedToCarryOver) {

@@ -153,5 +153,22 @@ TEST(MultiGateway, AudibleFanOutIsExact) {
   EXPECT_EQ(gm.lost_under_sensitivity, under_floor + under_sensitivity);
 }
 
+// The planner's distance-based SF is min_spreading_factor against the
+// strongest gateway, and SF12 for a node no SF serves.
+TEST(MultiGateway, DistanceSfFallsBackToSf12WhenNothingCloses) {
+  ScenarioConfig c = scenario(1, 40);
+  c.radius_m = 30000.0;  // SF12 reaches ~6.5 km: most nodes are out of range
+  c.sf_assignment = SfAssignment::kDistanceBased;
+  const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  int unserved = 0;
+  for (const NodePlan& node : plan.nodes) {
+    const auto sf = min_spreading_factor(kDeviceTxPowerDbm - node.best_loss_db);
+    unserved += sf.has_value() ? 0 : 1;
+    EXPECT_EQ(node.sf, sf.value_or(SpreadingFactor::kSF12));
+  }
+  EXPECT_GT(unserved, 0);
+  EXPECT_LT(unserved, static_cast<int>(plan.nodes.size()));
+}
+
 }  // namespace
 }  // namespace blam

@@ -191,7 +191,7 @@ TEST(NetworkIntegration, SharedTraceGivesIdenticalWeather) {
   const auto trace = build_shared_trace(base);
   Network a{small(PolicyKind::kBlam, 0.5, 5), trace};
   Network b{small(PolicyKind::kLorawan, 1.0, 5), trace};
-  EXPECT_EQ(&a.solar_trace(), &b.solar_trace());
+  EXPECT_EQ(trace.use_count(), 3);  // both networks hold this one trace
 }
 
 TEST(NetworkIntegration, GreedyGreenSavesEnergyNotLifespan) {

@@ -141,7 +141,7 @@ TEST(Rainflow, ResidualStackStaysSmallOnLongStreams) {
   }
   // The residual is a monotone envelope: it cannot exceed a few dozen
   // entries even after 100k samples.
-  EXPECT_LT(c.counter.residual_depth(), 64u);
+  EXPECT_LT(c.counter.state().stack.size(), 64u);
   EXPECT_GT(c.counter.full_cycles(), 1000u);
 }
 

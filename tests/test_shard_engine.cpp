@@ -555,7 +555,7 @@ TEST(ShardEngineBarrier, FailedPartyUnwindsItsPeersThroughTheJoin) {
     EXPECT_STREQ(e.what(), "party 2 failed");
   }
   EXPECT_EQ(aborted.load(), kParties - 1);
-  EXPECT_TRUE(barrier.poisoned());
+  EXPECT_THROW(barrier.sync(), ShardAborted);  // poisoned for good
 }
 
 }  // namespace

@@ -56,27 +56,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(empty.mean(), 1.0);
 }
 
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamped into bin 0
-  h.add(100.0);  // clamped into bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
 TEST(QuantileSampler, ExactQuantiles) {
   QuantileSampler q;
   for (int i = 1; i <= 100; ++i) q.add(static_cast<double>(i));

@@ -30,8 +30,7 @@ TEST(Supercap, ChargeStopsAtCapacity) {
   Supercap cap{J(4.0), 0.8, 0.0};
   // To store 4 J at 80% efficiency it can consume 5 J at most.
   EXPECT_DOUBLE_EQ(cap.charge(J(100.0)).joules(), 5.0);
-  EXPECT_DOUBLE_EQ(cap.stored().joules(), 4.0);
-  EXPECT_DOUBLE_EQ(cap.fill(), 1.0);
+  EXPECT_DOUBLE_EQ(cap.stored().joules(), cap.capacity().joules());
   EXPECT_DOUBLE_EQ(cap.charge(J(1.0)).joules(), 0.0);
 }
 

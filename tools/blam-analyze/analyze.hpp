@@ -5,7 +5,7 @@
 // check. This tool builds per-TU structure tables (class/struct member
 // declarations, function definitions with body token ranges, namespace-scope
 // and function-local statics, include directives) on top of the blam-lint
-// tokenizer, then runs three project-wide rules:
+// tokenizer, then runs four project-wide rules:
 //
 //   K1  checkpoint coverage: every data member of every type reachable from
 //       a state-codec serialization entry point (the "blamsim v4" engine
@@ -24,12 +24,20 @@
 //       constant from the `blam::salt` registry in src/common/rng.hpp;
 //       duplicate registry values and hex literals respelling a registered
 //       salt are errors too.
+//   N1  no consumer: every function, member function, class/struct/union,
+//       enum, enumerator and alias declared in a src/ header needs one use
+//       (an identifier token outside its own declaration and definitions)
+//       in src/, bench/, examples/, perfbench/ or tools/. Names used only
+//       in tests/ are "test-only API"; names used nowhere are "unused".
 //   A1  malformed annotation (bad skip/shared grammar, unknown rule in an
 //       allow(), missing reason). Not itself suppressible — mirrors S1.
 //
 // Findings reuse blam::lint::Finding and the PR-5 suppression semantics
 // under the tool's own marker: `// blam-analyze: allow(K1) -- reason`
 // (trailing covers its own line, own-line covers the next line).
+//
+// Units under bench/, examples/, perfbench/, tools/ and tests/ are read for
+// N1's uses only: K1/S2/R1/A1 never report in them.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +75,9 @@ struct ClassInfo {
   std::vector<MemberDecl> members;
   /// Names of member functions declared (or defined inline) in the class.
   std::vector<std::string> member_functions;
+  /// Token index range of the body, [begin, end): `{` through `}`.
+  std::size_t body_begin{0};
+  std::size_t body_end{0};
 };
 
 struct ParamDecl {
@@ -83,6 +94,10 @@ struct FunctionDef {
   std::string class_name;
   std::string name;
   int line{0};
+  /// Token index of the name, and of the declaration's first token (after
+  /// any `template <...>` header).
+  std::size_t name_token{0};
+  std::size_t decl_begin{0};
   std::vector<ParamDecl> params;
   /// Names the definition's own `template <...>` header declares ("Row"
   /// for `template <typename Row>`); empty for a non-template.
@@ -115,6 +130,19 @@ struct StaticDecl {
   std::string shared_reason;
 };
 
+/// A named declaration at namespace or class scope: N1's census. A
+/// definition of an already-declared member (`void Node::f() {}`) is not
+/// one.
+struct ApiDecl {
+  enum class Kind { kFunction, kClass, kEnum, kEnumerator, kAlias };
+  Kind kind{Kind::kFunction};
+  std::string name;
+  /// Key of the enclosing class ("Rng::State"), or the enum's name for an
+  /// enumerator; "" at namespace scope.
+  std::string owner;
+  std::size_t token{0};  // index of the name token
+};
+
 struct IncludeDecl {
   std::string target;  // as written between the delimiters
   int line{0};
@@ -128,6 +156,7 @@ struct TranslationUnit {
   std::vector<ClassInfo> classes;
   std::vector<FunctionDef> functions;
   std::vector<StaticDecl> statics;
+  std::vector<ApiDecl> api;
   std::vector<IncludeDecl> includes;
 };
 
@@ -147,7 +176,7 @@ struct Project {
 [[nodiscard]] std::vector<std::string> include_closure(const Project& project,
                                                        const std::string& root_path);
 
-/// Runs K1/S2/R1/A1 over the whole project and applies suppressions.
+/// Runs K1/S2/R1/N1/A1 over the whole project and applies suppressions.
 /// Findings come back sorted by (path, line, col, rule); suppressed ones are
 /// included with `suppressed == true`.
 [[nodiscard]] std::vector<lint::Finding> analyze_project(const Project& project);

@@ -1,8 +1,10 @@
-// blam-analyze CLI. Reads every source file under src/ (the default scope:
+// blam-analyze CLI. Reads every source file under src/ (the analyzed scope:
 // cross-file rules only make sense over the real simulator tree; test and
-// bench fixtures deliberately contain rule-violating code), builds the
-// project-wide structure tables, and runs K1/S2/R1/A1. Exit status is
-// nonzero iff any unsuppressed finding exists, so CI can gate on it.
+// bench fixtures deliberately contain rule-violating code) and, for N1's
+// uses only, under bench/, examples/, perfbench/, tools/ and tests/. It
+// builds the project-wide structure tables and runs K1/S2/R1/N1/A1. Exit
+// status is nonzero iff any unsuppressed finding exists, so CI can gate on
+// it.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -41,8 +43,13 @@ void print_usage() {
       "usage: blam-analyze [--root DIR] [--json] [--show-suppressed] [--list-rules] [paths...]\n"
       "\n"
       "Cross-file analysis of the BLAM simulator sources (default scope: src\n"
-      "under --root, which defaults to the current directory). Exits 1 when any\n"
+      "under --root, which defaults to the current directory; bench, examples,\n"
+      "perfbench, tools and tests are read for N1's uses only). Exits 1 when any\n"
       "unsuppressed finding remains, 2 on usage/IO errors.\n"
+      "\n"
+      "Rules: K1 checkpoint coverage, S2 shard-state escape, R1 RNG-salt registry,\n"
+      "N1 no consumer (a src/ header declaration used only by tests, or by\n"
+      "nothing), A1 annotation hygiene. --list-rules prints them.\n"
       "\n"
       "Exempt a member from checkpoint coverage (K1) at its declaration:\n"
       "  int scratch_;  // blam-ckpt: skip -- rebuilt by recompute() on restore\n"
@@ -93,7 +100,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> files;
   if (args.empty()) {
-    collect(fs::path{root} / "src", files);
+    for (const char* dir : {"src", "bench", "examples", "perfbench", "tools", "tests"}) {
+      collect(fs::path{root} / dir, files);
+    }
   } else {
     for (const std::string& a : args) collect(fs::path{a}, files);
   }

@@ -6,9 +6,9 @@
 // declared data member of every class in the group to either appear in the
 // group's serialization bodies or carry a `// blam-ckpt: skip` exemption.
 // Coverage is name-based on purpose: it is coarse enough to survive locals,
-// structured bindings and snapshot structs without a real type checker, yet
-// a freshly added member can never be name-mentioned by old code, so
-// checkpoint drift always lands in the findings.
+// structured bindings and snapshot structs without a real type checker. The
+// price: a member some group body names only through an accessor or a
+// reset passes too (DESIGN.md §16.2).
 #include <algorithm>
 #include <array>
 #include <cctype>
@@ -44,6 +44,34 @@ using lint::Token;
 [[nodiscard]] bool in_dir(const std::string& path, std::string_view dir) {
   const std::string needle = std::string{dir} + "/";
   return path.rfind(needle, 0) == 0 || path.find("/" + needle) != std::string::npos;
+}
+
+/// Where a unit sits: src/ (and any path outside the tree's top-level
+/// directories) is analyzed; bench/, examples/, perfbench/ and tools/ are
+/// consumers and tests/ is tests, both read for N1's uses only. The last
+/// matching path component decides, so a checkout under some `tools/`
+/// directory still analyzes its own src/.
+enum class Role { kAnalyzed, kConsumer, kTest };
+
+[[nodiscard]] Role role_of(const std::string& path) {
+  Role role = Role::kAnalyzed;
+  std::size_t begin = 0;
+  while (begin < path.size()) {
+    std::size_t end = path.find('/', begin);
+    if (end == std::string::npos) break;  // the file name itself
+    const std::string_view dir{path.data() + begin, end - begin};
+    if (dir == "src") role = Role::kAnalyzed;
+    if (dir == "bench" || dir == "examples" || dir == "perfbench" || dir == "tools") {
+      role = Role::kConsumer;
+    }
+    if (dir == "tests") role = Role::kTest;
+    begin = end + 1;
+  }
+  return role;
+}
+
+[[nodiscard]] bool analyzed(const TranslationUnit& unit) {
+  return role_of(unit.path) == Role::kAnalyzed;
 }
 
 [[nodiscard]] bool is_rng_authority(const std::string& path) {
@@ -89,6 +117,7 @@ struct Indexes {
 [[nodiscard]] Indexes build_indexes(const Project& project) {
   Indexes ix;
   for (const TranslationUnit& unit : project.units) {
+    if (!analyzed(unit)) continue;
     for (const ClassInfo& cls : unit.classes) {
       ix.by_key[cls.name].push_back(ClassRef{&cls, &unit});
       ix.keys_by_last[last_component(cls.name)].push_back(cls.name);
@@ -283,6 +312,7 @@ class K1Engine {
     // `template <typename Row> void write_row(StateWriter&, const Row&)`
     // is no class called Row).
     for (const TranslationUnit& unit : project_.units) {
+      if (!analyzed(unit)) continue;
       for (const FunctionDef& def : unit.functions) {
         if (!def.class_name.empty()) continue;
         const bool codec = std::any_of(def.params.begin(), def.params.end(), [](const auto& p) {
@@ -500,7 +530,7 @@ void rule_s2(const Project& project, std::vector<Finding>& findings) {
   const std::vector<std::string> closure = include_closure(project, root);
   const std::set<std::string> in_closure{closure.begin(), closure.end()};
   for (const TranslationUnit& unit : project.units) {
-    if (!in_closure.contains(unit.path)) continue;
+    if (!in_closure.contains(unit.path) || !analyzed(unit)) continue;
     for (const StaticDecl& s : unit.statics) {
       if (s.is_const || s.is_atomic || s.shared_annotated) continue;
       std::string message = std::string{"mutable "} + static_kind_name(s.kind) + " '" + s.name +
@@ -588,7 +618,7 @@ struct SaltRegistry {
 void rule_r1(const Project& project, std::vector<Finding>& findings) {
   SaltRegistry reg = parse_salt_registry(project, findings);
   for (const TranslationUnit& unit : project.units) {
-    if (!in_dir(unit.path, "src") || is_rng_authority(unit.path)) continue;
+    if (!in_dir(unit.path, "src") || !analyzed(unit) || is_rng_authority(unit.path)) continue;
     const std::vector<Token>& toks = unit.src.tokens;
     std::set<std::size_t> flagged;
 
@@ -668,6 +698,120 @@ void rule_r1(const Project& project, std::vector<Finding>& findings) {
 }
 
 // ---------------------------------------------------------------------------
+// N1: no consumer.
+// ---------------------------------------------------------------------------
+
+/// Names the language or the standard library calls without spelling them
+/// at the call site: range-for (`begin`/`end`), ADL `swap`, structured
+/// bindings (`get`, `tuple_size`, `tuple_element`) and the unordered
+/// containers (`hash`).
+[[nodiscard]] bool called_implicitly(const std::string& name) {
+  static const std::set<std::string> kImplicit = {"begin", "end",        "swap",         "get",
+                                                  "hash",  "tuple_size", "tuple_element"};
+  return kImplicit.contains(name);
+}
+
+[[nodiscard]] bool is_header(const std::string& path) {
+  return ends_with(path, ".hpp") || ends_with(path, ".h");
+}
+
+/// Token ranges [begin, end) of one unit that count as a name's own
+/// declaration or definition.
+using OwnRanges = std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>;
+
+struct NameUses {
+  bool consumed{false};  // a use in src/ or a consumer directory
+  std::string test_path;  // first tests/ unit using the name
+};
+
+void rule_n1(const Project& project, std::vector<Finding>& findings) {
+  // Every name declared in an analyzed unit is looked up; only src/ header
+  // declarations can be findings. A name's own sites are its declaration
+  // tokens, a class's body and its members' out-of-class definitions, and a
+  // function's definitions (a recursive call is no consumer).
+  std::set<std::string> names;
+  std::map<const TranslationUnit*, std::set<std::size_t>> decl_tokens;
+  std::map<const TranslationUnit*, OwnRanges> own;
+  for (const TranslationUnit& unit : project.units) {
+    if (!analyzed(unit)) continue;
+    for (const ApiDecl& api : unit.api) {
+      names.insert(api.name);
+      decl_tokens[&unit].insert(api.token);
+    }
+    for (const ClassInfo& cls : unit.classes) {
+      own[&unit][last_component(cls.name)].emplace_back(cls.body_begin, cls.body_end);
+    }
+    for (const FunctionDef& def : unit.functions) {
+      decl_tokens[&unit].insert(def.name_token);
+      own[&unit][def.name].emplace_back(def.body_begin, def.body_end);
+      if (!def.class_name.empty()) {
+        own[&unit][last_component(def.class_name)].emplace_back(def.decl_begin, def.body_end);
+      }
+    }
+  }
+
+  std::map<std::string, NameUses> uses;
+  for (const TranslationUnit& unit : project.units) {
+    const Role role = role_of(unit.path);
+    const std::vector<Token>& toks = unit.src.tokens;
+    const std::set<std::size_t>* decls =
+        decl_tokens.contains(&unit) ? &decl_tokens.at(&unit) : nullptr;
+    const OwnRanges* ranges = own.contains(&unit) ? &own.at(&unit) : nullptr;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::kIdentifier || !names.contains(toks[i].text)) continue;
+      const std::string& name = toks[i].text;
+      if (decls != nullptr && decls->contains(i)) continue;
+      // `std::fill` is the library's name, not the project's.
+      if (i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "std") continue;
+      // A forward declaration (`class Foo;`) declares; it does not use.
+      if (i >= 1 && i + 1 < toks.size() && toks[i + 1].text == ";" &&
+          (toks[i - 1].text == "class" || toks[i - 1].text == "struct" ||
+           toks[i - 1].text == "union")) {
+        continue;
+      }
+      if (ranges != nullptr) {
+        const auto it = ranges->find(name);
+        if (it != ranges->end() &&
+            std::any_of(it->second.begin(), it->second.end(),
+                        [i](const auto& r) { return i >= r.first && i < r.second; })) {
+          continue;
+        }
+      }
+      NameUses& u = uses[name];
+      if (role == Role::kTest) {
+        if (u.test_path.empty()) u.test_path = unit.path;
+      } else {
+        u.consumed = true;
+      }
+    }
+  }
+
+  for (const TranslationUnit& unit : project.units) {
+    if (!analyzed(unit) || !in_dir(unit.path, "src") || !is_header(unit.path)) continue;
+    for (const ApiDecl& api : unit.api) {
+      // Constructors and destructors are called by the language, as are
+      // operators (never recorded) and the names in called_implicitly().
+      if (api.name == last_component(api.owner) && api.kind == ApiDecl::Kind::kFunction) continue;
+      if (called_implicitly(api.name)) continue;
+      const NameUses& u = uses[api.name];
+      if (u.consumed) continue;
+      const Token& at = unit.src.tokens[api.token];
+      const std::string what = api.owner.empty() ? api.name : api.owner + "::" + api.name;
+      if (!u.test_path.empty()) {
+        add_finding(findings, "N1", unit.path, at.line, at.col,
+                    "test-only API: " + what + " is used only by tests (" + u.test_path +
+                        "); delete it, or give it a consumer in src/, bench/, examples/, "
+                        "perfbench/ or tools/");
+      } else {
+        add_finding(findings, "N1", unit.path, at.line, at.col,
+                    "unused: " + what + " has no use outside its own declaration and "
+                                        "definitions; delete it");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // A1 + suppressions (the blam-lint semantics under this tool's marker).
 // ---------------------------------------------------------------------------
 
@@ -741,6 +885,7 @@ const std::vector<lint::RuleInfo>& rule_infos() {
       {"K1", "checkpoint coverage: unserialized data member on a checkpoint-reachable type"},
       {"S2", "shard-state escape: mutable static/global reachable from shard_engine.cpp"},
       {"R1", "RNG-salt registry: literal fork/stream salts must come from blam::salt"},
+      {"N1", "no consumer: src/ header declaration used only by tests/, or by nothing"},
       {"A1", "malformed blam-ckpt/blam-shared/allow annotation (not itself suppressible)"},
   };
   return kInfos;
@@ -802,9 +947,11 @@ std::vector<lint::Finding> analyze_project(const Project& project) {
   k1.run(findings);
   rule_s2(project, findings);
   rule_r1(project, findings);
+  rule_n1(project, findings);
 
   std::map<std::string, std::vector<Suppression>> sups_by_path;
   for (const TranslationUnit& unit : project.units) {
+    if (!analyzed(unit)) continue;
     for (const detail::AnnotationIssue& issue : detail::parse_annotations(unit.src).issues) {
       add_finding(findings, "A1", unit.path, issue.line, 1, issue.message);
     }

@@ -271,6 +271,9 @@ class StructureParser {
         }
         if (kw == "using" || kw == "typedef" || kw == "static_assert" || kw == "friend") {
           template_params_.clear();  // an alias or friend template's names end here
+          if (kw == "using" && tok(1).kind == TokKind::kIdentifier && tok(2).text == "=") {
+            add_api(ApiDecl::Kind::kAlias, i_ + 1, key_of(cls));
+          }
           skip_statement();
           continue;
         }
@@ -287,9 +290,7 @@ class StructureParser {
           continue;
         }
         if (kw == "enum") {
-          while (!done() && !at("{") && !at(";")) ++i_;
-          if (at("{")) skip_group("{", "}");
-          skip_statement();
+          parse_enum(cls);
           continue;
         }
         if ((kw == "class" || kw == "struct" || kw == "union") && class_definition_ahead()) {
@@ -299,6 +300,47 @@ class StructureParser {
       }
       parse_declaration(cls);
     }
+  }
+
+  [[nodiscard]] static std::string key_of(const ClassInfo* cls) {
+    return cls != nullptr ? cls->name : std::string{};
+  }
+
+  void add_api(ApiDecl::Kind kind, std::size_t token, std::string owner) {
+    unit_.api.push_back(ApiDecl{kind, toks_[token].text, std::move(owner), token});
+  }
+
+  /// `enum [class|struct] [Name] [: base] { A [= x], B, ... } [declarators];`
+  /// records the enum and its enumerators.
+  void parse_enum(const ClassInfo* cls) {
+    ++i_;  // `enum`
+    if (at_ident("class") || at_ident("struct")) ++i_;
+    skip_attributes();
+    std::string name;
+    if (tok().kind == TokKind::kIdentifier) {
+      name = tok().text;
+      add_api(ApiDecl::Kind::kEnum, i_, key_of(cls));
+    }
+    while (!done() && !at("{") && !at(";")) ++i_;
+    if (at("{")) {
+      const std::string owner = name.empty() ? key_of(cls) : name;
+      bool expect_name = true;
+      int depth = 0;
+      while (!done()) {
+        if (at("{") || at("(")) ++depth;
+        if ((at("}") || at(")")) && --depth == 0) {
+          ++i_;
+          break;
+        }
+        if (depth == 1 && at(",")) expect_name = true;
+        if (depth == 1 && expect_name && tok().kind == TokKind::kIdentifier) {
+          add_api(ApiDecl::Kind::kEnumerator, i_, owner);
+          expect_name = false;
+        }
+        ++i_;
+      }
+    }
+    skip_statement();
   }
 
   void parse_namespace() {
@@ -348,11 +390,14 @@ class StructureParser {
     ++i_;
     skip_attributes();
     std::string name;
+    std::size_t name_token = kNone;
     if (tok().kind == TokKind::kIdentifier) {
       name = tok().text;
+      name_token = i_;
       ++i_;
       while (at("::") && tok(1).kind == TokKind::kIdentifier) {
         name += "::" + tok(1).text;
+        name_token = i_ + 1;
         i_ += 2;
       }
     }
@@ -401,8 +446,11 @@ class StructureParser {
     info.line = decl_line;
     info.is_struct = is_struct;
     info.bases = std::move(bases);
+    info.body_begin = i_;
+    if (name_token != kNone) add_api(ApiDecl::Kind::kClass, name_token, key_of(parent));
     ++i_;  // `{`
     parse_decl_seq(&info);
+    info.body_end = i_;
     const std::string type_name = info.name;
     unit_.classes.push_back(std::move(info));
 
@@ -481,6 +529,7 @@ class StructureParser {
     std::size_t ident_count = 0;
     bool have_params = false;
     std::string fn_name;
+    std::size_t fn_name_token = kNone;
     std::string fn_qualifier;
     std::vector<std::pair<std::size_t, std::size_t>> param_range;  // [open, close]
     std::vector<std::size_t> extra_names;                          // multi-declarator commas
@@ -567,6 +616,7 @@ class StructureParser {
           param_range.emplace_back(open, i_ - 1);
           have_params = true;
           fn_name = toks_[last_ident].text;
+          fn_name_token = last_ident;
           // out-of-class qualifier: `void Node::restore_state(...)`
           std::size_t k = last_ident;
           while (k >= 2 && toks_[k - 1].text == "::" &&
@@ -621,6 +671,11 @@ class StructureParser {
     }
 
     if (!have_params) return;  // EOF mid-declaration
+    // A member's out-of-class definition is not a second declaration.
+    if (fn_name_token != kNone && (cls != nullptr || fn_qualifier.empty())) {
+      add_api(ApiDecl::Kind::kFunction, fn_name_token, key_of(cls));
+    }
+    const FunctionHead head{fn_qualifier, fn_name, start_line, start, fn_name_token};
 
     // Phase 2: after the parameter list — qualifiers, trailing return,
     // ctor-init list, then either `;` (declaration), `= ...;` (defaulted/
@@ -628,8 +683,7 @@ class StructureParser {
     while (!done()) {
       const std::string& x = tok().text;
       if (x == "{") {
-        record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator,
-                        std::move(template_params));
+        record_function(cls, head, param_range, saw_operator, std::move(template_params));
         return;
       }
       if (x == ";") {
@@ -663,8 +717,7 @@ class StructureParser {
               skip_group("{", "}");  // an init brace
               continue;
             }
-            record_function(cls, fn_qualifier, fn_name, start_line, param_range, saw_operator,
-                            std::move(template_params));
+            record_function(cls, head, param_range, saw_operator, std::move(template_params));
             return;
           }
           if (y == ";") {
@@ -681,13 +734,24 @@ class StructureParser {
     }
   }
 
-  void record_function(ClassInfo* cls, const std::string& qualifier, const std::string& name,
-                       int line, const std::vector<std::pair<std::size_t, std::size_t>>& params,
+  struct FunctionHead {
+    std::string qualifier;
+    std::string name;
+    int line{0};
+    std::size_t decl_begin{0};
+    std::size_t name_token{0};
+  };
+
+  void record_function(ClassInfo* cls, const FunctionHead& head,
+                       const std::vector<std::pair<std::size_t, std::size_t>>& params,
                        bool is_operator, std::vector<std::string> template_params) {
+    const std::string& name = head.name;
     FunctionDef def;
-    def.class_name = cls != nullptr ? cls->name : qualifier;
+    def.class_name = cls != nullptr ? cls->name : head.qualifier;
     def.name = name;
-    def.line = line;
+    def.line = head.line;
+    def.name_token = head.name_token;
+    def.decl_begin = head.decl_begin;
     def.template_params = std::move(template_params);
     if (!params.empty()) def.params = parse_params(params.back().first, params.back().second);
     def.body_begin = i_;
