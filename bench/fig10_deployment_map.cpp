@@ -7,38 +7,28 @@
 
 #include "bench_common.hpp"
 #include "common/csv.hpp"
-#include "net/network.hpp"
+#include "net/deployment_plan.hpp"
 
 namespace {
 
-struct LayoutDump {
-  std::vector<std::vector<std::string>> rows;
-  std::size_t n_nodes{0};
-  std::size_t n_gateways{0};
-};
-
-// Builds the layout rows only; the CSVs are written by the joining thread
-// (CsvWriter instances must not be shared with sweep workers).
-LayoutDump dump(const blam::ScenarioConfig& config) {
+/// The map of one planned deployment: no engine is built to print it.
+std::vector<std::vector<std::string>> map_rows(const blam::ScenarioConfig& config) {
   using namespace blam;
-  Network network{config};
-  LayoutDump out;
-  for (const auto& gw : network.gateways()) {
-    out.rows.push_back({"gateway", CsvWriter::cell(static_cast<std::int64_t>(gw->id())),
-                        CsvWriter::cell(gw->position().x_m), CsvWriter::cell(gw->position().y_m),
-                        "", "", ""});
+  const DeploymentPlan plan = plan_deployment(config, Rng{config.seed, salt::kRootStream});
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t g = 0; g < plan.gateway_positions.size(); ++g) {
+    const Position& at = plan.gateway_positions[g];
+    rows.push_back({"gateway", CsvWriter::cell(static_cast<std::int64_t>(g)),
+                    CsvWriter::cell(at.x_m), CsvWriter::cell(at.y_m), "", "", ""});
   }
-  for (std::size_t i = 0; i < network.nodes().size(); ++i) {
-    const Node& node = *network.nodes()[i];
-    out.rows.push_back({"node", CsvWriter::cell(static_cast<std::uint64_t>(node.id())),
-                        CsvWriter::cell(node.position().x_m),
-                        CsvWriter::cell(node.position().y_m),
-                        CsvWriter::cell(node.min_link_loss_db()), to_string(node.sf()),
-                        CsvWriter::cell(node.period().minutes())});
+  for (std::size_t id = 0; id < plan.nodes.size(); ++id) {
+    const NodePlan& node = plan.nodes[id];
+    rows.push_back({"node", CsvWriter::cell(static_cast<std::uint64_t>(id)),
+                    CsvWriter::cell(node.position.x_m), CsvWriter::cell(node.position.y_m),
+                    CsvWriter::cell(node.best_loss_db), to_string(node.sf),
+                    CsvWriter::cell(node.period.minutes())});
   }
-  out.n_nodes = network.nodes().size();
-  out.n_gateways = network.gateways().size();
-  return out;
+  return rows;
 }
 
 }  // namespace
@@ -60,17 +50,11 @@ int run_program() {
   large.sf_assignment = SfAssignment::kDistanceBased;
   large.path_loss.shadowing_sigma_db = 6.0;
 
-  const std::vector<std::pair<const char*, ScenarioConfig>> layouts{
-      {"fig10_testbed_map", std::move(testbed)}, {"fig10_largescale_map", std::move(large)}};
-  SweepRunner runner{sweep_options()};
-  const std::vector<LayoutDump> dumps =
-      runner.map(layouts.size(), [&](std::size_t i) { return dump(layouts[i].second); });
-
-  for (std::size_t i = 0; i < layouts.size(); ++i) {
-    write_csv(layouts[i].first, {"kind", "id", "x_m", "y_m", "min_loss_db", "sf", "period_min"},
-              dumps[i].rows);
-    std::printf("%s: %zu nodes, %zu gateway(s)\n", layouts[i].first, dumps[i].n_nodes,
-                dumps[i].n_gateways);
+  for (const auto& [name, config] : {std::pair{"fig10_testbed_map", testbed},
+                                     std::pair{"fig10_largescale_map", large}}) {
+    write_csv(name, {"kind", "id", "x_m", "y_m", "min_loss_db", "sf", "period_min"},
+              map_rows(config));
+    std::printf("%s: %d nodes, %d gateway(s)\n", name, config.n_nodes, config.n_gateways);
   }
   return 0;
 }

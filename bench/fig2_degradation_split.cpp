@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 #include "common/csv.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 int run_program() {
   using namespace blam;
@@ -19,23 +19,26 @@ int run_program() {
          "calendar aging dominates; cycle aging is a small fraction of total");
 
   ScenarioConfig config = lorawan_scenario(nodes, /*seed=*/42);
-  Network network{config};
+  ShardedNetwork network{config};
   const DegradationModel model{config.degradation};
 
   std::printf("%8s %14s %14s %14s %14s\n", "month", "calendar_lin", "cycle_lin", "D_calendar",
               "D_total");
   std::vector<std::vector<std::string>> rows;
   const int months = static_cast<int>(years * 12.0);
+  double cal = 0.0;  // the fleet means of the month last run
+  double cyc = 0.0;
   for (int month = 1; month <= months; ++month) {
     const Time now = Time::from_days(30.44 * month);
     network.run_until(now);
-    double cal = 0.0;
-    double cyc = 0.0;
+    cal = 0.0;
+    cyc = 0.0;
     double total = 0.0;
-    for (const auto& node : network.nodes()) {
-      cal += node->tracker().calendar_linear(now);
-      cyc += node->tracker().cycle_linear();
-      total += node->tracker().degradation(now);
+    for (std::uint32_t id = 0; id < static_cast<std::uint32_t>(nodes); ++id) {
+      const auto& tracker = network.node(id).tracker();
+      cal += tracker.calendar_linear(now);
+      cyc += tracker.cycle_linear();
+      total += tracker.degradation(now);
     }
     const double inv = 1.0 / static_cast<double>(nodes);
     cal *= inv;
@@ -54,13 +57,6 @@ int run_program() {
             rows);
 
   // Shape check mirrored from the paper.
-  double cal = 0.0;
-  double cyc = 0.0;
-  const Time end = Time::from_days(30.44 * months);
-  for (const auto& node : network.nodes()) {
-    cal += node->tracker().calendar_linear(end);
-    cyc += node->tracker().cycle_linear();
-  }
   std::printf("\ncalendar/cycle ratio at end: %.1fx  (paper: calendar >> cycle)\n",
               cyc > 0.0 ? cal / cyc : 0.0);
   return 0;

@@ -20,8 +20,8 @@
 #include "lora/airtime.hpp"
 #include "mac/codec.hpp"
 #include "lora/interference.hpp"
-#include "net/network.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/shard_engine.hpp"
 
 // Allocation counter for the allocs/period gauge: every (non-aligned)
 // global new in this binary bumps it. The steady-state loop is expected to
@@ -251,7 +251,7 @@ void BM_NetworkSteadyState(benchmark::State& state) {
   // count over that week, not over however many steps the timer asked for.
   ScenarioConfig config = blam_scenario(static_cast<int>(state.range(0)), /*theta=*/0.5,
                                         /*seed=*/42);
-  Network network{config};
+  ShardedNetwork network{config};
   Time now = Time::from_days(1.0);
   network.run_until(now);
 
@@ -262,7 +262,7 @@ void BM_NetworkSteadyState(benchmark::State& state) {
     }
     return total;
   };
-  const std::uint64_t events0 = network.simulator().events_executed();
+  const std::uint64_t events0 = network.events_executed();
   const std::uint64_t periods0 = generated();
   const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
 
@@ -271,7 +271,7 @@ void BM_NetworkSteadyState(benchmark::State& state) {
     network.run_until(now);
   }
 
-  const std::uint64_t events = network.simulator().events_executed() - events0;
+  const std::uint64_t events = network.events_executed() - events0;
   const std::uint64_t periods = generated() - periods0;
   const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
   state.counters["events/s"] =

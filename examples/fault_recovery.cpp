@@ -9,7 +9,7 @@
 
 #include "example_args.hpp"
 #include "net/deployment_plan.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace blam;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   // Paper sizing: one day of autonomy instead of the simulator's kBatteryDays.
   DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
   for (NodePlan& node : plan.nodes) node.battery_capacity = node.battery_capacity / kBatteryDays;
-  Network network{c, plan, nullptr, nullptr, NetworkSlice::whole(plan)};
+  ShardedNetwork network{c, plan};
   std::printf("%4s %10s %10s %10s %10s %9s\n", "day", "generated", "delivered", "lost_out",
               "brownouts", "crashes");
 
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   for (int day = 1; day <= total_days; ++day) {
     network.run_until(Time::from_days(static_cast<double>(day)));
     Snapshot now;
-    for (const auto& node : network.nodes()) {
-      const NodeMetrics& m = network.metrics().node(node->id());
+    for (std::size_t id = 0; id < network.metrics().node_count(); ++id) {
+      const NodeMetrics& m = network.metrics().node(id);
       now.generated += m.generated;
       now.delivered += m.delivered;
       now.lost += m.lost_in_outage;

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "example_args.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace {
 
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   for (const auto& [policy, theta] :
        {std::pair{PolicyKind::kLorawan, 1.0}, {PolicyKind::kBlam, 1.0}}) {
-    Network network{testbed(policy, theta, seed, day)};
+    ShardedNetwork network{testbed(policy, theta, seed, day)};
     network.run_until(Time::from_days(1.0));
     network.finalize_metrics();
 

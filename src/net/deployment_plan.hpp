@@ -1,7 +1,8 @@
-// Deployment planning: the RNG-consuming phase of Network construction
-// (topology, shadowing, per-node traffic draws) factored out so the serial
-// Network and the sharded engine (sim/shard_engine.hpp) build from one
-// plan with one draw order. For the legacy centre/ring layouts the draw
+// Deployment planning: the RNG-consuming phase of engine construction
+// (topology, shadowing, per-node traffic draws) factored out so every slice
+// of the engine (sim/shard_engine.hpp) builds from one plan with one draw
+// order, and a caller can edit or print the plan without building an
+// engine (fig10's maps). For the legacy centre/ring layouts the draw
 // sequence is byte-for-byte the historical Network::build sequence; the
 // grid/cluster city layout (gateway_grid_pitch_m > 0) is new and has no
 // compatibility constraint.

@@ -19,6 +19,16 @@ DeploymentPlan plan_validated(const ScenarioConfig& config) {
   return plan_deployment(config, Rng{config.seed, salt::kRootStream});
 }
 
+/// Every gateway and node of `deployment`.
+NetworkSlice whole_fleet(const DeploymentPlan& deployment) {
+  NetworkSlice slice;
+  slice.gateways.resize(deployment.gateway_positions.size());
+  std::iota(slice.gateways.begin(), slice.gateways.end(), 0);
+  slice.nodes.resize(deployment.nodes.size());
+  std::iota(slice.nodes.begin(), slice.nodes.end(), 0U);
+  return slice;
+}
+
 void write_faults(StateWriter& w, const FaultPlan& faults) {
   // Only the downlink Gilbert-Elliott chains carry draw-consuming state;
   // the outage/drought schedules regenerate deterministically from
@@ -51,23 +61,10 @@ void read_faults(StateReader& r, FaultPlan& faults) {
 
 }  // namespace
 
-NetworkSlice NetworkSlice::whole(const DeploymentPlan& deployment) {
-  NetworkSlice slice;
-  slice.gateways.resize(deployment.gateway_positions.size());
-  std::iota(slice.gateways.begin(), slice.gateways.end(), 0);
-  slice.nodes.resize(deployment.nodes.size());
-  std::iota(slice.nodes.begin(), slice.nodes.end(), 0U);
-  return slice;
-}
+Network::Network(const ScenarioConfig& config) : Network{config, plan_validated(config)} {}
 
-Network::Network(const ScenarioConfig& config) : Network{config, nullptr} {}
-
-Network::Network(const ScenarioConfig& config, std::shared_ptr<const SolarTrace> trace)
-    : Network{config, plan_validated(config), std::move(trace)} {}
-
-Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
-                 std::shared_ptr<const SolarTrace> trace)
-    : Network{config, deployment, std::move(trace), nullptr, NetworkSlice::whole(deployment)} {}
+Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment)
+    : Network{config, deployment, nullptr, nullptr, whole_fleet(deployment)} {}
 
 Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
                  std::shared_ptr<const SolarTrace> trace, FleetMaxCombiner* combiner,

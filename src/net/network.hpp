@@ -1,8 +1,8 @@
 // Network: composes the simulator, solar trace, gateways, network server
 // and nodes of one engine slice, runs the simulation, and exposes the
-// metrics the figures need. A slice is either the whole fleet (the public
-// Network(config) constructor) or one shard of a ShardedNetwork run (see
-// sim/shard_engine.hpp); both are built by the same constructor.
+// metrics the figures need. ShardedNetwork (sim/shard_engine.hpp), the
+// engine everything else drives, builds each of its slices through the
+// slice constructor.
 #pragma once
 
 #include <cstdint>
@@ -32,19 +32,13 @@ struct NetworkSlice {
   std::vector<std::uint32_t> nodes;
   /// Node `id` writes fleet->node(id); null makes the Network its own fleet.
   Metrics* fleet{nullptr};
-
-  /// Every gateway and node of `deployment`.
-  [[nodiscard]] static NetworkSlice whole(const DeploymentPlan& deployment);
 };
 
 class Network {
  public:
+  /// The whole fleet as one slice, its own fleet: only for perfbench's
+  /// traced serial runs and the bit-identity reference tests.
   explicit Network(const ScenarioConfig& config);
-
-  /// Optionally reuse a pre-built trace (several scenarios share the same
-  /// year of weather, e.g. the LoRaWAN/H-50 comparisons). Plans the
-  /// deployment and builds the whole fleet as one slice.
-  Network(const ScenarioConfig& config, std::shared_ptr<const SolarTrace> trace);
 
   /// The one build path: the `slice` share of an already planned
   /// `deployment`. A null `trace` is built from the deployment. Node and
@@ -66,13 +60,12 @@ class Network {
   /// snapshots the ledger and report-channel counters.
   void finalize_metrics();
 
-  [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] const Simulator& simulator() const { return sim_; }
   /// Gateway counters and summary fields, plus every node row if its own fleet.
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
-  [[nodiscard]] Metrics& metrics() { return metrics_; }
-  [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
+  /// Node `id` (global); std::runtime_error if it is not in this slice.
+  [[nodiscard]] const Node& node(std::uint32_t id) const { return node_by_id(id); }
   [[nodiscard]] const NetworkServer& server() const { return *server_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Gateway>>& gateways() const {
     return gateways_;
@@ -96,11 +89,9 @@ class Network {
 
  private:
   /// The whole fleet of a freshly planned deployment as one slice.
-  Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
-          std::shared_ptr<const SolarTrace> trace);
+  Network(const ScenarioConfig& config, const DeploymentPlan& deployment);
 
-  /// The slice node with global id `id`; std::runtime_error if it is not
-  /// in this slice.
+  /// node(id) for the slice's own writers.
   [[nodiscard]] Node& node_by_id(std::uint32_t id) const;
 
   // blam-ckpt: skip -- construction input; restore_state requires a network freshly built from the same ScenarioConfig

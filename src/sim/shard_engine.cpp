@@ -8,6 +8,8 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/env_number.hpp"
@@ -203,9 +205,14 @@ class ShardedNetwork::FleetReducer final : public FleetMaxCombiner {
   ShardBarrier* barrier_;
 };
 
-ShardedNetwork::ShardedNetwork(const ScenarioConfig& config) : ShardedNetwork{config, nullptr} {}
-
 namespace {
+
+/// Refuses retired variables and an invalid config before anything is planned.
+DeploymentPlan plan_checked(const ScenarioConfig& config) {
+  refuse_retired_env();
+  config.validate();
+  return plan_deployment(config, Rng{config.seed, salt::kRootStream});
+}
 
 std::int64_t resolve_checkpoint_every() {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
@@ -223,12 +230,24 @@ std::string resolve_checkpoint_dir() {
 
 ShardedNetwork::ShardedNetwork(const ScenarioConfig& config,
                                std::shared_ptr<const SolarTrace> trace)
-    : config_{config}, fleet_{static_cast<std::size_t>(config.n_nodes)} {
+    : ShardedNetwork{config, plan_checked(config), std::move(trace)} {}
+
+ShardedNetwork::ShardedNetwork(const ScenarioConfig& config, const DeploymentPlan& deployment,
+                               std::shared_ptr<const SolarTrace> trace)
+    : config_{config}, fleet_{deployment.nodes.size()} {
   refuse_retired_env();
   config_.validate();
+  const std::size_t nodes = deployment.nodes.size();
+  const std::size_t gateways = deployment.gateway_positions.size();
+  if (nodes != static_cast<std::size_t>(config_.n_nodes) ||
+      gateways != static_cast<std::size_t>(config_.n_gateways)) {
+    throw std::invalid_argument{
+        "ShardedNetwork: the plan has " + std::to_string(nodes) + " nodes and " +
+        std::to_string(gateways) + " gateways, the config asks for " +
+        std::to_string(config_.n_nodes) + " and " + std::to_string(config_.n_gateways)};
+  }
   checkpoint_every_ = resolve_checkpoint_every();
   checkpoint_dir_ = resolve_checkpoint_dir();
-  const DeploymentPlan deployment = plan_deployment(config_, Rng{config_.seed, salt::kRootStream});
   plan_ = plan_shards(config_, deployment, resolve_shards(config_.shards));
   if (plan_.serial && plan_.requested > 1) {
     // The caller asked for parallelism it will not get; surface the silent
@@ -383,6 +402,10 @@ std::uint64_t ShardedNetwork::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& slice : slices_) total += slice->simulator().events_executed();
   return total;
+}
+
+const Node& ShardedNetwork::node(std::uint32_t id) const {
+  return slices_[static_cast<std::size_t>(plan_.shard_of_node.at(id))]->node(id);
 }
 
 double ShardedNetwork::w_for(std::uint32_t node_id) const {

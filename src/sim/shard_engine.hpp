@@ -18,9 +18,9 @@
 // slices at the epoch barrier (FleetMaxCombiner hook).
 //
 // Invariant (CI-enforced): any shard count yields committed results
-// bit-identical to a whole-fleet Network — per-domain event order is a
-// projection of the whole-fleet order, node RNG streams are pure per-node
-// forks, and the D_max all-reduce reproduces the fleet max.
+// bit-identical to one slice holding the whole fleet — per-domain event
+// order is a projection of the whole-fleet order, node RNG streams are pure
+// per-node forks, and the D_max all-reduce reproduces the fleet max.
 #pragma once
 
 #include <condition_variable>
@@ -120,11 +120,16 @@ class ShardBarrier {
 
 /// The simulation engine: N >= 1 Network slices planned by plan_shards().
 /// Results are bit-identical at every shard count; the public surface is
-/// what experiment.cpp and the figure binaries consume.
+/// what experiment.cpp, the figure binaries and the examples consume.
 class ShardedNetwork {
  public:
-  explicit ShardedNetwork(const ScenarioConfig& config);
-  ShardedNetwork(const ScenarioConfig& config, std::shared_ptr<const SolarTrace> trace);
+  /// Plans the deployment from the scenario seed; a null `trace` is built.
+  explicit ShardedNetwork(const ScenarioConfig& config,
+                          std::shared_ptr<const SolarTrace> trace = nullptr);
+  /// Runs a caller-edited plan_deployment result; std::invalid_argument if
+  /// its node or gateway count is not the config's.
+  ShardedNetwork(const ScenarioConfig& config, const DeploymentPlan& deployment,
+                 std::shared_ptr<const SolarTrace> trace = nullptr);
   ~ShardedNetwork();
 
   ShardedNetwork(const ShardedNetwork&) = delete;
@@ -162,6 +167,8 @@ class ShardedNetwork {
   /// auditing is off (BLAM_AUDIT unset or 0).
   [[nodiscard]] std::optional<AuditReport> audit_report() const;
   [[nodiscard]] std::uint64_t events_executed() const;
+  /// Node `id` from its slice; std::out_of_range for ids >= n_nodes.
+  [[nodiscard]] const Node& node(std::uint32_t id) const;
   /// Latest disseminated w_u for a node (fleet-normalized; 0 before the
   /// first recompute). Throws std::out_of_range for ids >= n_nodes.
   [[nodiscard]] double w_for(std::uint32_t node_id) const;

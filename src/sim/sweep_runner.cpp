@@ -37,6 +37,9 @@ SweepRunner::SweepRunner(SweepOptions options)
       label_{std::move(options.label)} {}
 
 void fork_join(std::size_t n, const std::function<void(std::size_t)>& work) {
+  // One party runs inline and allocates nothing (a one-slice engine steps
+  // through here at every run_until); its exception propagates unchanged.
+  if (n == 1) return work(0);
   std::vector<std::exception_ptr> errors(n);
   const auto guarded = [&](std::size_t i) {
     try {

@@ -30,11 +30,13 @@ namespace blam {
 /// Runs work(i) for every i in [0, n): work(0) on the calling thread and
 /// work(1..n-1) each on its own thread, then joins them all and rethrows the
 /// exception of the lowest index that threw. Every index runs whatever the
-/// others do; n <= 1 starts no thread. Every index owning a thread is what
-/// lets callers make the indices parties of one barrier (ShardBarrier): no
-/// party ever waits for another to be scheduled. This is the one place in
-/// src/ that starts threads. A thread that cannot be started terminates the
-/// process, since the indices already running may be waiting for it.
+/// others do; n <= 1 starts no thread, and n == 1 allocates nothing (work(0)
+/// runs inline, its exception propagating as is). Every index owning a thread
+/// is what lets callers make the indices parties of one barrier
+/// (ShardBarrier): no party ever waits for another to be scheduled. This is
+/// the one place in src/ that starts threads. A thread that cannot be started
+/// terminates the process, since the indices already running may be waiting
+/// for it.
 void fork_join(std::size_t n, const std::function<void(std::size_t)>& work);
 
 /// Worker count resolution: an explicit positive `requested` wins; otherwise

@@ -659,6 +659,23 @@ TEST(AnalyzeN1, TypeUsedOnlyInsideItsOwnDefinitionsIsUnused) {
   EXPECT_TRUE(mentions(findings, "N1", "unused: Lonely::copy"));
 }
 
+TEST(AnalyzeN1, StaticMemberDefinitionIsItsClassOwnSite) {
+  // `T Tally::total_{...};` defines Tally's member at namespace scope; like
+  // a member function's out-of-class definition, it does not use Tally.
+  const auto findings = active(make_project({
+      {"src/a/tally.hpp",
+       "struct Tally {\n"
+       "  static std::atomic<int> total_;\n"
+       "  static int peak_;\n"
+       "};\n"},
+      {"src/a/tally.cpp",
+       "#include \"a/tally.hpp\"\n"
+       "std::atomic<int> Tally::total_{0};\n"
+       "int Tally::peak_ = 0;\n"},
+  }));
+  EXPECT_TRUE(mentions(findings, "N1", "unused: Tally has"));
+}
+
 TEST(AnalyzeN1, AllowWithReasonIsHonouredAndReasonlessIsA1) {
   const std::string test_use = "TEST(Q, D) { Queue q; EXPECT_EQ(q.depth(), 0); }\n";
   const auto allowed = [&](const std::string& marker) {

@@ -14,7 +14,7 @@
 #include "common/state_codec.hpp"
 #include "env_guard.hpp"
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -262,14 +262,13 @@ TEST(AuditIntegrationTest, CleanScenarioHasZeroViolationsAtLevel2) {
   const EnvGuard audit{"BLAM_AUDIT", "1"};
   ScenarioConfig config = blam_scenario(6, 0.5, 11);
   config.supercap_tx_buffer = 2.0;
-  Network network{config};
+  ShardedNetwork network{config};
   network.run_until(Time::from_days(5.0));
-  ASSERT_NE(network.auditor(), nullptr);
-  EXPECT_GT(network.auditor()->checks_run(), 1000u);
-  EXPECT_EQ(network.auditor()->violation_count(), 0u)
-      << (network.auditor()->violations().empty()
-              ? std::string{}
-              : network.auditor()->violations()[0].to_string());
+  const std::optional<AuditReport> report = network.audit_report();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_GT(report->checks_run, 1000u);
+  EXPECT_EQ(report->violation_count, 0u)
+      << (report->violations.empty() ? std::string{} : report->violations[0].to_string());
 }
 
 TEST(AuditIntegrationTest, AuditLevelDoesNotChangeResults) {
@@ -277,8 +276,8 @@ TEST(AuditIntegrationTest, AuditLevelDoesNotChangeResults) {
   std::optional<NetworkSummary> reference;
   for (const char* level : {"0", "1"}) {
     const EnvGuard audit{"BLAM_AUDIT", level};
-    Network network{blam_scenario(5, 0.5, 23)};
-    EXPECT_EQ(network.auditor() != nullptr, std::string{level} == "1");
+    ShardedNetwork network{blam_scenario(5, 0.5, 23)};
+    EXPECT_EQ(network.audit_report().has_value(), std::string{level} == "1");
     network.run_until(duration);
     network.finalize_metrics();
     const NetworkSummary summary = network.metrics().summarize();

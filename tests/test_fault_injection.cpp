@@ -10,7 +10,7 @@
 #include "mac/blam_mac.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -31,10 +31,10 @@ struct PhaseCounts {
   std::uint64_t generated{0};
 };
 
-PhaseCounts totals(const Network& network) {
+PhaseCounts totals(const ShardedNetwork& network) {
   PhaseCounts t;
-  for (const auto& node : network.nodes()) {
-    const NodeMetrics& m = network.metrics().node(node->id());
+  for (std::size_t id = 0; id < network.metrics().node_count(); ++id) {
+    const NodeMetrics& m = network.metrics().node(id);
     t.delivered += m.delivered;
     t.brownouts += m.brownouts;
     t.generated += m.generated;
@@ -60,7 +60,7 @@ TEST(FaultInjection, DroughtCausesBrownoutsThenRecovery) {
     node.battery_capacity = node.battery_capacity * (0.5 / kBatteryDays);  // half a day
   }
 
-  Network network{c, plan, nullptr, nullptr, NetworkSlice::whole(plan)};
+  ShardedNetwork network{c, plan};
   network.run_until(Time::from_days(2.0));
   const PhaseCounts pre = totals(network);
   network.run_until(Time::from_days(4.0));

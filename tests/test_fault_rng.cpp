@@ -13,7 +13,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -31,8 +31,8 @@ ScenarioConfig small_blam(int nodes = 15, std::uint64_t seed = 7) {
 TEST(FaultRng, AbsentFaultsBuildNoPlan) {
   ScenarioConfig c = small_blam(3);
   EXPECT_FALSE(c.faults.any());
-  Network network{c};
-  EXPECT_EQ(network.fault_plan(), nullptr);
+  ShardedNetwork network{c};
+  EXPECT_EQ(network.slice(0).fault_plan(), nullptr);
 }
 
 TEST(FaultRng, EachSourceFlipsAny) {

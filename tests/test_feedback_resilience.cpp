@@ -17,7 +17,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "fault/report_channel.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 #include "net/scenario.hpp"
 
 namespace blam {
@@ -470,7 +470,7 @@ TEST(FeedbackResilience, NetworkRunWithReportFaultsIsDeterministic) {
     double max_degradation;
   };
   const auto run = [&] {
-    Network network{c};
+    ShardedNetwork network{c};
     network.run_until(Time::from_days(20.0));
     network.finalize_metrics();
     return RunResult{network.metrics().summarize(), network.metrics().gateway(),

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -23,8 +24,8 @@
 
 #include "net/experiment.hpp"
 #include "common/state_codec.hpp"
-#include "net/network.hpp"
 #include "sim/shard_engine.hpp"
+#include "sim/sweep_runner.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define BLAM_FOREIGN_MALLOC 1
@@ -68,20 +69,22 @@ namespace {
 
 constexpr int kNodes = 2000;
 
-// Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36):
-// 1,758 B/node after construction and 2,170 B/node after one day. With a
-// dense u32 retransmission histogram and expected-transmissions row over
-// every forecast window, the same slice cost 3,321 and 3,678 B/node; with
-// u64 histograms and two u64 per-window totals arrays, 4,865 and
-// 5,219 B/node; with a forecaster and a duty-cycle limiter in every Node
-// too, 4,960 and 5,313 B/node; before the audible-gateway lists and the
-// slice-wide airtime memo and MAC policy, 5,337 and 5,935 B/node; with a
-// heap vector per forecast window for the retransmission histogram plus
-// per-node selection scratch, 6,980 and 8,981 B/node.
+// Measured on the 2k-node city below (GCC 12, libstdc++, glibc 2.36), the
+// engine on one slice: 1,762 B/node after construction and 2,174 B/node
+// after one day, 5 B/node above a bare whole-fleet Network (the planner's
+// slice of every node). With a dense u32 retransmission histogram and
+// expected-transmissions row over every forecast window, the same slice
+// cost 3,321 and 3,678 B/node; with u64 histograms and two u64 per-window
+// totals arrays, 4,865 and 5,219 B/node; with a forecaster and a
+// duty-cycle limiter in every Node too, 4,960 and 5,313 B/node; before the
+// audible-gateway lists and the slice-wide airtime memo and MAC policy,
+// 5,337 and 5,935 B/node; with a heap vector per forecast window for the
+// retransmission histogram plus per-node selection scratch, 6,980 and
+// 8,981 B/node.
 constexpr double kBuiltCeiling = 1934.0;
 constexpr double kOneDayCeiling = 2387.0;
 // Heap allocations the build makes per node (operator new calls, frees not
-// subtracted): 7.23, against 9.23 with the dense histogram and expected
+// subtracted): 7.24, against 9.23 with the dense histogram and expected
 // row, 10.23 with the retransmission totals arrays too, 14.22 with a
 // per-node link vector, airtime memo and MAC policy, and 51 with the
 // per-window histograms.
@@ -135,7 +138,7 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
   const auto trace = build_shared_trace(c);
   const double before = in_use_bytes();
   const std::uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
-  auto network = std::make_unique<Network>(c, trace);
+  auto network = std::make_unique<ShardedNetwork>(c, trace);
   const double built = (in_use_bytes() - before) / kNodes;
   const double allocations =
       static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before) /
@@ -156,7 +159,7 @@ TEST(NodeFootprint, CitySliceHeapBytesPerNode) {
 // The engine on the same city after one day and finalize_metrics(), per
 // node, at shards 1 and 4: 2,174 and 2,246 B/node, against 2,631 and
 // 2,737 B/node when the engine kept a second, merged row per node beside
-// the rows its slices owned (the whole-fleet Network above: 2,170 B/node).
+// the rows its slices owned (a bare whole-fleet Network: 2,169 B/node).
 constexpr std::pair<int, double> kShardedOneDayCeilings[] = {{1, 2392.0}, {4, 2472.0}};
 
 TEST(NodeFootprint, ShardedEngineHeapBytesPerNode) {
@@ -186,7 +189,7 @@ TEST(NodeFootprint, CitySliceSteadyStateAllocationsPerPeriod) {
   GTEST_SKIP() << "the sanitizer allocator replaces operator new; the counter does not see it";
 #else
   const ScenarioConfig c = city_slice();
-  Network network{c, build_shared_trace(c)};
+  ShardedNetwork network{c, build_shared_trace(c)};
   network.run_until(Time::from_days(1.0));
   // One generated packet is one node period.
   const auto periods = [&network] {
@@ -209,6 +212,21 @@ TEST(NodeFootprint, CitySliceSteadyStateAllocationsPerPeriod) {
 #endif
 }
 
+// A one-slice engine goes through fork_join at every run_until, so one
+// party must cost no allocation: the parent's error vector made one a call.
+TEST(NodeFootprint, OnePartyForkJoinAllocatesNothing) {
+#ifdef BLAM_FOREIGN_MALLOC
+  GTEST_SKIP() << "the sanitizer allocator replaces operator new; the counter does not see it";
+#else
+  std::size_t runs = 0;
+  const std::function<void(std::size_t)> work = [&runs](std::size_t) { ++runs; };
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 168; ++i) fork_join(1, work);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(runs, 168u);
+#endif
+}
+
 // Measured on the same slice after one day: 1,768 B/node in "blamsim v4".
 // "blamsim v3" cost 1,931 B/node (its forecaster RNG, T_off and duty-defer
 // tokens), and the dense "blamsim v2" histogram rows 3,577 B/node.
@@ -216,11 +234,11 @@ constexpr double kCheckpointCeiling = 1945.0;
 
 TEST(CheckpointBytes, CitySlicePerNode) {
   const ScenarioConfig c = city_slice();
-  Network network{c, build_shared_trace(c)};
+  ShardedNetwork network{c, build_shared_trace(c)};
   network.run_until(Time::from_days(1.0));
   std::ostringstream out;
   StateWriter w{out};
-  network.checkpoint_state(w);
+  network.slice(0).checkpoint_state(w);
   const double per_node = static_cast<double>(out.view().size()) / kNodes;
   RecordProperty("checkpoint_bytes_per_node", static_cast<int>(per_node));
   EXPECT_LE(per_node, kCheckpointCeiling) << "checkpoint bytes per node after one day";

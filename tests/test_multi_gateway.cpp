@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -19,25 +19,25 @@ ScenarioConfig scenario(int n_gateways, int nodes = 25, std::uint64_t seed = 17)
 
 TEST(MultiGateway, ConfigValidation) {
   ScenarioConfig c = scenario(0);
-  EXPECT_THROW(Network{c}, std::invalid_argument);
+  EXPECT_THROW(ShardedNetwork{c}, std::invalid_argument);
 }
 
 TEST(MultiGateway, BuildsRequestedGateways) {
-  Network one{scenario(1)};
-  EXPECT_EQ(one.gateways().size(), 1u);
-  EXPECT_DOUBLE_EQ(one.gateways()[0]->position().x_m, 0.0);
+  ShardedNetwork one{scenario(1)};
+  EXPECT_EQ(one.slice(0).gateways().size(), 1u);
+  EXPECT_DOUBLE_EQ(one.slice(0).gateways()[0]->position().x_m, 0.0);
 
-  Network four{scenario(4)};
-  EXPECT_EQ(four.gateways().size(), 4u);
+  ShardedNetwork four{scenario(4)};
+  EXPECT_EQ(four.slice(0).gateways().size(), 4u);
   // Ring placement: all at half the radius.
-  for (const auto& gw : four.gateways()) {
+  for (const auto& gw : four.slice(0).gateways()) {
     EXPECT_NEAR(gw->position().distance_to(Position{0.0, 0.0}), 2500.0, 1.0);
   }
 }
 
 TEST(MultiGateway, EveryGatewayHearsEveryAttempt) {
   ScenarioConfig c = scenario(3, 10);
-  Network network{c};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(1.0));
   network.finalize_metrics();
   std::uint64_t attempts = 0;
@@ -73,22 +73,25 @@ TEST(MultiGateway, DiversityHelpsEdgeNodesUnderDistanceBasedSf) {
     c.path_loss.shadowing_sigma_db = 6.0;
     return c;
   };
-  Network single{config_for(1)};
-  Network triple{config_for(3)};
+  ShardedNetwork single{config_for(1)};
+  ShardedNetwork triple{config_for(3)};
   double sf_sum_single = 0.0;
   double sf_sum_triple = 0.0;
-  for (const auto& node : single.nodes()) sf_sum_single += sf_value(node->sf());
-  for (const auto& node : triple.nodes()) sf_sum_triple += sf_value(node->sf());
+  for (std::uint32_t id = 0; id < 40; ++id) {
+    sf_sum_single += sf_value(single.node(id).sf());
+    sf_sum_triple += sf_value(triple.node(id).sf());
+  }
   EXPECT_LE(sf_sum_triple, sf_sum_single);
 }
 
 TEST(MultiGateway, NodeTracksPerGatewayLosses) {
-  Network network{scenario(3, 5)};
-  for (const auto& node : network.nodes()) {
+  ShardedNetwork network{scenario(3, 5)};
+  for (std::uint32_t id = 0; id < 5; ++id) {
+    const Node& node = network.node(id);
     double best = 1e300;
-    for (int g = 0; g < 3; ++g) best = std::min(best, node->link_loss_db(g));
-    EXPECT_DOUBLE_EQ(best, node->min_link_loss_db());
-    EXPECT_THROW((void)node->link_loss_db(3), std::out_of_range);
+    for (int g = 0; g < 3; ++g) best = std::min(best, node.link_loss_db(g));
+    EXPECT_DOUBLE_EQ(best, node.min_link_loss_db());
+    EXPECT_THROW((void)node.link_loss_db(3), std::out_of_range);
   }
 }
 
@@ -119,7 +122,7 @@ int audible_at(const NodePlan& node, double power_dbm, double floor_dbm) {
 TEST(MultiGateway, AudibleFanOutIsExact) {
   const ScenarioConfig c = partial_reach_city();
   const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
-  Network network{c, nullptr};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(1.0));
   network.finalize_metrics();
 
@@ -129,7 +132,7 @@ TEST(MultiGateway, AudibleFanOutIsExact) {
   int partial_reach_nodes = 0;
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     const NodePlan& p = plan.nodes[i];
-    const Node& node = *network.nodes()[i];
+    const Node& node = network.node(static_cast<std::uint32_t>(i));
     const std::uint64_t tx = network.metrics().node(i).tx_attempts;
     attempts += tx;
     const int audible = audible_at(p, kDeviceTxPowerDbm, c.interference_floor_dbm);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -22,15 +22,15 @@ ScenarioConfig small(PolicyKind policy, double theta, int nodes = 20, std::uint6
 TEST(NetworkIntegration, ConfigValidationFiresOnBuild) {
   ScenarioConfig c = small(PolicyKind::kLorawan, 1.0);
   c.n_nodes = 0;
-  EXPECT_THROW(Network{c}, std::invalid_argument);
+  EXPECT_THROW(ShardedNetwork{c}, std::invalid_argument);
   c = small(PolicyKind::kBlam, 0.0);
-  EXPECT_THROW(Network{c}, std::invalid_argument);
+  EXPECT_THROW(ShardedNetwork{c}, std::invalid_argument);
   c = small(PolicyKind::kLorawan, 1.0);
   c.forecast_window = c.min_period + Time::from_minutes(1.0);
-  EXPECT_THROW(Network{c}, std::invalid_argument);
+  EXPECT_THROW(ShardedNetwork{c}, std::invalid_argument);
   c = small(PolicyKind::kLorawan, 1.0);
   c.forecast_window = Time::from_us(c.max_period.us() / (kMaxForecastWindows + 1));
-  EXPECT_THROW(Network{c}, std::invalid_argument);
+  EXPECT_THROW(ShardedNetwork{c}, std::invalid_argument);
 }
 
 TEST(NetworkIntegration, SingleNodeDeliversEverything) {
@@ -139,31 +139,31 @@ TEST(NetworkIntegration, BlamSpreadsAcrossWindows) {
 
 TEST(NetworkIntegration, ThetaCapHoldsThroughout) {
   ScenarioConfig c = small(PolicyKind::kBlam, 0.5, 10);
-  Network network{c};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(2.0));
-  for (const auto& node : network.nodes()) {
-    EXPECT_LE(node->battery().soc(), 0.5 + 1e-9);
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    EXPECT_LE(network.node(id).battery().soc(), 0.5 + 1e-9);
   }
 }
 
 TEST(NetworkIntegration, SocReportsReachTheGatewayService) {
   ScenarioConfig c = small(PolicyKind::kBlam, 0.5, 5);
-  Network network{c};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(2.0));
   // After two days (and daily recomputes) every node has a degradation
   // estimate derived from its reported trace.
-  for (const auto& node : network.nodes()) {
-    EXPECT_GT(network.server().service().degradation(node->id()), 0.0);
+  for (std::uint32_t id = 0; id < 5; ++id) {
+    EXPECT_GT(network.slice(0).server().service().degradation(id), 0.0);
   }
 }
 
 TEST(NetworkIntegration, WuFeedbackReachesNodes) {
   ScenarioConfig c = small(PolicyKind::kBlam, 0.5, 10);
-  Network network{c};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(3.0));
   int with_w = 0;
-  for (const auto& node : network.nodes()) {
-    if (node->w_u() > 0.0) ++with_w;
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    if (network.node(id).w_u() > 0.0) ++with_w;
   }
   // w_u = D_u / D_max: the most-degraded node has w = 1 and others are
   // generally positive once dissemination starts.
@@ -189,8 +189,8 @@ TEST(NetworkIntegration, RunUntilEolTerminates) {
 TEST(NetworkIntegration, SharedTraceGivesIdenticalWeather) {
   ScenarioConfig base = small(PolicyKind::kLorawan, 1.0, 5);
   const auto trace = build_shared_trace(base);
-  Network a{small(PolicyKind::kBlam, 0.5, 5), trace};
-  Network b{small(PolicyKind::kLorawan, 1.0, 5), trace};
+  ShardedNetwork a{small(PolicyKind::kBlam, 0.5, 5), trace};
+  ShardedNetwork b{small(PolicyKind::kLorawan, 1.0, 5), trace};
   EXPECT_EQ(trace.use_count(), 3);  // both networks hold this one trace
 }
 
@@ -220,19 +220,20 @@ TEST(NetworkIntegration, AdrConvergesStrongLinksDown) {
   ScenarioConfig without_adr = with_adr;
   without_adr.adr_enabled = false;
 
-  Network adr_net{with_adr};
+  ShardedNetwork adr_net{with_adr};
   adr_net.run_until(Time::from_days(2.0));
   adr_net.finalize_metrics();
   int stepped_down = 0;
-  for (const auto& node : adr_net.nodes()) {
-    if (sf_value(node->sf()) < 10 || node->radio_params().tx_power_dbm < 14.0) ++stepped_down;
+  for (std::uint32_t id = 0; id < 15; ++id) {
+    const Node& node = adr_net.node(id);
+    if (sf_value(node.sf()) < 10 || node.radio_params().tx_power_dbm < 14.0) ++stepped_down;
   }
   EXPECT_GT(stepped_down, 10);
 
   const ExperimentResult off = run_scenario(without_adr, Time::from_days(2.0));
   ExperimentResult on;
   {
-    Network net{with_adr};
+    ShardedNetwork net{with_adr};
     net.run_until(Time::from_days(2.0));
     net.finalize_metrics();
     on.summary = net.metrics().summarize();
@@ -246,11 +247,11 @@ TEST(NetworkIntegration, DistanceBasedSfAssignsMix) {
   c.sf_assignment = SfAssignment::kDistanceBased;
   c.radius_m = 7000.0;
   c.path_loss.shadowing_sigma_db = 6.0;
-  Network network{c};
+  ShardedNetwork network{c};
   int low_sf = 0;
   int high_sf = 0;
-  for (const auto& node : network.nodes()) {
-    (sf_value(node->sf()) <= 8 ? low_sf : high_sf) += 1;
+  for (std::uint32_t id = 0; id < 60; ++id) {
+    (sf_value(network.node(id).sf()) <= 8 ? low_sf : high_sf) += 1;
   }
   EXPECT_GT(low_sf, 0);
   EXPECT_GT(high_sf, 0);

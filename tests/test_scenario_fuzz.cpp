@@ -5,7 +5,7 @@
 
 #include "common/rng.hpp"
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -70,10 +70,10 @@ TEST_P(ScenarioFuzzTest, InvariantsHoldUnderRandomConfigs) {
 
   // Theta cap invariant for the capped policies.
   if (config.policy == PolicyKind::kBlam || config.policy == PolicyKind::kThetaOnly) {
-    Network network{config};
+    ShardedNetwork network{config};
     network.run_until(Time::from_hours(30.0));
-    for (const auto& node : network.nodes()) {
-      EXPECT_LE(node->battery().soc(), config.theta + 1e-9);
+    for (std::uint32_t id = 0; id < static_cast<std::uint32_t>(config.n_nodes); ++id) {
+      EXPECT_LE(network.node(id).battery().soc(), config.theta + 1e-9);
     }
   }
 

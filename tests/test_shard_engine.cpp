@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -479,6 +480,91 @@ TEST(ShardEngineIdentity, UnknownNodeWForThrowsAtEveryShardCount) {
     net.run_until(Time::from_days(1.5));
     EXPECT_THROW((void)net.w_for(16), std::out_of_range);
     EXPECT_THROW((void)net.w_for(0xffffffffU), std::out_of_range);
+  }
+}
+
+TEST(ShardEngineNodeView, NodeByIdEqualsTheWholeFleetNode) {
+  // node(id) finds a node in the slice that owns it: mid-run, every node at
+  // every shard count is the whole-fleet node with that id, down to the bits
+  // of its ground-truth degradation.
+  const Time mid = Time::from_days(1.3);
+  Network whole{city(48, 4, 1)};
+  whole.run_until(mid);
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE(shards);
+    ShardedNetwork engine{city(48, 4, shards)};
+    ASSERT_EQ(engine.plan().effective, shards);
+    engine.run_until(mid);
+    for (std::uint32_t id = 0; id < 48; ++id) {
+      const Node& want = *whole.nodes()[id];
+      const Node& got = engine.node(id);
+      EXPECT_EQ(got.id(), id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.position().x_m),
+                std::bit_cast<std::uint64_t>(want.position().x_m))
+          << "node " << id;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.position().y_m),
+                std::bit_cast<std::uint64_t>(want.position().y_m))
+          << "node " << id;
+      EXPECT_EQ(got.sf(), want.sf()) << "node " << id;
+      EXPECT_EQ(got.period().us(), want.period().us()) << "node " << id;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tracker().degradation(mid)),
+                std::bit_cast<std::uint64_t>(want.tracker().degradation(mid)))
+          << "node " << id;
+    }
+  }
+}
+
+TEST(ShardEngineNodeView, EditedPlanRunsLikeTheSliceConstructor) {
+  // A caller-edited plan (one day of autonomy, as fault_recovery runs) gives
+  // the same fleet rows at every shard count as one whole-fleet slice built
+  // from that plan, and different rows from the unedited plan.
+  const Time end = Time::from_days(2.0);
+  ScenarioConfig c = city(48, 4, 1);
+  DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  for (NodePlan& node : plan.nodes) node.battery_capacity = node.battery_capacity / kBatteryDays;
+  Network whole{c, plan, nullptr, nullptr, plan_shards(c, plan, 1).slice(0)};
+  whole.run_until(end);
+  whole.finalize_metrics();
+  const std::string want = metric_rows(whole.metrics());
+
+  ShardedNetwork unedited{c};
+  unedited.run_until(end);
+  unedited.finalize_metrics();
+  EXPECT_NE(metric_rows(unedited.metrics()), want);
+
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE(shards);
+    c.shards = shards;
+    ShardedNetwork engine{c, plan};
+    ASSERT_EQ(engine.plan().effective, shards);
+    engine.run_until(end);
+    engine.finalize_metrics();
+    EXPECT_EQ(metric_rows(engine.metrics()), want);
+  }
+}
+
+TEST(ShardEngineNodeView, MismatchedPlanAndUnknownNodeAreRefused) {
+  const ScenarioConfig c = city(48, 4, 4);
+  const DeploymentPlan plan = plan_deployment(c, Rng{c.seed, salt::kRootStream});
+  ScenarioConfig fewer_nodes = c;
+  fewer_nodes.n_nodes = 47;
+  EXPECT_THROW(ShardedNetwork(fewer_nodes, plan), std::invalid_argument);
+  ScenarioConfig more_gateways = c;
+  more_gateways.n_gateways = 9;
+  try {
+    ShardedNetwork refused{more_gateways, plan};
+    ADD_FAILURE() << "a 4-gateway plan ran a 9-gateway config";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("4 gateways"), std::string::npos) << e.what();
+    EXPECT_NE(std::string{e.what()}.find("48 and 9"), std::string::npos) << e.what();
+  }
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE(shards);
+    ShardedNetwork engine{city(48, 4, shards)};
+    ASSERT_EQ(engine.plan().effective, shards);
+    EXPECT_EQ(engine.node(47).id(), 47u);
+    EXPECT_THROW((void)engine.node(48), std::out_of_range);
+    EXPECT_THROW((void)engine.node(0xffffffffU), std::out_of_range);
   }
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/experiment.hpp"
-#include "net/network.hpp"
+#include "sim/shard_engine.hpp"
 
 namespace blam {
 namespace {
@@ -115,14 +115,15 @@ TEST(AdaptiveThetaNetwork, HealthyNetworkDriftsThetaDown) {
   // caps down toward theta_min, buying calendar lifespan for free.
   ScenarioConfig c = blam_scenario(15, 0.5, 61);
   c.adaptive_theta = true;
-  Network network{c};
+  ShardedNetwork network{c};
   network.run_until(Time::from_days(10.0));
   double mean_cap = 0.0;
-  for (const auto& node : network.nodes()) {
-    mean_cap += node->soc_cap();
-    EXPECT_LE(node->battery().soc(), node->soc_cap() + 1e-9);
+  for (std::uint32_t id = 0; id < 15; ++id) {
+    const Node& node = network.node(id);
+    mean_cap += node.soc_cap();
+    EXPECT_LE(node.battery().soc(), node.soc_cap() + 1e-9);
   }
-  mean_cap /= static_cast<double>(network.nodes().size());
+  mean_cap /= 15.0;
   EXPECT_LT(mean_cap, 0.5);
 }
 

@@ -128,6 +128,12 @@ struct StaticDecl {
   bool shared_annotated{false};
   std::string shared_mechanism;
   std::string shared_reason;
+  /// `Foo` for an out-of-class static data member definition
+  /// (`T Foo::bar{...};`), whose tokens [decl_begin, decl_end) are one of
+  /// Foo's own sites for N1; "" otherwise.
+  std::string class_name;
+  std::size_t decl_begin{0};
+  std::size_t decl_end{0};
 };
 
 /// A named declaration at namespace or class scope: N1's census. A

@@ -727,8 +727,9 @@ struct NameUses {
 void rule_n1(const Project& project, std::vector<Finding>& findings) {
   // Every name declared in an analyzed unit is looked up; only src/ header
   // declarations can be findings. A name's own sites are its declaration
-  // tokens, a class's body and its members' out-of-class definitions, and a
-  // function's definitions (a recursive call is no consumer).
+  // tokens, a class's body and its members' out-of-class definitions
+  // (functions and static data members), and a function's definitions (a
+  // recursive call is no consumer).
   std::set<std::string> names;
   std::map<const TranslationUnit*, std::set<std::size_t>> decl_tokens;
   std::map<const TranslationUnit*, OwnRanges> own;
@@ -740,6 +741,11 @@ void rule_n1(const Project& project, std::vector<Finding>& findings) {
     }
     for (const ClassInfo& cls : unit.classes) {
       own[&unit][last_component(cls.name)].emplace_back(cls.body_begin, cls.body_end);
+    }
+    for (const StaticDecl& def : unit.statics) {
+      if (!def.class_name.empty()) {
+        own[&unit][def.class_name].emplace_back(def.decl_begin, def.decl_end);
+      }
     }
     for (const FunctionDef& def : unit.functions) {
       decl_tokens[&unit].insert(def.name_token);

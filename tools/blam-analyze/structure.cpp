@@ -551,6 +551,12 @@ class StructureParser {
           add_static(saw_static ? StaticDecl::Kind::kNamespaceStatic : StaticDecl::Kind::kGlobal,
                      name, type, toks_[n].line, saw_const, saw_atomic, saw_thread_local,
                      start_line);
+          if (n >= 2 && toks_[n - 1].text == "::" && toks_[n - 2].kind == TokKind::kIdentifier) {
+            StaticDecl& def = unit_.statics.back();
+            def.class_name = toks_[n - 2].text;
+            def.decl_begin = start;
+            def.decl_end = i_;
+          }
         }
       }
     };

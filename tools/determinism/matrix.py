@@ -8,7 +8,7 @@ A plain build runs every row; a sanitized one (BLAM_SANITIZE in
 BUILD_DIR/CMakeCache.txt) runs the rows flagged asan or tsan. Each row runs
 in its own temporary directory with BLAM_OUT_DIR=out, so nothing is written
 into the worktree. Every file a run leaves there is an artifact, and so is
-stdout for a scenario row. A row must match committed files at the repo
+stdout for an examples/ row (scenario rows run examples/scenario_runner). A row must match committed files at the repo
 root, an earlier row, or a second run of itself, byte for byte. DESIGN.md
 section 14.3 describes the rules.
 """
@@ -102,6 +102,7 @@ def run_in(row, build, tmp):
     scenario = first.endswith(".cfg")
     argv = ([str(build / "examples/scenario_runner"), str(HERE / first)] if scenario
             else [str(build / target_dirs()[first] / first)]) + args
+    example = scenario or target_dirs()[first] == "examples"
 
     def run(*extra):
         out = subprocess.run(argv + list(extra), cwd=cwd, env=env, capture_output=True)
@@ -115,7 +116,7 @@ def run_in(row, build, tmp):
         if "fallback" in row["flags"] and "running serial" not in err:
             raise Mismatch("no 'running serial' on stderr: the fallback was not taken")
         files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
-        if scenario:
+        if example:
             files["stdout"] = out.stdout
         return files
 
