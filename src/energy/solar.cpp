@@ -9,26 +9,13 @@ namespace blam {
 
 namespace {
 
-constexpr int kMinutesPerDay = 24 * 60;
-constexpr int kDaysPerYear = 365;
-
-enum class Weather { kClear, kCloudy, kOvercast };
-
-double weather_scale(Weather w) {
-  switch (w) {
-    case Weather::kClear:
-      return 1.0;
-    case Weather::kCloudy:
-      return 0.55;
-    case Weather::kOvercast:
-      return 0.18;
-  }
-  return 1.0;
-}
+// Mean reversion per minute of the intra-day Ornstein-Uhlenbeck noise.
+constexpr double kNoiseTheta = 0.05;
 
 }  // namespace
 
-SolarTrace::SolarTrace(const SolarTraceConfig& config) {
+SolarTrace::SolarTrace(const SolarTraceConfig& config)
+    : config_{config}, rng_{config.seed, salt::kSolarTrace} {
   if (config.peak <= Power::zero()) {
     throw std::invalid_argument{"SolarTrace: peak power must be positive"};
   }
@@ -39,82 +26,91 @@ SolarTrace::SolarTrace(const SolarTraceConfig& config) {
       config.max_day_hours >= 24.0) {
     throw std::invalid_argument{"SolarTrace: invalid day-length range"};
   }
-
-  Rng rng{config.seed, salt::kSolarTrace};
-  watts_.resize(static_cast<std::size_t>(kDaysPerYear) * kMinutesPerDay);
-
-  Weather weather = Weather::kCloudy;
-  double noise = 0.0;  // Ornstein-Uhlenbeck state for intra-day variation
-  const double noise_theta = 0.05;  // per-minute mean reversion
-  const double noise_sigma = config.intraday_noise * std::sqrt(2.0 * noise_theta);
-
-  for (int day = 0; day < kDaysPerYear; ++day) {
-    // Season phase: day 172 (late June) is mid-summer.
-    const double season =
-        0.5 * (1.0 + std::cos(2.0 * std::numbers::pi * (day - 172) / 365.0));
-    const double seasonal_peak =
-        config.winter_summer_ratio + (1.0 - config.winter_summer_ratio) * season;
-    const double day_hours =
-        config.min_day_hours + (config.max_day_hours - config.min_day_hours) * season;
-    const double sunrise_min = (24.0 - day_hours) / 2.0 * 60.0;
-    const double sunset_min = sunrise_min + day_hours * 60.0;
-
-    // Day-weather Markov step.
-    const double u = rng.uniform();
-    switch (weather) {
-      case Weather::kClear:
-        weather = u < config.clear_stay ? Weather::kClear
-                  : u < config.clear_stay + 0.2 ? Weather::kCloudy
-                                                : Weather::kOvercast;
-        break;
-      case Weather::kCloudy:
-        weather = u < config.cloudy_stay               ? Weather::kCloudy
-                  : u < config.cloudy_stay + 0.3 ? Weather::kClear
-                                                 : Weather::kOvercast;
-        break;
-      case Weather::kOvercast:
-        weather = u < config.overcast_stay               ? Weather::kOvercast
-                  : u < config.overcast_stay + 0.35 ? Weather::kCloudy
-                                                    : Weather::kClear;
-        break;
-    }
-    const double clearness = weather_scale(weather);
-
-    for (int minute = 0; minute < kMinutesPerDay; ++minute) {
-      noise += noise_theta * (0.0 - noise) + noise_sigma * rng.normal();
-      double p = 0.0;
-      if (minute > sunrise_min && minute < sunset_min) {
-        const double phase = (minute - sunrise_min) / (sunset_min - sunrise_min);
-        const double envelope = std::sin(std::numbers::pi * phase);
-        p = config.peak.watts() * seasonal_peak * clearness * envelope * envelope *
-            std::max(0.0, 1.0 + noise);
-      }
-      watts_[static_cast<std::size_t>(day) * kMinutesPerDay + minute] = p;
-    }
-  }
-  build_cumulative();
+  // Left unwritten: the pages of a day no query reaches are never touched.
+  watts_ = std::make_unique_for_overwrite<double[]>(kMinutesPerYear);
+  cumulative_ = std::make_unique_for_overwrite<double[]>(kMinutesPerYear + 1);
+  cumulative_[0] = 0.0;
 }
 
-void SolarTrace::build_cumulative() {
-  cumulative_.resize(watts_.size() + 1);
-  cumulative_[0] = 0.0;
-  for (std::size_t i = 0; i < watts_.size(); ++i) {
-    cumulative_[i + 1] = cumulative_[i] + watts_[i] * 60.0;  // W * 60 s
+int SolarTrace::days_through(Time t_in_period) {
+  const auto minute = static_cast<std::size_t>(t_in_period.seconds() / 60.0);
+  if (minute >= kMinutesPerYear) return kDaysPerYear;
+  return static_cast<int>(minute / kMinutesPerDay) + 1;
+}
+
+void SolarTrace::fill_days(int days) const {
+  const std::lock_guard lock{fill_mutex_};
+  int filled = filled_days_.load(std::memory_order_relaxed);
+  if (filled >= days) return;
+  for (; filled < days; ++filled) synthesize_day(filled);
+  if (filled == kDaysPerYear) total_joules_ = cumulative_[kMinutesPerYear];
+  filled_days_.store(filled, std::memory_order_release);
+}
+
+void SolarTrace::synthesize_day(int day) const {
+  const SolarTraceConfig& config = config_;
+  const double noise_sigma = config.intraday_noise * std::sqrt(2.0 * kNoiseTheta);
+
+  // Season phase: day 172 (late June) is mid-summer.
+  const double season = 0.5 * (1.0 + std::cos(2.0 * std::numbers::pi * (day - 172) / 365.0));
+  const double seasonal_peak =
+      config.winter_summer_ratio + (1.0 - config.winter_summer_ratio) * season;
+  const double day_hours =
+      config.min_day_hours + (config.max_day_hours - config.min_day_hours) * season;
+  const double sunrise_min = (24.0 - day_hours) / 2.0 * 60.0;
+  const double sunset_min = sunrise_min + day_hours * 60.0;
+
+  // Day-weather Markov step.
+  const double u = rng_.uniform();
+  switch (weather_) {
+    case Weather::kClear:
+      weather_ = u < config.clear_stay         ? Weather::kClear
+                 : u < config.clear_stay + 0.2 ? Weather::kCloudy
+                                               : Weather::kOvercast;
+      break;
+    case Weather::kCloudy:
+      weather_ = u < config.cloudy_stay         ? Weather::kCloudy
+                 : u < config.cloudy_stay + 0.3 ? Weather::kClear
+                                                : Weather::kOvercast;
+      break;
+    case Weather::kOvercast:
+      weather_ = u < config.overcast_stay          ? Weather::kOvercast
+                 : u < config.overcast_stay + 0.35 ? Weather::kCloudy
+                                                   : Weather::kClear;
+      break;
   }
-  total_joules_ = cumulative_.back();
-  peak_watts_ = *std::max_element(watts_.begin(), watts_.end());
+  const double clearness = weather_ == Weather::kClear    ? 1.0
+                           : weather_ == Weather::kCloudy ? 0.55
+                                                          : 0.18;
+
+  const std::size_t first = static_cast<std::size_t>(day) * kMinutesPerDay;
+  for (int minute = 0; minute < kMinutesPerDay; ++minute) {
+    noise_ += kNoiseTheta * (0.0 - noise_) + noise_sigma * rng_.normal();
+    double p = 0.0;
+    if (minute > sunrise_min && minute < sunset_min) {
+      const double phase = (minute - sunrise_min) / (sunset_min - sunrise_min);
+      const double envelope = std::sin(std::numbers::pi * phase);
+      p = config.peak.watts() * seasonal_peak * clearness * envelope * envelope *
+          std::max(0.0, 1.0 + noise_);
+    }
+    const std::size_t i = first + static_cast<std::size_t>(minute);
+    watts_[i] = p;
+    cumulative_[i + 1] = cumulative_[i] + p * 60.0;  // W * 60 s
+  }
 }
 
 Power SolarTrace::power_at(Time t) const {
   const Time in_period = ((t % period()) + period()) % period();
-  const auto minute = static_cast<std::size_t>(in_period / Time::from_minutes(1.0));
-  return Power::from_watts(watts_[std::min(minute, watts_.size() - 1)]);
+  const auto minute = std::min(static_cast<std::size_t>(in_period / Time::from_minutes(1.0)),
+                               kMinutesPerYear - 1);
+  require_days(static_cast<int>(minute / kMinutesPerDay) + 1);
+  return Power::from_watts(watts_[minute]);
 }
 
 double SolarTrace::cumulative_joules(Time t_in_period) const {
   const double minutes = t_in_period.seconds() / 60.0;
   const auto idx = static_cast<std::size_t>(minutes);
-  if (idx >= watts_.size()) return total_joules_;
+  if (idx >= kMinutesPerYear) return total_joules_;
   const double frac = minutes - static_cast<double>(idx);
   return cumulative_[idx] + watts_[idx] * 60.0 * frac;
 }
@@ -125,7 +121,12 @@ Energy SolarTrace::energy_between(Time t0, Time t1) const {
   const std::int64_t whole_periods = (t1 - t0) / p;
   const Time a = ((t0 % p) + p) % p;
   Time b = a + ((t1 - t0) % p);
-  double joules = static_cast<double>(whole_periods) * total_joules_;
+  // A span that covers a whole period or reaches the period's end reads
+  // total_joules_, which exists once the whole year does.
+  require_days(whole_periods > 0 || b >= p ? kDaysPerYear : days_through(b));
+  // 0.0 rather than 0 * total_joules_ (the same bits): a short span never
+  // reads total_joules_, which may still be unwritten.
+  double joules = whole_periods > 0 ? static_cast<double>(whole_periods) * total_joules_ : 0.0;
   if (b <= p) {
     joules += cumulative_joules(b) - cumulative_joules(a);
   } else {
@@ -141,14 +142,23 @@ void SolarTrace::energy_windows(Time start, Time window, int n, Energy* out) con
   const Time p = period();
   const std::int64_t whole_periods = window / p;
   const Time rem = window % p;
+  Time a = ((start % p) + p) % p;
+  // One check for the whole sweep, at its farthest boundary a + n*rem. The
+  // sweep reaches the period's end (and so total_joules_) exactly when
+  // n > floor((p - a - 1us) / rem); the division keeps n*rem from
+  // overflowing.
+  const bool reaches_end =
+      whole_periods > 0 || (p - a - Time::from_us(1)) / rem < static_cast<std::int64_t>(n);
+  require_days(reaches_end ? kDaysPerYear : days_through(a + rem * std::int64_t{n}));
+  const double whole =
+      whole_periods > 0 ? static_cast<double>(whole_periods) * total_joules_ : 0.0;
   // Walk the boundaries once: window i ends where window i+1 starts, with
   // the identical reduced-time argument, so each cumulative_joules value is
   // computed once and reused — the arithmetic per window matches
   // energy_between term for term.
-  Time a = ((start % p) + p) % p;
   double cj_a = cumulative_joules(a);
   for (int i = 0; i < n; ++i) {
-    double joules = static_cast<double>(whole_periods) * total_joules_;
+    double joules = whole;
     const Time b = a + rem;
     if (b <= p) {
       const double cj_b = cumulative_joules(b);

@@ -8,13 +8,20 @@
 // envelope modulated by a per-day clearness state (Markov chain over clear /
 // partly-cloudy / overcast) and smooth intra-day noise.
 //
-// The trace stores per-minute power over one year plus a cumulative-energy
+// The trace holds per-minute power over one year plus a cumulative-energy
 // array, so any interval integral is O(1); the year repeats periodically for
-// multi-year simulations.
+// multi-year simulations. The year is synthesized on demand: the arrays are
+// allocated but left unwritten at construction, and the first query that
+// reaches a day fills every day up to it, in day order, from one generator
+// state. A run that reads a week of the year pays for a week, and every
+// sample is the same double whatever order the days are first reached in.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <mutex>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -38,13 +45,18 @@ struct SolarTraceConfig {
   double intraday_noise{0.15};
 };
 
-/// Thread safety: a SolarTrace is immutable once constructed — power_at /
-/// energy_between only read the sample arrays — so one trace may be shared
-/// (by const reference / shared_ptr<const SolarTrace>) across sweep workers.
-/// This is the one object scenario-grid cells share; see sim/sweep_runner.hpp.
+/// Thread safety: a SolarTrace's queries are const and safe to call from any
+/// number of threads at once, so one trace may be shared (by const reference
+/// / shared_ptr<const SolarTrace>) across sweep workers and engine slices.
+/// The values a trace returns never change; what changes is how much of the
+/// year is filled. The fill runs under a mutex and publishes the filled day
+/// count with a release store; a query checks that count with one acquire
+/// load and reads only days it covers. This is the one object scenario-grid
+/// cells share; see sim/sweep_runner.hpp.
 class SolarTrace {
  public:
-  /// Synthesizes a year-long (525600-minute) trace.
+  /// Validates the config and allocates the year-long (525600-minute)
+  /// trace; no day is synthesized until a query reaches it.
   explicit SolarTrace(const SolarTraceConfig& config);
 
   /// Instantaneous power at simulation time `t` (year wraps around): the
@@ -63,25 +75,46 @@ class SolarTrace {
   /// Requires window > 0 and room for n results in `out`.
   void energy_windows(Time start, Time window, int n, Energy* out) const;
 
-  [[nodiscard]] Time period() const {
-    return Time::from_minutes(static_cast<double>(watts_.size()));
+  [[nodiscard]] static constexpr Time period() {
+    return Time::from_minutes(static_cast<double>(kMinutesPerYear));
   }
-  [[nodiscard]] std::size_t samples() const { return watts_.size(); }
-  /// Largest per-minute sample; cached at construction (the trace is
-  /// immutable, and setup code queries this per node).
-  [[nodiscard]] Power peak() const { return Power::from_watts(peak_watts_); }
 
  private:
-  void build_cumulative();
+  static constexpr int kDaysPerYear = 365;
+  static constexpr int kMinutesPerDay = 24 * 60;
+  static constexpr std::size_t kMinutesPerYear =
+      static_cast<std::size_t>(kDaysPerYear) * kMinutesPerDay;
+
+  enum class Weather { kClear, kCloudy, kOvercast };
+
+  /// Makes days [0, days) readable: one acquire load when they already are.
+  void require_days(int days) const {
+    if (filled_days_.load(std::memory_order_acquire) < days) fill_days(days);
+  }
+  /// The days a query must have filled to read the minute holding
+  /// `t_in_period` (the whole year at the period's end).
+  [[nodiscard]] static int days_through(Time t_in_period);
+  /// Synthesizes every unfilled day below `days`, in order, under the mutex.
+  void fill_days(int days) const;
+  void synthesize_day(int day) const;
 
   /// Cumulative energy (J) from trace start to time `t` within one period,
-  /// with linear interpolation inside a minute.
+  /// with linear interpolation inside a minute. Its day must be filled.
   [[nodiscard]] double cumulative_joules(Time t_in_period) const;
 
-  std::vector<double> watts_;        // per-minute power samples
-  std::vector<double> cumulative_;   // cumulative_[i] = J from 0 to minute i
-  double total_joules_{0.0};         // energy of one full period
-  double peak_watts_{0.0};           // max of watts_, cached for peak()
+  SolarTraceConfig config_;
+  std::unique_ptr<double[]> watts_;       // per-minute power samples
+  std::unique_ptr<double[]> cumulative_;  // cumulative_[i] = J from 0 to minute i
+  // Written once, by the fill of the last day; read only after
+  // require_days(kDaysPerYear).
+  mutable double total_joules_{0.0};      // energy of one full period
+  mutable std::atomic<int> filled_days_{0};
+  // Generator state, carried from one filled day to the next; only the
+  // thread holding fill_mutex_ touches it.
+  mutable std::mutex fill_mutex_;
+  mutable Rng rng_;
+  mutable Weather weather_{Weather::kCloudy};
+  mutable double noise_{0.0};  // Ornstein-Uhlenbeck state for intra-day variation
 };
 
 /// Spread of the per-period cloud jitter: harvest is multiplied by
@@ -112,7 +145,7 @@ class Harvester {
   void energy_windows(Time start, Time window, int n, Energy* out) const;
 
  private:
-  // blam-ckpt: skip -- wiring; the trace is immutable and regenerated from (seed, solar config)
+  // blam-ckpt: skip -- wiring; the trace's values are fixed by (seed, solar config), which regenerate it
   const SolarTrace* trace_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   double panel_scale_;

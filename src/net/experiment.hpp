@@ -79,8 +79,9 @@ struct LifespanResult {
 /// shares with sibling cells. A null trace lets the Network synthesize its
 /// own from config.seed. Cells are fully independent — each builds its own
 /// Network whose random streams derive from config.seed alone — so a grid
-/// can run under any worker count with bit-identical results (SolarTrace is
-/// immutable after construction and safe to share across workers).
+/// can run under any worker count with bit-identical results (a SolarTrace's
+/// values never change, and its const queries, on-demand fill included, are
+/// safe to call from any number of workers).
 struct ScenarioCell {
   ScenarioConfig config;
   std::shared_ptr<const SolarTrace> trace;

@@ -104,7 +104,7 @@ class Network {
   // blam-ckpt: skip -- pure function of the scenario thermal config, rebuilt at construction
   std::unique_ptr<TemperatureModel> thermal_;
   Metrics metrics_;
-  // blam-ckpt: skip -- immutable once built; regenerated from (seed, solar config) or shared across runs
+  // blam-ckpt: skip -- its values are fixed by (seed, solar config); regenerated from them or shared across runs
   std::shared_ptr<const SolarTrace> trace_;
   // blam-ckpt: skip -- pure function of the scenario, rebuilt at construction
   std::unique_ptr<UtilityFunction> utility_;

@@ -3,8 +3,9 @@
 // The figure binaries evaluate protocol x seed x density grids whose cells
 // are mutually independent: every cell owns its Network, whose random
 // streams derive from the cell's own ScenarioConfig::seed (see common/rng.hpp),
-// and the only cross-cell object — a shared SolarTrace — is immutable after
-// construction. SweepRunner exploits that independence: it fans cell bodies
+// and the only cross-cell object — a shared SolarTrace — returns the same
+// values to every reader (it fills its year on demand under its own lock;
+// see energy/solar.hpp). SweepRunner exploits that independence: it fans cell bodies
 // across worker threads (the caller is worker 0) pulling indices from a
 // shared work queue, while each result lands in its submission-order slot.
 // Because no cell reads or writes another cell's state, the aggregated
@@ -12,9 +13,11 @@
 // worker count or scheduling.
 //
 // Thread-safety contract for cell bodies: a body may touch only (a) state it
-// creates itself, (b) its own result slot, and (c) objects that are immutable
-// for the duration of the sweep (e.g. a shared const SolarTrace). The
-// engine provides no synchronization beyond the fork/join boundary.
+// creates itself, (b) its own result slot, and (c) objects whose const
+// interface is safe to call concurrently for the duration of the sweep:
+// immutable ones, or a shared const SolarTrace, which synchronizes its own
+// on-demand fill. The engine provides no synchronization beyond the
+// fork/join boundary.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 namespace blam {
@@ -13,6 +17,15 @@ SolarTraceConfig small_config() {
   c.peak = Power::from_milli_watts(10.0);
   c.seed = 7;
   return c;
+}
+
+/// Largest per-minute sample over one period, read through power_at.
+double max_power(const SolarTrace& trace) {
+  double max_w = 0.0;
+  for (Time t = Time::zero(); t < trace.period(); t = t + Time::from_minutes(1.0)) {
+    max_w = std::max(max_w, trace.power_at(t).watts());
+  }
+  return max_w;
 }
 
 TEST(SolarTrace, ValidatesConfig) {
@@ -30,8 +43,17 @@ TEST(SolarTrace, ValidatesConfig) {
 
 TEST(SolarTrace, YearLongAtMinuteResolution) {
   const SolarTrace trace{small_config()};
-  EXPECT_EQ(trace.samples(), 365u * 24u * 60u);
   EXPECT_EQ(trace.period(), Time::from_days(365.0));
+  // A step function with one sample per minute: constant inside a minute,
+  // and the year holds 365 * 24 * 60 of them.
+  int minutes = 0;
+  for (Time t = Time::zero(); t < trace.period(); t = t + Time::from_minutes(1.0)) {
+    const double w = trace.power_at(t).watts();
+    ASSERT_EQ(trace.power_at(t + Time::from_seconds(59.0)).watts(), w) << "minute " << minutes;
+    ++minutes;
+  }
+  EXPECT_EQ(minutes, 365 * 24 * 60);
+  EXPECT_GT(max_power(trace), 0.0);
 }
 
 TEST(SolarTrace, NightIsDark) {
@@ -55,7 +77,7 @@ TEST(SolarTrace, MiddayGenerates) {
 
 TEST(SolarTrace, PeakNearConfiguredPeak) {
   const SolarTrace trace{small_config()};
-  const double peak = trace.peak().watts();
+  const double peak = max_power(trace);
   EXPECT_GT(peak, 0.5 * 0.010);
   EXPECT_LT(peak, 2.0 * 0.010);  // intraday noise can exceed nominal a bit
 }
@@ -238,15 +260,6 @@ TEST_F(ForecasterTest, WindowsPartitionThePeriod) {
               1e-9);
 }
 
-TEST(SolarTrace, PeakMatchesMaxSample) {
-  const SolarTrace trace{small_config()};
-  double max_w = 0.0;
-  for (Time t = Time::zero(); t < trace.period(); t = t + Time::from_minutes(1.0)) {
-    max_w = std::max(max_w, trace.power_at(t).watts());
-  }
-  EXPECT_DOUBLE_EQ(trace.peak().watts(), max_w);
-}
-
 TEST(SolarTrace, BatchedWindowEnergiesAreBitIdentical) {
   // The batched walk reuses each window boundary's cumulative value; the
   // contract is EXACT equality with per-window energy_between, including
@@ -291,6 +304,144 @@ TEST(SolarTrace, BatchedWindowsRejectNonPositiveWindow) {
   const SolarTrace trace{small_config()};
   Energy out[1];
   EXPECT_THROW(trace.energy_windows(Time::zero(), Time::zero(), 1, out), std::invalid_argument);
+}
+
+
+// The year is synthesized on demand, day by day. These compare bit patterns
+// against a trace whose days were first reached in day order, so a fill
+// that skipped, repeated or reordered a day's draws shows up as a changed
+// sample.
+std::uint64_t bits(Energy e) { return std::bit_cast<std::uint64_t>(e.joules()); }
+std::uint64_t bits(Power p) { return std::bit_cast<std::uint64_t>(p.watts()); }
+
+/// A trace whose days were first reached in day order.
+class DayOrderReference {
+ public:
+  DayOrderReference() : trace_{small_config()} {
+    for (int day = 0; day < 365; ++day) (void)trace_.power_at(Time::from_days(day));
+  }
+
+  [[nodiscard]] const SolarTrace& trace() const { return trace_; }
+
+  /// Every minute's sample and the year's total, bit for bit.
+  void expect_same_year(const SolarTrace& trace) const {
+    for (Time t = Time::zero(); t < trace.period(); t = t + Time::from_minutes(1.0)) {
+      ASSERT_EQ(bits(trace.power_at(t)), bits(trace_.power_at(t))) << "t=" << t.seconds();
+    }
+    ASSERT_EQ(bits(trace.energy_between(Time::zero(), trace.period())),
+              bits(trace_.energy_between(Time::zero(), trace.period())));
+  }
+
+ private:
+  SolarTrace trace_;
+};
+
+TEST(SolarTrace, OnDemandFillIsOrderFree) {
+  const DayOrderReference ref;
+  const SolarTrace& reference = ref.trace();
+  const Time year = reference.period();
+  const Time day = Time::from_days(1.0);
+  const Time noon = Time::from_hours(12.0);
+
+  {
+    // Day 300 first, then day 0.
+    const SolarTrace trace{small_config()};
+    EXPECT_EQ(bits(trace.power_at(day * 300 + noon)), bits(reference.power_at(day * 300 + noon)));
+    EXPECT_EQ(bits(trace.energy_between(Time::zero(), noon)),
+              bits(reference.energy_between(Time::zero(), noon)));
+    ref.expect_same_year(trace);
+  }
+  // Each query kind as the first touch of a fresh trace.
+  const std::vector<std::pair<Time, Time>> spans = {
+      {day * 364 + noon, year + noon},                       // across the year end
+      {day * 364 + noon, year},                              // ends on the year end
+      {day * 5, day * 5 + year + Time::from_hours(3.0)},     // longer than a year
+      {day * 200, day * 200 + year * std::int64_t{2}},       // whole years only
+      {year * std::int64_t{3} + day * 10, year * std::int64_t{3} + day * 11},  // later year
+  };
+  for (const auto& [t0, t1] : spans) {
+    const SolarTrace trace{small_config()};
+    ASSERT_EQ(bits(trace.energy_between(t0, t1)), bits(reference.energy_between(t0, t1)))
+        << "span [" << t0.seconds() << ", " << t1.seconds() << "] s";
+    ref.expect_same_year(trace);
+  }
+  // energy_windows as the first touch: short sweeps, sweeps straddling or
+  // landing on the wrap, and windows longer than a year.
+  struct Sweep {
+    Time start;
+    Time window;
+    int n;
+  };
+  const std::vector<Sweep> sweeps = {
+      {day * 300 + noon, Time::from_minutes(7.5), 48},
+      {year - Time::from_hours(2.0), Time::from_minutes(7.5), 48},
+      {year - Time::from_minutes(30.0), Time::from_minutes(7.5), 4},
+      {day * 40, year + Time::from_hours(5.0), 3},
+  };
+  for (const Sweep& sweep : sweeps) {
+    const SolarTrace trace{small_config()};
+    std::vector<Energy> got(static_cast<std::size_t>(sweep.n));
+    std::vector<Energy> want(got.size());
+    trace.energy_windows(sweep.start, sweep.window, sweep.n, got.data());
+    reference.energy_windows(sweep.start, sweep.window, sweep.n, want.data());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(bits(got[i]), bits(want[i])) << "start=" << sweep.start.seconds() << " i=" << i;
+    }
+    ref.expect_same_year(trace);
+  }
+}
+
+TEST(SolarTrace, ConcurrentFirstTouch) {
+  // Four threads first-touch one shared trace, each walking the year in its
+  // own day order: ascending, adjacent days swapped, even days before odd
+  // ones, and five-day blocks walked backwards. The walks advance side by side, so
+  // short queries read the trace while other threads fill the next days and
+  // the last one; each walk ends in queries that need the whole year.
+  const DayOrderReference ref;
+  const SolarTrace& reference = ref.trace();
+  const SolarTrace trace{small_config()};
+  std::vector<std::vector<int>> orders(4);
+  for (int d = 0; d < 365; ++d) {
+    orders[0].push_back(d);
+    orders[1].push_back(d % 2 == 0 ? std::min(d + 1, 364) : d - 1);
+    orders[2].push_back(d < 183 ? 2 * d : 2 * (d - 183) + 1);
+    orders[3].push_back(d / 5 * 5 + 4 - d % 5);
+  }
+  const Time day = Time::from_days(1.0);
+  const auto queries = [&](const SolarTrace& t, const std::vector<int>& order) {
+    std::vector<Energy> out;
+    Energy window[4];
+    for (const int d : order) {
+      const Time t0 = day * d + Time::from_hours(6.0);
+      out.push_back(t.energy_between(t0, t0 + Time::from_hours(12.0)));
+      t.energy_windows(t0, Time::from_hours(2.0), 4, window);
+      out.insert(out.end(), window, window + 4);
+    }
+    out.push_back(t.energy_between(day * order.front(), day * order.front() + t.period()));
+    t.energy_windows(t.period() - Time::from_hours(3.0), Time::from_hours(2.0), 4, window);
+    out.insert(out.end(), window, window + 4);
+    return out;
+  };
+
+  std::vector<std::vector<Energy>> got(orders.size());
+  std::latch start{static_cast<std::ptrdiff_t>(orders.size())};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < orders.size(); ++k) {
+    threads.emplace_back([&, k] {
+      start.arrive_and_wait();
+      got[k] = queries(trace, orders[k]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t k = 0; k < orders.size(); ++k) {
+    const std::vector<Energy> want = queries(reference, orders[k]);
+    ASSERT_EQ(got[k].size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(bits(got[k][i]), bits(want[i])) << "thread " << k << " query " << i;
+    }
+  }
+  ref.expect_same_year(trace);
 }
 
 }  // namespace
