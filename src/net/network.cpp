@@ -73,6 +73,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
       plan_{config.uplink_channels, config.downlink_channels},
       model_{config.degradation},
       metrics_{slice.fleet != nullptr ? 0 : deployment.nodes.size()},
+      nodes_{slice.nodes.size()},
       worst_attempt_energy_{deployment.worst_attempt_energy} {
   config_.validate();
   const Rng root{config_.seed, salt::kRootStream};
@@ -166,7 +167,6 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   // id — makes a slice's event order the whole-fleet order's projection onto
   // its collision domains, which is what keeps shard counts bit-identical.
   Metrics& fleet = slice.fleet != nullptr ? *slice.fleet : metrics_;
-  nodes_.reserve(slice.nodes.size());
   for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
     const std::uint32_t id = slice.nodes[i];
     const NodePlan& p = deployment.nodes[id];
@@ -189,11 +189,11 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
     init.panel_scale = p.panel_scale;
 
     server_->register_node(init.id);
-    nodes_.push_back(std::make_unique<Node>(init, node_shared_, *trace_, model_, fleet.node(id),
-                                            root.fork(salt::kNodeStreamBase + id)));
-    nodes_.back()->attach_auditor(audit_.get());
-    if (faults_ != nullptr) nodes_.back()->attach_fault_plan(faults_.get());
-    nodes_.back()->start();
+    Node& node = nodes_.emplace_back(init, node_shared_, *trace_, model_, fleet.node(id),
+                                     root.fork(salt::kNodeStreamBase + id));
+    node.attach_auditor(audit_.get());
+    if (faults_ != nullptr) node.attach_fault_plan(faults_.get());
+    node.start();
   }
 
   // Feedback-consistency audit needs the nodes' ground-truth trackers. The
@@ -206,28 +206,33 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   }
 }
 
+NodeBlock::~NodeBlock() {
+  while (size_ > 0) std::destroy_at(nodes_ + --size_);
+  ::operator delete(nodes_, std::align_val_t{alignof(Node)});
+}
+
 Node& Network::node_by_id(std::uint32_t id) const {
-  // nodes_ is in ascending global id (the slice's build order).
-  const auto it =
-      lower_bound_id(nodes_.begin(), nodes_.end(), id, [](const auto& n) { return n->id(); });
-  if (it == nodes_.end() || (*it)->id() != id) {
+  // The block is in ascending global id (the slice's build order).
+  Node* const it =
+      lower_bound_id(nodes_.begin(), nodes_.end(), id, [](const Node& n) { return n.id(); });
+  if (it == nodes_.end() || it->id() != id) {
     throw std::runtime_error{"Network: node " + std::to_string(id) + " is outside this slice"};
   }
-  return **it;
+  return *it;
 }
 
 void Network::run_until(Time until) { sim_.run_until(until); }
 
 double Network::max_degradation() const {
   double max_deg = 0.0;
-  for (const auto& node : nodes_) {
-    max_deg = std::max(max_deg, node->degradation_now(sim_.now()));
+  for (const Node& node : nodes_) {
+    max_deg = std::max(max_deg, node.degradation_now(sim_.now()));
   }
   return max_deg;
 }
 
 void Network::finalize_metrics() {
-  for (const auto& node : nodes_) node->finalize_metrics(sim_.now());
+  for (Node& node : nodes_) node.finalize_metrics(sim_.now());
   if (faults_ != nullptr) {
     metrics_.set_total_outage(faults_->outage_seconds_until(sim_.now()).seconds());
   }
@@ -263,7 +268,7 @@ void Network::checkpoint_state(StateWriter& w) {
   w.begin_section("gateway-metrics");
   write_gateway_metrics(w, metrics_.gateway());
   w.end_section();
-  for (const auto& node : nodes_) node->checkpoint_state(w);
+  for (const Node& node : nodes_) node.checkpoint_state(w);
   if (faults_ != nullptr) write_faults(w, *faults_);
   // Last, so an unaudited stream is unchanged by the audit subsystem.
   if (audit_ != nullptr) audit_->checkpoint_state(w);
@@ -293,7 +298,7 @@ void Network::restore_state(StateReader& r) {
   r.begin_section("gateway-metrics");
   read_gateway_metrics(r, metrics_.gateway());
   r.end_section();
-  for (const auto& node : nodes_) node->restore_state(r);
+  for (Node& node : nodes_) node.restore_state(r);
   if (faults_ != nullptr) read_faults(r, *faults_);
   if (r.remaining().starts_with("section audit\n") != (audit_ != nullptr)) {
     throw std::runtime_error{"restore: checkpoint and this run differ in auditing (BLAM_AUDIT)"};

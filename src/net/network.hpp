@@ -5,8 +5,12 @@
 // slice constructor.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -32,6 +36,39 @@ struct NetworkSlice {
   std::vector<std::uint32_t> nodes;
   /// Node `id` writes fleet->node(id); null makes the Network its own fleet.
   Metrics* fleet{nullptr};
+};
+
+/// A slice's Nodes in one allocation, sized when the slice is built and
+/// aligned to alignof(Node). Each Node is constructed in place after the
+/// last; the block destroys the ones built, in reverse order, when it dies,
+/// so a Node constructor that throws part-way through a build leaves
+/// exactly the nodes before it to destroy. A Node never moves (its events
+/// hold `this`), so the block never grows: emplace_back may be called at
+/// most `capacity` times.
+class NodeBlock {
+ public:
+  explicit NodeBlock(std::size_t capacity)
+      : nodes_{static_cast<Node*>(
+            ::operator new(capacity * sizeof(Node), std::align_val_t{alignof(Node)}))} {}
+  NodeBlock(const NodeBlock&) = delete;
+  NodeBlock& operator=(const NodeBlock&) = delete;
+  ~NodeBlock();
+
+  /// Builds the next Node in place.
+  template <typename... Args>
+  Node& emplace_back(Args&&... args) {
+    Node& node = *std::construct_at(nodes_ + size_, std::forward<Args>(args)...);
+    ++size_;
+    return node;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] Node* begin() const { return nodes_; }
+  [[nodiscard]] Node* end() const { return nodes_ + size_; }
+
+ private:
+  Node* nodes_;
+  std::size_t size_{0};
 };
 
 class Network {
@@ -63,7 +100,8 @@ class Network {
   [[nodiscard]] const Simulator& simulator() const { return sim_; }
   /// Gateway counters and summary fields, plus every node row if its own fleet.
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
+  /// The slice's nodes, adjacent in one block, in ascending global id.
+  [[nodiscard]] std::span<const Node> nodes() const { return {nodes_.begin(), nodes_.size()}; }
   /// Node `id` (global); std::runtime_error if it is not in this slice.
   [[nodiscard]] const Node& node(std::uint32_t id) const { return node_by_id(id); }
   [[nodiscard]] const NetworkServer& server() const { return *server_; }
@@ -118,7 +156,7 @@ class Network {
   Node::Shared node_shared_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   std::vector<Node::Link> node_links_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  NodeBlock nodes_;
   // blam-ckpt: skip -- deployment output; plan_deployment replays deterministically from the scenario seed
   Energy worst_attempt_energy_{};
 };

@@ -14,12 +14,12 @@
 
 namespace blam {
 
-// The event queue prefetches this many bytes of a Node ahead of its events:
-// enough lines to cover one, and not a whole line more.
-static_assert(sizeof(Node) <= EventQueue::kTargetLines * 64,
-              "EventQueue::kTargetLines must cover a Node");
-static_assert(sizeof(Node) > (EventQueue::kTargetLines - 1) * 64,
-              "EventQueue::kTargetLines prefetches a line past a Node");
+// The event queue prefetches kTargetLines lines from a Node's address ahead
+// of its events. A Node starts a line and fills exactly that many, so the
+// lookahead covers all of it and nothing past it.
+static_assert(alignof(Node) == 64, "a Node must start a cache line");
+static_assert(sizeof(Node) == EventQueue::kTargetLines * 64,
+              "EventQueue::kTargetLines must be exactly a Node's lines");
 
 namespace {
 

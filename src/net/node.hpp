@@ -54,7 +54,10 @@ class Gateway;
 class StateReader;
 class StateWriter;
 
-class Node {
+/// Cache-line aligned: a slice builds its Nodes in one block (Network), so
+/// every Node starts a line and the event queue's lookahead covers it with
+/// exactly EventQueue::kTargetLines lines.
+class alignas(64) Node {
  public:
   /// One slice gateway a node's uplinks can reach: its local id and the
   /// path loss to it.

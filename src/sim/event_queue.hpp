@@ -97,8 +97,9 @@ class EventQueue {
   /// pop() prefetches the slot this many run entries ahead ...
   static constexpr std::size_t kSlotLookahead = 4;
   /// ... and the callback's target object this many entries ahead, over
-  /// kTargetLines cache lines from the object's address (13 x 64 B covers
-  /// the 824-byte Node and no line past it, which node.cpp asserts).
+  /// kTargetLines cache lines from the object's address: a Node is
+  /// line-aligned and 13 x 64 = 832 B, so the lookahead covers exactly its
+  /// lines (node.cpp asserts both).
   static constexpr std::size_t kTargetLookahead = 2;
   static constexpr int kTargetLines = 13;
 

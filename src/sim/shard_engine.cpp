@@ -369,7 +369,7 @@ void ShardedNetwork::finalize_metrics() {
     // else. No other counter can differ.
     const std::uint64_t missing = total_gateways - slice->gateways().size();
     std::uint64_t attempts = 0;
-    for (const auto& node : slice->nodes()) attempts += fleet_.node(node->id()).tx_attempts;
+    for (const Node& node : slice->nodes()) attempts += fleet_.node(node.id()).tx_attempts;
     mg.arrivals += attempts * missing;
     mg.lost_under_sensitivity += attempts * missing;
 

@@ -122,6 +122,25 @@ TEST(AnalyzeStructure, NestedClassesAreKeyedThroughTheirParent) {
   EXPECT_NE(find_member(*outer, "state_"), nullptr);
 }
 
+TEST(AnalyzeStructure, AlignedClassesAreClassesNotVariables) {
+  // `alignas(...)` in a class head is a specifier, like an attribute: the
+  // class still parses as one, and is no namespace-scope variable.
+  const auto unit = parse_unit("src/x.hpp",
+                               "class alignas(64) Node {\n"
+                               "  alignas(8) int id_;\n"
+                               "};\n"
+                               "struct [[nodiscard]] alignas(2 * 8) Pair {\n"
+                               "  int first;\n"
+                               "};\n");
+  const ClassInfo* node = find_class(unit, "Node");
+  ASSERT_NE(node, nullptr);
+  EXPECT_NE(find_member(*node, "id_"), nullptr);
+  const ClassInfo* pair = find_class(unit, "Pair");
+  ASSERT_NE(pair, nullptr);
+  EXPECT_NE(find_member(*pair, "first"), nullptr);
+  EXPECT_TRUE(unit.statics.empty());
+}
+
 TEST(AnalyzeStructure, TemplateClassMembersAreCaptured) {
   const auto unit = parse_unit("src/x.hpp",
                                "template <typename T>\n"

@@ -564,11 +564,11 @@ TEST(StateFuzz, SparseRowForgeriesNameTheirError) {
     ShardedNetwork engine{c, trace};
     run_to_fuzz_instant(engine);
     original = checkpoint_text(engine);
-    for (const auto& node : engine.slice(0).nodes()) {
-      const RetxEstimator& e = node->retx_estimator();
+    for (const Node& node : engine.slice(0).nodes()) {
+      const RetxEstimator& e = node.retx_estimator();
       for (std::size_t t = 0; t < e.max_windows() && block.empty(); ++t) {
         for (const std::uint32_t count : e.retx_counts(t)) {
-          if (count > 0) block = retx_block(*node);
+          if (count > 0) block = retx_block(node);
         }
       }
       if (!block.empty()) break;

@@ -231,13 +231,33 @@ class StructureParser {
     }
   }
 
-  void skip_attributes() {
-    while (at("[") && tok(1).text == "[") {
-      ++i_;
-      skip_group("[", "]");
-      if (at("]")) ++i_;
+  /// The first token at or after `j` that does not belong to a `[[...]]`
+  /// attribute or an `alignas(...)` specifier. Stops at EOF gracefully.
+  [[nodiscard]] std::size_t after_specifiers(std::size_t j) const {
+    const auto text = [this](std::size_t k) {
+      return k < toks_.size() ? std::string_view{toks_[k].text} : std::string_view{};
+    };
+    while (true) {
+      std::string_view open = "[";
+      std::string_view close = "]";
+      if (text(j) == "alignas" && toks_[j].kind == TokKind::kIdentifier && text(j + 1) == "(") {
+        ++j;
+        open = "(";
+        close = ")";
+      } else if (text(j) != "[" || text(j + 1) != "[") {
+        return j;
+      }
+      for (int depth = 0; j < toks_.size(); ++j) {
+        if (text(j) == open) ++depth;
+        if (text(j) == close && --depth == 0) {
+          ++j;
+          break;
+        }
+      }
     }
   }
+
+  void skip_attributes() { i_ = after_specifiers(i_); }
 
   /// Declaration/definition sequence inside a namespace (`cls == nullptr`)
   /// or class body (`cls != nullptr`). Consumes the closing `}` of the
@@ -357,18 +377,7 @@ class StructureParser {
   /// After `class`/`struct`/`union`: is a definition body coming (vs a
   /// forward declaration or an elaborated-type specifier in a declaration)?
   [[nodiscard]] bool class_definition_ahead() const {
-    std::size_t j = i_ + 1;
-    // attributes
-    while (j + 1 < toks_.size() && toks_[j].text == "[" && toks_[j + 1].text == "[") {
-      int depth = 0;
-      for (; j < toks_.size(); ++j) {
-        if (toks_[j].text == "[") ++depth;
-        if (toks_[j].text == "]" && --depth == 0) {
-          ++j;
-          break;
-        }
-      }
-    }
+    std::size_t j = after_specifiers(i_ + 1);
     if (j < toks_.size() && toks_[j].text == "{") return true;  // anonymous
     // name: ident (:: ident)*
     if (j >= toks_.size() || toks_[j].kind != TokKind::kIdentifier) return false;
