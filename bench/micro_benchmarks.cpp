@@ -1,12 +1,16 @@
 // google-benchmark micro suite: throughput of the hot simulation primitives
 // (event queue, airtime, interference evaluation, rainflow, the solar
 // integral, and Algorithm 1 itself), plus a warmed-up end-to-end network
-// loop reporting events/sec and heap allocations per node period.
+// loop reporting events and heap allocations per node period, and the
+// 20k-node city engine's build reporting allocations and page faults per
+// node.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -286,6 +290,43 @@ BENCHMARK(BM_NetworkSteadyState)
     ->Arg(50)
     ->Iterations(kSteadyHours)
     ->Unit(benchmark::kMillisecond);
+
+void BM_EngineBuild(benchmark::State& state) {
+  // The set-up every grid cell, sweep worker and resume pays: planning and
+  // building perfbench's 20k-node city_serial engine (16 gateways, one
+  // slice), then destroying it. allocs/node counts the plain operator new
+  // calls a build makes (exact; the aligned node block is not counted) and
+  // minflt/node this process's minor page faults (getrusage), both per node
+  // built, so a change that regrows a column node by node or touches the
+  // node block page by page shows here.
+  constexpr int kNodes = 20000;
+  ScenarioConfig config = blam_scenario(kNodes, /*theta=*/0.5, /*seed=*/1);
+  config.n_gateways = 16;
+  config.gateway_grid_pitch_m = 12000.0;
+  config.cluster_radius_m = 1000.0;
+  config.interference_floor_dbm = -143.0;
+  config.sf_assignment = SfAssignment::kDistanceBased;
+
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<std::uint64_t>(usage.ru_minflt);
+  };
+  std::uint64_t allocs = 0;
+  const std::uint64_t faults0 = minor_faults();
+  for (auto _ : state) {
+    const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    auto engine = std::make_unique<ShardedNetwork>(config);
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+    state.PauseTiming();
+    engine.reset();
+    state.ResumeTiming();
+  }
+  const double nodes = static_cast<double>(state.iterations()) * kNodes;
+  state.counters["allocs/node"] = static_cast<double>(allocs) / nodes;
+  state.counters["minflt/node"] = static_cast<double>(minor_faults() - faults0) / nodes;
+}
+BENCHMARK(BM_EngineBuild)->Unit(benchmark::kMillisecond);
 
 void BM_ThetaControllerDelivery(benchmark::State& state) {
   ThetaController controller{ThetaController::Config{}};

@@ -14,11 +14,13 @@
 // full per-node metric set (plus the compensated gateway counters and the
 // disseminated w_u values) and the process exits nonzero if any shard
 // count diverges from the shards=1 run.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -121,10 +123,8 @@ void write_city_map() {
   for (std::size_t i = 0; i < deployment.nodes.size(); ++i) {
     const NodePlan& node = deployment.nodes[i];
     // A clustered node's domain is its strongest gateway's domain.
-    std::size_t best = 0;
-    for (std::size_t g = 1; g < node.losses_db.size(); ++g) {
-      if (node.losses_db[g] < node.losses_db[best]) best = g;
-    }
+    const std::span<const double> losses = deployment.losses_db(i);
+    const auto best = static_cast<std::size_t>(std::ranges::min_element(losses) - losses.begin());
     rows.push_back({"node", CsvWriter::cell(static_cast<std::uint64_t>(i)),
                     CsvWriter::cell(node.position.x_m), CsvWriter::cell(node.position.y_m),
                     CsvWriter::cell(node.best_loss_db), to_string(node.sf),

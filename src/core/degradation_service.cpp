@@ -78,6 +78,16 @@ NodeHandle DegradationService::obtain(std::uint32_t node_id) {
 
 void DegradationService::register_node(std::uint32_t node_id) { obtain(node_id); }
 
+void DegradationService::register_nodes(std::span<const std::uint32_t> node_ids) {
+  const std::size_t rows = ids_.size() + node_ids.size();
+  store_.reserve(rows);
+  const auto reserve_rows = [](std::size_t n, auto&... columns) { (columns.reserve(n), ...); };
+  reserve_rows(rows, health_, has_report_, has_data_, last_seq_, suspicion_, clean_streak_,
+               degradation_, normalized_, estimated_gap_s_, first_sample_t_, last_sample_t_, ids_,
+               handles_by_id_);
+  for (const std::uint32_t node_id : node_ids) obtain(node_id);
+}
+
 void DegradationService::accept_samples(NodeHandle h, std::span<const SocSample> samples) {
   for (const SocSample& s : samples) {
     if (!std::isfinite(s.soc) || s.soc < 0.0 || s.soc > 1.0) {

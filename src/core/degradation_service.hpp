@@ -150,6 +150,10 @@ class DegradationService {
   /// Registers a node (idempotent).
   void register_node(std::uint32_t node_id);
 
+  /// Registers every node of `node_ids` (idempotent per id), sizing each
+  /// ledger column once for the rows they may add. Ascending ids append.
+  void register_nodes(std::span<const std::uint32_t> node_ids);
+
   /// Ingests SoC transition points reported by `node_id` WITHOUT the report
   /// integrity layer (no sequence numbers available — direct trace feeds in
   /// tests and benches). Samples are still validated: non-finite or

@@ -36,6 +36,15 @@ NodeHandle LedgerStore::add_node() {
   return handle;
 }
 
+void LedgerStore::reserve(std::size_t rows) {
+  const auto reserve_rows = [](std::size_t n, auto&... columns) { (columns.reserve(n), ...); };
+  reserve_rows(rows, closed_cycle_sum_, last_time_, last_soc_, has_sample_, soc_time_integral_,
+               stress_time_integral_, stress_integrated_to_, temperature_c_, temp_stress_,
+               discontinuities_, rf_full_cycles_, rf_has_last_, rf_prev_direction_, rf_last_,
+               rainflow_stack_, residual_cache_, residual_cache_valid_, held_count_);
+  reserve_rows(rows * held_slots_, held_seq_, held_samples_);
+}
+
 void LedgerStore::reset() {
   *this = LedgerStore{model_, default_temperature_c_, held_slots_};
 }

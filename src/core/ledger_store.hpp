@@ -7,9 +7,11 @@
 // integrals, rainflow turning-point machine, held-report slots) into
 // parallel columns indexed by a dense NodeHandle, with the two
 // variable-length pieces — rainflow residual stacks and buffered
-// out-of-order report samples — in chunked SpanArena storage. Registering a
-// node appends one row; ingesting a report touches only the columns it
-// needs; a full recompute streams the columns in index order.
+// out-of-order report samples — in chunked SpanArena storage. An engine
+// slice sizes every column once for its node count (reserve), then
+// registering each node appends one row without regrowing a column;
+// ingesting a report touches only the columns it needs; a full recompute
+// streams the columns in index order.
 //
 // Every arithmetic expression here is copied operand-for-operand from
 // DegradationTracker / RainflowCounter so the columnar ledger is
@@ -47,6 +49,10 @@ class LedgerStore {
 
   /// Appends one node row (all-zero state); returns its dense handle.
   NodeHandle add_node();
+
+  /// Sizes every column for `rows` rows, so the add_node calls that follow
+  /// up to that count append without regrowing a column.
+  void reserve(std::size_t rows);
 
   [[nodiscard]] std::size_t size() const { return has_sample_.size(); }
 

@@ -25,7 +25,10 @@ ReportFaultChannel::Lane& ReportFaultChannel::lane(std::uint32_t node_id) {
   return ln;
 }
 
-void ReportFaultChannel::add_node(std::uint32_t node_id) { (void)slot(node_id); }
+void ReportFaultChannel::add_nodes(std::span<const std::uint32_t> node_ids) {
+  lanes_.reserve(lanes_.size() + node_ids.size());
+  for (const std::uint32_t node_id : node_ids) (void)slot(node_id);
+}
 
 void ReportFaultChannel::deliver(std::uint32_t node_id, std::uint16_t report_seq,
                                  std::uint8_t report_crc, std::span<const SocSample> samples,

@@ -13,14 +13,15 @@
 // runs stay bit-identical.
 //
 // Lanes live in one array sorted by node id. The network server lays out a
-// slot for every node of its slice up front (ascending ids, so each is an
-// append); a slot becomes a lane — snapshotted, flushed — when its node's
-// first report arrives. A report from a node that was never added gets its
-// slot inserted in place.
+// slot for every node of its slice up front, in one array sized once
+// (ascending ids, so each is an append); a slot becomes a lane —
+// snapshotted, flushed — when its node's first report arrives. A report
+// from a node that was never added gets its slot inserted in place.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/degradation_service.hpp"
@@ -48,10 +49,10 @@ class ReportFaultChannel {
 
   explicit ReportFaultChannel(const FaultPlan& plan) : plan_{&plan} {}
 
-  /// Lays out the (not yet open) lane slot of `node_id`; adding ids in
-  /// ascending order makes each an append. Optional: deliver() slots an
-  /// unknown node itself.
-  void add_node(std::uint32_t node_id);
+  /// Lays out the (not yet open) lane slots of `node_ids`, sizing the lane
+  /// array once for them; ascending ids make each an append. Optional:
+  /// deliver() slots an unknown node itself.
+  void add_nodes(std::span<const std::uint32_t> node_ids);
 
   /// Carries one report across the faulty channel, invoking `sink` zero, one
   /// or two times depending on the fault drawn.

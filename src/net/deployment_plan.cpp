@@ -1,6 +1,7 @@
 #include "net/deployment_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -68,8 +69,12 @@ DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
     }
   }
 
-  // Per-node link budgets and SF assignment (against the BEST gateway).
+  // Per-node link budgets and SF assignment (against the BEST gateway). The
+  // loss matrix is sized once and filled row by row, in the (node, gateway)
+  // order the shadowing draws follow.
   plan.nodes.reserve(positions.size());
+  plan.link_losses_db.resize(positions.size() * plan.gateway_positions.size());
+  auto loss = plan.link_losses_db.begin();
   const std::int64_t min_period_min = static_cast<std::int64_t>(config.min_period.minutes());
   const std::int64_t max_period_min = static_cast<std::int64_t>(config.max_period.minutes());
   for (const Position& pos : positions) {
@@ -77,9 +82,9 @@ DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
     node.position = pos;
     node.best_loss_db = 1e300;
     for (const Position& gw : plan.gateway_positions) {
-      const Link link{pos, gw, config.path_loss, shadow_rng};
-      node.losses_db.push_back(link.total_loss_db());
-      node.best_loss_db = std::min(node.best_loss_db, link.total_loss_db());
+      const double link_loss = Link{pos, gw, config.path_loss, shadow_rng}.total_loss_db();
+      *loss++ = link_loss;
+      node.best_loss_db = std::min(node.best_loss_db, link_loss);
     }
     node.sf = kFixedSf;
     if (config.sf_assignment == SfAssignment::kDistanceBased) {
@@ -94,15 +99,20 @@ DeploymentPlan plan_deployment(const ScenarioConfig& config, const Rng& root) {
     node.period = Time::from_minutes(
         static_cast<double>(traffic_rng.uniform_int(min_period_min, max_period_min)));
     node.panel_scale = traffic_rng.uniform(kPanelScaleMin, kPanelScaleMax);
-    plan.nodes.push_back(std::move(node));
+    plan.nodes.push_back(node);
   }
 
   // Worst-case one-attempt energy across the network ("enough for two
   // transmissions at peak", Sec. IV-A.1) and per-node battery sizing: sleep
-  // floor plus one attempt per sampling period for kBatteryDays days.
+  // floor plus one attempt per sampling period for kBatteryDays days. An
+  // attempt's energy depends on the SF alone, so it is computed once per SF.
+  std::array<Energy, kAllSpreadingFactors.size()> attempt_energy_by_sf{};
+  for (const SpreadingFactor sf : kAllSpreadingFactors) {
+    attempt_energy_by_sf[sf_index(sf)] = attempt_energy(sf);
+  }
   plan.worst_attempt_energy = Energy::zero();
   for (NodePlan& node : plan.nodes) {
-    const Energy per_attempt = attempt_energy(node.sf);
+    const Energy per_attempt = attempt_energy_by_sf[sf_index(node.sf)];
     plan.worst_attempt_energy = std::max(plan.worst_attempt_energy, per_attempt);
     const double packets_per_day = 86400.0 / node.period.seconds();
     const Energy daily =

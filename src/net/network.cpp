@@ -1,6 +1,9 @@
 #include "net/network.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -149,18 +152,37 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   // Each node's reach: the slice gateways its uplinks clear the audibility
   // floor at when sent at kDeviceTxPowerDbm, the most power it ever uses
   // (ADR only steps down from it and back), by the same test
-  // Gateway::on_uplink makes; laid out node after node in one array.
+  // Gateway::on_uplink makes; laid out node after node in one array,
+  // counted first so it is allocated once.
+  const auto audible = [this](double loss) {
+    return !(kDeviceTxPowerDbm - loss < config_.interference_floor_dbm);
+  };
+  std::size_t links = 0;
+  for (const std::uint32_t id : slice.nodes) {
+    const std::span<const double> losses = deployment.losses_db(id);
+    for (const int g : slice.gateways) {
+      if (audible(losses[static_cast<std::size_t>(g)])) ++links;
+    }
+  }
+  node_links_.reserve(links);
   std::vector<std::size_t> first_link(slice.nodes.size() + 1, 0);
   for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
-    const NodePlan& p = deployment.nodes[slice.nodes[i]];
+    const std::span<const double> losses = deployment.losses_db(slice.nodes[i]);
     for (std::size_t local = 0; local < slice.gateways.size(); ++local) {
-      const double loss = p.losses_db[static_cast<std::size_t>(slice.gateways[local])];
-      if (!(kDeviceTxPowerDbm - loss < config_.interference_floor_dbm)) {
-        node_links_.push_back(Node::Link{static_cast<int>(local), loss});
-      }
+      const double loss = losses[static_cast<std::size_t>(slice.gateways[local])];
+      if (audible(loss)) node_links_.push_back(Node::Link{static_cast<int>(local), loss});
     }
     first_link[i + 1] = node_links_.size();
   }
+
+  // The other per-node columns are sized once, here, from the slice: the
+  // ledger's rows and report-fault lanes, then the event queue's slots. The
+  // build schedules each node's first period (and first crash, with crashes
+  // on) and the server's first tick; the pool takes them at the power of two
+  // its own doubling would have reached, so the run regrows it as before.
+  server_->register_nodes(slice.nodes);
+  const bool crashes = faults_ != nullptr && config_.faults.crashes_enabled();
+  sim_.reserve_events(std::bit_ceil(slice.nodes.size() * (crashes ? 2 : 1) + 1));
 
   // Construction order — server first (its dissemination tick is the
   // earliest scheduled event), then gateways, then nodes in ascending global
@@ -170,6 +192,7 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
     const std::uint32_t id = slice.nodes[i];
     const NodePlan& p = deployment.nodes[id];
+    const std::span<const double> losses = deployment.losses_db(id);
 
     Node::Init init;
     init.id = id;
@@ -182,13 +205,11 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
         static_cast<std::uint32_t>(slice.gateways.size() - init.audible.size());
     init.min_link_loss_db = std::numeric_limits<double>::infinity();
     for (const int g : slice.gateways) {
-      init.min_link_loss_db =
-          std::min(init.min_link_loss_db, p.losses_db[static_cast<std::size_t>(g)]);
+      init.min_link_loss_db = std::min(init.min_link_loss_db, losses[static_cast<std::size_t>(g)]);
     }
     init.battery_capacity = p.battery_capacity;
     init.panel_scale = p.panel_scale;
 
-    server_->register_node(init.id);
     Node& node = nodes_.emplace_back(init, node_shared_, *trace_, model_, fleet.node(id),
                                      root.fork(salt::kNodeStreamBase + id));
     node.attach_auditor(audit_.get());
@@ -206,9 +227,35 @@ Network::Network(const ScenarioConfig& config, const DeploymentPlan& deployment,
   }
 }
 
+namespace {
+
+/// A transparent huge page: 2 MB on x86-64 and on arm64 with 4 KB pages.
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+std::align_val_t node_block_alignment(std::size_t huge_bytes) {
+  return std::align_val_t{huge_bytes > 0 ? kHugePageBytes : alignof(Node)};
+}
+
+}  // namespace
+
+NodeBlock::NodeBlock(std::size_t capacity)
+    : huge_bytes_{capacity * sizeof(Node) / kHugePageBytes * kHugePageBytes},
+      nodes_{static_cast<Node*>(
+          ::operator new(capacity * sizeof(Node), node_block_alignment(huge_bytes_)))} {
+  // Only the block's own pages, which the node loop constructs in full: the
+  // tail past the last whole huge page keeps small pages, so no huge page
+  // maps memory the block does not use. A failed madvise leaves small pages.
+  if (huge_bytes_ > 0) (void)madvise(nodes_, huge_bytes_, MADV_HUGEPAGE);
+}
+
 NodeBlock::~NodeBlock() {
   while (size_ > 0) std::destroy_at(nodes_ + --size_);
-  ::operator delete(nodes_, std::align_val_t{alignof(Node)});
+  // Withdrawn so memory the allocator reuses (an arena's, rather than a
+  // mapping it unmaps) does not keep the advice. Under THP mode "madvise",
+  // MADV_NOHUGEPAGE is the state the memory had before; under "always" it
+  // leaves that memory on small pages.
+  if (huge_bytes_ > 0) (void)madvise(nodes_, huge_bytes_, MADV_NOHUGEPAGE);
+  ::operator delete(nodes_, node_block_alignment(huge_bytes_));
 }
 
 Node& Network::node_by_id(std::uint32_t id) const {

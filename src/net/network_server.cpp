@@ -40,9 +40,9 @@ std::optional<AdrCommand> NetworkServer::adr_advice(std::uint32_t node_id,
   return adr_->advise(node_id, current);
 }
 
-void NetworkServer::register_node(std::uint32_t node_id) {
-  service_.register_node(node_id);
-  if (report_faults_.has_value()) report_faults_->add_node(node_id);
+void NetworkServer::register_nodes(std::span<const std::uint32_t> node_ids) {
+  service_.register_nodes(node_ids);
+  if (report_faults_.has_value()) report_faults_->add_nodes(node_ids);
 }
 
 void NetworkServer::attach_fault_plan(const FaultPlan* faults) {

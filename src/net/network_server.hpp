@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,9 +67,10 @@ class NetworkServer {
   /// uplink is checked for strict per-node sequence monotonicity.
   void attach_auditor(Auditor* auditor) { audit_ = auditor; }
 
-  /// Registers a node with the ledger (and lays out its report-fault lane
-  /// slot when report faults are on). Call in ascending id order.
-  void register_node(std::uint32_t node_id);
+  /// Registers nodes with the ledger (and lays out their report-fault lane
+  /// slots when report faults are on), sizing both once for them. Pass ids
+  /// in ascending order.
+  void register_nodes(std::span<const std::uint32_t> node_ids);
 
   /// A gateway decoded one copy of an uplink. Copies of the same frame from
   /// several gateways end simultaneously; the server collects them for a

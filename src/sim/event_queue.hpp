@@ -107,6 +107,11 @@ class EventQueue {
   /// engine enforces this, the queue only stores).
   EventHandle schedule(Time time, Callback callback);
 
+  /// Sizes the slot pool for `events` slots, so scheduling never regrows it
+  /// while no more than that many events (pending or cancelled but not yet
+  /// reached) hold a slot. The pool still grows past it if it must.
+  void reserve(std::size_t events) { slots_.reserve(events); }
+
   /// Cancels a pending event. Returns false if the handle is null, already
   /// fired, or already cancelled; cancelling such handles is harmless.
   bool cancel(EventHandle handle);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,16 +70,16 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
   std::iota(parent.begin(), parent.end(), 0);
   std::vector<int> anchor_gateway(deployment.nodes.size(), 0);
   for (std::size_t i = 0; i < deployment.nodes.size(); ++i) {
-    const NodePlan& node = deployment.nodes[i];
+    const std::span<const double> losses = deployment.losses_db(i);
     int first_coupled = -1;
     int best_gateway = 0;
-    double best_loss = node.losses_db.empty() ? 0.0 : node.losses_db[0];
-    for (std::size_t g = 0; g < node.losses_db.size(); ++g) {
-      if (node.losses_db[g] < best_loss) {
-        best_loss = node.losses_db[g];
+    double best_loss = losses.empty() ? 0.0 : losses[0];
+    for (std::size_t g = 0; g < losses.size(); ++g) {
+      if (losses[g] < best_loss) {
+        best_loss = losses[g];
         best_gateway = static_cast<int>(g);
       }
-      const double rx_dbm = kDeviceTxPowerDbm - node.losses_db[g];
+      const double rx_dbm = kDeviceTxPowerDbm - losses[g];
       if (rx_dbm >= config.interference_floor_dbm) {
         if (first_coupled < 0) {
           first_coupled = static_cast<int>(g);
@@ -149,6 +150,9 @@ ShardPlan plan_shards(const ScenarioConfig& config, const DeploymentPlan& deploy
 
 NetworkSlice ShardPlan::slice(int shard) const {
   NetworkSlice out;
+  out.gateways.reserve(
+      static_cast<std::size_t>(std::ranges::count(shard_of_gateway, shard)));
+  out.nodes.reserve(static_cast<std::size_t>(std::ranges::count(shard_of_node, shard)));
   for (std::size_t g = 0; g < shard_of_gateway.size(); ++g) {
     if (shard_of_gateway[g] == shard) out.gateways.push_back(static_cast<int>(g));
   }

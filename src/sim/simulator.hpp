@@ -34,6 +34,9 @@ class Simulator {
   /// Schedules `callback` after a non-negative delay.
   EventHandle schedule_in(Time delay, Callback callback);
 
+  /// Sizes the event queue's slot pool once (EventQueue::reserve).
+  void reserve_events(std::size_t events) { queue_.reserve(events); }
+
   /// Cancels a pending event; harmless on null/fired/cancelled handles.
   bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 

@@ -3,6 +3,12 @@
 // server picks the strongest copy and ACKs through that gateway.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <span>
+
 #include "common/rng.hpp"
 #include "net/deployment_plan.hpp"
 #include "net/experiment.hpp"
@@ -107,10 +113,10 @@ ScenarioConfig partial_reach_city(std::uint64_t seed = 23) {
   return c;
 }
 
-/// Gateways of `node` an uplink at `power_dbm` clears the floor at.
-int audible_at(const NodePlan& node, double power_dbm, double floor_dbm) {
+/// Gateways an uplink at `power_dbm` over `losses` clears the floor at.
+int audible_at(std::span<const double> losses, double power_dbm, double floor_dbm) {
   int n = 0;
-  for (const double loss : node.losses_db) n += power_dbm - loss < floor_dbm ? 0 : 1;
+  for (const double loss : losses) n += power_dbm - loss < floor_dbm ? 0 : 1;
   return n;
 }
 
@@ -131,14 +137,14 @@ TEST(MultiGateway, AudibleFanOutIsExact) {
   std::uint64_t under_sensitivity = 0;
   int partial_reach_nodes = 0;
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const NodePlan& p = plan.nodes[i];
     const Node& node = network.node(static_cast<std::uint32_t>(i));
     const std::uint64_t tx = network.metrics().node(i).tx_attempts;
     attempts += tx;
-    const int audible = audible_at(p, kDeviceTxPowerDbm, c.interference_floor_dbm);
+    const std::span<const double> losses = plan.losses_db(i);
+    const int audible = audible_at(losses, kDeviceTxPowerDbm, c.interference_floor_dbm);
     if (audible > 0 && audible < c.n_gateways) ++partial_reach_nodes;
     for (int g = 0; g < c.n_gateways; ++g) {
-      const double loss = p.losses_db[static_cast<std::size_t>(g)];
+      const double loss = losses[static_cast<std::size_t>(g)];
       const double rx = kDeviceTxPowerDbm - loss;
       if (rx < c.interference_floor_dbm) {
         under_floor += tx;
@@ -171,6 +177,55 @@ TEST(MultiGateway, DistanceSfFallsBackToSf12WhenNothingCloses) {
   }
   EXPECT_GT(unserved, 0);
   EXPECT_LT(unserved, static_cast<int>(plan.nodes.size()));
+}
+
+// The flat loss matrix holds exactly what a vector per node held: on a
+// shadowed city, whose draws run in (node, gateway) order, every entry is
+// the Link recomputed in that order, bit for bit; and the per-SF attempt
+// energy sizes every battery and the solar peak exactly as a per-node
+// computation does.
+TEST(MultiGateway, PlanMatrixAndBatteriesEqualPerNodeRecomputation) {
+  ScenarioConfig c = partial_reach_city(/*seed=*/31);
+  c.cluster_radius_m = 8000.0;  // nodes far enough out to need every SF
+  c.path_loss.shadowing_sigma_db = 6.0;
+  const Rng root{c.seed, salt::kRootStream};
+  const DeploymentPlan plan = plan_deployment(c, root);
+  ASSERT_EQ(plan.link_losses_db.size(), plan.nodes.size() * plan.gateway_positions.size());
+
+  Rng shadow_rng = root.fork(salt::kShadowing);
+  Energy worst = Energy::zero();
+  std::array<int, kAllSpreadingFactors.size()> nodes_at_sf{};
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const NodePlan& node = plan.nodes[i];
+    ++nodes_at_sf[sf_index(node.sf)];
+    const std::span<const double> losses = plan.losses_db(i);
+    ASSERT_EQ(losses.size(), plan.gateway_positions.size());
+    for (std::size_t g = 0; g < losses.size(); ++g) {
+      const Link link{node.position, plan.gateway_positions[g], c.path_loss, shadow_rng};
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(losses[g]),
+                std::bit_cast<std::uint64_t>(link.total_loss_db()))
+          << "node " << i << " gateway " << g;
+    }
+
+    TxParams params;
+    params.sf = node.sf;
+    params.bandwidth_hz = 125e3;
+    params.payload_bytes = kPayloadBytes + 4;
+    params = params.with_auto_ldro();
+    const Energy per_attempt =
+        tx_energy(params, kSx1276) + kSx1276.rx_power() * (kRxWindowDuration * std::int64_t{2});
+    worst = std::max(worst, per_attempt);
+    const Energy daily = kSx1276.sleep_power() * Time::from_days(1.0) +
+                         per_attempt * (86400.0 / node.period.seconds());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(node.battery_capacity.joules()),
+              std::bit_cast<std::uint64_t>((daily * kBatteryDays).joules()))
+        << "node " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.worst_attempt_energy.joules()),
+            std::bit_cast<std::uint64_t>(worst.joules()));
+  for (const SpreadingFactor sf : kAllSpreadingFactors) {
+    EXPECT_GT(nodes_at_sf[sf_index(sf)], 0) << "no node at " << to_string(sf);
+  }
 }
 
 }  // namespace

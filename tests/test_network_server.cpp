@@ -35,14 +35,15 @@ TEST_F(NetworkServerTest, AcceptsNewAndRejectsDuplicates) {
 }
 
 TEST_F(NetworkServerTest, NoDisseminationBeforeFirstRecompute) {
-  server_.register_node(1);
+  const std::uint32_t ids[] = {1};
+  server_.register_nodes(ids);
   EXPECT_FALSE(server_.dissemination_ready());
   EXPECT_DOUBLE_EQ(server_.w_for(1), 0.0);
 }
 
 TEST_F(NetworkServerTest, DailyRecomputeEnablesDissemination) {
-  server_.register_node(1);
-  server_.register_node(2);
+  const std::uint32_t ids[] = {1, 2};
+  server_.register_nodes(ids);
   std::vector<SocSample> high;
   std::vector<SocSample> low;
   for (int d = 0; d <= 5; ++d) {
@@ -70,7 +71,10 @@ TEST_F(NetworkServerTest, DuplicateSocReportsAreNotDoubleIngested) {
 }
 
 TEST_F(NetworkServerTest, ServiceAccessors) {
-  server_.register_node(7);
+  const std::uint32_t ids[] = {7};
+  server_.register_nodes(ids);
+  EXPECT_EQ(server_.service().node_count(), 1u);
+  server_.register_nodes(ids);  // idempotent
   EXPECT_EQ(server_.service().node_count(), 1u);
 }
 

@@ -52,14 +52,14 @@ DeploymentPlan make_deployment(std::vector<Position> gateways,
                                SpreadingFactor sf = SpreadingFactor::kSF7) {
   DeploymentPlan d;
   d.gateway_positions = std::move(gateways);
-  for (auto& row : losses) {
+  for (const auto& row : losses) {
+    d.link_losses_db.insert(d.link_losses_db.end(), row.begin(), row.end());
     NodePlan node;
-    node.losses_db = std::move(row);
-    node.best_loss_db = *std::min_element(node.losses_db.begin(), node.losses_db.end());
+    node.best_loss_db = *std::min_element(row.begin(), row.end());
     node.sf = sf;
     node.period = Time::from_minutes(16.0);
     node.battery_capacity = Energy::from_joules(100.0);
-    d.nodes.push_back(std::move(node));
+    d.nodes.push_back(node);
   }
   return d;
 }
